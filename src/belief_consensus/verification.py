@@ -23,11 +23,12 @@ from belief_consensus.dynamics import (
     REASON_DIVERGENCE,
     averaging_increments,
     contrarian_increments,
+    laplacian_step,
     leader_increments,
     run_dynamics,
     step_conflicting,
     step_leader_follow,
-    step_supportive,
+    step_supportive,  # noqa: F401 -- not called here; bench/tracer.py wraps it by name
 )
 
 IDENTITY_RTOL = 1e-12
@@ -53,21 +54,62 @@ class PropertyResult:
         return msg
 
 
-def _scale_sq(values: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(values))) ** 2)
+def _scale_sq(values: np.ndarray):
+    """max(1, max|x|)^2 of a vector, or per row of a (seeds, n) batch."""
+    return np.maximum(1.0, np.abs(values).max(axis=-1, keepdims=values.ndim > 1)) ** 2
 
 
-def _identity_ok(actual, predicted, scale_sq: float) -> bool:
-    mask = ~np.isnan(actual)
-    return bool(np.all(np.abs(actual[mask] - predicted[mask]) <= IDENTITY_RTOL * scale_sq))
+# The checks below reduce over agents: a bool for one vector, one per row of a
+# batch. NaN entries (agents with no collaborators) are skipped.
+
+def _identity_ok(actual, predicted, scale_sq):
+    ok = np.abs(actual - predicted) <= IDENTITY_RTOL * scale_sq
+    return (ok | np.isnan(actual)).all(axis=-1)
 
 
-def _sign_ok(actual, scale_sq: float, nonpositive: bool) -> bool:
-    mask = ~np.isnan(actual)
+def _sign_ok(actual, scale_sq, nonpositive: bool):
     slack = IDENTITY_RTOL * scale_sq
-    if nonpositive:
-        return bool(np.all(actual[mask] <= slack))
-    return bool(np.all(actual[mask] >= -slack))
+    ok = actual <= slack if nonpositive else actual >= -slack
+    return (ok | np.isnan(actual)).all(axis=-1)
+
+
+def _supportive_identity_failures(
+    opinions: np.ndarray, beliefs: np.ndarray, topo: DynamicsTopology, identity_steps: int
+) -> list[tuple[int, str] | None]:
+    """Per seed, the first failing (step, failure) of the per-step checks, or None.
+
+    `opinions` and `beliefs` are (seeds, n) batches stepped together. At each
+    step the increment identity is checked first, then its nonpositive sign,
+    then that each agent's distance to its collaborator mean did not grow.
+    """
+    alpha, beta = topo.step_sizes()
+    a = topo.adjacency("supportive")
+    first: list[tuple[int, str] | None] = [None] * len(opinions)
+    prev_dists = None
+    for step in range(identity_steps):
+        a_op, p_op, d_op = averaging_increments(opinions, topo.supportive, alpha)
+        a_be, p_be, _ = averaging_increments(beliefs, topo.supportive, beta)
+        sc_op, sc_be = _scale_sq(opinions), _scale_sq(beliefs)
+        identity = _identity_ok(a_op, p_op, sc_op) & _identity_ok(a_be, p_be, sc_be)
+        sign = _sign_ok(a_op, sc_op, True) & _sign_ok(a_be, sc_be, True)
+        dists = np.sqrt(d_op)
+        if prev_dists is None:
+            grew = np.zeros(len(dists), dtype=bool)
+        else:
+            # only the marginal tie case keeps distances constant; a
+            # contracting run shrinks them, which is also fine
+            atol = 1e-12 * np.maximum(1.0, np.max(dists, axis=1, keepdims=True))
+            constant = np.all(np.abs(dists - prev_dists) <= atol, axis=1)
+            grew = ~constant & np.any(dists > prev_dists + 1e-12, axis=1)
+        for s in np.flatnonzero(~identity | ~sign | grew):
+            if first[s] is None:
+                kind = ("identity violated" if not identity[s]
+                        else "positive increment" if not sign[s] else "distance grew")
+                first[s] = (step, kind)
+        prev_dists = dists
+        opinions = laplacian_step(opinions, a, alpha)[0]
+        beliefs = laplacian_step(beliefs, a, beta)[0]
+    return first
 
 
 def verify_supportive_convergence(
@@ -86,6 +128,9 @@ def verify_supportive_convergence(
     reflection, so trajectories come back flagged as marginal contraction;
     for those the constancy of each agent's distance to its collaborator
     mean is verified explicitly.
+
+    The per-step checks run on all seeds of one n at once; the first failure
+    and the counts reported are those of checking seed by seed in order.
     """
     t0 = time.perf_counter()
     failures: list[str] = []
@@ -93,39 +138,24 @@ def verify_supportive_convergence(
     trajectories = 0
     for n in n_values:
         topo = DynamicsTopology.all_pairs(n)
-        alpha, beta = topo.step_sizes()
+        initial = []
         for s in range(seeds):
             rng = np.random.default_rng(np.random.SeedSequence([master_seed, n, s]))
-            state = DynamicsState(
+            initial.append(DynamicsState(
                 opinions=rng.uniform(-1.0, 1.0, n), beliefs=rng.uniform(0.0, 1.0, n)
-            )
+            ))
+        first = _supportive_identity_failures(
+            np.stack([st.opinions for st in initial]), np.stack([st.beliefs for st in initial]),
+            topo, identity_steps,
+        )
+        for s, state in enumerate(initial):
             trajectories += 1
-            prev_dists = None
-            cur = state
-            for _ in range(identity_steps):
-                sc = _scale_sq(cur.opinions)
-                a_op, p_op, d_op = averaging_increments(cur.opinions, topo.supportive, alpha)
-                a_be, p_be, d_be = averaging_increments(cur.beliefs, topo.supportive, beta)
-                checks += 1
-                if not (_identity_ok(a_op, p_op, sc) and _identity_ok(a_be, p_be, _scale_sq(cur.beliefs))):
-                    failures.append(f"identity violated at n={n} seed={s} step={cur.step}")
-                    break
-                if not (_sign_ok(a_op, sc, True) and _sign_ok(a_be, _scale_sq(cur.beliefs), True)):
-                    failures.append(f"positive increment at n={n} seed={s} step={cur.step}")
-                    break
-                dists = np.sqrt(d_op)
-                if prev_dists is not None and not np.allclose(
-                    dists, prev_dists, rtol=0, atol=1e-12 * max(1.0, float(np.max(dists)))
-                ):
-                    # only the marginal tie case keeps distances constant; a
-                    # contracting run shrinks them, which is also fine
-                    if np.any(dists > prev_dists + 1e-12):
-                        failures.append(f"distance grew at n={n} seed={s} step={cur.step}")
-                        break
-                prev_dists = dists
-                cur = step_supportive(cur, topo)
-            if failures:
+            if first[s] is not None:
+                step, kind = first[s]
+                checks += step + 1
+                failures.append(f"{kind} at n={n} seed={s} step={step}")
                 break
+            checks += identity_steps
             result = run_dynamics(state, topo, "supportive", tol=tol, max_steps=max_steps)
             if not result.converged:
                 failures.append(f"not converged at n={n} seed={s}: {result.reason}")
@@ -299,14 +329,15 @@ def verify_belief_speedup(
     leaders = tuple(range(n - n_leaders, n))
     followers = list(range(n - n_leaders))
     topo = DynamicsTopology.with_leaders(n, leaders)
+    a = topo.adjacency("leader")
     _, beta = topo.step_sizes()
 
     def steps_to_belief_tol(beliefs0: np.ndarray) -> int:
-        cur = DynamicsState(opinions=np.zeros(n), beliefs=beliefs0)
+        cur = beliefs0
         for k in range(max_steps + 1):
-            if cur.beliefs.max() - cur.beliefs.min() < tol:
+            if cur.max() - cur.min() < tol:
                 return k
-            cur = step_leader_follow(cur, leaders, topo)
+            cur = laplacian_step(cur, a, beta)[0]
         return max_steps + 1
 
     for s in range(seeds):
@@ -317,24 +348,17 @@ def verify_belief_speedup(
         b_low = np.concatenate([follower_b, low_lead])
         b_high = np.concatenate([follower_b, low_lead + boost])
 
-        cur_low, cur_high = b_low.copy(), b_high.copy()
-        ok = True
+        pair = np.stack([b_low, b_high])
         for _ in range(200):
-            if (cur_low.max() - cur_low.min() < tol) and (cur_high.max() - cur_high.min() < tol):
+            if np.all(pair.max(axis=1) - pair.min(axis=1) < tol):
                 break
-            a_low, _ = leader_increments(cur_low, leaders, beta)
-            a_high, _ = leader_increments(cur_high, leaders, beta)
+            a_low, a_high = np.abs(leader_increments(pair, leaders, beta)[0][:, followers])
             checks += 1
-            for i in followers:
-                if abs(a_high[i]) + 1e-15 < abs(a_low[i]):
-                    failures.append(f"follower increment smaller under high leaders at seed={s}")
-                    ok = False
-                    break
-            if not ok:
+            if np.any(a_high + 1e-15 < a_low):
+                failures.append(f"follower increment smaller under high leaders at seed={s}")
                 break
-            cur_low = _leader_step_vec(cur_low, leaders, beta)
-            cur_high = _leader_step_vec(cur_high, leaders, beta)
-        if not ok:
+            pair = laplacian_step(pair, a, beta)[0]
+        if failures:
             break
         if steps_to_belief_tol(b_high) <= steps_to_belief_tol(b_low):
             passed_pairs += 1
@@ -348,12 +372,6 @@ def verify_belief_speedup(
         failures=failures,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _leader_step_vec(beliefs: np.ndarray, leaders, beta: float) -> np.ndarray:
-    state = DynamicsState(opinions=np.zeros(len(beliefs)), beliefs=beliefs)
-    topo = DynamicsTopology.with_leaders(len(beliefs), leaders, beta=beta)
-    return step_leader_follow(state, leaders, topo).beliefs
 
 
 def run_property_suite(

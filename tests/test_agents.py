@@ -191,7 +191,9 @@ def fake_server():
     _FakeHandler.script = []
     _FakeHandler.requests_seen = []
     server = HTTPServer(("127.0.0.1", 0), _FakeHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval keeps shutdown() from waiting out the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield server, f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()

@@ -274,7 +274,14 @@ def extract_answer_sentence(content: str) -> tuple[int, int] | None:
     return start, end
 
 
-def _token_probs_for_span(tokens: list[dict], start: int, end: int) -> list[float]:
+def _token_probs_for_span(tokens: list[dict], content: str, start: int, end: int) -> list[float]:
+    """Probabilities of the tokens overlapping content[start:end].
+
+    Token offsets are found by concatenating the token strings, so they must
+    spell out `content` exactly; otherwise the span would pick wrong tokens.
+    """
+    if "".join(entry.get("token", "") for entry in tokens) != content:
+        raise AgentError("logprob tokens do not reproduce the message content")
     probs = []
     offset = 0
     for entry in tokens:
@@ -374,7 +381,7 @@ class ChatCompletionsAgent:
         span = extract_answer_sentence(content)
         if span is None:
             raise UnanswerableError("unanswerable output: no answer sentence found")
-        probs = _token_probs_for_span(logprobs, *span)
+        probs = _token_probs_for_span(logprobs, content, *span)
         if not probs:
             raise UnanswerableError("unanswerable output: no tokens in the answer sentence")
         sentence = content[span[0]:span[1]]

@@ -24,9 +24,7 @@ from belief_consensus.grouping import OpinionGroup
 SUPPORTIVE = "Supportive"
 CONFLICTING = "Conflicting"
 
-MACRO_CONFLICT_THRESHOLD = 0.5   # inclusive
-MICRO_CONFLICT_THRESHOLD = 4.0   # strict
-CONFLICT_THRESHOLD = 2.0         # strict, on the combined score
+CONFLICT_THRESHOLD = 2.0  # strict, on the combined score
 
 # Belief sums that agree mathematically can differ by accumulation noise;
 # gaps below this are the degenerate zero case, not a real ratio.
@@ -41,14 +39,6 @@ class ConflictReport:
     combined: float
     relation: str
     components: Mapping[str, float]
-
-    @property
-    def macro_conflict(self) -> bool:
-        return self.macro >= MACRO_CONFLICT_THRESHOLD
-
-    @property
-    def micro_conflict(self) -> bool:
-        return self.micro > MICRO_CONFLICT_THRESHOLD
 
 
 @dataclass(frozen=True)

@@ -74,47 +74,106 @@ def _distinct_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return distinct, inverse.ravel(), counts
 
 
-def _seed_centroids(distinct: np.ndarray, counts: np.ndarray, k: int, rng) -> np.ndarray:
-    """k-means++ over the distinct rows, weighted by multiplicity."""
+def _renumber(labels: np.ndarray) -> np.ndarray:
+    """Relabel so labels count up from 0 in order of first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.ravel()]
+
+
+def _sq_dists(distinct: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances (R, k, m) from each restart's k centroids to the rows.
+
+    One centroid slot at a time, so no temporary exceeds (R, m, d); each
+    entry is the last-axis sum of squared differences, the same reduction
+    one centroid against all rows performs.
+    """
+    return np.stack(
+        [((distinct - centroids[:, c, None, :]) ** 2).sum(-1) for c in range(centroids.shape[1])],
+        axis=1,
+    )
+
+
+def _weighted_sums(distinct: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum over rows of weights[r, i] * distinct[i] per restart r: (R, d).
+
+    Rows are added in order, as np.average adds a (members, d) block for
+    d > 1; `.sum(axis=1)` may pair them up instead. Zero-weight rows add
+    exact zeros. (For d == 1 np.average itself pairs up 8 or more members,
+    so there a centroid can differ from its result in the last bit.) The
+    running sum is taken in place, so the only temporary is one (R, m, d)
+    array, freed once the caller has used the result.
+    """
+    running = distinct * weights[:, :, None]
+    np.cumsum(running, axis=1, out=running)
+    return running[:, -1]
+
+
+def _seed_centroids(distinct: np.ndarray, counts: np.ndarray, k: int, rngs) -> np.ndarray:
+    """k-means++ over the distinct rows, weighted by multiplicity, for every restart.
+
+    Returns (R, k) row indices. Restart r draws only from rngs[r], one uniform
+    per pick, and inverts the pick distribution's cdf exactly as
+    `Generator.choice(m, p=p)` does, so each restart's picks match drawing
+    them one restart at a time.
+    """
     weights = counts / counts.sum()
-    first = rng.choice(len(distinct), p=weights)
-    centroids = [distinct[first]]
-    for _ in range(1, k):
-        d2 = np.min(
-            [np.sum((distinct - c) ** 2, axis=1) for c in centroids], axis=0
-        )
-        mass = d2 * counts
-        total = mass.sum()
-        if total <= 0.0:
-            probs = weights
-        else:
-            probs = mass / total
-        centroids.append(distinct[rng.choice(len(distinct), p=probs)])
-    return np.array(centroids)
-
-
-def _lloyd(distinct: np.ndarray, counts: np.ndarray, k_eff: int, rng):
-    centroids = _seed_centroids(distinct, counts, k_eff, rng)
-    for _ in range(KMEANS_MAX_ITER):
-        dists = np.array([np.sum((distinct - c) ** 2, axis=1) for c in centroids])
-        assign = np.argmin(dists, axis=0)
-        new_centroids = centroids.copy()
-        for c in range(k_eff):
-            mask = assign == c
-            if mask.any():
-                new_centroids[c] = np.average(distinct[mask], axis=0, weights=counts[mask])
-            else:
-                # re-seat an empty cluster on the farthest distinct vector
-                far = np.argmax(np.min(dists, axis=0))
-                new_centroids[c] = distinct[far]
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-        centroids = new_centroids
-        if shift < KMEANS_SHIFT_TOL:
+    picks = np.empty((len(rngs), k), dtype=np.intp)
+    probs = np.broadcast_to(weights, (len(rngs), len(distinct)))
+    d2 = None
+    for j in range(k):
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        draws = np.array([rng.random() for rng in rngs])
+        picks[:, j] = (cdf <= draws[:, None]).sum(axis=1)
+        if j == k - 1:
             break
-    dists = np.array([np.sum((distinct - c) ** 2, axis=1) for c in centroids])
-    assign = np.argmin(dists, axis=0)
-    inertia = float(np.sum(np.min(dists, axis=0) * counts))
-    return assign, inertia
+        rows = _sq_dists(distinct, distinct[picks[:, j, None]])[:, 0]
+        d2 = rows if d2 is None else np.minimum(d2, rows)
+        mass = d2 * counts
+        total = mass.sum(axis=1)
+        flat = total <= 0.0
+        probs = mass / np.where(flat, 1.0, total)[:, None]
+        probs[flat] = weights
+    return picks
+
+
+def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Best-of-KMEANS_N_INIT Lloyd k-means over the distinct rows; returns their labels.
+
+    All restarts run as one (R, k, d) batch. A restart stops moving once its
+    largest centroid shift falls below KMEANS_SHIFT_TOL; an empty cluster is
+    re-seated on the row farthest from its nearest centroid. The first
+    restart with the lowest inertia (by more than 1e-12) wins.
+    """
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(KMEANS_N_INIT)]
+    centroids = distinct[_seed_centroids(distinct, counts, k, rngs)]
+    moving = np.ones(len(rngs), dtype=bool)
+    for _ in range(KMEANS_MAX_ITER):
+        dists = _sq_dists(distinct, centroids)
+        assign = dists.argmin(axis=1)
+        far = dists.min(axis=1).argmax(axis=1)
+        updated = np.empty_like(centroids)
+        for c in range(k):
+            weights = (assign == c) * counts
+            size = weights.sum(axis=1)
+            updated[:, c] = _weighted_sums(distinct, weights) / np.maximum(size, 1)[:, None]
+            empty = size == 0
+            updated[empty, c] = distinct[far[empty]]
+        shift = np.sqrt(((updated - centroids) ** 2).sum(-1)).max(axis=1)
+        centroids[moving] = updated[moving]
+        moving &= ~(shift < KMEANS_SHIFT_TOL)
+        if not moving.any():
+            break
+    dists = _sq_dists(distinct, centroids)
+    inertia = (dists.min(axis=1) * counts).sum(axis=1)
+    best, winner = math.inf, 0
+    for r, value in enumerate(inertia.tolist()):
+        if value < best - 1e-12:
+            best, winner = value, r
+    return dists[winner].argmin(axis=0)
 
 
 def cluster_opinions(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -122,32 +181,18 @@ def cluster_opinions(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
 
     Vectors are expected L2-normalized, making squared Euclidean distance
     cosine-equivalent. Seeding restarts KMEANS_N_INIT times from the seed
-    and the lowest-inertia run wins. If fewer than k distinct vectors
-    exist, the effective k is reduced to that count. Labels are renumbered
-    by first appearance.
+    and the lowest-inertia run wins. With at most k distinct vectors every
+    restart puts each in its own cluster, so that partition is returned
+    directly. Labels are renumbered by first appearance.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if vectors.ndim != 2 or len(vectors) == 0:
         raise ValueError("vectors must be a non-empty 2-d array")
     distinct, inverse, counts = _distinct_rows(vectors)
-    k_eff = min(k, len(distinct))
-    assign = None
-    best = math.inf
-    for child in np.random.SeedSequence(seed).spawn(KMEANS_N_INIT):
-        candidate, inertia = _lloyd(distinct, counts, k_eff, np.random.default_rng(child))
-        if inertia < best - 1e-12:
-            best = inertia
-            assign = candidate
-    labels = assign[inverse]
-    # renumber by first appearance so labels are stable for a given row order
-    remap: dict[int, int] = {}
-    out = np.empty(len(labels), dtype=int)
-    for i, lab in enumerate(labels):
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out[i] = remap[lab]
-    return out
+    if len(distinct) <= k:
+        return _renumber(inverse)
+    return _renumber(_kmeans(distinct, counts, k, seed)[inverse])
 
 
 def group_entropy(beliefs: Sequence[float]) -> float:

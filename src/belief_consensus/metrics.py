@@ -100,13 +100,16 @@ def metrics_to_csv(summaries: Sequence[tuple[str, MetricsSummary]], out: IO[str]
     if header_comment:
         out.write(f"# {header_comment}\n")
     writer = csv.writer(out)
-    writer.writerow(["label", "n_cases", "cl", "scl", "scr", "accuracy"])
+    writer.writerow(["label", "n_cases", "mean", "sem", "cl", "scl", "scr", "accuracy"])
     for label, s in summaries:
-        writer.writerow([label, s.n_cases, repr(s.cl), repr(s.scl), repr(s.scr), repr(s.accuracy)])
+        writer.writerow([label, s.n_cases, "", "", repr(s.cl), repr(s.scl), repr(s.scr),
+                         repr(s.accuracy)])
     if len(summaries) > 1:
+        # one row per metric across the settings; n_cases counts the settings
         for name in ("cl", "scl", "scr", "accuracy"):
             mean, sem = mean_sem([getattr(s, name) for _, s in summaries])
-            writer.writerow([f"{name}_mean_sem", len(summaries), repr(mean), repr(sem), "", ""])
+            writer.writerow([f"{name}_mean_sem", len(summaries), repr(mean), repr(sem),
+                             "", "", "", ""])
 
 
 def format_metrics(summaries: Sequence[tuple[str, MetricsSummary]]) -> str:

@@ -269,6 +269,17 @@ class TestChatCompletionsAgent:
             self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1))
         assert len(_FakeHandler.requests_seen) == 3
 
+    def test_tokens_that_do_not_spell_the_content_are_an_error(self, fake_server):
+        server, url = fake_server
+        payload = _completion("The answer is B.", [math.log(0.9), math.log(0.5)])
+        # the server drops a space from one token: offsets past it would shift
+        tokens = payload["choices"][0]["logprobs"]["content"]
+        tokens[0]["token"] = tokens[0]["token"].rstrip()
+        _FakeHandler.script = [(200, payload)]
+        with pytest.raises(AgentError, match="do not reproduce the message content"):
+            self._agent(url).respond(ScenarioCase("c", "q", "B"), "a1", AgentContext("q", 1))
+        assert len(_FakeHandler.requests_seen) == 1
+
     def test_positive_logprob_rejected(self, fake_server):
         server, url = fake_server
         _FakeHandler.script = [(200, _completion("The answer is B.", [0.3]))]

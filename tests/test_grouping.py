@@ -12,6 +12,7 @@ from belief_consensus.grouping import (
     tokenize,
     vectorize,
 )
+from kmeans_oracle import oracle_cluster
 
 
 def partition_of(labels):
@@ -135,6 +136,81 @@ class TestClusterOpinions:
             frozenset(perm[i] for i in grp) for grp in partition_of(permuted)
         )
         assert back == original_partition
+
+
+# k = 4 over 17 rows in 2-D: one of the ten restarts leaves a cluster empty,
+# re-seats it on the farthest row and ends with the lowest inertia, so its
+# labels are the result.
+RESEAT_VECTORS = [
+    [0.3, 0.8], [0.5, 0.9], [0.7, 0.5], [0.1, 0.4], [0.7, 0.5], [0.7, 0.5],
+    [0.3, 0.6], [0.1, 0.4], [0.1, 0.4], [0.1, 0.4], [0.9, 0.3], [0.1, 0.4],
+    [0.7, 0.5], [0.7, 0.5], [0.7, 0.5], [0.2, 0.2], [0.7, 0.5],
+]
+RESEAT_K = 4
+RESEAT_SEED = 315076144
+
+# k = 3 over 19 rows in 1-D, 9 distinct. np.average adds each cluster's
+# members here in row order; pairing them up instead, as numpy's plain sum
+# over the member axis does, moves a centroid by an ulp, which breaks a
+# distance tie and changes the labels.
+SUM_ORDER_VECTORS = [
+    0.5, 0.0, 0.0, 0.6, 0.9, 0.0, 0.1, 0.3, 0.9, 0.1, 0.5, 0.7, 0.2, 0.0, 0.8, 0.0, 0.1, 0.0,
+    0.7,
+]
+SUM_ORDER_K = 3
+SUM_ORDER_SEED = 2132435355
+
+
+def oracle_inputs(count, seed):
+    """Seeded (vectors, k, seed) triples in 1-5 dimensions.
+
+    Each input mixes, at random, rows drawn with repeats from a small pool,
+    all-zero rows, rows rounded to 0.1 and L2-normalized rows. Large n is
+    drawn rarely because the loop oracle is slow there.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = [3, 5, 7, 12, 30, 200]
+    for _ in range(count):
+        n = int(rng.choice(sizes, p=[0.2, 0.2, 0.2, 0.2, 0.17, 0.03]))
+        d = int(rng.integers(1, 6))
+        vecs = rng.normal(size=(n, d)) if rng.random() < 0.3 else rng.uniform(0, 1, (n, d))
+        if rng.random() < 0.5:
+            vecs = vecs[rng.integers(0, int(rng.integers(1, n + 1)), n)]
+        if rng.random() < 0.5:
+            vecs = np.round(vecs, 1)
+        if rng.random() < 0.3:
+            norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+            vecs = np.divide(vecs, norms, out=np.zeros_like(vecs), where=norms > 0)
+        if rng.random() < 0.3:
+            vecs[rng.random(n) < 0.3] = 0.0
+        yield vecs, int(rng.integers(1, 6)), int(rng.integers(0, 2 ** 31))
+
+
+class TestBatchedKMeansOracle:
+    """The batched restarts return exactly the labels of the one-at-a-time loop."""
+
+    def test_labels_equal_loop_oracle(self):
+        regimes = {"m <= k": 0, "m > k": 0}
+        for i, (vecs, k, seed) in enumerate(oracle_inputs(3000, seed=20240611)):
+            distinct = len(np.unique(vecs, axis=0))
+            regimes["m <= k" if distinct <= k else "m > k"] += 1
+            got = cluster_opinions(vecs, k, seed)
+            want = oracle_cluster(vecs, k, seed)
+            assert np.array_equal(got, want), (i, vecs.shape, k, seed)
+        assert min(regimes.values()) >= 500, regimes
+
+    def test_empty_cluster_reseat_input(self):
+        # found by a seeded search over 0.1-rounded inputs with repeated rows
+        vecs = np.array(RESEAT_VECTORS)
+        reseats = []
+        want = oracle_cluster(vecs, RESEAT_K, RESEAT_SEED, reseats)
+        assert reseats
+        assert np.array_equal(cluster_opinions(vecs, RESEAT_K, RESEAT_SEED), want)
+
+    def test_one_dimensional_member_sum_order(self):
+        vecs = np.array(SUM_ORDER_VECTORS)[:, None]
+        want = oracle_cluster(vecs, SUM_ORDER_K, SUM_ORDER_SEED)
+        assert np.array_equal(cluster_opinions(vecs, SUM_ORDER_K, SUM_ORDER_SEED), want)
 
 
 class TestGroupEntropy:

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -97,6 +98,22 @@ class TestSerialization:
         assert "cl_mean_sem" in text
         rendered = format_metrics([("seed-100", summary)])
         assert "CL" in rendered and "seed-100" in rendered
+
+    def test_csv_mean_and_sem_under_their_own_headers(self):
+        low = compute_metrics([row(7, 1, True)], n=7)
+        high = compute_metrics([row(7, 1, True), row(0, 3, False)], n=7)
+        buf = io.StringIO()
+        metrics_to_csv([("a", low), ("b", high)], buf)
+        by_label = {r["label"]: r for r in csv.DictReader(io.StringIO(buf.getvalue()))}
+        for name in ("cl", "scl", "scr", "accuracy"):
+            agg = by_label[f"{name}_mean_sem"]
+            mean, sem = mean_sem([getattr(low, name), getattr(high, name)])
+            assert float(agg["mean"]) == mean
+            assert float(agg["sem"]) == sem
+            assert agg["n_cases"] == "2"
+            assert agg["cl"] == agg["scl"] == agg["scr"] == agg["accuracy"] == ""
+        assert float(by_label["b"]["scr"]) == high.scr
+        assert by_label["b"]["mean"] == by_label["b"]["sem"] == ""
 
     def test_results_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "results.jsonl"

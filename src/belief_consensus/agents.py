@@ -244,10 +244,21 @@ class StochasticAgent:
             answer = best.opinion.answer
             reasoning = f"Adopting the strongest collaborator view on round {ctx.round}."
         else:
-            answer = str(rng.choice(list(self.candidates)))
+            # the draw Generator.choice makes for a list of this length
+            answer = self.candidates[int(rng.integers(len(self.candidates)))]
             reasoning = f"Independent draw on round {ctx.round} favoring option {answer}."
-        belief = float(np.round(rng.uniform(0.3, 0.95), 6))
+        belief = _round_belief(rng.uniform(0.3, 0.95))
         return Opinion(agent_id=agent_id, reasoning=reasoning, answer=answer, belief=belief)
+
+
+def _round_belief(u: float) -> float:
+    """`float(np.round(u, 6))` without numpy's call overhead.
+
+    numpy rounds to 6 decimals by multiplying by 1e6, rounding half to even
+    and dividing by 1e6; Python's `round` rounds a float half to even, so the
+    result is the same float.
+    """
+    return round(u * 1e6) / 1e6
 
 
 # ---------------------------------------------------------------------------

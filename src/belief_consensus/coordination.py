@@ -75,28 +75,50 @@ def _split_supporters(members: Sequence[Opinion]):
     return support, dissent
 
 
-def macro_conflict(p_members: Sequence[Opinion], q_members: Sequence[Opinion]) -> float:
-    """Belief share of agents whose answer does not occur in both groups."""
-    if not p_members or not q_members:
-        raise ValueError("empty opinion group")
-    shared = {op.answer for op in p_members} & {op.answer for op in q_members}
-    union = list(p_members) + list(q_members)
-    total = sum(op.belief for op in union)
-    disjoint = sum(op.belief for op in union if op.answer not in shared)
-    return disjoint / total
+def _conflict_components(
+    p_members: Sequence[Opinion], q_members: Sequence[Opinion]
+) -> dict[str, float]:
+    """Belief sums both conflict scores are built from.
 
-
-def micro_conflict(p_members: Sequence[Opinion], q_members: Sequence[Opinion]) -> float:
-    """Ratio of supporter-sum gap to dissenter-sum gap between the two groups."""
+    Supporter and dissenter sums of each group, plus the belief of the union
+    and of its agents whose answer does not occur in both groups.
+    """
     if not p_members or not q_members:
         raise ValueError("empty opinion group")
     p_support, p_dissent = _split_supporters(p_members)
     q_support, q_dissent = _split_supporters(q_members)
-    num = abs(p_support - q_support)
-    den = abs(p_dissent - q_dissent)
+    shared = {op.answer for op in p_members} & {op.answer for op in q_members}
+    union = list(p_members) + list(q_members)
+    return {
+        "p_support": p_support,
+        "p_dissent": p_dissent,
+        "q_support": q_support,
+        "q_dissent": q_dissent,
+        "sym_diff": sum(op.belief for op in union if op.answer not in shared),
+        "union": sum(op.belief for op in union),
+    }
+
+
+def _macro(components: Mapping[str, float]) -> float:
+    return components["sym_diff"] / components["union"]
+
+
+def _micro(components: Mapping[str, float]) -> float:
+    num = abs(components["p_support"] - components["q_support"])
+    den = abs(components["p_dissent"] - components["q_dissent"])
     if den < SUM_GAP_EPS:
         return 1.0 if num < SUM_GAP_EPS else math.inf
     return num / den
+
+
+def macro_conflict(p_members: Sequence[Opinion], q_members: Sequence[Opinion]) -> float:
+    """Belief share of agents whose answer does not occur in both groups."""
+    return _macro(_conflict_components(p_members, q_members))
+
+
+def micro_conflict(p_members: Sequence[Opinion], q_members: Sequence[Opinion]) -> float:
+    """Ratio of supporter-sum gap to dissenter-sum gap between the two groups."""
+    return _micro(_conflict_components(p_members, q_members))
 
 
 def conflict_relation(
@@ -106,8 +128,9 @@ def conflict_relation(
     q_members: Sequence[Opinion],
 ) -> ConflictReport:
     """Full conflict report for a group pair, including the relation verdict."""
-    macro = macro_conflict(p_members, q_members)
-    micro = micro_conflict(p_members, q_members)
+    components = _conflict_components(p_members, q_members)
+    macro = _macro(components)
+    micro = _micro(components)
     if macro == 0.0:
         combined = 0.0
     elif math.isinf(micro):
@@ -118,24 +141,13 @@ def conflict_relation(
         relation = SUPPORTIVE
     else:
         relation = CONFLICTING if combined > CONFLICT_THRESHOLD else SUPPORTIVE
-    p_support, p_dissent = _split_supporters(p_members)
-    q_support, q_dissent = _split_supporters(q_members)
-    shared = {op.answer for op in p_members} & {op.answer for op in q_members}
-    union = list(p_members) + list(q_members)
     return ConflictReport(
         group_pair=(p_group.group_id, q_group.group_id),
         macro=macro,
         micro=micro,
         combined=combined,
         relation=relation,
-        components={
-            "p_support": p_support,
-            "p_dissent": p_dissent,
-            "q_support": q_support,
-            "q_dissent": q_dissent,
-            "sym_diff": sum(op.belief for op in union if op.answer not in shared),
-            "union": sum(op.belief for op in union),
-        },
+        components=components,
     )
 
 
@@ -166,11 +178,21 @@ def _relation(reports, a: int, b: int) -> str:
     return reports[key].relation
 
 
-def _top_belief(members: Sequence[Opinion], exclude: str | None = None) -> Opinion | None:
-    pool = [op for op in members if op.agent_id != exclude]
-    if not pool:
-        return None
-    return min(pool, key=lambda op: (-op.belief, op.agent_id))
+def _rank(op: Opinion) -> tuple[float, str]:
+    return (-op.belief, op.agent_id)
+
+
+def _top_two(members: Sequence[Opinion]) -> list[str]:
+    """A group's top-belief agent, then its top agent once that one is left out."""
+    if not members:
+        return []
+    best = min(members, key=_rank).agent_id
+    rest = [op for op in members if op.agent_id != best]
+    return [best, min(rest, key=_rank).agent_id] if rest else [best]
+
+
+def _top_agent(top_two: Sequence[str], exclude: str | None = None) -> str | None:
+    return next((aid for aid in top_two if aid != exclude), None)
 
 
 def assign_collaborators(
@@ -185,6 +207,11 @@ def assign_collaborators(
     receives the top-belief agent from each group conflicting with its own;
     every other agent receives the top-belief agent (self excluded) from
     each group supportive of its own, its own group included.
+
+    Each group's related group ids and its two best members are found once,
+    so the cost is O(n·k) for n agents in k groups: leaving one agent out of
+    a group leaves its best member, or the runner-up when that agent is the
+    best.
     """
     if not groups:
         raise ValueError("no opinion groups")
@@ -195,29 +222,27 @@ def assign_collaborators(
     ).agent_id
 
     group_ids = [g.group_id for g in groups]
+    top_two = {gid: _top_two(ops) for gid, ops in members.items()}
     assignments: dict[str, tuple[tuple[str, str], ...]] = {}
     for group in groups:
+        relations = [(gid, _relation(reports, group.group_id, gid)) for gid in group_ids]
+        conflicting_ids = [gid for gid, rel in relations if rel == CONFLICTING]
+        supportive_ids = [gid for gid, rel in relations if rel == SUPPORTIVE]
         for op in members[group.group_id]:
             out: list[tuple[str, str]] = []
-            is_least = op.agent_id == least
-            conflicting_ids = [
-                gid for gid in group_ids if _relation(reports, group.group_id, gid) == CONFLICTING
-            ]
-            if is_least and conflicting_ids:
+            if op.agent_id == least and conflicting_ids:
                 for gid in conflicting_ids:
-                    top = _top_belief(members[gid])
+                    top = _top_agent(top_two[gid])
                     if top is not None:
-                        out.append((top.agent_id, "conflicting"))
+                        out.append((top, "conflicting"))
                 want_supportive = mixed_delegates
             else:
                 want_supportive = True
             if want_supportive:
-                for gid in group_ids:
-                    if _relation(reports, group.group_id, gid) != SUPPORTIVE:
-                        continue
-                    top = _top_belief(members[gid], exclude=op.agent_id)
+                for gid in supportive_ids:
+                    top = _top_agent(top_two[gid], exclude=op.agent_id)
                     if top is not None:
-                        out.append((top.agent_id, "supportive"))
+                        out.append((top, "supportive"))
             assignments[op.agent_id] = tuple(out)
     return AssignmentPlan(
         assignments=assignments,
@@ -237,7 +262,7 @@ def select_leaders(
     members = _members_by_group(groups, opinions)
     out = []
     for group in groups:
-        ranked = sorted(members[group.group_id], key=lambda op: (-op.belief, op.agent_id))
+        ranked = sorted(members[group.group_id], key=_rank)
         all_members = len(ranked) <= n_leaders
         chosen = ranked if all_members else ranked[:n_leaders]
         out.append(

@@ -42,21 +42,24 @@ def vectorize(texts: Sequence[str]) -> np.ndarray:
     """Per-document L2-normalized tf-idf vectors over the corpus vocabulary.
 
     idf(t) = ln((1 + N) / (1 + df(t))) + 1 (smoothed); tf is the raw in-document
-    count. Empty documents yield zero vectors.
+    count. Empty documents yield zero vectors. Each distinct text is tokenized
+    and weighted once and counts in df with its multiplicity, so duplicate
+    texts get the row a per-document fill would give them.
     """
     if len(texts) == 0:
         raise ValueError("no opinions to vectorize")
-    docs = [tokenize(t) for t in texts]
+    slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    rows = [slot[t] for t in texts]
+    docs = [tokenize(t) for t in slot]
     vocab = sorted({tok for doc in docs for tok in doc})
     index = {tok: j for j, tok in enumerate(vocab)}
-    n_docs = len(docs)
-    mat = np.zeros((n_docs, max(len(vocab), 1)))
+    mat = np.zeros((len(docs), max(len(vocab), 1)))
     if vocab:
         df = np.zeros(len(vocab))
-        for doc in docs:
+        for doc, count in zip(docs, np.bincount(rows)):
             for tok in set(doc):
-                df[index[tok]] += 1
-        idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+                df[index[tok]] += count
+        idf = np.log((1.0 + len(texts)) / (1.0 + df)) + 1.0
         for i, doc in enumerate(docs):
             for tok in doc:
                 mat[i, index[tok]] += 1.0
@@ -64,7 +67,7 @@ def vectorize(texts: Sequence[str]) -> np.ndarray:
             norm = np.linalg.norm(mat[i])
             if norm > 0:
                 mat[i] /= norm
-    return mat
+    return mat[rows]
 
 
 def _distinct_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -76,11 +76,6 @@ class RunReport:
         return len(self.rounds)
 
 
-def final_answer(opinions: Sequence[Opinion]) -> str:
-    """Most frequent canonical answer (ties: belief sum, then lexicographic)."""
-    return modal_answer(opinions)
-
-
 def _dispatch(
     backends: Mapping[str, Backend],
     case: ScenarioCase,
@@ -220,7 +215,7 @@ def run_case(
         opinions = _dispatch(backends, case, next_contexts, previous=by_id)
 
     last = records[-1].opinions
-    answer = final_answer(last)
+    answer = modal_answer(last)
     if reached_full:
         terminated = TERMINATED_FULL
     elif all(op.belief < VOTING_FALLBACK_BELIEF for op in last):

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
 line. Tolerances and budgets are pinned here, not configurable."""
 
+import hashlib
 import json
 import math
 import os
@@ -210,6 +211,40 @@ class TestEndToEndDeterminism:
             one == two and accuracy == 1.0,
             f"byte-identical={one == two}, accuracy={accuracy}",
         )
+
+
+def case_lines_digest(out) -> str:
+    """SHA-256 of the per-case lines of results.jsonl (the header echoes paths)."""
+    lines = (Path(out) / "results.jsonl").read_text().splitlines()
+    cases = [line for line in lines if "case_id" in json.loads(line)]
+    return hashlib.sha256(("\n".join(cases) + "\n").encode()).hexdigest()
+
+
+# taken with the reference round layers now kept in tests/round_oracles.py
+CORPUS_DIGEST = "1a548121835e0d7ddbe0bcbbd8e073b1afe66a14baa19d0532b54bd08ad8f5a4"
+STOCHASTIC_N200_DIGEST = "2b1f9542d0bb8cd60113871c878258aad4e60d8ae2415b0c54038938c44c628c"
+
+
+class TestPinnedResults:
+    """The exact per-case results, so a change that alters any decision,
+    group, delegate or belief fails even when reruns stay identical."""
+
+    def test_scripted_corpus_digest(self, tmp_path, corpus_path):
+        rc = main(["run", "--dataset", str(corpus_path), "--seed", "0",
+                   "--backend", "scripted", "--out", str(tmp_path)])
+        assert rc == 0
+        digest = case_lines_digest(tmp_path)
+        report("scripted corpus results pinned", digest == CORPUS_DIGEST, digest)
+
+    def test_stochastic_n200_digest(self, tmp_path, corpus_path):
+        # 200 agents over the corpus questions; rounds take both the
+        # leader and the collaborator-assignment branch
+        rc = main(["run", "--dataset", str(corpus_path), "--seed", "0",
+                   "--backend", "stochastic", "--agents", "200", "--max-rounds", "5",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        digest = case_lines_digest(tmp_path)
+        report("stochastic n=200 results pinned", digest == STOCHASTIC_N200_DIGEST, digest)
 
 
 LIVE_ENDPOINT = os.environ.get("CONSENSUS_SMOKE_ENDPOINT")

@@ -18,8 +18,10 @@ from belief_consensus.agents import (
     extract_answer_sentence,
     make_backend,
     perturb_one_belief,
+    _round_belief,
 )
 from belief_consensus.core import AgentScript, Opinion, ScenarioCase, ScriptedReply
+from round_oracles import oracle_respond
 
 
 def scripted_case():
@@ -92,6 +94,43 @@ class TestStochasticAgent:
         for s in range(20):
             op = StochasticAgent(seed=s).respond(case, "agent-1", AgentContext("q", 1))
             assert 0.0 < op.belief <= 1.0
+
+
+class TestStochasticAgentOracle:
+    def test_opinions_equal_choice_and_np_round_draws(self):
+        rng = np.random.default_rng(7)
+        pool = ("A", "B", "C", "D", "E", "F")
+        cases = [ScenarioCase(f"case-{c}", "q", "A") for c in range(5)]
+        adopted = independent = 0
+        for i in range(20000):
+            agent = StochasticAgent(seed=int(rng.integers(2**31)),
+                                    candidates=pool[: 1 + i % len(pool)])
+            collaborators = tuple(
+                TaggedOpinion(Opinion(f"c{j}", "", str(rng.choice(pool)),
+                                      float(rng.uniform(0.1, 1.0))), "supportive")
+                for j in range(int(rng.integers(0, 4)))
+            )
+            ctx = AgentContext("q", int(rng.integers(1, 6)), collaborators)
+            case, agent_id = cases[i % len(cases)], f"agent-{int(rng.integers(1, 201))}"
+            got = agent.respond(case, agent_id, ctx)
+            assert got == oracle_respond(agent, case, agent_id, ctx), f"draw {i}"
+            if got.reasoning.startswith("Adopting"):
+                adopted += 1
+            else:
+                independent += 1
+        assert adopted > 5000 and independent > 5000
+
+    def test_round_belief_is_np_round(self):
+        # over uniforms, and over the values whose product with 1e6 lands
+        # exactly on a half, where half-up and half-even rounding differ
+        uniforms = np.random.default_rng(11).uniform(0.3, 0.95, 1_000_000)
+        mids = (np.arange(300_000, 950_000) + 0.5) / 1e6
+        near = np.concatenate([mids, np.nextafter(mids, 0.0), np.nextafter(mids, 1.0)])
+        halfway = near[(near * 1e6) % 1.0 == 0.5]
+        assert len(halfway) > 100_000
+        for values in (uniforms, halfway):
+            got = np.array([_round_belief(u) for u in values.tolist()])
+            assert np.array_equal(got, np.round(values, 6))
 
 
 class TestPromptAssembly:

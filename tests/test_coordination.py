@@ -1,12 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from belief_consensus.coordination import (
     CONFLICTING,
     SUPPORTIVE,
+    ConflictReport,
     assign_collaborators,
     conflict_relation,
     macro_conflict,
@@ -18,6 +20,7 @@ from belief_consensus.core import Opinion
 from belief_consensus.grouping import OpinionGroup, group_entropy
 
 from conflict_oracle import oracle_combined
+from round_oracles import oracle_assign_collaborators
 
 
 def member(agent_id, answer, belief):
@@ -316,6 +319,57 @@ class TestAssignCollaborators:
             assert all(cid != agent_id for cid, _ in delegates)
             if agent_id != plan.least_reliable_agent:
                 assert all(tag == "supportive" for _, tag in delegates)
+
+
+def assignment_inputs(count, seed):
+    """Rounds with singleton groups, tied beliefs and drawn or real relations.
+
+    Beliefs come from a coarse grid so ties are common, and agent ids are
+    shuffled so id order differs from belief order. Every other input draws
+    each group pair's relation at random instead of computing it, so the
+    least reliable agent often has several conflicting groups.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n_groups = int(rng.integers(1, 5))
+        ids = [f"a{j}" for j in rng.permutation(40)]
+        spec = []
+        for _ in range(n_groups):
+            size = 1 if rng.random() < 0.3 else int(rng.integers(2, 9))
+            spec.append([
+                (ids.pop(), str(rng.choice(["A", "B", "C"])), float(rng.choice([0.2, 0.5, 0.5, 0.9])))
+                for _ in range(size)
+            ])
+        groups, opinions = build_round(spec)
+        reports = pairwise_reports(groups, opinions)
+        if i % 2:
+            reports = {
+                pair: ConflictReport(pair, 0.0, 0.0, 0.0,
+                                     SUPPORTIVE if pair[0] == pair[1] or rng.random() < 0.5
+                                     else CONFLICTING, {})
+                for pair in reports
+            }
+        yield groups, reports, opinions
+
+
+class TestAssignCollaboratorsOracle:
+    def test_plans_equal_rescan_oracle(self):
+        seen = {"singleton": 0, "tie": 0, "least_conflicting": 0, "least_supportive_only": 0}
+        for i, (groups, reports, opinions) in enumerate(assignment_inputs(2000, seed=41)):
+            for mixed in (False, True):
+                got = assign_collaborators(groups, reports, opinions, mixed_delegates=mixed)
+                want = oracle_assign_collaborators(groups, reports, opinions, mixed_delegates=mixed)
+                # dict equality ignores order; the plan's order is part of the output
+                assert got == want and list(got.assignments) == list(want.assignments), (
+                    f"input {i}, mixed_delegates={mixed}"
+                )
+            seen["singleton"] += any(len(g.members) == 1 for g in groups)
+            beliefs = [op.belief for op in opinions]
+            seen["tie"] += len(set(beliefs)) < len(beliefs)
+            tags = {tag for _, tag in got.assignments[got.least_reliable_agent]}
+            seen["least_conflicting"] += "conflicting" in tags
+            seen["least_supportive_only"] += tags == {"supportive"}
+        assert all(count >= 200 for count in seen.values()), seen
 
 
 class TestSelectLeaders:

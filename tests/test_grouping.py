@@ -13,6 +13,7 @@ from belief_consensus.grouping import (
     vectorize,
 )
 from kmeans_oracle import oracle_cluster
+from round_oracles import oracle_vectorize
 
 
 def partition_of(labels):
@@ -46,6 +47,40 @@ class TestVectorize:
 
     def test_tokenize_strips_punctuation_and_case(self):
         assert tokenize("The Answer, is: (B)!") == ["the", "answer", "is", "b"]
+
+
+WORDS = ("prime", "Prime", "factor", "number_3", "B", "(C)", "the", "answer", "is", "é")
+PUNCTUATION = ("", " ", "!!", "...", "?-,", "(--)")
+
+
+def vectorize_inputs(count, seed):
+    """Text lists with repeated, empty, punctuation-only and all-identical texts."""
+    rng = np.random.default_rng(seed)
+    sizes = (1, 2, 7, 16, 200)
+    for i in range(count):
+        n = sizes[i % len(sizes)]
+        n_texts = 1 if i % 7 == 0 else int(rng.integers(1, min(n, 9) + 1))
+        pool = []
+        for _ in range(n_texts):
+            if rng.random() < 0.25:
+                pool.append(str(rng.choice(PUNCTUATION)))
+            else:
+                words = rng.choice(WORDS, size=int(rng.integers(1, 7)))
+                pool.append(" ".join(words) + str(rng.choice(PUNCTUATION)))
+        yield [pool[j] for j in rng.integers(len(pool), size=n)]
+
+
+class TestVectorizeOracle:
+    def test_equals_per_document_fill(self):
+        kinds = {"duplicates": 0, "identical": 0, "empty": 0, "punctuation": 0}
+        for i, texts in enumerate(vectorize_inputs(2000, seed=20241018)):
+            got, want = vectorize(texts), oracle_vectorize(texts)
+            assert got.shape == want.shape and np.array_equal(got, want), f"input {i}"
+            kinds["duplicates"] += len(set(texts)) < len(texts)
+            kinds["identical"] += len(texts) > 1 and len(set(texts)) == 1
+            kinds["empty"] += any(t.strip() == "" for t in texts)
+            kinds["punctuation"] += any(not tokenize(t) for t in texts)
+        assert all(count >= 100 for count in kinds.values()), kinds
 
 
 class TestClusterOpinions:

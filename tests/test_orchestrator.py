@@ -10,13 +10,13 @@ from belief_consensus.core import (
     RunConfig,
     ScenarioCase,
     ScriptedReply,
+    modal_answer,
     scenarios_from_json,
 )
 from belief_consensus.orchestrator import (
     TERMINATED_FULL,
     TERMINATED_MAX_ROUNDS,
     TERMINATED_VOTING,
-    final_answer,
     report_to_dict,
     rounds_to_csv,
     run_case,
@@ -156,11 +156,11 @@ class TestFinalAnswer:
     def test_strict_majority(self):
         ops = [Opinion("a1", "", "B", 0.5), Opinion("a2", "", "C", 0.5),
                Opinion("a3", "", "C", 0.5)]
-        assert final_answer(ops) == "C"
+        assert modal_answer(ops) == "C"
 
     def test_count_tie_broken_by_belief(self):
         ops = [Opinion("a1", "", "A", 0.9), Opinion("a2", "", "B", 0.4)]
-        assert final_answer(ops) == "A"
+        assert modal_answer(ops) == "A"
 
     def test_three_way_tie_resolved_by_belief_sums(self):
         ops = [
@@ -169,7 +169,7 @@ class TestFinalAnswer:
             Opinion("a5", "", "C", 0.4), Opinion("a6", "", "C", 0.4),   # sum 0.8
             Opinion("a7", "", "D", 0.2),
         ]
-        assert final_answer(ops) == "B"
+        assert modal_answer(ops) == "B"
 
 
 @pytest.fixture(scope="module")

@@ -2,14 +2,19 @@
 chat-completions HTTP client whose belief is the product of the answer
 sentence's token probabilities.
 
-All backends expose respond(case, agent_id, ctx) -> Opinion. A backend must
-never fabricate a belief: the HTTP client fails loudly when the provider
-does not report token probabilities.
+All backends expose respond(case, agent_id, ctx) -> Opinion. A backend may
+also expose respond_round(case, agent_ids, contexts) -> list[Opinion], which
+answers several agents of one round in one call; the stochastic backend does,
+drawing a whole round's generators as one batch. A backend must never
+fabricate a belief: the HTTP client fails loudly when the provider does not
+report token probabilities.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import re
 import threading
@@ -81,6 +86,14 @@ class BackendConfig:
 
 
 class Backend(Protocol):
+    """One agent's opinion per call.
+
+    Optionally also `respond_round(case, agent_ids, contexts) -> list[Opinion]`:
+    the opinions of `agent_ids` (one context each) in that order, equal to
+    calling `respond` for each; the orchestrator then makes one call for all
+    the agents that share the backend.
+    """
+
     def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion: ...
 
 
@@ -224,7 +237,9 @@ class StochasticAgent:
 
     Draws an answer from the candidate pool each round, adopting the
     highest-belief collaborator's answer with fixed probability when
-    collaborators are present. Fully determined by (seed, case, agent, round).
+    collaborators are present. Fully determined by (seed, case, agent, round):
+    each agent's draws are those of `np.random.default_rng(SeedSequence([seed,
+    crc(case), crc(agent), round]))`, computed for a whole round at once.
     """
 
     def __init__(self, seed: int, candidates: Sequence[str] = ("A", "B", "C", "D"),
@@ -234,21 +249,67 @@ class StochasticAgent:
         self.adopt_prob = adopt_prob
 
     def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                [self.seed, stable_hash(case.case_id), stable_hash(agent_id), ctx.round]
+        return self.respond_round(case, [agent_id], [ctx])[0]
+
+    def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
+                      contexts: Sequence[AgentContext]) -> list[Opinion]:
+        """The opinions of several agents in one case, in `agent_ids` order."""
+        prefix = _uint32_words(self.seed) + [stable_hash(case.case_id)]
+        streams = _raw_streams([
+            prefix + [stable_hash(agent_id)] + _uint32_words(ctx.round)
+            for agent_id, ctx in zip(agent_ids, contexts)
+        ])
+        opinions = []
+        for agent_id, ctx, stream in zip(agent_ids, contexts, streams):
+            index, belief = _stochastic_draws(
+                stream.__next__, bool(ctx.collaborators), self.adopt_prob, len(self.candidates)
             )
-        )
-        if ctx.collaborators and rng.random() < self.adopt_prob:
-            best = max(ctx.collaborators, key=lambda t: t.opinion.belief)
-            answer = best.opinion.answer
-            reasoning = f"Adopting the strongest collaborator view on round {ctx.round}."
-        else:
-            # the draw Generator.choice makes for a list of this length
-            answer = self.candidates[int(rng.integers(len(self.candidates)))]
-            reasoning = f"Independent draw on round {ctx.round} favoring option {answer}."
-        belief = _round_belief(rng.uniform(0.3, 0.95))
-        return Opinion(agent_id=agent_id, reasoning=reasoning, answer=answer, belief=belief)
+            if index is None:
+                best = max(ctx.collaborators, key=lambda t: t.opinion.belief)
+                answer = best.opinion.answer
+                reasoning = f"Adopting the strongest collaborator view on round {ctx.round}."
+            else:
+                answer = self.candidates[index]
+                reasoning = f"Independent draw on round {ctx.round} favoring option {answer}."
+            opinions.append(Opinion(agent_id=agent_id, reasoning=reasoning, answer=answer,
+                                    belief=_round_belief(belief)))
+        return opinions
+
+
+def _stochastic_draws(next_raw, collaborate: bool, adopt_prob: float,
+                      n_candidates: int) -> tuple[int | None, float]:
+    """The draws of one `StochasticAgent` opinion from its raw PCG64 outputs.
+
+    Returns the candidate index (None when the agent adopts a collaborator's
+    answer) and the unrounded belief, drawn as numpy's `Generator` draws
+    `random()`, `integers(n_candidates)` and `uniform(0.3, 0.95)`: `random()`
+    scales an output's top 53 bits to [0, 1), and `uniform(lo, hi)` is
+    lo + (hi - lo) * random().
+    """
+    if collaborate and (next_raw() >> 11) * _TWO_POW_M53 < adopt_prob:
+        index = None
+    else:
+        index = _bounded_index(next_raw, n_candidates)
+    return index, 0.3 + (0.95 - 0.3) * ((next_raw() >> 11) * _TWO_POW_M53)
+
+
+def _bounded_index(next_raw, n: int) -> int:
+    """`Generator.integers(n)`: Lemire's bounded draw on 32-bit words.
+
+    Each output gives its low half first and its high half to a rejected
+    draw; n = 1 reads nothing.
+    """
+    if n < 1:
+        raise ValueError("no candidates to draw from")
+    if n == 1:
+        return 0
+    threshold = (1 << 32) % n  # a product whose low word is below it is rejected
+    while True:
+        raw = next_raw()
+        for word in (raw & _MASK32, raw >> 32):
+            product = word * n
+            if product & _MASK32 >= threshold:
+                return product >> 32
 
 
 def _round_belief(u: float) -> float:
@@ -259,6 +320,162 @@ def _round_belief(u: float) -> float:
     result is the same float.
     """
     return round(u * 1e6) / 1e6
+
+
+# ---------------------------------------------------------------------------
+# numpy's SeedSequence and PCG64, many generators at once
+#
+# A stochastic agent's generator is a pure function of its entropy words, and
+# numpy seeds and steps it with fixed integer arithmetic, so a round's
+# generators are computed together as array operations, bit for bit.
+
+_MASK32 = 0xFFFFFFFF
+_TWO_POW_M53 = 1.0 / 9007199254740992.0
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_STREAM_OUTPUTS = 3  # random(), one bounded draw and uniform(); more only on a rejection
+
+
+def _uint32_words(n: int) -> list[int]:
+    """An int as `SeedSequence` reads it: 32-bit words, least significant first."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _frozen(values, dtype, shape) -> np.ndarray:
+    out = np.array(values, dtype=dtype).reshape(shape)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _stream_constants(n_words: int, k: int):
+    """The constant operands of `_pcg64_raw` for `n_words` words and `k` outputs.
+
+    `SeedSequence`'s hash multiplier advances on every hashmix call, so call t
+    xors with the t-th constant and multiplies by the next one; the calls come
+    in stages of 4 (filling the pool), 3 per pool word (the all-pairs mix) and
+    4 per further entropy word. Output t of PCG64 seeded with (s, inc) is the
+    XSL-RR of the 128-bit state M^(t+1)·s + (1 + M + ... + M^(t+1))·inc.
+    """
+    extra = max(n_words - _POOL_SIZE, 0)
+    sizes = [_POOL_SIZE] + [_POOL_SIZE - 1] * _POOL_SIZE + [_POOL_SIZE] * extra
+    hash_a, hash_b = [_INIT_A], [_INIT_B]
+    while len(hash_a) <= sum(sizes):
+        hash_a.append(hash_a[-1] * _MULT_A & _MASK32)
+    while len(hash_b) <= 2 * _POOL_SIZE:
+        hash_b.append(hash_b[-1] * _MULT_B & _MASK32)
+    stages, t = [], 0
+    for size in sizes:
+        stages.append((_frozen(hash_a[t:t + size], np.uint32, (size, 1)),
+                       _frozen(hash_a[t + 1:t + 1 + size], np.uint32, (size, 1))))
+        t += size
+    factors, power, total = [], _PCG_MULT, 1 + _PCG_MULT
+    for _ in range(k):
+        power = power * _PCG_MULT % (1 << 128)
+        total = (total + power) % (1 << 128)
+        factors.append((power, total))
+    scale_offset = [f for pair in zip(*factors) for f in pair]  # all scales, then offsets
+    low = [f & (1 << 64) - 1 for f in scale_offset]
+    return (
+        stages,
+        _frozen(hash_b[:-1], np.uint32, (2, _POOL_SIZE, 1)),
+        _frozen(hash_b[1:], np.uint32, (2, _POOL_SIZE, 1)),
+        _frozen([f >> 64 for f in scale_offset], np.uint64, (2, k, 1)),
+        _frozen(low, np.uint64, (2, k, 1)),
+        _frozen([f & _MASK32 for f in low], np.uint64, (2, k, 1)),
+        _frozen([f >> 32 for f in low], np.uint64, (2, k, 1)),
+    )
+
+
+_OTHER_POOL_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE)]
+
+
+def _pcg64_raw(words: np.ndarray, k: int) -> np.ndarray:
+    """The first k raw outputs of `PCG64(SeedSequence(words[:, j]))` for each j.
+
+    `words` is a (n_words, m) uint32 array of entropy words; returns (k, m)
+    uint64. Reproduces `SeedSequence` (pool of 4, `generate_state(4, uint64)`)
+    and PCG64's seeding and XSL-RR output, with 128-bit products assembled
+    from 32-bit halves. Every step is one array operation over all m, so a
+    batch costs about the same at any m.
+    """
+    n_words, m = words.shape
+    stages, xor_b, mul_b, factor_hi, factor_lo, b0, b1 = _stream_constants(n_words, k)
+    u16, u32, low32 = np.uint32(16), np.uint64(32), np.uint64(_MASK32)
+
+    def hashmix(values, stage):  # one hashmix call per row of the stage
+        xor, mul = stage
+        out = values ^ xor
+        out *= mul
+        out ^= out >> u16
+        return out
+
+    pool = np.zeros((_POOL_SIZE, m), np.uint32)
+    pool[:n_words] = words[:_POOL_SIZE]
+    pool = hashmix(pool, stages[0])
+    for src, dst in enumerate(_OTHER_POOL_WORDS):
+        mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashmix(
+            pool[src], stages[1 + src])
+        pool[dst] = mixed ^ (mixed >> u16)
+    for word, stage in zip(words[_POOL_SIZE:], stages[1 + _POOL_SIZE:]):
+        mixed = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * hashmix(word, stage)
+        pool = mixed ^ (mixed >> u16)
+
+    state = pool ^ xor_b  # (2, 4, m): the pool read twice
+    state *= mul_b
+    state ^= state >> u16
+    state = state.reshape(2 * _POOL_SIZE, m).astype(np.uint64)
+    seed = state[0::2] | state[1::2] << u32  # s high, s low, inc high, inc low
+    seed[2] = seed[2] << np.uint64(1) | seed[3] >> np.uint64(63)
+    seed[3] = seed[3] << np.uint64(1) | np.uint64(1)
+    # (s, inc) times (scale_t, offset_t) mod 2**128, as one (2, k, m) batch
+    x_hi, x_lo = seed[0::2, None], seed[1::2, None]
+    a0, a1 = x_lo & low32, x_lo >> u32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    middle = (p00 >> u32) + (p01 & low32) + (p10 & low32)
+    hi = (a1 * b1 + (p01 >> u32) + (p10 >> u32) + (middle >> u32)
+          + x_hi * factor_lo + x_lo * factor_hi)
+    lo = x_lo * factor_lo
+    state_lo = lo[0] + lo[1]
+    state_hi = hi[0] + hi[1] + (state_lo < lo[0])
+    xored = state_hi ^ state_lo
+    rot = state_hi >> np.uint64(58)
+    return xored >> rot | xored << (-rot & np.uint64(63))
+
+
+def _raw_stream(entropy: list[int], outputs: list[int]):
+    """One generator's raw outputs: its first ones, `outputs`, then more on
+    demand (only a rejected bounded draw reads past `_STREAM_OUTPUTS`)."""
+    yield from outputs
+    while True:
+        more = _pcg64_raw(np.array(entropy, np.uint32)[:, None], 2 * len(outputs))
+        more = more[:, 0].tolist()
+        yield from more[len(outputs):]
+        outputs = more
+
+
+def _raw_streams(entropy: Sequence[list[int]]) -> list:
+    """A raw-output stream per entropy word list, drawn in one batch per length."""
+    rows_of: dict[int, list[int]] = {}
+    for i, words in enumerate(entropy):
+        rows_of.setdefault(len(words), []).append(i)
+    streams = [None] * len(entropy)
+    for rows in rows_of.values():
+        words = np.array([entropy[i] for i in rows], np.uint32).T
+        raw = _pcg64_raw(words, _STREAM_OUTPUTS).T.tolist()
+        for i, outputs in zip(rows, raw):
+            streams[i] = _raw_stream(entropy[i], outputs)
+    return streams
 
 
 # ---------------------------------------------------------------------------

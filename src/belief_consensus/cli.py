@@ -7,7 +7,8 @@
 Configuration is a YAML file with nested sections (run / backend / simulate /
 sweep); command-line flags override file values. The effective configuration
 is echoed into every output file header. Exit codes: 0 success, 1 invalid
-configuration (or failed dynamics property), 2 unreadable dataset.
+configuration (or failed dynamics property), 2 unreadable dataset, 3 a run
+in which one or more cases raised (the other cases' outputs are written).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from belief_consensus.verification import run_property_suite
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATASET = 2
+EXIT_CASES_FAILED = 3
 
 
 class ConfigError(ValueError):
@@ -182,8 +184,10 @@ def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: d
         print(format_metrics([("all", summary)]))
     for case_id, message in errors:
         print(f"case error: {case_id}: {message}", file=sys.stderr)
+    if errors:
+        print(f"{len(errors)} of {len(cases)} cases failed", file=sys.stderr)
     print(f"wrote {out_dir / 'results.jsonl'}")
-    return summary
+    return summary, len(errors)
 
 
 SWEEPABLE = ("n", "max_rounds", "n_leaders", "seed")
@@ -243,10 +247,13 @@ def cmd_run(args) -> int:
         }
 
     if not combos or combos == [{}]:
-        _execute_run(cases, cfg, backend_cfg, per_agent, jobs, out_dir, effective_for(cfg))
-        return EXIT_OK
+        _, failed = _execute_run(
+            cases, cfg, backend_cfg, per_agent, jobs, out_dir, effective_for(cfg)
+        )
+        return EXIT_CASES_FAILED if failed else EXIT_OK
 
     labeled = []
+    failed = 0
     for combo in combos:
         try:
             combo_cfg = RunConfig(**{**asdict(cfg), **combo})
@@ -255,10 +262,11 @@ def cmd_run(args) -> int:
             return EXIT_CONFIG
         label = "_".join(f"{k}{v}" for k, v in combo.items())
         print(f"-- sweep {label}")
-        summary = _execute_run(
+        summary, combo_failed = _execute_run(
             cases, combo_cfg, backend_cfg, per_agent, jobs,
             out_dir / label, effective_for(combo_cfg),
         )
+        failed += combo_failed
         if summary is not None:
             labeled.append((label, summary))
     if labeled:
@@ -266,7 +274,7 @@ def cmd_run(args) -> int:
         with open(out_dir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
             metrics_to_csv(labeled, fh, header_comment=f"sweep over {len(labeled)} settings")
         print(format_metrics(labeled))
-    return EXIT_OK
+    return EXIT_CASES_FAILED if failed else EXIT_OK
 
 
 def cmd_simulate(args) -> int:

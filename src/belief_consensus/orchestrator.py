@@ -82,18 +82,34 @@ def _dispatch(
     contexts: Mapping[str, AgentContext],
     previous: Mapping[str, Opinion] | None,
 ) -> list[Opinion]:
-    opinions = []
-    for agent_id in sorted(backends):
+    """One round of opinions, in sorted-agent-id order.
+
+    The agents of a backend with `respond_round` answer in one call, the
+    others one at a time. A failed call re-raises in round 1 (`previous` is
+    None); afterwards its agents carry their previous opinion forward.
+    """
+    agent_ids = sorted(backends)
+    calls: dict[object, tuple[Backend, list[str]]] = {}
+    for agent_id in agent_ids:
+        backend = backends[agent_id]
+        key = id(backend) if hasattr(backend, "respond_round") else agent_id
+        calls.setdefault(key, (backend, []))[1].append(agent_id)
+    answers = {}
+    for backend, ids in calls.values():
         try:
-            op = backends[agent_id].respond(case, agent_id, contexts[agent_id])
-            if op.agent_id != agent_id:
-                op = Opinion(agent_id, op.reasoning, op.answer, op.belief)
+            if hasattr(backend, "respond_round"):
+                ops = backend.respond_round(case, ids, [contexts[a] for a in ids])
+            else:
+                ops = [backend.respond(case, ids[0], contexts[ids[0]])]
         except AgentError:
             if previous is None:
                 raise
-            op = previous[agent_id]  # carry the agent's last opinion forward
-        opinions.append(op)
-    return opinions
+            ops = [previous[a] for a in ids]  # carry the agents' last opinions forward
+        for agent_id, op in zip(ids, ops):
+            if op.agent_id != agent_id:
+                op = Opinion(agent_id, op.reasoning, op.answer, op.belief)
+            answers[agent_id] = op
+    return [answers[a] for a in agent_ids]
 
 
 def _assignment_contexts(

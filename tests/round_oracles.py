@@ -8,7 +8,8 @@ ones that must return identical results:
 - `oracle_assign_collaborators`: rescans a whole group for its top-belief
   member once per agent and related group, and recomputes the related group
   ids once per agent;
-- `oracle_respond`: `StochasticAgent.respond` drawing the candidate with
+- `oracle_respond`: `StochasticAgent.respond` building its own
+  `default_rng(SeedSequence(...))` per call, drawing the candidate with
   `Generator.choice` and rounding the belief with `np.round`.
 """
 

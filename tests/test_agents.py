@@ -18,7 +18,10 @@ from belief_consensus.agents import (
     extract_answer_sentence,
     make_backend,
     perturb_one_belief,
+    _pcg64_raw,
+    _raw_streams,
     _round_belief,
+    _stochastic_draws,
 )
 from belief_consensus.core import AgentScript, Opinion, ScenarioCase, ScriptedReply
 from round_oracles import oracle_respond
@@ -96,29 +99,110 @@ class TestStochasticAgent:
             assert 0.0 < op.belief <= 1.0
 
 
+# seeds SeedSequence reads as one, two and three or more 32-bit words
+EDGE_SEEDS = (0, 2**31 - 1, 2**32, 2**32 + 7, 2**64 - 1, 2**64 + 3, 2**70 + 2**33 + 5)
+PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def state_before_output(raw: int, inc: int) -> int:
+    """A PCG64 state whose next raw output is `raw` (whose top 6 bits, the
+    XSL-RR rotation, are zero, so the output is high ^ low)."""
+    high = 0x0123456789ABCDE  # < 2**58
+    after = high << 64 | (high ^ raw)
+    return (after - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
+
+
+def pcg64_at(state: int, inc: int) -> np.random.PCG64:
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return bitgen
+
+
 class TestStochasticAgentOracle:
     def test_opinions_equal_choice_and_np_round_draws(self):
+        # 20,000 opinions in multi-agent batches: each batch mixes rounds,
+        # collaborator counts and agent ids; seeds include multi-word entropy
         rng = np.random.default_rng(7)
         pool = ("A", "B", "C", "D", "E", "F")
         cases = [ScenarioCase(f"case-{c}", "q", "A") for c in range(5)]
-        adopted = independent = 0
-        for i in range(20000):
-            agent = StochasticAgent(seed=int(rng.integers(2**31)),
-                                    candidates=pool[: 1 + i % len(pool)])
-            collaborators = tuple(
-                TaggedOpinion(Opinion(f"c{j}", "", str(rng.choice(pool)),
-                                      float(rng.uniform(0.1, 1.0))), "supportive")
-                for j in range(int(rng.integers(0, 4)))
-            )
-            ctx = AgentContext("q", int(rng.integers(1, 6)), collaborators)
-            case, agent_id = cases[i % len(cases)], f"agent-{int(rng.integers(1, 201))}"
-            got = agent.respond(case, agent_id, ctx)
-            assert got == oracle_respond(agent, case, agent_id, ctx), f"draw {i}"
-            if got.reasoning.startswith("Adopting"):
-                adopted += 1
-            else:
-                independent += 1
-        assert adopted > 5000 and independent > 5000
+        counts = {"adopted": 0, "independent": 0}
+        seen_pools = set()
+        drawn = batch = 0
+        while drawn < 20000:
+            seed = (EDGE_SEEDS[batch] if batch < len(EDGE_SEEDS)
+                    else int(rng.integers(2**31)))
+            agent = StochasticAgent(seed=seed, candidates=pool[: 1 + batch % len(pool)])
+            seen_pools.add(len(agent.candidates))
+            size = int(rng.integers(1, 201))
+            ids = [f"agent-{i}" for i in rng.choice(np.arange(1, 201), size, replace=False)]
+            contexts = [
+                AgentContext("q", int(rng.integers(1, 6)), tuple(
+                    TaggedOpinion(Opinion(f"c{j}", "", str(rng.choice(pool)),
+                                          float(rng.uniform(0.1, 1.0))), "supportive")
+                    for j in range(int(rng.integers(0, 4)))
+                ))
+                for _ in ids
+            ]
+            case = cases[batch % len(cases)]
+            got = agent.respond_round(case, ids, contexts)
+            want = [oracle_respond(agent, case, a, ctx) for a, ctx in zip(ids, contexts)]
+            assert got == want, f"batch {batch}"
+            for op in got:
+                counts["adopted" if op.reasoning.startswith("Adopting") else "independent"] += 1
+            drawn += size
+            batch += 1
+        assert counts["adopted"] > 5000 and counts["independent"] > 5000
+        assert seen_pools == {1, 2, 3, 4, 5, 6}
+
+    def test_respond_is_the_one_agent_round(self):
+        case = ScenarioCase("c", "q", "A")
+        collab = (TaggedOpinion(Opinion("x", "", "C", 0.7), "supportive"),)
+        for i, seed in enumerate(EDGE_SEEDS * 20):
+            agent = StochasticAgent(seed=seed, candidates="ABCDEF"[: 1 + i % 6])
+            ctx = AgentContext("q", 1 + i % 5, collab if i % 2 else ())
+            assert agent.respond(case, f"agent-{i}", ctx) == oracle_respond(
+                agent, case, f"agent-{i}", ctx)
+
+    def test_rejected_seed_and_empty_pool_raise(self):
+        case = ScenarioCase("c", "q", "A")
+        with pytest.raises(ValueError):
+            StochasticAgent(seed=-1).respond(case, "agent-1", AgentContext("q", 1))
+        with pytest.raises(ValueError):
+            StochasticAgent(seed=1, candidates=()).respond(case, "agent-1", AgentContext("q", 1))
+
+    def test_raw_outputs_equal_pcg64(self):
+        rng = np.random.default_rng(3)
+        entropy = []
+        for n_words in range(1, 9):
+            words = rng.integers(0, 2**32, size=(n_words, 17), dtype=np.uint64).astype(np.uint32)
+            raw = _pcg64_raw(words, 6)
+            for j, words_j in enumerate(words.T.tolist()):
+                want = np.random.PCG64(np.random.SeedSequence(words_j)).random_raw(6)
+                assert np.array_equal(raw[:, j], want)
+                entropy.append(words_j)
+        # one call over word lists of every length, interleaved; each stream
+        # goes on past the batch's outputs
+        entropy = [entropy[i] for i in rng.permutation(len(entropy))]
+        for words_j, stream in zip(entropy, _raw_streams(entropy)):
+            want = np.random.PCG64(np.random.SeedSequence(words_j)).random_raw(20)
+            assert [next(stream) for _ in range(20)] == want.tolist()
+
+    @pytest.mark.parametrize("n_candidates", [3, 5, 6])
+    def test_rejected_low_half_takes_the_high_half(self, n_candidates):
+        # the low half 0 is rejected for these pool lengths (2**32 mod n > 0);
+        # random inputs reach this branch with probability below n / 2**32
+        inc = 0x5851F42D4C957F2D_14057B7EF767814F | 1
+        high_half = 0xC0FFEE12
+        for raw in (high_half << 32, 0):  # then also the high half rejected
+            state = state_before_output(raw, inc)
+            assert pcg64_at(state, inc).random_raw() == raw
+            gen = np.random.Generator(pcg64_at(state, inc))
+            want = (int(gen.integers(n_candidates)), gen.uniform(0.3, 0.95))
+            got = _stochastic_draws(pcg64_at(state, inc).random_raw, False, 0.6, n_candidates)
+            assert got == want
+            if raw:
+                assert got[0] == high_half * n_candidates >> 32 != 0
 
     def test_round_belief_is_np_round(self):
         # over uniforms, and over the values whose product with 1e6 lands

@@ -149,6 +149,45 @@ class TestCmdRun:
         assert len(rows) == 3  # mixed backends still produce full reports
 
 
+def corpus_with_short_case(tmp_path, corpus_path):
+    """The corpus plus a copy of its first case that scripts one agent fewer
+    than the config's n, so running that case raises."""
+    payload = json.loads(Path(corpus_path).read_text())
+    broken = json.loads(json.dumps(payload["cases"][0]))
+    broken["case_id"] = "one-agent-short"
+    broken["agents"] = broken["agents"][:-1]
+    payload["cases"].append(broken)
+    path = tmp_path / "with_failure.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestFailedCases:
+    def test_failed_case_exits_3_and_keeps_the_others(self, tmp_path, corpus_path, capsys):
+        dataset = corpus_with_short_case(tmp_path, corpus_path)
+        cfg = write_config(tmp_path, dataset)
+        assert main(["run", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "case error: one-agent-short" in err
+        assert "1 of 4 cases failed" in err
+        _, rows = read_results(tmp_path / "out")
+        assert [r["case_id"] for r in rows] == [
+            c["case_id"] for c in json.loads(Path(corpus_path).read_text())["cases"]
+        ]
+
+    def test_failed_case_in_a_sweep_exits_3(self, tmp_path, corpus_path, capsys):
+        dataset = corpus_with_short_case(tmp_path, corpus_path)
+        cfg = tmp_path / "sweep.yaml"
+        cfg.write_text(yaml.safe_dump({
+            "run": {"n": 7, "dataset": str(dataset), "out": str(tmp_path / "sweep")},
+            "backend": {"kind": "scripted"},
+            "sweep": {"seed": [1, 2]},
+        }))
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err.count("1 of 4 cases failed") == 2
+        assert (tmp_path / "sweep" / "metrics.csv").is_file()
+
+
 class TestCmdSimulate:
     def _config(self, tmp_path, **kwargs):
         section = {

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from belief_consensus.agents import AgentContext, AgentError, ScriptedAgent
+from belief_consensus.agents import AgentContext, AgentError, ScriptedAgent, StochasticAgent
 from belief_consensus.core import (
     AgentScript,
     Opinion,
@@ -17,6 +17,7 @@ from belief_consensus.orchestrator import (
     TERMINATED_FULL,
     TERMINATED_MAX_ROUNDS,
     TERMINATED_VOTING,
+    _dispatch,
     report_to_dict,
     rounds_to_csv,
     run_case,
@@ -150,6 +151,48 @@ class TestRunCase:
         v1 = run_case(case, cfg, scripted_backends(case)).rounds[0].noise_victim
         v2 = run_case(case, cfg, scripted_backends(case)).rounds[0].noise_victim
         assert v1 == v2
+
+
+class RecordingRounds(StochasticAgent):
+    """A stochastic backend that records the agent ids of each batched call
+    and can be told to fail."""
+
+    def __init__(self, seed, fail=False):
+        super().__init__(seed)
+        self.calls = []
+        self.fail = fail
+
+    def respond_round(self, case, agent_ids, contexts):
+        self.calls.append(list(agent_ids))
+        if self.fail:
+            raise AgentError("batch down")
+        return super().respond_round(case, agent_ids, contexts)
+
+
+class TestDispatch:
+    CASE = ScenarioCase("dispatch", "q", "A")
+
+    def test_shared_backend_answers_in_one_call_in_sorted_order(self):
+        shared, own = RecordingRounds(seed=3), RecordingRounds(seed=4)
+        scripted = make_case("dispatch", {"a2": [("B", "b words", 0.7)]})
+        backends = {"a4": shared, "a2": ScriptedAgent(), "a1": shared, "a3": own, "a5": shared}
+        contexts = {a: AgentContext("q", 1) for a in backends}
+        opinions = _dispatch(backends, scripted, contexts, previous=None)
+        assert [op.agent_id for op in opinions] == ["a1", "a2", "a3", "a4", "a5"]
+        assert shared.calls == [["a1", "a4", "a5"]] and own.calls == [["a3"]]
+        for op in opinions:
+            assert op == backends[op.agent_id].respond(scripted, op.agent_id, contexts[op.agent_id])
+
+    def test_failed_batch_carries_its_agents_forward(self):
+        broken, healthy = RecordingRounds(seed=1, fail=True), StochasticAgent(seed=2)
+        backends = {"a1": broken, "a2": healthy, "a3": broken}
+        previous = {a: Opinion(a, "before", "D", 0.5) for a in backends}
+        contexts = {a: AgentContext("q", 2) for a in backends}
+        with pytest.raises(AgentError, match="batch down"):
+            _dispatch(backends, self.CASE, contexts, previous=None)
+        opinions = _dispatch(backends, self.CASE, contexts, previous=previous)
+        assert opinions[0] == previous["a1"] and opinions[2] == previous["a3"]
+        assert opinions[1] == healthy.respond(self.CASE, "a2", contexts["a2"])
 
 
 class TestFinalAnswer:

@@ -253,27 +253,77 @@ class StochasticAgent:
 
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
                       contexts: Sequence[AgentContext]) -> list[Opinion]:
-        """The opinions of several agents in one case, in `agent_ids` order."""
+        """The opinions of several agents in one case, in `agent_ids` order.
+
+        Every agent's draws are array operations over the round's raw outputs
+        (as `_stochastic_draws` reads them); only an agent whose bounded draw
+        rejects the low half of its output, with probability below
+        n / 2**32, reads its own stream.
+        """
+        n = len(self.candidates)
         prefix = _uint32_words(self.seed) + [stable_hash(case.case_id)]
-        streams = _raw_streams([
-            prefix + [stable_hash(agent_id)] + _uint32_words(ctx.round)
-            for agent_id, ctx in zip(agent_ids, contexts)
-        ])
+        hashes = _crc32_row(tuple(agent_ids))
+        rounds = [ctx.round for ctx in contexts]
+        round_words = {r: _uint32_words(r) for r in set(rounds)}
+        raw = np.empty((_STREAM_OUTPUTS, len(agent_ids)), np.uint64)
+        lengths = np.array([len(round_words[r]) for r in rounds])
+        for length in np.unique(lengths).tolist():  # one batch per entropy length
+            cols = np.flatnonzero(lengths == length)
+            words = np.empty((len(prefix) + 1 + length, len(cols)), np.uint32)
+            words[:len(prefix)] = np.array(prefix, np.uint32)[:, None]
+            words[len(prefix)] = hashes[cols]
+            words[len(prefix) + 1:] = np.array(
+                [round_words[rounds[j]] for j in cols.tolist()], np.uint32).T
+            raw[:, cols] = _pcg64_raw(words, _STREAM_OUTPUTS)
+
+        cols = np.arange(len(agent_ids))
+        collaborate = np.array([bool(ctx.collaborators) for ctx in contexts])
+        adopt = collaborate & ((raw[0] >> _U11) * _TWO_POW_M53 < self.adopt_prob)
+        if n < 1 and not adopt.all():
+            raise ValueError("no candidates to draw from")
+        at = collaborate.astype(np.intp)  # the output the bounded draw reads
+        product = (raw[at, cols] & _LOW32) * np.uint64(max(n, 1))
+        index = product >> _U32
+        rejected = ~adopt & ((product & _LOW32) < (1 << 32) % max(n, 1))
+        at += ~adopt & (n > 1)  # n = 1 reads nothing for its draw
+        belief = 0.3 + (0.95 - 0.3) * ((raw[at, cols] >> _U11) * _TWO_POW_M53)
+        belief = np.rint(belief * 1e6) / 1e6  # _round_belief
+        index, belief = index.tolist(), belief.tolist()
+        for j in np.flatnonzero(rejected).tolist():
+            stream = _raw_stream(prefix + [int(hashes[j])] + round_words[rounds[j]],
+                                 raw[:, j].tolist())
+            index[j], u = _stochastic_draws(stream.__next__, bool(collaborate[j]),
+                                            self.adopt_prob, n)
+            belief[j] = _round_belief(u)
+
+        strongest: dict[int, str] = {}  # by collaborator tuple; contexts share them
+        reasonings: dict[tuple[int, str | None], str] = {}
         opinions = []
-        for agent_id, ctx, stream in zip(agent_ids, contexts, streams):
-            index, belief = _stochastic_draws(
-                stream.__next__, bool(ctx.collaborators), self.adopt_prob, len(self.candidates)
-            )
-            if index is None:
-                best = max(ctx.collaborators, key=lambda t: t.opinion.belief)
-                answer = best.opinion.answer
-                reasoning = f"Adopting the strongest collaborator view on round {ctx.round}."
+        for agent_id, ctx, adopted, i, b in zip(agent_ids, contexts, adopt.tolist(), index, belief):
+            if adopted:
+                key = id(ctx.collaborators)
+                answer = strongest.get(key)
+                if answer is None:
+                    best = max(ctx.collaborators, key=lambda t: t.opinion.belief)
+                    answer = strongest[key] = best.opinion.answer
+                text_key = (ctx.round, None)
             else:
-                answer = self.candidates[index]
-                reasoning = f"Independent draw on round {ctx.round} favoring option {answer}."
-            opinions.append(Opinion(agent_id=agent_id, reasoning=reasoning, answer=answer,
-                                    belief=_round_belief(belief)))
+                answer = self.candidates[i]
+                text_key = (ctx.round, answer)
+            reasoning = reasonings.get(text_key)
+            if reasoning is None:
+                reasoning = reasonings[text_key] = (
+                    f"Adopting the strongest collaborator view on round {ctx.round}."
+                    if adopted else
+                    f"Independent draw on round {ctx.round} favoring option {answer}.")
+            opinions.append(Opinion(agent_id, reasoning, answer, b))
         return opinions
+
+
+@functools.lru_cache(maxsize=32)
+def _crc32_row(agent_ids: tuple[str, ...]) -> np.ndarray:
+    """The agents' `stable_hash` entropy words; a case's agents repeat every round."""
+    return _frozen([stable_hash(a) for a in agent_ids], np.uint32, (len(agent_ids),))
 
 
 def _stochastic_draws(next_raw, collaborate: bool, adopt_prob: float,
@@ -330,6 +380,7 @@ def _round_belief(u: float) -> float:
 # generators are computed together as array operations, bit for bit.
 
 _MASK32 = 0xFFFFFFFF
+_LOW32, _U11, _U32 = np.uint64(_MASK32), np.uint64(11), np.uint64(32)
 _TWO_POW_M53 = 1.0 / 9007199254740992.0
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -462,20 +513,6 @@ def _raw_stream(entropy: list[int], outputs: list[int]):
         more = more[:, 0].tolist()
         yield from more[len(outputs):]
         outputs = more
-
-
-def _raw_streams(entropy: Sequence[list[int]]) -> list:
-    """A raw-output stream per entropy word list, drawn in one batch per length."""
-    rows_of: dict[int, list[int]] = {}
-    for i, words in enumerate(entropy):
-        rows_of.setdefault(len(words), []).append(i)
-    streams = [None] * len(entropy)
-    for rows in rows_of.values():
-        words = np.array([entropy[i] for i in rows], np.uint32).T
-        raw = _pcg64_raw(words, _STREAM_OUTPUTS).T.tolist()
-        for i, outputs in zip(rows, raw):
-            streams[i] = _raw_stream(entropy[i], outputs)
-    return streams
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Configuration is a YAML file with nested sections (run / backend / simulate /
 sweep); command-line flags override file values. The effective configuration
 is echoed into every output file header. Exit codes: 0 success, 1 invalid
 configuration (or failed dynamics property), 2 unreadable dataset, 3 a run
-in which one or more cases raised (the other cases' outputs are written).
+in which one or more cases raised (the other cases' outputs are written, and
+each failed case is a `{"case_id", "error"}` row of results.jsonl).
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ from belief_consensus.metrics import (
     metrics_to_csv,
     rows_from_results_jsonl,
 )
-from belief_consensus.orchestrator import run_case, rounds_to_csv, write_results_jsonl
+from belief_consensus.orchestrator import (
+    CaseFailure,
+    RunReport,
+    rounds_to_csv,
+    run_case,
+    write_results_jsonl,
+)
 from belief_consensus.verification import run_property_suite
 
 EXIT_OK = 0
@@ -142,34 +149,35 @@ def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: d
         backends = _build_backends(ids, backend_cfg, per_agent, cfg.seed)
         return run_case(case, cfg, backends)
 
-    reports = []
-    errors = []
+    outcomes: list[RunReport | CaseFailure] = []  # in dataset order
     if jobs == 1:
         for case in cases:
             try:
-                reports.append(one_case(case))
+                outcomes.append(one_case(case))
             except Exception as exc:  # per-case failures are recorded, not fatal
-                errors.append((case.case_id, str(exc)))
+                outcomes.append(CaseFailure(case.case_id, str(exc)))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [(case, pool.submit(one_case, case)) for case in cases]
             for case, fut in futures:
                 try:
-                    reports.append(fut.result())
+                    outcomes.append(fut.result())
                 except Exception as exc:
-                    errors.append((case.case_id, str(exc)))
+                    outcomes.append(CaseFailure(case.case_id, str(exc)))
+    reports = [o for o in outcomes if isinstance(o, RunReport)]
+    errors = [o for o in outcomes if isinstance(o, CaseFailure)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(exist_ok=True)
     with open(out_dir / "results.jsonl", "w", encoding="utf-8") as fh:
-        write_results_jsonl(reports, fh, header=effective)
+        write_results_jsonl(outcomes, fh, header=effective)
     with open(traces_dir / "rounds.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config: {json.dumps(effective, sort_keys=True)}\n")
         rounds_to_csv(reports, fh)
     summary = None
     if reports:
-        summary = compute_metrics(reports, cfg.n)
+        summary = compute_metrics(outcomes, cfg.n)
         with open(out_dir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
             metrics_to_csv(
                 [("all", summary)], fh,
@@ -182,8 +190,8 @@ def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: d
                 f"consensus={rep.consensus_count} terminated_by={rep.terminated_by} [{mark}]"
             )
         print(format_metrics([("all", summary)]))
-    for case_id, message in errors:
-        print(f"case error: {case_id}: {message}", file=sys.stderr)
+    for failure in errors:
+        print(f"case error: {failure.case_id}: {failure.error}", file=sys.stderr)
     if errors:
         print(f"{len(errors)} of {len(cases)} cases failed", file=sys.stderr)
     print(f"wrote {out_dir / 'results.jsonl'}")
@@ -349,15 +357,16 @@ def cmd_metrics(args) -> int:
     for path in args.results:
         try:
             rows, n = rows_from_results_jsonl(path)
+            if n is None:
+                n = args.agents
+            if n is None:
+                print(f"config error: {path} has no agent count; pass --agents", file=sys.stderr)
+                return EXIT_CONFIG
+            # failed cases are counted, not averaged; a file of failures only raises
+            summaries.append((Path(path).name, compute_metrics(rows, int(n))))
         except (OSError, ValueError) as exc:
             print(f"dataset error: {path}: {exc}", file=sys.stderr)
             return EXIT_DATASET
-        if n is None:
-            n = args.agents
-        if n is None:
-            print(f"config error: {path} has no agent count; pass --agents", file=sys.stderr)
-            return EXIT_CONFIG
-        summaries.append((Path(path).name, compute_metrics(rows, int(n))))
     print(format_metrics(summaries))
     if args.out:
         out_dir = Path(args.out)

@@ -111,16 +111,6 @@ def _micro(components: Mapping[str, float]) -> float:
     return num / den
 
 
-def macro_conflict(p_members: Sequence[Opinion], q_members: Sequence[Opinion]) -> float:
-    """Belief share of agents whose answer does not occur in both groups."""
-    return _macro(_conflict_components(p_members, q_members))
-
-
-def micro_conflict(p_members: Sequence[Opinion], q_members: Sequence[Opinion]) -> float:
-    """Ratio of supporter-sum gap to dissenter-sum gap between the two groups."""
-    return _micro(_conflict_components(p_members, q_members))
-
-
 def conflict_relation(
     p_group: OpinionGroup,
     q_group: OpinionGroup,
@@ -223,27 +213,26 @@ def assign_collaborators(
 
     group_ids = [g.group_id for g in groups]
     top_two = {gid: _top_two(ops) for gid, ops in members.items()}
+
+    def tops(gids, tag, exclude=None):
+        return [(top, tag) for top in (_top_agent(top_two[gid], exclude) for gid in gids)
+                if top is not None]
+
     assignments: dict[str, tuple[tuple[str, str], ...]] = {}
     for group in groups:
         relations = [(gid, _relation(reports, group.group_id, gid)) for gid in group_ids]
         conflicting_ids = [gid for gid, rel in relations if rel == CONFLICTING]
         supportive_ids = [gid for gid, rel in relations if rel == SUPPORTIVE]
-        for op in members[group.group_id]:
-            out: list[tuple[str, str]] = []
-            if op.agent_id == least and conflicting_ids:
-                for gid in conflicting_ids:
-                    top = _top_agent(top_two[gid])
-                    if top is not None:
-                        out.append((top, "conflicting"))
-                want_supportive = mixed_delegates
-            else:
-                want_supportive = True
-            if want_supportive:
-                for gid in supportive_ids:
-                    top = _top_agent(top_two[gid], exclude=op.agent_id)
-                    if top is not None:
-                        out.append((top, "supportive"))
-            assignments[op.agent_id] = tuple(out)
+        # only the group's best member is a top agent it must leave out, so
+        # every other member shares one delegate tuple
+        assignments.update(dict.fromkeys(group.members, tuple(tops(supportive_ids, "supportive"))))
+        for best in top_two[group.group_id][:1]:
+            assignments[best] = tuple(tops(supportive_ids, "supportive", exclude=best))
+        if group.group_id == uncertain.group_id and conflicting_ids:
+            out = tops(conflicting_ids, "conflicting")
+            if mixed_delegates:
+                out += tops(supportive_ids, "supportive", exclude=least)
+            assignments[least] = tuple(out)
     return AssignmentPlan(
         assignments=assignments,
         uncertain_group=uncertain.group_id,

@@ -71,10 +71,22 @@ def vectorize(texts: Sequence[str]) -> np.ndarray:
 
 
 def _distinct_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    distinct, inverse, counts = np.unique(
-        vectors, axis=0, return_inverse=True, return_counts=True
-    )
-    return distinct, inverse.ravel(), counts
+    """`np.unique(vectors, axis=0, return_inverse=True, return_counts=True)`.
+
+    Rows are told apart by their bytes once `+ 0.0` has folded -0.0 into 0.0,
+    and only the distinct rows are sorted, lexicographically as np.unique
+    sorts them.
+    """
+    rows = np.ascontiguousarray(vectors + 0.0)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    some_row = dict(zip(keys, range(len(keys))))  # one row index per distinct row
+    distinct = rows[list(some_row.values())]
+    order = np.lexsort(distinct.T[::-1])
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    rank_of = dict(zip(some_row, rank.tolist()))
+    inverse = np.array([rank_of[key] for key in keys], dtype=np.intp)
+    return distinct[order], inverse, np.bincount(inverse, minlength=len(order))
 
 
 def _renumber(labels: np.ndarray) -> np.ndarray:

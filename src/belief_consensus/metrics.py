@@ -6,8 +6,9 @@ For case u with n_s consensus agents, r rounds, and correctness c:
     SCL = mean(n_s * c / n)      success consensus level
     SCR = mean(n_s * c / r)      success consensus rate
 
-Accuracy is the fraction of correct cases. Multi-seed experiment groups are
-summarized as mean +/- standard error of the mean.
+Accuracy is the fraction of correct cases. A case that failed (it carries an
+`error`) is counted in `n_failed` and left out of every mean. Multi-seed
+experiment groups are summarized as mean +/- standard error of the mean.
 """
 
 from __future__ import annotations
@@ -27,20 +28,28 @@ class MetricsSummary:
     scr: float
     accuracy: float
     n_cases: int
+    n_failed: int = 0
 
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """Minimal per-case facts needed by compute_metrics (RunReport quacks too)."""
+    """Minimal per-case facts needed by compute_metrics (RunReport quacks too).
+
+    A failed case has an `error` and no other facts.
+    """
 
     case_id: str
-    consensus_count: int
-    n_rounds: int
-    correct: bool
+    consensus_count: int = 0
+    n_rounds: int = 0
+    correct: bool = False
+    error: str | None = None
 
 
 def rows_from_results_jsonl(path: str | Path) -> tuple[list[MetricsRow], int | None]:
-    """Read a results file back into metric rows; returns (rows, n from header)."""
+    """Read a results file back into metric rows; returns (rows, n from header).
+
+    A failed case's `{"case_id", "error"}` row becomes a row with its error.
+    """
     rows: list[MetricsRow] = []
     n = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -51,6 +60,9 @@ def rows_from_results_jsonl(path: str | Path) -> tuple[list[MetricsRow], int | N
             payload = json.loads(line)
             if "config" in payload and "case_id" not in payload:
                 n = payload["config"].get("run", {}).get("n")
+                continue
+            if "error" in payload:
+                rows.append(MetricsRow(str(payload["case_id"]), error=str(payload["error"])))
                 continue
             rows.append(
                 MetricsRow(
@@ -66,10 +78,12 @@ def rows_from_results_jsonl(path: str | Path) -> tuple[list[MetricsRow], int | N
 
 
 def compute_metrics(reports: Sequence, n: int) -> MetricsSummary:
-    if not reports:
-        raise ValueError("no reports to aggregate")
+    """The metrics over the cases that ran; the failed ones are only counted."""
+    done = [rep for rep in reports if getattr(rep, "error", None) is None]
+    if not done:
+        raise ValueError("no completed cases to aggregate")
     cl = scl = scr = correct = 0.0
-    for rep in reports:
+    for rep in done:
         if rep.n_rounds < 1:
             raise ValueError(f"case {rep.case_id!r} has no rounds")
         c = 1.0 if rep.correct else 0.0
@@ -77,9 +91,10 @@ def compute_metrics(reports: Sequence, n: int) -> MetricsSummary:
         scl += rep.consensus_count * c / n
         scr += rep.consensus_count * c / rep.n_rounds
         correct += c
-    k = len(reports)
+    k = len(done)
     return MetricsSummary(
-        cl=cl / k, scl=scl / k, scr=scr / k, accuracy=correct / k, n_cases=k
+        cl=cl / k, scl=scl / k, scr=scr / k, accuracy=correct / k, n_cases=k,
+        n_failed=len(reports) - k,
     )
 
 
@@ -100,23 +115,28 @@ def metrics_to_csv(summaries: Sequence[tuple[str, MetricsSummary]], out: IO[str]
     if header_comment:
         out.write(f"# {header_comment}\n")
     writer = csv.writer(out)
-    writer.writerow(["label", "n_cases", "mean", "sem", "cl", "scl", "scr", "accuracy"])
+    writer.writerow(
+        ["label", "n_cases", "n_failed", "mean", "sem", "cl", "scl", "scr", "accuracy"]
+    )
     for label, s in summaries:
-        writer.writerow([label, s.n_cases, "", "", repr(s.cl), repr(s.scl), repr(s.scr),
-                         repr(s.accuracy)])
+        writer.writerow([label, s.n_cases, s.n_failed, "", "", repr(s.cl), repr(s.scl),
+                         repr(s.scr), repr(s.accuracy)])
     if len(summaries) > 1:
         # one row per metric across the settings; n_cases counts the settings
         for name in ("cl", "scl", "scr", "accuracy"):
             mean, sem = mean_sem([getattr(s, name) for _, s in summaries])
-            writer.writerow([f"{name}_mean_sem", len(summaries), repr(mean), repr(sem),
+            writer.writerow([f"{name}_mean_sem", len(summaries), "", repr(mean), repr(sem),
                              "", "", "", ""])
 
 
 def format_metrics(summaries: Sequence[tuple[str, MetricsSummary]]) -> str:
-    lines = [f"{'label':<24} {'cases':>5} {'CL':>8} {'SCL':>8} {'SCR':>8} {'acc':>6}"]
+    lines = [
+        f"{'label':<24} {'cases':>5} {'failed':>6} {'CL':>8} {'SCL':>8} {'SCR':>8} {'acc':>6}"
+    ]
     for label, s in summaries:
         lines.append(
-            f"{label:<24} {s.n_cases:>5} {s.cl:>8.4f} {s.scl:>8.4f} {s.scr:>8.4f} {s.accuracy:>6.3f}"
+            f"{label:<24} {s.n_cases:>5} {s.n_failed:>6} {s.cl:>8.4f} {s.scl:>8.4f} "
+            f"{s.scr:>8.4f} {s.accuracy:>6.3f}"
         )
     if len(summaries) > 1:
         parts = []

@@ -76,6 +76,14 @@ class RunReport:
         return len(self.rounds)
 
 
+@dataclass(frozen=True)
+class CaseFailure:
+    """A case that raised instead of producing a report."""
+
+    case_id: str
+    error: str
+
+
 def _dispatch(
     backends: Mapping[str, Backend],
     case: ScenarioCase,
@@ -118,18 +126,23 @@ def _assignment_contexts(
     by_id: Mapping[str, Opinion],
     next_round: int,
 ) -> dict[str, AgentContext]:
+    """Each agent's next context; agents with the same delegates share one."""
+    shared: dict[tuple[tuple[str, str], ...], AgentContext] = {}
     contexts = {}
     for agent_id, delegates in plan.assignments.items():
-        tagged = tuple(
-            TaggedOpinion(by_id[cid], TAG_SUPPORTIVE if tag == "supportive" else TAG_CONFLICTING)
-            for cid, tag in delegates
-        )
-        contexts[agent_id] = AgentContext(
-            question=case.question,
-            round=next_round,
-            collaborators=tagged,
-            template=TEMPLATE_COLLABORATE,
-        )
+        ctx = shared.get(delegates)
+        if ctx is None:
+            tagged = tuple(
+                TaggedOpinion(by_id[cid], TAG_SUPPORTIVE if tag == "supportive" else TAG_CONFLICTING)
+                for cid, tag in delegates
+            )
+            ctx = shared[delegates] = AgentContext(
+                question=case.question,
+                round=next_round,
+                collaborators=tagged,
+                template=TEMPLATE_COLLABORATE,
+            )
+        contexts[agent_id] = ctx
     return contexts
 
 
@@ -140,23 +153,26 @@ def _leader_contexts(
     by_id: Mapping[str, Opinion],
     next_round: int,
 ) -> dict[str, AgentContext]:
+    """Each agent's next context; the followers of a group share one."""
+
+    def context(collab_ids) -> AgentContext:
+        return AgentContext(
+            question=case.question,
+            round=next_round,
+            collaborators=tuple(TaggedOpinion(by_id[c], TAG_LEADER) for c in collab_ids),
+            template=TEMPLATE_LEADER,
+        )
+
     contexts = {}
     for group in groups:
         entry = leader_set.leaders_of(group.group_id)
-        for agent_id in group.members:
-            if entry.all_members:
-                collab_ids = [m for m in group.members if m != agent_id]
-            elif agent_id in entry.leader_ids:
-                collab_ids = [l for l in entry.leader_ids if l != agent_id]
-            else:
-                collab_ids = list(entry.leader_ids)
-            tagged = tuple(TaggedOpinion(by_id[c], TAG_LEADER) for c in collab_ids)
-            contexts[agent_id] = AgentContext(
-                question=case.question,
-                round=next_round,
-                collaborators=tagged,
-                template=TEMPLATE_LEADER,
-            )
+        if entry.all_members:
+            for agent_id in group.members:
+                contexts[agent_id] = context(m for m in group.members if m != agent_id)
+            continue
+        contexts.update(dict.fromkeys(group.members, context(entry.leader_ids)))
+        for leader in entry.leader_ids:
+            contexts[leader] = context(l for l in entry.leader_ids if l != leader)
     return contexts
 
 
@@ -175,10 +191,9 @@ def run_case(
         np.random.SeedSequence([cfg.seed & 0x7FFFFFFF, stable_hash(case.case_id), 0xAD])
     )
 
-    contexts = {
-        aid: AgentContext(question=case.question, round=1, template=TEMPLATE_INITIAL)
-        for aid in agent_ids
-    }
+    contexts = dict.fromkeys(
+        agent_ids, AgentContext(question=case.question, round=1, template=TEMPLATE_INITIAL)
+    )
     opinions = _dispatch(backends, case, contexts, previous=None)
 
     records: list[RoundRecord] = []
@@ -331,12 +346,18 @@ def report_to_dict(report: RunReport) -> dict:
     }
 
 
-def write_results_jsonl(reports: Sequence[RunReport], out: IO[str], header: dict | None = None):
-    """One JSON object per case; an optional config-echo header line first."""
+def write_results_jsonl(reports: Sequence[RunReport | CaseFailure], out: IO[str],
+                        header: dict | None = None):
+    """One JSON object per case, `{"case_id", "error"}` for a failed one; an
+    optional config-echo header line first."""
     if header is not None:
         out.write(json.dumps({"config": header}, sort_keys=True) + "\n")
     for report in reports:
-        out.write(json.dumps(report_to_dict(report), sort_keys=True) + "\n")
+        payload = (
+            {"case_id": report.case_id, "error": report.error}
+            if isinstance(report, CaseFailure) else report_to_dict(report)
+        )
+        out.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def rounds_to_csv(reports: Sequence[RunReport], out: IO[str]):
@@ -350,17 +371,9 @@ def rounds_to_csv(reports: Sequence[RunReport], out: IO[str]):
     for report in reports:
         for rec in report.rounds:
             group_of = {m: g.group_id for g in rec.groups for m in g.members}
-            for op in rec.opinions:
-                writer.writerow(
-                    [
-                        report.case_id,
-                        rec.index,
-                        op.agent_id,
-                        group_of[op.agent_id],
-                        op.answer,
-                        repr(op.belief),
-                        rec.verdict.state,
-                        repr(rec.verdict.p_s),
-                        repr(rec.verdict.p_b),
-                    ]
-                )
+            verdict = (rec.verdict.state, repr(rec.verdict.p_s), repr(rec.verdict.p_b))
+            writer.writerows(
+                [report.case_id, rec.index, op.agent_id, group_of[op.agent_id], op.answer,
+                 repr(op.belief), *verdict]
+                for op in rec.opinions
+            )

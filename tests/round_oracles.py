@@ -10,12 +10,24 @@ ones that must return identical results:
   ids once per agent;
 - `oracle_respond`: `StochasticAgent.respond` building its own
   `default_rng(SeedSequence(...))` per call, drawing the candidate with
-  `Generator.choice` and rounding the belief with `np.round`.
+  `Generator.choice` and rounding the belief with `np.round`;
+- `oracle_assignment_contexts` / `oracle_leader_contexts`: a fresh
+  `AgentContext` for every agent, where the orchestrator shares one among
+  the agents with the same collaborators.
 """
 
 import numpy as np
 
-from belief_consensus.agents import StochasticAgent
+from belief_consensus.agents import (
+    TAG_CONFLICTING,
+    TAG_LEADER,
+    TAG_SUPPORTIVE,
+    TEMPLATE_COLLABORATE,
+    TEMPLATE_LEADER,
+    AgentContext,
+    StochasticAgent,
+    TaggedOpinion,
+)
 from belief_consensus.coordination import (
     CONFLICTING,
     SUPPORTIVE,
@@ -114,3 +126,40 @@ def oracle_respond(agent: StochasticAgent, case, agent_id, ctx):
         reasoning = f"Independent draw on round {ctx.round} favoring option {answer}."
     belief = float(np.round(rng.uniform(0.3, 0.95), 6))
     return Opinion(agent_id=agent_id, reasoning=reasoning, answer=answer, belief=belief)
+
+
+def oracle_assignment_contexts(case, plan, by_id, next_round):
+    contexts = {}
+    for agent_id, delegates in plan.assignments.items():
+        tagged = tuple(
+            TaggedOpinion(by_id[cid], TAG_SUPPORTIVE if tag == "supportive" else TAG_CONFLICTING)
+            for cid, tag in delegates
+        )
+        contexts[agent_id] = AgentContext(
+            question=case.question,
+            round=next_round,
+            collaborators=tagged,
+            template=TEMPLATE_COLLABORATE,
+        )
+    return contexts
+
+
+def oracle_leader_contexts(case, leader_set, groups, by_id, next_round):
+    contexts = {}
+    for group in groups:
+        entry = leader_set.leaders_of(group.group_id)
+        for agent_id in group.members:
+            if entry.all_members:
+                collab_ids = [m for m in group.members if m != agent_id]
+            elif agent_id in entry.leader_ids:
+                collab_ids = [l for l in entry.leader_ids if l != agent_id]
+            else:
+                collab_ids = list(entry.leader_ids)
+            tagged = tuple(TaggedOpinion(by_id[c], TAG_LEADER) for c in collab_ids)
+            contexts[agent_id] = AgentContext(
+                question=case.question,
+                round=next_round,
+                collaborators=tagged,
+                template=TEMPLATE_LEADER,
+            )
+    return contexts

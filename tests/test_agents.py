@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from belief_consensus import agents
 from belief_consensus.agents import (
     AgentContext,
     AgentError,
@@ -18,12 +19,13 @@ from belief_consensus.agents import (
     extract_answer_sentence,
     make_backend,
     perturb_one_belief,
+    _bounded_index,
     _pcg64_raw,
-    _raw_streams,
+    _raw_stream,
     _round_belief,
     _stochastic_draws,
 )
-from belief_consensus.core import AgentScript, Opinion, ScenarioCase, ScriptedReply
+from belief_consensus.core import AgentScript, Opinion, ScenarioCase, ScriptedReply, stable_hash
 from round_oracles import oracle_respond
 
 
@@ -155,6 +157,76 @@ class TestStochasticAgentOracle:
         assert counts["adopted"] > 5000 and counts["independent"] > 5000
         assert seen_pools == {1, 2, 3, 4, 5, 6}
 
+    def test_agents_sharing_one_context_and_tuple(self):
+        # as the orchestrator hands them over: most agents of a round share a
+        # context object, and several contexts share one collaborator tuple
+        rng = np.random.default_rng(17)
+        case = ScenarioCase("shared", "q", "A")
+        for seed in EDGE_SEEDS[:4] + (12345,):
+            agent = StochasticAgent(seed=seed, candidates="ABCD")
+            for round_index in (2, 3, 2**32 + 1):
+                tuples = [tuple(TaggedOpinion(Opinion(f"c{j}", "", str(rng.choice(list("ABCD"))),
+                                                      float(rng.uniform(0.1, 1.0))), "leader")
+                                for j in range(k)) for k in (1, 2, 3)]
+                shared = [AgentContext("q", round_index, t) for t in tuples]
+                shared.append(AgentContext("q", round_index, tuples[1], "collaborate"))
+                ids = [f"agent-{i}" for i in range(150)]
+                contexts = [shared[int(k)] for k in rng.choice(len(shared), len(ids),
+                                                               p=[0.7, 0.1, 0.1, 0.1])]
+                got = agent.respond_round(case, ids, contexts)
+                assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
+                assert any(op.reasoning.startswith("Adopting") for op in got)
+
+    def test_rounds_of_different_entropy_lengths_in_one_batch(self):
+        # rounds of one and of two 32-bit words interleaved in one call
+        rng = np.random.default_rng(5)
+        case = ScenarioCase("lengths", "q", "A")
+        collab = (TaggedOpinion(Opinion("x", "", "C", 0.7), "supportive"),)
+        for seed in EDGE_SEEDS:
+            agent = StochasticAgent(seed=seed, candidates="ABCDE")
+            ids = [f"agent-{i}" for i in range(60)]
+            contexts = [AgentContext("q", int(r), collab if c else ())
+                        for r, c in zip(rng.choice([1, 4, 2**32, 2**33 + 5, 2**64 + 1], 60),
+                                        rng.integers(0, 2, 60))]
+            got = agent.respond_round(case, ids, contexts)
+            assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
+
+    @pytest.mark.parametrize("collaborate", [False, True])
+    def test_rejected_low_half_in_a_batch(self, monkeypatch, collaborate):
+        # substitute one column's output so its low half is rejected (0 for
+        # n = 3); that agent takes the per-agent path, its neighbours do not
+        case = ScenarioCase("reject", "q", "A")
+        agent = StochasticAgent(seed=9, candidates="ABC", adopt_prob=0.0)
+        ids = [f"agent-{i}" for i in range(8)]
+        ctx = AgentContext("q", 2, (TaggedOpinion(Opinion("x", "", "B", 0.7), "leader"),)
+                           if collaborate else ())
+        words = _pcg64_raw
+        target, at = 3, int(collaborate)
+        for raw in (0xC0FFEE12 << 32, 0):  # then the high half is rejected too
+            batches = []
+
+            def substituted(block, k):
+                out = words(block, k)
+                if block.shape[1] == len(ids):  # the round's batch, not a stream's
+                    out[at, target] = raw
+                    batches.append(out.copy())
+                return out
+
+            monkeypatch.setattr(agents, "_pcg64_raw", substituted)
+            got = agent.respond_round(case, ids, [ctx] * len(ids))
+            monkeypatch.undo()
+            want = [oracle_respond(agent, case, a, ctx) for a in ids]
+            assert got[:target] == want[:target] and got[target + 1:] == want[target + 1:]
+            entropy = [9, stable_hash("reject"), stable_hash(ids[target]), 2]
+            outputs = batches[0][:, target].tolist() + np.random.PCG64(
+                np.random.SeedSequence(entropy)).random_raw(20)[3:].tolist()
+            index, belief = _stochastic_draws(iter(outputs).__next__, collaborate, 0.0, 3)
+            if raw:
+                assert index == _bounded_index(iter([raw]).__next__, 3) != 0
+            assert got[target] == Opinion(
+                ids[target], f"Independent draw on round 2 favoring option {'ABC'[index]}.",
+                "ABC"[index], _round_belief(belief))
+
     def test_respond_is_the_one_agent_round(self):
         case = ScenarioCase("c", "q", "A")
         collab = (TaggedOpinion(Opinion("x", "", "C", 0.7), "supportive"),)
@@ -181,11 +253,11 @@ class TestStochasticAgentOracle:
                 want = np.random.PCG64(np.random.SeedSequence(words_j)).random_raw(6)
                 assert np.array_equal(raw[:, j], want)
                 entropy.append(words_j)
-        # one call over word lists of every length, interleaved; each stream
-        # goes on past the batch's outputs
-        entropy = [entropy[i] for i in rng.permutation(len(entropy))]
-        for words_j, stream in zip(entropy, _raw_streams(entropy)):
+        # each stream goes on past the batch's outputs
+        for words_j in entropy:
             want = np.random.PCG64(np.random.SeedSequence(words_j)).random_raw(20)
+            first = _pcg64_raw(np.array(words_j, np.uint32)[:, None], 3)[:, 0].tolist()
+            stream = _raw_stream(words_j, first)
             assert [next(stream) for _ in range(20)] == want.tolist()
 
     @pytest.mark.parametrize("n_candidates", [3, 5, 6])

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -171,9 +172,36 @@ class TestFailedCases:
         assert "case error: one-agent-short" in err
         assert "1 of 4 cases failed" in err
         _, rows = read_results(tmp_path / "out")
-        assert [r["case_id"] for r in rows] == [
+        assert [r["case_id"] for r in rows if "error" not in r] == [
             c["case_id"] for c in json.loads(Path(corpus_path).read_text())["cases"]
         ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_case_is_an_error_row_and_counted(self, tmp_path, corpus_path, jobs):
+        dataset = corpus_with_short_case(tmp_path, corpus_path)
+        # the failing case first, so dataset order differs from completion order
+        payload = json.loads(dataset.read_text())
+        payload["cases"].insert(0, payload["cases"].pop())
+        dataset.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, dataset, jobs=jobs)
+        assert main(["run", "--config", str(cfg)]) == 3
+        out = tmp_path / "out"
+        _, rows = read_results(out)
+        assert [r["case_id"] for r in rows] == [c["case_id"] for c in payload["cases"]]
+        assert rows[0] == {"case_id": "one-agent-short",
+                           "error": "case 'one-agent-short' scripts 6 agents but config says n=7"}
+        assert all("error" not in r for r in rows[1:])
+
+        def metrics_rows(path):
+            lines = path.read_text().splitlines()
+            return list(csv.reader(line for line in lines if not line.startswith("#")))
+
+        header, row = metrics_rows(out / "metrics.csv")
+        assert header[:3] == ["label", "n_cases", "n_failed"] and header[-1] == "accuracy"
+        assert (row[1], row[2], float(row[-1])) == ("3", "1", 1.0)
+        # the metrics command reads the error row back the same way
+        assert main(["metrics", str(out / "results.jsonl"), "--out", str(tmp_path / "agg")]) == 0
+        assert metrics_rows(tmp_path / "agg" / "metrics.csv")[1][1:] == row[1:]
 
     def test_failed_case_in_a_sweep_exits_3(self, tmp_path, corpus_path, capsys):
         dataset = corpus_with_short_case(tmp_path, corpus_path)

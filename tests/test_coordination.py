@@ -11,8 +11,6 @@ from belief_consensus.coordination import (
     ConflictReport,
     assign_collaborators,
     conflict_relation,
-    macro_conflict,
-    micro_conflict,
     pairwise_reports,
     select_leaders,
 )
@@ -40,24 +38,30 @@ def group_of(gid, members):
     )
 
 
+def scores(p_members, q_members):
+    """The conflict report of two member lists; macro and micro ignore the groups."""
+    return conflict_relation(OpinionGroup(0, (), 0.0, ""), OpinionGroup(1, (), 0.0, ""),
+                             p_members, q_members)
+
+
 class TestMacroConflict:
     def test_same_members_zero(self):
         g = [member("a1", "A", 0.5), member("a2", "B", 0.4)]
-        assert macro_conflict(g, g) == 0.0
+        assert scores(g, g).macro == 0.0
 
     def test_fully_disjoint_answers(self):
         p = [member("a1", "A", 0.9), member("a2", "A", 0.8)]
         q = [member("a3", "B", 0.7)]
-        assert macro_conflict(p, q) == pytest.approx(1.0)
+        assert scores(p, q).macro == pytest.approx(1.0)
 
     def test_boundary_half(self):
         p = [member("a1", "A", 0.5), member("a2", "B", 0.5)]
         q = [member("a3", "A", 0.5), member("a4", "C", 0.5)]
-        assert macro_conflict(p, q) == pytest.approx(0.5)
+        assert scores(p, q).macro == pytest.approx(0.5)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            macro_conflict([], [member("a1", "A", 0.5)])
+            scores([], [member("a1", "A", 0.5)]).macro
 
 
 class TestMicroConflict:
@@ -65,23 +69,23 @@ class TestMicroConflict:
         p = [member("a1", "A", 0.7), member("a2", "A", 0.6), member("a3", "B", 0.2)]
         q = [member("a4", "C", 0.7), member("a5", "D", 0.1)]
         # supporters 1.3 vs 0.7, dissenters 0.2 vs 0.1
-        assert micro_conflict(p, q) == pytest.approx(6.0)
+        assert scores(p, q).micro == pytest.approx(6.0)
 
     def test_identical_groups_convention(self):
         g = [member("a1", "A", 0.5), member("a2", "B", 0.3)]
-        assert micro_conflict(g, g) == 1.0
+        assert scores(g, g).micro == 1.0
 
     def test_unanimous_groups_with_gap_is_infinite(self):
         p = [member("a1", "A", 0.9)]
         q = [member("a2", "B", 0.5)]
-        assert math.isinf(micro_conflict(p, q))
+        assert math.isinf(scores(p, q).micro)
 
     def test_accumulation_noise_in_equal_dissent_sums_counts_as_zero(self):
         # 0.3 + 0.6 != 0.9 in binary floats; the gap is noise, not a ratio
         p = [member("a1", "A", 0.5), member("a2", "A", 0.4),
              member("a3", "B", 0.3), member("a4", "C", 0.6)]
         q = [member("a5", "D", 0.2), member("a6", "D", 0.3), member("a7", "E", 0.9)]
-        assert math.isinf(micro_conflict(p, q))
+        assert math.isinf(scores(p, q).micro)
 
 
 class TestConflictRelation:

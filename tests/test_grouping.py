@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from belief_consensus.core import Opinion
 from belief_consensus.grouping import (
+    _distinct_rows,
     build_groups,
     cluster_opinions,
     group_entropy,
@@ -81,6 +82,39 @@ class TestVectorizeOracle:
             kinds["empty"] += any(t.strip() == "" for t in texts)
             kinds["punctuation"] += any(not tokenize(t) for t in texts)
         assert all(count >= 100 for count in kinds.values()), kinds
+
+
+class TestDistinctRows:
+    @staticmethod
+    def assert_as_np_unique(vectors):
+        got = _distinct_rows(vectors)
+        want = np.unique(vectors, axis=0, return_inverse=True, return_counts=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w.reshape(g.shape))
+        # -0.0 is folded into 0.0, so no sign bit survives a zero
+        assert not np.signbit(got[0][got[0] == 0.0]).any()
+
+    def test_seeded_rows_with_repeats_and_signed_zeros(self):
+        rng = np.random.default_rng(8)
+        for trial in range(400):
+            m, d = int(rng.integers(1, 80)), int(rng.integers(1, 7))
+            pool = rng.integers(-2, 3, (int(rng.integers(1, 9)), d)).astype(float)
+            if trial % 2:
+                pool *= rng.random(pool.shape)  # non-integer values
+            vectors = pool[rng.integers(0, len(pool), m)]
+            vectors[(vectors == 0.0) & (rng.random(vectors.shape) < 0.5)] = -0.0
+            self.assert_as_np_unique(vectors)
+
+    def test_edge_shapes(self):
+        rows = np.random.default_rng(2).random((6, 25))
+        for vectors in (
+            np.array([[0.0], [-0.0], [1.0], [0.0], [-1.0]]),  # one column
+            rows[:1],  # one row
+            np.repeat(rows[:1], 9, axis=0),  # all rows equal
+            np.array([[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [1.0, 0.0, -0.0]]),  # trailing zeros
+            vectorize([f"text {i % 4} answer" for i in range(200)]),  # tf-idf rows
+        ):
+            self.assert_as_np_unique(vectors)
 
 
 class TestClusterOpinions:

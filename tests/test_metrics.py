@@ -115,6 +115,20 @@ class TestSerialization:
         assert float(by_label["b"]["scr"]) == high.scr
         assert by_label["b"]["mean"] == by_label["b"]["sem"] == ""
 
+    def test_failed_rows_are_counted_not_averaged(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text(
+            '{"config": {"run": {"n": 7}}}\n'
+            '{"case_id": "x", "consensus_count": 5, "n_rounds": 2, "correct": true}\n'
+            '{"case_id": "y", "error": "backend down"}\n'
+        )
+        rows, n = rows_from_results_jsonl(path)
+        assert rows[1] == MetricsRow("y", error="backend down")
+        summary = compute_metrics(rows, n)
+        assert (summary.n_cases, summary.n_failed, summary.scr) == (1, 1, 2.5)
+        with pytest.raises(ValueError, match="no completed cases"):
+            compute_metrics(rows[1:], n)
+
     def test_results_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "results.jsonl"
         path.write_text(

@@ -2,6 +2,7 @@ import io
 import json
 
 import pytest
+from round_oracles import oracle_assignment_contexts, oracle_leader_contexts
 
 from belief_consensus.agents import AgentContext, AgentError, ScriptedAgent, StochasticAgent
 from belief_consensus.core import (
@@ -17,7 +18,9 @@ from belief_consensus.orchestrator import (
     TERMINATED_FULL,
     TERMINATED_MAX_ROUNDS,
     TERMINATED_VOTING,
+    _assignment_contexts,
     _dispatch,
+    _leader_contexts,
     report_to_dict,
     rounds_to_csv,
     run_case,
@@ -193,6 +196,52 @@ class TestDispatch:
         opinions = _dispatch(backends, self.CASE, contexts, previous=previous)
         assert opinions[0] == previous["a1"] and opinions[2] == previous["a3"]
         assert opinions[1] == healthy.respond(self.CASE, "a2", contexts["a2"])
+
+
+class TestSharedContexts:
+    def test_equal_to_one_context_per_agent(self):
+        # every collaborating and leader round of seeded stochastic runs
+        seen = {"Partial": 0, "None": 0, "shared": 0}
+        for n, n_leaders, mixed in ((7, 2, False), (40, 2, True), (60, 3, False), (9, 5, True)):
+            for seed in range(6):
+                case = ScenarioCase(f"shared-{seed}", "q", "A")
+                agent = StochasticAgent(seed=seed)
+                cfg = RunConfig(n=n, max_rounds=4, n_leaders=n_leaders, seed=seed,
+                                mixed_delegates=mixed)
+                backends = {f"agent-{i}": agent for i in range(n)}
+                for rec in run_case(case, cfg, backends).rounds:
+                    by_id = {op.agent_id: op for op in rec.opinions}
+                    if rec.assignment is not None:
+                        got = _assignment_contexts(case, rec.assignment, by_id, rec.index + 1)
+                        want = oracle_assignment_contexts(case, rec.assignment, by_id,
+                                                          rec.index + 1)
+                    elif rec.leaders is not None:
+                        got = _leader_contexts(case, rec.leaders, rec.groups, by_id, rec.index + 1)
+                        want = oracle_leader_contexts(case, rec.leaders, rec.groups, by_id,
+                                                      rec.index + 1)
+                    else:
+                        continue
+                    assert got == want and sorted(got) == sorted(want)
+                    # equal contexts are one object
+                    assert len({id(ctx) for ctx in got.values()}) == len(set(got.values()))
+                    seen[rec.branch] += 1
+                    seen["shared"] += len(set(got.values())) < len(got)
+        assert seen["Partial"] >= 10 and seen["None"] >= 10 and seen["shared"] >= 20, seen
+
+    def test_initial_round_shares_one_context(self):
+        agent = RecordingRounds(seed=5)
+        contexts = []
+        agent_round = agent.respond_round
+
+        def recording(case, ids, ctxs):
+            contexts.append(ctxs)
+            return agent_round(case, ids, ctxs)
+
+        agent.respond_round = recording
+        case = ScenarioCase("initial", "q", "A")
+        run_case(case, RunConfig(n=5, max_rounds=1), {f"a{i}": agent for i in range(5)})
+        assert len({id(ctx) for ctx in contexts[0]}) == 1
+        assert contexts[0][0] == AgentContext("q", 1)
 
 
 class TestFinalAnswer:

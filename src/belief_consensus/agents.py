@@ -20,10 +20,9 @@ import re
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from belief_consensus.core import (
     Opinion,
@@ -32,6 +31,9 @@ from belief_consensus.core import (
     canonicalize_answer,
     stable_hash,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 ADVERSARIAL_EPS = 1e-9
 
@@ -571,6 +573,10 @@ class ChatCompletionsAgent:
     """
 
     def __init__(self, cfg: BackendConfig, session: requests.Session | None = None):
+        # imported here, not at module level: only HTTP backends use it, and
+        # it costs every other run ~0.1 s of start-up
+        import requests
+
         if cfg.kind != "http":
             raise ValueError("ChatCompletionsAgent requires an http backend config")
         if not cfg.endpoint:
@@ -591,6 +597,8 @@ class ChatCompletionsAgent:
         return headers
 
     def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
+        import requests  # loaded by __init__; named here for the except clause
+
         payload = {
             "model": self.cfg.model,
             "messages": build_messages(ctx, self.cfg.prompt_style),

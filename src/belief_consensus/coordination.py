@@ -4,7 +4,7 @@ The conflict score between two opinion groups multiplies a macro component
 (belief-weighted complement of the Jaccard overlap of the groups' answers)
 with a micro component (ratio contrasting the groups' internal
 supporter/dissenter belief sums). Groups are in conflict when the combined
-score exceeds 2; a group is always self-supporting.
+score exceeds 2 by more than rounding; a group is always self-supporting.
 
 Within a group, "supporters" hold the group's modal answer and "dissenters"
 are the rest. Degenerate micro ratios use fixed conventions: 0/0 -> 1 and
@@ -27,7 +27,9 @@ CONFLICTING = "Conflicting"
 CONFLICT_THRESHOLD = 2.0  # strict, on the combined score
 
 # Belief sums that agree mathematically can differ by accumulation noise;
-# gaps below this are the degenerate zero case, not a real ratio.
+# gaps below this are the degenerate zero case, not a real ratio. By the same
+# rule a combined score within this relative distance of the threshold is
+# not above it.
 SUM_GAP_EPS = 1e-9
 
 
@@ -130,7 +132,8 @@ def conflict_relation(
     if p_group.group_id == q_group.group_id:
         relation = SUPPORTIVE
     else:
-        relation = CONFLICTING if combined > CONFLICT_THRESHOLD else SUPPORTIVE
+        above = combined - CONFLICT_THRESHOLD > SUM_GAP_EPS * CONFLICT_THRESHOLD
+        relation = CONFLICTING if above else SUPPORTIVE
     return ConflictReport(
         group_pair=(p_group.group_id, q_group.group_id),
         macro=macro,

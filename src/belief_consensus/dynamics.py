@@ -131,6 +131,13 @@ def _check_arity(state: DynamicsState, topo: DynamicsTopology):
         raise ValueError("topology/state arity: collaborator sets do not match agent count")
 
 
+def _check_leaders(n: int, leaders: Sequence[int]):
+    if not leaders:
+        raise ValueError("no leaders")
+    if not all(0 <= j < n for j in leaders):
+        raise ValueError("leader index out of range")
+
+
 def _adjacency(sets) -> np.ndarray:
     a = np.zeros((len(sets), len(sets)))
     for i, collab in enumerate(sets):
@@ -195,12 +202,8 @@ def step_leader_follow(
     A single leader has no collaborators and is a fixed point.
     """
     _check_arity(state, topo)
-    if not leaders:
-        raise ValueError("no leaders")
-    n = len(state.opinions)
-    if not all(0 <= j < n for j in leaders):
-        raise ValueError("leader index out of range")
-    return _advance(state, _leader_adjacency(n, leaders), topo)
+    _check_leaders(len(state.opinions), leaders)
+    return _advance(state, _leader_adjacency(len(state.opinions), leaders), topo)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +266,23 @@ class DynamicsResult:
         return self.trace[-1].step
 
 
-def _spread(vec: np.ndarray) -> float:
-    return float(vec.max() - vec.min())
+@dataclass(frozen=True)
+class BatchVerdicts:
+    """Per-row verdicts of `run_batch`: each row's reason, its step count and
+    its final (rows, n) opinions and beliefs."""
+
+    reasons: np.ndarray  # of str
+    steps: np.ndarray
+    opinions: np.ndarray
+    beliefs: np.ndarray
+
+    @property
+    def converged(self) -> np.ndarray:
+        return np.isin(self.reasons, (REASON_CONSENSUS, REASON_MARGINAL))
+
+    @property
+    def marginal(self) -> np.ndarray:
+        return self.reasons == REASON_MARGINAL
 
 
 def _is_marginal_tie(topo: DynamicsTopology) -> bool:
@@ -283,6 +301,98 @@ def _is_marginal_tie(topo: DynamicsTopology) -> bool:
     )
 
 
+def run_batch(
+    opinions: np.ndarray,
+    beliefs: np.ndarray,
+    topo: DynamicsTopology,
+    mode: str,
+    tol: float = DEFAULT_TOL,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    trace: list | None = None,
+) -> BatchVerdicts:
+    """Iterate the chosen step rule on (rows, n) trajectories, each row until
+    its own consensus, divergence, or budget.
+
+    Consensus: max pairwise opinion gap and belief gap both below tol.
+    Divergence: belief spread strictly increasing for DIVERGENCE_WINDOW steps.
+    In the all-pairs tie case (see _is_marginal_tie) a row that oscillates
+    with period 2 is reported converged with the marginal flag after 2 steps.
+    A row leaves the batch on its verdict, so it is stepped exactly as it
+    would be alone. If `trace` is a list, the (opinions, beliefs) of every
+    state of a one-row batch are appended to it.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+    opinions = np.asarray(opinions, dtype=float)
+    beliefs = np.asarray(beliefs, dtype=float)
+    if opinions.shape != beliefs.shape or opinions.ndim != 2:
+        raise ValueError("opinions and beliefs must be (rows, n) batches of one shape")
+    if topo.n != opinions.shape[1] or len(topo.conflicting) != opinions.shape[1]:
+        raise ValueError("topology/state arity: collaborator sets do not match agent count")
+    if mode == "leader":
+        _check_leaders(topo.n, topo.leaders)
+    elif mode not in ("supportive", "conflicting"):
+        raise ValueError(f"unknown dynamics mode: {mode!r}")
+    a = topo.adjacency(mode)
+    alpha, beta = topo.step_sizes()
+    belief_sign = 1.0 if mode == "conflicting" else -1.0
+
+    def advance(op, be):
+        return laplacian_step(op, a, alpha)[0], laplacian_step(be, a, beta, belief_sign)[0]
+
+    rows = len(opinions)
+    reasons = np.full(rows, REASON_BUDGET, dtype=object)
+    steps = np.full(rows, max_steps)
+    final_op, final_be = opinions.copy(), beliefs.copy()
+    live = np.arange(rows)
+    op, be = opinions, beliefs
+    prev_bspread = np.ptp(be, axis=1)
+    grow_streak = np.zeros(rows, dtype=int)
+
+    def settle(done, reason, step, final_states=None):
+        """Record the verdict of the live rows in `done` and drop them."""
+        nonlocal live, op, be, prev_bspread, grow_streak
+        if not done.any():
+            return
+        ended = live[done]
+        reasons[ended] = reason
+        steps[ended] = step
+        f_op, f_be = (op, be) if final_states is None else final_states
+        final_op[ended], final_be[ended] = f_op[done], f_be[done]
+        keep = ~done
+        live, op, be = live[keep], op[keep], be[keep]
+        prev_bspread, grow_streak = prev_bspread[keep], grow_streak[keep]
+
+    if trace is not None:
+        trace.append((op, be))
+    if mode == "supportive" and _is_marginal_tie(topo):
+        s1 = advance(op, be)
+        s2 = advance(*s1)
+        period_two = (np.isclose(s2[0], op, rtol=0, atol=1e-12).all(axis=1)
+                      & np.isclose(s2[1], be, rtol=0, atol=1e-12).all(axis=1))
+        if trace is not None and period_two.all():
+            trace += [s1, s2]
+        settle(period_two, REASON_MARGINAL, 2, s2)
+
+    for k in range(max_steps):
+        settle((np.ptp(op, axis=1) < tol) & (np.ptp(be, axis=1) < tol), REASON_CONSENSUS, k)
+        if not live.size:
+            break
+        op, be = advance(op, be)
+        if trace is not None:
+            trace.append((op, be))
+        bspread = np.ptp(be, axis=1)
+        grow_streak = np.where(bspread > prev_bspread, grow_streak + 1, 0)
+        prev_bspread = bspread
+        settle(grow_streak >= DIVERGENCE_WINDOW, REASON_DIVERGENCE, k + 1)
+    else:
+        settle((np.ptp(op, axis=1) < tol) & (np.ptp(be, axis=1) < tol), REASON_CONSENSUS, max_steps)
+    final_op[live], final_be[live] = op, be
+    return BatchVerdicts(reasons, steps, final_op, final_be)
+
+
 def run_dynamics(
     initial: DynamicsState,
     topo: DynamicsTopology,
@@ -290,61 +400,14 @@ def run_dynamics(
     tol: float = DEFAULT_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> DynamicsResult:
-    """Iterate the chosen step rule until consensus, divergence, or budget.
-
-    Consensus: max pairwise opinion gap and belief gap both below tol.
-    Divergence: belief spread strictly increasing for DIVERGENCE_WINDOW steps.
-    The all-pairs tie case (see _is_marginal_tie) is verified to oscillate
-    with period 2 and reported converged with the marginal flag.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    _check_arity(initial, topo)
-
-    if mode == "supportive":
-        advance = lambda s: step_supportive(s, topo)
-    elif mode == "conflicting":
-        advance = lambda s: step_conflicting(s, topo)
-    elif mode == "leader":
-        if not topo.leaders:
-            raise ValueError("no leaders")
-        advance = lambda s: step_leader_follow(s, topo.leaders, topo)
-    else:
-        raise ValueError(f"unknown dynamics mode: {mode!r}")
-
-    if mode == "supportive" and _is_marginal_tie(topo):
-        s1 = advance(initial)
-        s2 = advance(s1)
-        period_two = np.allclose(s2.opinions, initial.opinions, rtol=0, atol=1e-12) and \
-            np.allclose(s2.beliefs, initial.beliefs, rtol=0, atol=1e-12)
-        if period_two:
-            return DynamicsResult(
-                trace=[initial, s1, s2],
-                converged=True,
-                reason=REASON_MARGINAL,
-                marginal=True,
-                mode=mode,
-            )
-
-    trace = [initial]
-    state = initial
-    grow_streak = 0
-    prev_bspread = _spread(state.beliefs)
-    for _ in range(max_steps):
-        if _spread(state.opinions) < tol and _spread(state.beliefs) < tol:
-            return DynamicsResult(trace, True, REASON_CONSENSUS, False, mode)
-        state = advance(state)
-        trace.append(state)
-        bspread = _spread(state.beliefs)
-        grow_streak = grow_streak + 1 if bspread > prev_bspread else 0
-        prev_bspread = bspread
-        if grow_streak >= DIVERGENCE_WINDOW:
-            return DynamicsResult(trace, False, REASON_DIVERGENCE, False, mode)
-    if _spread(state.opinions) < tol and _spread(state.beliefs) < tol:
-        return DynamicsResult(trace, True, REASON_CONSENSUS, False, mode)
-    return DynamicsResult(trace, False, REASON_BUDGET, False, mode)
+    """`run_batch` on one trajectory, with every state it passed through."""
+    states: list = []
+    verdict = run_batch(initial.opinions[None], initial.beliefs[None], topo, mode,
+                        tol=tol, max_steps=max_steps, trace=states)
+    reason = verdict.reasons[0]
+    trace = [DynamicsState(op[0], be[0], step) for step, (op, be) in enumerate(states)]
+    return DynamicsResult(trace, bool(verdict.converged[0]), reason,
+                          bool(verdict.marginal[0]), mode)
 
 
 def trace_to_csv(result: DynamicsResult, topo: DynamicsTopology, out: IO[str]):

@@ -26,7 +26,7 @@ from belief_consensus.verification import (
     verify_supportive_convergence,
 )
 
-from conflict_oracle import oracle_combined
+from conflict_oracle import SUM_GAP_EPS, oracle_combined
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -144,8 +144,9 @@ class TestConflictScoreOracle:
                 (math.isinf(got.combined) and math.isinf(combined))
                 or math.isclose(got.combined, combined, rel_tol=1e-12)
             )
+            # a score within relative SUM_GAP_EPS of 2 is not above it
             same_relation = got.relation == (
-                "Conflicting" if (combined > 2.0) else "Supportive"
+                "Conflicting" if combined - 2.0 > SUM_GAP_EPS * 2.0 else "Supportive"
             )
             if not (same_macro and same_micro and same_combined and same_relation):
                 mismatches += 1

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -546,3 +549,17 @@ class TestMakeBackend:
             BackendConfig(temperature=-0.1)
         with pytest.raises(ValueError):
             BackendConfig(retries=-1)
+
+    def test_cli_import_leaves_requests_unloaded(self):
+        # only an HTTP backend imports requests; a fresh interpreter shows it
+        src = os.path.dirname(os.path.dirname(agents.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, belief_consensus.cli; "
+                "from belief_consensus.agents import BackendConfig, make_backend; "
+                "print('requests' in sys.modules); "
+                "make_backend(BackendConfig(kind='http', endpoint='http://localhost:1')); "
+                "print('requests' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.split() == ["False", "True"]

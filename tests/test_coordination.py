@@ -118,6 +118,18 @@ class TestConflictRelation:
         assert report.combined <= 2.0
         assert report.relation == SUPPORTIVE
 
+    def test_score_of_two_up_to_rounding_is_supportive(self):
+        # 1 * (0.4000000000000001 / 0.2) = 2.0000000000000004 in floats, and
+        # exactly 2.0 for the same beliefs scaled by 0.75: one relation for both
+        for c in (1.0, 0.75):
+            p_members = [member("p0", "B", 0.2 * c)]
+            q_members = [member("q0", "C", 0.2 * c), member("q1", "A", 0.2 * c),
+                         member("q2", "A", 0.4 * c)]
+            report = conflict_relation(group_of(0, p_members), group_of(1, q_members),
+                                       p_members, q_members)
+            assert report.combined == pytest.approx(2.0, rel=1e-12)
+            assert report.relation == SUPPORTIVE
+
     def test_self_pair_forced_supportive(self):
         members = [member("a1", "A", 0.9), member("a2", "B", 0.1)]
         g = group_of(3, members)

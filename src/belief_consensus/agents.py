@@ -13,6 +13,7 @@ report token probabilities.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import operator
 import os
@@ -20,7 +21,8 @@ import re
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import Protocol, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -31,9 +33,6 @@ from belief_consensus.core import (
     canonicalize_answer,
     stable_hash,
 )
-
-if TYPE_CHECKING:
-    import requests
 
 ADVERSARIAL_EPS = 1e-9
 
@@ -85,6 +84,13 @@ class BackendConfig:
             raise ValueError("temperature must be nonnegative")
         if self.retries < 0:
             raise ValueError("retries must be nonnegative")
+        if self.kind == "http":
+            parts = urlsplit(self.endpoint)
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ValueError(
+                    f"http endpoint must be an http:// or https:// URL with a host, "
+                    f"got {self.endpoint!r}"
+                )
 
 
 class Backend(Protocol):
@@ -564,25 +570,41 @@ def _token_probs_for_span(tokens: list[dict], content: str, start: int, end: int
     return probs
 
 
+@functools.lru_cache(maxsize=16)
+def _http_pool(endpoint: str):
+    """The connection pool that every agent posting to `endpoint` shares.
+
+    Built once per endpoint and process, so keep-alive connections outlive
+    agents and cases, and the environment's proxy setting is read here once.
+    `retries=False`: `respond` does its own retrying, and a redirect is
+    returned rather than followed.
+    """
+    # imported here, not at module level: only HTTP backends use them, and
+    # they cost every other run start-up time
+    import urllib.request
+
+    import urllib3
+
+    parts = urlsplit(endpoint)
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if proxy and not urllib.request.proxy_bypass(parts.hostname):
+        return urllib3.ProxyManager(proxy, retries=False)
+    return urllib3.PoolManager(retries=False)
+
+
 class ChatCompletionsAgent:
     """HTTP client for chat-completions endpoints with per-token logprobs.
 
-    Retries transient transport failures (connection errors, timeouts, 5xx)
-    with exponential backoff. The number of retries consumed by the latest
-    call is kept in `last_retries`.
+    Retries transient failures (transport errors, timeouts, 5xx, an
+    unparseable body, an unanswerable reply) with exponential backoff. The
+    number of retries consumed by the latest call is kept in `last_retries`.
     """
 
-    def __init__(self, cfg: BackendConfig, session: requests.Session | None = None):
-        # imported here, not at module level: only HTTP backends use it, and
-        # it costs every other run ~0.1 s of start-up
-        import requests
-
+    def __init__(self, cfg: BackendConfig):
         if cfg.kind != "http":
             raise ValueError("ChatCompletionsAgent requires an http backend config")
-        if not cfg.endpoint:
-            raise ValueError("http backend requires an endpoint")
         self.cfg = cfg
-        self.session = session or requests.Session()
+        self.pool = _http_pool(cfg.endpoint)
         self.last_retries = 0
 
     def _headers(self) -> dict:
@@ -597,7 +619,7 @@ class ChatCompletionsAgent:
         return headers
 
     def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
-        import requests  # loaded by __init__; named here for the except clause
+        from urllib3.exceptions import HTTPError  # loaded by _http_pool
 
         payload = {
             "model": self.cfg.model,
@@ -605,6 +627,7 @@ class ChatCompletionsAgent:
             "temperature": self.cfg.temperature,
             "logprobs": True,
         }
+        request_body = json.dumps(payload, allow_nan=False).encode("utf-8")
         headers = self._headers()
         attempts = self.cfg.retries + 1
         self.last_retries = 0
@@ -614,22 +637,22 @@ class ChatCompletionsAgent:
                 time.sleep(self.cfg.backoff * (2 ** (attempt - 1)))
                 self.last_retries = attempt
             try:
-                response = self.session.post(
-                    self.cfg.endpoint, json=payload, headers=headers,
+                response = self.pool.request(
+                    "POST", self.cfg.endpoint, body=request_body, headers=headers,
                     timeout=self.cfg.timeout,
                 )
-            except requests.RequestException as exc:
+            except HTTPError as exc:
                 last_error = exc
                 continue
-            if response.status_code >= 500:
-                last_error = AgentError(f"server error {response.status_code}")
+            if response.status >= 500:
+                last_error = AgentError(f"server error {response.status}")
                 continue
-            if response.status_code != 200:
+            if response.status != 200:
                 raise AgentError(
-                    f"endpoint rejected the request: HTTP {response.status_code}"
+                    f"endpoint rejected the request: HTTP {response.status}"
                 )
             try:
-                body = response.json()
+                body = json.loads(response.data)
             except ValueError as exc:
                 last_error = exc
                 continue

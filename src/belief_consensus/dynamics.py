@@ -29,7 +29,8 @@ check them algebraically rather than by sign alone.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -68,9 +69,12 @@ class DynamicsTopology:
     leaders: tuple[int, ...] = ()
     alpha: float | None = None
     beta: float | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # tuples, so that the cached adjacency builders can key on them
+        object.__setattr__(self, "supportive", tuple(map(tuple, self.supportive)))
+        object.__setattr__(self, "conflicting", tuple(map(tuple, self.conflicting)))
+        object.__setattr__(self, "leaders", tuple(self.leaders))
         for i, s in enumerate(self.supportive):
             if i in s:
                 raise ValueError(f"agent {i} appears in its own supportive set")
@@ -90,17 +94,12 @@ class DynamicsTopology:
         )
 
     def adjacency(self, mode: str) -> np.ndarray:
-        """Collaborator adjacency A of a dynamics mode, built once per topology."""
-        if mode not in self._cache:
-            if mode in ("supportive", "conflicting"):
-                a = _adjacency(getattr(self, mode))
-            elif mode == "leader":
-                a = _leader_adjacency(self.n, self.leaders)
-            else:
-                raise ValueError(f"unknown dynamics mode: {mode!r}")
-            a.flags.writeable = False
-            self._cache[mode] = a
-        return self._cache[mode]
+        """Collaborator adjacency A of a dynamics mode (read-only)."""
+        if mode in ("supportive", "conflicting"):
+            return _adjacency(getattr(self, mode))
+        if mode == "leader":
+            return _leader_adjacency(self.n, self.leaders)
+        raise ValueError(f"unknown dynamics mode: {mode!r}")
 
     @classmethod
     def all_pairs(cls, n: int, alpha: float | None = None, beta: float | None = None):
@@ -138,19 +137,27 @@ def _check_leaders(n: int, leaders: Sequence[int]):
         raise ValueError("leader index out of range")
 
 
-def _adjacency(sets) -> np.ndarray:
+# The adjacency builders are cached on their (hashable) arguments: the
+# property checks step the same few topologies thousands of times. The arrays
+# are shared, so they are read-only.
+
+@functools.lru_cache(maxsize=256)
+def _adjacency(sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
     a = np.zeros((len(sets), len(sets)))
     for i, collab in enumerate(sets):
         for j in collab:
             a[i, j] += 1.0
+    a.flags.writeable = False
     return a
 
 
-def _leader_adjacency(n: int, leaders: Sequence[int]) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _leader_adjacency(n: int, leaders: tuple[int, ...]) -> np.ndarray:
     """Followers collaborate with every leader, leaders with the other leaders."""
     a = np.zeros((n, n))
     a[:, list(leaders)] = 1.0
     np.fill_diagonal(a, 0.0)
+    a.flags.writeable = False
     return a
 
 
@@ -203,7 +210,7 @@ def step_leader_follow(
     """
     _check_arity(state, topo)
     _check_leaders(len(state.opinions), leaders)
-    return _advance(state, _leader_adjacency(len(state.opinions), leaders), topo)
+    return _advance(state, _leader_adjacency(len(state.opinions), tuple(leaders)), topo)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +219,7 @@ def step_leader_follow(
 
 def _squared_increments(values, sets, gamma: float, sign: float):
     values = np.asarray(values, dtype=float)
-    new, mean, m = laplacian_step(values, _adjacency(sets), gamma, sign)
+    new, mean, m = laplacian_step(values, _adjacency(tuple(map(tuple, sets))), gamma, sign)
     dist_sq = (values - mean) ** 2
     return (new - mean) ** 2 - dist_sq, ((1.0 + sign * gamma * m) ** 2 - 1.0) * dist_sq, dist_sq
 
@@ -241,7 +248,8 @@ def leader_increments(values: np.ndarray, leaders: Sequence[int], gamma: float):
     for leaders), predicted = (|1 - g*m| - 1) * |v_i - mean_i|.
     """
     values = np.asarray(values, dtype=float)
-    new, mean, m = laplacian_step(values, _leader_adjacency(values.shape[-1], leaders), gamma)
+    adjacency = _leader_adjacency(values.shape[-1], tuple(leaders))
+    new, mean, m = laplacian_step(values, adjacency, gamma)
     dist = np.abs(values - mean)
     return np.abs(new - mean) - dist, (np.abs(1.0 - gamma * m) - 1.0) * dist
 

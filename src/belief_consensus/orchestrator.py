@@ -60,6 +60,9 @@ class RoundRecord:
     assignment: AssignmentPlan | None = None
     leaders: LeaderSet | None = None
     noise_victim: str | None = None
+    # (agent id, error) of each agent whose call failed this round and whose
+    # previous opinion was carried forward in its place
+    carried_forward: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,9 @@ def _dispatch(
     case: ScenarioCase,
     contexts: Mapping[str, AgentContext],
     previous: Mapping[str, Opinion] | None,
-) -> list[Opinion]:
-    """One round of opinions, in sorted-agent-id order.
+) -> tuple[list[Opinion], tuple[tuple[str, str], ...]]:
+    """One round of opinions, in sorted-agent-id order, and the carried-forward
+    agents as sorted (agent id, error) pairs.
 
     The agents of a backend with `respond_round` answer in one call, the
     others one at a time. A failed call re-raises in round 1 (`previous` is
@@ -103,21 +107,23 @@ def _dispatch(
         key = id(backend) if hasattr(backend, "respond_round") else agent_id
         calls.setdefault(key, (backend, []))[1].append(agent_id)
     answers = {}
+    carried = []
     for backend, ids in calls.values():
         try:
             if hasattr(backend, "respond_round"):
                 ops = backend.respond_round(case, ids, [contexts[a] for a in ids])
             else:
                 ops = [backend.respond(case, ids[0], contexts[ids[0]])]
-        except AgentError:
+        except AgentError as exc:
             if previous is None:
                 raise
             ops = [previous[a] for a in ids]  # carry the agents' last opinions forward
+            carried.extend((a, str(exc)) for a in ids)
         for agent_id, op in zip(ids, ops):
             if op.agent_id != agent_id:
                 op = Opinion(agent_id, op.reasoning, op.answer, op.belief)
             answers[agent_id] = op
-    return [answers[a] for a in agent_ids]
+    return [answers[a] for a in agent_ids], tuple(sorted(carried))
 
 
 def _assignment_contexts(
@@ -194,7 +200,7 @@ def run_case(
     contexts = dict.fromkeys(
         agent_ids, AgentContext(question=case.question, round=1, template=TEMPLATE_INITIAL)
     )
-    opinions = _dispatch(backends, case, contexts, previous=None)
+    opinions, carried = _dispatch(backends, case, contexts, previous=None)
 
     records: list[RoundRecord] = []
     reached_full = False
@@ -239,11 +245,12 @@ def run_case(
                 assignment=plan,
                 leaders=leader_set,
                 noise_victim=victim,
+                carried_forward=carried,
             )
         )
         if reached_full or round_index == cfg.max_rounds:
             break
-        opinions = _dispatch(backends, case, next_contexts, previous=by_id)
+        opinions, carried = _dispatch(backends, case, next_contexts, previous=by_id)
 
     last = records[-1].opinions
     answer = modal_answer(last)
@@ -304,6 +311,10 @@ def report_to_dict(report: RunReport) -> dict:
             "branch": rec.branch,
             "noise_victim": rec.noise_victim,
         }
+        if rec.carried_forward:
+            entry["carried_forward"] = [
+                {"agent_id": agent_id, "error": error} for agent_id, error in rec.carried_forward
+            ]
         if rec.conflict_reports is not None:
             entry["conflict_reports"] = [
                 {

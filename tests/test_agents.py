@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from belief_consensus.agents import (
     ChatCompletionsAgent,
     ScriptedAgent,
     StochasticAgent,
+    TAG_SUPPORTIVE,
     TaggedOpinion,
     build_messages,
     extract_answer_sentence,
@@ -341,18 +344,31 @@ class TestAnswerSentenceExtraction:
 # -- local fake chat-completions endpoint ------------------------------------
 
 class _FakeHandler(BaseHTTPRequestHandler):
-    script = []          # list of ("status", payload) consumed per request
-    requests_seen = []
+    # (status, payload[, delay_s]) consumed per request; a bytes payload is
+    # sent as it is, anything else as JSON
+    script = []
+    requests_seen = []   # decoded request bodies
+    raw_seen = []        # raw request body bytes
+    connections = 0      # one handler instance per accepted connection
+
+    def setup(self):
+        type(self).connections += 1
+        super().setup()
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append(body)
-        status, payload = (
+        raw = self.rfile.read(length)
+        type(self).raw_seen.append(raw)
+        type(self).requests_seen.append(json.loads(raw))
+        status, payload, *delay = (
             self.script.pop(0) if self.script else (200, _completion("The answer is A.", [-0.1]))
         )
-        data = json.dumps(payload).encode()
+        if delay:
+            time.sleep(delay[0])
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
+        if 300 <= status < 400:
+            self.send_header("Location", self.path)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -384,18 +400,43 @@ def _completion(content, answer_logprobs, with_logprobs=True):
     }
 
 
-@pytest.fixture()
-def fake_server():
-    _FakeHandler.script = []
-    _FakeHandler.requests_seen = []
-    server = HTTPServer(("127.0.0.1", 0), _FakeHandler)
+class _KeepAliveHandler(_FakeHandler):
+    protocol_version = "HTTP/1.1"  # keeps the connection open between requests
+
+
+class _QuietServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # a reply to a client that already timed out fails to write
+
+
+def _serve(handler):
+    handler.script = []
+    handler.requests_seen = []
+    handler.raw_seen = []
+    handler.connections = 0
+    # one thread per connection: a slow reply does not hold up the retry
+    server = _QuietServer(("127.0.0.1", 0), handler)
     # a short poll interval keeps shutdown() from waiting out the default 0.5 s
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
                               daemon=True)
     thread.start()
-    yield server, f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    yield server, url
+    agents._http_pool(url).clear()  # closes idle keep-alive connections
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.fixture()
+def fake_server():
+    yield from _serve(_FakeHandler)
+
+
+@pytest.fixture()
+def keep_alive_server():
+    yield from _serve(_KeepAliveHandler)
 
 
 class TestChatCompletionsAgent:
@@ -484,6 +525,70 @@ class TestChatCompletionsAgent:
         with pytest.raises(AgentError, match="invalid token probabilities"):
             self._agent(url).respond(ScenarioCase("c", "q", "B"), "a1", AgentContext("q", 1))
 
+    def test_closed_port_is_a_transport_failure(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        agent = self._agent(f"http://127.0.0.1:{port}/v1/chat/completions")
+        with pytest.raises(AgentError, match="transport failed after 3 attempts"):
+            agent.respond(ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1))
+        assert agent.last_retries == 2
+
+    def test_reply_slower_than_timeout_is_retried(self, fake_server):
+        server, url = fake_server
+        good = _completion("The answer is C.", [math.log(0.7)])
+        _FakeHandler.script = [(200, good, 2.0), (200, good)]
+        cfg = BackendConfig(kind="http", endpoint=url, retries=2, backoff=0.01, timeout=0.5)
+        agent = ChatCompletionsAgent(cfg)
+        op = agent.respond(ScenarioCase("c", "q", "C"), "a1", AgentContext("q", 1))
+        assert op.answer == "C"
+        assert agent.last_retries == 1
+        assert len(_FakeHandler.requests_seen) == 2
+
+    def test_client_error_raises_after_one_request(self, fake_server):
+        server, url = fake_server
+        _FakeHandler.script = [(400, {"error": "bad request"})] * 3
+        with pytest.raises(AgentError, match="endpoint rejected the request: HTTP 400"):
+            self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1))
+        assert len(_FakeHandler.requests_seen) == 1
+
+    def test_non_json_body_is_retried(self, fake_server):
+        server, url = fake_server
+        _FakeHandler.script = [(200, b"<html>not json</html>"),
+                               (200, _completion("The answer is B.", [math.log(0.6)]))]
+        agent = self._agent(url)
+        op = agent.respond(ScenarioCase("c", "q", "B"), "a1", AgentContext("q", 1))
+        assert op.belief == pytest.approx(0.6, rel=1e-9)
+        assert agent.last_retries == 1
+        assert len(_FakeHandler.requests_seen) == 2
+
+    def test_request_body_bytes(self, fake_server):
+        # the endpoint sees exactly these bytes; replies keyed on a hash of
+        # the body (as the benchmark's fake endpoint's are) depend on them
+        server, url = fake_server
+        ctx = AgentContext("Which option? \u00e9", 2, (
+            TaggedOpinion(Opinion("a2", "it is (B)", "B", 0.6), TAG_SUPPORTIVE),), "collaborate")
+        self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", ctx)
+        payload = {"model": "test-model", "messages": build_messages(ctx, "choice"),
+                   "temperature": 0.7, "logprobs": True}
+        assert _FakeHandler.raw_seen == [json.dumps(payload, allow_nan=False).encode("utf-8")]
+
+    def test_redirect_is_not_followed(self, fake_server):
+        server, url = fake_server
+        _FakeHandler.script = [(307, {})]
+        with pytest.raises(AgentError, match="endpoint rejected the request: HTTP 307"):
+            self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1))
+        assert len(_FakeHandler.requests_seen) == 1
+
+    def test_agents_share_one_keep_alive_connection(self, keep_alive_server):
+        server, url = keep_alive_server
+        first, second = self._agent(url), self._agent(url)
+        case = ScenarioCase("c", "q", "A")
+        for agent in (first, second, first, second):
+            assert agent.respond(case, "a1", AgentContext("q", 1)).answer == "A"
+        assert len(_KeepAliveHandler.requests_seen) == 4
+        assert _KeepAliveHandler.connections == 1
+
     def test_unanswerable_then_parseable_sample_succeeds(self, fake_server):
         server, url = fake_server
         bad = {
@@ -549,17 +654,22 @@ class TestMakeBackend:
             BackendConfig(temperature=-0.1)
         with pytest.raises(ValueError):
             BackendConfig(retries=-1)
+        for endpoint in ("", "localhost:8000/v1", "ftp://host/v1", "http:///v1"):
+            with pytest.raises(ValueError, match="http endpoint"):
+                BackendConfig(kind="http", endpoint=endpoint)
 
     def test_cli_import_leaves_requests_unloaded(self):
-        # only an HTTP backend imports requests; a fresh interpreter shows it
+        # requests is never imported, and urllib3 only once an HTTP backend
+        # is built; a fresh interpreter shows it
         src = os.path.dirname(os.path.dirname(agents.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("import sys, belief_consensus.cli; "
                 "from belief_consensus.agents import BackendConfig, make_backend; "
-                "print('requests' in sys.modules); "
+                "loaded = lambda: ['requests' in sys.modules, 'urllib3' in sys.modules]; "
+                "print(*loaded()); "
                 "make_backend(BackendConfig(kind='http', endpoint='http://localhost:1')); "
-                "print('requests' in sys.modules)")
+                "print(*loaded())")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
-        assert out.stdout.split() == ["False", "True"]
+        assert out.stdout.split() == ["False", "False", "False", "True"]

@@ -1,5 +1,6 @@
 import csv
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,23 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg)]) == 0
         _, rows = read_results(tmp_path / "hetero")
         assert len(rows) == 3  # mixed backends still produce full reports
+
+    def test_bad_http_endpoint_exits_1_without_a_request(self, tmp_path, corpus_path, capsys):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            listener.setblocking(False)
+            cfg = write_config(tmp_path, corpus_path)
+            payload = yaml.safe_load(cfg.read_text())
+            # no scheme: once this was retried with backoff for every agent of every case
+            payload["backend"] = {"kind": "http", "backoff": 0.0,
+                                  "endpoint": f"localhost:{listener.getsockname()[1]}/v1"}
+            cfg.write_text(yaml.safe_dump(payload))
+            assert main(["run", "--config", str(cfg)]) == 1
+            with pytest.raises(BlockingIOError):
+                listener.accept()
+        assert "http endpoint must be an http:// or https:// URL" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def corpus_with_short_case(tmp_path, corpus_path):

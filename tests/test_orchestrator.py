@@ -1,10 +1,20 @@
 import io
 import json
+import math
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from round_oracles import oracle_assignment_contexts, oracle_leader_contexts
 
-from belief_consensus.agents import AgentContext, AgentError, ScriptedAgent, StochasticAgent
+from belief_consensus.agents import (
+    AgentContext,
+    AgentError,
+    BackendConfig,
+    ChatCompletionsAgent,
+    ScriptedAgent,
+    StochasticAgent,
+)
 from belief_consensus.core import (
     AgentScript,
     Opinion,
@@ -180,7 +190,8 @@ class TestDispatch:
         scripted = make_case("dispatch", {"a2": [("B", "b words", 0.7)]})
         backends = {"a4": shared, "a2": ScriptedAgent(), "a1": shared, "a3": own, "a5": shared}
         contexts = {a: AgentContext("q", 1) for a in backends}
-        opinions = _dispatch(backends, scripted, contexts, previous=None)
+        opinions, carried = _dispatch(backends, scripted, contexts, previous=None)
+        assert carried == ()
         assert [op.agent_id for op in opinions] == ["a1", "a2", "a3", "a4", "a5"]
         assert shared.calls == [["a1", "a4", "a5"]] and own.calls == [["a3"]]
         for op in opinions:
@@ -193,9 +204,76 @@ class TestDispatch:
         contexts = {a: AgentContext("q", 2) for a in backends}
         with pytest.raises(AgentError, match="batch down"):
             _dispatch(backends, self.CASE, contexts, previous=None)
-        opinions = _dispatch(backends, self.CASE, contexts, previous=previous)
+        opinions, carried = _dispatch(backends, self.CASE, contexts, previous=previous)
         assert opinions[0] == previous["a1"] and opinions[2] == previous["a3"]
         assert opinions[1] == healthy.respond(self.CASE, "a2", contexts["a2"])
+        assert carried == (("a1", "batch down"), ("a3", "batch down"))
+
+
+class _ModelHandler(BaseHTTPRequestHandler):
+    """Chat-completions double: model-k answers option k (A, B, C, ...) with
+    belief 0.6, except that `failing_model` answers HTTP 500 after its first
+    request (round 1)."""
+
+    failing_model = "model-2"
+    seen: dict = {}  # requests per model
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
+        seen = self.seen[body["model"]] = self.seen.get(body["model"], 0) + 1
+        if seen > 1 and body["model"] == self.failing_model:
+            status, payload = 500, {"error": "model down"}
+        else:
+            answer = "ABCDEFGH"[int(body["model"].rsplit("-", 1)[1]) - 1]
+            tokens = [{"token": "Thinking.", "logprob": -0.1},
+                      {"token": f" The answer is ({answer}).", "logprob": math.log(0.6)}]
+            content = "".join(t["token"] for t in tokens)
+            status, payload = 200, {"choices": [
+                {"message": {"content": content}, "logprobs": {"content": tokens}}]}
+        data = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestCarriedForward:
+    def test_failing_model_is_recorded_and_keeps_its_opinion(self):
+        _ModelHandler.seen = {}
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _ModelHandler)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                                  daemon=True)
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+            backends = {
+                f"agent-{k}": ChatCompletionsAgent(BackendConfig(
+                    kind="http", endpoint=url, model=f"model-{k}", retries=1, backoff=0.001,
+                    timeout=5.0))
+                for k in (1, 2, 3)
+            }
+            case = ScenarioCase("fault", "pick one", "A")
+            report = run_case(case, RunConfig(n=3, max_rounds=2, seed=0), backends)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+        first, second = report.rounds
+        error = "transport failed after 2 attempts: server error 500"
+        assert first.carried_forward == ()
+        assert second.carried_forward == (("agent-2", error),)
+        assert second.opinions[1] == first.opinions[1]
+        assert [op.answer for op in second.opinions] == ["A", "B", "C"]
+        assert _ModelHandler.seen == {"model-1": 2, "model-2": 3, "model-3": 2}
+        rows = report_to_dict(report)["rounds"]
+        assert "carried_forward" not in rows[0]
+        assert rows[1]["carried_forward"] == [{"agent_id": "agent-2", "error": error}]
 
 
 class TestSharedContexts:

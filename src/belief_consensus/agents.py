@@ -67,19 +67,28 @@ class AgentContext:
     template: str = TEMPLATE_INITIAL
 
 
+BACKEND_KINDS = ("scripted", "stochastic", "http")
+PROMPT_STYLES = ("choice", "boxed")
+
+
 @dataclass(frozen=True)
 class BackendConfig:
-    kind: str = "scripted"  # scripted | stochastic | http
+    kind: str = "scripted"  # one of BACKEND_KINDS
     endpoint: str = ""
     model: str = ""
     temperature: float = 0.7
     timeout: float = 60.0
     retries: int = 2
     api_key_env: str = ""
-    prompt_style: str = "choice"  # choice | boxed
+    prompt_style: str = "choice"  # one of PROMPT_STYLES
     backoff: float = 0.5
 
     def __post_init__(self):
+        if self.kind not in BACKEND_KINDS:
+            raise ValueError(f"backend kind must be one of {BACKEND_KINDS}, got {self.kind!r}")
+        if self.prompt_style not in PROMPT_STYLES:
+            raise ValueError(
+                f"prompt_style must be one of {PROMPT_STYLES}, got {self.prompt_style!r}")
         if self.temperature < 0:
             raise ValueError("temperature must be nonnegative")
         if self.retries < 0:
@@ -97,9 +106,9 @@ class Backend(Protocol):
     """One agent's opinion per call.
 
     Optionally also `respond_round(case, agent_ids, contexts) -> list[Opinion]`:
-    the opinions of `agent_ids` (one context each) in that order, equal to
-    calling `respond` for each; the orchestrator then makes one call for all
-    the agents that share the backend.
+    the opinions of `agent_ids` (one context each, all of one round) in that
+    order, equal to calling `respond` for each; the orchestrator then makes
+    one call per round for all the agents that share the backend.
     """
 
     def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion: ...
@@ -261,70 +270,68 @@ class StochasticAgent:
 
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
                       contexts: Sequence[AgentContext]) -> list[Opinion]:
-        """The opinions of several agents in one case, in `agent_ids` order.
+        """The opinions of several agents of one round of a case, in
+        `agent_ids` order.
 
-        Every agent's draws are array operations over the round's raw outputs
-        (as `_stochastic_draws` reads them); only an agent whose bounded draw
-        rejects the low half of its output, with probability below
-        n / 2**32, reads its own stream.
+        Each agent's draws are numpy's `Generator` draws `random()` (only with
+        collaborators), `integers(n)` (unless it adopts) and `uniform(0.3,
+        0.95)`, read from its raw outputs as array operations over the round.
+        `random()` scales an output's top 53 bits to [0, 1). `integers(n)` is
+        Lemire's bounded draw on 32-bit words: an output's low half, then its
+        high half if the low one is rejected, then the next output; n = 1
+        reads nothing. `uniform` reads the output after the draw's.
         """
-        n = len(self.candidates)
-        prefix = _uint32_words(self.seed) + [stable_hash(case.case_id)]
-        hashes = _crc32_row(tuple(agent_ids))
-        rounds = [ctx.round for ctx in contexts]
-        round_words = {r: _uint32_words(r) for r in set(rounds)}
-        raw = np.empty((_STREAM_OUTPUTS, len(agent_ids)), np.uint64)
-        lengths = np.array([len(round_words[r]) for r in rounds])
-        for length in np.unique(lengths).tolist():  # one batch per entropy length
-            cols = np.flatnonzero(lengths == length)
-            words = np.empty((len(prefix) + 1 + length, len(cols)), np.uint32)
-            words[:len(prefix)] = np.array(prefix, np.uint32)[:, None]
-            words[len(prefix)] = hashes[cols]
-            words[len(prefix) + 1:] = np.array(
-                [round_words[rounds[j]] for j in cols.tolist()], np.uint32).T
-            raw[:, cols] = _pcg64_raw(words, _STREAM_OUTPUTS)
+        rounds = sorted({ctx.round for ctx in contexts})
+        if len(rounds) != 1:
+            raise ValueError(f"respond_round takes the agents of one round, got rounds {rounds}")
+        round_index = rounds[0]
+        n, m = len(self.candidates), len(agent_ids)
+        entropy = _uint32_words(self.seed) + [stable_hash(case.case_id)]
+        round_words = _uint32_words(round_index)
+        words = np.empty((len(entropy) + 1 + len(round_words), m), np.uint32)
+        words[:len(entropy)] = np.array(entropy, np.uint32)[:, None]
+        words[len(entropy)] = _crc32_row(tuple(agent_ids))
+        words[len(entropy) + 1:] = np.array(round_words, np.uint32)[:, None]
+        raw = _pcg64_raw(words, _STREAM_OUTPUTS)
 
-        cols = np.arange(len(agent_ids))
+        cols = np.arange(m)
         collaborate = np.array([bool(ctx.collaborators) for ctx in contexts])
         adopt = collaborate & ((raw[0] >> _U11) * _TWO_POW_M53 < self.adopt_prob)
         if n < 1 and not adopt.all():
             raise ValueError("no candidates to draw from")
-        at = collaborate.astype(np.intp)  # the output the bounded draw reads
-        product = (raw[at, cols] & _LOW32) * np.uint64(max(n, 1))
-        index = product >> _U32
-        rejected = ~adopt & ((product & _LOW32) < (1 << 32) % max(n, 1))
-        at += ~adopt & (n > 1)  # n = 1 reads nothing for its draw
-        belief = 0.3 + (0.95 - 0.3) * ((raw[at, cols] >> _U11) * _TWO_POW_M53)
-        belief = np.rint(belief * 1e6) / 1e6  # _round_belief
-        index, belief = index.tolist(), belief.tolist()
-        for j in np.flatnonzero(rejected).tolist():
-            stream = _raw_stream(prefix + [int(hashes[j])] + round_words[rounds[j]],
-                                 raw[:, j].tolist())
-            index[j], u = _stochastic_draws(stream.__next__, bool(collaborate[j]),
-                                            self.adopt_prob, n)
-            belief[j] = _round_belief(u)
+        threshold = (1 << 32) % max(n, 1)  # a product whose low word is below it is rejected
+        half = 2 * collaborate.astype(np.intp)  # the 32-bit half each bounded draw reads next
+        index = np.zeros(m, np.uint64)
+        drawing = np.flatnonzero(~adopt & (n > 1))
+        while drawing.size:  # a rejection, probability below n / 2**32, goes round again
+            at = half[drawing]
+            if len(raw) < (at.max() >> 1) + 2:
+                raw = _pcg64_raw(words, 2 * len(raw))
+            shift = (at & 1).astype(np.uint64) * _U32
+            product = (raw[at >> 1, drawing] >> shift & _LOW32) * np.uint64(n)
+            index[drawing] = product >> _U32
+            half[drawing] += 1
+            drawing = drawing[(product & _LOW32) < threshold]
+        belief_at = (half + 1) >> 1  # uniform() reads the first output with no half read
+        belief = 0.3 + (0.95 - 0.3) * ((raw[belief_at, cols] >> _U11) * _TWO_POW_M53)
+        belief = np.rint(belief * 1e6) / 1e6  # np.round(belief, 6)
 
+        adopting = f"Adopting the strongest collaborator view on round {round_index}."
+        independent = [f"Independent draw on round {round_index} favoring option {c}."
+                       for c in self.candidates]
         strongest: dict[int, str] = {}  # by collaborator tuple; contexts share them
-        reasonings: dict[tuple[int, str | None], str] = {}
         opinions = []
-        for agent_id, ctx, adopted, i, b in zip(agent_ids, contexts, adopt.tolist(), index, belief):
+        for agent_id, ctx, adopted, i, b in zip(agent_ids, contexts, adopt.tolist(),
+                                                index.tolist(), belief.tolist()):
             if adopted:
                 key = id(ctx.collaborators)
                 answer = strongest.get(key)
                 if answer is None:
                     best = max(ctx.collaborators, key=lambda t: t.opinion.belief)
                     answer = strongest[key] = best.opinion.answer
-                text_key = (ctx.round, None)
+                opinions.append(Opinion(agent_id, adopting, answer, b))
             else:
-                answer = self.candidates[i]
-                text_key = (ctx.round, answer)
-            reasoning = reasonings.get(text_key)
-            if reasoning is None:
-                reasoning = reasonings[text_key] = (
-                    f"Adopting the strongest collaborator view on round {ctx.round}."
-                    if adopted else
-                    f"Independent draw on round {ctx.round} favoring option {answer}.")
-            opinions.append(Opinion(agent_id, reasoning, answer, b))
+                opinions.append(Opinion(agent_id, independent[i], self.candidates[i], b))
         return opinions
 
 
@@ -332,52 +339,6 @@ class StochasticAgent:
 def _crc32_row(agent_ids: tuple[str, ...]) -> np.ndarray:
     """The agents' `stable_hash` entropy words; a case's agents repeat every round."""
     return _frozen([stable_hash(a) for a in agent_ids], np.uint32, (len(agent_ids),))
-
-
-def _stochastic_draws(next_raw, collaborate: bool, adopt_prob: float,
-                      n_candidates: int) -> tuple[int | None, float]:
-    """The draws of one `StochasticAgent` opinion from its raw PCG64 outputs.
-
-    Returns the candidate index (None when the agent adopts a collaborator's
-    answer) and the unrounded belief, drawn as numpy's `Generator` draws
-    `random()`, `integers(n_candidates)` and `uniform(0.3, 0.95)`: `random()`
-    scales an output's top 53 bits to [0, 1), and `uniform(lo, hi)` is
-    lo + (hi - lo) * random().
-    """
-    if collaborate and (next_raw() >> 11) * _TWO_POW_M53 < adopt_prob:
-        index = None
-    else:
-        index = _bounded_index(next_raw, n_candidates)
-    return index, 0.3 + (0.95 - 0.3) * ((next_raw() >> 11) * _TWO_POW_M53)
-
-
-def _bounded_index(next_raw, n: int) -> int:
-    """`Generator.integers(n)`: Lemire's bounded draw on 32-bit words.
-
-    Each output gives its low half first and its high half to a rejected
-    draw; n = 1 reads nothing.
-    """
-    if n < 1:
-        raise ValueError("no candidates to draw from")
-    if n == 1:
-        return 0
-    threshold = (1 << 32) % n  # a product whose low word is below it is rejected
-    while True:
-        raw = next_raw()
-        for word in (raw & _MASK32, raw >> 32):
-            product = word * n
-            if product & _MASK32 >= threshold:
-                return product >> 32
-
-
-def _round_belief(u: float) -> float:
-    """`float(np.round(u, 6))` without numpy's call overhead.
-
-    numpy rounds to 6 decimals by multiplying by 1e6, rounding half to even
-    and dividing by 1e6; Python's `round` rounds a float half to even, so the
-    result is the same float.
-    """
-    return round(u * 1e6) / 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -510,17 +471,6 @@ def _pcg64_raw(words: np.ndarray, k: int) -> np.ndarray:
     xored = state_hi ^ state_lo
     rot = state_hi >> np.uint64(58)
     return xored >> rot | xored << (-rot & np.uint64(63))
-
-
-def _raw_stream(entropy: list[int], outputs: list[int]):
-    """One generator's raw outputs: its first ones, `outputs`, then more on
-    demand (only a rejected bounded draw reads past `_STREAM_OUTPUTS`)."""
-    yield from outputs
-    while True:
-        more = _pcg64_raw(np.array(entropy, np.uint32)[:, None], 2 * len(outputs))
-        more = more[:, 0].tolist()
-        yield from more[len(outputs):]
-        outputs = more
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +664,4 @@ def make_backend(cfg: BackendConfig, seed: int = 0) -> Backend:
         return ScriptedAgent()
     if cfg.kind == "stochastic":
         return StochasticAgent(seed=seed)
-    if cfg.kind == "http":
-        return ChatCompletionsAgent(cfg)
-    raise ValueError(f"unknown backend kind: {cfg.kind!r}")
+    return ChatCompletionsAgent(cfg)  # BackendConfig admits no other kind

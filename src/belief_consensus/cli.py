@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from belief_consensus.agents import BackendConfig, make_backend
+from belief_consensus.agents import BACKEND_KINDS, BackendConfig, make_backend
 from belief_consensus.core import RunConfig, ScenarioCase, scenarios_from_json
 from belief_consensus.dynamics import (
     DynamicsState,
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the consensus protocol over a dataset")
     run_p.add_argument("--config", help="YAML config file")
     run_p.add_argument("--dataset", help="scenario JSON (overrides config)")
-    run_p.add_argument("--backend", choices=["scripted", "stochastic", "http"])
+    run_p.add_argument("--backend", choices=BACKEND_KINDS)
     run_p.add_argument("--agents", type=int, help="agent count n")
     run_p.add_argument("--max-rounds", dest="max_rounds", type=int)
     run_p.add_argument("--leaders", type=int, help="leaders per group")

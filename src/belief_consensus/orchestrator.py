@@ -294,7 +294,7 @@ def report_to_dict(report: RunReport) -> dict:
             "groups": [
                 {
                     "group_id": g.group_id,
-                    "members": list(g.members),
+                    "members": g.members,
                     "entropy": g.entropy,
                     "modal_answer": g.modal_answer,
                 }
@@ -305,8 +305,8 @@ def report_to_dict(report: RunReport) -> dict:
                 "p_s": rec.verdict.p_s,
                 "p_b": rec.verdict.p_b,
                 "dominant_answer": rec.verdict.dominant_answer,
-                "dominant_members": list(rec.verdict.dominant_members),
-                "conflict_members": list(rec.verdict.conflict_members),
+                "dominant_members": rec.verdict.dominant_members,
+                "conflict_members": rec.verdict.conflict_members,
             },
             "branch": rec.branch,
             "noise_victim": rec.noise_victim,
@@ -318,7 +318,7 @@ def report_to_dict(report: RunReport) -> dict:
         if rec.conflict_reports is not None:
             entry["conflict_reports"] = [
                 {
-                    "pair": list(r.group_pair),
+                    "pair": r.group_pair,
                     "macro": r.macro,
                     "micro": _float_or_inf(r.micro),
                     "combined": _float_or_inf(r.combined),
@@ -329,10 +329,7 @@ def report_to_dict(report: RunReport) -> dict:
             ]
         if rec.assignment is not None:
             entry["assignment"] = {
-                "assignments": {
-                    aid: [list(pair) for pair in pairs]
-                    for aid, pairs in sorted(rec.assignment.assignments.items())
-                },
+                "assignments": dict(rec.assignment.assignments),
                 "uncertain_group": rec.assignment.uncertain_group,
                 "least_reliable_agent": rec.assignment.least_reliable_agent,
             }
@@ -340,7 +337,7 @@ def report_to_dict(report: RunReport) -> dict:
             entry["leaders"] = [
                 {
                     "group_id": gl.group_id,
-                    "leader_ids": list(gl.leader_ids),
+                    "leader_ids": gl.leader_ids,
                     "all_members": gl.all_members,
                 }
                 for gl in rec.leaders.by_group

@@ -25,13 +25,9 @@ from belief_consensus.agents import (
     extract_answer_sentence,
     make_backend,
     perturb_one_belief,
-    _bounded_index,
     _pcg64_raw,
-    _raw_stream,
-    _round_belief,
-    _stochastic_draws,
 )
-from belief_consensus.core import AgentScript, Opinion, ScenarioCase, ScriptedReply, stable_hash
+from belief_consensus.core import AgentScript, Opinion, ScenarioCase, ScriptedReply
 from round_oracles import oracle_respond
 
 
@@ -129,23 +125,26 @@ def pcg64_at(state: int, inc: int) -> np.random.PCG64:
 
 class TestStochasticAgentOracle:
     def test_opinions_equal_choice_and_np_round_draws(self):
-        # 20,000 opinions in multi-agent batches: each batch mixes rounds,
-        # collaborator counts and agent ids; seeds include multi-word entropy
+        # 20,000 opinions in one-round batches: each batch mixes collaborator
+        # counts and agent ids; seeds and rounds include multi-word entropy
         rng = np.random.default_rng(7)
         pool = ("A", "B", "C", "D", "E", "F")
+        rounds = (1, 2, 3, 4, 5, 2**32, 2**33 + 5, 2**64 + 1)
         cases = [ScenarioCase(f"case-{c}", "q", "A") for c in range(5)]
         counts = {"adopted": 0, "independent": 0}
-        seen_pools = set()
+        seen_pools, seen_rounds = set(), set()
         drawn = batch = 0
         while drawn < 20000:
             seed = (EDGE_SEEDS[batch] if batch < len(EDGE_SEEDS)
                     else int(rng.integers(2**31)))
             agent = StochasticAgent(seed=seed, candidates=pool[: 1 + batch % len(pool)])
             seen_pools.add(len(agent.candidates))
+            round_index = rounds[batch % len(rounds)]
+            seen_rounds.add(round_index)
             size = int(rng.integers(1, 201))
             ids = [f"agent-{i}" for i in rng.choice(np.arange(1, 201), size, replace=False)]
             contexts = [
-                AgentContext("q", int(rng.integers(1, 6)), tuple(
+                AgentContext("q", round_index, tuple(
                     TaggedOpinion(Opinion(f"c{j}", "", str(rng.choice(pool)),
                                           float(rng.uniform(0.1, 1.0))), "supportive")
                     for j in range(int(rng.integers(0, 4)))
@@ -161,7 +160,7 @@ class TestStochasticAgentOracle:
             drawn += size
             batch += 1
         assert counts["adopted"] > 5000 and counts["independent"] > 5000
-        assert seen_pools == {1, 2, 3, 4, 5, 6}
+        assert seen_pools == {1, 2, 3, 4, 5, 6} and seen_rounds == set(rounds)
 
     def test_agents_sharing_one_context_and_tuple(self):
         # as the orchestrator hands them over: most agents of a round share a
@@ -184,54 +183,68 @@ class TestStochasticAgentOracle:
                 assert any(op.reasoning.startswith("Adopting") for op in got)
 
     def test_rounds_of_different_entropy_lengths_in_one_batch(self):
-        # rounds of one and of two 32-bit words interleaved in one call
+        # rounds of one, two and three 32-bit words: each is right in a call
+        # of its own, and a call that mixes rounds raises
         rng = np.random.default_rng(5)
         case = ScenarioCase("lengths", "q", "A")
         collab = (TaggedOpinion(Opinion("x", "", "C", 0.7), "supportive"),)
+        ids = [f"agent-{i}" for i in range(60)]
         for seed in EDGE_SEEDS:
             agent = StochasticAgent(seed=seed, candidates="ABCDE")
-            ids = [f"agent-{i}" for i in range(60)]
-            contexts = [AgentContext("q", int(r), collab if c else ())
-                        for r, c in zip(rng.choice([1, 4, 2**32, 2**33 + 5, 2**64 + 1], 60),
-                                        rng.integers(0, 2, 60))]
-            got = agent.respond_round(case, ids, contexts)
-            assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
+            for round_index in (1, 4, 2**32, 2**33 + 5, 2**64 + 1):
+                contexts = [AgentContext("q", round_index, collab if c else ())
+                            for c in rng.integers(0, 2, 60)]
+                got = agent.respond_round(case, ids, contexts)
+                assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
+            mixed = [AgentContext("q", 1), AgentContext("q", 2**32), AgentContext("q", 1)]
+            with pytest.raises(ValueError, match=r"one round, got rounds \[1, 4294967296\]"):
+                agent.respond_round(case, ids[:3], mixed)
 
     @pytest.mark.parametrize("collaborate", [False, True])
     def test_rejected_low_half_in_a_batch(self, monkeypatch, collaborate):
-        # substitute one column's output so its low half is rejected (0 for
-        # n = 3); that agent takes the per-agent path, its neighbours do not
+        # one column's outputs come from a crafted PCG64 stream whose bounded
+        # draw reads 0 in its low half, which pools of 3, 5 and 6 reject
+        # (2**32 mod n > 0); random inputs get there with probability below
+        # n / 2**32. With both halves 0 the draw reads the next output, and
+        # with collaborators the belief then lies past the first block
         case = ScenarioCase("reject", "q", "A")
-        agent = StochasticAgent(seed=9, candidates="ABC", adopt_prob=0.0)
         ids = [f"agent-{i}" for i in range(8)]
         ctx = AgentContext("q", 2, (TaggedOpinion(Opinion("x", "", "B", 0.7), "leader"),)
                            if collaborate else ())
+        inc = 0x5851F42D4C957F2D_14057B7EF767814F | 1
+        high_half, target = 0xC0FFEE12, 3
         words = _pcg64_raw
-        target, at = 3, int(collaborate)
-        for raw in (0xC0FFEE12 << 32, 0):  # then the high half is rejected too
-            batches = []
+        for n_candidates in (3, 5, 6):
+            pool = "ABCDEF"[:n_candidates]
+            agent = StochasticAgent(seed=9, candidates=pool, adopt_prob=0.0)
+            for raw in (high_half << 32, 0):  # then the high half is rejected too
+                state = state_before_output(raw, inc)
+                if collaborate:  # random() reads one output before the draw
+                    state = (state - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
+                sizes = []
 
-            def substituted(block, k):
-                out = words(block, k)
-                if block.shape[1] == len(ids):  # the round's batch, not a stream's
-                    out[at, target] = raw
-                    batches.append(out.copy())
-                return out
+                def substituted(block, k):
+                    sizes.append(k)
+                    out = words(block, k)
+                    out[:, target] = pcg64_at(state, inc).random_raw(k)
+                    return out
 
-            monkeypatch.setattr(agents, "_pcg64_raw", substituted)
-            got = agent.respond_round(case, ids, [ctx] * len(ids))
-            monkeypatch.undo()
-            want = [oracle_respond(agent, case, a, ctx) for a in ids]
-            assert got[:target] == want[:target] and got[target + 1:] == want[target + 1:]
-            entropy = [9, stable_hash("reject"), stable_hash(ids[target]), 2]
-            outputs = batches[0][:, target].tolist() + np.random.PCG64(
-                np.random.SeedSequence(entropy)).random_raw(20)[3:].tolist()
-            index, belief = _stochastic_draws(iter(outputs).__next__, collaborate, 0.0, 3)
-            if raw:
-                assert index == _bounded_index(iter([raw]).__next__, 3) != 0
-            assert got[target] == Opinion(
-                ids[target], f"Independent draw on round 2 favoring option {'ABC'[index]}.",
-                "ABC"[index], _round_belief(belief))
+                monkeypatch.setattr(agents, "_pcg64_raw", substituted)
+                got = agent.respond_round(case, ids, [ctx] * len(ids))
+                monkeypatch.undo()
+                assert sizes == ([3, 6] if collaborate and not raw else [3])
+                want = [oracle_respond(agent, case, a, ctx) for a in ids]
+                assert got[:target] == want[:target] and got[target + 1:] == want[target + 1:]
+                gen = np.random.Generator(pcg64_at(state, inc))
+                if collaborate:
+                    gen.random()  # the adopt test
+                index = int(gen.integers(n_candidates))
+                belief = float(np.round(gen.uniform(0.3, 0.95), 6))
+                if raw:
+                    assert index == high_half * n_candidates >> 32 != 0
+                assert got[target] == Opinion(
+                    ids[target], f"Independent draw on round 2 favoring option {pool[index]}.",
+                    pool[index], belief)
 
     def test_respond_is_the_one_agent_round(self):
         case = ScenarioCase("c", "q", "A")
@@ -251,48 +264,13 @@ class TestStochasticAgentOracle:
 
     def test_raw_outputs_equal_pcg64(self):
         rng = np.random.default_rng(3)
-        entropy = []
         for n_words in range(1, 9):
             words = rng.integers(0, 2**32, size=(n_words, 17), dtype=np.uint64).astype(np.uint32)
-            raw = _pcg64_raw(words, 6)
-            for j, words_j in enumerate(words.T.tolist()):
-                want = np.random.PCG64(np.random.SeedSequence(words_j)).random_raw(6)
-                assert np.array_equal(raw[:, j], want)
-                entropy.append(words_j)
-        # each stream goes on past the batch's outputs
-        for words_j in entropy:
-            want = np.random.PCG64(np.random.SeedSequence(words_j)).random_raw(20)
-            first = _pcg64_raw(np.array(words_j, np.uint32)[:, None], 3)[:, 0].tolist()
-            stream = _raw_stream(words_j, first)
-            assert [next(stream) for _ in range(20)] == want.tolist()
-
-    @pytest.mark.parametrize("n_candidates", [3, 5, 6])
-    def test_rejected_low_half_takes_the_high_half(self, n_candidates):
-        # the low half 0 is rejected for these pool lengths (2**32 mod n > 0);
-        # random inputs reach this branch with probability below n / 2**32
-        inc = 0x5851F42D4C957F2D_14057B7EF767814F | 1
-        high_half = 0xC0FFEE12
-        for raw in (high_half << 32, 0):  # then also the high half rejected
-            state = state_before_output(raw, inc)
-            assert pcg64_at(state, inc).random_raw() == raw
-            gen = np.random.Generator(pcg64_at(state, inc))
-            want = (int(gen.integers(n_candidates)), gen.uniform(0.3, 0.95))
-            got = _stochastic_draws(pcg64_at(state, inc).random_raw, False, 0.6, n_candidates)
-            assert got == want
-            if raw:
-                assert got[0] == high_half * n_candidates >> 32 != 0
-
-    def test_round_belief_is_np_round(self):
-        # over uniforms, and over the values whose product with 1e6 lands
-        # exactly on a half, where half-up and half-even rounding differ
-        uniforms = np.random.default_rng(11).uniform(0.3, 0.95, 1_000_000)
-        mids = (np.arange(300_000, 950_000) + 0.5) / 1e6
-        near = np.concatenate([mids, np.nextafter(mids, 0.0), np.nextafter(mids, 1.0)])
-        halfway = near[(near * 1e6) % 1.0 == 0.5]
-        assert len(halfway) > 100_000
-        for values in (uniforms, halfway):
-            got = np.array([_round_belief(u) for u in values.tolist()])
-            assert np.array_equal(got, np.round(values, 6))
+            for k in (6, 20):
+                raw = _pcg64_raw(words, k)
+                for j, words_j in enumerate(words.T.tolist()):
+                    want = np.random.PCG64(np.random.SeedSequence(words_j)).random_raw(k)
+                    assert np.array_equal(raw[:, j], want)
 
 
 class TestPromptAssembly:
@@ -654,6 +632,10 @@ class TestMakeBackend:
             BackendConfig(temperature=-0.1)
         with pytest.raises(ValueError):
             BackendConfig(retries=-1)
+        with pytest.raises(ValueError, match="backend kind must be one of"):
+            BackendConfig(kind="stochastc")
+        with pytest.raises(ValueError, match="prompt_style must be one of"):
+            BackendConfig(kind="http", endpoint="http://localhost:1", prompt_style="boxd")
         for endpoint in ("", "localhost:8000/v1", "ftp://host/v1", "http:///v1"):
             with pytest.raises(ValueError, match="http endpoint"):
                 BackendConfig(kind="http", endpoint=endpoint)

@@ -168,6 +168,20 @@ class TestCmdRun:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("section", [{"kind": "stochastc"}, {"prompt_style": "boxd"}])
+    def test_bad_backend_value_exits_1_before_any_case(self, tmp_path, corpus_path, capsys,
+                                                        section):
+        # a misspelt kind once made every case an error row (exit 3), and a
+        # misspelt prompt_style silently fell back to the choice prompt
+        cfg = write_config(tmp_path, corpus_path)
+        payload = yaml.safe_load(cfg.read_text())
+        payload.setdefault("backend", {}).update(section)
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "invalid backend configuration" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.jsonl").exists()
+
+
 def corpus_with_short_case(tmp_path, corpus_path):
     """The corpus plus a copy of its first case that scripts one agent fewer
     than the config's n, so running that case raises."""

@@ -3,6 +3,7 @@
 from belief_consensus.core import (
     AgentScript,
     Opinion,
+    RoundColumns,
     RunConfig,
     ScenarioCase,
     ScriptedReply,
@@ -15,6 +16,7 @@ from belief_consensus.core import (
 __all__ = [
     "AgentScript",
     "Opinion",
+    "RoundColumns",
     "RunConfig",
     "ScenarioCase",
     "ScriptedReply",

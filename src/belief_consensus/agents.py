@@ -3,11 +3,11 @@ chat-completions HTTP client whose belief is the product of the answer
 sentence's token probabilities.
 
 All backends expose respond(case, agent_id, ctx) -> Opinion. A backend may
-also expose respond_round(case, agent_ids, contexts) -> list[Opinion], which
-answers several agents of one round in one call; the stochastic backend does,
-drawing a whole round's generators as one batch. A backend must never
-fabricate a belief: the HTTP client fails loudly when the provider does not
-report token probabilities.
+also expose respond_round(case, agent_ids, contexts) -> RoundColumns, which
+answers several agents of one round in one call and returns their opinions
+as the round's columns; the stochastic backend does, drawing a whole round's
+generators as one batch. A backend must never fabricate a belief: the HTTP
+client fails loudly when the provider does not report token probabilities.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from belief_consensus.core import (
     Opinion,
+    RoundColumns,
     ScenarioCase,
     belief_from_token_probs,
     canonicalize_answer,
@@ -105,10 +106,11 @@ class BackendConfig:
 class Backend(Protocol):
     """One agent's opinion per call.
 
-    Optionally also `respond_round(case, agent_ids, contexts) -> list[Opinion]`:
-    the opinions of `agent_ids` (one context each, all of one round) in that
-    order, equal to calling `respond` for each; the orchestrator then makes
-    one call per round for all the agents that share the backend.
+    Optionally also `respond_round(case, agent_ids, contexts) -> RoundColumns`:
+    the opinions of `agent_ids` (one context each, all of one round) as the
+    rows of one round's columns, in that order, equal to calling `respond`
+    for each; the orchestrator then makes one call per round for all the
+    agents that share the backend.
     """
 
     def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion: ...
@@ -266,11 +268,11 @@ class StochasticAgent:
         self.adopt_prob = adopt_prob
 
     def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
-        return self.respond_round(case, [agent_id], [ctx])[0]
+        return self.respond_round(case, [agent_id], [ctx]).opinion(agent_id)
 
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
-                      contexts: Sequence[AgentContext]) -> list[Opinion]:
-        """The opinions of several agents of one round of a case, in
+                      contexts: Sequence[AgentContext]) -> RoundColumns:
+        """The opinions of several agents of one round of a case, as rows in
         `agent_ids` order.
 
         Each agent's draws are numpy's `Generator` draws `random()` (only with
@@ -316,23 +318,25 @@ class StochasticAgent:
         belief = 0.3 + (0.95 - 0.3) * ((raw[belief_at, cols] >> _U11) * _TWO_POW_M53)
         belief = np.rint(belief * 1e6) / 1e6  # np.round(belief, 6)
 
-        adopting = f"Adopting the strongest collaborator view on round {round_index}."
-        independent = [f"Independent draw on round {round_index} favoring option {c}."
-                       for c in self.candidates]
+        adopters = np.flatnonzero(adopt).tolist()
         strongest: dict[int, str] = {}  # by collaborator tuple; contexts share them
-        opinions = []
-        for agent_id, ctx, adopted, i, b in zip(agent_ids, contexts, adopt.tolist(),
-                                                index.tolist(), belief.tolist()):
-            if adopted:
-                key = id(ctx.collaborators)
-                answer = strongest.get(key)
-                if answer is None:
-                    best = max(ctx.collaborators, key=lambda t: t.opinion.belief)
-                    answer = strongest[key] = best.opinion.answer
-                opinions.append(Opinion(agent_id, adopting, answer, b))
-            else:
-                opinions.append(Opinion(agent_id, independent[i], self.candidates[i], b))
-        return opinions
+        for i in adopters:
+            collaborators = contexts[i].collaborators
+            if id(collaborators) not in strongest:
+                best = max(collaborators, key=lambda t: t.opinion.belief)
+                strongest[id(collaborators)] = best.opinion.answer
+        answers = sorted({*self.candidates, *strongest.values()})
+        code = {a: c for c, a in enumerate(answers)}
+        text_ids = index.astype(np.intp)
+        codes = np.empty(m, np.intp)
+        drawn = ~adopt  # with no candidates, none
+        codes[drawn] = np.array([code[c] for c in self.candidates], np.intp)[text_ids[drawn]]
+        codes[adopters] = [code[strongest[id(contexts[i].collaborators)]] for i in adopters]
+        text_ids[adopt] = n
+        texts = (*(f"Independent draw on round {round_index} favoring option {c}."
+                   for c in self.candidates),
+                 f"Adopting the strongest collaborator view on round {round_index}.")
+        return RoundColumns(tuple(agent_ids), tuple(answers), codes, belief, texts, text_ids)
 
 
 @functools.lru_cache(maxsize=32)
@@ -645,18 +649,16 @@ class ChatCompletionsAgent:
 # ---------------------------------------------------------------------------
 # adversarial noise
 
-def perturb_one_belief(opinions: Sequence[Opinion], rng) -> tuple[list[Opinion], str]:
+def perturb_one_belief(opinions: RoundColumns, rng) -> tuple[RoundColumns, str]:
     """Flip one randomly chosen agent's belief to clamp(1 - b, eps, 1).
 
     Models an adversary misreporting confidence; all other fields are
     preserved. Returns the perturbed round and the victim's agent id.
     """
     idx = int(rng.integers(len(opinions)))
-    victim = opinions[idx]
-    flipped = min(max(1.0 - victim.belief, ADVERSARIAL_EPS), 1.0)
-    out = list(opinions)
-    out[idx] = replace(victim, belief=flipped)
-    return out, victim.agent_id
+    beliefs = opinions.beliefs.copy()
+    beliefs[idx] = min(max(1.0 - beliefs[idx].item(), ADVERSARIAL_EPS), 1.0)
+    return replace(opinions, beliefs=beliefs), opinions.agent_ids[idx]
 
 
 def make_backend(cfg: BackendConfig, seed: int = 0) -> Backend:

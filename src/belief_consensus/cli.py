@@ -79,29 +79,43 @@ def _resolve(base: Path, value: str) -> Path:
     return p if p.is_absolute() else (base / p)
 
 
+def _integer(key: str, value) -> int:
+    """A config value that must be an integer; `int()` would truncate 3.9."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(key: str, value) -> bool:
+    """A config value that must be true or false; `bool("false")` is True."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _run_config_from(section: dict, args) -> RunConfig:
     def pick(flag, key, default):
         if flag is not None:
             return flag
-        return section.get(key, default)
+        return _integer(f"run.{key}", section.get(key, default))
 
     try:
+        noise = _boolean("run.adversarial_noise", section.get("adversarial_noise", False))
         return RunConfig(
-            n=int(pick(args.agents, "n", 7)),
-            max_rounds=int(pick(args.max_rounds, "max_rounds", 3)),
-            n_leaders=int(pick(args.leaders, "n_leaders", 2)),
-            n_clusters=int(pick(args.clusters, "n_clusters", 3)),
-            seed=int(pick(args.seed, "seed", 0)),
-            adversarial_noise=bool(
-                args.adversarial_noise or section.get("adversarial_noise", False)
-            ),
-            mixed_delegates=bool(section.get("mixed_delegates", False)),
+            n=pick(args.agents, "n", 7),
+            max_rounds=pick(args.max_rounds, "max_rounds", 3),
+            n_leaders=pick(args.leaders, "n_leaders", 2),
+            n_clusters=pick(args.clusters, "n_clusters", 3),
+            seed=pick(args.seed, "seed", 0),
+            adversarial_noise=args.adversarial_noise or noise,
+            mixed_delegates=_boolean("run.mixed_delegates", section.get("mixed_delegates", False)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run configuration: {exc}") from exc
 
 
-def _backend_config_from(section: dict, kind_override: str | None) -> BackendConfig:
+def _backend_config_from(section: dict, kind_override: str | None,
+                         name: str = "backend") -> BackendConfig:
     try:
         return BackendConfig(
             kind=kind_override or section.get("kind", "scripted"),
@@ -109,7 +123,7 @@ def _backend_config_from(section: dict, kind_override: str | None) -> BackendCon
             model=section.get("model", ""),
             temperature=float(section.get("temperature", 0.7)),
             timeout=float(section.get("timeout", 60.0)),
-            retries=int(section.get("retries", 2)),
+            retries=_integer(f"{name}.retries", section.get("retries", 2)),
             api_key_env=section.get("api_key_env", ""),
             prompt_style=section.get("prompt_style", "choice"),
             backoff=float(section.get("backoff", 0.5)),
@@ -210,7 +224,7 @@ def _sweep_combos(sweep_section: dict):
         values = sweep_section[k]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{k} must be a non-empty list")
-        value_lists.append([int(v) for v in values])
+        value_lists.append([_integer(f"sweep.{k}", v) for v in values])
     return [dict(zip(keys, combo)) for combo in itertools.product(*value_lists)]
 
 
@@ -224,8 +238,9 @@ def cmd_run(args) -> int:
         for entry in config.get("backends", []) or []:
             if "agent_id" not in entry:
                 raise ConfigError("per-agent backend entries need an agent_id")
-            per_agent[str(entry["agent_id"])] = _backend_config_from(entry, None)
-        jobs = int(args.jobs if args.jobs is not None else run_section.get("jobs", 1))
+            per_agent[str(entry["agent_id"])] = _backend_config_from(entry, None, "backends")
+        jobs = args.jobs if args.jobs is not None else _integer("run.jobs",
+                                                                run_section.get("jobs", 1))
         if jobs < 1:
             raise ConfigError("jobs must be at least 1")
         out_dir = Path(
@@ -289,14 +304,14 @@ def cmd_simulate(args) -> int:
     try:
         config, base = _load_config(args.config)
         section = config.get("simulate", {})
-        n_min = int(section.get("n_min", 3))
-        n_max = int(section.get("n_max", 10))
-        seeds = int(section.get("seeds", 100))
+        n_min = _integer("simulate.n_min", section.get("n_min", 3))
+        n_max = _integer("simulate.n_max", section.get("n_max", 10))
+        seeds = _integer("simulate.seeds", section.get("seeds", 100))
         modes = list(section.get("modes", ["supportive", "conflicting", "leader", "speedup"]))
         tol = float(section.get("tol", 1e-9))
-        max_steps = int(section.get("max_steps", 10_000))
-        master_seed = int(section.get("master_seed", 0))
-        trace_seeds = int(section.get("trace_seeds", 1))
+        max_steps = _integer("simulate.max_steps", section.get("max_steps", 10_000))
+        master_seed = _integer("simulate.master_seed", section.get("master_seed", 0))
+        trace_seeds = _integer("simulate.trace_seeds", section.get("trace_seeds", 1))
         out_dir = Path(args.out) if args.out else _resolve(base, section.get("out", "results/simulate"))
         if seeds < 1:
             raise ConfigError("seed count must be at least 1")

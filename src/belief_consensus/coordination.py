@@ -15,10 +15,14 @@ regardless of the micro value.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
-from belief_consensus.core import Opinion, modal_answer
+import numpy as np
+
+from belief_consensus.core import RoundColumns, fold, modal_code, tally
 from belief_consensus.grouping import OpinionGroup
 
 SUPPORTIVE = "Supportive"
@@ -70,34 +74,39 @@ class LeaderSet:
         raise KeyError(f"no leaders recorded for group {group_id}")
 
 
-def _split_supporters(members: Sequence[Opinion]):
-    modal = modal_answer(members)
-    support = sum(op.belief for op in members if op.answer == modal)
-    dissent = sum(op.belief for op in members if op.answer != modal)
-    return support, dissent
+# what the conflict scores read of one group: its members' codes and beliefs
+# in member order, the codes they hold, and its supporter and dissenter sums
+_Side = namedtuple("_Side", "codes beliefs held support dissent")
 
 
-def _conflict_components(
-    p_members: Sequence[Opinion], q_members: Sequence[Opinion]
-) -> dict[str, float]:
+def _side(opinions: RoundColumns, group: OpinionGroup) -> _Side:
+    if not group.members:
+        raise ValueError("empty opinion group")
+    rows = opinions.rows(group.members)
+    codes, beliefs = opinions.codes[rows], opinions.beliefs[rows]
+    counts, sums = tally(codes, beliefs, len(opinions.answers))
+    modal = modal_code(counts, sums)
+    codes, beliefs = codes.tolist(), beliefs.tolist()
+    return _Side(codes, beliefs, {c for c, count in enumerate(counts) if count}, sums[modal],
+                 fold([b for c, b in zip(codes, beliefs) if c != modal]))
+
+
+def _conflict_components(p: _Side, q: _Side) -> dict[str, float]:
     """Belief sums both conflict scores are built from.
 
     Supporter and dissenter sums of each group, plus the belief of the union
-    and of its agents whose answer does not occur in both groups.
+    (p's members, then q's) and of its agents whose answer does not occur in
+    both groups, each added in that order.
     """
-    if not p_members or not q_members:
-        raise ValueError("empty opinion group")
-    p_support, p_dissent = _split_supporters(p_members)
-    q_support, q_dissent = _split_supporters(q_members)
-    shared = {op.answer for op in p_members} & {op.answer for op in q_members}
-    union = list(p_members) + list(q_members)
+    shared = p.held & q.held
+    codes, beliefs = p.codes + q.codes, p.beliefs + q.beliefs
     return {
-        "p_support": p_support,
-        "p_dissent": p_dissent,
-        "q_support": q_support,
-        "q_dissent": q_dissent,
-        "sym_diff": sum(op.belief for op in union if op.answer not in shared),
-        "union": sum(op.belief for op in union),
+        "p_support": p.support,
+        "p_dissent": p.dissent,
+        "q_support": q.support,
+        "q_dissent": q.dissent,
+        "sym_diff": fold([b for c, b in zip(codes, beliefs) if c not in shared]),
+        "union": fold(beliefs),
     }
 
 
@@ -113,14 +122,8 @@ def _micro(components: Mapping[str, float]) -> float:
     return num / den
 
 
-def conflict_relation(
-    p_group: OpinionGroup,
-    q_group: OpinionGroup,
-    p_members: Sequence[Opinion],
-    q_members: Sequence[Opinion],
-) -> ConflictReport:
-    """Full conflict report for a group pair, including the relation verdict."""
-    components = _conflict_components(p_members, q_members)
+def _report(p_id: int, q_id: int, p: _Side, q: _Side) -> ConflictReport:
+    components = _conflict_components(p, q)
     macro = _macro(components)
     micro = _micro(components)
     if macro == 0.0:
@@ -129,13 +132,13 @@ def conflict_relation(
         combined = math.inf
     else:
         combined = macro * micro
-    if p_group.group_id == q_group.group_id:
+    if p_id == q_id:
         relation = SUPPORTIVE
     else:
         above = combined - CONFLICT_THRESHOLD > SUM_GAP_EPS * CONFLICT_THRESHOLD
         relation = CONFLICTING if above else SUPPORTIVE
     return ConflictReport(
-        group_pair=(p_group.group_id, q_group.group_id),
+        group_pair=(p_id, q_id),
         macro=macro,
         micro=micro,
         combined=combined,
@@ -144,25 +147,23 @@ def conflict_relation(
     )
 
 
-def _members_by_group(
-    groups: Sequence[OpinionGroup], opinions: Sequence[Opinion]
-) -> dict[int, list[Opinion]]:
-    by_id = {op.agent_id: op for op in opinions}
-    return {
-        g.group_id: [by_id[aid] for aid in g.members] for g in groups
-    }
+def conflict_relation(
+    p_group: OpinionGroup, q_group: OpinionGroup, opinions: RoundColumns
+) -> ConflictReport:
+    """Full conflict report for a group pair, including the relation verdict."""
+    return _report(p_group.group_id, q_group.group_id,
+                   _side(opinions, p_group), _side(opinions, q_group))
 
 
 def pairwise_reports(
-    groups: Sequence[OpinionGroup], opinions: Sequence[Opinion]
+    groups: Sequence[OpinionGroup], opinions: RoundColumns
 ) -> dict[tuple[int, int], ConflictReport]:
     """Conflict reports for every unordered group pair (and each self pair)."""
-    members = _members_by_group(groups, opinions)
+    sides = [_side(opinions, g) for g in groups]
     reports: dict[tuple[int, int], ConflictReport] = {}
-    for i, gp in enumerate(groups):
-        for gq in groups[i:]:
-            rep = conflict_relation(gp, gq, members[gp.group_id], members[gq.group_id])
-            reports[(gp.group_id, gq.group_id)] = rep
+    for i, (gp, p) in enumerate(zip(groups, sides)):
+        for gq, q in zip(groups[i:], sides[i:]):
+            reports[(gp.group_id, gq.group_id)] = _report(gp.group_id, gq.group_id, p, q)
     return reports
 
 
@@ -171,17 +172,14 @@ def _relation(reports, a: int, b: int) -> str:
     return reports[key].relation
 
 
-def _rank(op: Opinion) -> tuple[float, str]:
-    return (-op.belief, op.agent_id)
-
-
-def _top_two(members: Sequence[Opinion]) -> list[str]:
-    """A group's top-belief agent, then its top agent once that one is left out."""
-    if not members:
-        return []
-    best = min(members, key=_rank).agent_id
-    rest = [op for op in members if op.agent_id != best]
-    return [best, min(rest, key=_rank).agent_id] if rest else [best]
+def _ranked(opinions: RoundColumns, groups: Sequence[OpinionGroup]) -> list[list[int]]:
+    """Each group's rows by descending belief, ties by agent id (row order);
+    one sort for all groups."""
+    sizes = [len(g.members) for g in groups]
+    rows = opinions.rows([m for g in groups for m in g.members])
+    group = np.repeat(np.arange(len(groups)), sizes)
+    ranked = rows[np.lexsort((rows, -opinions.beliefs[rows], group))].tolist()
+    return [ranked[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
 
 
 def _top_agent(top_two: Sequence[str], exclude: str | None = None) -> str | None:
@@ -191,7 +189,7 @@ def _top_agent(top_two: Sequence[str], exclude: str | None = None) -> str | None
 def assign_collaborators(
     groups: Sequence[OpinionGroup],
     reports: Mapping[tuple[int, int], ConflictReport],
-    opinions: Sequence[Opinion],
+    opinions: RoundColumns,
     mixed_delegates: bool = False,
 ) -> AssignmentPlan:
     """Pick each agent's delegates for the next round.
@@ -208,14 +206,13 @@ def assign_collaborators(
     """
     if not groups:
         raise ValueError("no opinion groups")
-    members = _members_by_group(groups, opinions)
     uncertain = min(groups, key=lambda g: (-g.entropy, g.group_id))
-    least = min(
-        members[uncertain.group_id], key=lambda op: (op.belief, op.agent_id)
-    ).agent_id
+    rows = opinions.rows(uncertain.members)
+    least = opinions.agent_ids[rows[np.lexsort((rows, opinions.beliefs[rows]))[0]]]
 
     group_ids = [g.group_id for g in groups]
-    top_two = {gid: _top_two(ops) for gid, ops in members.items()}
+    top_two = {g.group_id: opinions.ids(ranked[:2])
+               for g, ranked in zip(groups, _ranked(opinions, groups))}
 
     def tops(gids, tag, exclude=None):
         return [(top, tag) for top in (_top_agent(top_two[gid], exclude) for gid in gids)
@@ -245,23 +242,19 @@ def assign_collaborators(
 
 def select_leaders(
     groups: Sequence[OpinionGroup],
-    opinions: Sequence[Opinion],
+    opinions: RoundColumns,
     n_leaders: int,
 ) -> LeaderSet:
     """Top-belief agents per group; small groups promote every member."""
     if n_leaders < 1:
         raise ValueError("n_leaders must be at least 1")
-    members = _members_by_group(groups, opinions)
     out = []
-    for group in groups:
-        ranked = sorted(members[group.group_id], key=_rank)
-        all_members = len(ranked) <= n_leaders
-        chosen = ranked if all_members else ranked[:n_leaders]
+    for group, ranked in zip(groups, _ranked(opinions, groups)):
         out.append(
             GroupLeaders(
                 group_id=group.group_id,
-                leader_ids=tuple(op.agent_id for op in chosen),
-                all_members=all_members,
+                leader_ids=opinions.ids(ranked[:n_leaders]),
+                all_members=len(ranked) <= n_leaders,
             )
         )
     return LeaderSet(by_group=tuple(out))

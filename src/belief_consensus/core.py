@@ -1,9 +1,10 @@
-"""Shared data model: opinions, scenarios, run configuration, belief math.
+"""Shared data model: opinions, rounds, scenarios, run configuration, belief math.
 
 Every other module consumes these types. An Opinion is one agent's
 (reasoning, answer, belief) triple for a single round; the answer field is
 always stored in canonical form so that answer equality is plain byte
-equality.
+equality. A round of a run travels as RoundColumns, every agent's opinion
+as one row of columns.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ import json
 import re
 import zlib
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import add
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 # Beliefs are plain probabilities, not log-space: answer sentences are short,
 # so products cannot meaningfully underflow. The floor keeps them positive.
@@ -88,16 +93,108 @@ def canonicalize_answer(raw: str) -> str:
     return text
 
 
-def modal_answer(opinions: Sequence[Opinion]) -> str:
+@dataclass(frozen=True, eq=False)
+class RoundColumns:
+    """One round's opinions as columns, row i being agent `agent_ids[i]`'s.
+
+    `answers` lists distinct canonical answers in sorted order, so a code's
+    order is its answer's order; row i answers `answers[codes[i]]`, believes
+    `beliefs[i]` and reasons `texts[text_ids[i]]`. A table may hold entries
+    no row uses. The orchestrator's rounds hold the case's agents in sorted
+    id order, so the layers break ties between rows by position. Like an
+    Opinion, a round rejects a belief outside (0, 1] and an empty answer.
+    """
+
+    agent_ids: tuple[str, ...]
+    answers: tuple[str, ...]
+    codes: np.ndarray
+    beliefs: np.ndarray
+    texts: tuple[str, ...]
+    text_ids: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.codes, self.beliefs, self.text_ids):
+            column.flags.writeable = False
+        beliefs = self.beliefs
+        # NaN fails both comparisons, as it fails Opinion's check
+        if not (beliefs.min(initial=1.0) > 0.0 and beliefs.max(initial=1.0) <= 1.0):
+            belief = beliefs[~((beliefs > 0.0) & (beliefs <= 1.0))][0].item()
+            raise ValueError(f"invalid probability: belief {belief!r} outside (0, 1]")
+        if not all(a.strip() for a in self.answers):
+            used = np.bincount(self.codes, minlength=len(self.answers)) > 0
+            if any(used[c] and not a.strip() for c, a in enumerate(self.answers)):
+                raise ValueError("unanswerable output: empty canonical answer")
+
+    @classmethod
+    def of(cls, agent_ids: Sequence[str], opinions: Sequence[Opinion]) -> "RoundColumns":
+        """The round in which agent `agent_ids[i]` holds `opinions[i]`, whatever
+        agent that opinion names; rows sorted by agent id."""
+        order = sorted(range(len(agent_ids)), key=agent_ids.__getitem__)
+        ops = [opinions[i] for i in order]
+        table = sorted({op.answer for op in ops})
+        code = {a: c for c, a in enumerate(table)}
+        texts = {t: i for i, t in enumerate(dict.fromkeys(op.reasoning for op in ops))}
+        return cls(tuple(agent_ids[i] for i in order), tuple(table),
+                   np.array([code[op.answer] for op in ops], np.intp),
+                   np.array([op.belief for op in ops], np.float64),
+                   tuple(texts), np.array([texts[op.reasoning] for op in ops], np.intp))
+
+    def __len__(self) -> int:
+        return len(self.agent_ids)
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Row of each agent id."""
+        return {agent_id: i for i, agent_id in enumerate(self.agent_ids)}
+
+    def rows(self, agent_ids: Sequence[str]) -> np.ndarray:
+        """The rows of the given agents, in their order."""
+        return np.fromiter(map(self.index.__getitem__, agent_ids), np.intp, len(agent_ids))
+
+    def ids(self, rows: Sequence[int]) -> tuple[str, ...]:
+        """The agent ids of the given rows, in their order."""
+        return tuple(map(self.agent_ids.__getitem__, rows))
+
+    def opinion(self, agent_id: str) -> Opinion:
+        """The agent's row as an Opinion, made once per round: contexts hand
+        the same collaborators to many agents."""
+        made = self._opinions.get(agent_id)
+        if made is None:
+            row = self.index[agent_id]
+            made = self._opinions[agent_id] = Opinion(
+                agent_id, self.texts[self.text_ids.item(row)],
+                self.answers[self.codes.item(row)], self.beliefs.item(row))
+        return made
+
+    @cached_property
+    def _opinions(self) -> dict[str, Opinion]:
+        return {}
+
+
+def fold(values: Iterable[float]):
+    """Sum of `values` added one at a time in order: not pairwise like
+    numpy's sum, and not compensated like `sum` from Python 3.12 on, so every
+    Python version gives the same bits. The int 0 when empty, like `sum`."""
+    return reduce(add, values, 0)
+
+
+def tally(codes: np.ndarray, beliefs: np.ndarray, n_answers: int) -> tuple[list, list]:
+    """Count and belief sum per answer code; each sum adds its rows in order."""
+    return (np.bincount(codes, minlength=n_answers).tolist(),
+            np.bincount(codes, weights=beliefs, minlength=n_answers).tolist())
+
+
+def modal_code(counts: Sequence[int], sums: Sequence[float]) -> int:
+    """Most frequent code; ties break by belief sum, then by the lower code,
+    which is the lexicographically lower answer."""
+    return min(range(len(counts)), key=lambda c: (-counts[c], -sums[c]))
+
+
+def modal_answer(round_: RoundColumns) -> str:
     """Most frequent canonical answer; ties break by belief sum, then lexicographic."""
-    if not opinions:
+    if not len(round_):
         raise ValueError("no opinions")
-    tally: dict[str, list[float]] = {}
-    for op in opinions:
-        entry = tally.setdefault(op.answer, [0, 0.0])
-        entry[0] += 1
-        entry[1] += op.belief
-    return min(tally.items(), key=lambda kv: (-kv[1][0], -kv[1][1], kv[0]))[0]
+    return round_.answers[modal_code(*tally(round_.codes, round_.beliefs, len(round_.answers)))]
 
 
 @dataclass(frozen=True)

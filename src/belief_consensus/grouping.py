@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from belief_consensus.core import Opinion, modal_answer
+from belief_consensus.core import RoundColumns, modal_code, tally
 
 _TOKEN_CLEAN = re.compile(r"[^\w\s]+")
 
@@ -222,22 +222,32 @@ def group_entropy(beliefs: Sequence[float]) -> float:
     return total
 
 
-def build_groups(opinions: Sequence[Opinion], k: int, seed: int) -> tuple[OpinionGroup, ...]:
-    """Cluster opinions into groups and attach entropy and modal answer."""
-    texts = [f"{op.reasoning} {op.answer}" for op in opinions]
-    labels = cluster_opinions(vectorize(texts), k, seed)
-    by_label: dict[int, list[Opinion]] = {}
-    for op, lab in zip(opinions, labels):
-        by_label.setdefault(int(lab), []).append(op)
-    groups = []
-    for gid in sorted(by_label):
-        members = by_label[gid]
+def build_groups(opinions: RoundColumns, k: int, seed: int) -> tuple[OpinionGroup, ...]:
+    """Cluster opinions into groups and attach entropy and modal answer.
+
+    Each distinct (reasoning, answer) text is formatted once, and the answers
+    of all groups are tallied at once. Members keep the round's row order.
+    """
+    n_answers = len(opinions.answers)
+    pairs = (opinions.text_ids * n_answers + opinions.codes).tolist()
+    text = {p: f"{opinions.texts[p // n_answers]} {opinions.answers[p % n_answers]}"
+            for p in set(pairs)}
+    labels = cluster_opinions(vectorize([text[p] for p in pairs]), k, seed)
+    sizes = np.bincount(labels).tolist()  # labels count up from 0
+    counts, sums = tally(labels * n_answers + opinions.codes, opinions.beliefs,
+                         len(sizes) * n_answers)
+    order = np.argsort(labels, kind="stable")
+    members, beliefs = opinions.ids(order.tolist()), opinions.beliefs[order].tolist()
+    groups, start = [], 0
+    for gid, size in enumerate(sizes):
+        end, span = start + size, slice(gid * n_answers, (gid + 1) * n_answers)
         groups.append(
             OpinionGroup(
                 group_id=gid,
-                members=tuple(op.agent_id for op in members),
-                entropy=group_entropy([op.belief for op in members]),
-                modal_answer=modal_answer(members),
+                members=members[start:end],
+                entropy=group_entropy(beliefs[start:end]),
+                modal_answer=opinions.answers[modal_code(counts[span], sums[span])],
             )
         )
+        start = end
     return tuple(groups)

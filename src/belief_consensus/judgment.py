@@ -14,9 +14,9 @@ The Byzantine baseline uses p_s > 2/3 alone, ignoring beliefs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import compress
 
-from belief_consensus.core import Opinion, modal_answer
+from belief_consensus.core import RoundColumns, fold, modal_code, tally
 
 FULL = "Full"
 PARTIAL = "Partial"
@@ -37,24 +37,20 @@ class ConsensusVerdict:
     conflict_members: tuple[str, ...]
 
 
-def _split_dominant(opinions: Sequence[Opinion]):
-    answer = modal_answer(opinions)
-    dominant = [op for op in opinions if op.answer == answer]
-    conflict = [op for op in opinions if op.answer != answer]
-    return answer, dominant, conflict
-
-
-def judge_consensus(opinions: Sequence[Opinion], n: int) -> ConsensusVerdict:
+def judge_consensus(opinions: RoundColumns, n: int) -> ConsensusVerdict:
     """Classify the system state from one round's opinions."""
-    if not opinions:
+    if not len(opinions):
         raise ValueError("no opinions to judge")
     if len(opinions) != n:
         raise ValueError(f"expected {n} opinions, got {len(opinions)}")
-    answer, dominant, conflict = _split_dominant(opinions)
-    p_s = len(dominant) / n
-    support = sum(op.belief for op in dominant)
-    dissent = sum(op.belief for op in conflict)
-    p_b = 1.0 if not conflict else support / (support + dissent)
+    counts, sums = tally(opinions.codes, opinions.beliefs, len(opinions.answers))
+    code = modal_code(counts, sums)
+    dominant = (opinions.codes == code).tolist()
+    conflict = [not d for d in dominant]
+    p_s = counts[code] / n
+    support = sums[code]
+    dissent = fold(compress(opinions.beliefs.tolist(), conflict))  # in agent order, as support
+    p_b = 1.0 if counts[code] == n else support / (support + dissent)
     if p_s > FULL_PS_THRESHOLD and p_b > FULL_PB_THRESHOLD:
         state = FULL
     elif p_s >= 2.0 / n and p_b > PARTIAL_PB_THRESHOLD:
@@ -65,18 +61,13 @@ def judge_consensus(opinions: Sequence[Opinion], n: int) -> ConsensusVerdict:
         state=state,
         p_s=p_s,
         p_b=p_b,
-        dominant_answer=answer,
-        dominant_members=tuple(op.agent_id for op in dominant),
-        conflict_members=tuple(op.agent_id for op in conflict),
+        dominant_answer=opinions.answers[code],
+        dominant_members=tuple(compress(opinions.agent_ids, dominant)),
+        conflict_members=tuple(compress(opinions.agent_ids, conflict)),
     )
 
 
-def judge_byzantine(opinions: Sequence[Opinion], n: int) -> tuple[bool, float]:
+def judge_byzantine(opinions: RoundColumns, n: int) -> tuple[bool, float]:
     """Baseline: consensus iff strictly more than 2/3 of agents share one answer."""
-    if not opinions:
-        raise ValueError("no opinions to judge")
-    if len(opinions) != n:
-        raise ValueError(f"expected {n} opinions, got {len(opinions)}")
-    _, dominant, _ = _split_dominant(opinions)
-    p_s = len(dominant) / n
+    p_s = judge_consensus(opinions, n).p_s
     return p_s > FULL_PS_THRESHOLD, p_s

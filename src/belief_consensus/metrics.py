@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
+from belief_consensus.core import fold
+
 
 @dataclass(frozen=True)
 class MetricsSummary:
@@ -99,14 +101,15 @@ def compute_metrics(reports: Sequence, n: int) -> MetricsSummary:
 
 
 def mean_sem(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and standard error of the mean (sample stddev / sqrt(count))."""
+    """Mean and standard error of the mean (sample stddev / sqrt(count)),
+    each sum added in order."""
     k = len(values)
     if k == 0:
         raise ValueError("no values")
-    mean = sum(values) / k
+    mean = fold(values) / k
     if k == 1:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (k - 1)
+    var = fold([(v - mean) ** 2 for v in values]) / (k - 1)
     return mean, math.sqrt(var) / math.sqrt(k)
 
 

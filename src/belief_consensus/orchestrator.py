@@ -10,6 +10,8 @@ with sorted keys.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -21,9 +23,7 @@ from belief_consensus.agents import (
     AgentContext,
     AgentError,
     Backend,
-    TAG_CONFLICTING,
     TAG_LEADER,
-    TAG_SUPPORTIVE,
     TEMPLATE_COLLABORATE,
     TEMPLATE_INITIAL,
     TEMPLATE_LEADER,
@@ -38,7 +38,7 @@ from belief_consensus.coordination import (
     pairwise_reports,
     select_leaders,
 )
-from belief_consensus.core import Opinion, RunConfig, ScenarioCase, modal_answer, stable_hash
+from belief_consensus.core import RoundColumns, RunConfig, ScenarioCase, stable_hash
 from belief_consensus.grouping import OpinionGroup, build_groups
 from belief_consensus.judgment import FULL, PARTIAL, ConsensusVerdict, judge_consensus
 
@@ -52,7 +52,7 @@ VOTING_FALLBACK_BELIEF = 0.5
 @dataclass(frozen=True)
 class RoundRecord:
     index: int
-    opinions: tuple[Opinion, ...]
+    opinions: RoundColumns
     groups: tuple[OpinionGroup, ...]
     verdict: ConsensusVerdict
     branch: str
@@ -91,14 +91,15 @@ def _dispatch(
     backends: Mapping[str, Backend],
     case: ScenarioCase,
     contexts: Mapping[str, AgentContext],
-    previous: Mapping[str, Opinion] | None,
-) -> tuple[list[Opinion], tuple[tuple[str, str], ...]]:
+    previous: RoundColumns | None,
+) -> tuple[RoundColumns, tuple[tuple[str, str], ...]]:
     """One round of opinions, in sorted-agent-id order, and the carried-forward
     agents as sorted (agent id, error) pairs.
 
-    The agents of a backend with `respond_round` answer in one call, the
-    others one at a time. A failed call re-raises in round 1 (`previous` is
-    None); afterwards its agents carry their previous opinion forward.
+    The agents of a backend with `respond_round` answer in one call, whose
+    columns are the round when it covers every agent; the others answer one
+    at a time. A failed call re-raises in round 1 (`previous` is None);
+    afterwards its agents copy their rows of the previous round.
     """
     agent_ids = sorted(backends)
     calls: dict[object, tuple[Backend, list[str]]] = {}
@@ -106,30 +107,33 @@ def _dispatch(
         backend = backends[agent_id]
         key = id(backend) if hasattr(backend, "respond_round") else agent_id
         calls.setdefault(key, (backend, []))[1].append(agent_id)
-    answers = {}
+    answered = {}
     carried = []
     for backend, ids in calls.values():
         try:
             if hasattr(backend, "respond_round"):
-                ops = backend.respond_round(case, ids, [contexts[a] for a in ids])
+                part = backend.respond_round(case, ids, [contexts[a] for a in ids])
+                if part.agent_ids != tuple(ids):  # the layers rely on sorted rows
+                    raise ValueError(f"respond_round answered agents {list(part.agent_ids)}, "
+                                     f"not {ids}")
+                if len(ids) == len(agent_ids):
+                    return part, ()
+                ops = [part.opinion(a) for a in ids]
             else:
                 ops = [backend.respond(case, ids[0], contexts[ids[0]])]
         except AgentError as exc:
             if previous is None:
                 raise
-            ops = [previous[a] for a in ids]  # carry the agents' last opinions forward
+            ops = [previous.opinion(a) for a in ids]
             carried.extend((a, str(exc)) for a in ids)
-        for agent_id, op in zip(ids, ops):
-            if op.agent_id != agent_id:
-                op = Opinion(agent_id, op.reasoning, op.answer, op.belief)
-            answers[agent_id] = op
-    return [answers[a] for a in agent_ids], tuple(sorted(carried))
+        answered.update(zip(ids, ops))
+    return RoundColumns.of(agent_ids, [answered[a] for a in agent_ids]), tuple(sorted(carried))
 
 
 def _assignment_contexts(
     case: ScenarioCase,
     plan: AssignmentPlan,
-    by_id: Mapping[str, Opinion],
+    opinions: RoundColumns,
     next_round: int,
 ) -> dict[str, AgentContext]:
     """Each agent's next context; agents with the same delegates share one."""
@@ -138,10 +142,8 @@ def _assignment_contexts(
     for agent_id, delegates in plan.assignments.items():
         ctx = shared.get(delegates)
         if ctx is None:
-            tagged = tuple(
-                TaggedOpinion(by_id[cid], TAG_SUPPORTIVE if tag == "supportive" else TAG_CONFLICTING)
-                for cid, tag in delegates
-            )
+            # a plan's tags are the TAG_SUPPORTIVE and TAG_CONFLICTING strings
+            tagged = tuple(TaggedOpinion(opinions.opinion(cid), tag) for cid, tag in delegates)
             ctx = shared[delegates] = AgentContext(
                 question=case.question,
                 round=next_round,
@@ -156,7 +158,7 @@ def _leader_contexts(
     case: ScenarioCase,
     leader_set: LeaderSet,
     groups: Sequence[OpinionGroup],
-    by_id: Mapping[str, Opinion],
+    opinions: RoundColumns,
     next_round: int,
 ) -> dict[str, AgentContext]:
     """Each agent's next context; the followers of a group share one."""
@@ -165,7 +167,7 @@ def _leader_contexts(
         return AgentContext(
             question=case.question,
             round=next_round,
-            collaborators=tuple(TaggedOpinion(by_id[c], TAG_LEADER) for c in collab_ids),
+            collaborators=tuple(TaggedOpinion(opinions.opinion(c), TAG_LEADER) for c in collab_ids),
             template=TEMPLATE_LEADER,
         )
 
@@ -215,7 +217,6 @@ def run_case(
         )
         groups = build_groups(opinions, cfg.n_clusters, cluster_seed)
         verdict = judge_consensus(opinions, cfg.n)
-        by_id = {op.agent_id: op for op in opinions}
 
         reports = None
         plan = None
@@ -229,15 +230,15 @@ def run_case(
             plan = assign_collaborators(
                 groups, report_map, opinions, mixed_delegates=cfg.mixed_delegates
             )
-            next_contexts = _assignment_contexts(case, plan, by_id, round_index + 1)
+            next_contexts = _assignment_contexts(case, plan, opinions, round_index + 1)
         else:
             leader_set = select_leaders(groups, opinions, cfg.n_leaders)
-            next_contexts = _leader_contexts(case, leader_set, groups, by_id, round_index + 1)
+            next_contexts = _leader_contexts(case, leader_set, groups, opinions, round_index + 1)
 
         records.append(
             RoundRecord(
                 index=round_index,
-                opinions=tuple(opinions),
+                opinions=opinions,
                 groups=groups,
                 verdict=verdict,
                 branch=verdict.state,
@@ -250,13 +251,13 @@ def run_case(
         )
         if reached_full or round_index == cfg.max_rounds:
             break
-        opinions, carried = _dispatch(backends, case, next_contexts, previous=by_id)
+        opinions, carried = _dispatch(backends, case, next_contexts, previous=opinions)
 
-    last = records[-1].opinions
-    answer = modal_answer(last)
+    last = records[-1]  # its verdict's dominant answer is the round's modal answer
+    answer = last.verdict.dominant_answer
     if reached_full:
         terminated = TERMINATED_FULL
-    elif all(op.belief < VOTING_FALLBACK_BELIEF for op in last):
+    elif (last.opinions.beliefs < VOTING_FALLBACK_BELIEF).all():
         terminated = TERMINATED_VOTING
     else:
         terminated = TERMINATED_MAX_ROUNDS
@@ -265,93 +266,94 @@ def run_case(
         rounds=tuple(records),
         final_answer=answer,
         terminated_by=terminated,
-        consensus_count=sum(1 for op in last if op.answer == answer),
+        consensus_count=len(last.verdict.dominant_members),
         correct=answer == case.ground_truth,
     )
 
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Both writers assemble their text from pieces encoded once per round or per
+# set of agent ids: an agent's id, an answer, a reasoning text. The bytes are
+# those of `json.dumps(..., sort_keys=True)` over the report as nested dicts
+# and of one `csv.writer` row per agent; tests/round_oracles.py keeps those
+# forms as the reference.
 
 def _float_or_inf(x: float):
     return "inf" if math.isinf(x) else x
 
 
-def report_to_dict(report: RunReport) -> dict:
-    rounds = []
-    for rec in report.rounds:
-        entry = {
-            "round": rec.index,
-            "opinions": [
-                {
-                    "agent_id": op.agent_id,
-                    "reasoning": op.reasoning,
-                    "answer": op.answer,
-                    "belief": op.belief,
-                }
-                for op in rec.opinions
-            ],
-            "groups": [
-                {
-                    "group_id": g.group_id,
-                    "members": g.members,
-                    "entropy": g.entropy,
-                    "modal_answer": g.modal_answer,
-                }
-                for g in rec.groups
-            ],
-            "verdict": {
-                "state": rec.verdict.state,
-                "p_s": rec.verdict.p_s,
-                "p_b": rec.verdict.p_b,
-                "dominant_answer": rec.verdict.dominant_answer,
-                "dominant_members": rec.verdict.dominant_members,
-                "conflict_members": rec.verdict.conflict_members,
-            },
-            "branch": rec.branch,
-            "noise_victim": rec.noise_victim,
-        }
-        if rec.carried_forward:
-            entry["carried_forward"] = [
-                {"agent_id": agent_id, "error": error} for agent_id, error in rec.carried_forward
-            ]
-        if rec.conflict_reports is not None:
-            entry["conflict_reports"] = [
-                {
-                    "pair": r.group_pair,
-                    "macro": r.macro,
-                    "micro": _float_or_inf(r.micro),
-                    "combined": _float_or_inf(r.combined),
-                    "relation": r.relation,
-                    "components": dict(r.components),
-                }
-                for r in rec.conflict_reports
-            ]
-        if rec.assignment is not None:
-            entry["assignment"] = {
-                "assignments": dict(rec.assignment.assignments),
-                "uncertain_group": rec.assignment.uncertain_group,
-                "least_reliable_agent": rec.assignment.least_reliable_agent,
-            }
-        if rec.leaders is not None:
-            entry["leaders"] = [
-                {
-                    "group_id": gl.group_id,
-                    "leader_ids": gl.leader_ids,
-                    "all_members": gl.all_members,
-                }
-                for gl in rec.leaders.by_group
-            ]
-        rounds.append(entry)
-    return {
-        "case_id": report.case_id,
-        "rounds": rounds,
-        "final_answer": report.final_answer,
-        "terminated_by": report.terminated_by,
-        "consensus_count": report.consensus_count,
-        "correct": report.correct,
-        "n_rounds": report.n_rounds,
+def _json_around(before: dict, key: str, encoded: str, after: dict) -> str:
+    """`json.dumps({**before, key: value, **after}, sort_keys=True)`, where
+    `encoded` is the value's encoding and every key of `before` sorts below
+    `key`, every key of `after` above it; both are non-empty."""
+    head = json.dumps(before, sort_keys=True)
+    tail = json.dumps(after, sort_keys=True)
+    return f"{head[:-1]}, {json.dumps(key)}: {encoded}, {tail[1:]}"
+
+
+def _memo(encode):
+    """`encode` remembered per string for one writer call: answers, texts
+    and agent ids recur across rounds and cases."""
+    done: dict[str, str] = {}
+
+    def encoded(text: str) -> str:
+        if text not in done:
+            done[text] = encode(text)
+        return done[text]
+    return encoded
+
+
+def _csv_cell(text: str) -> str:
+    """`text` as a csv.writer row holds it: quoted where it holds a comma,
+    quote or line break. Ints and float reprs never need quoting."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])  # two cells, so never a lone ""
+    return buf.getvalue()[:-len(",\r\n")]
+
+
+def _opinions_json(opinions: RoundColumns, heads: Sequence[str], encode) -> str:
+    """The round's opinion objects; `heads[i]` opens row i's, up to its answer."""
+    answers = [f'{encode(a)}, "belief": ' for a in opinions.answers]
+    tails = [f', "reasoning": {encode(t)}}}' for t in opinions.texts]
+    return "[" + ", ".join([
+        f"{head}{answers[code]}{belief!r}{tails[text]}"
+        for head, code, belief, text in zip(heads, opinions.codes.tolist(),
+                                             opinions.beliefs.tolist(),
+                                             opinions.text_ids.tolist())
+    ]) + "]"
+
+
+def _round_json(rec: RoundRecord, heads: Sequence[str], encode) -> str:
+    # a group's, leader entry's, plan's and verdict's fields are their keys
+    before = {  # the keys that sort below "opinions"
+        "groups": [vars(g) for g in rec.groups],
+        "branch": rec.branch,
+        "noise_victim": rec.noise_victim,
     }
+    if rec.carried_forward:
+        before["carried_forward"] = [
+            {"agent_id": agent_id, "error": error} for agent_id, error in rec.carried_forward
+        ]
+    if rec.conflict_reports is not None:
+        before["conflict_reports"] = [
+            {
+                "pair": r.group_pair,
+                "macro": r.macro,
+                "micro": _float_or_inf(r.micro),
+                "combined": _float_or_inf(r.combined),
+                "relation": r.relation,
+                "components": r.components,
+            }
+            for r in rec.conflict_reports
+        ]
+    if rec.assignment is not None:
+        before["assignment"] = vars(rec.assignment)
+    if rec.leaders is not None:
+        before["leaders"] = [vars(gl) for gl in rec.leaders.by_group]
+    after = {"round": rec.index, "verdict": vars(rec.verdict)}
+    return _json_around(before, "opinions", _opinions_json(rec.opinions, heads, encode), after)
 
 
 def write_results_jsonl(reports: Sequence[RunReport | CaseFailure], out: IO[str],
@@ -360,28 +362,50 @@ def write_results_jsonl(reports: Sequence[RunReport | CaseFailure], out: IO[str]
     optional config-echo header line first."""
     if header is not None:
         out.write(json.dumps({"config": header}, sort_keys=True) + "\n")
+    agent_ids, heads, encode = None, None, _memo(json.dumps)
     for report in reports:
-        payload = (
-            {"case_id": report.case_id, "error": report.error}
-            if isinstance(report, CaseFailure) else report_to_dict(report)
-        )
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        if isinstance(report, CaseFailure):
+            out.write(json.dumps({"case_id": report.case_id, "error": report.error},
+                                 sort_keys=True) + "\n")
+            continue
+        rounds = []
+        for rec in report.rounds:
+            if rec.opinions.agent_ids != agent_ids:
+                agent_ids = rec.opinions.agent_ids
+                heads = [f'{{"agent_id": {encode(a)}, "answer": ' for a in agent_ids]
+            rounds.append(_round_json(rec, heads, encode))
+        before = {
+            "case_id": report.case_id,
+            "final_answer": report.final_answer,
+            "consensus_count": report.consensus_count,
+            "correct": report.correct,
+            "n_rounds": report.n_rounds,
+        }
+        after = {"terminated_by": report.terminated_by}
+        out.write(_json_around(before, "rounds", "[" + ", ".join(rounds) + "]", after) + "\n")
 
 
 def rounds_to_csv(reports: Sequence[RunReport], out: IO[str]):
     """Flat per-agent-per-round audit rows."""
-    import csv as _csv
-
-    writer = _csv.writer(out)
-    writer.writerow(
+    csv.writer(out).writerow(
         ["case_id", "round", "agent_id", "group_id", "answer", "belief", "state", "p_s", "p_b"]
     )
+    agent_ids, agents, cell = None, None, _memo(_csv_cell)
     for report in reports:
         for rec in report.rounds:
-            group_of = {m: g.group_id for g in rec.groups for m in g.members}
-            verdict = (rec.verdict.state, repr(rec.verdict.p_s), repr(rec.verdict.p_b))
-            writer.writerows(
-                [report.case_id, rec.index, op.agent_id, group_of[op.agent_id], op.answer,
-                 repr(op.belief), *verdict]
-                for op in rec.opinions
-            )
+            opinions = rec.opinions
+            if opinions.agent_ids != agent_ids:
+                agent_ids = opinions.agent_ids
+                agents = [cell(a) for a in agent_ids]
+            n_answers = len(opinions.answers)
+            group = np.empty(len(opinions), np.intp)
+            for g in rec.groups:
+                group[opinions.rows(g.members)] = g.group_id
+            pairs = (group * n_answers + opinions.codes).tolist()
+            middle = {p: f",{p // n_answers},{cell(opinions.answers[p % n_answers])},"
+                      for p in set(pairs)}
+            head = f"{cell(report.case_id)},{rec.index},"
+            verdict = rec.verdict
+            tail = f",{cell(verdict.state)},{verdict.p_s!r},{verdict.p_b!r}\r\n"
+            out.write("".join([f"{head}{agent}{middle[p]}{belief!r}{tail}" for agent, p, belief
+                               in zip(agents, pairs, opinions.beliefs.tolist())]))

@@ -1,4 +1,4 @@
-"""Reference forms of three per-round layers, kept for exact-equality tests.
+"""Reference forms of the per-round layers, kept for exact-equality tests.
 
 These are the straightforward versions the library replaced with cheaper
 ones that must return identical results:
@@ -13,8 +13,18 @@ ones that must return identical results:
   `Generator.choice` and rounding the belief with `np.round`;
 - `oracle_assignment_contexts` / `oracle_leader_contexts`: a fresh
   `AgentContext` for every agent, where the orchestrator shares one among
-  the agents with the same collaborators.
+  the agents with the same collaborators;
+- `report_to_dict` with `oracle_results_jsonl` / `oracle_rounds_csv`: each
+  report as nested dicts through `json.dumps(..., sort_keys=True)`, and one
+  `csv.writer` row per agent, where the writers assemble encoded pieces.
+
+`columns_of` builds a round from `Opinion`s and `opinions_of` reads one
+back as one `Opinion` per agent.
 """
+
+import csv
+import json
+import math
 
 import numpy as np
 
@@ -32,11 +42,21 @@ from belief_consensus.coordination import (
     CONFLICTING,
     SUPPORTIVE,
     AssignmentPlan,
-    _members_by_group,
     _relation,
 )
-from belief_consensus.core import Opinion, stable_hash
+from belief_consensus.core import Opinion, RoundColumns, stable_hash
 from belief_consensus.grouping import tokenize
+from belief_consensus.orchestrator import CaseFailure
+
+
+def columns_of(opinions):
+    """The round of these opinions, each under the agent it names."""
+    return RoundColumns.of([op.agent_id for op in opinions], opinions)
+
+
+def opinions_of(round_):
+    """The round's rows as Opinions, in row order."""
+    return [round_.opinion(agent_id) for agent_id in round_.agent_ids]
 
 
 def oracle_vectorize(texts):
@@ -70,7 +90,13 @@ def _top_belief(members, exclude=None):
     return min(pool, key=lambda op: (-op.belief, op.agent_id))
 
 
+def _members_by_group(groups, opinions):
+    by_id = {op.agent_id: op for op in opinions}
+    return {g.group_id: [by_id[aid] for aid in g.members] for g in groups}
+
+
 def oracle_assign_collaborators(groups, reports, opinions, mixed_delegates=False):
+    """`opinions` is a sequence of Opinions."""
     if not groups:
         raise ValueError("no opinion groups")
     members = _members_by_group(groups, opinions)
@@ -163,3 +189,111 @@ def oracle_leader_contexts(case, leader_set, groups, by_id, next_round):
                 template=TEMPLATE_LEADER,
             )
     return contexts
+
+
+def _float_or_inf(x):
+    return "inf" if math.isinf(x) else x
+
+
+def report_to_dict(report):
+    rounds = []
+    for rec in report.rounds:
+        entry = {
+            "round": rec.index,
+            "opinions": [
+                {
+                    "agent_id": op.agent_id,
+                    "reasoning": op.reasoning,
+                    "answer": op.answer,
+                    "belief": op.belief,
+                }
+                for op in opinions_of(rec.opinions)
+            ],
+            "groups": [
+                {
+                    "group_id": g.group_id,
+                    "members": g.members,
+                    "entropy": g.entropy,
+                    "modal_answer": g.modal_answer,
+                }
+                for g in rec.groups
+            ],
+            "verdict": {
+                "state": rec.verdict.state,
+                "p_s": rec.verdict.p_s,
+                "p_b": rec.verdict.p_b,
+                "dominant_answer": rec.verdict.dominant_answer,
+                "dominant_members": rec.verdict.dominant_members,
+                "conflict_members": rec.verdict.conflict_members,
+            },
+            "branch": rec.branch,
+            "noise_victim": rec.noise_victim,
+        }
+        if rec.carried_forward:
+            entry["carried_forward"] = [
+                {"agent_id": agent_id, "error": error} for agent_id, error in rec.carried_forward
+            ]
+        if rec.conflict_reports is not None:
+            entry["conflict_reports"] = [
+                {
+                    "pair": r.group_pair,
+                    "macro": r.macro,
+                    "micro": _float_or_inf(r.micro),
+                    "combined": _float_or_inf(r.combined),
+                    "relation": r.relation,
+                    "components": dict(r.components),
+                }
+                for r in rec.conflict_reports
+            ]
+        if rec.assignment is not None:
+            entry["assignment"] = {
+                "assignments": dict(rec.assignment.assignments),
+                "uncertain_group": rec.assignment.uncertain_group,
+                "least_reliable_agent": rec.assignment.least_reliable_agent,
+            }
+        if rec.leaders is not None:
+            entry["leaders"] = [
+                {
+                    "group_id": gl.group_id,
+                    "leader_ids": gl.leader_ids,
+                    "all_members": gl.all_members,
+                }
+                for gl in rec.leaders.by_group
+            ]
+        rounds.append(entry)
+    return {
+        "case_id": report.case_id,
+        "rounds": rounds,
+        "final_answer": report.final_answer,
+        "terminated_by": report.terminated_by,
+        "consensus_count": report.consensus_count,
+        "correct": report.correct,
+        "n_rounds": report.n_rounds,
+    }
+
+
+def oracle_results_jsonl(reports, out, header=None):
+    if header is not None:
+        out.write(json.dumps({"config": header}, sort_keys=True) + "\n")
+    for report in reports:
+        payload = (
+            {"case_id": report.case_id, "error": report.error}
+            if isinstance(report, CaseFailure) else report_to_dict(report)
+        )
+        out.write(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def oracle_rounds_csv(reports, out):
+    writer = csv.writer(out)
+    writer.writerow(
+        ["case_id", "round", "agent_id", "group_id", "answer", "belief", "state", "p_s", "p_b"]
+    )
+    for report in reports:
+        for rec in report.rounds:
+            group_of = {m: g.group_id for g in rec.groups for m in g.members}
+            verdict = (rec.verdict.state, repr(rec.verdict.p_s), repr(rec.verdict.p_b))
+            writer.writerows(
+                [report.case_id, rec.index, op.agent_id, group_of[op.agent_id], op.answer,
+                 repr(op.belief), *verdict]
+                for op in opinions_of(rec.opinions)
+            )

@@ -27,6 +27,7 @@ from belief_consensus.verification import (
 )
 
 from conflict_oracle import SUM_GAP_EPS, oracle_combined
+from round_oracles import columns_of
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -87,17 +88,17 @@ class TestJudgmentRegression:
             Opinion("a5", "", "C", 0.52), Opinion("a6", "", "C", 0.24),
             Opinion("a7", "", "C", 0.24),
         ]
-        v1 = judge_consensus(round1, 7)
+        v1 = judge_consensus(columns_of(round1), 7)
         ok = (v1.state == "None" and round(v1.p_s, 2) == 0.57 and round(v1.p_b, 2) == 0.13)
 
         round2 = [Opinion(f"a{i}", "", "C", 0.97) for i in range(2, 8)]
         round2.append(Opinion("a1", "", "B", 0.18))
-        v2 = judge_consensus(round2, 7)
+        v2 = judge_consensus(columns_of(round2), 7)
         ok = ok and (v2.state == "Full" and round(v2.p_s, 2) == 0.86 and round(v2.p_b, 2) == 0.97)
 
         baseline = [Opinion(f"a{i}", "", "B", 0.1) for i in range(1, 7)]
         baseline.append(Opinion("a7", "", "C", 0.9))
-        byz, p_s = judge_byzantine(baseline, 7)
+        byz, p_s = judge_byzantine(columns_of(baseline), 7)
         ok = ok and byz and round(p_s, 2) == 0.86
 
         case = scenarios_from_json(corpus_path)[0]
@@ -133,7 +134,7 @@ class TestConflictScoreOracle:
                               group_entropy([o.belief for o in p_members]), "A")
             gq = OpinionGroup(1, tuple(o.agent_id for o in q_members),
                               group_entropy([o.belief for o in q_members]), "A")
-            got = conflict_relation(gp, gq, p_members, q_members)
+            got = conflict_relation(gp, gq, columns_of(p_members + q_members))
             macro, micro, combined = oracle_combined(p_raw, q_raw)
             same_macro = math.isclose(got.macro, macro, rel_tol=1e-12)
             same_micro = (
@@ -221,9 +222,22 @@ def case_lines_digest(out) -> str:
     return hashlib.sha256(("\n".join(cases) + "\n").encode()).hexdigest()
 
 
+def rounds_csv_digest(out) -> str:
+    """SHA-256 of traces/rounds.csv after its config-echo comment line."""
+    text = (Path(out) / "traces" / "rounds.csv").read_bytes()
+    assert text.startswith(b"# config: ")
+    return hashlib.sha256(text.split(b"\n", 1)[1]).hexdigest()
+
+
 # taken with the reference round layers now kept in tests/round_oracles.py
 CORPUS_DIGEST = "1a548121835e0d7ddbe0bcbbd8e073b1afe66a14baa19d0532b54bd08ad8f5a4"
 STOCHASTIC_N200_DIGEST = "2b1f9542d0bb8cd60113871c878258aad4e60d8ae2415b0c54038938c44c628c"
+# taken with per-agent Opinion rounds and row-by-row writers, before rounds
+# became columns
+CORPUS_CSV_DIGEST = "ab004a1ffec26a3794e09d30bd178a0701d170753156e8668dab03b905baff6c"
+STOCHASTIC_N200_CSV_DIGEST = "90ea178760f4bc8e21b3ce2b50c0ff21918c9735e211e33c813da341d0b7b4fa"
+NOISE_MIXED_DIGEST = "d028509a20409b468364d51cbb6e3055c695953d84b98096a471962df04b4355"
+NOISE_MIXED_CSV_DIGEST = "e2794b5c2e3766b9913a09d7daef74dc3866d04d90c436d0638c7bdfa73b8ce8"
 
 
 class TestPinnedResults:
@@ -236,6 +250,8 @@ class TestPinnedResults:
         assert rc == 0
         digest = case_lines_digest(tmp_path)
         report("scripted corpus results pinned", digest == CORPUS_DIGEST, digest)
+        digest = rounds_csv_digest(tmp_path)
+        report("scripted corpus rounds.csv pinned", digest == CORPUS_CSV_DIGEST, digest)
 
     def test_stochastic_n200_digest(self, tmp_path, corpus_path):
         # 200 agents over the corpus questions; rounds take both the
@@ -246,6 +262,34 @@ class TestPinnedResults:
         assert rc == 0
         digest = case_lines_digest(tmp_path)
         report("stochastic n=200 results pinned", digest == STOCHASTIC_N200_DIGEST, digest)
+        digest = rounds_csv_digest(tmp_path)
+        report("stochastic n=200 rounds.csv pinned", digest == STOCHASTIC_N200_CSV_DIGEST, digest)
+
+    def test_stochastic_noise_mixed_delegates_digest(self, tmp_path, corpus_path):
+        # adversarial noise and mixed delegates, which only a config file sets:
+        # 15 noise victims, and 5 least-reliable agents that also get
+        # supportive delegates
+        config = tmp_path / "noise.yaml"
+        config.write_text(json.dumps({"run": {"adversarial_noise": True,
+                                              "mixed_delegates": True}}))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(config), "--dataset", str(corpus_path),
+                   "--seed", "0", "--backend", "stochastic", "--agents", "60",
+                   "--max-rounds", "5", "--out", str(out)])
+        assert rc == 0
+        cases = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()
+                 if "case_id" in json.loads(line)]
+        rounds = [r for case in cases for r in case["rounds"]]
+        victims = sum(r["noise_victim"] is not None for r in rounds)
+        mixed = sum(any(tag == "supportive" for _, tag in
+                        r["assignment"]["assignments"][r["assignment"]["least_reliable_agent"]])
+                    for r in rounds if "assignment" in r)
+        assert (victims, mixed) == (15, 5)
+        digest = case_lines_digest(out)
+        report("noise and mixed delegates results pinned", digest == NOISE_MIXED_DIGEST, digest)
+        digest = rounds_csv_digest(out)
+        report("noise and mixed delegates rounds.csv pinned",
+               digest == NOISE_MIXED_CSV_DIGEST, digest)
 
 
 LIVE_ENDPOINT = os.environ.get("CONSENSUS_SMOKE_ENDPOINT")

@@ -28,7 +28,7 @@ from belief_consensus.agents import (
     _pcg64_raw,
 )
 from belief_consensus.core import AgentScript, Opinion, ScenarioCase, ScriptedReply
-from round_oracles import oracle_respond
+from round_oracles import columns_of, opinions_of, oracle_respond
 
 
 def scripted_case():
@@ -152,7 +152,7 @@ class TestStochasticAgentOracle:
                 for _ in ids
             ]
             case = cases[batch % len(cases)]
-            got = agent.respond_round(case, ids, contexts)
+            got = opinions_of(agent.respond_round(case, ids, contexts))
             want = [oracle_respond(agent, case, a, ctx) for a, ctx in zip(ids, contexts)]
             assert got == want, f"batch {batch}"
             for op in got:
@@ -178,7 +178,7 @@ class TestStochasticAgentOracle:
                 ids = [f"agent-{i}" for i in range(150)]
                 contexts = [shared[int(k)] for k in rng.choice(len(shared), len(ids),
                                                                p=[0.7, 0.1, 0.1, 0.1])]
-                got = agent.respond_round(case, ids, contexts)
+                got = opinions_of(agent.respond_round(case, ids, contexts))
                 assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
                 assert any(op.reasoning.startswith("Adopting") for op in got)
 
@@ -194,7 +194,7 @@ class TestStochasticAgentOracle:
             for round_index in (1, 4, 2**32, 2**33 + 5, 2**64 + 1):
                 contexts = [AgentContext("q", round_index, collab if c else ())
                             for c in rng.integers(0, 2, 60)]
-                got = agent.respond_round(case, ids, contexts)
+                got = opinions_of(agent.respond_round(case, ids, contexts))
                 assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
             mixed = [AgentContext("q", 1), AgentContext("q", 2**32), AgentContext("q", 1)]
             with pytest.raises(ValueError, match=r"one round, got rounds \[1, 4294967296\]"):
@@ -230,7 +230,7 @@ class TestStochasticAgentOracle:
                     return out
 
                 monkeypatch.setattr(agents, "_pcg64_raw", substituted)
-                got = agent.respond_round(case, ids, [ctx] * len(ids))
+                got = opinions_of(agent.respond_round(case, ids, [ctx] * len(ids)))
                 monkeypatch.undo()
                 assert sizes == ([3, 6] if collaborate and not raw else [3])
                 want = [oracle_respond(agent, case, a, ctx) for a in ids]
@@ -581,6 +581,11 @@ class TestChatCompletionsAgent:
         assert op.belief == pytest.approx(0.7, rel=1e-9)
 
 
+def perturb(opinions, rng):
+    after, victim = perturb_one_belief(columns_of(opinions), rng)
+    return opinions_of(after), victim
+
+
 class TestAdversarialNoise:
     def _round(self):
         return [Opinion(f"a{i}", "", "B", 0.2 + 0.1 * i) for i in range(5)]
@@ -588,7 +593,7 @@ class TestAdversarialNoise:
     def test_exactly_one_belief_flipped(self):
         rng = np.random.default_rng(0)
         before = self._round()
-        after, victim = perturb_one_belief(before, rng)
+        after, victim = perturb(before, rng)
         changed = [
             (b.agent_id, b.belief, a.belief)
             for b, a in zip(before, after) if b.belief != a.belief
@@ -601,18 +606,18 @@ class TestAdversarialNoise:
     def test_other_fields_preserved(self):
         rng = np.random.default_rng(1)
         before = self._round()
-        after, victim = perturb_one_belief(before, rng)
+        after, victim = perturb(before, rng)
         for b, a in zip(before, after):
             assert (b.agent_id, b.reasoning, b.answer) == (a.agent_id, a.reasoning, a.answer)
 
     def test_seed_determinism(self):
-        v1 = perturb_one_belief(self._round(), np.random.default_rng(42))[1]
-        v2 = perturb_one_belief(self._round(), np.random.default_rng(42))[1]
+        v1 = perturb(self._round(), np.random.default_rng(42))[1]
+        v2 = perturb(self._round(), np.random.default_rng(42))[1]
         assert v1 == v2
 
     def test_belief_one_clamps_to_epsilon(self):
         ops = [Opinion("a0", "", "B", 1.0), Opinion("a1", "", "B", 1.0)]
-        after, _ = perturb_one_belief(ops, np.random.default_rng(0))
+        after, _ = perturb(ops, np.random.default_rng(0))
         flipped = [o for o in after if o.belief != 1.0]
         assert len(flipped) == 1
         assert 0.0 < flipped[0].belief <= 1e-9

@@ -69,6 +69,32 @@ class TestCmdRun:
         cfg = write_config(tmp_path, corpus_path, n=1)
         assert main(["run", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("section, key", [
+        ({"run": {"n": 3.9}}, "run.n"),
+        ({"sweep": {"max_rounds": [1.7]}}, "sweep.max_rounds"),
+        ({"run": {"jobs": 1.5}}, "run.jobs"),
+        ({"backend": {"retries": 2.5}}, "backend.retries"),
+        ({"run": {"adversarial_noise": "false"}}, "run.adversarial_noise"),
+        ({"run": {"mixed_delegates": "false"}}, "run.mixed_delegates"),
+    ])
+    def test_non_integer_or_non_boolean_value_exits_1(self, tmp_path, corpus_path, capsys,
+                                                      section, key):
+        # n: 3.9 with a max_rounds sweep of [1.7] once ran n = 3 and one round;
+        # "false" once read as true
+        payload = yaml.safe_load(write_config(tmp_path, corpus_path).read_text())
+        for name, values in section.items():
+            payload.setdefault(name, {}).update(values)
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integer_value_names_its_key(self, tmp_path, corpus_path, capsys):
+        cfg = write_config(tmp_path, corpus_path, n=3.9)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "run.n must be an integer, got 3.9" in capsys.readouterr().err
+
     def test_no_dataset_anywhere_exits_1(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({"run": {"out": str(tmp_path / "o")}}))

@@ -10,7 +10,7 @@ from belief_consensus.coordination import (
     SUPPORTIVE,
     ConflictReport,
     assign_collaborators,
-    conflict_relation,
+    conflict_relation as _conflict_relation,
     pairwise_reports,
     select_leaders,
 )
@@ -18,11 +18,21 @@ from belief_consensus.core import Opinion
 from belief_consensus.grouping import OpinionGroup, group_entropy
 
 from conflict_oracle import oracle_combined
-from round_oracles import oracle_assign_collaborators
+from round_oracles import columns_of, opinions_of, oracle_assign_collaborators
 
 
 def member(agent_id, answer, belief):
     return Opinion(agent_id, "", answer, belief)
+
+
+def round_of(opinions):
+    """The round holding each distinct agent's opinion."""
+    return columns_of(list({op.agent_id: op for op in opinions}.values()))
+
+
+def conflict_relation(p_group, q_group, p_members, q_members):
+    """The report over a round that holds both groups' members."""
+    return _conflict_relation(p_group, q_group, round_of([*p_members, *q_members]))
 
 
 def group_of(gid, members):
@@ -39,8 +49,10 @@ def group_of(gid, members):
 
 
 def scores(p_members, q_members):
-    """The conflict report of two member lists; macro and micro ignore the groups."""
-    return conflict_relation(OpinionGroup(0, (), 0.0, ""), OpinionGroup(1, (), 0.0, ""),
+    """The conflict report of two member lists; macro and micro ignore the
+    groups' entropy and modal answer."""
+    return conflict_relation(OpinionGroup(0, tuple(op.agent_id for op in p_members), 0.0, ""),
+                             OpinionGroup(1, tuple(op.agent_id for op in q_members), 0.0, ""),
                              p_members, q_members)
 
 
@@ -203,7 +215,7 @@ def build_round(groups_spec):
         members = [member(aid, ans, b) for aid, ans, b in spec]
         opinions.extend(members)
         groups.append(group_of(gid, members))
-    return groups, opinions
+    return groups, columns_of(opinions)
 
 
 class TestAssignCollaborators:
@@ -274,7 +286,7 @@ class TestAssignCollaborators:
         plan = assign_collaborators(groups, reports, opinions)
 
         # hand oracle: walk the assignment rules independently
-        by_id = {op.agent_id: op for op in opinions}
+        by_id = {op.agent_id: op for op in opinions_of(opinions)}
         members = {g.group_id: [by_id[a] for a in g.members] for g in groups}
         entropy = {g.group_id: g.entropy for g in groups}
         g_u = min(entropy, key=lambda gid: (-entropy[gid], gid))
@@ -374,13 +386,14 @@ class TestAssignCollaboratorsOracle:
         for i, (groups, reports, opinions) in enumerate(assignment_inputs(2000, seed=41)):
             for mixed in (False, True):
                 got = assign_collaborators(groups, reports, opinions, mixed_delegates=mixed)
-                want = oracle_assign_collaborators(groups, reports, opinions, mixed_delegates=mixed)
+                want = oracle_assign_collaborators(groups, reports, opinions_of(opinions),
+                                                   mixed_delegates=mixed)
                 # dict equality ignores order; the plan's order is part of the output
                 assert got == want and list(got.assignments) == list(want.assignments), (
                     f"input {i}, mixed_delegates={mixed}"
                 )
             seen["singleton"] += any(len(g.members) == 1 for g in groups)
-            beliefs = [op.belief for op in opinions]
+            beliefs = opinions.beliefs.tolist()
             seen["tie"] += len(set(beliefs)) < len(beliefs)
             tags = {tag for _, tag in got.assignments[got.least_reliable_agent]}
             seen["least_conflicting"] += "conflicting" in tags

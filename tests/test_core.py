@@ -1,18 +1,25 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from belief_consensus.core import (
     AgentScript,
     Opinion,
+    RoundColumns,
     RunConfig,
     ScenarioCase,
     ScriptedReply,
     belief_from_token_probs,
     canonicalize_answer,
-    modal_answer,
+    modal_answer as _modal_answer,
 )
+from round_oracles import columns_of
+
+
+def modal_answer(opinions):
+    return _modal_answer(columns_of(opinions))
 
 
 class TestBeliefFromTokenProbs:
@@ -124,6 +131,35 @@ class TestOpinion:
     def test_empty_answer(self):
         with pytest.raises(ValueError, match="unanswerable"):
             Opinion("a1", "because", "  ", 0.5)
+
+
+class TestRoundColumns:
+    def test_rows_sorted_by_agent_id_and_read_back(self):
+        ops = [Opinion("b", "why, \"b\"", "C", 0.25), Opinion("a", "why a", "A", 0.5),
+               Opinion("c", "why a", "C", 1.0)]
+        cols = columns_of(ops)
+        assert cols.agent_ids == ("a", "b", "c") and cols.answers == ("A", "C")
+        assert cols.codes.tolist() == [0, 1, 1] and len(cols.texts) == 2
+        assert [cols.opinion(a) for a in "abc"] == sorted(ops, key=lambda op: op.agent_id)
+
+    @staticmethod
+    def columns(answers, beliefs):
+        return RoundColumns(("a1", "a2"), answers, np.array([0, len(answers) - 1]),
+                            np.array(beliefs), ("",), np.array([0, 0]))
+
+    @pytest.mark.parametrize("belief", [0.0, -0.1, 1.5, float("nan")])
+    def test_belief_outside_unit_interval(self, belief):
+        with pytest.raises(ValueError, match="invalid probability: belief .* outside"):
+            self.columns(("B",), [0.5, belief])
+
+    def test_empty_answer(self):
+        with pytest.raises(ValueError, match="unanswerable"):
+            self.columns((" ", "B"), [0.5, 0.5])
+
+    def test_unused_blank_table_entry_is_no_answer(self):
+        cols = RoundColumns(("a1",), (" ", "B"), np.array([1]), np.array([0.5]), ("",),
+                            np.array([0]))
+        assert modal_answer([cols.opinion("a1")]) == "B"
 
 
 class TestModalAnswer:

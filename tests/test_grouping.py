@@ -14,7 +14,7 @@ from belief_consensus.grouping import (
     vectorize,
 )
 from kmeans_oracle import oracle_cluster
-from round_oracles import oracle_vectorize
+from round_oracles import columns_of, oracle_vectorize
 
 
 def partition_of(labels):
@@ -317,19 +317,19 @@ class TestBuildGroups:
         ]
 
     def test_partition_property(self):
-        groups = build_groups(self._opinions(), k=2, seed=9)
+        groups = build_groups(columns_of(self._opinions()), k=2, seed=9)
         seen = [m for g in groups for m in g.members]
         assert sorted(seen) == ["a1", "a2", "a3", "a4"]
 
     def test_entropy_matches_recomputation(self):
         ops = self._opinions()
         by_id = {op.agent_id: op for op in ops}
-        for g in build_groups(ops, k=2, seed=9):
+        for g in build_groups(columns_of(ops), k=2, seed=9):
             expected = group_entropy([by_id[m].belief for m in g.members])
             assert g.entropy == pytest.approx(expected, abs=1e-12)
 
     def test_modal_answers(self):
-        groups = build_groups(self._opinions(), k=2, seed=9)
+        groups = build_groups(columns_of(self._opinions()), k=2, seed=9)
         by_members = {g.members: g.modal_answer for g in groups}
         assert by_members[("a1", "a2")] == "B"
         assert by_members[("a3", "a4")] == "C"

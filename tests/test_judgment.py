@@ -6,13 +6,22 @@ from belief_consensus.judgment import (
     FULL,
     NONE,
     PARTIAL,
-    judge_byzantine,
-    judge_consensus,
+    judge_byzantine as _judge_byzantine,
+    judge_consensus as _judge_consensus,
 )
+from round_oracles import columns_of
 
 
 def ops(*specs):
     return [Opinion(f"a{i+1}", "", ans, b) for i, (ans, b) in enumerate(specs)]
+
+
+def judge_consensus(opinions, n):
+    return _judge_consensus(columns_of(opinions), n)
+
+
+def judge_byzantine(opinions, n):
+    return _judge_byzantine(columns_of(opinions), n)
 
 
 RANK = {NONE: 0, PARTIAL: 1, FULL: 2}

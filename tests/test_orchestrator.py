@@ -5,7 +5,15 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from round_oracles import oracle_assignment_contexts, oracle_leader_contexts
+from round_oracles import (
+    columns_of,
+    opinions_of,
+    oracle_assignment_contexts,
+    oracle_leader_contexts,
+    oracle_results_jsonl,
+    oracle_rounds_csv,
+    report_to_dict,
+)
 
 from belief_consensus.agents import (
     AgentContext,
@@ -21,17 +29,17 @@ from belief_consensus.core import (
     RunConfig,
     ScenarioCase,
     ScriptedReply,
-    modal_answer,
+    modal_answer as _modal_answer,
     scenarios_from_json,
 )
 from belief_consensus.orchestrator import (
+    CaseFailure,
     TERMINATED_FULL,
     TERMINATED_MAX_ROUNDS,
     TERMINATED_VOTING,
     _assignment_contexts,
     _dispatch,
     _leader_contexts,
-    report_to_dict,
     rounds_to_csv,
     run_case,
     write_results_jsonl,
@@ -140,7 +148,7 @@ class TestRunCase:
         report = run_case(case, RunConfig(n=4, max_rounds=2, seed=4),
                           {aid: backend for aid in rows})
         final_round = report.rounds[-1]
-        a4 = next(op for op in final_round.opinions if op.agent_id == "a4")
+        a4 = next(op for op in opinions_of(final_round.opinions) if op.agent_id == "a4")
         # round 2 failed, so a4 keeps its round-1 opinion instead of the script's
         assert (a4.answer, a4.belief) == ("B", 0.4)
 
@@ -152,7 +160,7 @@ class TestRunCase:
         report = run_case(case, cfg, scripted_backends(case))
         rec = report.rounds[0]
         assert rec.noise_victim is not None
-        flipped = [op for op in rec.opinions if op.belief != 0.9]
+        flipped = [op for op in opinions_of(rec.opinions) if op.belief != 0.9]
         assert len(flipped) == 1
         assert flipped[0].agent_id == rec.noise_victim
         assert flipped[0].belief == pytest.approx(1.0 - 0.9)
@@ -191,21 +199,34 @@ class TestDispatch:
         backends = {"a4": shared, "a2": ScriptedAgent(), "a1": shared, "a3": own, "a5": shared}
         contexts = {a: AgentContext("q", 1) for a in backends}
         opinions, carried = _dispatch(backends, scripted, contexts, previous=None)
+        opinions = opinions_of(opinions)
         assert carried == ()
         assert [op.agent_id for op in opinions] == ["a1", "a2", "a3", "a4", "a5"]
         assert shared.calls == [["a1", "a4", "a5"]] and own.calls == [["a3"]]
         for op in opinions:
             assert op == backends[op.agent_id].respond(scripted, op.agent_id, contexts[op.agent_id])
 
+    def test_rows_out_of_order_are_rejected(self):
+        class Reversed(StochasticAgent):
+            def respond_round(self, case, agent_ids, contexts):
+                return super().respond_round(case, agent_ids[::-1], contexts[::-1])
+
+        backends = dict.fromkeys(["a1", "a2", "a3"], Reversed(seed=1))
+        contexts = {a: AgentContext("q", 1) for a in backends}
+        with pytest.raises(ValueError, match="respond_round answered agents"):
+            _dispatch(backends, self.CASE, contexts, previous=None)
+
     def test_failed_batch_carries_its_agents_forward(self):
         broken, healthy = RecordingRounds(seed=1, fail=True), StochasticAgent(seed=2)
         backends = {"a1": broken, "a2": healthy, "a3": broken}
-        previous = {a: Opinion(a, "before", "D", 0.5) for a in backends}
+        before = {a: Opinion(a, "before", "D", 0.5) for a in backends}
+        previous = columns_of(list(before.values()))
         contexts = {a: AgentContext("q", 2) for a in backends}
         with pytest.raises(AgentError, match="batch down"):
             _dispatch(backends, self.CASE, contexts, previous=None)
         opinions, carried = _dispatch(backends, self.CASE, contexts, previous=previous)
-        assert opinions[0] == previous["a1"] and opinions[2] == previous["a3"]
+        opinions = opinions_of(opinions)
+        assert opinions[0] == before["a1"] and opinions[2] == before["a3"]
         assert opinions[1] == healthy.respond(self.CASE, "a2", contexts["a2"])
         assert carried == (("a1", "batch down"), ("a3", "batch down"))
 
@@ -268,8 +289,8 @@ class TestCarriedForward:
         error = "transport failed after 2 attempts: server error 500"
         assert first.carried_forward == ()
         assert second.carried_forward == (("agent-2", error),)
-        assert second.opinions[1] == first.opinions[1]
-        assert [op.answer for op in second.opinions] == ["A", "B", "C"]
+        assert opinions_of(second.opinions)[1] == opinions_of(first.opinions)[1]
+        assert [op.answer for op in opinions_of(second.opinions)] == ["A", "B", "C"]
         assert _ModelHandler.seen == {"model-1": 2, "model-2": 3, "model-3": 2}
         rows = report_to_dict(report)["rounds"]
         assert "carried_forward" not in rows[0]
@@ -288,13 +309,15 @@ class TestSharedContexts:
                                 mixed_delegates=mixed)
                 backends = {f"agent-{i}": agent for i in range(n)}
                 for rec in run_case(case, cfg, backends).rounds:
-                    by_id = {op.agent_id: op for op in rec.opinions}
+                    by_id = {op.agent_id: op for op in opinions_of(rec.opinions)}
                     if rec.assignment is not None:
-                        got = _assignment_contexts(case, rec.assignment, by_id, rec.index + 1)
+                        got = _assignment_contexts(case, rec.assignment, rec.opinions,
+                                                   rec.index + 1)
                         want = oracle_assignment_contexts(case, rec.assignment, by_id,
                                                           rec.index + 1)
                     elif rec.leaders is not None:
-                        got = _leader_contexts(case, rec.leaders, rec.groups, by_id, rec.index + 1)
+                        got = _leader_contexts(case, rec.leaders, rec.groups, rec.opinions,
+                                               rec.index + 1)
                         want = oracle_leader_contexts(case, rec.leaders, rec.groups, by_id,
                                                       rec.index + 1)
                     else:
@@ -320,6 +343,10 @@ class TestSharedContexts:
         run_case(case, RunConfig(n=5, max_rounds=1), {f"a{i}": agent for i in range(5)})
         assert len({id(ctx) for ctx in contexts[0]}) == 1
         assert contexts[0][0] == AgentContext("q", 1)
+
+
+def modal_answer(opinions):
+    return _modal_answer(columns_of(opinions))
 
 
 class TestFinalAnswer:
@@ -376,8 +403,8 @@ class TestCorpusTrajectories:
         delegates = r1.assignment.assignments[least]
         assert any(tag == "conflicting" for _, tag in delegates)
         # the flagged agent answered D in round 1 and B afterwards
-        before = next(op for op in r1.opinions if op.agent_id == least)
-        after = next(op for op in rep.rounds[1].opinions if op.agent_id == least)
+        before = next(op for op in opinions_of(r1.opinions) if op.agent_id == least)
+        after = next(op for op in opinions_of(rep.rounds[1].opinions) if op.agent_id == least)
         assert (before.answer, after.answer) == ("D", "B")
 
     def test_leadership_case(self, reports):
@@ -445,3 +472,49 @@ class TestSerialization:
             "state", "p_s", "p_b",
         ]
         assert len(lines) == 1 + 7 * rep.n_rounds
+
+
+class TestWritersOracle:
+    """The writers assemble encoded pieces; their bytes equal the reports as
+    dicts through json.dumps(sort_keys=True) and one csv.writer row per agent."""
+
+    def _awkward_reports(self, corpus_path):
+        odd = 'caf\u00e9 \u2211 \U0001F680 "quoted" back\\slash\nnew line\r\nand\ttab'
+        rows = {
+            'a,1': [('1,5 "x"', odd, 0.9), ('1,5 "x"', odd, 0.95)],
+            'a"2': [('1,5 "x"', "plain words", 0.4), ("B", "other words", 0.6)],
+            "a3": [("B", odd + " b", 0.35), ("B", odd + " b", 0.2)],
+            "\u00e4\n4": [("\u00dcml\u00e4ut", "", 0.5), ("\u00dcml\u00e4ut", "", 0.5)],
+        }
+        case = make_case('odd, "case" \u00e9', rows, ground_truth="B", fallback=None)
+
+        class FlakyAgent(ScriptedAgent):
+            def respond(self, case, agent_id, ctx):
+                if agent_id == "a3" and ctx.round >= 2:
+                    raise AgentError('down: "503"\nretry \u2026')
+                return super().respond(case, agent_id, ctx)
+
+        backend = FlakyAgent()
+        reports = [run_case(case, RunConfig(n=4, max_rounds=2, seed=3),
+                            {aid: backend for aid in rows})]
+        reports += [run_case(c, RunConfig(seed=0), scripted_backends(c))
+                    for c in scenarios_from_json(corpus_path)]
+        return reports
+
+    def test_jsonl_and_csv_equal_the_row_by_row_forms(self, corpus_path):
+        reports = self._awkward_reports(corpus_path)
+        assert reports[0].rounds[1].carried_forward
+        assert any(r.micro == math.inf for rep in reports for rec in rep.rounds
+                   for r in rec.conflict_reports or ())
+        outcomes = [reports[0], CaseFailure('bad,"case"', 'boom \u2014 "quoted"\nline'),
+                    *reports[1:], CaseFailure("", "")]
+        header = {"run": {"n": 4}, "note": "caf\u00e9"}
+        got, want = io.StringIO(), io.StringIO()
+        write_results_jsonl(outcomes, got, header=header)
+        oracle_results_jsonl(outcomes, want, header=header)
+        assert got.getvalue() == want.getvalue()
+        got, want = io.StringIO(), io.StringIO()
+        rounds_to_csv(reports, got)
+        oracle_rounds_csv(reports, want)
+        assert got.getvalue() == want.getvalue()
+        assert '"1,5 ""x"""' in got.getvalue() and '"a""2"' in got.getvalue()

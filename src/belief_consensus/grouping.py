@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from belief_consensus.core import RoundColumns, modal_code, tally
+from belief_consensus.pcg64 import _POOL_SIZE, _TWO_POW_M53, _U11, _pcg64_raw, _uint32_words
 
 _TOKEN_CLEAN = re.compile(r"[^\w\s]+")
 
@@ -104,44 +105,38 @@ def _sq_dists(distinct: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     entry is the last-axis sum of squared differences, the same reduction
     one centroid against all rows performs.
     """
-    return np.stack(
-        [((distinct - centroids[:, c, None, :]) ** 2).sum(-1) for c in range(centroids.shape[1])],
-        axis=1,
-    )
+    out = np.empty((len(centroids), centroids.shape[1], len(distinct)))
+    for c in range(centroids.shape[1]):
+        ((distinct - centroids[:, c, None, :]) ** 2).sum(-1, out=out[:, c])
+    return out
 
 
-def _weighted_sums(distinct: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sum over rows of weights[r, i] * distinct[i] per restart r: (R, d).
-
-    Rows are added in order, as np.average adds a (members, d) block for
-    d > 1; `.sum(axis=1)` may pair them up instead. Zero-weight rows add
-    exact zeros. (For d == 1 np.average itself pairs up 8 or more members,
-    so there a centroid can differ from its result in the last bit.) The
-    running sum is taken in place, so the only temporary is one (R, m, d)
-    array, freed once the caller has used the result.
-    """
-    running = distinct * weights[:, :, None]
-    np.cumsum(running, axis=1, out=running)
-    return running[:, -1]
+def _restart_draws(seed: int, k: int) -> np.ndarray:
+    """(k, R): the first k `random()` draws of `default_rng(child)` for each child of
+    `SeedSequence(seed).spawn(KMEANS_N_INIT)`. A child's entropy is the seed's
+    words, zero-padded to the pool size when shorter, then its spawn index."""
+    words = _uint32_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = np.array([words + [child] for child in range(KMEANS_N_INIT)], np.uint32).T
+    return (_pcg64_raw(entropy, k) >> _U11) * _TWO_POW_M53
 
 
-def _seed_centroids(distinct: np.ndarray, counts: np.ndarray, k: int, rngs) -> np.ndarray:
+def _seed_centroids(distinct: np.ndarray, counts: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """k-means++ over the distinct rows, weighted by multiplicity, for every restart.
 
-    Returns (R, k) row indices. Restart r draws only from rngs[r], one uniform
-    per pick, and inverts the pick distribution's cdf exactly as
-    `Generator.choice(m, p=p)` does, so each restart's picks match drawing
-    them one restart at a time.
+    Returns (R, k) row indices. Pick j of restart r reads draws[j, r] and
+    inverts the pick distribution's cdf exactly as `Generator.choice(m, p=p)`
+    does, so each restart's picks match drawing them one restart at a time.
     """
+    k, restarts = draws.shape
     weights = counts / counts.sum()
-    picks = np.empty((len(rngs), k), dtype=np.intp)
-    probs = np.broadcast_to(weights, (len(rngs), len(distinct)))
+    picks = np.empty((restarts, k), dtype=np.intp)
+    probs = weights  # the first pick's distribution, shared by every restart
     d2 = None
     for j in range(k):
-        cdf = probs.cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        draws = np.array([rng.random() for rng in rngs])
-        picks[:, j] = (cdf <= draws[:, None]).sum(axis=1)
+        cdf = probs.cumsum(axis=-1)
+        cdf /= cdf[..., -1:]
+        picks[:, j] = (cdf <= draws[j, :, None]).sum(axis=1)
         if j == k - 1:
             break
         rows = _sq_dists(distinct, distinct[picks[:, j, None]])[:, 0]
@@ -161,22 +156,40 @@ def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, seed: int) -> np.n
     largest centroid shift falls below KMEANS_SHIFT_TOL; an empty cluster is
     re-seated on the row farthest from its nearest centroid. The first
     restart with the lowest inertia (by more than 1e-12) wins.
+
+    One update pass serves all R·k slots: a stable argsort by slot lines up
+    each slot's members in row order, and step p adds every slot's p-th
+    count-weighted row, or the appended zero row once the slot has run out.
+    So each centroid sum is the left fold over its members that np.average
+    takes for d > 1 (for d == 1 it pairs up 8 or more members); reduceat
+    would pair up a slot's rows. No temporary exceeds (R, m, d).
     """
-    rngs = [np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(KMEANS_N_INIT)]
-    centroids = distinct[_seed_centroids(distinct, counts, k, rngs)]
-    moving = np.ones(len(rngs), dtype=bool)
+    restarts, (m, d) = KMEANS_N_INIT, distinct.shape
+    slots = restarts * k
+    centroids = distinct[_seed_centroids(distinct, counts, _restart_draws(seed, k))]
+    weighted = np.vstack([distinct * counts[:, None], np.zeros(d)])
+    size_weights = np.tile(counts, restarts)
+    first_slot = np.arange(0, slots, k)[:, None]
+    sorted_at = np.arange(restarts * m)
+    moving = np.ones(restarts, dtype=bool)
     for _ in range(KMEANS_MAX_ITER):
         dists = _sq_dists(distinct, centroids)
-        assign = dists.argmin(axis=1)
-        far = dists.min(axis=1).argmax(axis=1)
-        updated = np.empty_like(centroids)
-        for c in range(k):
-            weights = (assign == c) * counts
-            size = weights.sum(axis=1)
-            updated[:, c] = _weighted_sums(distinct, weights) / np.maximum(size, 1)[:, None]
-            empty = size == 0
-            updated[empty, c] = distinct[far[empty]]
+        slot = (dists.argmin(axis=1) + first_slot).ravel()  # restart r's slot c is r·k + c
+        order = np.argsort(slot, kind="stable")
+        members = np.bincount(slot, minlength=slots)
+        by_slot = slot[order]
+        at = np.full((members.max(), slots), m)  # row of each slot's p-th member, or m
+        at[sorted_at - (members.cumsum() - members)[by_slot], by_slot] = order % m
+        sums = weighted[at[0]]
+        for step in at[1:]:
+            sums += weighted[step]
+        size = np.bincount(slot, size_weights, slots)
+        updated = sums / np.maximum(size, 1.0)[:, None]
+        empty = np.flatnonzero(size == 0)
+        if empty.size:
+            far = dists.min(axis=1).argmax(axis=1)
+            updated[empty] = distinct[far[empty // k]]
+        updated = updated.reshape(restarts, k, d)
         shift = np.sqrt(((updated - centroids) ** 2).sum(-1)).max(axis=1)
         centroids[moving] = updated[moving]
         moving &= ~(shift < KMEANS_SHIFT_TOL)

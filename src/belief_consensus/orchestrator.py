@@ -197,7 +197,7 @@ def run_case(
     agent_ids = sorted(backends)
     noise_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed & 0x7FFFFFFF, stable_hash(case.case_id), 0xAD])
-    )
+    ) if cfg.adversarial_noise else None
 
     contexts = dict.fromkeys(
         agent_ids, AgentContext(question=case.question, round=1, template=TEMPLATE_INITIAL)

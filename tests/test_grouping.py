@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from belief_consensus.core import Opinion
 from belief_consensus.grouping import (
+    KMEANS_N_INIT,
     _distinct_rows,
+    _restart_draws,
     build_groups,
     cluster_opinions,
     group_entropy,
@@ -229,6 +231,35 @@ SUM_ORDER_VECTORS = [
 SUM_ORDER_K = 3
 SUM_ORDER_SEED = 2132435355
 
+# Inputs whose update pass leaves a slot empty, found by a seeded search over
+# 0.1-rounded rows with repeats; on each the loop oracle re-seats a cluster.
+EMPTY_SLOT_INPUTS = {
+    # k = 5 over 30 rows in 2-D: restart 2's slot 3 empties between two
+    # non-empty slots, and re-seating it on the farthest row of another
+    # restart changes the labels
+    "middle-slot": ([
+        [0.2, 0.4], [0.8, 0.9], [0.4, 0.3], [0.1, 0.6], [1.0, 0.5], [0.1, 0.6], [1.0, 0.5],
+        [0.5, 0.3], [0.3, 0.7], [0.1, 0.6], [0.8, 0.5], [0.4, 0.3], [0.1, 0.6], [0.1, 0.6],
+        [0.8, 0.5], [1.0, 0.5], [0.1, 0.6], [0.1, 0.6], [0.8, 0.5], [0.8, 0.9], [0.5, 0.3],
+        [0.2, 0.4], [0.1, 0.6], [0.5, 0.3], [0.2, 0.4], [0.8, 0.9], [0.1, 0.6], [1.0, 0.5],
+        [0.5, 0.3], [0.5, 0.3],
+    ], 5, 996991342),
+    # k = 3 over 24 rows in 1-D: the last slot of the last restart, the last
+    # of all R·k slots, is empty
+    "last-slot": ([
+        [0.6], [0.5], [0.1], [0.2], [0.1], [0.6], [0.8], [0.5], [0.1], [0.1], [0.2], [0.2],
+        [0.1], [0.6], [0.5], [0.8], [0.1], [0.6], [0.2], [0.2], [0.2], [0.1], [0.1], [0.8],
+    ], 3, 1187252001),
+}
+# Inputs in 1-D whose labels change when some cluster's members are added in
+# another order than row order, found by the same search: the first when the
+# argsort by slot is not stable (on an AVX-512 host), the second when each
+# slot's members are added last row first.
+MEMBER_ORDER_INPUTS = {
+    "unstable-sort": ([0.9, 0.3, 0.6, 0.4, 0.6, 1.0, 0.9, 0.4, 0.8, 0.5, 0.5, 0.3], 4, 2127568982),
+    "reversed": ([0.0, 0.0, 0.4, 0.1, 0.3, 0.2, 0.1, 0.3], 3, 2042853791),
+}
+
 
 def oracle_inputs(count, seed):
     """Seeded (vectors, k, seed) triples in 1-5 dimensions.
@@ -280,6 +311,32 @@ class TestBatchedKMeansOracle:
         vecs = np.array(SUM_ORDER_VECTORS)[:, None]
         want = oracle_cluster(vecs, SUM_ORDER_K, SUM_ORDER_SEED)
         assert np.array_equal(cluster_opinions(vecs, SUM_ORDER_K, SUM_ORDER_SEED), want)
+
+    @pytest.mark.parametrize("name", sorted(EMPTY_SLOT_INPUTS))
+    def test_empty_slot_edges(self, name):
+        vecs, k, seed = EMPTY_SLOT_INPUTS[name]
+        vecs, reseats = np.array(vecs), []
+        want = oracle_cluster(vecs, k, seed, reseats)
+        assert reseats
+        assert np.array_equal(cluster_opinions(vecs, k, seed), want)
+
+    @pytest.mark.parametrize("name", sorted(MEMBER_ORDER_INPUTS))
+    def test_members_add_in_row_order(self, name):
+        vecs, k, seed = MEMBER_ORDER_INPUTS[name]
+        vecs = np.array(vecs)[:, None]
+        assert np.array_equal(cluster_opinions(vecs, k, seed), oracle_cluster(vecs, k, seed))
+
+
+class TestRestartDraws:
+    # one to five 32-bit words: SeedSequence pads a spawned child's entropy
+    # shorter than its pool of 4 words with zeros, and a longer one not at all
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**96, 2**128 + 5])
+    def test_equal_spawned_generator_draws(self, seed):
+        for k in range(1, 6):
+            children = np.random.SeedSequence(seed).spawn(KMEANS_N_INIT)
+            rngs = [np.random.default_rng(child) for child in children]
+            want = [[rng.random() for rng in rngs] for _ in range(k)]
+            assert np.array_equal(_restart_draws(seed, k), want)
 
 
 class TestGroupEntropy:

@@ -92,8 +92,13 @@ class BackendConfig:
         if self.prompt_style not in PROMPT_STYLES:
             raise ValueError(
                 f"prompt_style must be one of {PROMPT_STYLES}, got {self.prompt_style!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be nonnegative")
+        # a bad number here would fail every case later, not the config now
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and nonnegative, got {self.temperature}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be finite and positive, got {self.timeout}")
+        if not (math.isfinite(self.backoff) and self.backoff >= 0):
+            raise ValueError(f"backoff must be finite and nonnegative, got {self.backoff}")
         if self.retries < 0:
             raise ValueError("retries must be nonnegative")
         if self.kind == "http":

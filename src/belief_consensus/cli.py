@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -321,8 +322,8 @@ def cmd_simulate(args) -> int:
         bad = [m for m in modes if m not in known]
         if bad:
             raise ConfigError(f"unknown simulate modes: {bad}")
-        if tol <= 0 or max_steps < 1:
-            raise ConfigError("tol must be positive and max_steps at least 1")
+        if not (math.isfinite(tol) and tol > 0) or max_steps < 1:
+            raise ConfigError("tol must be finite and positive and max_steps at least 1")
     except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

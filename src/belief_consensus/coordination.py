@@ -65,13 +65,11 @@ class GroupLeaders:
 
 @dataclass(frozen=True)
 class LeaderSet:
-    by_group: tuple[GroupLeaders, ...]
+    """Each group's leaders, and per-agent delegate lists of (collaborator
+    agent_id, "leader") in the shape of `AssignmentPlan.assignments`."""
 
-    def leaders_of(self, group_id: int) -> GroupLeaders:
-        for entry in self.by_group:
-            if entry.group_id == group_id:
-                return entry
-        raise KeyError(f"no leaders recorded for group {group_id}")
+    by_group: tuple[GroupLeaders, ...]
+    assignments: Mapping[str, tuple[tuple[str, str], ...]]
 
 
 # what the conflict scores read of one group: its members' codes and beliefs
@@ -245,16 +243,22 @@ def select_leaders(
     opinions: RoundColumns,
     n_leaders: int,
 ) -> LeaderSet:
-    """Top-belief agents per group; small groups promote every member."""
+    """Top-belief agents per group; small groups promote every member.
+
+    A follower sees its group's leaders, a leader the other leaders; in a
+    group of leaders only, each member sees the others in member order.
+    """
     if n_leaders < 1:
         raise ValueError("n_leaders must be at least 1")
-    out = []
+    by_group = []
+    assignments: dict[str, tuple[tuple[str, str], ...]] = {}
     for group, ranked in zip(groups, _ranked(opinions, groups)):
-        out.append(
-            GroupLeaders(
-                group_id=group.group_id,
-                leader_ids=opinions.ids(ranked[:n_leaders]),
-                all_members=len(ranked) <= n_leaders,
-            )
-        )
-    return LeaderSet(by_group=tuple(out))
+        leader_ids = opinions.ids(ranked[:n_leaders])
+        all_members = len(ranked) <= n_leaders
+        by_group.append(GroupLeaders(group.group_id, leader_ids, all_members))
+        seen = group.members if all_members else leader_ids
+        # the followers share one delegate tuple; each of `seen` then gets its own
+        assignments.update(dict.fromkeys(group.members, tuple((a, "leader") for a in seen)))
+        for agent_id in seen:
+            assignments[agent_id] = tuple((a, "leader") for a in seen if a != agent_id)
+    return LeaderSet(by_group=tuple(by_group), assignments=assignments)

@@ -23,7 +23,6 @@ from belief_consensus.agents import (
     AgentContext,
     AgentError,
     Backend,
-    TAG_LEADER,
     TEMPLATE_COLLABORATE,
     TEMPLATE_INITIAL,
     TEMPLATE_LEADER,
@@ -54,8 +53,7 @@ class RoundRecord:
     index: int
     opinions: RoundColumns
     groups: tuple[OpinionGroup, ...]
-    verdict: ConsensusVerdict
-    branch: str
+    verdict: ConsensusVerdict  # its state names the branch taken
     conflict_reports: tuple[ConflictReport, ...] | None = None
     assignment: AssignmentPlan | None = None
     leaders: LeaderSet | None = None
@@ -130,57 +128,29 @@ def _dispatch(
     return RoundColumns.of(agent_ids, [answered[a] for a in agent_ids]), tuple(sorted(carried))
 
 
-def _assignment_contexts(
+def _contexts(
     case: ScenarioCase,
-    plan: AssignmentPlan,
-    opinions: RoundColumns,
-    next_round: int,
+    delegates: Mapping[str, tuple[tuple[str, str], ...]],
+    template: str,
+    opinions: RoundColumns | None,
+    round_index: int,
 ) -> dict[str, AgentContext]:
-    """Each agent's next context; agents with the same delegates share one."""
+    """Each agent's context for round `round_index`: its delegates' opinions
+    in `opinions`, under their tags. Agents with equal delegates share one."""
     shared: dict[tuple[tuple[str, str], ...], AgentContext] = {}
     contexts = {}
-    for agent_id, delegates in plan.assignments.items():
-        ctx = shared.get(delegates)
+    for agent_id, collab in delegates.items():
+        ctx = shared.get(collab)
         if ctx is None:
-            # a plan's tags are the TAG_SUPPORTIVE and TAG_CONFLICTING strings
-            tagged = tuple(TaggedOpinion(opinions.opinion(cid), tag) for cid, tag in delegates)
-            ctx = shared[delegates] = AgentContext(
+            # the tags of a plan and of a leader set are the TAG_* strings
+            tagged = tuple(TaggedOpinion(opinions.opinion(cid), tag) for cid, tag in collab)
+            ctx = shared[collab] = AgentContext(
                 question=case.question,
-                round=next_round,
+                round=round_index,
                 collaborators=tagged,
-                template=TEMPLATE_COLLABORATE,
+                template=template,
             )
         contexts[agent_id] = ctx
-    return contexts
-
-
-def _leader_contexts(
-    case: ScenarioCase,
-    leader_set: LeaderSet,
-    groups: Sequence[OpinionGroup],
-    opinions: RoundColumns,
-    next_round: int,
-) -> dict[str, AgentContext]:
-    """Each agent's next context; the followers of a group share one."""
-
-    def context(collab_ids) -> AgentContext:
-        return AgentContext(
-            question=case.question,
-            round=next_round,
-            collaborators=tuple(TaggedOpinion(opinions.opinion(c), TAG_LEADER) for c in collab_ids),
-            template=TEMPLATE_LEADER,
-        )
-
-    contexts = {}
-    for group in groups:
-        entry = leader_set.leaders_of(group.group_id)
-        if entry.all_members:
-            for agent_id in group.members:
-                contexts[agent_id] = context(m for m in group.members if m != agent_id)
-            continue
-        contexts.update(dict.fromkeys(group.members, context(entry.leader_ids)))
-        for leader in entry.leader_ids:
-            contexts[leader] = context(l for l in entry.leader_ids if l != leader)
     return contexts
 
 
@@ -199,14 +169,13 @@ def run_case(
         np.random.SeedSequence([cfg.seed & 0x7FFFFFFF, stable_hash(case.case_id), 0xAD])
     ) if cfg.adversarial_noise else None
 
-    contexts = dict.fromkeys(
-        agent_ids, AgentContext(question=case.question, round=1, template=TEMPLATE_INITIAL)
-    )
-    opinions, carried = _dispatch(backends, case, contexts, previous=None)
-
+    # round 1 shows no collaborators, so it never reads `opinions`
+    delegates, template, opinions = dict.fromkeys(agent_ids, ()), TEMPLATE_INITIAL, None
     records: list[RoundRecord] = []
     reached_full = False
     for round_index in range(1, cfg.max_rounds + 1):
+        contexts = _contexts(case, delegates, template, opinions, round_index)
+        opinions, carried = _dispatch(backends, case, contexts, previous=opinions)
         victim = None
         if cfg.adversarial_noise:
             opinions, victim = perturb_one_belief(opinions, noise_rng)
@@ -221,7 +190,6 @@ def run_case(
         reports = None
         plan = None
         leader_set = None
-        next_contexts: dict[str, AgentContext] | None = None
         if verdict.state == FULL:
             reached_full = True
         elif verdict.state == PARTIAL:
@@ -230,10 +198,10 @@ def run_case(
             plan = assign_collaborators(
                 groups, report_map, opinions, mixed_delegates=cfg.mixed_delegates
             )
-            next_contexts = _assignment_contexts(case, plan, opinions, round_index + 1)
+            delegates, template = plan.assignments, TEMPLATE_COLLABORATE
         else:
             leader_set = select_leaders(groups, opinions, cfg.n_leaders)
-            next_contexts = _leader_contexts(case, leader_set, groups, opinions, round_index + 1)
+            delegates, template = leader_set.assignments, TEMPLATE_LEADER
 
         records.append(
             RoundRecord(
@@ -241,7 +209,6 @@ def run_case(
                 opinions=opinions,
                 groups=groups,
                 verdict=verdict,
-                branch=verdict.state,
                 conflict_reports=reports,
                 assignment=plan,
                 leaders=leader_set,
@@ -249,9 +216,8 @@ def run_case(
                 carried_forward=carried,
             )
         )
-        if reached_full or round_index == cfg.max_rounds:
+        if reached_full:
             break
-        opinions, carried = _dispatch(backends, case, next_contexts, previous=opinions)
 
     last = records[-1]  # its verdict's dominant answer is the round's modal answer
     answer = last.verdict.dominant_answer
@@ -329,7 +295,7 @@ def _round_json(rec: RoundRecord, heads: Sequence[str], encode) -> str:
     # a group's, leader entry's, plan's and verdict's fields are their keys
     before = {  # the keys that sort below "opinions"
         "groups": [vars(g) for g in rec.groups],
-        "branch": rec.branch,
+        "branch": rec.verdict.state,
         "noise_victim": rec.noise_victim,
     }
     if rec.carried_forward:

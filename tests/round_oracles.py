@@ -172,8 +172,7 @@ def oracle_assignment_contexts(case, plan, by_id, next_round):
 
 def oracle_leader_contexts(case, leader_set, groups, by_id, next_round):
     contexts = {}
-    for group in groups:
-        entry = leader_set.leaders_of(group.group_id)
+    for group, entry in zip(groups, leader_set.by_group):
         for agent_id in group.members:
             if entry.all_members:
                 collab_ids = [m for m in group.members if m != agent_id]
@@ -226,7 +225,7 @@ def report_to_dict(report):
                 "dominant_members": rec.verdict.dominant_members,
                 "conflict_members": rec.verdict.conflict_members,
             },
-            "branch": rec.branch,
+            "branch": rec.verdict.state,
             "noise_victim": rec.noise_victim,
         }
         if rec.carried_forward:

@@ -194,11 +194,18 @@ class TestCmdRun:
         assert not (tmp_path / "out").exists()
 
 
-    @pytest.mark.parametrize("section", [{"kind": "stochastc"}, {"prompt_style": "boxd"}])
+    @pytest.mark.parametrize("section", [
+        {"kind": "stochastc"}, {"prompt_style": "boxd"},
+        {"timeout": 0}, {"timeout": -1.0}, {"timeout": float("nan")}, {"timeout": float("inf")},
+        {"backoff": -1}, {"backoff": float("nan")}, {"backoff": float("inf")},
+        {"temperature": float("nan")}, {"temperature": float("inf")},
+    ])
     def test_bad_backend_value_exits_1_before_any_case(self, tmp_path, corpus_path, capsys,
                                                         section):
         # a misspelt kind once made every case an error row (exit 3), and a
-        # misspelt prompt_style silently fell back to the choice prompt
+        # misspelt prompt_style silently fell back to the choice prompt; a
+        # zero, negative or non-finite timeout, backoff or temperature also
+        # failed every case, in the HTTP client or in the request body
         cfg = write_config(tmp_path, corpus_path)
         payload = yaml.safe_load(cfg.read_text())
         payload.setdefault("backend", {}).update(section)
@@ -300,6 +307,13 @@ class TestCmdSimulate:
     def test_zero_seeds_exits_1(self, tmp_path):
         cfg = self._config(tmp_path, seeds=0)
         assert main(["simulate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_zero_tol_exits_1(self, tmp_path, capsys, tol):
+        # a nan tol once passed, and the leader check ran out its step budget
+        cfg = self._config(tmp_path, tol=tol)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "tol must be finite and positive" in capsys.readouterr().err
 
     def test_bad_range_exits_1(self, tmp_path):
         cfg = self._config(tmp_path, n_min=9, n_max=3)

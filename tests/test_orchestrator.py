@@ -22,7 +22,10 @@ from belief_consensus.agents import (
     ChatCompletionsAgent,
     ScriptedAgent,
     StochasticAgent,
+    TEMPLATE_COLLABORATE,
+    TEMPLATE_LEADER,
 )
+from belief_consensus.coordination import select_leaders
 from belief_consensus.core import (
     AgentScript,
     Opinion,
@@ -32,14 +35,14 @@ from belief_consensus.core import (
     modal_answer as _modal_answer,
     scenarios_from_json,
 )
+from belief_consensus.grouping import OpinionGroup
 from belief_consensus.orchestrator import (
     CaseFailure,
     TERMINATED_FULL,
     TERMINATED_MAX_ROUNDS,
     TERMINATED_VOTING,
-    _assignment_contexts,
+    _contexts,
     _dispatch,
-    _leader_contexts,
     rounds_to_csv,
     run_case,
     write_results_jsonl,
@@ -122,7 +125,7 @@ class TestRunCase:
         case = make_case("branches", rows, ground_truth="A")
         report = run_case(case, RunConfig(n=5, seed=2), scripted_backends(case))
         for rec in report.rounds[:-1] if report.terminated_by != TERMINATED_FULL else report.rounds:
-            if rec.branch == "Full":
+            if rec.verdict.state == "Full":
                 assert rec.assignment is None and rec.leaders is None
             else:
                 assert (rec.assignment is None) != (rec.leaders is None)
@@ -311,13 +314,13 @@ class TestSharedContexts:
                 for rec in run_case(case, cfg, backends).rounds:
                     by_id = {op.agent_id: op for op in opinions_of(rec.opinions)}
                     if rec.assignment is not None:
-                        got = _assignment_contexts(case, rec.assignment, rec.opinions,
-                                                   rec.index + 1)
+                        got = _contexts(case, rec.assignment.assignments, TEMPLATE_COLLABORATE,
+                                        rec.opinions, rec.index + 1)
                         want = oracle_assignment_contexts(case, rec.assignment, by_id,
                                                           rec.index + 1)
                     elif rec.leaders is not None:
-                        got = _leader_contexts(case, rec.leaders, rec.groups, rec.opinions,
-                                               rec.index + 1)
+                        got = _contexts(case, rec.leaders.assignments, TEMPLATE_LEADER,
+                                        rec.opinions, rec.index + 1)
                         want = oracle_leader_contexts(case, rec.leaders, rec.groups, by_id,
                                                       rec.index + 1)
                     else:
@@ -325,9 +328,25 @@ class TestSharedContexts:
                     assert got == want and sorted(got) == sorted(want)
                     # equal contexts are one object
                     assert len({id(ctx) for ctx in got.values()}) == len(set(got.values()))
-                    seen[rec.branch] += 1
+                    seen[rec.verdict.state] += 1
                     seen["shared"] += len(set(got.values())) < len(got)
         assert seen["Partial"] >= 10 and seen["None"] >= 10 and seen["shared"] >= 20, seen
+
+    def test_equal_leader_contexts_are_one_object(self):
+        # two singleton groups and a group of three, two leaders per group:
+        # both singletons see no one, so they share one empty context
+        ops = [Opinion(f"a{i}", "", "A", 0.9 - i / 10) for i in range(5)]
+        opinions = columns_of(ops)
+        groups = (OpinionGroup(0, ("a0",), 0.0, "A"), OpinionGroup(1, ("a1", "a2", "a3"), 0.0, "A"),
+                  OpinionGroup(2, ("a4",), 0.0, "A"))
+        leaders = select_leaders(groups, opinions, n_leaders=2)
+        assert sorted(leaders.assignments) == list(opinions.agent_ids)
+        case = ScenarioCase("leaders", "q", "A")
+        got = _contexts(case, leaders.assignments, TEMPLATE_LEADER, opinions, 2)
+        by_id = {op.agent_id: op for op in ops}
+        assert got == oracle_leader_contexts(case, leaders, groups, by_id, 2)
+        assert len(set(got.values())) == 4
+        assert len({id(ctx) for ctx in got.values()}) == len(set(got.values()))
 
     def test_initial_round_shares_one_context(self):
         agent = RecordingRounds(seed=5)

@@ -308,7 +308,7 @@ def cmd_simulate(args) -> int:
         n_min = _integer("simulate.n_min", section.get("n_min", 3))
         n_max = _integer("simulate.n_max", section.get("n_max", 10))
         seeds = _integer("simulate.seeds", section.get("seeds", 100))
-        modes = list(section.get("modes", ["supportive", "conflicting", "leader", "speedup"]))
+        modes = section.get("modes", ["supportive", "conflicting", "leader", "speedup"])
         tol = float(section.get("tol", 1e-9))
         max_steps = _integer("simulate.max_steps", section.get("max_steps", 10_000))
         master_seed = _integer("simulate.master_seed", section.get("master_seed", 0))
@@ -318,6 +318,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError("seed count must be at least 1")
         if n_min < 2 or n_max < n_min:
             raise ConfigError(f"invalid agent range [{n_min}, {n_max}]")
+        if not isinstance(modes, list) or not modes:
+            raise ConfigError(f"simulate.modes must be a non-empty list, got {modes!r}")
         known = {"supportive", "conflicting", "leader", "speedup"}
         bad = [m for m in modes if m not in known]
         if bad:
@@ -343,18 +345,19 @@ def cmd_simulate(args) -> int:
     for mode in modes:
         if mode == "speedup":
             continue
+        if mode == "supportive":
+            topo = DynamicsTopology.all_pairs(n_min)
+        elif mode == "conflicting":
+            topo = DynamicsTopology.mutual_conflict_pairs(n_min)
+        else:  # the leader check: supportive averaging on the leader sets
+            topo = DynamicsTopology.with_leaders(n_min, (0,) if n_min < 3 else (0, 1))
+        step_mode = "conflicting" if mode == "conflicting" else "supportive"
         for s in range(trace_seeds):
             rng = np.random.default_rng(np.random.SeedSequence([master_seed, n_min, s]))
-            if mode == "supportive":
-                topo = DynamicsTopology.all_pairs(n_min)
-            elif mode == "conflicting":
-                topo = DynamicsTopology.mutual_conflict_pairs(n_min)
-            else:
-                topo = DynamicsTopology.with_leaders(n_min, (0,) if n_min < 3 else (0, 1))
             state = DynamicsState(
                 opinions=rng.uniform(-1, 1, n_min), beliefs=rng.uniform(0, 1, n_min)
             )
-            result = run_dynamics(state, topo, mode, tol=tol, max_steps=max_steps)
+            result = run_dynamics(state, topo, step_mode, tol=tol, max_steps=max_steps)
             with open(traces_dir / f"{mode}_n{n_min}_seed{s}.csv", "w", newline="") as fh:
                 fh.write(f"# config: {json.dumps(effective, sort_keys=True)}\n")
                 trace_to_csv(result, topo, fh)

@@ -1,20 +1,21 @@
 """Discrete-time opinion/belief dynamics with verifiable contraction identities.
 
-Agents hold scalar opinions and beliefs. Supportive collaboration averages
-both toward the collaborators; conflicting collaboration averages opinions
-but pushes beliefs apart; leader-following averages everyone toward the
-leader set (leaders toward the other leaders). Beliefs here are unclamped
-reals: the update algebra treats them as abstract scalars, and divergence
-must be representable.
+Agents hold scalar opinions and beliefs. A topology is one collaborator
+graph: per agent, the set of collaborators it averages with. The dynamics
+mode is only the belief sign: supportive collaboration averages both
+opinions and beliefs toward the collaborators; conflicting collaboration
+averages opinions but pushes beliefs apart. Leader-following is supportive
+averaging on the `with_leaders` sets (followers see every leader, leaders
+the other leaders). Beliefs here are unclamped reals: the update algebra
+treats them as abstract scalars, and divergence must be representable.
 
 Every update is one Laplacian step. With collaborator adjacency A (A[i, j]
 counts j among agent i's collaborators) and L = diag(A 1) - A:
 
     averaging:  x' = x - g*L x        repulsion:  x' = x + g*L x
 
-Leader-following is averaging with the leader-derived A. Per agent with m
-collaborators this is x_i' = (1 -/+ m*g)*x_i +/- g*sum_j x_j (DeGroot 1974;
-Olfati-Saber, Fax & Murray 2007).
+Per agent with m collaborators this is x_i' = (1 -/+ m*g)*x_i +/- g*sum_j x_j
+(DeGroot 1974; Olfati-Saber, Fax & Murray 2007).
 
 Each step admits an exact per-agent increment identity against the frozen
 collaborator mean, e.g. for an averaging update with step size g over m
@@ -62,29 +63,25 @@ class DynamicsState:
 
 @dataclass(frozen=True)
 class DynamicsTopology:
-    """Per-agent collaborator sets and step sizes (default alpha = beta = 2/n)."""
+    """Per-agent collaborator sets (one graph) and step sizes (default
+    alpha = beta = 2/n)."""
 
-    supportive: tuple[tuple[int, ...], ...]
-    conflicting: tuple[tuple[int, ...], ...]
-    leaders: tuple[int, ...] = ()
+    sets: tuple[tuple[int, ...], ...]
     alpha: float | None = None
     beta: float | None = None
 
     def __post_init__(self):
-        # tuples, so that the cached adjacency builders can key on them
-        object.__setattr__(self, "supportive", tuple(map(tuple, self.supportive)))
-        object.__setattr__(self, "conflicting", tuple(map(tuple, self.conflicting)))
-        object.__setattr__(self, "leaders", tuple(self.leaders))
-        for i, s in enumerate(self.supportive):
+        # tuples, so that the cached adjacency builder can key on them
+        object.__setattr__(self, "sets", tuple(map(tuple, self.sets)))
+        for i, s in enumerate(self.sets):
             if i in s:
-                raise ValueError(f"agent {i} appears in its own supportive set")
-        for i, c in enumerate(self.conflicting):
-            if i in c:
-                raise ValueError(f"agent {i} appears in its own conflicting set")
+                raise ValueError(f"agent {i} appears in its own collaborator set")
+            if not all(0 <= j < self.n for j in s):
+                raise ValueError(f"agent {i} has a collaborator index outside [0, {self.n})")
 
     @property
     def n(self) -> int:
-        return len(self.supportive)
+        return len(self.sets)
 
     def step_sizes(self) -> tuple[float, float]:
         default = 2.0 / self.n
@@ -93,53 +90,35 @@ class DynamicsTopology:
             default if self.beta is None else self.beta,
         )
 
-    def adjacency(self, mode: str) -> np.ndarray:
-        """Collaborator adjacency A of a dynamics mode (read-only)."""
-        if mode in ("supportive", "conflicting"):
-            return _adjacency(getattr(self, mode))
-        if mode == "leader":
-            return _leader_adjacency(self.n, self.leaders)
-        raise ValueError(f"unknown dynamics mode: {mode!r}")
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Collaborator adjacency A (read-only)."""
+        return _adjacency(self.sets)
 
     @classmethod
     def all_pairs(cls, n: int, alpha: float | None = None, beta: float | None = None):
-        others = tuple(tuple(j for j in range(n) if j != i) for i in range(n))
-        empty = tuple(() for _ in range(n))
-        return cls(supportive=others, conflicting=empty, alpha=alpha, beta=beta)
+        return cls(tuple(tuple(j for j in range(n) if j != i) for i in range(n)), alpha, beta)
 
     @classmethod
     def mutual_conflict_pairs(cls, n: int, alpha: float | None = None, beta: float | None = None):
         """Pair agents (0,1), (2,3), ...; an odd agent out is isolated."""
-        conflicting = []
-        for i in range(n):
-            partner = i + 1 if i % 2 == 0 else i - 1
-            conflicting.append((partner,) if partner < n else ())
-        empty = tuple(() for _ in range(n))
-        return cls(supportive=empty, conflicting=tuple(conflicting), alpha=alpha, beta=beta)
+        partners = (i + 1 if i % 2 == 0 else i - 1 for i in range(n))
+        return cls(tuple((p,) if p < n else () for p in partners), alpha, beta)
 
     @classmethod
     def with_leaders(cls, n: int, leaders: Sequence[int],
                      alpha: float | None = None, beta: float | None = None):
-        empty = tuple(() for _ in range(n))
-        return cls(supportive=empty, conflicting=empty,
-                   leaders=tuple(leaders), alpha=alpha, beta=beta)
+        """Followers collaborate with every leader, leaders with the other
+        leaders; a leader listed twice counts once."""
+        if not leaders:
+            raise ValueError("no leaders")
+        leaders = tuple(dict.fromkeys(leaders))
+        return cls(tuple(tuple(j for j in leaders if j != i) for i in range(n)), alpha, beta)
 
 
-def _check_arity(state: DynamicsState, topo: DynamicsTopology):
-    if topo.n != len(state.opinions) or len(topo.conflicting) != len(state.opinions):
-        raise ValueError("topology/state arity: collaborator sets do not match agent count")
-
-
-def _check_leaders(n: int, leaders: Sequence[int]):
-    if not leaders:
-        raise ValueError("no leaders")
-    if not all(0 <= j < n for j in leaders):
-        raise ValueError("leader index out of range")
-
-
-# The adjacency builders are cached on their (hashable) arguments: the
-# property checks step the same few topologies thousands of times. The arrays
-# are shared, so they are read-only.
+# The adjacency builder is cached on its (hashable) sets: the property checks
+# step the same few topologies thousands of times. The arrays are shared, so
+# they are read-only.
 
 @functools.lru_cache(maxsize=256)
 def _adjacency(sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
@@ -147,16 +126,6 @@ def _adjacency(sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
     for i, collab in enumerate(sets):
         for j in collab:
             a[i, j] += 1.0
-    a.flags.writeable = False
-    return a
-
-
-@functools.lru_cache(maxsize=256)
-def _leader_adjacency(n: int, leaders: tuple[int, ...]) -> np.ndarray:
-    """Followers collaborate with every leader, leaders with the other leaders."""
-    a = np.zeros((n, n))
-    a[:, list(leaders)] = 1.0
-    np.fill_diagonal(a, 0.0)
     a.flags.writeable = False
     return a
 
@@ -179,38 +148,31 @@ def laplacian_step(values: np.ndarray, adjacency: np.ndarray, gamma: float, sign
     return new, sums / np.where(degree > 0, degree, np.nan), degree
 
 
-def _advance(state: DynamicsState, adjacency: np.ndarray, topo: DynamicsTopology,
-             belief_sign: float = -1.0) -> DynamicsState:
+def _advance(state: DynamicsState, topo: DynamicsTopology, belief_sign: float) -> DynamicsState:
+    if topo.n != len(state.opinions):
+        raise ValueError("topology/state arity: collaborator sets do not match agent count")
+    a = topo.adjacency
     alpha, beta = topo.step_sizes()
     return DynamicsState(
-        opinions=laplacian_step(state.opinions, adjacency, alpha)[0],
-        beliefs=laplacian_step(state.beliefs, adjacency, beta, belief_sign)[0],
+        opinions=laplacian_step(state.opinions, a, alpha)[0],
+        beliefs=laplacian_step(state.beliefs, a, beta, belief_sign)[0],
         step=state.step + 1,
     )
 
 
 def step_supportive(state: DynamicsState, topo: DynamicsTopology) -> DynamicsState:
-    """Average opinions and beliefs toward each agent's supportive collaborators."""
-    _check_arity(state, topo)
-    return _advance(state, topo.adjacency("supportive"), topo)
+    """Average opinions and beliefs toward each agent's collaborators."""
+    return _advance(state, topo, -1.0)
 
 
 def step_conflicting(state: DynamicsState, topo: DynamicsTopology) -> DynamicsState:
-    """Average opinions toward conflicting collaborators but push beliefs apart."""
-    _check_arity(state, topo)
-    return _advance(state, topo.adjacency("conflicting"), topo, belief_sign=1.0)
+    """Average opinions toward each agent's collaborators but push beliefs apart."""
+    return _advance(state, topo, 1.0)
 
 
-def step_leader_follow(
-    state: DynamicsState, leaders: Sequence[int], topo: DynamicsTopology
-) -> DynamicsState:
-    """Followers average toward the leaders; leaders toward the other leaders.
-
-    A single leader has no collaborators and is a fixed point.
-    """
-    _check_arity(state, topo)
-    _check_leaders(len(state.opinions), leaders)
-    return _advance(state, _leader_adjacency(len(state.opinions), tuple(leaders)), topo)
+# Leader-following is supportive averaging on `DynamicsTopology.with_leaders`;
+# the name stays because bench/tracer.py wraps it.
+step_leader_follow = step_supportive
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +203,15 @@ def contrarian_increments(values: np.ndarray, sets, gamma: float):
     return _squared_increments(values, sets, gamma, 1.0)
 
 
-def leader_increments(values: np.ndarray, leaders: Sequence[int], gamma: float):
-    """First-power distance increments toward the (frozen) leader average.
+def leader_increments(values: np.ndarray, sets, gamma: float):
+    """First-power distance increments toward the (frozen) collaborator mean.
 
-    For agent i with m collaborators (m = |leaders| for followers, |leaders|-1
-    for leaders), predicted = (|1 - g*m| - 1) * |v_i - mean_i|.
+    For agent i with m collaborators (on `with_leaders` sets, m = |leaders|
+    for followers and |leaders|-1 for leaders),
+    predicted = (|1 - g*m| - 1) * |v_i - mean_i|.
     """
     values = np.asarray(values, dtype=float)
-    adjacency = _leader_adjacency(values.shape[-1], tuple(leaders))
-    new, mean, m = laplacian_step(values, adjacency, gamma)
+    new, mean, m = laplacian_step(values, _adjacency(tuple(map(tuple, sets))), gamma)
     dist = np.abs(values - mean)
     return np.abs(new - mean) - dist, (np.abs(1.0 - gamma * m) - 1.0) * dist
 
@@ -303,7 +265,7 @@ def _is_marginal_tie(topo: DynamicsTopology) -> bool:
     n = topo.n
     alpha, beta = topo.step_sizes()
     return (
-        np.array_equal(topo.adjacency("supportive"), 1.0 - np.eye(n))
+        np.array_equal(topo.adjacency, 1.0 - np.eye(n))
         and abs(alpha * n - 2.0) < 1e-12
         and abs(beta * n - 2.0) < 1e-12
     )
@@ -318,8 +280,9 @@ def run_batch(
     max_steps: int = DEFAULT_MAX_STEPS,
     trace: list | None = None,
 ) -> BatchVerdicts:
-    """Iterate the chosen step rule on (rows, n) trajectories, each row until
-    its own consensus, divergence, or budget.
+    """Iterate the step of `mode` ("supportive" or "conflicting", the belief
+    sign) on (rows, n) trajectories, each row until its own consensus,
+    divergence, or budget.
 
     Consensus: max pairwise opinion gap and belief gap both below tol.
     Divergence: belief spread strictly increasing for DIVERGENCE_WINDOW steps.
@@ -337,13 +300,11 @@ def run_batch(
     beliefs = np.asarray(beliefs, dtype=float)
     if opinions.shape != beliefs.shape or opinions.ndim != 2:
         raise ValueError("opinions and beliefs must be (rows, n) batches of one shape")
-    if topo.n != opinions.shape[1] or len(topo.conflicting) != opinions.shape[1]:
+    if topo.n != opinions.shape[1]:
         raise ValueError("topology/state arity: collaborator sets do not match agent count")
-    if mode == "leader":
-        _check_leaders(topo.n, topo.leaders)
-    elif mode not in ("supportive", "conflicting"):
+    if mode not in ("supportive", "conflicting"):
         raise ValueError(f"unknown dynamics mode: {mode!r}")
-    a = topo.adjacency(mode)
+    a = topo.adjacency
     alpha, beta = topo.step_sizes()
     belief_sign = 1.0 if mode == "conflicting" else -1.0
 
@@ -420,7 +381,7 @@ def run_dynamics(
 
 def trace_to_csv(result: DynamicsResult, topo: DynamicsTopology, out: IO[str]):
     """Write the trajectory as CSV with per-agent distances to collaborator means."""
-    a = topo.adjacency(result.mode)
+    a = topo.adjacency
     writer = csv.writer(out)
     writer.writerow(
         ["step", "agent_id", "opinion", "belief", "dist_to_mean_opinion", "dist_to_mean_belief"]

@@ -29,8 +29,9 @@ from belief_consensus.dynamics import (
     leader_increments,
     run_batch,
 )
-# not called here: bench/tracer.py wraps these names where this module would
-# look them up, and fails on a name that is missing
+# kept only for bench/tracer.py, which wraps run_dynamics, step_supportive,
+# step_conflicting and step_leader_follow where this module would look them
+# up and fails on a name that is missing; nothing here calls them
 from belief_consensus.dynamics import (  # noqa: F401
     run_dynamics,
     step_conflicting,
@@ -128,12 +129,12 @@ def _supportive_identity_failures(
     then that each agent's distance to its collaborator mean did not grow.
     """
     alpha, beta = topo.step_sizes()
-    a = topo.adjacency("supportive")
+    a = topo.adjacency
     first: list[tuple[int, str] | None] = [None] * len(opinions)
     prev_dists = None
     for step in range(identity_steps):
-        a_op, p_op, d_op = averaging_increments(opinions, topo.supportive, alpha)
-        a_be, p_be, _ = averaging_increments(beliefs, topo.supportive, beta)
+        a_op, p_op, d_op = averaging_increments(opinions, topo.sets, alpha)
+        a_be, p_be, _ = averaging_increments(beliefs, topo.sets, beta)
         sc_op, sc_be = _scale_sq(opinions), _scale_sq(beliefs)
         dists = np.sqrt(d_op)
         if prev_dists is None:
@@ -244,13 +245,13 @@ def verify_conflict_instability(
     def run_n(n, idx):
         topo = DynamicsTopology.mutual_conflict_pairs(n)
         alpha, beta = topo.step_sizes()
-        a = topo.adjacency("conflicting")
+        a = topo.adjacency
         opinions, beliefs = (np.stack(x) for x in zip(*(states[s] for s in idx)))
         first: list[tuple[int, str] | None] = [None] * len(idx)
         op, be = opinions, beliefs
         for step in range(identity_steps):
-            a_op, p_op, _ = averaging_increments(op, topo.conflicting, alpha)
-            a_be, p_be, _ = contrarian_increments(be, topo.conflicting, beta)
+            a_op, p_op, _ = averaging_increments(op, topo.sets, alpha)
+            a_be, p_be, _ = contrarian_increments(be, topo.sets, beta)
             sc_op, sc_be = _scale_sq(op), _scale_sq(be)
             _record_first(first, step, (
                 (_identity_ok(a_op, p_op, sc_op) & _identity_ok(a_be, p_be, sc_be),
@@ -314,7 +315,7 @@ def verify_leader_convergence(
     def run_leaders(leaders, idx):
         topo = DynamicsTopology.with_leaders(n, leaders)
         alpha, beta = topo.step_sizes()
-        a = topo.adjacency("leader")
+        a = topo.adjacency
         op = np.stack([draws[s][1] for s in idx])
         be = np.stack([draws[s][2] for s in idx])
         op_target, be_target = np.array([draws[s][3] for s in idx]).T
@@ -333,8 +334,8 @@ def verify_leader_convergence(
             live, op, be = live[~done], op[~done], be[~done]
             if not live.size:
                 break
-            a_op, p_op = leader_increments(op, leaders, alpha)
-            a_be, p_be = leader_increments(be, leaders, beta)
+            a_op, p_op = leader_increments(op, topo.sets, alpha)
+            a_be, p_be = leader_increments(be, topo.sets, beta)
             sc_op, sc_be = _scale_sq(op), _scale_sq(be)
             sc = np.where(sc_be > sc_op, sc_be, sc_op)  # Python's max(sc_op, sc_be)
             _record_first(first, step, (
@@ -385,7 +386,7 @@ def verify_belief_speedup(
     leaders = tuple(range(n - n_leaders, n))
     followers = list(range(n - n_leaders))
     topo = DynamicsTopology.with_leaders(n, leaders)
-    a = topo.adjacency("leader")
+    a = topo.adjacency
     _, beta = topo.step_sizes()
 
     trials = []
@@ -408,7 +409,7 @@ def verify_belief_speedup(
         if not live.size:
             break
         flat = pairs.reshape(-1, n)
-        increments = np.abs(leader_increments(flat, leaders, beta)[0][:, followers])
+        increments = np.abs(leader_increments(flat, topo.sets, beta)[0][:, followers])
         checks[live] += 1
         smaller = np.any(increments[1::2] + 1e-15 < increments[0::2], axis=1)
         for s in live[smaller]:

@@ -292,6 +292,32 @@ class TestPinnedResults:
                digest == NOISE_MIXED_CSV_DIGEST, digest)
 
 
+# taken with the leader rule as its own dynamics mode, before a topology
+# became one collaborator graph
+SIMULATE_TRACE_DIGESTS = {
+    "supportive_n3_seed0.csv": "58abd599d767450c741e713b43935631c99e6515bfa2ef0685d4863eef0d8445",
+    "supportive_n3_seed1.csv": "9c294645d4659d80afa34ed871f531a3cf871f1626649cbcfafb35681a8dbb1c",
+    "conflicting_n3_seed0.csv": "0ac338db619fa75671e803cbafdc7663892c6bb43d95ac6f3be9cbccc9bef6a6",
+    "conflicting_n3_seed1.csv": "80ee4e06c727ccc901837286b6bb564fc3452a3d7672b52c3d9fa5ee269bfea2",
+    "leader_n3_seed0.csv": "437ef93111d7edb9a6e70427acb7434091953f3450218c1672dc5a6199b460d0",
+    "leader_n3_seed1.csv": "2bcd471a58010ae1e749e6c32adfd855d9154d78ab8ebad074a213171e3eeba7",
+}
+
+
+class TestPinnedSimulateTraces:
+    def test_trace_csv_bytes(self, tmp_path):
+        config = tmp_path / "simulate.yaml"
+        config.write_text(json.dumps({"simulate": {
+            "n_min": 3, "n_max": 4, "seeds": 3, "trace_seeds": 2,
+            "modes": ["supportive", "conflicting", "leader", "speedup"],
+        }}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        traces = tmp_path / "sim" / "traces"
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(traces.glob("*.csv"))}
+        report("simulate trace CSVs pinned", got == SIMULATE_TRACE_DIGESTS, str(got))
+
+
 LIVE_ENDPOINT = os.environ.get("CONSENSUS_SMOKE_ENDPOINT")
 
 

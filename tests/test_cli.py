@@ -323,6 +323,15 @@ class TestCmdSimulate:
         cfg = self._config(tmp_path, modes=["sideways"])
         assert main(["simulate", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("modes", ["leader", []], ids=["string", "empty"])
+    def test_modes_not_a_non_empty_list_exits_1(self, tmp_path, capsys, modes):
+        # a string was once split into characters; an empty list ran no check
+        # and exited 0
+        cfg = self._config(tmp_path, modes=modes)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "simulate.modes must be a non-empty list" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_supportive_trace_matches_hand_iteration(self, tmp_path):
         cfg = self._config(tmp_path, modes=["supportive"], seeds=1)
         assert main(["simulate", "--config", str(cfg)]) == 0

@@ -13,9 +13,9 @@ from belief_consensus.dynamics import (
     averaging_increments,
     contrarian_increments,
     leader_increments,
+    run_batch,
     run_dynamics,
     step_conflicting,
-    step_leader_follow,
     step_supportive,
     trace_to_csv,
 )
@@ -41,7 +41,7 @@ class TestStepSupportive:
         # 0.25; increment -2 equals ((1 - alpha*2)^2 - 1) * 2.25
         topo = DynamicsTopology.all_pairs(3)
         actual, predicted, dist_sq = averaging_increments(
-            np.array([0.0, 1.0, 2.0]), topo.supportive, 2.0 / 3.0
+            np.array([0.0, 1.0, 2.0]), topo.sets, 2.0 / 3.0
         )
         assert actual[0] == pytest.approx(0.25 - 2.25, abs=1e-12)
         assert predicted[0] == pytest.approx((1.0 / 9.0 - 1.0) * 2.25, abs=1e-12)
@@ -54,8 +54,14 @@ class TestStepSupportive:
             step_supportive(DynamicsState(opinions=[0.0, 1.0], beliefs=[0.5, 0.5]), topo)
 
     def test_no_self_collaboration(self):
-        with pytest.raises(ValueError, match="own supportive set"):
-            DynamicsTopology(supportive=((0,), ()), conflicting=((), ()))
+        with pytest.raises(ValueError, match="own collaborator set"):
+            DynamicsTopology(((0,), ()))
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_collaborator_index_out_of_range(self, index):
+        # -1 once silently meant agent 2; 3 failed later, inside the adjacency
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            DynamicsTopology(((index,), (), ()))
 
 
 class TestStepConflicting:
@@ -83,7 +89,7 @@ class TestStepConflicting:
     def test_belief_increment_identity(self):
         topo = DynamicsTopology.mutual_conflict_pairs(2)
         actual, predicted, dist_sq = contrarian_increments(
-            np.array([0.6, 0.4]), topo.conflicting, 1.0
+            np.array([0.6, 0.4]), topo.sets, 1.0
         )
         # factor (1 + beta)^2 - 1 = 3 on squared distance 0.04
         assert predicted[0] == pytest.approx(3.0 * 0.04)
@@ -92,10 +98,27 @@ class TestStepConflicting:
 
 
 class TestStepLeaderFollow:
+    """Leader-following is supportive averaging on the `with_leaders` sets."""
+
+    def test_leader_sets(self):
+        # followers see every leader, leaders the other leaders; a leader
+        # listed twice counts once
+        topo = DynamicsTopology.with_leaders(4, (2, 0, 2))
+        assert topo.sets == ((2,), (2, 0), (0,), (2, 0))
+        assert topo.adjacency.tolist() == [[0, 0, 1, 0], [1, 0, 1, 0], [1, 0, 0, 0], [1, 0, 1, 0]]
+
+    def test_all_leaders_is_the_complete_graph(self):
+        # at the default step 2/n this is the all-pairs marginal tie
+        topo = DynamicsTopology.with_leaders(4, range(4))
+        assert topo.sets == DynamicsTopology.all_pairs(4).sets
+        rng = np.random.default_rng(3)
+        verdict = run_batch(rng.uniform(-1, 1, (2, 4)), rng.uniform(0, 1, (2, 4)), topo, "supportive")
+        assert verdict.marginal.all() and verdict.steps.tolist() == [2, 2]
+
     def test_follower_at_leader_average_is_fixed(self):
         topo = DynamicsTopology.with_leaders(3, (0, 1))
         state = DynamicsState(opinions=[2.0, 4.0, 3.0], beliefs=[0.5, 0.5, 0.5])
-        nxt = step_leader_follow(state, (0, 1), topo)
+        nxt = step_supportive(state, topo)
         assert nxt.opinions[2] == pytest.approx(3.0)
 
     def test_hand_computed_follower_move(self):
@@ -103,31 +126,30 @@ class TestStepLeaderFollow:
         # to the leader mean shrinks from 3 to 1
         topo = DynamicsTopology.with_leaders(3, (0, 1))
         state = DynamicsState(opinions=[3.0, 3.0, 0.0], beliefs=[0.5, 0.5, 0.5])
-        nxt = step_leader_follow(state, (0, 1), topo)
+        nxt = step_supportive(state, topo)
         assert nxt.opinions[2] == pytest.approx(4.0)
         assert abs(3.0 - nxt.opinions[2]) == pytest.approx(1.0)
 
     def test_equal_leaders_are_mutual_fixed_points(self):
         topo = DynamicsTopology.with_leaders(4, (0, 1))
         state = DynamicsState(opinions=[5.0, 5.0, 1.0, 2.0], beliefs=[0.5] * 4)
-        nxt = step_leader_follow(state, (0, 1), topo)
+        nxt = step_supportive(state, topo)
         assert nxt.opinions[0] == pytest.approx(5.0)
         assert nxt.opinions[1] == pytest.approx(5.0)
 
     def test_single_leader_is_fixed_point(self):
         topo = DynamicsTopology.with_leaders(3, (0,))
         state = DynamicsState(opinions=[1.0, 3.0, 4.0], beliefs=[0.9, 0.2, 0.3])
-        nxt = step_leader_follow(state, (0,), topo)
+        nxt = step_supportive(state, topo)
         assert nxt.opinions[0] == pytest.approx(1.0)
 
     def test_empty_leader_set_rejected(self):
-        topo = DynamicsTopology.with_leaders(3, (0,))
-        state = DynamicsState(opinions=[1.0, 2.0, 3.0], beliefs=[0.5] * 3)
         with pytest.raises(ValueError, match="no leaders"):
-            step_leader_follow(state, (), topo)
+            DynamicsTopology.with_leaders(3, ())
 
     def test_increment_identity_hand_value(self):
-        actual, predicted = leader_increments(np.array([3.0, 3.0, 0.0]), (0, 1), 2.0 / 3.0)
+        sets = DynamicsTopology.with_leaders(3, (0, 1)).sets
+        actual, predicted = leader_increments(np.array([3.0, 3.0, 0.0]), sets, 2.0 / 3.0)
         # follower: (|1/2 - 2/3| - 1/2) * |6 - 0| = -2
         assert predicted[2] == pytest.approx(-2.0)
         assert actual[2] == pytest.approx(-2.0, abs=1e-12)
@@ -171,13 +193,13 @@ class TestRunDynamics:
         topo = DynamicsTopology.with_leaders(n, (0, 1))
         state = DynamicsState(opinions=rng.uniform(-1, 1, n), beliefs=rng.uniform(0, 1, n))
         target = state.opinions[:2].mean()
-        result = run_dynamics(state, topo, "leader")
+        result = run_dynamics(state, topo, "supportive")
         assert result.converged
         assert np.max(np.abs(result.final.opinions - target)) < 1e-8
 
     def test_budget_exhaustion(self):
         # agents with no collaborators never move and never agree
-        topo = DynamicsTopology(supportive=((), ()), conflicting=((), ()))
+        topo = DynamicsTopology(((), ()))
         state = DynamicsState(opinions=[0.0, 1.0], beliefs=[0.5, 0.5])
         result = run_dynamics(state, topo, "supportive", max_steps=5)
         assert not result.converged
@@ -186,8 +208,10 @@ class TestRunDynamics:
     def test_invalid_mode(self):
         topo = DynamicsTopology.all_pairs(2)
         state = DynamicsState(opinions=[0.0, 1.0], beliefs=[0.5, 0.5])
-        with pytest.raises(ValueError, match="unknown dynamics mode"):
-            run_dynamics(state, topo, "sideways")
+        # the mode is the belief sign; leader-following is a topology
+        for mode in ("sideways", "leader"):
+            with pytest.raises(ValueError, match="unknown dynamics mode"):
+                run_dynamics(state, topo, mode)
 
     def test_invalid_tol_and_budget(self):
         topo = DynamicsTopology.all_pairs(2)

@@ -14,7 +14,6 @@ from belief_consensus.dynamics import (
     contrarian_increments,
     leader_increments,
     step_conflicting,
-    step_leader_follow,
     step_supportive,
 )
 from belief_consensus.verification import (
@@ -53,12 +52,12 @@ def test_matrix_step_matches_per_agent_rule(n, seed, step_scale):
     sets = random_sets(rng, n)
     leaders = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
     g = step_scale / n
-    topo = DynamicsTopology(supportive=sets, conflicting=sets, leaders=leaders, alpha=g, beta=g)
+    topo = DynamicsTopology(sets, alpha=g, beta=g)
     state = DynamicsState(opinions=rng.uniform(-5, 5, n), beliefs=rng.uniform(0, 1, n))
     leader_sets = tuple(tuple(j for j in leaders if j != i) for i in range(n))
     supportive = step_supportive(state, topo)
     conflicting = step_conflicting(state, topo)
-    leader = step_leader_follow(state, leaders, topo)
+    leader = step_supportive(state, DynamicsTopology.with_leaders(n, leaders, alpha=g, beta=g))
     for got, x, collab, sign in (
         (supportive.opinions, state.opinions, sets, -1.0),
         (supportive.beliefs, state.beliefs, sets, -1.0),
@@ -94,8 +93,7 @@ def test_supportive_step_contracts_at_laplacian_rate(n, seed, fraction):
     g = fraction * 2.0 / eig[-1]
     rho = np.max(np.abs(1.0 - g * eig[1:]))
     assert rho < 1.0
-    empty = tuple(() for _ in range(n))
-    topo = DynamicsTopology(supportive=sets, conflicting=empty, alpha=g, beta=g)
+    topo = DynamicsTopology(sets, alpha=g, beta=g)
     state = DynamicsState(opinions=rng.uniform(-1, 1, n), beliefs=rng.uniform(0, 1, n))
     for _ in range(40):
         nxt = step_supportive(state, topo)
@@ -141,7 +139,8 @@ def test_leader_increments_nonpositive(n, n_leaders, seed):
     rng = np.random.default_rng(seed)
     leaders = tuple(sorted(rng.choice(n, size=n_leaders, replace=False).tolist()))
     values = rng.uniform(-5, 5, n)
-    actual, predicted = leader_increments(values, leaders, 2.0 / n)
+    sets = DynamicsTopology.with_leaders(n, leaders).sets
+    actual, predicted = leader_increments(values, sets, 2.0 / n)
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] <= 1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)

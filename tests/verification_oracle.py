@@ -28,14 +28,12 @@ from belief_consensus.dynamics import (
     DynamicsResult,
     DynamicsState,
     DynamicsTopology,
-    _check_arity,
     _is_marginal_tie,
     averaging_increments,
     contrarian_increments,
     laplacian_step,
     leader_increments,
     step_conflicting,
-    step_leader_follow,
     step_supportive,
 )
 from belief_consensus.verification import PropertyResult, _identity_ok, _scale_sq, _sign_ok
@@ -63,16 +61,13 @@ def run_dynamics(
         raise ValueError("tol must be positive")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    _check_arity(initial, topo)
+    if topo.n != len(initial.opinions):
+        raise ValueError("topology/state arity: collaborator sets do not match agent count")
 
     if mode == "supportive":
         advance = lambda s: step_supportive(s, topo)
     elif mode == "conflicting":
         advance = lambda s: step_conflicting(s, topo)
-    elif mode == "leader":
-        if not topo.leaders:
-            raise ValueError("no leaders")
-        advance = lambda s: step_leader_follow(s, topo.leaders, topo)
     else:
         raise ValueError(f"unknown dynamics mode: {mode!r}")
 
@@ -136,8 +131,8 @@ def verify_conflict_instability(
         state = DynamicsState(opinions=rng.uniform(-1.0, 1.0, n), beliefs=beliefs)
         cur = state
         for _ in range(identity_steps):
-            a_op, p_op, _ = averaging_increments(cur.opinions, topo.conflicting, alpha)
-            a_be, p_be, _ = contrarian_increments(cur.beliefs, topo.conflicting, beta)
+            a_op, p_op, _ = averaging_increments(cur.opinions, topo.sets, alpha)
+            a_be, p_be, _ = contrarian_increments(cur.beliefs, topo.sets, beta)
             checks += 1
             sc_op = _scale_sq(cur.opinions)
             sc_be = _scale_sq(cur.beliefs)
@@ -206,8 +201,8 @@ def verify_leader_convergence(
             ):
                 converged_at = cur.step
                 break
-            a_op, p_op = leader_increments(cur.opinions, leaders, alpha)
-            a_be, p_be = leader_increments(cur.beliefs, leaders, beta)
+            a_op, p_op = leader_increments(cur.opinions, topo.sets, alpha)
+            a_be, p_be = leader_increments(cur.beliefs, topo.sets, beta)
             checks += 1
             sc = max(_scale_sq(cur.opinions), _scale_sq(cur.beliefs))
             if not (_identity_ok(a_op, p_op, sc) and _identity_ok(a_be, p_be, sc)):
@@ -216,7 +211,7 @@ def verify_leader_convergence(
             if not (_sign_ok(a_op, sc, True) and _sign_ok(a_be, sc, True)):
                 failures.append(f"leader distance grew at seed={s} step={cur.step}")
                 break
-            cur = step_leader_follow(cur, leaders, topo)
+            cur = step_supportive(cur, topo)
         if failures:
             break
         if converged_at is None:
@@ -261,7 +256,7 @@ def verify_belief_speedup(
     leaders = tuple(range(n - n_leaders, n))
     followers = list(range(n - n_leaders))
     topo = DynamicsTopology.with_leaders(n, leaders)
-    a = topo.adjacency("leader")
+    a = topo.adjacency
     _, beta = topo.step_sizes()
 
     def steps_to_belief_tol(beliefs0: np.ndarray) -> int:
@@ -284,7 +279,7 @@ def verify_belief_speedup(
         for _ in range(200):
             if np.all(pair.max(axis=1) - pair.min(axis=1) < tol):
                 break
-            a_low, a_high = np.abs(leader_increments(pair, leaders, beta)[0][:, followers])
+            a_low, a_high = np.abs(leader_increments(pair, topo.sets, beta)[0][:, followers])
             checks += 1
             if np.any(a_high + 1e-15 < a_low):
                 failures.append(f"follower increment smaller under high leaders at seed={s}")

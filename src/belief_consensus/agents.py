@@ -2,12 +2,13 @@
 chat-completions HTTP client whose belief is the product of the answer
 sentence's token probabilities.
 
-All backends expose respond(case, agent_id, ctx) -> Opinion. A backend may
-also expose respond_round(case, agent_ids, contexts) -> RoundColumns, which
-answers several agents of one round in one call and returns their opinions
-as the round's columns; the stochastic backend does, drawing a whole round's
-generators as one batch. A backend must never fabricate a belief: the HTTP
-client fails loudly when the provider does not report token probabilities.
+Every backend answers the agents of one round of a case in one call,
+respond_round(case, agent_ids, contexts), which returns their opinions as the
+round's columns and the agents that failed. The stochastic backend draws a
+whole round's generators as one batch; the scripted and HTTP backends answer
+each agent with respond(case, agent_id, ctx) -> Opinion. A backend must never
+fabricate a belief: the HTTP client fails loudly when the provider does not
+report token probabilities.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Protocol, Sequence
+from typing import Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -110,17 +111,40 @@ class BackendConfig:
                 )
 
 
-class Backend(Protocol):
-    """One agent's opinion per call.
+Failures = tuple[tuple[str, AgentError], ...]  # (agent id, error) of each failed agent
 
-    Optionally also `respond_round(case, agent_ids, contexts) -> RoundColumns`:
-    the opinions of `agent_ids` (one context each, all of one round) as the
-    rows of one round's columns, in that order, equal to calling `respond`
-    for each; the orchestrator then makes one call per round for all the
-    agents that share the backend.
-    """
 
-    def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion: ...
+class Backend:
+    """Answers the agents of one round of a case. A backend class defines
+    `respond_round` or `respond`, and each defaults to the other."""
+
+    def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
+        """One agent's opinion; raises the AgentError of a failed agent."""
+        columns, failed = self.respond_round(case, [agent_id], [ctx])
+        if failed:
+            raise failed[0][1]
+        return columns.opinion(agent_id)
+
+    def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
+                      contexts: Sequence[AgentContext]) -> tuple[RoundColumns, Failures]:
+        """The rows of the agents of `agent_ids` (sorted, one context each,
+        all of one round) that answered, in that order, and the failures.
+
+        Calls `respond` per agent, so one failed agent fails alone. In round 1
+        no earlier opinion can stand in for a failed one and the case ends,
+        so the first failure there ends the call.
+        """
+        answered, opinions, failed = [], [], []
+        for agent_id, ctx in zip(agent_ids, contexts):
+            try:
+                opinions.append(self.respond(case, agent_id, ctx))
+            except AgentError as exc:
+                failed.append((agent_id, exc))
+                if ctx.round == 1:
+                    break
+            else:
+                answered.append(agent_id)
+        return RoundColumns.of(answered, opinions), tuple(failed)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +211,7 @@ def build_messages(ctx: AgentContext, style: str = "choice") -> list[dict]:
 # ---------------------------------------------------------------------------
 # scripted backend
 
-class ScriptedAgent:
+class ScriptedAgent(Backend):
     """Deterministic playback of a scenario's per-agent script.
 
     Missing rounds fall back to the script's rule: repeat_previous replays
@@ -240,7 +264,7 @@ class ScriptedAgent:
 # ---------------------------------------------------------------------------
 # stochastic backend
 
-class StochasticAgent:
+class StochasticAgent(Backend):
     """Seeded numeric test double; no text model involved.
 
     Draws an answer from the candidate pool each round, adopting the
@@ -256,13 +280,10 @@ class StochasticAgent:
         self.candidates = tuple(candidates)
         self.adopt_prob = adopt_prob
 
-    def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
-        return self.respond_round(case, [agent_id], [ctx]).opinion(agent_id)
-
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
-                      contexts: Sequence[AgentContext]) -> RoundColumns:
+                      contexts: Sequence[AgentContext]) -> tuple[RoundColumns, Failures]:
         """The opinions of several agents of one round of a case, as rows in
-        `agent_ids` order.
+        `agent_ids` order; no agent fails.
 
         Each agent's draws are numpy's `Generator` draws `random()` (only with
         collaborators), `integers(n)` (unless it adopts) and `uniform(0.3,
@@ -325,7 +346,7 @@ class StochasticAgent:
         texts = (*(f"Independent draw on round {round_index} favoring option {c}."
                    for c in self.candidates),
                  f"Adopting the strongest collaborator view on round {round_index}.")
-        return RoundColumns(tuple(agent_ids), tuple(answers), codes, belief, texts, text_ids)
+        return RoundColumns(tuple(agent_ids), tuple(answers), codes, belief, texts, text_ids), ()
 
 
 @functools.lru_cache(maxsize=32)
@@ -403,7 +424,7 @@ def _http_pool(endpoint: str):
     return urllib3.PoolManager(retries=False)
 
 
-class ChatCompletionsAgent:
+class ChatCompletionsAgent(Backend):
     """HTTP client for chat-completions endpoints with per-token logprobs.
 
     Retries transient failures (transport errors, timeouts, 5xx, an

@@ -34,7 +34,6 @@ from belief_consensus.dynamics import (
     trace_to_csv,
 )
 from belief_consensus.metrics import (
-    MetricsRow,
     compute_metrics,
     format_metrics,
     metrics_to_csv,
@@ -147,38 +146,28 @@ def _agent_ids(case: ScenarioCase, cfg: RunConfig, backend_cfg: BackendConfig) -
 
 
 def _build_backends(ids, backend_cfg: BackendConfig, per_agent: dict, seed: int):
-    backends = {}
     shared = make_backend(backend_cfg, seed=seed)
-    for aid in ids:
-        if aid in per_agent:
-            backends[aid] = make_backend(per_agent[aid], seed=seed)
-        else:
-            backends[aid] = shared
-    return backends
+    return {aid: make_backend(per_agent[aid], seed=seed) if aid in per_agent else shared
+            for aid in ids}
 
 
 def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: dict,
                  jobs: int, out_dir: Path, effective: dict):
-    def one_case(case: ScenarioCase):
-        ids = _agent_ids(case, cfg, backend_cfg)
-        backends = _build_backends(ids, backend_cfg, per_agent, cfg.seed)
-        return run_case(case, cfg, backends)
+    def one_case(case: ScenarioCase) -> RunReport | CaseFailure:
+        try:
+            ids = _agent_ids(case, cfg, backend_cfg)
+            backends = _build_backends(ids, backend_cfg, per_agent, cfg.seed)
+            return run_case(case, cfg, backends)
+        except Exception as exc:  # per-case failures are recorded, not fatal
+            return CaseFailure(case.case_id, str(exc))
 
-    outcomes: list[RunReport | CaseFailure] = []  # in dataset order
+    # jobs 1 stays on the calling thread: bench/calibrate.py counts only the
+    # main thread's CPU time
     if jobs == 1:
-        for case in cases:
-            try:
-                outcomes.append(one_case(case))
-            except Exception as exc:  # per-case failures are recorded, not fatal
-                outcomes.append(CaseFailure(case.case_id, str(exc)))
+        outcomes = [one_case(case) for case in cases]  # in dataset order
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(case, pool.submit(one_case, case)) for case in cases]
-            for case, fut in futures:
-                try:
-                    outcomes.append(fut.result())
-                except Exception as exc:
-                    outcomes.append(CaseFailure(case.case_id, str(exc)))
+            outcomes = list(pool.map(one_case, cases))
     reports = [o for o in outcomes if isinstance(o, RunReport)]
     errors = [o for o in outcomes if isinstance(o, CaseFailure)]
 
@@ -324,6 +313,10 @@ def cmd_simulate(args) -> int:
         bad = [m for m in modes if m not in known]
         if bad:
             raise ConfigError(f"unknown simulate modes: {bad}")
+        if len(set(modes)) != len(modes):
+            raise ConfigError(f"simulate.modes lists a mode twice: {modes}")
+        if trace_seeds < 0:
+            raise ConfigError(f"simulate.trace_seeds must be nonnegative, got {trace_seeds}")
         if not (math.isfinite(tol) and tol > 0) or max_steps < 1:
             raise ConfigError("tol must be finite and positive and max_steps at least 1")
     except (ConfigError, TypeError, ValueError) as exc:

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
@@ -94,38 +95,34 @@ def _dispatch(
     """One round of opinions, in sorted-agent-id order, and the carried-forward
     agents as sorted (agent id, error) pairs.
 
-    The agents of a backend with `respond_round` answer in one call, whose
-    columns are the round when it covers every agent; the others answer one
-    at a time. A failed call re-raises in round 1 (`previous` is None);
-    afterwards its agents copy their rows of the previous round.
+    Each backend answers its agents in one `respond_round` call, in the order
+    of their first agent; an AgentError the call raises fails them all. In
+    round 1 (`previous` is None) the first failure is raised and no later call
+    made; afterwards a failed agent keeps its row of the previous round.
     """
     agent_ids = sorted(backends)
-    calls: dict[object, tuple[Backend, list[str]]] = {}
+    calls: defaultdict[int, list[str]] = defaultdict(list)
     for agent_id in agent_ids:
-        backend = backends[agent_id]
-        key = id(backend) if hasattr(backend, "respond_round") else agent_id
-        calls.setdefault(key, (backend, []))[1].append(agent_id)
-    answered = {}
-    carried = []
-    for backend, ids in calls.values():
+        calls[id(backends[agent_id])].append(agent_id)
+    rows, failed = {}, []
+    for ids in calls.values():
         try:
-            if hasattr(backend, "respond_round"):
-                part = backend.respond_round(case, ids, [contexts[a] for a in ids])
-                if part.agent_ids != tuple(ids):  # the layers rely on sorted rows
-                    raise ValueError(f"respond_round answered agents {list(part.agent_ids)}, "
-                                     f"not {ids}")
-                if len(ids) == len(agent_ids):
-                    return part, ()
-                ops = [part.opinion(a) for a in ids]
-            else:
-                ops = [backend.respond(case, ids[0], contexts[ids[0]])]
+            part, errors = backends[ids[0]].respond_round(case, ids, [contexts[a] for a in ids])
         except AgentError as exc:
-            if previous is None:
-                raise
-            ops = [previous.opinion(a) for a in ids]
-            carried.extend((a, str(exc)) for a in ids)
-        answered.update(zip(ids, ops))
-    return RoundColumns.of(agent_ids, [answered[a] for a in agent_ids]), tuple(sorted(carried))
+            part, errors = RoundColumns.of([], []), [(a, exc) for a in ids]
+        if errors and previous is None:
+            raise errors[0][1]
+        lost = dict(errors)
+        answered = tuple(a for a in ids if a not in lost) if lost else tuple(ids)
+        if part.agent_ids != answered:  # the layers rely on sorted rows
+            raise ValueError(f"respond_round answered agents {list(part.agent_ids)}, "
+                             f"not {list(answered)}")
+        if len(answered) == len(agent_ids):
+            return part, ()
+        rows.update(dict.fromkeys(answered, part))
+        failed.extend((a, str(exc)) for a, exc in errors)
+    ops = [rows[a].opinion(a) if a in rows else previous.opinion(a) for a in agent_ids]
+    return RoundColumns.of(agent_ids, ops), tuple(sorted(failed))
 
 
 def _contexts(
@@ -172,7 +169,6 @@ def run_case(
     # round 1 shows no collaborators, so it never reads `opinions`
     delegates, template, opinions = dict.fromkeys(agent_ids, ()), TEMPLATE_INITIAL, None
     records: list[RoundRecord] = []
-    reached_full = False
     for round_index in range(1, cfg.max_rounds + 1):
         contexts = _contexts(case, delegates, template, opinions, round_index)
         opinions, carried = _dispatch(backends, case, contexts, previous=opinions)
@@ -187,41 +183,29 @@ def run_case(
         groups = build_groups(opinions, cfg.n_clusters, cluster_seed)
         verdict = judge_consensus(opinions, cfg.n)
 
-        reports = None
-        plan = None
-        leader_set = None
-        if verdict.state == FULL:
-            reached_full = True
-        elif verdict.state == PARTIAL:
+        reports = plan = leader_set = None
+        if verdict.state == PARTIAL:
             report_map = pairwise_reports(groups, opinions)
             reports = tuple(report_map[k] for k in sorted(report_map))
             plan = assign_collaborators(
                 groups, report_map, opinions, mixed_delegates=cfg.mixed_delegates
             )
             delegates, template = plan.assignments, TEMPLATE_COLLABORATE
-        else:
+        elif verdict.state != FULL:
             leader_set = select_leaders(groups, opinions, cfg.n_leaders)
             delegates, template = leader_set.assignments, TEMPLATE_LEADER
 
-        records.append(
-            RoundRecord(
-                index=round_index,
-                opinions=opinions,
-                groups=groups,
-                verdict=verdict,
-                conflict_reports=reports,
-                assignment=plan,
-                leaders=leader_set,
-                noise_victim=victim,
-                carried_forward=carried,
-            )
-        )
-        if reached_full:
+        records.append(RoundRecord(
+            index=round_index, opinions=opinions, groups=groups, verdict=verdict,
+            conflict_reports=reports, assignment=plan, leaders=leader_set,
+            noise_victim=victim, carried_forward=carried,
+        ))
+        if verdict.state == FULL:
             break
 
     last = records[-1]  # its verdict's dominant answer is the round's modal answer
     answer = last.verdict.dominant_answer
-    if reached_full:
+    if last.verdict.state == FULL:
         terminated = TERMINATED_FULL
     elif (last.opinions.beliefs < VOTING_FALLBACK_BELIEF).all():
         terminated = TERMINATED_VOTING

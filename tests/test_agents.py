@@ -15,6 +15,7 @@ from belief_consensus import agents
 from belief_consensus.agents import (
     AgentContext,
     AgentError,
+    Backend,
     BackendConfig,
     ChatCompletionsAgent,
     ScriptedAgent,
@@ -27,8 +28,15 @@ from belief_consensus.agents import (
     perturb_one_belief,
     _pcg64_raw,
 )
-from belief_consensus.core import AgentScript, Opinion, ScenarioCase, ScriptedReply
+from belief_consensus.core import AgentScript, Opinion, RoundColumns, ScenarioCase, ScriptedReply
 from round_oracles import columns_of, opinions_of, oracle_respond
+
+
+def round_opinions(result):
+    """The opinions of a `respond_round` call in which no agent failed."""
+    columns, failed = result
+    assert failed == ()
+    return opinions_of(columns)
 
 
 def scripted_case():
@@ -79,6 +87,37 @@ class TestScriptedAgent:
         backend = ScriptedAgent()
         with pytest.raises(AgentError, match="adopt"):
             backend.respond(scripted_case(), "a2", AgentContext("q", 2))
+
+
+class TestBackend:
+    def test_respond_round_only_backend_answers_respond(self):
+        class Echo(Backend):
+            def respond_round(self, case, agent_ids, contexts):
+                ops = [Opinion(a, "echo", "A", 0.5) for a in agent_ids if a != "down"]
+                failed = tuple((a, AgentError(f"{a} is down")) for a in agent_ids if a == "down")
+                return RoundColumns.of([op.agent_id for op in ops], ops), failed
+
+        case, ctx = ScenarioCase("c", "q", "A"), AgentContext("q", 1)
+        assert Echo().respond(case, "a1", ctx) == Opinion("a1", "echo", "A", 0.5)
+        with pytest.raises(AgentError, match="down is down"):
+            Echo().respond(case, "down", ctx)
+
+    def test_default_respond_round_fails_an_agent_alone_after_round_one(self):
+        backend, case = ScriptedAgent(), scripted_case()
+        round_opinions(backend.respond_round(case, ["a1", "a2"], [AgentContext("q", 1)] * 2))
+        # a2's adopt rule finds no leader; a1 repeats its round-1 opinion
+        columns, failed = backend.respond_round(case, ["a1", "a2"], [AgentContext("q", 2)] * 2)
+        assert opinions_of(columns) == [Opinion("a1", "first guess", "D", 0.4)]
+        assert [(a, type(e)) for a, e in failed] == [("a2", AgentError)]
+        assert "adopt" in str(failed[0][1])
+
+    def test_default_respond_round_stops_at_a_round_one_failure(self):
+        backend, case = ScriptedAgent(), scripted_case()
+        columns, failed = backend.respond_round(case, ["a0", "a1", "a2"],
+                                                [AgentContext("q", 1)] * 3)
+        assert len(columns) == 0 and [a for a, _ in failed] == ["a0"]
+        assert "no script for agent 'a0'" in str(failed[0][1])
+        assert backend._memory == {}  # a1 and a2 were never asked
 
 
 class TestStochasticAgent:
@@ -152,7 +191,7 @@ class TestStochasticAgentOracle:
                 for _ in ids
             ]
             case = cases[batch % len(cases)]
-            got = opinions_of(agent.respond_round(case, ids, contexts))
+            got = round_opinions(agent.respond_round(case, ids, contexts))
             want = [oracle_respond(agent, case, a, ctx) for a, ctx in zip(ids, contexts)]
             assert got == want, f"batch {batch}"
             for op in got:
@@ -178,7 +217,7 @@ class TestStochasticAgentOracle:
                 ids = [f"agent-{i}" for i in range(150)]
                 contexts = [shared[int(k)] for k in rng.choice(len(shared), len(ids),
                                                                p=[0.7, 0.1, 0.1, 0.1])]
-                got = opinions_of(agent.respond_round(case, ids, contexts))
+                got = round_opinions(agent.respond_round(case, ids, contexts))
                 assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
                 assert any(op.reasoning.startswith("Adopting") for op in got)
 
@@ -194,7 +233,7 @@ class TestStochasticAgentOracle:
             for round_index in (1, 4, 2**32, 2**33 + 5, 2**64 + 1):
                 contexts = [AgentContext("q", round_index, collab if c else ())
                             for c in rng.integers(0, 2, 60)]
-                got = opinions_of(agent.respond_round(case, ids, contexts))
+                got = round_opinions(agent.respond_round(case, ids, contexts))
                 assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
             mixed = [AgentContext("q", 1), AgentContext("q", 2**32), AgentContext("q", 1)]
             with pytest.raises(ValueError, match=r"one round, got rounds \[1, 4294967296\]"):
@@ -230,7 +269,7 @@ class TestStochasticAgentOracle:
                     return out
 
                 monkeypatch.setattr(agents, "_pcg64_raw", substituted)
-                got = opinions_of(agent.respond_round(case, ids, [ctx] * len(ids)))
+                got = round_opinions(agent.respond_round(case, ids, [ctx] * len(ids)))
                 monkeypatch.undo()
                 assert sizes == ([3, 6] if collaborate and not raw else [3])
                 want = [oracle_respond(agent, case, a, ctx) for a in ids]

@@ -332,6 +332,18 @@ class TestCmdSimulate:
         assert "simulate.modes must be a non-empty list" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("section, message", [
+        ({"trace_seeds": -1}, "simulate.trace_seeds must be nonnegative"),
+        ({"modes": ["supportive", "supportive"]}, "simulate.modes lists a mode twice"),
+    ], ids=["negative-trace-seeds", "repeated-mode"])
+    def test_negative_trace_seeds_or_repeated_mode_exits_1(self, tmp_path, capsys, section,
+                                                            message):
+        # each once exited 0: no trace written, or one check run but two echoed
+        cfg = self._config(tmp_path, **section)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_supportive_trace_matches_hand_iteration(self, tmp_path):
         cfg = self._config(tmp_path, modes=["supportive"], seeds=1)
         assert main(["simulate", "--config", str(cfg)]) == 0

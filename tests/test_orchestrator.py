@@ -18,6 +18,7 @@ from round_oracles import (
 from belief_consensus.agents import (
     AgentContext,
     AgentError,
+    Backend,
     BackendConfig,
     ChatCompletionsAgent,
     ScriptedAgent,
@@ -131,7 +132,7 @@ class TestRunCase:
                 assert (rec.assignment is None) != (rec.leaders is None)
 
     def test_agent_failure_carries_previous_opinion(self):
-        class FlakyAgent:
+        class FlakyAgent(Backend):
             def __init__(self):
                 self.inner = ScriptedAgent()
 
@@ -193,8 +194,72 @@ class RecordingRounds(StochasticAgent):
         return super().respond_round(case, agent_ids, contexts)
 
 
+class FaultyScripted(ScriptedAgent):
+    """A scripted backend that records its calls and fails the given
+    (agent id, round) pairs."""
+
+    def __init__(self, fail=()):
+        super().__init__()
+        self.fail = set(fail)
+        self.rounds, self.calls = [], []
+
+    def respond_round(self, case, agent_ids, contexts):
+        self.rounds.append((contexts[0].round, list(agent_ids)))
+        return super().respond_round(case, agent_ids, contexts)
+
+    def respond(self, case, agent_id, ctx):
+        self.calls.append((ctx.round, agent_id))
+        if (agent_id, ctx.round) in self.fail:
+            raise AgentError(f"{agent_id} down")
+        return super().respond(case, agent_id, ctx)
+
+
+# five agents split A, A, B, B, C in every round, so no round is a consensus;
+# each round's reasoning names the round
+SPLIT_ROWS = {f"a{i}": [(ans, f"{ans} words, round {r}", 0.6) for r in (1, 2, 3)]
+              for i, ans in enumerate("AABBC", 1)}
+
+
 class TestDispatch:
     CASE = ScenarioCase("dispatch", "q", "A")
+
+    def test_shared_per_agent_backend_answers_each_round_in_one_call(self):
+        case = make_case("one call", SPLIT_ROWS, fallback=None)
+        backend = FaultyScripted()
+        report = run_case(case, RunConfig(n=5, max_rounds=3, seed=1),
+                          dict.fromkeys(SPLIT_ROWS, backend))
+        ids = sorted(SPLIT_ROWS)
+        assert report.n_rounds == 3
+        assert backend.rounds == [(r, ids) for r in (1, 2, 3)]
+        assert backend.calls == [(r, a) for r in (1, 2, 3) for a in ids]
+
+    def test_round_two_failure_carries_that_agent_alone(self):
+        case = make_case("one fails", SPLIT_ROWS, fallback=None)
+        backend = FaultyScripted(fail={("a3", 2)})
+        report = run_case(case, RunConfig(n=5, max_rounds=2, seed=1),
+                          dict.fromkeys(SPLIT_ROWS, backend))
+        first, second = report.rounds
+        assert second.carried_forward == (("a3", "a3 down"),)
+        assert backend.rounds == [(r, sorted(SPLIT_ROWS)) for r in (1, 2)]
+        for op in opinions_of(second.opinions):
+            if op.agent_id == "a3":
+                assert op == first.opinions.opinion("a3")
+            else:
+                assert op.reasoning.endswith("round 2")
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-agent"])
+    def test_round_one_stops_at_the_first_failure(self, shared):
+        # a down endpoint costs one agent's retries, not every agent's
+        case = make_case("first fails", SPLIT_ROWS, fallback=None)
+        fail = {("a2", 1), ("a4", 1)}
+        if shared:
+            backends = dict.fromkeys(SPLIT_ROWS, FaultyScripted(fail))
+        else:
+            backends = {a: FaultyScripted(fail) for a in SPLIT_ROWS}
+        with pytest.raises(AgentError, match="a2 down"):
+            run_case(case, RunConfig(n=5, max_rounds=2, seed=1), backends)
+        distinct = {id(b): b for b in backends.values()}.values()
+        assert [c for b in distinct for c in b.calls] == [(1, "a1"), (1, "a2")]
 
     def test_shared_backend_answers_in_one_call_in_sorted_order(self):
         shared, own = RecordingRounds(seed=3), RecordingRounds(seed=4)

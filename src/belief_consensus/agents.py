@@ -4,11 +4,11 @@ sentence's token probabilities.
 
 Every backend answers the agents of one round of a case in one call,
 respond_round(case, agent_ids, contexts), which returns their opinions as the
-round's columns and the agents that failed. The stochastic backend draws a
-whole round's generators as one batch; the scripted and HTTP backends answer
-each agent with respond(case, agent_id, ctx) -> Opinion. A backend must never
-fabricate a belief: the HTTP client fails loudly when the provider does not
-report token probabilities.
+round's columns and the agents that failed. The stochastic backend draws the
+generators of all rounds of a case as one batch; the scripted and HTTP
+backends answer each agent with respond(case, agent_id, ctx) -> Opinion. A
+backend must never fabricate a belief: the HTTP client fails loudly when the
+provider does not report token probabilities.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from belief_consensus.core import (
     canonicalize_answer,
     stable_hash,
 )
-from belief_consensus.pcg64 import (_LOW32, _TWO_POW_M53, _U11, _U32, _frozen, _pcg64_raw,
-                                    _uint32_words)
+from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _LOW32, _TWO_POW_M53, _U11, _U32, _frozen,
+                                    _pcg64_raw, _uint32_words)
 
 ADVERSARIAL_EPS = 1e-9
 _STREAM_OUTPUTS = 3  # random(), one bounded draw and uniform(); more only on a rejection
@@ -271,14 +271,47 @@ class StochasticAgent(Backend):
     highest-belief collaborator's answer with fixed probability when
     collaborators are present. Fully determined by (seed, case, agent, round):
     each agent's draws are those of `np.random.default_rng(SeedSequence([seed,
-    crc(case), crc(agent), round]))`, computed for a whole round at once.
+    crc(case), crc(agent), round]))`. The first call for a case computes them
+    for its agents and every round from its own up to `rounds` (the case's
+    round limit, at most ROUNDS_PER_PASS rounds) at once; later rounds of the
+    case read their slice.
     """
 
     def __init__(self, seed: int, candidates: Sequence[str] = ("A", "B", "C", "D"),
-                 adopt_prob: float = 0.6):
+                 adopt_prob: float = 0.6, rounds: int = 1):
         self.seed = seed
         self.candidates = tuple(candidates)
         self.adopt_prob = adopt_prob
+        self.rounds = rounds
+        # (case id and agent ids, rounds covered, entropy words, raw outputs),
+        # replaced whole, so a backend shared by threads reads one block per call
+        self._block = None
+
+    def _round_streams(self, case_id: str, agent_ids: Sequence[str],
+                       round_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """The agents' entropy words (words, m) and first raw outputs (3, m) in
+        round `round_index`, sliced from the case's block; a round the block
+        does not cover computes a new one, from that round on.
+
+        Block column `(r - first round) * m + j` is agent j's generator in round r.
+        """
+        key, m = (case_id, tuple(agent_ids)), len(agent_ids)
+        block = self._block
+        if block is None or block[0] != key or round_index not in block[1]:
+            last = min(max(round_index, self.rounds), round_index + ROUNDS_PER_PASS - 1)
+            rounds = range(round_index, last + 1)
+            round_words = np.array([_uint32_words(r) for r in rounds], np.uint32).T
+            entropy = _uint32_words(self.seed) + [stable_hash(case_id)]
+            words = np.empty((len(entropy) + 1 + len(round_words), len(rounds) * m), np.uint32)
+            words[:len(entropy)] = np.array(entropy, np.uint32)[:, None]
+            words[len(entropy)] = np.tile(_crc32_row(key[1]), len(rounds))
+            words[len(entropy) + 1:] = np.repeat(round_words, m, axis=1)
+            raw = _pcg64_raw(words, _STREAM_OUTPUTS)
+            words.flags.writeable = raw.flags.writeable = False
+            block = self._block = (key, rounds, words, raw)
+        _, rounds, words, raw = block
+        at = slice((round_index - rounds.start) * m, (round_index - rounds.start + 1) * m)
+        return words[:, at], raw[:, at]
 
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
                       contexts: Sequence[AgentContext]) -> tuple[RoundColumns, Failures]:
@@ -298,13 +331,7 @@ class StochasticAgent(Backend):
             raise ValueError(f"respond_round takes the agents of one round, got rounds {rounds}")
         round_index = rounds[0]
         n, m = len(self.candidates), len(agent_ids)
-        entropy = _uint32_words(self.seed) + [stable_hash(case.case_id)]
-        round_words = _uint32_words(round_index)
-        words = np.empty((len(entropy) + 1 + len(round_words), m), np.uint32)
-        words[:len(entropy)] = np.array(entropy, np.uint32)[:, None]
-        words[len(entropy)] = _crc32_row(tuple(agent_ids))
-        words[len(entropy) + 1:] = np.array(round_words, np.uint32)[:, None]
-        raw = _pcg64_raw(words, _STREAM_OUTPUTS)
+        words, raw = self._round_streams(case.case_id, agent_ids, round_index)
 
         cols = np.arange(m)
         collaborate = np.array([bool(ctx.collaborators) for ctx in contexts])
@@ -536,9 +563,11 @@ def perturb_one_belief(opinions: RoundColumns, rng) -> tuple[RoundColumns, str]:
     return replace(opinions, beliefs=beliefs), opinions.agent_ids[idx]
 
 
-def make_backend(cfg: BackendConfig, seed: int = 0) -> Backend:
+def make_backend(cfg: BackendConfig, seed: int = 0, rounds: int = 1) -> Backend:
+    """A backend of `cfg.kind`; `seed` and `rounds` (a case's round limit)
+    reach the stochastic one."""
     if cfg.kind == "scripted":
         return ScriptedAgent()
     if cfg.kind == "stochastic":
-        return StochasticAgent(seed=seed)
+        return StochasticAgent(seed=seed, rounds=rounds)
     return ChatCompletionsAgent(cfg)  # BackendConfig admits no other kind

@@ -145,10 +145,10 @@ def _agent_ids(case: ScenarioCase, cfg: RunConfig, backend_cfg: BackendConfig) -
     return [f"agent-{i + 1}" for i in range(cfg.n)]
 
 
-def _build_backends(ids, backend_cfg: BackendConfig, per_agent: dict, seed: int):
-    shared = make_backend(backend_cfg, seed=seed)
-    return {aid: make_backend(per_agent[aid], seed=seed) if aid in per_agent else shared
-            for aid in ids}
+def _build_backends(ids, backend_cfg: BackendConfig, per_agent: dict, cfg: RunConfig):
+    shared = make_backend(backend_cfg, seed=cfg.seed, rounds=cfg.max_rounds)
+    return {aid: make_backend(per_agent[aid], seed=cfg.seed, rounds=cfg.max_rounds)
+            if aid in per_agent else shared for aid in ids}
 
 
 def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: dict,
@@ -156,7 +156,7 @@ def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: d
     def one_case(case: ScenarioCase) -> RunReport | CaseFailure:
         try:
             ids = _agent_ids(case, cfg, backend_cfg)
-            backends = _build_backends(ids, backend_cfg, per_agent, cfg.seed)
+            backends = _build_backends(ids, backend_cfg, per_agent, cfg)
             return run_case(case, cfg, backends)
         except Exception as exc:  # per-case failures are recorded, not fatal
             return CaseFailure(case.case_id, str(exc))

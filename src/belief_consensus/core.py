@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import add
 from pathlib import Path
@@ -129,15 +129,35 @@ class RoundColumns:
     def of(cls, agent_ids: Sequence[str], opinions: Sequence[Opinion]) -> "RoundColumns":
         """The round in which agent `agent_ids[i]` holds `opinions[i]`, whatever
         agent that opinion names; rows sorted by agent id."""
+        return cls._of_rows(agent_ids, [op.answer for op in opinions],
+                            [op.belief for op in opinions], [op.reasoning for op in opinions])
+
+    @classmethod
+    def join(cls, parts: Sequence["RoundColumns"]) -> "RoundColumns":
+        """The round `of` makes from the opinions of all the parts' rows, read
+        from their columns without making them."""
+        ids, answers, beliefs, texts = [], [], [], []
+        for part in parts:
+            ids += part.agent_ids
+            answers += map(part.answers.__getitem__, part.codes.tolist())
+            beliefs += part.beliefs.tolist()
+            texts += map(part.texts.__getitem__, part.text_ids.tolist())
+        return cls._of_rows(ids, answers, beliefs, texts)
+
+    @classmethod
+    def _of_rows(cls, agent_ids: Sequence[str], answers: Sequence[str],
+                 beliefs: Sequence[float], texts: Sequence[str]) -> "RoundColumns":
+        """The round in which agent `agent_ids[i]` answers `answers[i]`, believes
+        `beliefs[i]` and reasons `texts[i]`; rows sorted by agent id, the texts
+        table in row order."""
         order = sorted(range(len(agent_ids)), key=agent_ids.__getitem__)
-        ops = [opinions[i] for i in order]
-        table = sorted({op.answer for op in ops})
+        table = sorted(set(answers))
         code = {a: c for c, a in enumerate(table)}
-        texts = {t: i for i, t in enumerate(dict.fromkeys(op.reasoning for op in ops))}
+        distinct = {t: i for i, t in enumerate(dict.fromkeys(texts[i] for i in order))}
         return cls(tuple(agent_ids[i] for i in order), tuple(table),
-                   np.array([code[op.answer] for op in ops], np.intp),
-                   np.array([op.belief for op in ops], np.float64),
-                   tuple(texts), np.array([texts[op.reasoning] for op in ops], np.intp))
+                   np.array([code[answers[i]] for i in order], np.intp),
+                   np.array([beliefs[i] for i in order], np.float64),
+                   tuple(distinct), np.array([distinct[texts[i]] for i in order], np.intp))
 
     def __len__(self) -> int:
         return len(self.agent_ids)
@@ -154,6 +174,11 @@ class RoundColumns:
     def ids(self, rows: Sequence[int]) -> tuple[str, ...]:
         """The agent ids of the given rows, in their order."""
         return tuple(map(self.agent_ids.__getitem__, rows))
+
+    def take(self, rows: np.ndarray) -> "RoundColumns":
+        """The round of the given rows alone, in their order; tables kept whole."""
+        return replace(self, agent_ids=self.ids(rows), codes=self.codes[rows],
+                       beliefs=self.beliefs[rows], text_ids=self.text_ids[rows])
 
     def opinion(self, agent_id: str) -> Opinion:
         """The agent's row as an Opinion, made once per round: contexts hand

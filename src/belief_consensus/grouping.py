@@ -1,8 +1,8 @@
 """Opinion grouping: keyword tf-idf vectors, seeded k-means, group entropy.
 
 Agents are clustered by the keyword distribution of their opinion text
-(reasoning plus answer). Clustering is deterministic for a fixed
-(vectors, k, seed) and permutation-equivariant: centroids are seeded from
+(reasoning plus answer). Clustering is deterministic for fixed vectors, k and
+restart draws, and permutation-equivariant: centroids are seeded from
 the lexicographically sorted set of distinct vectors, so reordering agents
 only relabels groups.
 """
@@ -111,14 +111,22 @@ def _sq_dists(distinct: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _restart_draws(seed: int, k: int) -> np.ndarray:
-    """(k, R): the first k `random()` draws of `default_rng(child)` for each child of
-    `SeedSequence(seed).spawn(KMEANS_N_INIT)`. A child's entropy is the seed's
-    words, zero-padded to the pool size when shorter, then its spawn index."""
-    words = _uint32_words(seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = np.array([words + [child] for child in range(KMEANS_N_INIT)], np.uint32).T
-    return (_pcg64_raw(entropy, k) >> _U11) * _TWO_POW_M53
+def _restart_draws(seeds: Sequence[int], k: int) -> np.ndarray:
+    """(k, len(seeds), R): for seed s and each child of
+    `SeedSequence(s).spawn(KMEANS_N_INIT)`, the first k `random()` draws of
+    `default_rng(child)`, all in one pass. A child's entropy is the seed's
+    words, zero-padded to the pool size when shorter, then its spawn index,
+    so the seeds must all be of one word count."""
+    words = [_uint32_words(seed) for seed in seeds]
+    lengths = sorted({len(w) for w in words})
+    if len(lengths) != 1:
+        raise ValueError(f"seeds must all have one 32-bit word count, got counts {lengths}")
+    rows = max(lengths[0], _POOL_SIZE)
+    entropy = np.zeros((rows + 1, len(seeds), KMEANS_N_INIT), np.uint32)
+    entropy[:lengths[0]] = np.array(words, np.uint32).T[:, :, None]
+    entropy[rows] = np.arange(KMEANS_N_INIT)
+    raw = _pcg64_raw(entropy.reshape(rows + 1, -1), k)
+    return ((raw >> _U11) * _TWO_POW_M53).reshape(k, len(seeds), KMEANS_N_INIT)
 
 
 def _seed_centroids(distinct: np.ndarray, counts: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -149,7 +157,7 @@ def _seed_centroids(distinct: np.ndarray, counts: np.ndarray, draws: np.ndarray)
     return picks
 
 
-def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, seed: int) -> np.ndarray:
+def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, draws: np.ndarray) -> np.ndarray:
     """Best-of-KMEANS_N_INIT Lloyd k-means over the distinct rows; returns their labels.
 
     All restarts run as one (R, k, d) batch. A restart stops moving once its
@@ -166,7 +174,7 @@ def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, seed: int) -> np.n
     """
     restarts, (m, d) = KMEANS_N_INIT, distinct.shape
     slots = restarts * k
-    centroids = distinct[_seed_centroids(distinct, counts, _restart_draws(seed, k))]
+    centroids = distinct[_seed_centroids(distinct, counts, draws)]
     weighted = np.vstack([distinct * counts[:, None], np.zeros(d)])
     size_weights = np.tile(counts, restarts)
     first_slot = np.arange(0, slots, k)[:, None]
@@ -204,23 +212,26 @@ def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, seed: int) -> np.n
     return dists[winner].argmin(axis=0)
 
 
-def cluster_opinions(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
+def cluster_opinions(vectors: np.ndarray, k: int, draws: np.ndarray) -> np.ndarray:
     """Lloyd k-means with k-means++ seeding; returns a label per row.
 
     Vectors are expected L2-normalized, making squared Euclidean distance
-    cosine-equivalent. Seeding restarts KMEANS_N_INIT times from the seed
-    and the lowest-inertia run wins. With at most k distinct vectors every
-    restart puts each in its own cluster, so that partition is returned
-    directly. Labels are renumbered by first appearance.
+    cosine-equivalent. Seeding restarts KMEANS_N_INIT times, restart r's
+    pick j reading `draws[j, r]` (a round's slice of `_restart_draws`, shaped
+    (k, KMEANS_N_INIT)), and the lowest-inertia run wins. With at most k
+    distinct vectors every restart puts each in its own cluster, so that
+    partition is returned directly. Labels are renumbered by first appearance.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if draws.shape != (k, KMEANS_N_INIT):
+        raise ValueError(f"draws must be shaped {(k, KMEANS_N_INIT)}, got {draws.shape}")
     if vectors.ndim != 2 or len(vectors) == 0:
         raise ValueError("vectors must be a non-empty 2-d array")
     distinct, inverse, counts = _distinct_rows(vectors)
     if len(distinct) <= k:
         return _renumber(inverse)
-    return _renumber(_kmeans(distinct, counts, k, seed)[inverse])
+    return _renumber(_kmeans(distinct, counts, k, draws)[inverse])
 
 
 def group_entropy(beliefs: Sequence[float]) -> float:
@@ -235,8 +246,9 @@ def group_entropy(beliefs: Sequence[float]) -> float:
     return total
 
 
-def build_groups(opinions: RoundColumns, k: int, seed: int) -> tuple[OpinionGroup, ...]:
-    """Cluster opinions into groups and attach entropy and modal answer.
+def build_groups(opinions: RoundColumns, k: int, draws: np.ndarray) -> tuple[OpinionGroup, ...]:
+    """Cluster opinions into groups and attach entropy and modal answer; `draws`
+    are the round's (k, KMEANS_N_INIT) k-means restart draws.
 
     Each distinct (reasoning, answer) text is formatted once, and the answers
     of all groups are tallied at once. Members keep the round's row order.
@@ -245,7 +257,7 @@ def build_groups(opinions: RoundColumns, k: int, seed: int) -> tuple[OpinionGrou
     pairs = (opinions.text_ids * n_answers + opinions.codes).tolist()
     text = {p: f"{opinions.texts[p // n_answers]} {opinions.answers[p % n_answers]}"
             for p in set(pairs)}
-    labels = cluster_opinions(vectorize([text[p] for p in pairs]), k, seed)
+    labels = cluster_opinions(vectorize([text[p] for p in pairs]), k, draws)
     sizes = np.bincount(labels).tolist()  # labels count up from 0
     counts, sums = tally(labels * n_answers + opinions.codes, opinions.beliefs,
                          len(sizes) * n_answers)

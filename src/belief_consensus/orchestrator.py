@@ -39,8 +39,9 @@ from belief_consensus.coordination import (
     select_leaders,
 )
 from belief_consensus.core import RoundColumns, RunConfig, ScenarioCase, stable_hash
-from belief_consensus.grouping import OpinionGroup, build_groups
+from belief_consensus.grouping import OpinionGroup, _restart_draws, build_groups
 from belief_consensus.judgment import FULL, PARTIAL, ConsensusVerdict, judge_consensus
+from belief_consensus.pcg64 import ROUNDS_PER_PASS, _state_words
 
 TERMINATED_FULL = "FullConsensus"
 TERMINATED_MAX_ROUNDS = "MaxRounds"
@@ -104,7 +105,7 @@ def _dispatch(
     calls: defaultdict[int, list[str]] = defaultdict(list)
     for agent_id in agent_ids:
         calls[id(backends[agent_id])].append(agent_id)
-    rows, failed = {}, []
+    parts, failed = [], []
     for ids in calls.values():
         try:
             part, errors = backends[ids[0]].respond_round(case, ids, [contexts[a] for a in ids])
@@ -119,10 +120,11 @@ def _dispatch(
                              f"not {list(answered)}")
         if len(answered) == len(agent_ids):
             return part, ()
-        rows.update(dict.fromkeys(answered, part))
+        parts.append(part)
         failed.extend((a, str(exc)) for a, exc in errors)
-    ops = [rows[a].opinion(a) if a in rows else previous.opinion(a) for a in agent_ids]
-    return RoundColumns.of(agent_ids, ops), tuple(sorted(failed))
+    if failed:
+        parts.append(previous.take(previous.rows([a for a, _ in failed])))
+    return RoundColumns.join(parts), tuple(sorted(failed))
 
 
 def _contexts(
@@ -151,6 +153,20 @@ def _contexts(
     return contexts
 
 
+def _cluster_draws(case: ScenarioCase, cfg: RunConfig, rounds: range) -> np.ndarray:
+    """The k-means restart draws of `rounds`, (k, len(rounds), KMEANS_N_INIT).
+
+    Round r clusters from the seed `SeedSequence([seed & 0x7FFFFFFF,
+    crc(case), r]).generate_state(1)[0]`; the seeds of all the rounds, then
+    their restart draws, are each derived in one pass.
+    """
+    entropy = np.empty((3, len(rounds)), np.uint32)
+    entropy[0] = cfg.seed & 0x7FFFFFFF
+    entropy[1] = stable_hash(case.case_id)
+    entropy[2] = rounds
+    return _restart_draws(_state_words(entropy)[0].tolist(), cfg.n_clusters)
+
+
 def run_case(
     case: ScenarioCase,
     cfg: RunConfig,
@@ -169,18 +185,18 @@ def run_case(
     # round 1 shows no collaborators, so it never reads `opinions`
     delegates, template, opinions = dict.fromkeys(agent_ids, ()), TEMPLATE_INITIAL, None
     records: list[RoundRecord] = []
+    drawn = range(0)  # the rounds `cluster_draws` holds
     for round_index in range(1, cfg.max_rounds + 1):
+        if round_index not in drawn:
+            drawn = range(round_index, min(round_index + ROUNDS_PER_PASS, cfg.max_rounds + 1))
+            cluster_draws = _cluster_draws(case, cfg, drawn)
         contexts = _contexts(case, delegates, template, opinions, round_index)
         opinions, carried = _dispatch(backends, case, contexts, previous=opinions)
         victim = None
         if cfg.adversarial_noise:
             opinions, victim = perturb_one_belief(opinions, noise_rng)
-        cluster_seed = int(
-            np.random.SeedSequence(
-                [cfg.seed & 0x7FFFFFFF, stable_hash(case.case_id), round_index]
-            ).generate_state(1)[0]
-        )
-        groups = build_groups(opinions, cfg.n_clusters, cluster_seed)
+        groups = build_groups(opinions, cfg.n_clusters,
+                              cluster_draws[:, round_index - drawn.start])
         verdict = judge_consensus(opinions, cfg.n)
 
         reports = plan = leader_set = None

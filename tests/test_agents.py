@@ -28,7 +28,9 @@ from belief_consensus.agents import (
     perturb_one_belief,
     _pcg64_raw,
 )
-from belief_consensus.core import AgentScript, Opinion, RoundColumns, ScenarioCase, ScriptedReply
+from belief_consensus.core import (AgentScript, Opinion, RoundColumns, ScenarioCase,
+                                   ScriptedReply, stable_hash)
+from belief_consensus.pcg64 import ROUNDS_PER_PASS, _state_words, _uint32_words
 from round_oracles import columns_of, opinions_of, oracle_respond
 
 
@@ -239,24 +241,30 @@ class TestStochasticAgentOracle:
             with pytest.raises(ValueError, match=r"one round, got rounds \[1, 4294967296\]"):
                 agent.respond_round(case, ids[:3], mixed)
 
-    @pytest.mark.parametrize("collaborate", [False, True])
-    def test_rejected_low_half_in_a_batch(self, monkeypatch, collaborate):
+    @pytest.mark.parametrize("collaborate, rounds, crafted_round", [
+        (False, 1, 2), (True, 1, 2), (False, 5, 3), (True, 5, 3),
+    ], ids=["False", "True", "False-round-3-of-5", "True-round-3-of-5"])
+    def test_rejected_low_half_in_a_batch(self, monkeypatch, collaborate, rounds, crafted_round):
         # one column's outputs come from a crafted PCG64 stream whose bounded
         # draw reads 0 in its low half, which pools of 3, 5 and 6 reject
         # (2**32 mod n > 0); random inputs get there with probability below
         # n / 2**32. With both halves 0 the draw reads the next output, and
-        # with collaborators the belief then lies past the first block
+        # with collaborators the belief then lies past the first block. In a
+        # block of rounds 1-5, the crafted column is that of round 3, and the
+        # rejection extends that round alone
         case = ScenarioCase("reject", "q", "A")
         ids = [f"agent-{i}" for i in range(8)]
-        ctx = AgentContext("q", 2, (TaggedOpinion(Opinion("x", "", "B", 0.7), "leader"),)
+        ctx = AgentContext("q", crafted_round,
+                           (TaggedOpinion(Opinion("x", "", "B", 0.7), "leader"),)
                            if collaborate else ())
         inc = 0x5851F42D4C957F2D_14057B7EF767814F | 1
         high_half, target = 0xC0FFEE12, 3
         words = _pcg64_raw
         for n_candidates in (3, 5, 6):
             pool = "ABCDEF"[:n_candidates]
-            agent = StochasticAgent(seed=9, candidates=pool, adopt_prob=0.0)
             for raw in (high_half << 32, 0):  # then the high half is rejected too
+                # a fresh agent, so its block is drawn from this stream
+                agent = StochasticAgent(seed=9, candidates=pool, adopt_prob=0.0, rounds=rounds)
                 state = state_before_output(raw, inc)
                 if collaborate:  # random() reads one output before the draw
                     state = (state - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
@@ -265,13 +273,21 @@ class TestStochasticAgentOracle:
                 def substituted(block, k):
                     sizes.append(k)
                     out = words(block, k)
-                    out[:, target] = pcg64_at(state, inc).random_raw(k)
+                    one_round = block.shape[1] == len(ids)
+                    column = target + (0 if one_round else (crafted_round - 1) * len(ids))
+                    out[:, column] = pcg64_at(state, inc).random_raw(k)
                     return out
 
                 monkeypatch.setattr(agents, "_pcg64_raw", substituted)
+                earlier = [AgentContext("q", r) for r in range(1, crafted_round)
+                           if rounds > 1]
+                before = [round_opinions(agent.respond_round(case, ids, [c] * len(ids)))
+                          for c in earlier]
                 got = round_opinions(agent.respond_round(case, ids, [ctx] * len(ids)))
                 monkeypatch.undo()
                 assert sizes == ([3, 6] if collaborate and not raw else [3])
+                for c, ops in zip(earlier, before):
+                    assert ops == [oracle_respond(agent, case, a, c) for a in ids]
                 want = [oracle_respond(agent, case, a, ctx) for a in ids]
                 assert got[:target] == want[:target] and got[target + 1:] == want[target + 1:]
                 gen = np.random.Generator(pcg64_at(state, inc))
@@ -282,8 +298,57 @@ class TestStochasticAgentOracle:
                 if raw:
                     assert index == high_half * n_candidates >> 32 != 0
                 assert got[target] == Opinion(
-                    ids[target], f"Independent draw on round 2 favoring option {pool[index]}.",
+                    ids[target],
+                    f"Independent draw on round {crafted_round} favoring option {pool[index]}.",
                     pool[index], belief)
+
+    def test_one_block_per_case_serves_its_rounds(self):
+        # one agent with a 5-round block answers rounds 1-5 of one case after
+        # the other, then of interleaved cases, then another agent set, a
+        # repeated round and rounds past the block; each call draws what a
+        # fresh generator per row draws
+        rng = np.random.default_rng(23)
+        collab = (TaggedOpinion(Opinion("x", "", "C", 0.7), "supportive"),)
+        ids = [f"agent-{i}" for i in range(1, 41)]
+        for seed in EDGE_SEEDS[:3] + (12345,):
+            agent = StochasticAgent(seed=seed, candidates="ABCDE", rounds=5)
+            calls = [(c, ids, r) for c in ("first", "second") for r in range(1, 6)]
+            calls += [(c, ids, r) for r in range(1, 6) for c in ("first", "second")]
+            calls += [("first", ids[::3], 2), ("first", ids[::3], 3), ("first", ids[::3], 3),
+                      ("first", ids, 3), ("first", ids, 4), ("first", ids, 6),
+                      ("second", ids, 2**32 + 1)]
+            for case_id, agent_ids, round_index in calls:
+                case = ScenarioCase(case_id, "q", "A")
+                contexts = [AgentContext("q", round_index, collab if c else ())
+                            for c in rng.integers(0, 2, len(agent_ids))]
+                got = round_opinions(agent.respond_round(case, agent_ids, contexts))
+                want = [oracle_respond(agent, case, a, c) for a, c in zip(agent_ids, contexts)]
+                assert got == want, (seed, case_id, len(agent_ids), round_index)
+
+    def test_round_limit_past_one_pass(self):
+        # a limit of 40 rounds is drawn in passes of ROUNDS_PER_PASS rounds
+        case, ids = ScenarioCase("long", "q", "A"), [f"agent-{i}" for i in range(1, 9)]
+        agent = StochasticAgent(seed=77, candidates="ABC", rounds=40)
+        for round_index in range(1, 41):
+            contexts = [AgentContext("q", round_index)] * len(ids)
+            got = round_opinions(agent.respond_round(case, ids, contexts))
+            assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
+            assert len(agent._block[1]) <= ROUNDS_PER_PASS
+
+    def test_block_serves_later_rounds_without_drawing(self, monkeypatch):
+        sizes = []
+
+        def counted(block, k):
+            sizes.append(block.shape[1])
+            return _pcg64_raw(block, k)
+
+        monkeypatch.setattr(agents, "_pcg64_raw", counted)
+        agent, ids = StochasticAgent(seed=3, rounds=5), ["a1", "a2", "a3"]
+        for case_id in ("c1", "c2"):
+            for round_index in (2, 3, 4, 5, 5):
+                agent.respond_round(ScenarioCase(case_id, "q", "A"), ids,
+                                    [AgentContext("q", round_index)] * 3)
+        assert sizes == [4 * len(ids), 4 * len(ids)]  # rounds 2-5, once per case
 
     def test_respond_is_the_one_agent_round(self):
         case = ScenarioCase("c", "q", "A")
@@ -300,6 +365,22 @@ class TestStochasticAgentOracle:
             StochasticAgent(seed=-1).respond(case, "agent-1", AgentContext("q", 1))
         with pytest.raises(ValueError):
             StochasticAgent(seed=1, candidates=()).respond(case, "agent-1", AgentContext("q", 1))
+
+    def test_state_words_equal_seed_sequence(self):
+        # one- to six-word entropy: the edge seeds' words with case, agent
+        # and round words after them, and random words
+        rng = np.random.default_rng(11)
+        entropy = [_uint32_words(seed) + extra for seed in EDGE_SEEDS
+                   for extra in ([], [stable_hash("c")], [stable_hash("c"), 3],
+                                 [stable_hash("c"), stable_hash("a"), 2**32 - 1])]
+        for n_words in range(1, 7):
+            columns = [e for e in entropy if len(e) == n_words]
+            columns += rng.integers(0, 2**32, size=(8, n_words), dtype=np.uint64).tolist()
+            state = _state_words(np.array(columns, np.uint32).T)
+            for j, words in enumerate(columns):
+                sequence = np.random.SeedSequence(words)
+                assert state[0, j] == sequence.generate_state(1)[0]
+                assert np.array_equal(state[:, j], sequence.generate_state(8))
 
     def test_raw_outputs_equal_pcg64(self):
         rng = np.random.default_rng(3)
@@ -666,6 +747,7 @@ class TestMakeBackend:
     def test_kinds(self):
         assert isinstance(make_backend(BackendConfig(kind="scripted")), ScriptedAgent)
         assert isinstance(make_backend(BackendConfig(kind="stochastic"), seed=1), StochasticAgent)
+        assert make_backend(BackendConfig(kind="stochastic"), seed=1, rounds=4).rounds == 4
         http_cfg = BackendConfig(kind="http", endpoint="http://localhost:1")
         assert isinstance(make_backend(http_cfg), ChatCompletionsAgent)
         with pytest.raises(ValueError):

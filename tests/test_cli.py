@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from belief_consensus.cli import main
+from belief_consensus.agents import BackendConfig
+from belief_consensus.cli import _build_backends, main
+from belief_consensus.core import RunConfig
 
 
 def write_config(tmp_path, corpus_path, **run_overrides):
@@ -136,6 +138,14 @@ class TestCmdRun:
         _, rows1 = read_results(tmp_path / "s1")
         _, rows2 = read_results(tmp_path / "s2")
         assert rows1 == rows2
+
+    def test_stochastic_backends_draw_up_to_the_round_limit(self):
+        # each stochastic backend draws its cases' rounds 1..max_rounds at once
+        shared = BackendConfig(kind="stochastic")
+        backends = _build_backends(["a1", "a2", "a3"], shared, {"a3": shared},
+                                   RunConfig(n=3, max_rounds=4, seed=3))
+        assert backends["a1"] is backends["a2"] is not backends["a3"]
+        assert {(b.seed, b.rounds) for b in backends.values()} == {(3, 4)}
 
     def test_adversarial_noise_flag(self, tmp_path, corpus_path):
         cfg = write_config(tmp_path, corpus_path)

@@ -19,6 +19,11 @@ from kmeans_oracle import oracle_cluster
 from round_oracles import columns_of, oracle_vectorize
 
 
+def draws(seed, k):
+    """The k-means restart draws of one clustering seed."""
+    return _restart_draws([seed], k)[:, 0]
+
+
 def partition_of(labels):
     groups = {}
     for i, lab in enumerate(labels):
@@ -122,7 +127,7 @@ class TestDistinctRows:
 class TestClusterOpinions:
     def test_identical_vectors_collapse_to_one_group(self):
         vecs = vectorize(["same text here"] * 5)
-        labels = cluster_opinions(vecs, 3, seed=7)
+        labels = cluster_opinions(vecs, 3, draws(7, 3))
         assert set(labels) == {0}
 
     def test_two_separated_bundles(self):
@@ -131,7 +136,7 @@ class TestClusterOpinions:
             + ["land grants colonial assignment populations"] * 4
         )
         vecs = vectorize(texts)
-        labels = cluster_opinions(vecs, 2, seed=11)
+        labels = cluster_opinions(vecs, 2, draws(11, 2))
         expected = frozenset({frozenset({0, 1, 2}), frozenset({3, 4, 5, 6})})
         assert partition_of(labels) == expected
 
@@ -169,25 +174,25 @@ class TestClusterOpinions:
                 best_sse = cost
                 best = frozenset({left, right})
 
-        labels = cluster_opinions(points, 2, seed=3)
+        labels = cluster_opinions(points, 2, draws(3, 2))
         assert partition_of(labels) == best
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(0)
         vecs = rng.uniform(0, 1, size=(9, 6))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        a = cluster_opinions(vecs, 3, seed=42)
-        b = cluster_opinions(vecs, 3, seed=42)
+        a = cluster_opinions(vecs, 3, draws(42, 3))
+        b = cluster_opinions(vecs, 3, draws(42, 3))
         assert np.array_equal(a, b)
 
     def test_k_reduced_to_distinct_count(self):
         vecs = vectorize(["one two", "one two", "three four"])
-        labels = cluster_opinions(vecs, 3, seed=1)
+        labels = cluster_opinions(vecs, 3, draws(1, 3))
         assert len(set(labels)) == 2
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
-            cluster_opinions(np.ones((2, 2)), 0, seed=1)
+            cluster_opinions(np.ones((2, 2)), 0, draws(1, 1))
 
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.permutations(list(range(8))))
     @settings(max_examples=25, deadline=None)
@@ -199,8 +204,8 @@ class TestClusterOpinions:
             v = centers[i % 3] + rng.normal(0, 0.05, 3)
             vecs.append(v / np.linalg.norm(v))
         vecs = np.array(vecs)
-        labels = cluster_opinions(vecs, 3, seed=seed)
-        permuted = cluster_opinions(vecs[perm], 3, seed=seed)
+        labels = cluster_opinions(vecs, 3, draws(seed, 3))
+        permuted = cluster_opinions(vecs[perm], 3, draws(seed, 3))
         original_partition = partition_of(labels)
         # map permuted indices back to the original ids before comparing
         back = frozenset(
@@ -294,7 +299,7 @@ class TestBatchedKMeansOracle:
         for i, (vecs, k, seed) in enumerate(oracle_inputs(3000, seed=20240611)):
             distinct = len(np.unique(vecs, axis=0))
             regimes["m <= k" if distinct <= k else "m > k"] += 1
-            got = cluster_opinions(vecs, k, seed)
+            got = cluster_opinions(vecs, k, draws(seed, k))
             want = oracle_cluster(vecs, k, seed)
             assert np.array_equal(got, want), (i, vecs.shape, k, seed)
         assert min(regimes.values()) >= 500, regimes
@@ -305,12 +310,14 @@ class TestBatchedKMeansOracle:
         reseats = []
         want = oracle_cluster(vecs, RESEAT_K, RESEAT_SEED, reseats)
         assert reseats
-        assert np.array_equal(cluster_opinions(vecs, RESEAT_K, RESEAT_SEED), want)
+        got = cluster_opinions(vecs, RESEAT_K, draws(RESEAT_SEED, RESEAT_K))
+        assert np.array_equal(got, want)
 
     def test_one_dimensional_member_sum_order(self):
         vecs = np.array(SUM_ORDER_VECTORS)[:, None]
         want = oracle_cluster(vecs, SUM_ORDER_K, SUM_ORDER_SEED)
-        assert np.array_equal(cluster_opinions(vecs, SUM_ORDER_K, SUM_ORDER_SEED), want)
+        got = cluster_opinions(vecs, SUM_ORDER_K, draws(SUM_ORDER_SEED, SUM_ORDER_K))
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", sorted(EMPTY_SLOT_INPUTS))
     def test_empty_slot_edges(self, name):
@@ -318,13 +325,21 @@ class TestBatchedKMeansOracle:
         vecs, reseats = np.array(vecs), []
         want = oracle_cluster(vecs, k, seed, reseats)
         assert reseats
-        assert np.array_equal(cluster_opinions(vecs, k, seed), want)
+        assert np.array_equal(cluster_opinions(vecs, k, draws(seed, k)), want)
 
     @pytest.mark.parametrize("name", sorted(MEMBER_ORDER_INPUTS))
     def test_members_add_in_row_order(self, name):
         vecs, k, seed = MEMBER_ORDER_INPUTS[name]
         vecs = np.array(vecs)[:, None]
-        assert np.array_equal(cluster_opinions(vecs, k, seed), oracle_cluster(vecs, k, seed))
+        want = oracle_cluster(vecs, k, seed)
+        assert np.array_equal(cluster_opinions(vecs, k, draws(seed, k)), want)
+
+
+def spawned_draws(seed, k):
+    """(k, KMEANS_N_INIT): the first k random() draws of each spawned child."""
+    children = np.random.SeedSequence(seed).spawn(KMEANS_N_INIT)
+    rngs = [np.random.default_rng(child) for child in children]
+    return [[rng.random() for rng in rngs] for _ in range(k)]
 
 
 class TestRestartDraws:
@@ -333,10 +348,25 @@ class TestRestartDraws:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**96, 2**128 + 5])
     def test_equal_spawned_generator_draws(self, seed):
         for k in range(1, 6):
-            children = np.random.SeedSequence(seed).spawn(KMEANS_N_INIT)
-            rngs = [np.random.default_rng(child) for child in children]
-            want = [[rng.random() for rng in rngs] for _ in range(k)]
-            assert np.array_equal(_restart_draws(seed, k), want)
+            assert np.array_equal(_restart_draws([seed], k)[:, 0], spawned_draws(seed, k))
+
+    @pytest.mark.parametrize("seeds", [
+        [0, 1, 2**31 - 1, 2**32 - 1, 7, 7],  # one word each, as a case's rounds have
+        [2**32, 2**63 + 9, 2**64 - 1],
+        [2**128 + 5, 2**159 + 3],
+    ])
+    def test_many_seeds_in_one_pass(self, seeds):
+        for k in (1, 3, 5):
+            got = _restart_draws(seeds, k)
+            assert got.shape == (k, len(seeds), KMEANS_N_INIT)
+            for s, seed in enumerate(seeds):
+                assert np.array_equal(got[:, s], spawned_draws(seed, k))
+
+    def test_seeds_of_different_word_counts_raise(self):
+        with pytest.raises(ValueError, match=r"one 32-bit word count, got counts \[1, 2\]"):
+            _restart_draws([5, 2**32], 3)
+        with pytest.raises(ValueError, match="word count"):
+            _restart_draws([], 3)
 
 
 class TestGroupEntropy:
@@ -374,19 +404,19 @@ class TestBuildGroups:
         ]
 
     def test_partition_property(self):
-        groups = build_groups(columns_of(self._opinions()), k=2, seed=9)
+        groups = build_groups(columns_of(self._opinions()), 2, draws(9, 2))
         seen = [m for g in groups for m in g.members]
         assert sorted(seen) == ["a1", "a2", "a3", "a4"]
 
     def test_entropy_matches_recomputation(self):
         ops = self._opinions()
         by_id = {op.agent_id: op for op in ops}
-        for g in build_groups(columns_of(ops), k=2, seed=9):
+        for g in build_groups(columns_of(ops), 2, draws(9, 2)):
             expected = group_entropy([by_id[m].belief for m in g.members])
             assert g.entropy == pytest.approx(expected, abs=1e-12)
 
     def test_modal_answers(self):
-        groups = build_groups(columns_of(self._opinions()), k=2, seed=9)
+        groups = build_groups(columns_of(self._opinions()), 2, draws(9, 2))
         by_members = {g.members: g.modal_answer for g in groups}
         assert by_members[("a1", "a2")] == "B"
         assert by_members[("a3", "a4")] == "C"

@@ -4,6 +4,7 @@ import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 from round_oracles import (
     columns_of,
@@ -30,13 +31,17 @@ from belief_consensus.coordination import select_leaders
 from belief_consensus.core import (
     AgentScript,
     Opinion,
+    RoundColumns,
     RunConfig,
     ScenarioCase,
     ScriptedReply,
     modal_answer as _modal_answer,
     scenarios_from_json,
+    stable_hash,
 )
-from belief_consensus.grouping import OpinionGroup
+from belief_consensus import orchestrator
+from belief_consensus.grouping import OpinionGroup, _restart_draws, build_groups
+from belief_consensus.pcg64 import ROUNDS_PER_PASS
 from belief_consensus.orchestrator import (
     CaseFailure,
     TERMINATED_FULL,
@@ -220,6 +225,31 @@ SPLIT_ROWS = {f"a{i}": [(ans, f"{ans} words, round {r}", 0.6) for r in (1, 2, 3)
               for i, ans in enumerate("AABBC", 1)}
 
 
+class TestClusterDraws:
+    def test_each_round_clusters_from_its_seed(self, monkeypatch):
+        # a case of more rounds than one pass of draws covers: every round's
+        # restart draws are those of its own SeedSequence cluster seed
+        seen = []
+
+        def recording(opinions, k, draws):
+            seen.append(draws)
+            return build_groups(opinions, k, draws)
+
+        monkeypatch.setattr(orchestrator, "build_groups", recording)
+        case = ScenarioCase("c1", "q", "A")
+        for seed, n_clusters in ((1, 3), (2**31 + 9, 2)):
+            seen.clear()
+            cfg = RunConfig(n=7, max_rounds=40, seed=seed, n_clusters=n_clusters)
+            agent = StochasticAgent(seed=seed, rounds=cfg.max_rounds)
+            report = run_case(case, cfg, {f"agent-{i}": agent for i in range(7)})
+            assert report.n_rounds == len(seen) > ROUNDS_PER_PASS
+            for round_index, draws in enumerate(seen, 1):
+                cluster_seed = int(np.random.SeedSequence(
+                    [seed & 0x7FFFFFFF, stable_hash(case.case_id), round_index]
+                ).generate_state(1)[0])
+                assert np.array_equal(draws, _restart_draws([cluster_seed], n_clusters)[:, 0])
+
+
 class TestDispatch:
     CASE = ScenarioCase("dispatch", "q", "A")
 
@@ -297,6 +327,38 @@ class TestDispatch:
         assert opinions[0] == before["a1"] and opinions[2] == before["a3"]
         assert opinions[1] == healthy.respond(self.CASE, "a2", contexts["a2"])
         assert carried == (("a1", "batch down"), ("a3", "batch down"))
+
+
+    def test_merged_columns_equal_the_round_of_opinions(self):
+        # 16 per-agent backends and one shared by four agents; after round 1
+        # some fail and keep their previous rows, whose answers this round's
+        # rows may not use. Reasonings repeat across agents and rounds
+        ids = [f"a{i:02d}" for i in range(1, 21)]
+        pools = {1: "ABCDE", 2: "FGH", 3: "FG"}
+        rows = {a: [(pools[r][i % len(pools[r])], f"{'BCD'[i * r % 3]} words {r % 2}",
+                     0.1 + 0.05 * ((3 * i + r) % 17)) for r in (1, 2, 3)]
+                for i, a in enumerate(ids)}
+        case = make_case("merge", rows, fallback=None)
+        fail = {("a03", 2), ("a07", 2), ("a07", 3), ("a11", 3), ("a12", 3), ("a20", 3)}
+        shared = FaultyScripted(fail)
+        backends = {a: shared if a in ("a02", "a05", "a11", "a17") else FaultyScripted(fail)
+                    for a in ids}
+        assert len({id(b) for b in backends.values()}) == 17
+        previous = None
+        for r in (1, 2, 3):
+            contexts = {a: AgentContext("q", r) for a in ids}
+            got, carried = _dispatch(backends, case, contexts, previous)
+            ops = [previous.opinion(a) if (a, r) in fail
+                   else ScriptedAgent().respond(case, a, contexts[a]) for a in ids]
+            want = RoundColumns.of(ids, ops)
+            assert (got.agent_ids, got.answers, got.texts) == (
+                want.agent_ids, want.answers, want.texts)
+            for column in ("codes", "beliefs", "text_ids"):
+                got_column, want_column = getattr(got, column), getattr(want, column)
+                assert got_column.dtype == want_column.dtype
+                assert got_column.tolist() == want_column.tolist()
+            assert carried == tuple((a, f"{a} down") for a in ids if (a, r) in fail)
+            previous = got
 
 
 class _ModelHandler(BaseHTTPRequestHandler):

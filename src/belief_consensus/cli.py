@@ -317,6 +317,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"simulate.modes lists a mode twice: {modes}")
         if trace_seeds < 0:
             raise ConfigError(f"simulate.trace_seeds must be nonnegative, got {trace_seeds}")
+        if master_seed < 0:
+            raise ConfigError(f"simulate.master_seed must be nonnegative, got {master_seed}")
         if not (math.isfinite(tol) and tol > 0) or max_steps < 1:
             raise ConfigError("tol must be finite and positive and max_steps at least 1")
     except (ConfigError, TypeError, ValueError) as exc:

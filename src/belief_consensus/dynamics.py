@@ -130,20 +130,22 @@ def _adjacency(sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return a
 
 
-def laplacian_step(values: np.ndarray, adjacency: np.ndarray, gamma: float, sign: float = -1.0):
+def laplacian_step(values: np.ndarray, adjacency: np.ndarray, gamma, sign: float = -1.0):
     """One step x' = x + sign*g*L x with L = diag(A 1) - A.
 
     sign = -1 averages toward the collaborators, +1 pushes away from them.
-    `values` is one (n,) vector or a (seeds, n) batch. Returns x', the
-    frozen collaborator mean A x / A 1 (NaN for agents with no
-    collaborators) and the collaborator counts A 1.
+    `values` is one (n,) vector or a (..., rows, n) batch. `adjacency` is
+    one (n, n) graph for every row, or a (rows, n, n) stack with one graph
+    per row; `gamma` is then a scalar or a (rows, 1) array of per-row step
+    sizes. Returns x', the frozen collaborator mean A x / A 1 (NaN for
+    agents with no collaborators) and the collaborator counts A 1.
 
-    einsum rather than matmul: each row of a batch comes out bit for bit as
-    it would alone, and these tiny products skip BLAS, whose first call
-    costs ~0.4 MB of resident memory.
+    einsum rather than matmul: each row of a batch, with one graph or its
+    own, comes out bit for bit as it would alone, and these tiny products
+    skip BLAS, whose first call costs ~0.4 MB of resident memory.
     """
-    degree = adjacency.sum(axis=1)
-    sums = np.einsum("...j,ij->...i", values, adjacency)
+    degree = adjacency.sum(axis=-1)
+    sums = np.einsum("...j,...ij->...i", values, adjacency)
     new = values + sign * gamma * (degree * values - sums)
     return new, sums / np.where(degree > 0, degree, np.nan), degree
 
@@ -177,33 +179,34 @@ step_leader_follow = step_supportive
 
 # ---------------------------------------------------------------------------
 # increment identities (checked against the frozen step-k collaborator mean);
-# each accepts one (n,) vector or a (seeds, n) batch
+# each accepts one (n,) vector or a (seeds, n) batch, and the adjacency and
+# step size that `laplacian_step` accepts
 
-def _squared_increments(values, sets, gamma: float, sign: float):
+def _squared_increments(values, adjacency, gamma, sign: float):
     values = np.asarray(values, dtype=float)
-    new, mean, m = laplacian_step(values, _adjacency(tuple(map(tuple, sets))), gamma, sign)
+    new, mean, m = laplacian_step(values, adjacency, gamma, sign)
     dist_sq = (values - mean) ** 2
     return (new - mean) ** 2 - dist_sq, ((1.0 + sign * gamma * m) ** 2 - 1.0) * dist_sq, dist_sq
 
 
-def averaging_increments(values: np.ndarray, sets, gamma: float):
+def averaging_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
     """Squared-distance increments for the averaging update.
 
     Returns (actual, predicted, dist_sq) arrays; entries are NaN for agents
     with no collaborators. predicted = [(1 - g*m)^2 - 1] * dist_sq.
     """
-    return _squared_increments(values, sets, gamma, -1.0)
+    return _squared_increments(values, adjacency, gamma, -1.0)
 
 
-def contrarian_increments(values: np.ndarray, sets, gamma: float):
+def contrarian_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
     """Squared-distance increments for the belief-repulsion update.
 
     predicted = [(1 + g*m)^2 - 1] * dist_sq, which is nonnegative.
     """
-    return _squared_increments(values, sets, gamma, 1.0)
+    return _squared_increments(values, adjacency, gamma, 1.0)
 
 
-def leader_increments(values: np.ndarray, sets, gamma: float):
+def leader_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
     """First-power distance increments toward the (frozen) collaborator mean.
 
     For agent i with m collaborators (on `with_leaders` sets, m = |leaders|
@@ -211,7 +214,7 @@ def leader_increments(values: np.ndarray, sets, gamma: float):
     predicted = (|1 - g*m| - 1) * |v_i - mean_i|.
     """
     values = np.asarray(values, dtype=float)
-    new, mean, m = laplacian_step(values, _adjacency(tuple(map(tuple, sets))), gamma)
+    new, mean, m = laplacian_step(values, adjacency, gamma)
     dist = np.abs(values - mean)
     return np.abs(new - mean) - dist, (np.abs(1.0 - gamma * m) - 1.0) * dist
 

@@ -133,8 +133,8 @@ def _supportive_identity_failures(
     first: list[tuple[int, str] | None] = [None] * len(opinions)
     prev_dists = None
     for step in range(identity_steps):
-        a_op, p_op, d_op = averaging_increments(opinions, topo.sets, alpha)
-        a_be, p_be, _ = averaging_increments(beliefs, topo.sets, beta)
+        a_op, p_op, d_op = averaging_increments(opinions, a, alpha)
+        a_be, p_be, _ = averaging_increments(beliefs, a, beta)
         sc_op, sc_be = _scale_sq(opinions), _scale_sq(beliefs)
         dists = np.sqrt(d_op)
         if prev_dists is None:
@@ -250,8 +250,8 @@ def verify_conflict_instability(
         first: list[tuple[int, str] | None] = [None] * len(idx)
         op, be = opinions, beliefs
         for step in range(identity_steps):
-            a_op, p_op, _ = averaging_increments(op, topo.sets, alpha)
-            a_be, p_be, _ = contrarian_increments(be, topo.sets, beta)
+            a_op, p_op, _ = averaging_increments(op, a, alpha)
+            a_be, p_be, _ = contrarian_increments(be, a, beta)
             sc_op, sc_be = _scale_sq(op), _scale_sq(be)
             _record_first(first, step, (
                 (_identity_ok(a_op, p_op, sc_op) & _identity_ok(a_be, p_be, sc_be),
@@ -300,7 +300,8 @@ def verify_leader_convergence(
     The leader average is invariant under the update, so the final state is
     compared against the initial leader mean; the first-power distance
     increments must be nonpositive with their closed form holding exactly.
-    The seeds with the same leader set run as one batch, each row until it
+    Each seed draws its own leader set, so each row of the one batch of all
+    seeds steps on its own `with_leaders` graph and step sizes, until it
     converges or fails.
     """
     t0 = time.perf_counter()
@@ -310,12 +311,11 @@ def verify_leader_convergence(
         leaders = tuple(sorted(rng.choice(n, size=n_leaders, replace=False).tolist()))
         opinions, beliefs = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n)
         targets = (float(np.mean(opinions[list(leaders)])), float(np.mean(beliefs[list(leaders)])))
-        draws.append((leaders, opinions, beliefs, targets))
+        draws.append((DynamicsTopology.with_leaders(n, leaders), opinions, beliefs, targets))
 
-    def run_leaders(leaders, idx):
-        topo = DynamicsTopology.with_leaders(n, leaders)
-        alpha, beta = topo.step_sizes()
-        a = topo.adjacency
+    def run_leaders(_, idx):
+        adj = np.stack([draws[s][0].adjacency for s in idx])
+        alpha, beta = np.array([draws[s][0].step_sizes() for s in idx]).T[:, :, None]
         op = np.stack([draws[s][1] for s in idx])
         be = np.stack([draws[s][2] for s in idx])
         op_target, be_target = np.array([draws[s][3] for s in idx]).T
@@ -331,11 +331,13 @@ def verify_leader_convergence(
                    | (np.abs(be[done] - be_target[ended, None]).max(axis=1) >= tol))
             for r, r_off in zip(ended, off):
                 verdict[r] = "final state off the leader average" if r_off else None
-            live, op, be = live[~done], op[~done], be[~done]
+            keep = ~done
+            live, op, be = live[keep], op[keep], be[keep]
+            adj, alpha, beta = adj[keep], alpha[keep], beta[keep]
             if not live.size:
                 break
-            a_op, p_op = leader_increments(op, topo.sets, alpha)
-            a_be, p_be = leader_increments(be, topo.sets, beta)
+            a_op, p_op = leader_increments(op, adj, alpha)
+            a_be, p_be = leader_increments(be, adj, beta)
             sc_op, sc_be = _scale_sq(op), _scale_sq(be)
             sc = np.where(sc_be > sc_op, sc_be, sc_op)  # Python's max(sc_op, sc_be)
             _record_first(first, step, (
@@ -345,14 +347,16 @@ def verify_leader_convergence(
             ), rows=live)
             failed = np.array([first[r] is not None for r in live])
             checks[live[failed]] = step + 1
-            live, op, be = live[~failed], op[~failed], be[~failed]
-            op = laplacian_step(op, a, alpha)[0]
-            be = laplacian_step(be, a, beta)[0]
+            keep = ~failed
+            live, op, be = live[keep], op[keep], be[keep]
+            adj, alpha, beta = adj[keep], alpha[keep], beta[keep]
+            op = laplacian_step(op, adj, alpha)[0]
+            be = laplacian_step(be, adj, beta)[0]
         return [(int(c), f"{f[1]} at seed={s} step={f[0]}" if f is not None
                  else None if v is None else f"{v} at seed={s}")
                 for s, c, f, v in zip(idx, checks, first, verdict)]
 
-    checks, _, failures = _walk_seeds([d[0] for d in draws], run_leaders)
+    checks, _, failures = _walk_seeds([None] * seeds, run_leaders)
     return PropertyResult(
         name="leader convergence (to the leader average)",
         passed=not failures,
@@ -409,7 +413,7 @@ def verify_belief_speedup(
         if not live.size:
             break
         flat = pairs.reshape(-1, n)
-        increments = np.abs(leader_increments(flat, topo.sets, beta)[0][:, followers])
+        increments = np.abs(leader_increments(flat, a, beta)[0][:, followers])
         checks[live] += 1
         smaller = np.any(increments[1::2] + 1e-15 < increments[0::2], axis=1)
         for s in live[smaller]:

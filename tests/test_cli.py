@@ -354,6 +354,14 @@ class TestCmdSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
+    def test_negative_master_seed_exits_1(self, tmp_path, capsys):
+        # it once passed the checks, and SeedSequence raised a traceback
+        cfg = self._config(tmp_path, master_seed=-1)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: simulate.master_seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "sim").exists()
+
     def test_supportive_trace_matches_hand_iteration(self, tmp_path):
         cfg = self._config(tmp_path, modes=["supportive"], seeds=1)
         assert main(["simulate", "--config", str(cfg)]) == 0

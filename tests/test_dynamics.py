@@ -12,6 +12,7 @@ from belief_consensus.dynamics import (
     REASON_MARGINAL,
     averaging_increments,
     contrarian_increments,
+    laplacian_step,
     leader_increments,
     run_batch,
     run_dynamics,
@@ -41,7 +42,7 @@ class TestStepSupportive:
         # 0.25; increment -2 equals ((1 - alpha*2)^2 - 1) * 2.25
         topo = DynamicsTopology.all_pairs(3)
         actual, predicted, dist_sq = averaging_increments(
-            np.array([0.0, 1.0, 2.0]), topo.sets, 2.0 / 3.0
+            np.array([0.0, 1.0, 2.0]), topo.adjacency, 2.0 / 3.0
         )
         assert actual[0] == pytest.approx(0.25 - 2.25, abs=1e-12)
         assert predicted[0] == pytest.approx((1.0 / 9.0 - 1.0) * 2.25, abs=1e-12)
@@ -89,7 +90,7 @@ class TestStepConflicting:
     def test_belief_increment_identity(self):
         topo = DynamicsTopology.mutual_conflict_pairs(2)
         actual, predicted, dist_sq = contrarian_increments(
-            np.array([0.6, 0.4]), topo.sets, 1.0
+            np.array([0.6, 0.4]), topo.adjacency, 1.0
         )
         # factor (1 + beta)^2 - 1 = 3 on squared distance 0.04
         assert predicted[0] == pytest.approx(3.0 * 0.04)
@@ -148,11 +149,84 @@ class TestStepLeaderFollow:
             DynamicsTopology.with_leaders(3, ())
 
     def test_increment_identity_hand_value(self):
-        sets = DynamicsTopology.with_leaders(3, (0, 1)).sets
-        actual, predicted = leader_increments(np.array([3.0, 3.0, 0.0]), sets, 2.0 / 3.0)
+        a = DynamicsTopology.with_leaders(3, (0, 1)).adjacency
+        actual, predicted = leader_increments(np.array([3.0, 3.0, 0.0]), a, 2.0 / 3.0)
         # follower: (|1/2 - 2/3| - 1/2) * |6 - 0| = -2
         assert predicted[2] == pytest.approx(-2.0)
         assert actual[2] == pytest.approx(-2.0, abs=1e-12)
+
+
+def _step_alone(x, a, g, sign):
+    """One row on one graph, as `laplacian_step` computed it before it took
+    a stack of graphs."""
+    degree = a.sum(axis=1)
+    sums = np.einsum("...j,ij->...i", x, a)
+    return x + sign * g * (degree * x - sums), sums / np.where(degree > 0, degree, np.nan), degree
+
+
+class TestPerRowGraphStep:
+    """`laplacian_step` on a (rows, n, n) stack of graphs with per-row step
+    sizes gives each row the bits it gets stepped alone on its own graph."""
+
+    @staticmethod
+    def graphs(rng, n):
+        yield DynamicsTopology.all_pairs(n).adjacency
+        yield DynamicsTopology.mutual_conflict_pairs(n).adjacency
+        for k in range(1, min(5, n) + 1):
+            leaders = rng.choice(n, size=k, replace=False).tolist()
+            yield DynamicsTopology.with_leaders(n, leaders).adjacency
+        for _ in range(3):
+            a = rng.integers(0, 2, (n, n)).astype(float)
+            np.fill_diagonal(a, 0.0)
+            yield a
+
+    def batch(self, n, seed):
+        """Rows on interleaved graphs at scales 1e-6 to 1e6, with a NaN and
+        an inf row, and per-row step sizes around 2/n."""
+        rng = np.random.default_rng(seed)
+        graphs = list(self.graphs(rng, n))
+        adj, values = [], []
+        for a in graphs:
+            for scale in (1e-6, 1.0, 1e3, 1e6):
+                adj.append(a)
+                values.append(rng.uniform(-scale, scale, n))
+        values[1][0], values[2][-1] = np.nan, np.inf
+        order = rng.permutation(len(adj))
+        gamma = rng.uniform(0.1, 2.0, (len(adj), 1)) / n
+        return np.stack(adj)[order], np.stack(values)[order], gamma
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 12, 23, 40])
+    def test_rows_equal_stepping_alone(self, n, sign):
+        adj, values, gamma = self.batch(n, seed=n)
+        with np.errstate(invalid="ignore"):
+            got = laplacian_step(values, adj, gamma, sign)
+            want = [_step_alone(x, a, g[0], sign) for x, a, g in zip(values, adj, gamma)]
+        for out, expected in zip(got, zip(*want)):
+            assert np.array_equal(out, np.stack(expected), equal_nan=True)
+        assert np.isnan(got[0]).any() and np.isinf(got[0]).any()
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_stacked_batch_equals_stepping_alone(self, n):
+        # (2, rows, n): opinions and beliefs stepped in one call
+        adj, opinions, gamma = self.batch(n, seed=100 + n)
+        beliefs = self.batch(n, seed=200 + n)[1]
+        with np.errstate(invalid="ignore"):
+            new, mean, degree = laplacian_step(np.stack([opinions, beliefs]), adj, gamma)
+            for k, values in enumerate((opinions, beliefs)):
+                want = [_step_alone(x, a, g[0], -1.0) for x, a, g in zip(values, adj, gamma)]
+                want_new, want_mean, want_degree = (np.stack(x) for x in zip(*want))
+                assert np.array_equal(new[k], want_new, equal_nan=True)
+                assert np.array_equal(mean[k], want_mean, equal_nan=True)
+                assert np.array_equal(degree, want_degree)
+
+    def test_one_graph_for_every_row_is_unchanged(self):
+        rng = np.random.default_rng(3)
+        a = DynamicsTopology.with_leaders(7, (0, 2, 5)).adjacency
+        values = rng.uniform(-1, 1, (2, 9, 7))
+        got = laplacian_step(values, a, 2.0 / 7)
+        want = _step_alone(values, a, 2.0 / 7, -1.0)
+        assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(got, want))
 
 
 class TestRunDynamics:

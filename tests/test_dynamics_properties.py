@@ -108,10 +108,10 @@ def test_supportive_step_contracts_at_laplacian_rate(n, seed, fraction):
 @settings(max_examples=60, deadline=None)
 def test_averaging_increments_nonpositive_on_random_topologies(n, seed):
     rng = np.random.default_rng(seed)
-    sets = random_sets(rng, n)
+    a = DynamicsTopology(random_sets(rng, n)).adjacency
     values = rng.uniform(-5, 5, n)
     gamma = 2.0 / n
-    actual, predicted, _ = averaging_increments(values, sets, gamma)
+    actual, predicted, _ = averaging_increments(values, a, gamma)
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] <= 1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)
@@ -121,10 +121,10 @@ def test_averaging_increments_nonpositive_on_random_topologies(n, seed):
 @settings(max_examples=60, deadline=None)
 def test_contrarian_increments_nonnegative_on_random_topologies(n, seed):
     rng = np.random.default_rng(seed)
-    sets = random_sets(rng, n)
+    a = DynamicsTopology(random_sets(rng, n)).adjacency
     values = rng.uniform(0, 1, n)
     gamma = 2.0 / n
-    actual, predicted, _ = contrarian_increments(values, sets, gamma)
+    actual, predicted, _ = contrarian_increments(values, a, gamma)
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] >= -1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)
@@ -139,8 +139,8 @@ def test_leader_increments_nonpositive(n, n_leaders, seed):
     rng = np.random.default_rng(seed)
     leaders = tuple(sorted(rng.choice(n, size=n_leaders, replace=False).tolist()))
     values = rng.uniform(-5, 5, n)
-    sets = DynamicsTopology.with_leaders(n, leaders).sets
-    actual, predicted = leader_increments(values, sets, 2.0 / n)
+    a = DynamicsTopology.with_leaders(n, leaders).adjacency
+    actual, predicted = leader_increments(values, a, 2.0 / n)
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] <= 1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)

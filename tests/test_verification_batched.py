@@ -127,6 +127,15 @@ FAULTS = {
     "leader-budget-set06-only": (
         "verify_leader_convergence", {"max_steps": 300},
         _only(_leaders_are((0, 6)), lambda t: (1e-4, 1e-4))),
+    # with 3 leaders the order of each row's sums matters; 1 leader has no
+    # collaborators, so its increments are all NaN
+    "leader-3-leaders": (
+        "verify_leader_convergence", {"n_leaders": 3}, DynamicsTopology.step_sizes),
+    "leader-0.9-set025-only": (
+        "verify_leader_convergence", {"n_leaders": 3},
+        _only(_leaders_are((0, 2, 5)), lambda t: (0.9, 0.9))),
+    "leader-1-leader": (
+        "verify_leader_convergence", {"n_leaders": 1}, DynamicsTopology.step_sizes),
     "speedup-1/n": ("verify_belief_speedup", {}, lambda t: (1.0 / t.n,) * 2),
     "speedup-0.8": ("verify_belief_speedup", {}, lambda t: (0.8, 0.8)),
     "speedup-overflow": (
@@ -149,7 +158,8 @@ class TestBatchedChecksOracle:
         )
 
     @pytest.mark.parametrize("fault", ["conflict-beta-negative-n5-only", "conflict-overflow-n7-only",
-                                       "leader-overflow-set13-only", "leader-budget-set06-only"])
+                                       "leader-overflow-set13-only", "leader-budget-set06-only",
+                                       "leader-0.9-set025-only"])
     def test_fault_first_hits_a_later_seed(self, monkeypatch, fault):
         # so the walk over batches in seed order is exercised
         check, kwargs, sizes = FAULTS[fault]

@@ -131,8 +131,8 @@ def verify_conflict_instability(
         state = DynamicsState(opinions=rng.uniform(-1.0, 1.0, n), beliefs=beliefs)
         cur = state
         for _ in range(identity_steps):
-            a_op, p_op, _ = averaging_increments(cur.opinions, topo.sets, alpha)
-            a_be, p_be, _ = contrarian_increments(cur.beliefs, topo.sets, beta)
+            a_op, p_op, _ = averaging_increments(cur.opinions, topo.adjacency, alpha)
+            a_be, p_be, _ = contrarian_increments(cur.beliefs, topo.adjacency, beta)
             checks += 1
             sc_op = _scale_sq(cur.opinions)
             sc_be = _scale_sq(cur.beliefs)
@@ -201,8 +201,8 @@ def verify_leader_convergence(
             ):
                 converged_at = cur.step
                 break
-            a_op, p_op = leader_increments(cur.opinions, topo.sets, alpha)
-            a_be, p_be = leader_increments(cur.beliefs, topo.sets, beta)
+            a_op, p_op = leader_increments(cur.opinions, topo.adjacency, alpha)
+            a_be, p_be = leader_increments(cur.beliefs, topo.adjacency, beta)
             checks += 1
             sc = max(_scale_sq(cur.opinions), _scale_sq(cur.beliefs))
             if not (_identity_ok(a_op, p_op, sc) and _identity_ok(a_be, p_be, sc)):
@@ -279,7 +279,7 @@ def verify_belief_speedup(
         for _ in range(200):
             if np.all(pair.max(axis=1) - pair.min(axis=1) < tol):
                 break
-            a_low, a_high = np.abs(leader_increments(pair, topo.sets, beta)[0][:, followers])
+            a_low, a_high = np.abs(leader_increments(pair, topo.adjacency, beta)[0][:, followers])
             checks += 1
             if np.any(a_high + 1e-15 < a_low):
                 failures.append(f"follower increment smaller under high leaders at seed={s}")

@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from belief_consensus.agents import BACKEND_KINDS, BackendConfig, make_backend
@@ -46,7 +45,7 @@ from belief_consensus.orchestrator import (
     run_case,
     write_results_jsonl,
 )
-from belief_consensus.verification import run_property_suite
+from belief_consensus.verification import run_property_suite, uniform_draws
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -337,6 +336,8 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(exist_ok=True)
+    # the supportive check's initial states at n_min
+    initial = uniform_draws(master_seed, n_min, trace_seeds, (-1.0, 1.0, n_min), (0.0, 1.0, n_min))
     for mode in modes:
         if mode == "speedup":
             continue
@@ -347,11 +348,8 @@ def cmd_simulate(args) -> int:
         else:  # the leader check: supportive averaging on the leader sets
             topo = DynamicsTopology.with_leaders(n_min, (0,) if n_min < 3 else (0, 1))
         step_mode = "conflicting" if mode == "conflicting" else "supportive"
-        for s in range(trace_seeds):
-            rng = np.random.default_rng(np.random.SeedSequence([master_seed, n_min, s]))
-            state = DynamicsState(
-                opinions=rng.uniform(-1, 1, n_min), beliefs=rng.uniform(0, 1, n_min)
-            )
+        for s, (opinions, beliefs) in enumerate(zip(*initial)):
+            state = DynamicsState(opinions, beliefs)
             result = run_dynamics(state, topo, step_mode, tol=tol, max_steps=max_steps)
             with open(traces_dir / f"{mode}_n{n_min}_seed{s}.csv", "w", newline="") as fh:
                 fh.write(f"# config: {json.dumps(effective, sort_keys=True)}\n")

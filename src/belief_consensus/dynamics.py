@@ -136,9 +136,11 @@ def laplacian_step(values: np.ndarray, adjacency: np.ndarray, gamma, sign: float
     sign = -1 averages toward the collaborators, +1 pushes away from them.
     `values` is one (n,) vector or a (..., rows, n) batch. `adjacency` is
     one (n, n) graph for every row, or a (rows, n, n) stack with one graph
-    per row; `gamma` is then a scalar or a (rows, 1) array of per-row step
-    sizes. Returns x', the frozen collaborator mean A x / A 1 (NaN for
-    agents with no collaborators) and the collaborator counts A 1.
+    per row; `gamma` and `sign` are scalars or arrays that broadcast against
+    `values`, such as (rows, 1) per-row step sizes or (2, 1, 1) per-quantity
+    ones for stacked opinions and beliefs. Returns x', the frozen
+    collaborator mean A x / A 1 (NaN for agents with no collaborators) and
+    the collaborator counts A 1.
 
     einsum rather than matmul: each row of a batch, with one graph or its
     own, comes out bit for bit as it would alone, and these tiny products
@@ -179,21 +181,22 @@ step_leader_follow = step_supportive
 
 # ---------------------------------------------------------------------------
 # increment identities (checked against the frozen step-k collaborator mean);
-# each accepts one (n,) vector or a (seeds, n) batch, and the adjacency and
-# step size that `laplacian_step` accepts
+# each accepts the values, adjacency and step size that `laplacian_step`
+# accepts, and returns the stepped values x' last
 
 def _squared_increments(values, adjacency, gamma, sign: float):
     values = np.asarray(values, dtype=float)
     new, mean, m = laplacian_step(values, adjacency, gamma, sign)
     dist_sq = (values - mean) ** 2
-    return (new - mean) ** 2 - dist_sq, ((1.0 + sign * gamma * m) ** 2 - 1.0) * dist_sq, dist_sq
+    return ((new - mean) ** 2 - dist_sq, ((1.0 + sign * gamma * m) ** 2 - 1.0) * dist_sq,
+            dist_sq, new)
 
 
 def averaging_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
     """Squared-distance increments for the averaging update.
 
-    Returns (actual, predicted, dist_sq) arrays; entries are NaN for agents
-    with no collaborators. predicted = [(1 - g*m)^2 - 1] * dist_sq.
+    Returns (actual, predicted, dist_sq, new) arrays; entries are NaN for
+    agents with no collaborators. predicted = [(1 - g*m)^2 - 1] * dist_sq.
     """
     return _squared_increments(values, adjacency, gamma, -1.0)
 
@@ -211,12 +214,13 @@ def leader_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
 
     For agent i with m collaborators (on `with_leaders` sets, m = |leaders|
     for followers and |leaders|-1 for leaders),
-    predicted = (|1 - g*m| - 1) * |v_i - mean_i|.
+    predicted = (|1 - g*m| - 1) * |v_i - mean_i|. Returns (actual,
+    predicted, new).
     """
     values = np.asarray(values, dtype=float)
     new, mean, m = laplacian_step(values, adjacency, gamma)
     dist = np.abs(values - mean)
-    return np.abs(new - mean) - dist, (np.abs(1.0 - gamma * m) - 1.0) * dist
+    return np.abs(new - mean) - dist, (np.abs(1.0 - gamma * m) - 1.0) * dist, new
 
 
 # ---------------------------------------------------------------------------

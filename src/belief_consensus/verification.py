@@ -4,7 +4,10 @@ Each check simulates seeded trajectories and verifies the per-step increment
 identities algebraically (not just their signs), then the trajectory-level
 verdicts. The seeds run as (seeds, n) batches, each row stepped as it would
 be alone; the counts and the first failure reported are those of checking
-one seed at a time in order. The identity comparison is relative to the
+one seed at a time in order. Each state is stepped once, by the increment
+helper that checks it; opinions and beliefs step as one (2, seeds, n) stack
+where their signs agree. Uniform initial states come from one PCG64 pass
+per batch (`uniform_draws`). The identity comparison is relative to the
 squared magnitude of the state, which is the scale floating point can
 actually support.
 
@@ -29,15 +32,16 @@ from belief_consensus.dynamics import (
     leader_increments,
     run_batch,
 )
-# kept only for bench/tracer.py, which wraps run_dynamics, step_supportive,
-# step_conflicting and step_leader_follow where this module would look them
-# up and fails on a name that is missing; nothing here calls them
+# bench/tracer.py wraps these four names here, beside the three increment
+# helpers the checks call, and fails on a name that is missing; nothing here
+# calls them
 from belief_consensus.dynamics import (  # noqa: F401
     run_dynamics,
     step_conflicting,
     step_leader_follow,
     step_supportive,
 )
+from belief_consensus.pcg64 import _TWO_POW_M53, _U11, _pcg64_raw, _uint32_words
 
 IDENTITY_RTOL = 1e-12
 
@@ -89,6 +93,8 @@ def _record_first(first: list, step: int, checks, rows=None):
     `rows` maps the batch rows onto the entries of `first`.
     """
     for ok, kind in checks:
+        if ok.all():
+            continue
         for r in np.flatnonzero(~ok):
             r = r if rows is None else rows[r]
             if first[r] is None:
@@ -119,24 +125,37 @@ def _walk_seeds(keys: Sequence, run_group) -> tuple[int, int, list[str]]:
     return checks, len(keys), []
 
 
+def uniform_draws(master_seed: int, key: int, seeds: int, *bounds) -> list[np.ndarray]:
+    """What `default_rng(SeedSequence([master_seed, key, s])).uniform(low,
+    high, size)` draws for each (low, high, size) of `bounds` in turn, as one
+    (seeds, size) array per bound for s < seeds, from one PCG64 pass."""
+    words = np.array(_uint32_words(master_seed) + _uint32_words(key) + [0], np.uint32)
+    words = np.repeat(words[:, None], seeds, axis=1)
+    words[-1] = np.arange(seeds)
+    sizes = [size for _, _, size in bounds]
+    unit = (_pcg64_raw(words, sum(sizes)) >> _U11) * _TWO_POW_M53
+    parts = np.split(unit.T, np.cumsum(sizes)[:-1], axis=1)
+    return [low + (high - low) * u for (low, high, _), u in zip(bounds, parts)]
+
+
 def _supportive_identity_failures(
-    opinions: np.ndarray, beliefs: np.ndarray, topo: DynamicsTopology, identity_steps: int
+    state: np.ndarray, topo: DynamicsTopology, identity_steps: int
 ) -> list[tuple[int, str] | None]:
     """Per seed, the first failing (step, kind) of the per-step checks, or None.
 
-    `opinions` and `beliefs` are (seeds, n) batches stepped together. At each
-    step the increment identity is checked first, then its nonpositive sign,
-    then that each agent's distance to its collaborator mean did not grow.
+    `state` is the seeds' opinions and beliefs as one (2, seeds, n) stack. At
+    each step the increment identity is checked first, then its nonpositive
+    sign, then that each agent's distance to its collaborator mean did not
+    grow.
     """
-    alpha, beta = topo.step_sizes()
+    gamma = np.array(topo.step_sizes())[:, None, None]
     a = topo.adjacency
-    first: list[tuple[int, str] | None] = [None] * len(opinions)
+    first: list[tuple[int, str] | None] = [None] * state.shape[1]
     prev_dists = None
     for step in range(identity_steps):
-        a_op, p_op, d_op = averaging_increments(opinions, a, alpha)
-        a_be, p_be, _ = averaging_increments(beliefs, a, beta)
-        sc_op, sc_be = _scale_sq(opinions), _scale_sq(beliefs)
-        dists = np.sqrt(d_op)
+        sc = _scale_sq(state)
+        actual, predicted, dist_sq, state = averaging_increments(state, a, gamma)
+        dists = np.sqrt(dist_sq[0])
         if prev_dists is None:
             grew = np.zeros(len(dists), dtype=bool)
         else:
@@ -146,14 +165,11 @@ def _supportive_identity_failures(
             constant = np.all(np.abs(dists - prev_dists) <= atol, axis=1)
             grew = ~constant & np.any(dists > prev_dists + 1e-12, axis=1)
         _record_first(first, step, (
-            (_identity_ok(a_op, p_op, sc_op) & _identity_ok(a_be, p_be, sc_be),
-             "identity violated"),
-            (_sign_ok(a_op, sc_op, True) & _sign_ok(a_be, sc_be, True), "positive increment"),
+            (_identity_ok(actual, predicted, sc).all(axis=0), "identity violated"),
+            (_sign_ok(actual, sc, True).all(axis=0), "positive increment"),
             (~grew, "distance grew"),
         ))
         prev_dists = dists
-        opinions = laplacian_step(opinions, a, alpha)[0]
-        beliefs = laplacian_step(beliefs, a, beta)[0]
     return first
 
 
@@ -181,15 +197,10 @@ def verify_supportive_convergence(
 
     def run_n(n, _):
         topo = DynamicsTopology.all_pairs(n)
-        states = []
-        for s in range(seeds):
-            rng = np.random.default_rng(np.random.SeedSequence([master_seed, n, s]))
-            states.append((rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n)))
-        opinions, beliefs = (np.stack(x) for x in zip(*states))
-        first = _supportive_identity_failures(opinions, beliefs, topo, identity_steps)
+        state = np.stack(uniform_draws(master_seed, n, seeds, (-1.0, 1.0, n), (0.0, 1.0, n)))
+        first = _supportive_identity_failures(state, topo, identity_steps)
         ok = np.array([f is None for f in first])
-        verdict = run_batch(opinions[ok], beliefs[ok], topo, "supportive",
-                            tol=tol, max_steps=max_steps)
+        verdict = run_batch(*state[:, ok], topo, "supportive", tol=tol, max_steps=max_steps)
         gap = np.ptp(verdict.opinions, axis=1) >= tol
         verdicts = iter(zip(verdict.reasons, verdict.converged, verdict.marginal, gap))
         outcomes = []
@@ -250,17 +261,15 @@ def verify_conflict_instability(
         first: list[tuple[int, str] | None] = [None] * len(idx)
         op, be = opinions, beliefs
         for step in range(identity_steps):
-            a_op, p_op, _ = averaging_increments(op, a, alpha)
-            a_be, p_be, _ = contrarian_increments(be, a, beta)
             sc_op, sc_be = _scale_sq(op), _scale_sq(be)
+            a_op, p_op, _, op = averaging_increments(op, a, alpha)
+            a_be, p_be, _, be = contrarian_increments(be, a, beta)
             _record_first(first, step, (
                 (_identity_ok(a_op, p_op, sc_op) & _identity_ok(a_be, p_be, sc_be),
                  "identity violated"),
                 (_sign_ok(a_op, sc_op, True), "opinion increment positive"),
                 (_sign_ok(a_be, sc_be, False), "belief increment negative"),
             ))
-            op = laplacian_step(op, a, alpha)[0]
-            be = laplacian_step(be, a, beta, 1.0)[0]
         ok = np.array([f is None for f in first])
         verdict = run_batch(opinions[ok], beliefs[ok], topo, "conflicting", max_steps=500)
         verdicts = iter(zip(verdict.reasons, verdict.converged))
@@ -311,47 +320,39 @@ def verify_leader_convergence(
         leaders = tuple(sorted(rng.choice(n, size=n_leaders, replace=False).tolist()))
         opinions, beliefs = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n)
         targets = (float(np.mean(opinions[list(leaders)])), float(np.mean(beliefs[list(leaders)])))
-        draws.append((DynamicsTopology.with_leaders(n, leaders), opinions, beliefs, targets))
+        draws.append((DynamicsTopology.with_leaders(n, leaders), (opinions, beliefs), targets))
 
     def run_leaders(_, idx):
         adj = np.stack([draws[s][0].adjacency for s in idx])
-        alpha, beta = np.array([draws[s][0].step_sizes() for s in idx]).T[:, :, None]
-        op = np.stack([draws[s][1] for s in idx])
-        be = np.stack([draws[s][2] for s in idx])
-        op_target, be_target = np.array([draws[s][3] for s in idx]).T
+        gamma = np.array([draws[s][0].step_sizes() for s in idx]).T[:, :, None]
+        state = np.stack([draws[s][1] for s in idx], axis=1)  # (2, rows, n)
+        target = np.array([draws[s][2] for s in idx]).T
         checks = np.full(len(idx), max_steps)
         first: list[tuple[int, str] | None] = [None] * len(idx)  # per-step check failures
         verdict = ["no convergence within budget"] * len(idx)
         live = np.arange(len(idx))
         for step in range(max_steps):
-            done = (np.ptp(op, axis=1) < tol) & (np.ptp(be, axis=1) < tol)
+            done = (np.ptp(state, axis=2) < tol).all(axis=0)
             ended = live[done]
             checks[ended] = step
-            off = ((np.abs(op[done] - op_target[ended, None]).max(axis=1) >= tol)
-                   | (np.abs(be[done] - be_target[ended, None]).max(axis=1) >= tol))
+            off = (np.abs(state[:, done] - target[:, ended, None]).max(axis=2) >= tol).any(axis=0)
             for r, r_off in zip(ended, off):
                 verdict[r] = "final state off the leader average" if r_off else None
             keep = ~done
-            live, op, be = live[keep], op[keep], be[keep]
-            adj, alpha, beta = adj[keep], alpha[keep], beta[keep]
+            live, state, adj, gamma = live[keep], state[:, keep], adj[keep], gamma[:, keep]
             if not live.size:
                 break
-            a_op, p_op = leader_increments(op, adj, alpha)
-            a_be, p_be = leader_increments(be, adj, beta)
-            sc_op, sc_be = _scale_sq(op), _scale_sq(be)
+            sc_op, sc_be = _scale_sq(state)
+            actual, predicted, state = leader_increments(state, adj, gamma)
             sc = np.where(sc_be > sc_op, sc_be, sc_op)  # Python's max(sc_op, sc_be)
-            _record_first(first, step, (
-                (_identity_ok(a_op, p_op, sc) & _identity_ok(a_be, p_be, sc),
-                 "leader identity violated"),
-                (_sign_ok(a_op, sc, True) & _sign_ok(a_be, sc, True), "leader distance grew"),
-            ), rows=live)
-            failed = np.array([first[r] is not None for r in live])
-            checks[live[failed]] = step + 1
-            keep = ~failed
-            live, op, be = live[keep], op[keep], be[keep]
-            adj, alpha, beta = adj[keep], alpha[keep], beta[keep]
-            op = laplacian_step(op, adj, alpha)[0]
-            be = laplacian_step(be, adj, beta)[0]
+            identity_ok = _identity_ok(actual, predicted, sc).all(axis=0)
+            sign_ok = _sign_ok(actual, sc, True).all(axis=0)
+            _record_first(first, step, ((identity_ok, "leader identity violated"),
+                                        (sign_ok, "leader distance grew")), rows=live)
+            # a live row has no failure yet, so it fails here exactly when a check does
+            keep = identity_ok & sign_ok
+            checks[live[~keep]] = step + 1
+            live, state, adj, gamma = live[keep], state[:, keep], adj[keep], gamma[:, keep]
         return [(int(c), f"{f[1]} at seed={s} step={f[0]}" if f is not None
                  else None if v is None else f"{v} at seed={s}")
                 for s, c, f, v in zip(idx, checks, first, verdict)]
@@ -393,15 +394,10 @@ def verify_belief_speedup(
     a = topo.adjacency
     _, beta = topo.step_sizes()
 
-    trials = []
-    for s in range(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, 29, s]))
-        follower_b = rng.uniform(0.05, 0.35, n - n_leaders)
-        low_lead = rng.uniform(0.55, 0.70, n_leaders)
-        boost = float(rng.uniform(0.002, 0.010))
-        trials += [np.concatenate([follower_b, low_lead]),
-                   np.concatenate([follower_b, low_lead + boost])]
-    beliefs = np.reshape(trials, (2 * seeds, n))
+    follower_b, low_lead, boost = uniform_draws(master_seed, 29, seeds, (0.05, 0.35, n - n_leaders),
+                                                (0.55, 0.70, n_leaders), (0.002, 0.010, 1))
+    trials = [np.hstack([follower_b, low_lead]), np.hstack([follower_b, low_lead + boost])]
+    beliefs = np.stack(trials, axis=1).reshape(2 * seeds, n)
 
     # per-step dominance; a pair leaves once both trials are within tol
     checks = np.zeros(seeds, dtype=int)
@@ -412,14 +408,14 @@ def verify_belief_speedup(
         live, pairs = live[~within], pairs[~within]
         if not live.size:
             break
-        flat = pairs.reshape(-1, n)
-        increments = np.abs(leader_increments(flat, a, beta)[0][:, followers])
+        actual, _, stepped = leader_increments(pairs.reshape(-1, n), a, beta)
+        increments = np.abs(actual[:, followers])
         checks[live] += 1
         smaller = np.any(increments[1::2] + 1e-15 < increments[0::2], axis=1)
         for s in live[smaller]:
             failures_by_seed[s] = f"follower increment smaller under high leaders at seed={s}"
         live = live[~smaller]
-        pairs = laplacian_step(flat, a, beta)[0].reshape(-1, 2, n)[~smaller]
+        pairs = stepped.reshape(-1, 2, n)[~smaller]
 
     # steps to belief-spread tolerance of every trial
     steps = np.full(2 * seeds, max_steps + 1)

@@ -41,13 +41,14 @@ class TestStepSupportive:
         # agent 1: collaborator mean 1.5, squared distance 2.25, new distance
         # 0.25; increment -2 equals ((1 - alpha*2)^2 - 1) * 2.25
         topo = DynamicsTopology.all_pairs(3)
-        actual, predicted, dist_sq = averaging_increments(
+        actual, predicted, dist_sq, new = averaging_increments(
             np.array([0.0, 1.0, 2.0]), topo.adjacency, 2.0 / 3.0
         )
         assert actual[0] == pytest.approx(0.25 - 2.25, abs=1e-12)
         assert predicted[0] == pytest.approx((1.0 / 9.0 - 1.0) * 2.25, abs=1e-12)
         assert actual[0] == pytest.approx(predicted[0], abs=1e-12)
         assert dist_sq[0] == pytest.approx(2.25)
+        assert np.allclose(new, [2.0, 1.0, 0.0])  # the stepped state
 
     def test_arity_mismatch(self):
         topo = DynamicsTopology.all_pairs(3)
@@ -89,13 +90,14 @@ class TestStepConflicting:
 
     def test_belief_increment_identity(self):
         topo = DynamicsTopology.mutual_conflict_pairs(2)
-        actual, predicted, dist_sq = contrarian_increments(
+        actual, predicted, dist_sq, new = contrarian_increments(
             np.array([0.6, 0.4]), topo.adjacency, 1.0
         )
         # factor (1 + beta)^2 - 1 = 3 on squared distance 0.04
         assert predicted[0] == pytest.approx(3.0 * 0.04)
         assert actual[0] == pytest.approx(predicted[0], abs=1e-12)
         assert actual[0] >= 0.0
+        assert np.allclose(new, [0.8, 0.2])
 
 
 class TestStepLeaderFollow:
@@ -150,10 +152,11 @@ class TestStepLeaderFollow:
 
     def test_increment_identity_hand_value(self):
         a = DynamicsTopology.with_leaders(3, (0, 1)).adjacency
-        actual, predicted = leader_increments(np.array([3.0, 3.0, 0.0]), a, 2.0 / 3.0)
+        actual, predicted, new = leader_increments(np.array([3.0, 3.0, 0.0]), a, 2.0 / 3.0)
         # follower: (|1/2 - 2/3| - 1/2) * |6 - 0| = -2
         assert predicted[2] == pytest.approx(-2.0)
         assert actual[2] == pytest.approx(-2.0, abs=1e-12)
+        assert new[2] == pytest.approx(4.0)
 
 
 def _step_alone(x, a, g, sign):
@@ -227,6 +230,43 @@ class TestPerRowGraphStep:
         got = laplacian_step(values, a, 2.0 / 7)
         want = _step_alone(values, a, 2.0 / 7, -1.0)
         assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(got, want))
+
+
+class TestStackedQuantities:
+    """Opinions and beliefs as one (2, rows, n) stack, with (2, 1, 1) or
+    (2, rows, 1) step sizes and signs, give each quantity the bits of its own
+    call, on one graph or on a (rows, n, n) stack of graphs."""
+
+    @staticmethod
+    def quantities(n, graph_stack, per_row):
+        batch = TestPerRowGraphStep().batch
+        adj, opinions, gamma_op = batch(n, seed=300 + n)
+        beliefs, gamma_be = batch(n, seed=400 + n)[1:]
+        if not graph_stack:
+            adj = adj[0]
+        gammas = (gamma_op, gamma_be) if per_row else (1.5 / n, 0.7 / n)
+        gamma = np.stack(gammas) if per_row else np.array(gammas)[:, None, None]
+        return adj, (opinions, beliefs), np.stack([opinions, beliefs]), gammas, gamma
+
+    @staticmethod
+    def assert_same(stacked, separate):
+        for k, outputs in enumerate(separate):
+            for got, want in zip(stacked, outputs):
+                assert np.array_equal(got if got.ndim < 3 else got[k], want, equal_nan=True)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("graph_stack", [False, True])
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_step_and_increments_equal_separate_calls(self, n, graph_stack, per_row):
+        adj, values, stack, gammas, gamma = self.quantities(n, graph_stack, per_row)
+        signs = (-1.0, 1.0)
+        sign = np.array(signs)[:, None, None]
+        with np.errstate(invalid="ignore", over="ignore"):
+            separate = [laplacian_step(x, adj, g, sg) for x, g, sg in zip(values, gammas, signs)]
+            self.assert_same(laplacian_step(stack, adj, gamma, sign), separate)
+            for helper in (averaging_increments, contrarian_increments, leader_increments):
+                self.assert_same(helper(stack, adj, gamma),
+                                 [helper(x, adj, g) for x, g in zip(values, gammas)])
 
 
 class TestRunDynamics:

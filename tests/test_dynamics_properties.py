@@ -111,7 +111,7 @@ def test_averaging_increments_nonpositive_on_random_topologies(n, seed):
     a = DynamicsTopology(random_sets(rng, n)).adjacency
     values = rng.uniform(-5, 5, n)
     gamma = 2.0 / n
-    actual, predicted, _ = averaging_increments(values, a, gamma)
+    actual, predicted, _, _ = averaging_increments(values, a, gamma)
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] <= 1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)
@@ -124,7 +124,7 @@ def test_contrarian_increments_nonnegative_on_random_topologies(n, seed):
     a = DynamicsTopology(random_sets(rng, n)).adjacency
     values = rng.uniform(0, 1, n)
     gamma = 2.0 / n
-    actual, predicted, _ = contrarian_increments(values, a, gamma)
+    actual, predicted, _, _ = contrarian_increments(values, a, gamma)
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] >= -1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)
@@ -140,7 +140,7 @@ def test_leader_increments_nonpositive(n, n_leaders, seed):
     leaders = tuple(sorted(rng.choice(n, size=n_leaders, replace=False).tolist()))
     values = rng.uniform(-5, 5, n)
     a = DynamicsTopology.with_leaders(n, leaders).adjacency
-    actual, predicted = leader_increments(values, a, 2.0 / n)
+    actual, predicted, _ = leader_increments(values, a, 2.0 / n)
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] <= 1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)

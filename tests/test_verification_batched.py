@@ -1,7 +1,8 @@
 """The batched trajectory runner and property checks against the seed-by-seed
 forms they replaced (`tests/verification_oracle.py`): the same verdicts,
 step counts, final-state bits, trace CSV bytes, and the same
-(name, passed, trajectories, checks, failures) under injected faults."""
+(name, passed, trajectories, checks, failures) under injected faults; and
+the array-drawn initial states against the seeded Generators they replaced."""
 
 import io
 import re
@@ -103,6 +104,23 @@ def _only(pick, sizes):
 
 # name -> (check, keyword arguments, patched DynamicsTopology.step_sizes)
 FAULTS = {
+    # the marginal tie, whose rows stop at step 2 in run_batch
+    "supportive-2/n": ("verify_supportive_convergence", {"seeds": 20}, DynamicsTopology.step_sizes),
+    # contracting: leaves the marginal tie and reaches consensus in one step
+    "supportive-1/n": ("verify_supportive_convergence", {"seeds": 25}, lambda t: (1.0 / t.n,) * 2),
+    # every increment stays negative, but each agent's distance to its
+    # collaborator mean grows from step 1: the first failure is in the n = 6 batch
+    "supportive-overshoot-n6-only": (
+        "verify_supportive_convergence", {},
+        _only(lambda t: t.n == 6, lambda t: (2.2 / t.n,) * 2)),
+    # the beliefs diverge, but only the opinions' distances are checked per
+    # step, so the run's divergence verdict is what fails
+    "supportive-beta-overshoot": (
+        "verify_supportive_convergence", {}, lambda t: (2.0 / t.n, 2.2 / t.n)),
+    # NaN increments are skipped, so the run goes to its step budget
+    "supportive-beta-nan": (
+        "verify_supportive_convergence", {"max_steps": 300}, lambda t: (2.0 / t.n, float("nan"))),
+    "supportive-overflow": ("verify_supportive_convergence", {}, lambda t: (1e150, 1e150)),
     "conflict-1/n": ("verify_conflict_instability", {}, lambda t: (1.0 / t.n,) * 2),
     "conflict-beta0": ("verify_conflict_instability", {}, lambda t: (2.0 / t.n, 0.0)),
     "conflict-beta-negative-n5-only": (
@@ -169,8 +187,48 @@ class TestBatchedChecksOracle:
             result = getattr(verification, check)(**kwargs)
         assert int(re.search(r"seed=(\d+)", result.failures[0]).group(1)) > 0
 
+    def test_supportive_fault_first_hits_a_later_n(self, monkeypatch):
+        # the walk crosses three whole n batches before the failing one
+        check, kwargs, sizes = FAULTS["supportive-overshoot-n6-only"]
+        monkeypatch.setattr(DynamicsTopology, "step_sizes", sizes)
+        result = getattr(verification, check)(**kwargs)
+        assert (result.trajectories, result.checks) == (301, 3 * 100 * 50 + 2)
+        assert result.failures == ["distance grew at n=6 seed=0 step=1"]
+
     def test_unpatched_counts(self):
         # the counts the benchmark's output check pins for the full suite
-        assert (verification.verify_conflict_instability().checks,
+        assert (verification.verify_supportive_convergence().checks,
+                verification.verify_conflict_instability().checks,
                 verification.verify_leader_convergence().checks,
-                verification.verify_belief_speedup().checks) == (3000, 2539, 2400)
+                verification.verify_belief_speedup().checks) == (40000, 3000, 2539, 2400)
+
+
+class TestUniformDraws:
+    """`uniform_draws` against one seeded Generator per seed, as the checks
+    drew before it, bit for bit."""
+
+    @pytest.mark.parametrize("master_seed", [0, 7, 2**32 + 5])
+    @pytest.mark.parametrize("n", [2, 3, 10, 64])
+    def test_initial_states_equal_generator(self, n, master_seed):
+        got = verification.uniform_draws(master_seed, n, 100, (-1.0, 1.0, n), (0.0, 1.0, n))
+        want = []
+        for s in range(100):
+            rng = np.random.default_rng(np.random.SeedSequence([master_seed, n, s]))
+            want.append((rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n)))
+        assert [x.shape for x in got] == [(100, n)] * 2
+        assert [x.tobytes() for x in got] == [np.stack(x).tobytes() for x in zip(*want)]
+
+    @pytest.mark.parametrize("master_seed", [0, 7, 2**32 + 5])
+    def test_speedup_trials_equal_generator(self, master_seed):
+        follower_b, low_lead, boost = verification.uniform_draws(
+            master_seed, 29, 100, (0.05, 0.35, 5), (0.55, 0.70, 2), (0.002, 0.010, 1))
+        for s in range(100):
+            # as verify_belief_speedup drew them: the boost is a scalar draw
+            rng = np.random.default_rng(np.random.SeedSequence([master_seed, 29, s]))
+            assert follower_b[s].tobytes() == rng.uniform(0.05, 0.35, 5).tobytes()
+            assert low_lead[s].tobytes() == rng.uniform(0.55, 0.70, 2).tobytes()
+            assert boost[s].tobytes() == np.float64(rng.uniform(0.002, 0.010)).tobytes()
+
+    def test_no_seeds(self):
+        # `simulate.trace_seeds: 0`
+        assert [x.shape for x in verification.uniform_draws(0, 3, 0, (0.0, 1.0, 3))] == [(0, 3)]

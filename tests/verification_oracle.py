@@ -7,9 +7,11 @@ results:
 
 - `run_dynamics`: one trajectory at a time through the `step_*` functions,
   recording every state;
-- `verify_conflict_instability`, `verify_leader_convergence` and
-  `verify_belief_speedup`: one seed at a time, each seed's per-step checks
-  followed by its trajectory verdict, stopping at the first failure.
+- the four property checks (`verify_supportive_convergence`,
+  `verify_conflict_instability`, `verify_leader_convergence` and
+  `verify_belief_speedup`): one seed at a time, each drawing from its own
+  `default_rng(SeedSequence(...))`, each seed's per-step checks followed by
+  its trajectory verdict, stopping at the first failure.
 """
 
 import time
@@ -104,6 +106,78 @@ def run_dynamics(
     return DynamicsResult(trace, False, REASON_BUDGET, False, mode)
 
 
+def verify_supportive_convergence(
+    n_values: Sequence[int] = tuple(range(3, 11)),
+    seeds: int = 100,
+    tol: float = 1e-9,
+    max_steps: int = 10_000,
+    identity_steps: int = 50,
+    master_seed: int = 0,
+) -> PropertyResult:
+    """All-pairs supportive collaboration at step size 2/n.
+
+    Verifies the squared-distance increment identity and its nonpositive sign
+    at every checked step, that no agent's distance to its collaborator mean
+    grew (unless all of them stayed constant, as at the marginal tie), and
+    that every trajectory's verdict is converged.
+    """
+    t0 = time.perf_counter()
+    failures: list[str] = []
+    checks = 0
+    trajectories = 0
+    for n in n_values:
+        topo = DynamicsTopology.all_pairs(n)
+        alpha, beta = topo.step_sizes()
+        for s in range(seeds):
+            trajectories += 1
+            rng = np.random.default_rng(np.random.SeedSequence([master_seed, n, s]))
+            state = DynamicsState(
+                opinions=rng.uniform(-1.0, 1.0, n), beliefs=rng.uniform(0.0, 1.0, n)
+            )
+            cur = state
+            prev_dists = None
+            for step in range(identity_steps):
+                a_op, p_op, d_op = averaging_increments(cur.opinions, topo.adjacency, alpha)[:3]
+                a_be, p_be = averaging_increments(cur.beliefs, topo.adjacency, beta)[:2]
+                checks += 1
+                sc_op = _scale_sq(cur.opinions)
+                sc_be = _scale_sq(cur.beliefs)
+                dists = np.sqrt(d_op)
+                if not (_identity_ok(a_op, p_op, sc_op) and _identity_ok(a_be, p_be, sc_be)):
+                    failures.append(f"identity violated at n={n} seed={s} step={step}")
+                    break
+                if not (_sign_ok(a_op, sc_op, True) and _sign_ok(a_be, sc_be, True)):
+                    failures.append(f"positive increment at n={n} seed={s} step={step}")
+                    break
+                if prev_dists is not None:
+                    atol = 1e-12 * np.maximum(1.0, np.max(dists))
+                    constant = np.all(np.abs(dists - prev_dists) <= atol)
+                    if not constant and np.any(dists > prev_dists + 1e-12):
+                        failures.append(f"distance grew at n={n} seed={s} step={step}")
+                        break
+                prev_dists = dists
+                cur = step_supportive(cur, topo)
+            if failures:
+                break
+            result = run_dynamics(state, topo, "supportive", tol=tol, max_steps=max_steps)
+            if not result.converged:
+                failures.append(f"not converged at n={n} seed={s}: {result.reason}")
+                break
+            if not result.marginal and np.ptp(result.final.opinions) >= tol:
+                failures.append(f"opinion gap above tol at n={n} seed={s}")
+                break
+        if failures:
+            break
+    return PropertyResult(
+        name="supportive convergence (all-pairs averaging)",
+        passed=not failures,
+        trajectories=trajectories,
+        checks=checks,
+        failures=failures,
+        elapsed=time.perf_counter() - t0,
+    )
+
+
 def verify_conflict_instability(
     seeds: int = 100,
     n_choices: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
@@ -131,8 +205,8 @@ def verify_conflict_instability(
         state = DynamicsState(opinions=rng.uniform(-1.0, 1.0, n), beliefs=beliefs)
         cur = state
         for _ in range(identity_steps):
-            a_op, p_op, _ = averaging_increments(cur.opinions, topo.adjacency, alpha)
-            a_be, p_be, _ = contrarian_increments(cur.beliefs, topo.adjacency, beta)
+            a_op, p_op = averaging_increments(cur.opinions, topo.adjacency, alpha)[:2]
+            a_be, p_be = contrarian_increments(cur.beliefs, topo.adjacency, beta)[:2]
             checks += 1
             sc_op = _scale_sq(cur.opinions)
             sc_be = _scale_sq(cur.beliefs)
@@ -201,8 +275,8 @@ def verify_leader_convergence(
             ):
                 converged_at = cur.step
                 break
-            a_op, p_op = leader_increments(cur.opinions, topo.adjacency, alpha)
-            a_be, p_be = leader_increments(cur.beliefs, topo.adjacency, beta)
+            a_op, p_op = leader_increments(cur.opinions, topo.adjacency, alpha)[:2]
+            a_be, p_be = leader_increments(cur.beliefs, topo.adjacency, beta)[:2]
             checks += 1
             sc = max(_scale_sq(cur.opinions), _scale_sq(cur.beliefs))
             if not (_identity_ok(a_op, p_op, sc) and _identity_ok(a_be, p_be, sc)):

@@ -227,7 +227,10 @@ def cmd_run(args) -> int:
         for entry in config.get("backends", []) or []:
             if "agent_id" not in entry:
                 raise ConfigError("per-agent backend entries need an agent_id")
-            per_agent[str(entry["agent_id"])] = _backend_config_from(entry, None, "backends")
+            agent_id = str(entry["agent_id"])
+            if agent_id in per_agent:
+                raise ConfigError(f"backends lists agent_id {agent_id!r} twice")
+            per_agent[agent_id] = _backend_config_from(entry, None, "backends")
         jobs = args.jobs if args.jobs is not None else _integer("run.jobs",
                                                                 run_section.get("jobs", 1))
         if jobs < 1:
@@ -249,6 +252,14 @@ def cmd_run(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATASET
+    if backend_cfg.kind == "scripted":
+        run_ids = {agent_id for case in cases for agent_id in case.scripts or ()}
+    else:
+        run_ids = {f"agent-{i + 1}" for i in range(max(c.get("n", cfg.n) for c in combos))}
+    unknown = sorted(set(per_agent) - run_ids)
+    if unknown:
+        print(f"config error: backends name no agent of the run: {unknown}", file=sys.stderr)
+        return EXIT_CONFIG
 
     def effective_for(run_cfg: RunConfig) -> dict:
         return {

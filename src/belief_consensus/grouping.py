@@ -1,10 +1,11 @@
 """Opinion grouping: keyword tf-idf vectors, seeded k-means, group entropy.
 
 Agents are clustered by the keyword distribution of their opinion text
-(reasoning plus answer). Clustering is deterministic for fixed vectors, k and
-restart draws, and permutation-equivariant: centroids are seeded from
-the lexicographically sorted set of distinct vectors, so reordering agents
-only relabels groups.
+(reasoning plus answer); each distinct (reasoning, answer) pair is vectorized
+and clustered once, weighted by the agents holding it. Clustering is
+deterministic for fixed vectors, k and restart draws, and permutation-
+equivariant: centroids are seeded from the lexicographically sorted set of
+distinct vectors, so reordering agents only relabels groups.
 """
 
 from __future__ import annotations
@@ -39,44 +40,37 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_CLEAN.sub(" ", text.lower()).split()
 
 
-def vectorize(texts: Sequence[str]) -> np.ndarray:
-    """Per-document L2-normalized tf-idf vectors over the corpus vocabulary.
+def vectorize(texts: Sequence[str], counts=None) -> np.ndarray:
+    """L2-normalized tf-idf vectors over the corpus vocabulary, one row per text.
 
-    idf(t) = ln((1 + N) / (1 + df(t))) + 1 (smoothed); tf is the raw in-document
-    count. Empty documents yield zero vectors. Each distinct text is tokenized
-    and weighted once and counts in df with its multiplicity, so duplicate
-    texts get the row a per-document fill would give them.
+    Text i stands for `counts[i]` documents (default 1). idf(t) = ln((1 + N) /
+    (1 + df(t))) + 1 (smoothed) over the N = sum(counts) documents; tf is the
+    raw in-document count. Empty documents yield zero vectors. Each row is
+    divided by its own `np.linalg.norm`, as a per-document fill divides it.
     """
     if len(texts) == 0:
         raise ValueError("no opinions to vectorize")
-    slot = {text: i for i, text in enumerate(dict.fromkeys(texts))}
-    rows = [slot[t] for t in texts]
-    docs = [tokenize(t) for t in slot]
+    counts = np.ones(len(texts)) if counts is None else np.asarray(counts)
+    docs = [tokenize(t) for t in texts]
     vocab = sorted({tok for doc in docs for tok in doc})
     index = {tok: j for j, tok in enumerate(vocab)}
     mat = np.zeros((len(docs), max(len(vocab), 1)))
     if vocab:
-        df = np.zeros(len(vocab))
-        for doc, count in zip(docs, np.bincount(rows)):
-            for tok in set(doc):
-                df[index[tok]] += count
-        idf = np.log((1.0 + len(texts)) / (1.0 + df)) + 1.0
-        for i, doc in enumerate(docs):
-            for tok in doc:
-                mat[i, index[tok]] += 1.0
-            mat[i] *= idf
-            norm = np.linalg.norm(mat[i])
-            if norm > 0:
-                mat[i] /= norm
-    return mat[rows]
+        cells = [i * len(vocab) + index[tok] for i, doc in enumerate(docs) for tok in doc]
+        mat = np.bincount(cells, minlength=mat.size).reshape(mat.shape) * 1.0  # exact counts
+        df = (counts[:, None] * (mat > 0)).sum(axis=0)
+        mat *= np.log((1.0 + counts.sum()) / (1.0 + df)) + 1.0
+        norms = np.array([np.linalg.norm(row) for row in mat])
+        mat /= np.where(norms > 0, norms, 1.0)[:, None]
+    return mat
 
 
-def _distinct_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _distinct_rows(vectors: np.ndarray, counts=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`np.unique(vectors, axis=0, return_inverse=True, return_counts=True)`.
 
     Rows are told apart by their bytes once `+ 0.0` has folded -0.0 into 0.0,
     and only the distinct rows are sorted, lexicographically as np.unique
-    sorts them.
+    sorts them. Row i counts `counts[i]` times (default 1).
     """
     rows = np.ascontiguousarray(vectors + 0.0)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
@@ -87,7 +81,7 @@ def _distinct_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     rank[order] = np.arange(len(order))
     rank_of = dict(zip(some_row, rank.tolist()))
     inverse = np.array([rank_of[key] for key in keys], dtype=np.intp)
-    return distinct[order], inverse, np.bincount(inverse, minlength=len(order))
+    return distinct[order], inverse, np.bincount(inverse, counts, len(order))
 
 
 def _renumber(labels: np.ndarray) -> np.ndarray:
@@ -129,32 +123,32 @@ def _restart_draws(seeds: Sequence[int], k: int) -> np.ndarray:
     return ((raw >> _U11) * _TWO_POW_M53).reshape(k, len(seeds), KMEANS_N_INIT)
 
 
-def _seed_centroids(distinct: np.ndarray, counts: np.ndarray, draws: np.ndarray) -> np.ndarray:
+def _seed_centroids(distinct: np.ndarray, counts: np.ndarray, draws: np.ndarray) -> tuple:
     """k-means++ over the distinct rows, weighted by multiplicity, for every restart.
 
-    Returns (R, k) row indices. Pick j of restart r reads draws[j, r] and
-    inverts the pick distribution's cdf exactly as `Generator.choice(m, p=p)`
-    does, so each restart's picks match drawing them one restart at a time.
+    Returns (R, k) row indices and the (R, k, m) `_sq_dists` of those rows.
+    Pick j of restart r reads draws[j, r] and inverts the pick distribution's
+    cdf exactly as `Generator.choice(m, p=p)` does, so each restart's picks
+    match drawing them one restart at a time.
     """
     k, restarts = draws.shape
     weights = counts / counts.sum()
     picks = np.empty((restarts, k), dtype=np.intp)
+    dists = np.empty((restarts, k, len(distinct)))
     probs = weights  # the first pick's distribution, shared by every restart
-    d2 = None
     for j in range(k):
         cdf = probs.cumsum(axis=-1)
         cdf /= cdf[..., -1:]
         picks[:, j] = (cdf <= draws[j, :, None]).sum(axis=1)
+        ((distinct - distinct[picks[:, j], None, :]) ** 2).sum(-1, out=dists[:, j])
         if j == k - 1:
             break
-        rows = _sq_dists(distinct, distinct[picks[:, j, None]])[:, 0]
-        d2 = rows if d2 is None else np.minimum(d2, rows)
-        mass = d2 * counts
+        mass = dists[:, :j + 1].min(axis=1) * counts
         total = mass.sum(axis=1)
         flat = total <= 0.0
         probs = mass / np.where(flat, 1.0, total)[:, None]
         probs[flat] = weights
-    return picks
+    return picks, dists
 
 
 def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, draws: np.ndarray) -> np.ndarray:
@@ -165,6 +159,11 @@ def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, draws: np.ndarray)
     re-seated on the row farthest from its nearest centroid. The first
     restart with the lowest inertia (by more than 1e-12) wins.
 
+    The first pass assigns by the seeding's distances. A pass that repeats
+    the previous pass's assignment with no slot empty ends the loop, as its
+    update would return the centroids it started from; its distances are
+    final. Otherwise the last update's centroids give the final distances.
+
     One update pass serves all R·k slots: a stable argsort by slot lines up
     each slot's members in row order, and step p adds every slot's p-th
     count-weighted row, or the appended zero row once the slot has run out.
@@ -174,17 +173,20 @@ def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, draws: np.ndarray)
     """
     restarts, (m, d) = KMEANS_N_INIT, distinct.shape
     slots = restarts * k
-    centroids = distinct[_seed_centroids(distinct, counts, draws)]
+    picks, dists = _seed_centroids(distinct, counts, draws)
+    centroids, previous = distinct[picks], None
     weighted = np.vstack([distinct * counts[:, None], np.zeros(d)])
     size_weights = np.tile(counts, restarts)
     first_slot = np.arange(0, slots, k)[:, None]
     sorted_at = np.arange(restarts * m)
     moving = np.ones(restarts, dtype=bool)
     for _ in range(KMEANS_MAX_ITER):
-        dists = _sq_dists(distinct, centroids)
         slot = (dists.argmin(axis=1) + first_slot).ravel()  # restart r's slot c is r·k + c
-        order = np.argsort(slot, kind="stable")
         members = np.bincount(slot, minlength=slots)
+        if previous is not None and members.all() and np.array_equal(slot, previous):
+            break
+        previous = slot
+        order = np.argsort(slot, kind="stable")
         by_slot = slot[order]
         at = np.full((members.max(), slots), m)  # row of each slot's p-th member, or m
         at[sorted_at - (members.cumsum() - members)[by_slot], by_slot] = order % m
@@ -201,9 +203,9 @@ def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, draws: np.ndarray)
         shift = np.sqrt(((updated - centroids) ** 2).sum(-1)).max(axis=1)
         centroids[moving] = updated[moving]
         moving &= ~(shift < KMEANS_SHIFT_TOL)
+        dists = _sq_dists(distinct, centroids)
         if not moving.any():
             break
-    dists = _sq_dists(distinct, centroids)
     inertia = (dists.min(axis=1) * counts).sum(axis=1)
     best, winner = math.inf, 0
     for r, value in enumerate(inertia.tolist()):
@@ -212,14 +214,15 @@ def _kmeans(distinct: np.ndarray, counts: np.ndarray, k: int, draws: np.ndarray)
     return dists[winner].argmin(axis=0)
 
 
-def cluster_opinions(vectors: np.ndarray, k: int, draws: np.ndarray) -> np.ndarray:
+def cluster_opinions(vectors: np.ndarray, k: int, draws: np.ndarray, counts=None) -> np.ndarray:
     """Lloyd k-means with k-means++ seeding; returns a label per row.
 
     Vectors are expected L2-normalized, making squared Euclidean distance
-    cosine-equivalent. Seeding restarts KMEANS_N_INIT times, restart r's
-    pick j reading `draws[j, r]` (a round's slice of `_restart_draws`, shaped
-    (k, KMEANS_N_INIT)), and the lowest-inertia run wins. With at most k
-    distinct vectors every restart puts each in its own cluster, so that
+    cosine-equivalent. Row i counts `counts[i]` times (default 1); equal rows
+    merge, adding their counts. Seeding restarts KMEANS_N_INIT times, restart
+    r's pick j reading `draws[j, r]` (a round's slice of `_restart_draws`,
+    shaped (k, KMEANS_N_INIT)), and the lowest-inertia run wins. With at most
+    k distinct vectors every restart puts each in its own cluster, so that
     partition is returned directly. Labels are renumbered by first appearance.
     """
     if k < 1:
@@ -228,7 +231,7 @@ def cluster_opinions(vectors: np.ndarray, k: int, draws: np.ndarray) -> np.ndarr
         raise ValueError(f"draws must be shaped {(k, KMEANS_N_INIT)}, got {draws.shape}")
     if vectors.ndim != 2 or len(vectors) == 0:
         raise ValueError("vectors must be a non-empty 2-d array")
-    distinct, inverse, counts = _distinct_rows(vectors)
+    distinct, inverse, counts = _distinct_rows(vectors, counts)
     if len(distinct) <= k:
         return _renumber(inverse)
     return _renumber(_kmeans(distinct, counts, k, draws)[inverse])
@@ -250,14 +253,17 @@ def build_groups(opinions: RoundColumns, k: int, draws: np.ndarray) -> tuple[Opi
     """Cluster opinions into groups and attach entropy and modal answer; `draws`
     are the round's (k, KMEANS_N_INIT) k-means restart draws.
 
-    Each distinct (reasoning, answer) text is formatted once, and the answers
-    of all groups are tallied at once. Members keep the round's row order.
+    The distinct (reasoning, answer) pairs, in order of first appearance, are
+    formatted, vectorized and clustered once each, weighted by the agents
+    holding them. The answers of all groups are tallied at once. Members keep
+    the round's row order.
     """
-    n_answers = len(opinions.answers)
-    pairs = (opinions.text_ids * n_answers + opinions.codes).tolist()
-    text = {p: f"{opinions.texts[p // n_answers]} {opinions.answers[p % n_answers]}"
-            for p in set(pairs)}
-    labels = cluster_opinions(vectorize([text[p] for p in pairs]), k, draws)
+    n_answers, pairs = len(opinions.answers), {}
+    inverse = [pairs.setdefault(p, len(pairs))
+               for p in (opinions.text_ids * n_answers + opinions.codes).tolist()]
+    held = np.bincount(inverse)
+    texts = [f"{opinions.texts[p // n_answers]} {opinions.answers[p % n_answers]}" for p in pairs]
+    labels = cluster_opinions(vectorize(texts, held), k, draws, held)[inverse]
     sizes = np.bincount(labels).tolist()  # labels count up from 0
     counts, sums = tally(labels * n_answers + opinions.codes, opinions.beliefs,
                          len(sizes) * n_answers)
@@ -266,13 +272,7 @@ def build_groups(opinions: RoundColumns, k: int, draws: np.ndarray) -> tuple[Opi
     groups, start = [], 0
     for gid, size in enumerate(sizes):
         end, span = start + size, slice(gid * n_answers, (gid + 1) * n_answers)
-        groups.append(
-            OpinionGroup(
-                group_id=gid,
-                members=members[start:end],
-                entropy=group_entropy(beliefs[start:end]),
-                modal_answer=opinions.answers[modal_code(counts[span], sums[span])],
-            )
-        )
+        groups.append(OpinionGroup(gid, members[start:end], group_entropy(beliefs[start:end]),
+                                   opinions.answers[modal_code(counts[span], sums[span])]))
         start = end
     return tuple(groups)

@@ -72,17 +72,18 @@ def _scale_sq(values: np.ndarray):
 
 
 # The checks below reduce over agents: a bool for one vector, one per row of a
-# batch. NaN entries (agents with no collaborators) are skipped.
+# batch. `isolated` marks the agents with no collaborators (degree 0), whose
+# increments are NaN by definition and are skipped; any other NaN fails.
 
-def _identity_ok(actual, predicted, scale_sq):
+def _identity_ok(actual, predicted, scale_sq, isolated):
     ok = np.abs(actual - predicted) <= IDENTITY_RTOL * scale_sq
-    return (ok | np.isnan(actual)).all(axis=-1)
+    return (ok | isolated).all(axis=-1)
 
 
-def _sign_ok(actual, scale_sq, nonpositive: bool):
+def _sign_ok(actual, scale_sq, nonpositive: bool, isolated):
     slack = IDENTITY_RTOL * scale_sq
     ok = actual <= slack if nonpositive else actual >= -slack
-    return (ok | np.isnan(actual)).all(axis=-1)
+    return (ok | isolated).all(axis=-1)
 
 
 def _record_first(first: list, step: int, checks, rows=None):
@@ -150,6 +151,7 @@ def _supportive_identity_failures(
     """
     gamma = np.array(topo.step_sizes())[:, None, None]
     a = topo.adjacency
+    isolated = a.sum(axis=-1) == 0
     first: list[tuple[int, str] | None] = [None] * state.shape[1]
     prev_dists = None
     for step in range(identity_steps):
@@ -165,8 +167,8 @@ def _supportive_identity_failures(
             constant = np.all(np.abs(dists - prev_dists) <= atol, axis=1)
             grew = ~constant & np.any(dists > prev_dists + 1e-12, axis=1)
         _record_first(first, step, (
-            (_identity_ok(actual, predicted, sc).all(axis=0), "identity violated"),
-            (_sign_ok(actual, sc, True).all(axis=0), "positive increment"),
+            (_identity_ok(actual, predicted, sc, isolated).all(axis=0), "identity violated"),
+            (_sign_ok(actual, sc, True, isolated).all(axis=0), "positive increment"),
             (~grew, "distance grew"),
         ))
         prev_dists = dists
@@ -257,6 +259,7 @@ def verify_conflict_instability(
         topo = DynamicsTopology.mutual_conflict_pairs(n)
         alpha, beta = topo.step_sizes()
         a = topo.adjacency
+        isolated = a.sum(axis=-1) == 0
         opinions, beliefs = (np.stack(x) for x in zip(*(states[s] for s in idx)))
         first: list[tuple[int, str] | None] = [None] * len(idx)
         op, be = opinions, beliefs
@@ -265,10 +268,10 @@ def verify_conflict_instability(
             a_op, p_op, _, op = averaging_increments(op, a, alpha)
             a_be, p_be, _, be = contrarian_increments(be, a, beta)
             _record_first(first, step, (
-                (_identity_ok(a_op, p_op, sc_op) & _identity_ok(a_be, p_be, sc_be),
-                 "identity violated"),
-                (_sign_ok(a_op, sc_op, True), "opinion increment positive"),
-                (_sign_ok(a_be, sc_be, False), "belief increment negative"),
+                (_identity_ok(a_op, p_op, sc_op, isolated)
+                 & _identity_ok(a_be, p_be, sc_be, isolated), "identity violated"),
+                (_sign_ok(a_op, sc_op, True, isolated), "opinion increment positive"),
+                (_sign_ok(a_be, sc_be, False, isolated), "belief increment negative"),
             ))
         ok = np.array([f is None for f in first])
         verdict = run_batch(opinions[ok], beliefs[ok], topo, "conflicting", max_steps=500)
@@ -345,8 +348,9 @@ def verify_leader_convergence(
             sc_op, sc_be = _scale_sq(state)
             actual, predicted, state = leader_increments(state, adj, gamma)
             sc = np.where(sc_be > sc_op, sc_be, sc_op)  # Python's max(sc_op, sc_be)
-            identity_ok = _identity_ok(actual, predicted, sc).all(axis=0)
-            sign_ok = _sign_ok(actual, sc, True).all(axis=0)
+            isolated = adj.sum(axis=-1) == 0
+            identity_ok = _identity_ok(actual, predicted, sc, isolated).all(axis=0)
+            sign_ok = _sign_ok(actual, sc, True, isolated).all(axis=0)
             _record_first(first, step, ((identity_ok, "leader identity violated"),
                                         (sign_ok, "leader distance grew")), rows=live)
             # a live row has no failure yet, so it fails here exactly when a check does

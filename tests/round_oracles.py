@@ -5,6 +5,11 @@ ones that must return identical results:
 
 - `oracle_vectorize`: tf-idf filled token by token for every document,
   duplicates included;
+- `oracle_build_groups`: one text per agent through `oracle_vectorize`, the
+  agents' rows clustered by the loop k-means of `kmeans_oracle` (which
+  renumbers by first appearance), and each group's entropy and modal answer
+  computed from its members' Opinions, where `build_groups` vectorizes and
+  clusters each distinct (reasoning, answer) pair once;
 - `oracle_assign_collaborators`: rescans a whole group for its top-belief
   member once per agent and related group, and recomputes the related group
   ids once per agent;
@@ -44,9 +49,10 @@ from belief_consensus.coordination import (
     AssignmentPlan,
     _relation,
 )
-from belief_consensus.core import Opinion, RoundColumns, stable_hash
-from belief_consensus.grouping import tokenize
+from belief_consensus.core import Opinion, RoundColumns, modal_answer, stable_hash
+from belief_consensus.grouping import OpinionGroup, group_entropy, tokenize
 from belief_consensus.orchestrator import CaseFailure
+from kmeans_oracle import oracle_cluster
 
 
 def columns_of(opinions):
@@ -81,6 +87,21 @@ def oracle_vectorize(texts):
             if norm > 0:
                 mat[i] /= norm
     return mat
+
+
+def oracle_build_groups(round_, k, seed):
+    """The groups of `round_` when its agents cluster from clustering seed
+    `seed`, whose restart draws are `_restart_draws([seed], k)[:, 0]`."""
+    opinions = opinions_of(round_)
+    vectors = oracle_vectorize([f"{op.reasoning} {op.answer}" for op in opinions])
+    labels = oracle_cluster(vectors, k, seed).tolist()
+    groups = []
+    for gid in range(max(labels) + 1):
+        members = [op for op, label in zip(opinions, labels) if label == gid]
+        groups.append(OpinionGroup(gid, tuple(op.agent_id for op in members),
+                                   group_entropy([op.belief for op in members]),
+                                   modal_answer(columns_of(members))))
+    return tuple(groups)
 
 
 def _top_belief(members, exclude=None):

@@ -186,6 +186,38 @@ class TestCmdRun:
         _, rows = read_results(tmp_path / "hetero")
         assert len(rows) == 3  # mixed backends still produce full reports
 
+    @pytest.mark.parametrize("kind, entries, message", [
+        # n = 3 has no agent-9; such an entry was once ignored, and every agent
+        # used the shared backend
+        ("stochastic", [{"agent_id": "agent-9"}],
+         "backends name no agent of the run: ['agent-9']"),
+        # the corpus scripts a1 to a7
+        ("scripted", [{"agent_id": "a9"}], "backends name no agent of the run: ['a9']"),
+        # the second entry once silently replaced the first
+        ("stochastic", [{"agent_id": "agent-2"}, {"agent_id": "agent-2", "kind": "scripted"}],
+         "backends lists agent_id 'agent-2' twice"),
+    ])
+    def test_bad_per_agent_backends_exit_1_before_any_case(self, tmp_path, corpus_path, capsys,
+                                                           kind, entries, message):
+        cfg = write_config(tmp_path, corpus_path, n=3)
+        payload = yaml.safe_load(cfg.read_text())
+        payload["backend"] = {"kind": kind}
+        payload["backends"] = [{"kind": "stochastic", **entry} for entry in entries]
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_per_agent_backend_of_a_swept_agent_count(self, tmp_path, corpus_path):
+        # agent-5 exists in the n = 5 setting of the sweep, not in n = 3
+        cfg = write_config(tmp_path, corpus_path, n=3, max_rounds=1)
+        payload = yaml.safe_load(cfg.read_text())
+        payload["backend"] = {"kind": "stochastic"}
+        payload["backends"] = [{"agent_id": "agent-5", "kind": "stochastic"}]
+        payload["sweep"] = {"n": [3, 5]}
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["run", "--config", str(cfg)]) == 0
+
     def test_bad_http_endpoint_exits_1_without_a_request(self, tmp_path, corpus_path, capsys):
         with socket.socket() as listener:
             listener.bind(("127.0.0.1", 0))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from belief_consensus.core import Opinion
+from belief_consensus import orchestrator
+from belief_consensus.agents import StochasticAgent
+from belief_consensus.core import Opinion, RunConfig, ScenarioCase
 from belief_consensus.grouping import (
     KMEANS_N_INIT,
     _distinct_rows,
@@ -16,7 +18,7 @@ from belief_consensus.grouping import (
     vectorize,
 )
 from kmeans_oracle import oracle_cluster
-from round_oracles import columns_of, oracle_vectorize
+from round_oracles import columns_of, oracle_build_groups, oracle_vectorize
 
 
 def draws(seed, k):
@@ -80,9 +82,14 @@ def vectorize_inputs(count, seed):
 
 class TestVectorizeOracle:
     def test_equals_per_document_fill(self):
+        # vectorize takes each distinct text once, with the number of
+        # documents that read it; the oracle fills every document
         kinds = {"duplicates": 0, "identical": 0, "empty": 0, "punctuation": 0}
         for i, texts in enumerate(vectorize_inputs(2000, seed=20241018)):
-            got, want = vectorize(texts), oracle_vectorize(texts)
+            slot = {}
+            inverse = [slot.setdefault(t, len(slot)) for t in texts]
+            got = vectorize(list(slot), np.bincount(inverse))[inverse]
+            want = oracle_vectorize(texts)
             assert got.shape == want.shape and np.array_equal(got, want), f"input {i}"
             kinds["duplicates"] += len(set(texts)) < len(texts)
             kinds["identical"] += len(texts) > 1 and len(set(texts)) == 1
@@ -236,6 +243,18 @@ SUM_ORDER_VECTORS = [
 SUM_ORDER_K = 3
 SUM_ORDER_SEED = 2132435355
 
+# k = 4 over 9 rows in 1-D, built by hand so that a restart's second pass
+# leaves slot 1 empty while slot 0 holds only row 0.0, the row farthest from
+# its centroid. Slot 1 is re-seated on that row, loses the tie to slot 0, and
+# the third pass repeats the second's assignment with slot 1 still empty: the
+# loop must re-seat again, where a stop on any repeated assignment would keep
+# three clusters and return [0, 1, 2, 2, 2, 3, 3, 3, 3]. Of the seeds 0-60,000,
+# this is the one on which that restart decides the labels, found by a search
+# against the loop oracle.
+RESEAT_REPEAT_VECTORS = [0.0, 2.0, 2.7, 3.0, 3.4, 4.6, 4.7, 4.7, 5.9]
+RESEAT_REPEAT_K = 4
+RESEAT_REPEAT_SEED = 4069
+
 # Inputs whose update pass leaves a slot empty, found by a seeded search over
 # 0.1-rounded rows with repeats; on each the loop oracle re-seats a cluster.
 EMPTY_SLOT_INPUTS = {
@@ -312,6 +331,13 @@ class TestBatchedKMeansOracle:
         assert reseats
         got = cluster_opinions(vecs, RESEAT_K, draws(RESEAT_SEED, RESEAT_K))
         assert np.array_equal(got, want)
+
+    def test_reseat_then_repeated_assignment(self):
+        vecs, reseats = np.array(RESEAT_REPEAT_VECTORS)[:, None], []
+        k, seed = RESEAT_REPEAT_K, RESEAT_REPEAT_SEED
+        want = oracle_cluster(vecs, k, seed, reseats)
+        assert reseats and want.tolist() == [0, 1, 1, 1, 1, 2, 2, 2, 3]
+        assert np.array_equal(cluster_opinions(vecs, k, draws(seed, k)), want)
 
     def test_one_dimensional_member_sum_order(self):
         vecs = np.array(SUM_ORDER_VECTORS)[:, None]
@@ -420,3 +446,67 @@ class TestBuildGroups:
         by_members = {g.members: g.modal_answer for g in groups}
         assert by_members[("a1", "a2")] == "B"
         assert by_members[("a3", "a4")] == "C"
+
+
+def stochastic_rounds(monkeypatch, n, cases):
+    """Every round of `cases` seeded stochastic cases at n agents, as
+    `run_case` hands them to `build_groups`."""
+    rounds = []
+
+    def recording(opinions, k, draws):
+        rounds.append(opinions)
+        return build_groups(opinions, k, draws)
+
+    monkeypatch.setattr(orchestrator, "build_groups", recording)
+    words = ("mass", "field", "spin", "charge")
+    for c in range(cases):
+        question = " ".join(f"{letter}) {c * 7 + i} {words[(c + i) % 4]}"
+                            for i, letter in enumerate("ABCD"))
+        cfg = RunConfig(n=n, max_rounds=5, seed=n + c, n_clusters=3)
+        agent = StochasticAgent(seed=n + c, rounds=cfg.max_rounds)
+        orchestrator.run_case(ScenarioCase(f"case-{c}", f"Which value? {question}", "A"), cfg,
+                              {f"agent-{i}": agent for i in range(n)})
+    return rounds
+
+
+class TestBuildGroupsOracle:
+    """Clustering each distinct (reasoning, answer) pair once, weighted by the
+    agents holding it, gives the groups of clustering every agent's text."""
+
+    @pytest.mark.parametrize("n, cases", [(7, 12), (60, 3), (200, 2)])
+    def test_equals_per_agent_path_on_stochastic_rounds(self, monkeypatch, n, cases):
+        rounds = stochastic_rounds(monkeypatch, n, cases)
+        clustered = 0
+        for i, round_ in enumerate(rounds):
+            pairs = set(zip(round_.text_ids.tolist(), round_.codes.tolist()))
+            clustered += len(pairs) > 3
+            seed = 1000 * n + i
+            assert build_groups(round_, 3, draws(seed, 3)) == oracle_build_groups(round_, 3, seed)
+        assert clustered >= len(rounds) // 2, (clustered, len(rounds))
+
+    def test_pairs_that_format_to_one_string(self):
+        # ("x y", "z") and ("x", "y z") both read "x y z": two pairs, one row,
+        # whose counts add up
+        round_ = columns_of([
+            Opinion("a1", "x y", "z", 0.5), Opinion("a2", "x", "y z", 0.6),
+            Opinion("a3", "p q", "r", 0.7), Opinion("a4", "x y", "w", 0.4),
+            Opinion("a5", "s", "t", 0.9), Opinion("a6", "x", "y z", 0.3),
+        ])
+        for seed in range(40):
+            groups = build_groups(round_, 2, draws(seed, 2))
+            assert groups == oracle_build_groups(round_, 2, seed)
+            assert any({"a1", "a2", "a6"} <= set(g.members) for g in groups)
+
+    def test_strings_with_one_tf_idf_row(self):
+        # the same words in another order are two strings with one row
+        round_ = columns_of([
+            Opinion("b1", "alpha beta", "A", 0.5), Opinion("b2", "beta alpha", "A", 0.8),
+            Opinion("b3", "gamma delta", "B", 0.6), Opinion("b4", "alpha gamma", "C", 0.7),
+            Opinion("b5", "delta", "A", 0.9), Opinion("b6", "beta alpha", "A", 0.2),
+        ])
+        vectors = vectorize(["alpha beta A", "beta alpha A"])
+        assert np.array_equal(vectors[0], vectors[1])
+        for seed in range(40):
+            groups = build_groups(round_, 2, draws(seed, 2))
+            assert groups == oracle_build_groups(round_, 2, seed)
+            assert any({"b1", "b2", "b6"} <= set(g.members) for g in groups)

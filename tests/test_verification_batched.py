@@ -117,7 +117,7 @@ FAULTS = {
     # step, so the run's divergence verdict is what fails
     "supportive-beta-overshoot": (
         "verify_supportive_convergence", {}, lambda t: (2.0 / t.n, 2.2 / t.n)),
-    # NaN increments are skipped, so the run goes to its step budget
+    # NaN belief increments of agents with collaborators fail the first step
     "supportive-beta-nan": (
         "verify_supportive_convergence", {"max_steps": 300}, lambda t: (2.0 / t.n, float("nan"))),
     "supportive-overflow": ("verify_supportive_convergence", {}, lambda t: (1e150, 1e150)),
@@ -136,8 +136,7 @@ FAULTS = {
     "leader-overflow": ("verify_leader_convergence", {}, lambda t: (1e150, 1e150)),
     "leader-overflow-set13-only": (
         "verify_leader_convergence", {}, _only(_leaders_are((1, 3)), lambda t: (1e150,) * 2)),
-    # NaN beliefs from step 1: the check's scale is then the opinions' one,
-    # as Python's max(x, nan) returns x where np.maximum would give NaN
+    # NaN belief increments from step 0, which fail its identity check
     "leader-beta-nan": (
         "verify_leader_convergence", {"max_steps": 300}, lambda t: (2.0 / t.n, float("nan"))),
     "leader-0.9-set25-only": (
@@ -194,6 +193,20 @@ class TestBatchedChecksOracle:
         result = getattr(verification, check)(**kwargs)
         assert (result.trajectories, result.checks) == (301, 3 * 100 * 50 + 2)
         assert result.failures == ["distance grew at n=6 seed=0 step=1"]
+
+    @pytest.mark.parametrize("fault, failure", [
+        ("supportive-beta-nan", "identity violated at n=3 seed=0 step=0"),
+        ("leader-beta-nan", "leader identity violated at seed=0 step=0"),
+    ])
+    def test_nan_increments_fail_the_first_step(self, monkeypatch, fault, failure):
+        # only agents with no collaborators may have NaN increments; these
+        # faults once passed every step check and ran out their step budget
+        check, kwargs, sizes = FAULTS[fault]
+        monkeypatch.setattr(DynamicsTopology, "step_sizes", sizes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = getattr(verification, check)(**kwargs)
+        assert (result.checks, result.failures) == (1, [failure])
 
     def test_unpatched_counts(self):
         # the counts the benchmark's output check pins for the full suite

@@ -41,6 +41,11 @@ from belief_consensus.dynamics import (
 from belief_consensus.verification import PropertyResult, _identity_ok, _scale_sq, _sign_ok
 
 
+def _isolated(topo: DynamicsTopology) -> np.ndarray:
+    """The agents with an empty collaborator set, whose increments are NaN."""
+    return np.array([not collaborators for collaborators in topo.sets])
+
+
 def _spread(vec: np.ndarray) -> float:
     return float(vec.max() - vec.min())
 
@@ -127,6 +132,7 @@ def verify_supportive_convergence(
     trajectories = 0
     for n in n_values:
         topo = DynamicsTopology.all_pairs(n)
+        isolated = _isolated(topo)
         alpha, beta = topo.step_sizes()
         for s in range(seeds):
             trajectories += 1
@@ -143,10 +149,12 @@ def verify_supportive_convergence(
                 sc_op = _scale_sq(cur.opinions)
                 sc_be = _scale_sq(cur.beliefs)
                 dists = np.sqrt(d_op)
-                if not (_identity_ok(a_op, p_op, sc_op) and _identity_ok(a_be, p_be, sc_be)):
+                if not (_identity_ok(a_op, p_op, sc_op, isolated)
+                        and _identity_ok(a_be, p_be, sc_be, isolated)):
                     failures.append(f"identity violated at n={n} seed={s} step={step}")
                     break
-                if not (_sign_ok(a_op, sc_op, True) and _sign_ok(a_be, sc_be, True)):
+                if not (_sign_ok(a_op, sc_op, True, isolated)
+                        and _sign_ok(a_be, sc_be, True, isolated)):
                     failures.append(f"positive increment at n={n} seed={s} step={step}")
                     break
                 if prev_dists is not None:
@@ -197,6 +205,7 @@ def verify_conflict_instability(
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, 17, s]))
         n = int(rng.choice(n_choices))
         topo = DynamicsTopology.mutual_conflict_pairs(n)
+        isolated = _isolated(topo)
         alpha, beta = topo.step_sizes()
         beliefs = rng.uniform(0.0, 1.0, n)
         for i in range(0, n - 1, 2):
@@ -210,13 +219,14 @@ def verify_conflict_instability(
             checks += 1
             sc_op = _scale_sq(cur.opinions)
             sc_be = _scale_sq(cur.beliefs)
-            if not (_identity_ok(a_op, p_op, sc_op) and _identity_ok(a_be, p_be, sc_be)):
+            if not (_identity_ok(a_op, p_op, sc_op, isolated)
+                    and _identity_ok(a_be, p_be, sc_be, isolated)):
                 failures.append(f"identity violated at seed={s} step={cur.step}")
                 break
-            if not _sign_ok(a_op, sc_op, True):
+            if not _sign_ok(a_op, sc_op, True, isolated):
                 failures.append(f"opinion increment positive at seed={s} step={cur.step}")
                 break
-            if not _sign_ok(a_be, sc_be, False):
+            if not _sign_ok(a_be, sc_be, False, isolated):
                 failures.append(f"belief increment negative at seed={s} step={cur.step}")
                 break
             cur = step_conflicting(cur, topo)
@@ -260,6 +270,7 @@ def verify_leader_convergence(
         rng = np.random.default_rng(np.random.SeedSequence([master_seed, 23, s]))
         leaders = tuple(sorted(rng.choice(n, size=n_leaders, replace=False).tolist()))
         topo = DynamicsTopology.with_leaders(n, leaders)
+        isolated = _isolated(topo)
         alpha, beta = topo.step_sizes()
         state = DynamicsState(
             opinions=rng.uniform(-1.0, 1.0, n), beliefs=rng.uniform(0.0, 1.0, n)
@@ -279,10 +290,11 @@ def verify_leader_convergence(
             a_be, p_be = leader_increments(cur.beliefs, topo.adjacency, beta)[:2]
             checks += 1
             sc = max(_scale_sq(cur.opinions), _scale_sq(cur.beliefs))
-            if not (_identity_ok(a_op, p_op, sc) and _identity_ok(a_be, p_be, sc)):
+            if not (_identity_ok(a_op, p_op, sc, isolated)
+                    and _identity_ok(a_be, p_be, sc, isolated)):
                 failures.append(f"leader identity violated at seed={s} step={cur.step}")
                 break
-            if not (_sign_ok(a_op, sc, True) and _sign_ok(a_be, sc, True)):
+            if not (_sign_ok(a_op, sc, True, isolated) and _sign_ok(a_be, sc, True, isolated)):
                 failures.append(f"leader distance grew at seed={s} step={cur.step}")
                 break
             cur = step_supportive(cur, topo)

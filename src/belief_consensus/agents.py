@@ -385,8 +385,10 @@ def _crc32_row(agent_ids: tuple[str, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # HTTP chat-completions backend
 
+# a sentence ends at ".", "!" or "?" not followed by a digit, so not at the "." of 1.5
+_SENTENCE_END = re.compile(r"[.!?](?!\d)")
 _ANSWER_ANCHOR = re.compile(
-    r"(\\boxed\{[^{}]*\})|(\bthe answer is\b[^.!?]*)|(\([A-Za-z0-9]{1,3}\))",
+    r"(\\boxed\{[^{}]*\})|(\bthe answer is\b(?:[^.!?]|[.!?](?=\d))*)|(\([A-Za-z0-9]{1,3}\))",
     re.IGNORECASE,
 )
 
@@ -397,10 +399,10 @@ def extract_answer_sentence(content: str) -> tuple[int, int] | None:
     if not anchors:
         return None
     anchor = anchors[-1]
-    start = content.rfind(".", 0, anchor.start())
-    start = 0 if start < 0 else start + 1
-    end = content.find(".", anchor.end())
-    end = len(content) if end < 0 else end + 1
+    ends = (m.end() for m in _SENTENCE_END.finditer(content) if m.end() <= anchor.start())
+    start = max(ends, default=0)
+    stop = _SENTENCE_END.search(content, anchor.end())
+    end = stop.end() if stop else len(content)
     while start < end and content[start].isspace():
         start += 1
     return start, end

@@ -4,22 +4,23 @@
     belief-consensus simulate --config cfg.yaml
     belief-consensus metrics results.jsonl [more.jsonl ...]
 
-Configuration is a YAML file with nested sections (run / backend / simulate /
-sweep); command-line flags override file values. The effective configuration
-is echoed into every output file header. Exit codes: 0 success, 1 invalid
-configuration (or failed dynamics property), 2 unreadable dataset, 3 a run
-in which one or more cases raised (the other cases' outputs are written, and
-each failed case is a `{"case_id", "error"}` row of results.jsonl).
+Configuration is a YAML file whose sections' keys are the fields of config
+dataclasses; an unknown key is an error, and flags override file values. The
+effective configuration heads every output file. Exit codes: 0 success, 1
+invalid configuration (or failed dynamics property), 2 unreadable dataset, 3
+a run in which one or more cases raised (the other cases' outputs are written,
+and each failed case is a `{"case_id", "error"}` row of results.jsonl).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -53,8 +54,45 @@ EXIT_DATASET = 2
 EXIT_CASES_FAILED = 3
 
 
+TOP_LEVEL_KEYS = ("run", "backend", "backends", "sweep", "simulate")
+SIMULATE_MODES = ("supportive", "conflicting", "leader", "speedup")
+_KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string"}
+
+
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class SimulateConfig:
+    """The `simulate:` section: agent counts, seeds and checks of the property
+    suite, its step limits, and the traces it writes per check."""
+
+    n_min: int = 3
+    n_max: int = 10
+    seeds: int = 100
+    modes: list[str] = field(default_factory=lambda: list(SIMULATE_MODES))
+    tol: float = 1e-9
+    max_steps: int = 10_000
+    master_seed: int = 0
+    trace_seeds: int = 1
+
+    def __post_init__(self):
+        if self.seeds < 1:
+            raise ConfigError("seed count must be at least 1")
+        if self.n_min < 2 or self.n_max < self.n_min:
+            raise ConfigError(f"invalid agent range [{self.n_min}, {self.n_max}]")
+        bad = [m for m in self.modes if m not in SIMULATE_MODES]
+        if bad:
+            raise ConfigError(f"unknown simulate modes: {bad}")
+        if len(set(self.modes)) != len(self.modes):
+            raise ConfigError(f"simulate.modes lists a mode twice: {self.modes}")
+        if self.trace_seeds < 0:
+            raise ConfigError(f"simulate.trace_seeds must be nonnegative, got {self.trace_seeds}")
+        if self.master_seed < 0:
+            raise ConfigError(f"simulate.master_seed must be nonnegative, got {self.master_seed}")
+        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_steps < 1:
+            raise ConfigError("tol must be finite and positive and max_steps at least 1")
 
 
 def _load_config(path: str | None) -> tuple[dict, Path]:
@@ -70,6 +108,7 @@ def _load_config(path: str | None) -> tuple[dict, Path]:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config file must contain a mapping at top level")
+    _known_keys("at the top level", payload, TOP_LEVEL_KEYS)
     return payload, p.parent
 
 
@@ -78,57 +117,71 @@ def _resolve(base: Path, value: str) -> Path:
     return p if p.is_absolute() else (base / p)
 
 
-def _integer(key: str, value) -> int:
-    """A config value that must be an integer; `int()` would truncate 3.9."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _typed(key: str, kind: str, value):
+    """`value` checked as a config value of type `kind`, a field annotation:
+    int, float, bool, str, or list[...] (a non-empty list) of one of them.
+    A float is converted, so `60` reads as 60.0."""
+    if kind.startswith("list["):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
+        return [_typed(key, kind[5:-1], v) for v in value]
+    if kind == "float" and not isinstance(value, bool):
+        try:
+            return float(value)  # YAML reads the JSON number 1e-09 as a string
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif type(value) is {"int": int, "bool": bool, "str": str}.get(kind):
+        return value  # type(True) is bool, not int
+    raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _boolean(key: str, value) -> bool:
-    """A config value that must be true or false; `bool("false")` is True."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+def _known_keys(where: str, section: dict, allowed):
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} {where} (keys: {', '.join(allowed)})")
 
 
-def _run_config_from(section: dict, args) -> RunConfig:
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return _integer(f"run.{key}", section.get(key, default))
+def _typed_section(name: str, section, kinds: dict[str, str]) -> dict:
+    """Config section `name` with each value checked as its key's type in
+    `kinds`, in `kinds` order; a key not in `kinds` is an error."""
+    if section is None:  # a section left empty in YAML
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a mapping, got {section!r}")
+    _known_keys(f"in {name}", section, kinds)
+    return {k: _typed(f"{name}.{k}", kind, section[k]) for k, kind in kinds.items() if k in section}
 
+
+def _read(cls, name: str, section, args=None, **extra: str):
+    """Config dataclass `cls` from section `name`, and the section's `extra`
+    keys (name=type) apart. The other keys are `cls`'s fields, with their
+    types and defaults; a flag of `args` named after a field overrides it."""
+    values = _typed_section(name, section, {**{f.name: f.type for f in fields(cls)}, **extra})
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    values.update((k, v) for k, v in flags.items() if v is not None)
+    rest = {k: values.pop(k) for k in extra if k in values}
     try:
-        noise = _boolean("run.adversarial_noise", section.get("adversarial_noise", False))
-        return RunConfig(
-            n=pick(args.agents, "n", 7),
-            max_rounds=pick(args.max_rounds, "max_rounds", 3),
-            n_leaders=pick(args.leaders, "n_leaders", 2),
-            n_clusters=pick(args.clusters, "n_clusters", 3),
-            seed=pick(args.seed, "seed", 0),
-            adversarial_noise=args.adversarial_noise or noise,
-            mixed_delegates=_boolean("run.mixed_delegates", section.get("mixed_delegates", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid run configuration: {exc}") from exc
+        return cls(**values), rest
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"invalid {name} configuration: {exc}") from exc
 
 
-def _backend_config_from(section: dict, kind_override: str | None,
-                         name: str = "backend") -> BackendConfig:
-    try:
-        return BackendConfig(
-            kind=kind_override or section.get("kind", "scripted"),
-            endpoint=section.get("endpoint", ""),
-            model=section.get("model", ""),
-            temperature=float(section.get("temperature", 0.7)),
-            timeout=float(section.get("timeout", 60.0)),
-            retries=_integer(f"{name}.retries", section.get("retries", 2)),
-            api_key_env=section.get("api_key_env", ""),
-            prompt_style=section.get("prompt_style", "choice"),
-            backoff=float(section.get("backoff", 0.5)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid backend configuration: {exc}") from exc
+def _sweep(cfg: RunConfig, section) -> list[tuple[str, RunConfig]]:
+    """(label, config) of every setting of a `sweep:` section: each key a
+    RunConfig field with a list of values, combined in field order. Without a
+    sweep, the one setting is `cfg`, labeled ''."""
+    kinds = {f.name: f"list[{f.type}]" for f in fields(RunConfig)}
+    lists = _typed_section("sweep", section, kinds)
+    settings = []
+    for values in itertools.product(*lists.values()):
+        combo = dict(zip(lists, values))
+        try:
+            settings.append(("_".join(f"{k}{v}" for k, v in combo.items()), replace(cfg, **combo)))
+        except ValueError as exc:
+            raise ConfigError(f"sweep combination {combo}: {exc}") from exc
+    return settings
 
 
 def _agent_ids(case: ScenarioCase, cfg: RunConfig, backend_cfg: BackendConfig) -> list[str]:
@@ -201,48 +254,33 @@ def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: d
     return summary, len(errors)
 
 
-SWEEPABLE = ("n", "max_rounds", "n_leaders", "seed")
-
-
-def _sweep_combos(sweep_section: dict):
-    import itertools
-
-    keys = [k for k in SWEEPABLE if k in sweep_section]
-    value_lists = []
-    for k in keys:
-        values = sweep_section[k]
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.{k} must be a non-empty list")
-        value_lists.append([_integer(f"sweep.{k}", v) for v in values])
-    return [dict(zip(keys, combo)) for combo in itertools.product(*value_lists)]
-
-
 def cmd_run(args) -> int:
     try:
         config, base = _load_config(args.config)
-        run_section = config.get("run", {})
-        cfg = _run_config_from(run_section, args)
-        backend_cfg = _backend_config_from(config.get("backend", {}), args.backend)
+        cfg, run = _read(RunConfig, "run", config.get("run"), args,
+                         jobs="int", dataset="str", out="str")
+        backend_cfg, _ = _read(BackendConfig, "backend", config.get("backend"), args)
+        entries = config.get("backends")
+        if not isinstance(entries, (list, type(None))):
+            raise ConfigError(f"backends must be a list, got {entries!r}")
         per_agent = {}
-        for entry in config.get("backends", []) or []:
-            if "agent_id" not in entry:
+        for i, entry in enumerate(entries or []):
+            entry_cfg, extra = _read(BackendConfig, f"backends[{i}]", entry, agent_id="str")
+            if "agent_id" not in extra:
                 raise ConfigError("per-agent backend entries need an agent_id")
-            agent_id = str(entry["agent_id"])
-            if agent_id in per_agent:
-                raise ConfigError(f"backends lists agent_id {agent_id!r} twice")
-            per_agent[agent_id] = _backend_config_from(entry, None, "backends")
-        jobs = args.jobs if args.jobs is not None else _integer("run.jobs",
-                                                                run_section.get("jobs", 1))
+            if extra["agent_id"] in per_agent:
+                raise ConfigError(f"backends lists agent_id {extra['agent_id']!r} twice")
+            per_agent[extra["agent_id"]] = entry_cfg
+        jobs = args.jobs if args.jobs is not None else run.get("jobs", 1)
         if jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        out_dir = Path(
-            args.out if args.out is not None else _resolve(base, run_section.get("out", "results"))
-        )
-        dataset = args.dataset if args.dataset is not None else run_section.get("dataset")
+        out = run.get("out", "results")
+        out_dir = Path(args.out) if args.out is not None else _resolve(base, out)
+        dataset = args.dataset if args.dataset is not None else run.get("dataset")
         if dataset is None:
             raise ConfigError("no dataset given (flag --dataset or run.dataset)")
-        dataset_path = _resolve(base, str(dataset)) if args.dataset is None else Path(args.dataset)
-        combos = _sweep_combos(config.get("sweep", {}) or {})
+        dataset_path = _resolve(base, dataset) if args.dataset is None else Path(args.dataset)
+        settings = _sweep(cfg, config.get("sweep"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -255,42 +293,24 @@ def cmd_run(args) -> int:
     if backend_cfg.kind == "scripted":
         run_ids = {agent_id for case in cases for agent_id in case.scripts or ()}
     else:
-        run_ids = {f"agent-{i + 1}" for i in range(max(c.get("n", cfg.n) for c in combos))}
+        run_ids = {f"agent-{i + 1}" for i in range(max(c.n for _, c in settings))}
     unknown = sorted(set(per_agent) - run_ids)
     if unknown:
         print(f"config error: backends name no agent of the run: {unknown}", file=sys.stderr)
         return EXIT_CONFIG
 
-    def effective_for(run_cfg: RunConfig) -> dict:
-        return {
-            "run": asdict(run_cfg),
-            "backend": asdict(backend_cfg),
-            "dataset": str(dataset_path),
-            "jobs": jobs,
-        }
-
-    if not combos or combos == [{}]:
-        _, failed = _execute_run(
-            cases, cfg, backend_cfg, per_agent, jobs, out_dir, effective_for(cfg)
-        )
-        return EXIT_CASES_FAILED if failed else EXIT_OK
-
     labeled = []
     failed = 0
-    for combo in combos:
-        try:
-            combo_cfg = RunConfig(**{**asdict(cfg), **combo})
-        except ValueError as exc:
-            print(f"config error: sweep combination {combo}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        label = "_".join(f"{k}{v}" for k, v in combo.items())
-        print(f"-- sweep {label}")
-        summary, combo_failed = _execute_run(
-            cases, combo_cfg, backend_cfg, per_agent, jobs,
-            out_dir / label, effective_for(combo_cfg),
+    for label, run_cfg in settings:  # one setting, labeled '', without a sweep
+        if label:
+            print(f"-- sweep {label}")
+        effective = {"run": asdict(run_cfg), "backend": asdict(backend_cfg),
+                     "dataset": str(dataset_path), "jobs": jobs}
+        summary, n_failed = _execute_run(
+            cases, run_cfg, backend_cfg, per_agent, jobs, out_dir / label, effective
         )
-        failed += combo_failed
-        if summary is not None:
+        failed += n_failed
+        if label and summary is not None:
             labeled.append((label, summary))
     if labeled:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,53 +323,29 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         config, base = _load_config(args.config)
-        section = config.get("simulate", {})
-        n_min = _integer("simulate.n_min", section.get("n_min", 3))
-        n_max = _integer("simulate.n_max", section.get("n_max", 10))
-        seeds = _integer("simulate.seeds", section.get("seeds", 100))
-        modes = section.get("modes", ["supportive", "conflicting", "leader", "speedup"])
-        tol = float(section.get("tol", 1e-9))
-        max_steps = _integer("simulate.max_steps", section.get("max_steps", 10_000))
-        master_seed = _integer("simulate.master_seed", section.get("master_seed", 0))
-        trace_seeds = _integer("simulate.trace_seeds", section.get("trace_seeds", 1))
-        out_dir = Path(args.out) if args.out else _resolve(base, section.get("out", "results/simulate"))
-        if seeds < 1:
-            raise ConfigError("seed count must be at least 1")
-        if n_min < 2 or n_max < n_min:
-            raise ConfigError(f"invalid agent range [{n_min}, {n_max}]")
-        if not isinstance(modes, list) or not modes:
-            raise ConfigError(f"simulate.modes must be a non-empty list, got {modes!r}")
-        known = {"supportive", "conflicting", "leader", "speedup"}
-        bad = [m for m in modes if m not in known]
-        if bad:
-            raise ConfigError(f"unknown simulate modes: {bad}")
-        if len(set(modes)) != len(modes):
-            raise ConfigError(f"simulate.modes lists a mode twice: {modes}")
-        if trace_seeds < 0:
-            raise ConfigError(f"simulate.trace_seeds must be nonnegative, got {trace_seeds}")
-        if master_seed < 0:
-            raise ConfigError(f"simulate.master_seed must be nonnegative, got {master_seed}")
-        if not (math.isfinite(tol) and tol > 0) or max_steps < 1:
-            raise ConfigError("tol must be finite and positive and max_steps at least 1")
-    except (ConfigError, TypeError, ValueError) as exc:
+        sim, rest = _read(SimulateConfig, "simulate", config.get("simulate"), out="str")
+        out = rest.get("out", "results/simulate")
+        out_dir = Path(args.out) if args.out else _resolve(base, out)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     effective = {
-        "n_range": [n_min, n_max], "seeds": seeds, "modes": modes,
-        "tol": tol, "max_steps": max_steps, "master_seed": master_seed,
+        "n_range": [sim.n_min, sim.n_max], "seeds": sim.seeds, "modes": sim.modes,
+        "tol": sim.tol, "max_steps": sim.max_steps, "master_seed": sim.master_seed,
     }
     results = run_property_suite(
-        n_values=tuple(range(n_min, n_max + 1)), seeds=seeds, modes=modes,
-        tol=tol, max_steps=max_steps, master_seed=master_seed,
+        n_values=tuple(range(sim.n_min, sim.n_max + 1)), seeds=sim.seeds, modes=sim.modes,
+        tol=sim.tol, max_steps=sim.max_steps, master_seed=sim.master_seed,
     )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(exist_ok=True)
     # the supportive check's initial states at n_min
-    initial = uniform_draws(master_seed, n_min, trace_seeds, (-1.0, 1.0, n_min), (0.0, 1.0, n_min))
-    for mode in modes:
+    n_min = sim.n_min
+    initial = uniform_draws(sim.master_seed, n_min, sim.trace_seeds, (-1.0, 1.0, n_min), (0.0, 1.0, n_min))
+    for mode in sim.modes:
         if mode == "speedup":
             continue
         if mode == "supportive":
@@ -361,7 +357,7 @@ def cmd_simulate(args) -> int:
         step_mode = "conflicting" if mode == "conflicting" else "supportive"
         for s, (opinions, beliefs) in enumerate(zip(*initial)):
             state = DynamicsState(opinions, beliefs)
-            result = run_dynamics(state, topo, step_mode, tol=tol, max_steps=max_steps)
+            result = run_dynamics(state, topo, step_mode, tol=sim.tol, max_steps=sim.max_steps)
             with open(traces_dir / f"{mode}_n{n_min}_seed{s}.csv", "w", newline="") as fh:
                 fh.write(f"# config: {json.dumps(effective, sort_keys=True)}\n")
                 trace_to_csv(result, topo, fh)
@@ -410,14 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the consensus protocol over a dataset")
     run_p.add_argument("--config", help="YAML config file")
     run_p.add_argument("--dataset", help="scenario JSON (overrides config)")
-    run_p.add_argument("--backend", choices=BACKEND_KINDS)
-    run_p.add_argument("--agents", type=int, help="agent count n")
+    # a flag's dest is the config field it overrides
+    run_p.add_argument("--backend", dest="kind", choices=BACKEND_KINDS)
+    run_p.add_argument("--agents", dest="n", type=int, help="agent count n")
     run_p.add_argument("--max-rounds", dest="max_rounds", type=int)
-    run_p.add_argument("--leaders", type=int, help="leaders per group")
-    run_p.add_argument("--clusters", type=int, help="k for opinion clustering")
+    run_p.add_argument("--leaders", dest="n_leaders", type=int, help="leaders per group")
+    run_p.add_argument("--clusters", dest="n_clusters", type=int, help="k for opinion clustering")
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--jobs", type=int, help="case-level parallelism (default 1)")
-    run_p.add_argument("--adversarial-noise", dest="adversarial_noise", action="store_true")
+    run_p.add_argument("--adversarial-noise", dest="adversarial_noise", action="store_true",
+                       default=None)
     run_p.add_argument("--out", help="output directory")
     run_p.set_defaults(func=cmd_run)
 

@@ -551,6 +551,37 @@ class TestChatCompletionsAgent:
         assert op.answer == "B"
         assert op.belief == pytest.approx(0.81, rel=1e-9)
 
+    @pytest.mark.parametrize("pieces, answer", [
+        # (token, probability, in the answer sentence); a "." between digits
+        # once ended the sentence: "1" and "0" with the first tokens' belief
+        ([("Adding them gives 3.", 0.5, False), (" The answer is 1.", 0.9, True),
+          ("5", 0.8, True), (".", 0.7, True)], "1.5"),
+        ([("Reasoning goes here. ", 0.5, False), ("So the answer is 0.", 0.9, True),
+          ("25", 0.6, True)], "0.25"),
+        # "!" ends a sentence too, and the text after it is not the answer's
+        ([("We halve 7.5 here. ", 0.5, False), ("So the answer is 3.", 0.9, True),
+          ("75!", 0.8, True), (" Check: 2 * 3.75 = 7.5.", 0.3, False)], "3.75"),
+        # a stop before markdown, a quote or a parenthesis still ends the sentence
+        ([("**", 0.9, True), ("The answer is (B).", 0.8, True), ("**", 0.3, False)], "B"),
+        ([("**", 0.9, True), ("The answer is (B).", 0.8, True), ("**", 0.3, False),
+          (" Because X.", 0.2, False)], "B"),
+        ([("**", 0.9, True), ("The answer is 1.", 0.8, True), ("5.", 0.7, True),
+          ("**", 0.3, False), (" Done.", 0.2, False)], "1.5"),
+        ([('"The answer is C.', 0.8, True), ('"', 0.3, False), (" Then more.", 0.2, False)], "C"),
+        ([("(Thus the answer is D.", 0.8, True), (")", 0.3, False), (" More.", 0.2, False)], "D"),
+    ], ids=["two-sentences", "no-final-stop", "exclamation-then-more", "bold", "bold-then-more",
+            "bold-decimal", "quoted", "parenthesized"])
+    def test_answer_and_its_sentence_belief(self, fake_server, pieces, answer):
+        server, url = fake_server
+        content = "".join(token for token, _, _ in pieces)
+        tokens = [{"token": token, "logprob": math.log(p)} for token, p, _ in pieces]
+        _FakeHandler.script = [(200, {"choices": [
+            {"message": {"content": content}, "logprobs": {"content": tokens}}]})]
+        op = self._agent(url).respond(ScenarioCase("c", "q", answer), "a1", AgentContext("q", 1))
+        assert op.answer == answer
+        sentence_probs = [p for _, p, inside in pieces if inside]
+        assert op.belief == pytest.approx(math.prod(sentence_probs), rel=1e-12)
+
     def test_missing_logprobs_is_an_error(self, fake_server):
         server, url = fake_server
         _FakeHandler.script = [(200, _completion("The answer is B.", [-0.1], with_logprobs=False))]

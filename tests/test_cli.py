@@ -10,6 +10,8 @@ from belief_consensus.agents import BackendConfig
 from belief_consensus.cli import _build_backends, main
 from belief_consensus.core import RunConfig
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def write_config(tmp_path, corpus_path, **run_overrides):
     cfg = {
@@ -97,6 +99,38 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "run.n must be an integer, got 3.9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sections, message", [
+        # each misspelt key once ran at the defaults (or without the sweep) and exited 0
+        ({"run": {"max_round": 9}}, "unknown key 'max_round' in run"),
+        ({"run": {"adversarial_nosie": True}}, "unknown key 'adversarial_nosie' in run"),
+        ({"backend": {"temprature": 0.1}}, "unknown key 'temprature' in backend"),
+        ({"sweep": {"seeds": [1, 2]}}, "unknown key 'seeds' in sweep"),
+        ({"backends": [{"agent_id": "a7", "kind": "stochastic", "modle": "m"}]},
+         "unknown key 'modle' in backends[0]"),
+        ({"sweeps": {"seed": [1, 2]}}, "unknown key 'sweeps' at the top level"),
+        # these once raised a TypeError traceback, or ran and echoed 7 as the model
+        ({"backends": [5]}, "backends[0] must be a mapping, got 5"),
+        ({"sweep": ["n"]}, "sweep must be a mapping, got ['n']"),
+        ({"run": {"out": 5}}, "run.out must be a string, got 5"),
+        ({"backend": {"model": 7}}, "backend.model must be a string, got 7"),
+        ({"backend": {"temperature": True}}, "backend.temperature must be a number, got True"),
+        # the n = 3 setting once ran and wrote out/n3 before n = 1 failed
+        ({"sweep": {"n": [3, 1]}}, "sweep combination {'n': 1}: n must be at least 2"),
+    ])
+    def test_bad_key_or_shape_exits_1_before_any_case(self, tmp_path, corpus_path, capsys,
+                                                      sections, message):
+        payload = yaml.safe_load(write_config(tmp_path, corpus_path).read_text())
+        for name, value in sections.items():
+            if isinstance(value, dict) and isinstance(payload.get(name), dict):
+                payload[name].update(value)
+            else:
+                payload[name] = value
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(yaml.safe_dump(payload))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_no_dataset_anywhere_exits_1(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(yaml.safe_dump({"run": {"out": str(tmp_path / "o")}}))
@@ -116,6 +150,17 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg), "--seed", "5"]) == 0
         header, _ = read_results(tmp_path / "out")
         assert header["run"]["seed"] == 5
+
+    def test_each_run_flag_overrides_its_field(self, tmp_path, corpus_path):
+        cfg = write_config(tmp_path, corpus_path, adversarial_noise=True, mixed_delegates=True)
+        # without its flag, the file's adversarial_noise stays on
+        assert main(["run", "--config", str(cfg), "--backend", "stochastic", "--agents", "3",
+                     "--max-rounds", "2", "--leaders", "1", "--clusters", "2", "--seed", "5",
+                     "--jobs", "2"]) == 0
+        header, _ = read_results(tmp_path / "out")
+        assert header["run"] == {"n": 3, "max_rounds": 2, "n_leaders": 1, "n_clusters": 2,
+                                 "seed": 5, "adversarial_noise": True, "mixed_delegates": True}
+        assert (header["backend"]["kind"], header["jobs"]) == ("stochastic", 2)
 
     def test_byte_identical_reruns(self, tmp_path, corpus_path):
         cfg1 = write_config(tmp_path, corpus_path, out=str(tmp_path / "o1"))
@@ -386,6 +431,13 @@ class TestCmdSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
+    def test_unknown_key_exits_1(self, tmp_path, capsys):
+        # it once ran the suite at master_seed 0 and exited 0
+        cfg = self._config(tmp_path, mastr_seed=5)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error: unknown key 'mastr_seed' in simulate")
+        assert not (tmp_path / "sim").exists()
+
     def test_negative_master_seed_exits_1(self, tmp_path, capsys):
         # it once passed the checks, and SeedSequence raised a traceback
         cfg = self._config(tmp_path, master_seed=-1)
@@ -404,6 +456,40 @@ class TestCmdSimulate:
         step2 = [float(r[2]) for r in rows if r[0] == "2"]
         # the all-pairs tie case is a period-2 reflection
         assert step0 == pytest.approx(step2, abs=1e-12)
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+    def test_shipped_config_loads(self, tmp_path, name):
+        path = CONFIGS / name
+        sections = yaml.safe_load(path.read_text())
+        commands = [c for c in ("run", "simulate") if c in sections]
+        assert commands
+        for command in commands:
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+
+    def test_json_written_config_loads(self, tmp_path, corpus_path):
+        # the shape a benchmark worker writes: JSON, which YAML reads with tol as a string
+        payload = {
+            "run": {"n": 7, "max_rounds": 1, "seed": 0, "jobs": 1, "dataset": str(corpus_path),
+                    "out": str(tmp_path / "sweep")},
+            "backend": {"kind": "scripted", "timeout": 10.0, "retries": 2, "backoff": 0.05},
+            "sweep": {"n_clusters": [2, 3], "adversarial_noise": [False, True]},
+            "simulate": {"n_min": 3, "n_max": 4, "seeds": 2, "modes": ["supportive", "leader"],
+                         "tol": 1.0e-9, "max_steps": 10000, "master_seed": 0, "trace_seeds": 1,
+                         "out": str(tmp_path / "sim")},
+        }
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(json.dumps(payload, indent=1) + "\n")
+        assert yaml.safe_load(cfg.read_text())["simulate"]["tol"] == "1e-09"
+        assert main(["run", "--config", str(cfg)]) == 0
+        for k, noise in [(2, False), (2, True), (3, False), (3, True)]:
+            header, rows = read_results(tmp_path / "sweep" / f"n_clusters{k}_adversarial_noise{noise}")
+            assert (header["run"]["n_clusters"], header["run"]["adversarial_noise"]) == (k, noise)
+            assert len(rows) == 3
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        first = (tmp_path / "sim" / "properties.txt").read_text().splitlines()[0]
+        assert json.loads(first.removeprefix("# config: "))["tol"] == 1e-9
 
 
 class TestCmdMetrics:

@@ -32,6 +32,7 @@ from belief_consensus.core import (
     ScenarioCase,
     belief_from_token_probs,
     canonicalize_answer,
+    last_boxed,
     stable_hash,
 )
 from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _LOW32, _TWO_POW_M53, _U11, _U32, _frozen,
@@ -387,21 +388,24 @@ def _crc32_row(agent_ids: tuple[str, ...]) -> np.ndarray:
 
 # a sentence ends at ".", "!" or "?" not followed by a digit, so not at the "." of 1.5
 _SENTENCE_END = re.compile(r"[.!?](?!\d)")
-_ANSWER_ANCHOR = re.compile(
-    r"(\\boxed\{[^{}]*\})|(\bthe answer is\b(?:[^.!?]|[.!?](?=\d))*)|(\([A-Za-z0-9]{1,3}\))",
-    re.IGNORECASE,
-)
+# the answer sentence is the one around the last anchor; the last balanced
+# `\boxed{...}` (`last_boxed`) is one too, and wins over an anchor it overlaps
+_ANSWER_ANCHOR = re.compile(r"\bthe answer is\b(?:[^.!?]|[.!?](?=\d))*|\([A-Za-z0-9]{1,3}\)",
+                            re.IGNORECASE)
 
 
 def extract_answer_sentence(content: str) -> tuple[int, int] | None:
     """Character span of the final answer sentence, or None if unanswerable."""
-    anchors = list(_ANSWER_ANCHOR.finditer(content))
+    anchors = [m.span() for m in _ANSWER_ANCHOR.finditer(content)]
+    boxed = last_boxed(content)
+    if boxed:
+        anchors = [a for a in anchors if a[1] <= boxed[0] or a[0] >= boxed[1]] + [boxed]
     if not anchors:
         return None
-    anchor = anchors[-1]
-    ends = (m.end() for m in _SENTENCE_END.finditer(content) if m.end() <= anchor.start())
+    anchor_start, anchor_end = max(anchors)
+    ends = (m.end() for m in _SENTENCE_END.finditer(content) if m.end() <= anchor_start)
     start = max(ends, default=0)
-    stop = _SENTENCE_END.search(content, anchor.end())
+    stop = _SENTENCE_END.search(content, anchor_end)
     end = stop.end() if stop else len(content)
     while start < end and content[start].isspace():
         start += 1

@@ -5,11 +5,12 @@
     belief-consensus metrics results.jsonl [more.jsonl ...]
 
 Configuration is a YAML file whose sections' keys are the fields of config
-dataclasses; an unknown key is an error, and flags override file values. The
-effective configuration heads every output file. Exit codes: 0 success, 1
-invalid configuration (or failed dynamics property), 2 unreadable dataset, 3
-a run in which one or more cases raised (the other cases' outputs are written,
-and each failed case is a `{"case_id", "error"}` row of results.jsonl).
+dataclasses; each command checks every section, an unknown key in any is an
+error, and flags override file values. The effective configuration heads
+every output file. Exit codes: 0 success, 1 invalid configuration (or failed
+dynamics property), 2 unreadable dataset, 3 a run in which one or more cases
+raised (the other cases' outputs are written, and each failed case is a
+`{"case_id", "error"}` row of results.jsonl).
 """
 
 from __future__ import annotations
@@ -254,23 +255,33 @@ def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: d
     return summary, len(errors)
 
 
+def _read_sections(config: dict, args) -> tuple:
+    """Every section of `config`, read and checked whichever command runs:
+    the run section's jobs, dataset and out, the backend, the per-agent
+    backends, the sweep's settings, and the simulate config and its out."""
+    cfg, run = _read(RunConfig, "run", config.get("run"), args,
+                     jobs="int", dataset="str", out="str")
+    backend_cfg, _ = _read(BackendConfig, "backend", config.get("backend"), args)
+    entries = config.get("backends")
+    if not isinstance(entries, (list, type(None))):
+        raise ConfigError(f"backends must be a list, got {entries!r}")
+    per_agent = {}
+    for i, entry in enumerate(entries or []):
+        entry_cfg, extra = _read(BackendConfig, f"backends[{i}]", entry, agent_id="str")
+        if "agent_id" not in extra:
+            raise ConfigError("per-agent backend entries need an agent_id")
+        if extra["agent_id"] in per_agent:
+            raise ConfigError(f"backends lists agent_id {extra['agent_id']!r} twice")
+        per_agent[extra["agent_id"]] = entry_cfg
+    settings = _sweep(cfg, config.get("sweep"))
+    sim, sim_rest = _read(SimulateConfig, "simulate", config.get("simulate"), out="str")
+    return run, backend_cfg, per_agent, settings, sim, sim_rest.get("out")
+
+
 def cmd_run(args) -> int:
     try:
         config, base = _load_config(args.config)
-        cfg, run = _read(RunConfig, "run", config.get("run"), args,
-                         jobs="int", dataset="str", out="str")
-        backend_cfg, _ = _read(BackendConfig, "backend", config.get("backend"), args)
-        entries = config.get("backends")
-        if not isinstance(entries, (list, type(None))):
-            raise ConfigError(f"backends must be a list, got {entries!r}")
-        per_agent = {}
-        for i, entry in enumerate(entries or []):
-            entry_cfg, extra = _read(BackendConfig, f"backends[{i}]", entry, agent_id="str")
-            if "agent_id" not in extra:
-                raise ConfigError("per-agent backend entries need an agent_id")
-            if extra["agent_id"] in per_agent:
-                raise ConfigError(f"backends lists agent_id {extra['agent_id']!r} twice")
-            per_agent[extra["agent_id"]] = entry_cfg
+        run, backend_cfg, per_agent, settings, _, _ = _read_sections(config, args)
         jobs = args.jobs if args.jobs is not None else run.get("jobs", 1)
         if jobs < 1:
             raise ConfigError("jobs must be at least 1")
@@ -280,7 +291,6 @@ def cmd_run(args) -> int:
         if dataset is None:
             raise ConfigError("no dataset given (flag --dataset or run.dataset)")
         dataset_path = _resolve(base, dataset) if args.dataset is None else Path(args.dataset)
-        settings = _sweep(cfg, config.get("sweep"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -323,9 +333,8 @@ def cmd_run(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         config, base = _load_config(args.config)
-        sim, rest = _read(SimulateConfig, "simulate", config.get("simulate"), out="str")
-        out = rest.get("out", "results/simulate")
-        out_dir = Path(args.out) if args.out else _resolve(base, out)
+        *_, sim, out = _read_sections(config, args)
+        out_dir = Path(args.out) if args.out else _resolve(base, out or "results/simulate")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -58,10 +58,24 @@ def belief_from_token_probs(probs: Sequence[float]) -> float:
     return max(out, MIN_BELIEF)
 
 
-_BOXED = re.compile(r"\\boxed\{([^{}]*)\}")
 # Greedy prefix so the *last* "the answer is" in the text wins.
 _ANSWER_SENTENCE = re.compile(r".*\bthe answer is\b[:\s]*(.+)$", re.IGNORECASE | re.DOTALL)
 _CHOICE = re.compile(r"^\(([A-Za-z0-9]{1,3})\)$")
+
+
+def last_boxed(text: str) -> tuple[int, int] | None:
+    """Span of the last `\\boxed{...}` in `text` whose braces balance, from
+    its backslash to past its closing brace, or None. Braces may nest, as in
+    `\\boxed{\\frac{1}{2}}`."""
+    start = text.rfind("\\boxed{")
+    while start >= 0:
+        depth = 0
+        for i, ch in enumerate(text[start + 6:], start + 6):
+            depth += (ch == "{") - (ch == "}")
+            if depth == 0:
+                return start, i + 1
+        start = text.rfind("\\boxed{", 0, start)
+    return None
 
 
 def canonicalize_answer(raw: str) -> str:
@@ -75,9 +89,9 @@ def canonicalize_answer(raw: str) -> str:
     if raw is None or not raw.strip():
         raise ValueError("unanswerable output")
     text = " ".join(raw.split())
-    boxed = list(_BOXED.finditer(text))
+    boxed = last_boxed(text)
     if boxed:
-        text = " ".join(boxed[-1].group(1).split())
+        text = " ".join(text[boxed[0] + 7:boxed[1] - 1].split())
     else:
         sentence = _ANSWER_SENTENCE.match(text)
         if sentence:

@@ -278,6 +278,56 @@ def _is_marginal_tie(topo: DynamicsTopology) -> bool:
     )
 
 
+def within_tol(state: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of a (q, rows, n) stack: every quantity's spread is below tol."""
+    return (np.ptp(state, axis=2) < tol).all(axis=0)
+
+
+def run_rows(state: np.ndarray, steps: int, step, done=None, carry: tuple = ()):
+    """Step the rows of a (q, rows, n) stack together, each until it ends.
+
+    A row for which done(state) holds before step k ends with k steps
+    checked. step(state, carry, k) returns the stepped state, the new carry
+    and (per-row ok mask, kind) pairs in check order; a row that fails one
+    ends with k + 1 steps checked and the first kind it failed, and a row
+    still running after `steps` steps ends there. `carry` holds per-row
+    arrays (rows on axis 0) that leave with their rows, so each row steps
+    exactly as it would alone. Returns per row the steps checked, the first
+    failed (step, kind) or None, and the (q, rows, n) states it ended in.
+    """
+    rows = state.shape[1]
+    checks = np.full(rows, steps)
+    first: list[tuple[int, str] | None] = [None] * rows
+    final = np.empty_like(state)
+    live = np.arange(rows)
+
+    def end(mask, count):
+        nonlocal live, state, carry
+        if not mask.any():
+            return
+        checks[live[mask]] = count
+        final[:, live[mask]] = state[:, mask]
+        keep = ~mask
+        live, state, carry = live[keep], state[:, keep], tuple(c[keep] for c in carry)
+
+    for k in range(steps):
+        if done is not None:
+            end(done(state), k)
+        if not live.size:
+            break
+        state, carry, tests = step(state, carry, k)
+        failed = np.zeros(live.size, dtype=bool)
+        for ok, kind in tests:
+            if ok.all():
+                continue
+            for r in live[~ok & ~failed]:
+                first[r] = (k, kind)
+            failed |= ~ok
+        end(failed, k + 1)
+    final[:, live] = state
+    return checks, first, final
+
+
 def run_batch(
     opinions: np.ndarray,
     beliefs: np.ndarray,
@@ -295,9 +345,9 @@ def run_batch(
     Divergence: belief spread strictly increasing for DIVERGENCE_WINDOW steps.
     In the all-pairs tie case (see _is_marginal_tie) a row that oscillates
     with period 2 is reported converged with the marginal flag after 2 steps.
-    A row leaves the batch on its verdict, so it is stepped exactly as it
-    would be alone. If `trace` is a list, the (opinions, beliefs) of every
-    state of a one-row batch are appended to it.
+    The other rows step as one (2, rows, n) stack of opinions and beliefs in
+    `run_rows`. If `trace` is a list, the (opinions, beliefs) of every state
+    of a one-row batch are appended to it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -312,61 +362,45 @@ def run_batch(
     if mode not in ("supportive", "conflicting"):
         raise ValueError(f"unknown dynamics mode: {mode!r}")
     a = topo.adjacency
-    alpha, beta = topo.step_sizes()
-    belief_sign = 1.0 if mode == "conflicting" else -1.0
+    gamma = np.array(topo.step_sizes())[:, None, None]
+    sign = np.array([-1.0, 1.0 if mode == "conflicting" else -1.0])[:, None, None]
+    consensus = functools.partial(within_tol, tol=tol)
 
-    def advance(op, be):
-        return laplacian_step(op, a, alpha)[0], laplacian_step(be, a, beta, belief_sign)[0]
+    def advance(state):
+        return laplacian_step(state, a, gamma, sign)[0]
 
-    rows = len(opinions)
-    reasons = np.full(rows, REASON_BUDGET, dtype=object)
-    steps = np.full(rows, max_steps)
-    final_op, final_be = opinions.copy(), beliefs.copy()
-    live = np.arange(rows)
-    op, be = opinions, beliefs
-    prev_bspread = np.ptp(be, axis=1)
-    grow_streak = np.zeros(rows, dtype=int)
-
-    def settle(done, reason, step, final_states=None):
-        """Record the verdict of the live rows in `done` and drop them."""
-        nonlocal live, op, be, prev_bspread, grow_streak
-        if not done.any():
-            return
-        ended = live[done]
-        reasons[ended] = reason
-        steps[ended] = step
-        f_op, f_be = (op, be) if final_states is None else final_states
-        final_op[ended], final_be[ended] = f_op[done], f_be[done]
-        keep = ~done
-        live, op, be = live[keep], op[keep], be[keep]
-        prev_bspread, grow_streak = prev_bspread[keep], grow_streak[keep]
-
-    if trace is not None:
-        trace.append((op, be))
-    if mode == "supportive" and _is_marginal_tie(topo):
-        s1 = advance(op, be)
-        s2 = advance(*s1)
-        period_two = (np.isclose(s2[0], op, rtol=0, atol=1e-12).all(axis=1)
-                      & np.isclose(s2[1], be, rtol=0, atol=1e-12).all(axis=1))
-        if trace is not None and period_two.all():
-            trace += [s1, s2]
-        settle(period_two, REASON_MARGINAL, 2, s2)
-
-    for k in range(max_steps):
-        settle((np.ptp(op, axis=1) < tol) & (np.ptp(be, axis=1) < tol), REASON_CONSENSUS, k)
-        if not live.size:
-            break
-        op, be = advance(op, be)
+    def step(state, carry, k):
+        prev_bspread, grow_streak = carry
+        state = advance(state)
         if trace is not None:
-            trace.append((op, be))
-        bspread = np.ptp(be, axis=1)
+            trace.append(state)
+        bspread = np.ptp(state[1], axis=1)
         grow_streak = np.where(bspread > prev_bspread, grow_streak + 1, 0)
-        prev_bspread = bspread
-        settle(grow_streak >= DIVERGENCE_WINDOW, REASON_DIVERGENCE, k + 1)
-    else:
-        settle((np.ptp(op, axis=1) < tol) & (np.ptp(be, axis=1) < tol), REASON_CONSENSUS, max_steps)
-    final_op[live], final_be[live] = op, be
-    return BatchVerdicts(reasons, steps, final_op, final_be)
+        diverged = grow_streak >= DIVERGENCE_WINDOW
+        return state, (bspread, grow_streak), ((~diverged, REASON_DIVERGENCE),)
+
+    state = np.stack([opinions, beliefs])
+    reasons = np.full(len(opinions), REASON_MARGINAL, dtype=object)
+    steps = np.full(len(opinions), 2)
+    final = state.copy()
+    rest = np.ones(len(opinions), dtype=bool)
+    if trace is not None:
+        trace.append(state)
+    if mode == "supportive" and _is_marginal_tie(topo):
+        s1 = advance(state)
+        s2 = advance(s1)
+        rest = ~np.isclose(s2, state, rtol=0, atol=1e-12).all(axis=(0, 2))
+        if trace is not None and not rest.any():
+            trace += [s1, s2]
+        final[:, ~rest] = s2[:, ~rest]
+
+    carry = (np.ptp(beliefs[rest], axis=1), np.zeros(rest.sum(), dtype=int))
+    steps[rest], first, final[:, rest] = run_rows(state[:, rest], max_steps, step, consensus, carry)
+    # a row that ran out its budget within tol is consensus too
+    ended = np.where(consensus(final[:, rest]), REASON_CONSENSUS, REASON_BUDGET).astype(object)
+    ended[[f is not None for f in first]] = REASON_DIVERGENCE
+    reasons[rest] = ended
+    return BatchVerdicts(reasons, steps, *final)
 
 
 def run_dynamics(

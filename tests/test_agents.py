@@ -569,8 +569,16 @@ class TestChatCompletionsAgent:
           ("**", 0.3, False), (" Done.", 0.2, False)], "1.5"),
         ([('"The answer is C.', 0.8, True), ('"', 0.3, False), (" Then more.", 0.2, False)], "C"),
         ([("(Thus the answer is D.", 0.8, True), (")", 0.3, False), (" More.", 0.2, False)], "D"),
+        # a boxed answer whose braces nest; of two boxes the last one wins
+        ([("Halve it.", 0.5, False), (" So \\boxed{", 0.9, True), ("\\frac{1}{2}", 0.8, True),
+          ("}", 0.7, True)], "\\frac{1}{2}"),
+        ([("First \\boxed{\\frac{1}{3}}.", 0.5, False), (" So \\boxed{", 0.9, True),
+          ("\\frac{1}{2}}", 0.8, True), (".", 0.7, True), (" Done.", 0.2, False)], "\\frac{1}{2}"),
+        ([("Squaring gives it.", 0.5, False), (" Thus $\\boxed{x^{", 0.9, True), ("2}}$", 0.8, True),
+          (".", 0.7, True)], "x^{2}"),
     ], ids=["two-sentences", "no-final-stop", "exclamation-then-more", "bold", "bold-then-more",
-            "bold-decimal", "quoted", "parenthesized"])
+            "bold-decimal", "quoted", "parenthesized", "nested-box", "last-of-two-boxes",
+            "math-mode-box"])
     def test_answer_and_its_sentence_belief(self, fake_server, pieces, answer):
         server, url = fake_server
         content = "".join(token for token, _, _ in pieces)

@@ -491,6 +491,24 @@ class TestConfigFiles:
         first = (tmp_path / "sim" / "properties.txt").read_text().splitlines()[0]
         assert json.loads(first.removeprefix("# config: "))["tol"] == 1e-9
 
+    @pytest.mark.parametrize("command, section, value, message", [
+        ("simulate", "run", {"max_round": 9}, "unknown key 'max_round' in run"),
+        ("simulate", "backends", [5], "backends[0] must be a mapping, got 5"),
+        ("run", "simulate", {"mastr_seed": 5}, "unknown key 'mastr_seed' in simulate"),
+    ], ids=["simulate-run-key", "simulate-backends-entry", "run-simulate-key"])
+    def test_each_command_checks_every_section(self, tmp_path, corpus_path, capsys, command,
+                                               section, value, message):
+        # each once exited 0: a command read only its own sections
+        cfg = yaml.safe_load(write_config(tmp_path, corpus_path).read_text())
+        cfg["simulate"] = {"seeds": 1, "out": str(tmp_path / "sim")}
+        cfg[section] = {**cfg[section], **value} if isinstance(value, dict) else value
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "sim").exists()
+
 
 class TestCmdMetrics:
     def test_aggregates_results_files(self, tmp_path, corpus_path, capsys):

@@ -75,6 +75,16 @@ class TestCanonicalizeAnswer:
     def test_case_preserved(self):
         assert canonicalize_answer("\\boxed{x^2 + Y}") == "x^2 + Y"
 
+    @pytest.mark.parametrize("raw, expected", [
+        ("Halve it. So \\boxed{\\frac{1}{2}}", "\\frac{1}{2}"),
+        ("\\boxed{\\frac{1}{3}}. Then \\boxed{\\frac{1}{2}}.", "\\frac{1}{2}"),
+        ("Thus $\\boxed{x^{2}}$.", "x^{2}"),
+        # a box left open does not count: the last balanced one does
+        ("\\boxed{7} and then \\boxed{\\frac{1}{2}", "7"),
+    ], ids=["nested", "last-of-two", "math-mode", "unbalanced-last"])
+    def test_boxed_with_nested_braces(self, raw, expected):
+        assert canonicalize_answer(raw) == expected
+
     # twenty outputs shaped like the agent prompt templates produce, with
     # the extraction worked out by hand
     SCRIPTED_OUTPUTS = [

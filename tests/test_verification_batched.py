@@ -18,6 +18,7 @@ from belief_consensus.dynamics import (
     DynamicsTopology,
     run_batch,
     run_dynamics,
+    run_rows,
     trace_to_csv,
 )
 
@@ -73,11 +74,13 @@ class TestRunBatchOracle:
     @pytest.mark.parametrize("case", range(7))
     def test_run_dynamics_trace_csv_bytes(self, case):
         topo, mode, op, be = batch_cases()[case]
-        for row in (0, 2, 3):
+        for row in range(len(op)):
             state = DynamicsState(op[row], be[row])
             got, want = io.StringIO(), io.StringIO()
-            trace_to_csv(run_dynamics(state, topo, mode, max_steps=400), topo, got)
-            trace_to_csv(oracle.run_dynamics(state, topo, mode, max_steps=400), topo, want)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing row
+                trace_to_csv(run_dynamics(state, topo, mode, max_steps=400), topo, got)
+                trace_to_csv(oracle.run_dynamics(state, topo, mode, max_steps=400), topo, want)
             assert got.getvalue() == want.getvalue()
 
     def test_rejects_mismatched_batches(self):
@@ -91,6 +94,45 @@ class TestRunBatchOracle:
                       DynamicsTopology.with_leaders(3, (0, 2)), "leader")
         with pytest.raises(ValueError, match="outside"):
             DynamicsTopology.with_leaders(3, (0, 3))
+
+
+class TestRunRows:
+    """`run_rows` on (1, rows, 1) stacks whose values name their rows."""
+
+    def test_row_done_before_step_0_has_no_checks(self):
+        state = np.array([[[0.0, 0.0], [0.0, 1.0]]])  # row 0 has no spread
+        checks, first, final = run_rows(state, 5, lambda s, c, k: (s * 0.5, c, ()),
+                                        done=lambda s: np.ptp(s[0], axis=1) < 0.1)
+        assert checks.tolist() == [0, 4]  # row 1's spread halves to 0.0625 in 4 steps
+        assert first == [None, None]
+        assert final.tolist() == [[[0.0, 0.0], [0.0, 0.0625]]]
+
+    def test_first_failed_kind_is_recorded(self):
+        def step(s, c, k):
+            row = s[0, :, 0]
+            return s, c, ((~((row == 0) & (k == 1)), "first"),
+                          (~((row == 0) & (k == 1) | (row == 1)), "second"))
+
+        checks, first, _ = run_rows(np.arange(3.0).reshape(1, 3, 1), 3, step)
+        # row 0 fails both checks at step 1, row 1 the second at step 0
+        assert checks.tolist() == [2, 1, 3]
+        assert first == [(1, "first"), (0, "second"), None]
+
+    def test_carry_leaves_with_its_rows(self):
+        seen = []
+
+        def step(s, c, k):
+            ids, pairs = c
+            assert (ids == s[0, :, 0]).all() and (pairs == np.stack([ids, -ids], axis=1)).all()
+            seen.append(ids.tolist())
+            return s, c, (((ids % 2 == 0) | (k == 0), "odd"),)
+
+        ids = np.arange(4.0)
+        carry = (ids, np.stack([ids, -ids], axis=1))
+        checks, first, _ = run_rows(ids.reshape(1, 4, 1), 4, step, lambda s: s[0, :, 0] == 2, carry)
+        assert seen == [[0, 1, 3], [0, 1, 3], [0], [0]]
+        assert checks.tolist() == [4, 2, 0, 2]
+        assert first == [None, (1, "odd"), None, (1, "odd")]
 
 
 def _leaders_are(leaders):

@@ -250,16 +250,15 @@ class ScriptedAgent(Backend):
             if prev is None:
                 raise AgentError(f"repeat_previous with no prior opinion for {where}")
             return prev
-        if rule.startswith("adopt:"):
-            target = rule.split(":", 1)[1]
-            wanted = target.removeprefix("agent:")  # an agent id, or else a tag
-            key = (lambda t: t.opinion.agent_id) if wanted != target else (lambda t: t.tag)
-            source = next((t.opinion for t in ctx.collaborators if key(t) == wanted), None)
-            if source is None:
-                raise AgentError(f"adopt rule {rule!r} found no matching collaborator for {where}")
-            belief = script.fallback_belief if script.fallback_belief is not None else source.belief
-            return Opinion(agent_id, source.reasoning, source.answer, belief)
-        raise AgentError(f"unknown fallback rule {rule!r} for {where}")
+        # AgentScript admits no other rule than these adopt rules
+        target = rule.removeprefix("adopt:")
+        wanted = target.removeprefix("agent:")  # an agent id, or else a tag
+        key = (lambda t: t.opinion.agent_id) if wanted != target else (lambda t: t.tag)
+        source = next((t.opinion for t in ctx.collaborators if key(t) == wanted), None)
+        if source is None:
+            raise AgentError(f"adopt rule {rule!r} found no matching collaborator for {where}")
+        belief = script.fallback_belief if script.fallback_belief is not None else source.belief
+        return Opinion(agent_id, source.reasoning, source.answer, belief)
 
 
 # ---------------------------------------------------------------------------
@@ -388,28 +387,34 @@ def _crc32_row(agent_ids: tuple[str, ...]) -> np.ndarray:
 
 # a sentence ends at ".", "!" or "?" not followed by a digit, so not at the "." of 1.5
 _SENTENCE_END = re.compile(r"[.!?](?!\d)")
-# the answer sentence is the one around the last anchor; the last balanced
-# `\boxed{...}` (`last_boxed`) is one too, and wins over an anchor it overlaps
-_ANSWER_ANCHOR = re.compile(r"\bthe answer is\b(?:[^.!?]|[.!?](?=\d))*|\([A-Za-z0-9]{1,3}\)",
-                            re.IGNORECASE)
+# a "the answer is" clause runs to its sentence's end
+_ANSWER_CLAUSE = re.compile(r"\bthe answer is\b(?:[^.!?]|[.!?](?=\d))*", re.IGNORECASE)
+_CHOICE_LABEL = re.compile(r"\([A-Za-z0-9]{1,3}\)")
 
 
-def extract_answer_sentence(content: str) -> tuple[int, int] | None:
-    """Character span of the final answer sentence, or None if unanswerable."""
-    anchors = [m.span() for m in _ANSWER_ANCHOR.finditer(content)]
+def answer_spans(content: str) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Character spans of the final answer's anchor and of the sentence around
+    it, or None if unanswerable.
+
+    The anchor is the last "the answer is" clause or the last balanced
+    `\\boxed{...}` (`last_boxed`), which wins over a clause it overlaps. A bare
+    choice label such as "(C)" anchors only in a reply with neither, so a
+    label after the answer sentence does not take the answer.
+    """
+    anchors = [m.span() for m in _ANSWER_CLAUSE.finditer(content)]
     boxed = last_boxed(content)
     if boxed:
         anchors = [a for a in anchors if a[1] <= boxed[0] or a[0] >= boxed[1]] + [boxed]
-    if not anchors:
+    anchor = max(anchors or [m.span() for m in _CHOICE_LABEL.finditer(content)], default=None)
+    if anchor is None:
         return None
-    anchor_start, anchor_end = max(anchors)
-    ends = (m.end() for m in _SENTENCE_END.finditer(content) if m.end() <= anchor_start)
+    ends = (m.end() for m in _SENTENCE_END.finditer(content) if m.end() <= anchor[0])
     start = max(ends, default=0)
-    stop = _SENTENCE_END.search(content, anchor_end)
+    stop = _SENTENCE_END.search(content, anchor[1])
     end = stop.end() if stop else len(content)
     while start < end and content[start].isspace():
         start += 1
-    return start, end
+    return anchor, (start, end)
 
 
 def _token_probs_for_span(tokens: list[dict], content: str, start: int, end: int) -> list[float]:
@@ -536,15 +541,15 @@ class ChatCompletionsAgent(Backend):
         logprobs = (choice.get("logprobs") or {}).get("content")
         if not logprobs:
             raise AgentError("logprobs unavailable")
-        span = extract_answer_sentence(content)
-        if span is None:
+        spans = answer_spans(content)
+        if spans is None:
             raise UnanswerableError("unanswerable output: no answer sentence found")
-        probs = _token_probs_for_span(logprobs, content, *span)
+        (anchor_start, anchor_end), sentence = spans
+        probs = _token_probs_for_span(logprobs, content, *sentence)
         if not probs:
             raise UnanswerableError("unanswerable output: no tokens in the answer sentence")
-        sentence = content[span[0]:span[1]]
         try:
-            answer = canonicalize_answer(sentence)
+            answer = canonicalize_answer(content[anchor_start:anchor_end])
         except ValueError as exc:
             raise UnanswerableError(str(exc)) from exc
         try:

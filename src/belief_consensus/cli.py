@@ -26,6 +26,7 @@ from pathlib import Path
 
 import yaml
 
+from belief_consensus import verification
 from belief_consensus.agents import BACKEND_KINDS, BackendConfig, make_backend
 from belief_consensus.core import RunConfig, ScenarioCase, scenarios_from_json
 from belief_consensus.dynamics import (
@@ -47,7 +48,6 @@ from belief_consensus.orchestrator import (
     run_case,
     write_results_jsonl,
 )
-from belief_consensus.verification import run_property_suite, uniform_draws
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -56,7 +56,24 @@ EXIT_CASES_FAILED = 3
 
 
 TOP_LEVEL_KEYS = ("run", "backend", "backends", "sweep", "simulate")
-SIMULATE_MODES = ("supportive", "conflicting", "leader", "speedup")
+# Each `simulate` mode: its property check, called with the `simulate:` config,
+# and the topology of its trace files at n agents (None: no trace). A check is
+# looked up on `verification` when it runs, where bench/tracer.py wraps it.
+SIMULATE_CHECKS = {
+    "supportive": (lambda sim: verification.verify_supportive_convergence(
+        n_values=tuple(range(sim.n_min, sim.n_max + 1)), seeds=sim.seeds, tol=sim.tol,
+        max_steps=sim.max_steps, master_seed=sim.master_seed), DynamicsTopology.all_pairs),
+    "conflicting": (lambda sim: verification.verify_conflict_instability(
+        seeds=sim.seeds, master_seed=sim.master_seed), DynamicsTopology.mutual_conflict_pairs),
+    # the leader check is supportive averaging on the leader sets
+    "leader": (lambda sim: verification.verify_leader_convergence(
+        seeds=sim.seeds, tol=sim.tol, max_steps=sim.max_steps, master_seed=sim.master_seed),
+        lambda n: DynamicsTopology.with_leaders(n, (0,) if n < 3 else (0, 1))),
+    "speedup": (lambda sim: verification.verify_belief_speedup(
+        seeds=sim.seeds, tol=sim.tol, max_steps=sim.max_steps,
+        required_pass=max(1, int(0.95 * sim.seeds)), master_seed=sim.master_seed), None),
+}
+SIMULATE_MODES = tuple(SIMULATE_CHECKS)
 _KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string"}
 
 
@@ -343,26 +360,21 @@ def cmd_simulate(args) -> int:
         "n_range": [sim.n_min, sim.n_max], "seeds": sim.seeds, "modes": sim.modes,
         "tol": sim.tol, "max_steps": sim.max_steps, "master_seed": sim.master_seed,
     }
-    results = run_property_suite(
-        n_values=tuple(range(sim.n_min, sim.n_max + 1)), seeds=sim.seeds, modes=sim.modes,
-        tol=sim.tol, max_steps=sim.max_steps, master_seed=sim.master_seed,
-    )
+    modes = [m for m in SIMULATE_MODES if m in sim.modes]
+    results = [SIMULATE_CHECKS[mode][0](sim) for mode in modes]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(exist_ok=True)
     # the supportive check's initial states at n_min
     n_min = sim.n_min
-    initial = uniform_draws(sim.master_seed, n_min, sim.trace_seeds, (-1.0, 1.0, n_min), (0.0, 1.0, n_min))
-    for mode in sim.modes:
-        if mode == "speedup":
+    initial = verification.uniform_draws(sim.master_seed, n_min, sim.trace_seeds,
+                                         (-1.0, 1.0, n_min), (0.0, 1.0, n_min))
+    for mode in modes:
+        trace_topology = SIMULATE_CHECKS[mode][1]
+        if trace_topology is None:
             continue
-        if mode == "supportive":
-            topo = DynamicsTopology.all_pairs(n_min)
-        elif mode == "conflicting":
-            topo = DynamicsTopology.mutual_conflict_pairs(n_min)
-        else:  # the leader check: supportive averaging on the leader sets
-            topo = DynamicsTopology.with_leaders(n_min, (0,) if n_min < 3 else (0, 1))
+        topo = trace_topology(n_min)
         step_mode = "conflicting" if mode == "conflicting" else "supportive"
         for s, (opinions, beliefs) in enumerate(zip(*initial)):
             state = DynamicsState(opinions, beliefs)

@@ -58,8 +58,9 @@ def belief_from_token_probs(probs: Sequence[float]) -> float:
     return max(out, MIN_BELIEF)
 
 
-# Greedy prefix so the *last* "the answer is" in the text wins.
-_ANSWER_SENTENCE = re.compile(r".*\bthe answer is\b[:\s]*(.+)$", re.IGNORECASE | re.DOTALL)
+# Greedy prefix so the *last* "the answer is" in the text wins; the frame with
+# nothing after it leaves no answer.
+_ANSWER_SENTENCE = re.compile(r".*\bthe answer is\b[:\s]*(.*)$", re.IGNORECASE | re.DOTALL)
 _CHOICE = re.compile(r"^\(([A-Za-z0-9]{1,3})\)$")
 
 
@@ -244,19 +245,30 @@ class ScriptedReply:
     belief: float
 
 
+FALLBACK_RULES = ("repeat_previous", "adopt:leader", "adopt:supportive", "adopt:conflicting")
+ADOPT_AGENT = "adopt:agent:"
+
+
 @dataclass(frozen=True)
 class AgentScript:
     """Per-agent scripted replies plus an optional fallback rule.
 
-    Fallback rules: "repeat_previous", "adopt:leader", "adopt:supportive",
-    "adopt:conflicting", or "adopt:agent:<id>"; adopt rules may carry a
-    scripted belief to attach to the adopted answer.
+    Fallback rules: one of FALLBACK_RULES, or "adopt:agent:<id>" naming an
+    agent the case scripts; any other rule is an error. Adopt rules may carry
+    a scripted belief to attach to the adopted answer.
     """
 
     agent_id: str
     replies: tuple[ScriptedReply, ...]
     fallback: str | None = None
     fallback_belief: float | None = None
+
+    def __post_init__(self):
+        rule = self.fallback
+        adopt_agent = isinstance(rule, str) and rule.startswith(ADOPT_AGENT) and rule != ADOPT_AGENT
+        if not (rule is None or rule in FALLBACK_RULES or adopt_agent):
+            raise ValueError(f"agent {self.agent_id!r}: unknown fallback rule {rule!r} (rules: "
+                             f"{', '.join(FALLBACK_RULES)}, {ADOPT_AGENT}<id>)")
 
     def reply_for(self, round_index: int) -> ScriptedReply | None:
         for reply in self.replies:
@@ -281,6 +293,12 @@ class ScenarioCase:
                 raise ValueError(
                     f"case {self.case_id!r}: scripted agents missing a round-1 reply: {missing}"
                 )
+            unknown = {aid: s.fallback for aid, s in self.scripts.items()
+                       if s.fallback and s.fallback.startswith(ADOPT_AGENT)
+                       and s.fallback[len(ADOPT_AGENT):] not in self.scripts}
+            if unknown:
+                raise ValueError(f"case {self.case_id!r}: fallback rules adopt an agent the case "
+                                 f"does not script: {unknown}")
 
 
 @dataclass(frozen=True)
@@ -346,7 +364,10 @@ def scenarios_from_json(path: str | Path) -> list[ScenarioCase]:
         if entry.get("agents"):
             scripts = {}
             for agent_payload in entry["agents"]:
-                script = _script_from_dict(agent_payload)
+                try:
+                    script = _script_from_dict(agent_payload)
+                except ValueError as exc:
+                    raise ValueError(f"case {case_id!r}: {exc}") from exc
                 scripts[script.agent_id] = script
         cases.append(
             ScenarioCase(

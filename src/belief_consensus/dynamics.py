@@ -182,45 +182,34 @@ step_leader_follow = step_supportive
 # ---------------------------------------------------------------------------
 # increment identities (checked against the frozen step-k collaborator mean);
 # each accepts the values, adjacency and step size that `laplacian_step`
-# accepts, and returns the stepped values x' last
+# accepts, and returns (actual, predicted, dist, new): the increments of each
+# agent's distance to its collaborator mean raised to `power` (NaN for agents
+# with no collaborators), their closed form, the distances so raised and the
+# stepped values x'
 
-def _squared_increments(values, adjacency, gamma, sign: float):
+def _increments(values, adjacency, gamma, sign: float, power: int):
+    """predicted = (|1 + sign*g*m|^power - 1) * |v - mean|^power, power 1 or 2."""
     values = np.asarray(values, dtype=float)
     new, mean, m = laplacian_step(values, adjacency, gamma, sign)
-    dist_sq = (values - mean) ** 2
-    return ((new - mean) ** 2 - dist_sq, ((1.0 + sign * gamma * m) ** 2 - 1.0) * dist_sq,
-            dist_sq, new)
+    norm = np.square if power == 2 else np.abs
+    dist = norm(values - mean)
+    return norm(new - mean) - dist, (norm(1.0 + sign * gamma * m) - 1.0) * dist, dist, new
 
 
 def averaging_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
-    """Squared-distance increments for the averaging update.
-
-    Returns (actual, predicted, dist_sq, new) arrays; entries are NaN for
-    agents with no collaborators. predicted = [(1 - g*m)^2 - 1] * dist_sq.
-    """
-    return _squared_increments(values, adjacency, gamma, -1.0)
+    """Squared distances, averaging: predicted = [(1 - g*m)^2 - 1] * dist^2."""
+    return _increments(values, adjacency, gamma, -1.0, 2)
 
 
 def contrarian_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
-    """Squared-distance increments for the belief-repulsion update.
-
-    predicted = [(1 + g*m)^2 - 1] * dist_sq, which is nonnegative.
-    """
-    return _squared_increments(values, adjacency, gamma, 1.0)
+    """Squared distances, repulsion: predicted = [(1 + g*m)^2 - 1] * dist^2 >= 0."""
+    return _increments(values, adjacency, gamma, 1.0, 2)
 
 
 def leader_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
-    """First-power distance increments toward the (frozen) collaborator mean.
-
-    For agent i with m collaborators (on `with_leaders` sets, m = |leaders|
-    for followers and |leaders|-1 for leaders),
-    predicted = (|1 - g*m| - 1) * |v_i - mean_i|. Returns (actual,
-    predicted, new).
-    """
-    values = np.asarray(values, dtype=float)
-    new, mean, m = laplacian_step(values, adjacency, gamma)
-    dist = np.abs(values - mean)
-    return np.abs(new - mean) - dist, (np.abs(1.0 - gamma * m) - 1.0) * dist, new
+    """First-power distances, averaging: predicted = (|1 - g*m| - 1) * |v - mean|.
+    On `with_leaders` sets m = |leaders| for followers, |leaders| - 1 for leaders."""
+    return _increments(values, adjacency, gamma, -1.0, 1)
 
 
 # ---------------------------------------------------------------------------

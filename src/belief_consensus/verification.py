@@ -11,15 +11,15 @@ states come from one PCG64 pass per batch (`uniform_draws`). The identity
 comparison is relative to the squared magnitude of the state, which is the
 scale floating point can actually support.
 
-These functions are the oracle behind the `simulate` CLI command and the
-acceptance suite.
+These functions are the oracle behind the acceptance suite, and the
+`simulate` CLI command runs them.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,11 +52,14 @@ IDENTITY_RTOL = 1e-12
 @dataclass
 class PropertyResult:
     name: str
-    passed: bool
     trajectories: int
     checks: int
-    failures: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    failures: list[str]
+    elapsed: float
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -175,14 +178,8 @@ def verify_supportive_convergence(
                              if not marginal and gap_above else None))
 
     checks, trajectories, failures = _walk(outcomes)
-    return PropertyResult(
-        name="supportive convergence (all-pairs averaging)",
-        passed=not failures,
-        trajectories=trajectories,
-        checks=checks,
-        failures=failures,
-        elapsed=time.perf_counter() - t0,
-    )
+    return PropertyResult("supportive convergence (all-pairs averaging)", trajectories, checks,
+                          failures, time.perf_counter() - t0)
 
 
 def verify_conflict_instability(
@@ -245,14 +242,8 @@ def verify_conflict_instability(
             ))
 
     checks, _, failures = _walk(outcomes)
-    return PropertyResult(
-        name="conflict instability (belief divergence)",
-        passed=not failures,
-        trajectories=seeds,
-        checks=checks,
-        failures=failures,
-        elapsed=time.perf_counter() - t0,
-    )
+    return PropertyResult("conflict instability (belief divergence)", seeds, checks, failures,
+                          time.perf_counter() - t0)
 
 
 def verify_leader_convergence(
@@ -284,7 +275,7 @@ def verify_leader_convergence(
     def leader_step(state, carry, k):
         adj, gamma = carry
         sc_op, sc_be = _scale_sq(state)
-        actual, predicted, state = leader_increments(state, adj, gamma.T[:, :, None])
+        actual, predicted, _, state = leader_increments(state, adj, gamma.T[:, :, None])
         sc = np.where(sc_be > sc_op, sc_be, sc_op)  # Python's max(sc_op, sc_be)
         isolated = adj.sum(axis=-1) == 0
         return state, carry, (
@@ -302,14 +293,8 @@ def verify_leader_convergence(
                  else f"final state off the leader average at seed={s}" if o else None)
                 for s, (c, f, o) in enumerate(zip(checks.tolist(), first, off))]
     checks, _, failures = _walk(outcomes)
-    return PropertyResult(
-        name="leader convergence (to the leader average)",
-        passed=not failures,
-        trajectories=seeds,
-        checks=checks,
-        failures=failures,
-        elapsed=time.perf_counter() - t0,
-    )
+    return PropertyResult("leader convergence (to the leader average)", seeds, checks, failures,
+                          time.perf_counter() - t0)
 
 
 def verify_belief_speedup(
@@ -343,7 +328,7 @@ def verify_belief_speedup(
                        np.hstack([follower_b, low_lead + boost])])
 
     def dominance_step(pairs, carry, k):
-        actual, _, pairs = leader_increments(pairs, a, beta)
+        actual, _, _, pairs = leader_increments(pairs, a, beta)
         low, high = np.abs(actual[:, :, followers])
         return pairs, carry, ((~np.any(high + 1e-15 < low, axis=1),
                                "follower increment smaller under high leaders"),)
@@ -362,45 +347,6 @@ def verify_belief_speedup(
     passed_pairs = int(pair_passed[:walked].sum())
     if not failures and passed_pairs < required_pass:
         failures.append(f"only {passed_pairs}/{seeds} paired seeds satisfied the step comparison")
-    return PropertyResult(
-        name=f"belief speedup (higher-belief leaders, {passed_pairs}/{seeds} pairs)",
-        passed=not failures,
-        trajectories=2 * seeds,
-        checks=checks_sum,
-        failures=failures,
-        elapsed=time.perf_counter() - t0,
-    )
+    return PropertyResult(f"belief speedup (higher-belief leaders, {passed_pairs}/{seeds} pairs)",
+                          2 * seeds, checks_sum, failures, time.perf_counter() - t0)
 
-
-def run_property_suite(
-    n_values: Sequence[int] = tuple(range(3, 11)),
-    seeds: int = 100,
-    modes: Sequence[str] = ("supportive", "conflicting", "leader", "speedup"),
-    tol: float = 1e-9,
-    max_steps: int = 10_000,
-    master_seed: int = 0,
-) -> list[PropertyResult]:
-    results = []
-    if "supportive" in modes:
-        results.append(
-            verify_supportive_convergence(
-                n_values=n_values, seeds=seeds, tol=tol, max_steps=max_steps,
-                master_seed=master_seed,
-            )
-        )
-    if "conflicting" in modes:
-        results.append(verify_conflict_instability(seeds=seeds, master_seed=master_seed))
-    if "leader" in modes:
-        results.append(
-            verify_leader_convergence(
-                seeds=seeds, tol=tol, max_steps=max_steps, master_seed=master_seed
-            )
-        )
-    if "speedup" in modes:
-        results.append(
-            verify_belief_speedup(
-                seeds=seeds, tol=tol, max_steps=max_steps,
-                required_pass=max(1, int(0.95 * seeds)), master_seed=master_seed,
-            )
-        )
-    return results

@@ -22,8 +22,8 @@ from belief_consensus.agents import (
     StochasticAgent,
     TAG_SUPPORTIVE,
     TaggedOpinion,
+    answer_spans,
     build_messages,
-    extract_answer_sentence,
     make_backend,
     perturb_one_belief,
     _pcg64_raw,
@@ -427,16 +427,17 @@ class TestPromptAssembly:
 class TestAnswerSentenceExtraction:
     def test_answer_sentence_found(self):
         content = "Reasoning first. The answer is B."
-        span = extract_answer_sentence(content)
+        anchor, span = answer_spans(content)
         assert content[span[0]:span[1]].strip() == "The answer is B."
+        assert content[anchor[0]:anchor[1]] == "The answer is B"
 
     def test_last_anchor_wins(self):
         content = "Maybe the answer is A. On reflection, the answer is C."
-        span = extract_answer_sentence(content)
+        span = answer_spans(content)[1]
         assert "C" in content[span[0]:span[1]]
 
     def test_no_anchor(self):
-        assert extract_answer_sentence("I simply cannot decide today") is None
+        assert answer_spans("I simply cannot decide today") is None
 
 
 # -- local fake chat-completions endpoint ------------------------------------
@@ -576,9 +577,18 @@ class TestChatCompletionsAgent:
           ("\\frac{1}{2}}", 0.8, True), (".", 0.7, True), (" Done.", 0.2, False)], "\\frac{1}{2}"),
         ([("Squaring gives it.", 0.5, False), (" Thus $\\boxed{x^{", 0.9, True), ("2}}$", 0.8, True),
           (".", 0.7, True)], "x^{2}"),
+        # the answer comes from the anchor, not from its whole sentence; a bare
+        # label anchors only in a reply with no "the answer is" and no box
+        ([("The answer is B.", 0.8, True), (" Option (C) was tempting.", 0.3, False)], "B"),
+        ([("The answer is 4.", 0.8, True), (" See step (2) above.", 0.3, False)], "4"),
+        ([("Reasoning goes here. ", 0.5, False), ("The answer is f(", 0.8, True),
+          ("2).", 0.6, True)], "f(2)"),
+        ([("Reasoning goes here. ", 0.5, False), ("Therefore, the correct option is ", 0.9, True),
+          ("(C).", 0.7, True)], "C"),
     ], ids=["two-sentences", "no-final-stop", "exclamation-then-more", "bold", "bold-then-more",
             "bold-decimal", "quoted", "parenthesized", "nested-box", "last-of-two-boxes",
-            "math-mode-box"])
+            "math-mode-box", "label-after-answer", "step-label-after-answer", "function-value",
+            "choice-prompt-label"])
     def test_answer_and_its_sentence_belief(self, fake_server, pieces, answer):
         server, url = fake_server
         content = "".join(token for token, _, _ in pieces)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from belief_consensus import verification
 from belief_consensus.agents import BackendConfig
 from belief_consensus.cli import _build_backends, main
 from belief_consensus.core import RunConfig
@@ -59,6 +60,19 @@ class TestCmdRun:
     def test_missing_dataset_exits_2(self, tmp_path, corpus_path):
         cfg = write_config(tmp_path, tmp_path / "nope.json")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("rule", ["adopt:leadr", "adopt:agent:a9"])
+    def test_bad_fallback_rule_exits_2(self, tmp_path, corpus_path, capsys, rule):
+        # a misspelt rule once exited 0, every agent carried forward after round 1
+        payload = json.loads(corpus_path.read_text())
+        payload["cases"][0]["agents"][0]["fallback"] = rule
+        dataset = tmp_path / "bad.json"
+        dataset.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, dataset)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dataset error: case 'judgment-tl205'") and repr(rule) in err
+        assert not (tmp_path / "out").exists()
 
     def test_dataset_flag_overrides_config(self, tmp_path, corpus_path):
         cfg = write_config(tmp_path, tmp_path / "nope.json")
@@ -456,6 +470,28 @@ class TestCmdSimulate:
         step2 = [float(r[2]) for r in rows if r[0] == "2"]
         # the all-pairs tie case is a period-2 reflection
         assert step0 == pytest.approx(step2, abs=1e-12)
+
+    def test_checks_run_in_mode_table_order(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, modes=["speedup", "supportive"], seeds=2)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("PASS supportive convergence")
+        assert lines[1].startswith("PASS belief speedup")
+
+    def test_check_is_looked_up_when_it_runs(self, tmp_path, monkeypatch):
+        # the benchmark's tracer times a check by wrapping its name on `verification`
+        calls = []
+        original = verification.verify_leader_convergence
+
+        def traced(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "verify_leader_convergence", traced)
+        cfg = self._config(tmp_path, modes=["leader"], seeds=2)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert [c["seeds"] for c in calls] == [2]
 
 
 class TestConfigFiles:

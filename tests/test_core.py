@@ -71,6 +71,9 @@ class TestCanonicalizeAnswer:
             canonicalize_answer("   ")
         with pytest.raises(ValueError, match="unanswerable"):
             canonicalize_answer("\\boxed{}")
+        # the frame alone, as the HTTP client's answer anchor in "So the answer is."
+        with pytest.raises(ValueError, match="unanswerable"):
+            canonicalize_answer("So the answer is")
 
     def test_case_preserved(self):
         assert canonicalize_answer("\\boxed{x^2 + Y}") == "x^2 + Y"
@@ -210,3 +213,23 @@ class TestScenarioCase:
         case = ScenarioCase("c1", "q", "B", scripts={"a1": script})
         assert case.scripts["a1"].reply_for(1).answer == "B"
         assert case.scripts["a1"].reply_for(9) is None
+
+    @pytest.mark.parametrize("rule", ["adopt:leadr", "adopt:", "adopt:agent:", "repeat", 5])
+    def test_misspelt_fallback_rule_rejected(self, rule):
+        # "adopt:leadr" once failed the agent in every round after the first
+        with pytest.raises(ValueError, match="unknown fallback rule"):
+            AgentScript("a1", (ScriptedReply(1, "B", "", 0.5),), fallback=rule)
+
+    @pytest.mark.parametrize("rule", ["repeat_previous", "adopt:leader", "adopt:supportive",
+                                      "adopt:conflicting", "adopt:agent:a2", None])
+    def test_fallback_rules_accepted(self, rule):
+        reply = (ScriptedReply(1, "B", "", 0.5),)
+        scripts = {aid: AgentScript(aid, reply, fallback=rule) for aid in ("a1", "a2")}
+        assert ScenarioCase("c1", "q", "B", scripts=scripts).scripts["a1"].fallback == rule
+
+    def test_adopted_agent_must_be_scripted(self):
+        reply = (ScriptedReply(1, "B", "", 0.5),)
+        scripts = {"a1": AgentScript("a1", reply, fallback="adopt:agent:a3"),
+                   "a2": AgentScript("a2", reply)}
+        with pytest.raises(ValueError, match=r"does not script: \{'a1': 'adopt:agent:a3'\}"):
+            ScenarioCase("c1", "q", "B", scripts=scripts)

@@ -152,11 +152,12 @@ class TestStepLeaderFollow:
 
     def test_increment_identity_hand_value(self):
         a = DynamicsTopology.with_leaders(3, (0, 1)).adjacency
-        actual, predicted, new = leader_increments(np.array([3.0, 3.0, 0.0]), a, 2.0 / 3.0)
+        actual, predicted, dist, new = leader_increments(np.array([3.0, 3.0, 0.0]), a, 2.0 / 3.0)
         # follower: (|1/2 - 2/3| - 1/2) * |6 - 0| = -2
         assert predicted[2] == pytest.approx(-2.0)
         assert actual[2] == pytest.approx(-2.0, abs=1e-12)
         assert new[2] == pytest.approx(4.0)
+        assert dist[2] == pytest.approx(3.0)
 
 
 def _step_alone(x, a, g, sign):
@@ -267,6 +268,46 @@ class TestStackedQuantities:
             for helper in (averaging_increments, contrarian_increments, leader_increments):
                 self.assert_same(helper(stack, adj, gamma),
                                  [helper(x, adj, g) for x, g in zip(values, gammas)])
+
+
+def _written_out_increments(values, adjacency, gamma, sign, squared):
+    """The increment formulas as each helper once wrote them out by hand."""
+    values = np.asarray(values, dtype=float)
+    if squared:
+        new, mean, m = laplacian_step(values, adjacency, gamma, sign)
+        dist_sq = (values - mean) ** 2
+        return ((new - mean) ** 2 - dist_sq, ((1.0 + sign * gamma * m) ** 2 - 1.0) * dist_sq,
+                dist_sq, new)
+    new, mean, m = laplacian_step(values, adjacency, gamma)
+    dist = np.abs(values - mean)
+    return np.abs(new - mean) - dist, (np.abs(1.0 - gamma * m) - 1.0) * dist, dist, new
+
+
+class TestIncrementForms:
+    """The averaging, contrarian and leader helpers, the squared and first-power
+    forms of one helper, give the bits of the formulas they replaced."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_equal_written_out_formulas(self, n):
+        adj, values, gamma = TestPerRowGraphStep().batch(n, seed=500 + n)
+        values[3:5] = np.linspace(-1e150, 1e150, n)
+        values[5] = np.linspace(-1e200, 1e200, n)  # distances whose squares overflow
+        values[6] = np.nan
+        calls = [
+            (values, adj, gamma),  # a graph and a step size per row
+            (values[5], adj[5], 2.0 / n),  # one vector
+            (np.stack([values, values[::-1]]), adj[0], np.array([1.5 / n, 0.7 / n])[:, None, None]),
+        ]
+        helpers = ((averaging_increments, -1.0, True), (contrarian_increments, 1.0, True),
+                   (leader_increments, -1.0, False))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for args in calls:
+                for helper, sign, squared in helpers:
+                    got = helper(*args)
+                    want = _written_out_increments(*args, sign, squared)
+                    assert len(got) == 4
+                    assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+            assert np.isinf(averaging_increments(*calls[0])[2]).any()
 
 
 class TestRunDynamics:

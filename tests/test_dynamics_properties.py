@@ -140,7 +140,7 @@ def test_leader_increments_nonpositive(n, n_leaders, seed):
     leaders = tuple(sorted(rng.choice(n, size=n_leaders, replace=False).tolist()))
     values = rng.uniform(-5, 5, n)
     a = DynamicsTopology.with_leaders(n, leaders).adjacency
-    actual, predicted, _ = leader_increments(values, a, 2.0 / n)
+    actual, predicted, _, _ = leader_increments(values, a, 2.0 / n)
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] <= 1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)

@@ -178,7 +178,6 @@ def verify_supportive_convergence(
             break
     return PropertyResult(
         name="supportive convergence (all-pairs averaging)",
-        passed=not failures,
         trajectories=trajectories,
         checks=checks,
         failures=failures,
@@ -241,7 +240,6 @@ def verify_conflict_instability(
             break
     return PropertyResult(
         name="conflict instability (belief divergence)",
-        passed=not failures,
         trajectories=seeds,
         checks=checks,
         failures=failures,
@@ -310,7 +308,6 @@ def verify_leader_convergence(
             break
     return PropertyResult(
         name="leader convergence (to the leader average)",
-        passed=not failures,
         trajectories=seeds,
         checks=checks,
         failures=failures,
@@ -379,7 +376,6 @@ def verify_belief_speedup(
         failures.append(f"only {passed_pairs}/{seeds} paired seeds satisfied the step comparison")
     return PropertyResult(
         name=f"belief speedup (higher-belief leaders, {passed_pairs}/{seeds} pairs)",
-        passed=not failures,
         trajectories=2 * seeds,
         checks=checks,
         failures=failures,

@@ -22,7 +22,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
 
@@ -440,26 +440,86 @@ def _token_probs_for_span(tokens: list[dict], content: str, start: int, end: int
     return probs
 
 
-@functools.lru_cache(maxsize=16)
-def _http_pool(endpoint: str):
-    """The connection pool that every agent posting to `endpoint` shares.
+class _HttpPool:
+    """Idle keep-alive connections to one endpoint, the last one returned
+    taken first, shared by every agent, case and thread posting to it. The
+    proxy setting is read once, here; proxy credentials are not sent."""
 
-    Built once per endpoint and process, so keep-alive connections outlive
-    agents and cases, and the environment's proxy setting is read here once.
-    `retries=False`: `respond` does its own retrying, and a redirect is
-    returned rather than followed.
-    """
-    # imported here, not at module level: only HTTP backends use them, and
-    # they cost every other run start-up time
-    import urllib.request
+    def __init__(self, endpoint: str):
+        # imported here, not at module level: only HTTP backends use them, and
+        # they cost every other run start-up time
+        import http.client
+        import ssl
+        import urllib.request
 
-    import urllib3
+        parts = urlsplit(endpoint)
+        https = parts.scheme == "https"
+        self._target = urlunsplit(("", "", parts.path, parts.query, ""))
+        address, self._tunnel = (parts.hostname, parts.port), None
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(parts.hostname):
+            proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            address = (proxy.hostname, proxy.port or 80)
+            if https:  # through a CONNECT tunnel
+                self._tunnel = (parts.hostname, parts.port or 443)
+            else:  # with the endpoint's full URL as the request target
+                self._target = endpoint
+        # HTTPS is verified against the system CA store
+        self._connect = (functools.partial(http.client.HTTPSConnection, *address,
+                                           context=ssl.create_default_context()) if https
+                         else functools.partial(http.client.HTTPConnection, *address))
+        self._idle, self._lock = [], threading.Lock()
 
-    parts = urlsplit(endpoint)
-    proxy = urllib.request.getproxies().get(parts.scheme)
-    if proxy and not urllib.request.proxy_bypass(parts.hostname):
-        return urllib3.ProxyManager(proxy, retries=False)
-    return urllib3.PoolManager(retries=False)
+    def post(self, body: bytes, headers: dict, timeout: float) -> tuple[int, bytes]:
+        """POST `body`; the status and the whole response body. Raises OSError
+        or `http.client.HTTPException` when the transport fails."""
+        import select
+
+        conn = None
+        with self._lock:
+            while self._idle and conn is None:
+                conn = self._idle.pop()
+                poller = select.poll()
+                poller.register(conn.sock, select.POLLIN)
+                if poller.poll(0):  # the server closed it while idle; it would spend a retry
+                    conn.close()
+                    conn = None
+        if conn is None:
+            conn = self._connect(timeout=timeout)
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
+        else:
+            conn.sock.settimeout(timeout)
+        try:
+            conn.request("POST", self._target, body, headers)
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if not response.will_close:
+            with self._lock:
+                self._idle.append(conn)
+        return response.status, data
+
+    def clear(self):
+        """Close the idle connections."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
+_pools = functools.lru_cache(maxsize=16)(_HttpPool)
+_pools_lock = threading.Lock()
+
+
+def _http_pool(endpoint: str) -> _HttpPool:
+    """The pool of every agent posting to `endpoint`, one per endpoint and
+    process, so keep-alive connections outlive agents and cases. Built under
+    a lock, as `--jobs` threads build their cases' agents at once."""
+    with _pools_lock:
+        return _pools(endpoint)
 
 
 class ChatCompletionsAgent(Backend):
@@ -488,7 +548,7 @@ class ChatCompletionsAgent(Backend):
         return headers
 
     def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
-        from urllib3.exceptions import HTTPError  # loaded by _http_pool
+        import http.client  # loaded by _http_pool
 
         payload = {
             "model": self.cfg.model,
@@ -506,20 +566,17 @@ class ChatCompletionsAgent(Backend):
                 time.sleep(self.cfg.backoff * (2 ** (attempt - 1)))
                 self.last_retries = attempt
             try:
-                response = self.pool.request(
-                    "POST", self.cfg.endpoint, body=request_body, headers=headers,
-                    timeout=self.cfg.timeout,
-                )
-            except HTTPError as exc:
+                status, data = self.pool.post(request_body, headers, self.cfg.timeout)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if response.status >= 500:
-                last_error = AgentError(f"server error {response.status}")
+            if status >= 500:
+                last_error = AgentError(f"server error {status}")
                 continue
-            if response.status != 200:
-                raise AgentError(f"endpoint rejected the request: HTTP {response.status}")
+            if status != 200:
+                raise AgentError(f"endpoint rejected the request: HTTP {status}")
             try:
-                body = json.loads(response.data)
+                body = json.loads(data)
             except ValueError as exc:
                 last_error = exc
                 continue

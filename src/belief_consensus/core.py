@@ -253,9 +253,10 @@ ADOPT_AGENT = "adopt:agent:"
 class AgentScript:
     """Per-agent scripted replies plus an optional fallback rule.
 
-    Fallback rules: one of FALLBACK_RULES, or "adopt:agent:<id>" naming an
-    agent the case scripts; any other rule is an error. Adopt rules may carry
-    a scripted belief to attach to the adopted answer.
+    Fallback rules: one of FALLBACK_RULES, or "adopt:agent:<id>" naming
+    another agent the case scripts; any other rule is an error, and so is a
+    second reply for one round. Adopt rules may carry a scripted belief to
+    attach to the adopted answer.
     """
 
     agent_id: str
@@ -269,6 +270,14 @@ class AgentScript:
         if not (rule is None or rule in FALLBACK_RULES or adopt_agent):
             raise ValueError(f"agent {self.agent_id!r}: unknown fallback rule {rule!r} (rules: "
                              f"{', '.join(FALLBACK_RULES)}, {ADOPT_AGENT}<id>)")
+        # no collaborator carries the agent's own id, so this rule could never match
+        if rule == ADOPT_AGENT + self.agent_id:
+            raise ValueError(f"agent {self.agent_id!r}: fallback rule {rule!r} adopts the "
+                             "agent itself")
+        rounds = [reply.round for reply in self.replies]
+        twice = sorted({r for r in rounds if rounds.count(r) > 1})
+        if twice:
+            raise ValueError(f"agent {self.agent_id!r}: more than one reply for rounds {twice}")
 
     def reply_for(self, round_index: int) -> ScriptedReply | None:
         for reply in self.replies:
@@ -368,6 +377,8 @@ def scenarios_from_json(path: str | Path) -> list[ScenarioCase]:
                     script = _script_from_dict(agent_payload)
                 except ValueError as exc:
                     raise ValueError(f"case {case_id!r}: {exc}") from exc
+                if script.agent_id in scripts:
+                    raise ValueError(f"case {case_id!r}: agent {script.agent_id!r} listed twice")
                 scripts[script.agent_id] = script
         cases.append(
             ScenarioCase(

@@ -61,7 +61,7 @@ class TestCmdRun:
         cfg = write_config(tmp_path, tmp_path / "nope.json")
         assert main(["run", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("rule", ["adopt:leadr", "adopt:agent:a9"])
+    @pytest.mark.parametrize("rule", ["adopt:leadr", "adopt:agent:a9", "adopt:agent:a1"])
     def test_bad_fallback_rule_exits_2(self, tmp_path, corpus_path, capsys, rule):
         # a misspelt rule once exited 0, every agent carried forward after round 1
         payload = json.loads(corpus_path.read_text())
@@ -72,6 +72,29 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("dataset error: case 'judgment-tl205'") and repr(rule) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("defect, message", [
+        ("agent", "agent 'a1' listed twice"),
+        ("round", "agent 'a1': more than one reply for rounds [1]"),
+    ], ids=["agent", "round"])
+    def test_duplicate_agent_or_round_exits_2(self, tmp_path, corpus_path, capsys, defect,
+                                              message):
+        # the later agent entry, or the first reply of a round, once won silently
+        payload = json.loads(corpus_path.read_text())
+        agents = payload["cases"][0]["agents"]
+        first = agents[0]
+        changed = {**first["rounds"][0], "answer": "Z"}
+        if defect == "agent":
+            agents.append({**first, "rounds": [changed]})
+        else:
+            first["rounds"].append(changed)
+        dataset = tmp_path / "bad.json"
+        dataset.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, dataset)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dataset error: case 'judgment-tl205'") and message in err
         assert not (tmp_path / "out").exists()
 
     def test_dataset_flag_overrides_config(self, tmp_path, corpus_path):

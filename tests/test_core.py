@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from belief_consensus.core import (
     belief_from_token_probs,
     canonicalize_answer,
     modal_answer as _modal_answer,
+    scenarios_from_json,
 )
 from round_oracles import columns_of
 
@@ -224,7 +226,7 @@ class TestScenarioCase:
                                       "adopt:conflicting", "adopt:agent:a2", None])
     def test_fallback_rules_accepted(self, rule):
         reply = (ScriptedReply(1, "B", "", 0.5),)
-        scripts = {aid: AgentScript(aid, reply, fallback=rule) for aid in ("a1", "a2")}
+        scripts = {"a1": AgentScript("a1", reply, fallback=rule), "a2": AgentScript("a2", reply)}
         assert ScenarioCase("c1", "q", "B", scripts=scripts).scripts["a1"].fallback == rule
 
     def test_adopted_agent_must_be_scripted(self):
@@ -233,3 +235,26 @@ class TestScenarioCase:
                    "a2": AgentScript("a2", reply)}
         with pytest.raises(ValueError, match=r"does not script: \{'a1': 'adopt:agent:a3'\}"):
             ScenarioCase("c1", "q", "B", scripts=scripts)
+
+    def test_adopting_itself_rejected(self):
+        # no collaborator is the agent itself: the rule once carried it forward
+        with pytest.raises(ValueError, match="'adopt:agent:a1' adopts the agent itself"):
+            AgentScript("a1", (ScriptedReply(1, "B", "", 0.5),), fallback="adopt:agent:a1")
+
+    def test_two_replies_for_one_round_rejected(self):
+        # reply_for once took the first of them silently
+        replies = (ScriptedReply(1, "B", "", 0.5), ScriptedReply(2, "B", "", 0.5),
+                   ScriptedReply(1, "C", "", 0.9))
+        with pytest.raises(ValueError, match=r"agent 'a1': more than one reply for rounds \[1\]"):
+            AgentScript("a1", replies)
+
+    def test_agent_listed_twice_rejected(self, tmp_path):
+        # the later entry once replaced the earlier one
+        agent = {"agent_id": "a1", "rounds": [{"round": 1, "answer": "B", "belief": 0.5}]}
+        case = {"case_id": "c1", "question": "q", "ground_truth": "B",
+                "agents": [agent, {**agent, "rounds": [{"round": 1, "answer": "Z",
+                                                         "belief": 0.5}]}]}
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"cases": [case]}))
+        with pytest.raises(ValueError, match="case 'c1': agent 'a1' listed twice"):
+            scenarios_from_json(path)

@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import os
-import re
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -30,9 +29,9 @@ from belief_consensus.core import (
     Opinion,
     RoundColumns,
     ScenarioCase,
+    answer_spans,
     belief_from_token_probs,
     canonicalize_answer,
-    last_boxed,
     stable_hash,
 )
 from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _LOW32, _TWO_POW_M53, _U11, _U32, _frozen,
@@ -118,6 +117,12 @@ Failures = tuple[tuple[str, AgentError], ...]  # (agent id, error) of each faile
 class Backend:
     """Answers the agents of one round of a case. A backend class defines
     `respond_round` or `respond`, and each defaults to the other."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # with neither, each default would call the other until RecursionError
+        if cls.respond is Backend.respond and cls.respond_round is Backend.respond_round:
+            raise TypeError(f"{cls.__name__} defines neither respond nor respond_round")
 
     def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
         """One agent's opinion; raises the AgentError of a failed agent."""
@@ -384,38 +389,6 @@ def _crc32_row(agent_ids: tuple[str, ...]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # HTTP chat-completions backend
-
-# a sentence ends at ".", "!" or "?" not followed by a digit, so not at the "." of 1.5
-_SENTENCE_END = re.compile(r"[.!?](?!\d)")
-# a "the answer is" clause runs to its sentence's end
-_ANSWER_CLAUSE = re.compile(r"\bthe answer is\b(?:[^.!?]|[.!?](?=\d))*", re.IGNORECASE)
-_CHOICE_LABEL = re.compile(r"\([A-Za-z0-9]{1,3}\)")
-
-
-def answer_spans(content: str) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Character spans of the final answer's anchor and of the sentence around
-    it, or None if unanswerable.
-
-    The anchor is the last "the answer is" clause or the last balanced
-    `\\boxed{...}` (`last_boxed`), which wins over a clause it overlaps. A bare
-    choice label such as "(C)" anchors only in a reply with neither, so a
-    label after the answer sentence does not take the answer.
-    """
-    anchors = [m.span() for m in _ANSWER_CLAUSE.finditer(content)]
-    boxed = last_boxed(content)
-    if boxed:
-        anchors = [a for a in anchors if a[1] <= boxed[0] or a[0] >= boxed[1]] + [boxed]
-    anchor = max(anchors or [m.span() for m in _CHOICE_LABEL.finditer(content)], default=None)
-    if anchor is None:
-        return None
-    ends = (m.end() for m in _SENTENCE_END.finditer(content) if m.end() <= anchor[0])
-    start = max(ends, default=0)
-    stop = _SENTENCE_END.search(content, anchor[1])
-    end = stop.end() if stop else len(content)
-    while start < end and content[start].isspace():
-        start += 1
-    return anchor, (start, end)
-
 
 def _token_probs_for_span(tokens: list[dict], content: str, start: int, end: int) -> list[float]:
     """Probabilities of the tokens overlapping content[start:end].

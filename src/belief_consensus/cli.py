@@ -29,12 +29,7 @@ import yaml
 from belief_consensus import verification
 from belief_consensus.agents import BACKEND_KINDS, BackendConfig, make_backend
 from belief_consensus.core import RunConfig, ScenarioCase, scenarios_from_json
-from belief_consensus.dynamics import (
-    DynamicsState,
-    DynamicsTopology,
-    run_dynamics,
-    trace_to_csv,
-)
+from belief_consensus.dynamics import DynamicsTopology, run_dynamics, trace_to_csv
 from belief_consensus.metrics import (
     compute_metrics,
     format_metrics,
@@ -376,12 +371,11 @@ def cmd_simulate(args) -> int:
             continue
         topo = trace_topology(n_min)
         step_mode = "conflicting" if mode == "conflicting" else "supportive"
-        for s, (opinions, beliefs) in enumerate(zip(*initial)):
-            state = DynamicsState(opinions, beliefs)
-            result = run_dynamics(state, topo, step_mode, tol=sim.tol, max_steps=sim.max_steps)
+        for s, state in enumerate(zip(*initial)):  # (opinions, beliefs) of seed s
+            trace = run_dynamics(state, topo, step_mode, tol=sim.tol, max_steps=sim.max_steps)[1]
             with open(traces_dir / f"{mode}_n{n_min}_seed{s}.csv", "w", newline="") as fh:
                 fh.write(f"# config: {json.dumps(effective, sort_keys=True)}\n")
-                trace_to_csv(result, topo, fh)
+                trace_to_csv(trace, topo, fh)
 
     report_lines = [r.line() for r in results]
     with open(out_dir / "properties.txt", "w", encoding="utf-8") as fh:
@@ -392,21 +386,34 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CONFIG
 
 
+def _positive_int(value, what: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def cmd_metrics(args) -> int:
     summaries = []
-    for path in args.results:
-        try:
-            rows, n = rows_from_results_jsonl(path)
-            if n is None:
-                n = args.agents
-            if n is None:
-                print(f"config error: {path} has no agent count; pass --agents", file=sys.stderr)
-                return EXIT_CONFIG
-            # failed cases are counted, not averaged; a file of failures only raises
-            summaries.append((Path(path).name, compute_metrics(rows, int(n))))
-        except (OSError, ValueError) as exc:
-            print(f"dataset error: {path}: {exc}", file=sys.stderr)
-            return EXIT_DATASET
+    try:
+        agents = args.agents  # the flag's text: only decimal digits make an int
+        if agents is not None:
+            agents = _positive_int(int(agents) if agents.isdecimal() else agents, "--agents")
+        for path in args.results:
+            try:
+                rows, n = rows_from_results_jsonl(path)
+                if n is None and agents is None:
+                    raise ConfigError(f"{path} has no agent count; pass --agents")
+                n = agents if n is None else _positive_int(n, f"{path}: header n")
+                # failed cases are counted, not averaged; a file of failures only raises
+                summaries.append((Path(path).name, compute_metrics(rows, n)))
+            except ConfigError:
+                raise
+            except (OSError, ValueError) as exc:
+                print(f"dataset error: {path}: {exc}", file=sys.stderr)
+                return EXIT_DATASET
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(format_metrics(summaries))
     if args.out:
         out_dir = Path(args.out)
@@ -447,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     met_p = sub.add_parser("metrics", help="aggregate metrics from results files")
     met_p.add_argument("results", nargs="+", help="results.jsonl paths")
-    met_p.add_argument("--agents", type=int, help="agent count when not in the file header")
+    met_p.add_argument("--agents", help="agent count when not in the file header")
     met_p.add_argument("--out", help="output directory for metrics.csv")
     met_p.set_defaults(func=cmd_metrics)
     return parser

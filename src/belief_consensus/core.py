@@ -58,10 +58,14 @@ def belief_from_token_probs(probs: Sequence[float]) -> float:
     return max(out, MIN_BELIEF)
 
 
-# Greedy prefix so the *last* "the answer is" in the text wins; the frame with
-# nothing after it leaves no answer.
-_ANSWER_SENTENCE = re.compile(r".*\bthe answer is\b[:\s]*(.*)$", re.IGNORECASE | re.DOTALL)
-_CHOICE = re.compile(r"^\(([A-Za-z0-9]{1,3})\)$")
+# a sentence ends at ".", "!" or "?" not followed by a digit, so not at the "." of 1.5
+_SENTENCE_END = re.compile(r"[.!?](?!\d)")
+# a "the answer is" clause holds what follows it to its sentence's end, or to
+# the next "the answer is", which starts a clause of its own
+_FRAME = r"\bthe\s+answer\s+is\b"
+_ANSWER_CLAUSE = re.compile(rf"{_FRAME}[:\s]*((?:(?!{_FRAME})[^.!?]|[.!?](?=\d))*)",
+                            re.IGNORECASE)
+_CHOICE_LABEL = re.compile(r"\(([A-Za-z0-9]{1,3})\)")
 
 
 def last_boxed(text: str) -> tuple[int, int] | None:
@@ -79,28 +83,55 @@ def last_boxed(text: str) -> tuple[int, int] | None:
     return None
 
 
-def canonicalize_answer(raw: str) -> str:
-    """Reduce a raw answer (or answer sentence) to its canonical form.
+def _answer_anchor(text: str) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Spans of the last "the answer is" clause or balanced `\\boxed{...}`
+    (`last_boxed`), which wins over a clause it overlaps, and of what that
+    anchor holds; None if the text has neither."""
+    anchors = [(m.span(), m.span(1)) for m in _ANSWER_CLAUSE.finditer(text)]
+    boxed = last_boxed(text)
+    if boxed:
+        anchors = [a for a in anchors if a[0][1] <= boxed[0] or a[0][0] >= boxed[1]]
+        anchors.append((boxed, (boxed[0] + 7, boxed[1] - 1)))
+    return max(anchors, default=None)
 
-    Strips whitespace runs and the two wrapper forms used by the agent
-    prompts: a boxed expression and a parenthesized choice letter, plus the
-    "The answer is ..." sentence frame. Case of symbolic content is
-    preserved; two answers agree iff their canonical forms are byte-equal.
+
+def answer_spans(content: str) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """Character spans of the final answer's anchor and of the sentence around
+    it, or None if unanswerable.
+
+    The anchor is that of `_answer_anchor`. A bare choice label such as "(C)"
+    anchors only in a reply with neither a clause nor a box, so a label after
+    the answer sentence does not take the answer.
+    """
+    found = _answer_anchor(content)
+    labels = (m.span() for m in _CHOICE_LABEL.finditer(content))
+    anchor = found[0] if found else max(labels, default=None)
+    if anchor is None:
+        return None
+    ends = (m.end() for m in _SENTENCE_END.finditer(content) if m.end() <= anchor[0])
+    start = max(ends, default=0)
+    stop = _SENTENCE_END.search(content, anchor[1])
+    end = stop.end() if stop else len(content)
+    while start < end and content[start].isspace():
+        start += 1
+    return anchor, (start, end)
+
+
+def canonicalize_answer(raw: str) -> str:
+    """Reduce a raw answer (or a whole reply) to its canonical form.
+
+    Takes what the last "the answer is" clause or `\\boxed{...}` holds (see
+    `_answer_anchor`), or the whole text if it has neither, collapses its
+    whitespace runs and unwraps a whole parenthesized choice label such as
+    "(B)"; a label inside a longer answer, as in "f(2)", stays. Case of
+    symbolic content is preserved; two answers agree iff their canonical
+    forms are byte-equal.
     """
     if raw is None or not raw.strip():
         raise ValueError("unanswerable output")
-    text = " ".join(raw.split())
-    boxed = last_boxed(text)
-    if boxed:
-        text = " ".join(text[boxed[0] + 7:boxed[1] - 1].split())
-    else:
-        sentence = _ANSWER_SENTENCE.match(text)
-        if sentence:
-            tail = sentence.group(1).strip()
-            # keep only the first sentence of the tail
-            tail = tail.split(". ")[0]
-            text = tail.rstrip(".!?").strip()
-    choice = _CHOICE.match(text)
+    found = _answer_anchor(raw)
+    text = " ".join((raw[found[1][0]:found[1][1]] if found else raw).split())
+    choice = _CHOICE_LABEL.fullmatch(text)
     if choice:
         text = choice.group(1)
     if not text:

@@ -47,21 +47,6 @@ REASON_BUDGET = "step budget exhausted"
 
 
 @dataclass(frozen=True)
-class DynamicsState:
-    opinions: np.ndarray
-    beliefs: np.ndarray
-    step: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "opinions", np.asarray(self.opinions, dtype=float))
-        object.__setattr__(self, "beliefs", np.asarray(self.beliefs, dtype=float))
-        if self.opinions.shape != self.beliefs.shape or self.opinions.ndim != 1:
-            raise ValueError("topology/state arity: opinions and beliefs must be equal-length vectors")
-        if len(self.opinions) < 2:
-            raise ValueError("need at least 2 agents")
-
-
-@dataclass(frozen=True)
 class DynamicsTopology:
     """Per-agent collaborator sets (one graph) and step sizes (default
     alpha = beta = 2/n)."""
@@ -152,26 +137,34 @@ def laplacian_step(values: np.ndarray, adjacency: np.ndarray, gamma, sign: float
     return new, sums / np.where(degree > 0, degree, np.nan), degree
 
 
-def _advance(state: DynamicsState, topo: DynamicsTopology, belief_sign: float) -> DynamicsState:
-    if topo.n != len(state.opinions):
-        raise ValueError("topology/state arity: collaborator sets do not match agent count")
-    a = topo.adjacency
-    alpha, beta = topo.step_sizes()
-    return DynamicsState(
-        opinions=laplacian_step(state.opinions, a, alpha)[0],
-        beliefs=laplacian_step(state.beliefs, a, beta, belief_sign)[0],
-        step=state.step + 1,
-    )
+# the belief sign of each dynamics mode; opinions always average
+_BELIEF_SIGNS = {"supportive": -1.0, "conflicting": 1.0}
 
 
-def step_supportive(state: DynamicsState, topo: DynamicsTopology) -> DynamicsState:
-    """Average opinions and beliefs toward each agent's collaborators."""
-    return _advance(state, topo, -1.0)
+def _step_args(topo: DynamicsTopology, mode: str, shape: tuple[int, ...]):
+    """The adjacency, step sizes and signs `laplacian_step` takes to step a
+    (2, ..., n) stack of opinions and beliefs of `shape` under `mode`:
+    opinions with alpha toward the collaborators, beliefs with beta and the
+    mode's belief sign."""
+    if len(shape) < 2 or shape[0] != 2 or shape[-1] != topo.n:
+        raise ValueError(f"topology/state arity: {shape} is not a (2, ..., {topo.n}) stack")
+    if mode not in _BELIEF_SIGNS:
+        raise ValueError(f"unknown dynamics mode: {mode!r}")
+    axes = (2,) + (1,) * (len(shape) - 1)
+    return (topo.adjacency, np.reshape(topo.step_sizes(), axes),
+            np.reshape((-1.0, _BELIEF_SIGNS[mode]), axes))
 
 
-def step_conflicting(state: DynamicsState, topo: DynamicsTopology) -> DynamicsState:
-    """Average opinions toward each agent's collaborators but push beliefs apart."""
-    return _advance(state, topo, 1.0)
+def step_supportive(state: np.ndarray, topo: DynamicsTopology) -> np.ndarray:
+    """Average a (2, ..., n) stack of opinions and beliefs toward the collaborators."""
+    state = np.asarray(state, dtype=float)
+    return laplacian_step(state, *_step_args(topo, "supportive", state.shape))[0]
+
+
+def step_conflicting(state: np.ndarray, topo: DynamicsTopology) -> np.ndarray:
+    """Average the opinions of a (2, ..., n) stack but push the beliefs apart."""
+    state = np.asarray(state, dtype=float)
+    return laplacian_step(state, *_step_args(topo, "conflicting", state.shape))[0]
 
 
 # Leader-following is supportive averaging on `DynamicsTopology.with_leaders`;
@@ -214,23 +207,6 @@ def leader_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
 
 # ---------------------------------------------------------------------------
 # trajectory runner
-
-@dataclass
-class DynamicsResult:
-    trace: list[DynamicsState]
-    converged: bool
-    reason: str
-    marginal: bool
-    mode: str
-
-    @property
-    def final(self) -> DynamicsState:
-        return self.trace[-1]
-
-    @property
-    def steps(self) -> int:
-        return self.trace[-1].step
-
 
 @dataclass(frozen=True)
 class BatchVerdicts:
@@ -335,8 +311,8 @@ def run_batch(
     In the all-pairs tie case (see _is_marginal_tie) a row that oscillates
     with period 2 is reported converged with the marginal flag after 2 steps.
     The other rows step as one (2, rows, n) stack of opinions and beliefs in
-    `run_rows`. If `trace` is a list, the (opinions, beliefs) of every state
-    of a one-row batch are appended to it.
+    `run_rows`. If `trace` is a list, the (2, 1, n) stack of every state of a
+    one-row batch is appended to it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -346,17 +322,12 @@ def run_batch(
     beliefs = np.asarray(beliefs, dtype=float)
     if opinions.shape != beliefs.shape or opinions.ndim != 2:
         raise ValueError("opinions and beliefs must be (rows, n) batches of one shape")
-    if topo.n != opinions.shape[1]:
-        raise ValueError("topology/state arity: collaborator sets do not match agent count")
-    if mode not in ("supportive", "conflicting"):
-        raise ValueError(f"unknown dynamics mode: {mode!r}")
-    a = topo.adjacency
-    gamma = np.array(topo.step_sizes())[:, None, None]
-    sign = np.array([-1.0, 1.0 if mode == "conflicting" else -1.0])[:, None, None]
+    state = np.stack([opinions, beliefs])
+    args = _step_args(topo, mode, state.shape)
     consensus = functools.partial(within_tol, tol=tol)
 
     def advance(state):
-        return laplacian_step(state, a, gamma, sign)[0]
+        return laplacian_step(state, *args)[0]
 
     def step(state, carry, k):
         prev_bspread, grow_streak = carry
@@ -368,7 +339,6 @@ def run_batch(
         diverged = grow_streak >= DIVERGENCE_WINDOW
         return state, (bspread, grow_streak), ((~diverged, REASON_DIVERGENCE),)
 
-    state = np.stack([opinions, beliefs])
     reasons = np.full(len(opinions), REASON_MARGINAL, dtype=object)
     steps = np.full(len(opinions), 2)
     final = state.copy()
@@ -393,35 +363,31 @@ def run_batch(
 
 
 def run_dynamics(
-    initial: DynamicsState,
+    state: np.ndarray,
     topo: DynamicsTopology,
     mode: str,
     tol: float = DEFAULT_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
-) -> DynamicsResult:
-    """`run_batch` on one trajectory, with every state it passed through."""
+) -> tuple[BatchVerdicts, np.ndarray]:
+    """`run_batch` on one (2, n) stack of opinions and beliefs: its one-row
+    verdicts and the (steps + 1, 2, n) trace of every state it passed through."""
+    opinions, beliefs = np.asarray(state, dtype=float)[:, None]
     states: list = []
-    verdict = run_batch(initial.opinions[None], initial.beliefs[None], topo, mode,
-                        tol=tol, max_steps=max_steps, trace=states)
-    reason = verdict.reasons[0]
-    trace = [DynamicsState(op[0], be[0], step) for step, (op, be) in enumerate(states)]
-    return DynamicsResult(trace, bool(verdict.converged[0]), reason,
-                          bool(verdict.marginal[0]), mode)
+    verdict = run_batch(opinions, beliefs, topo, mode, tol=tol, max_steps=max_steps, trace=states)
+    return verdict, np.stack(states)[:, :, 0]
 
 
-def trace_to_csv(result: DynamicsResult, topo: DynamicsTopology, out: IO[str]):
-    """Write the trajectory as CSV with per-agent distances to collaborator means."""
-    a = topo.adjacency
+def trace_to_csv(trace: np.ndarray, topo: DynamicsTopology, out: IO[str]):
+    """Write a (steps + 1, 2, n) trajectory of opinions and beliefs as CSV,
+    with per-agent distances to collaborator means."""
+    trace = np.asarray(trace, dtype=float)
+    _, mean, m = laplacian_step(trace, topo.adjacency, 0.0)  # only the collaborator means
+    dist = np.abs(trace - mean)
     writer = csv.writer(out)
     writer.writerow(
         ["step", "agent_id", "opinion", "belief", "dist_to_mean_opinion", "dist_to_mean_belief"]
     )
-    for state in result.trace:
-        values = np.stack([state.opinions, state.beliefs])
-        _, mean, m = laplacian_step(values, a, 0.0)  # only the collaborator means
-        dist = np.abs(values - mean)
-        for i in range(len(state.opinions)):
-            od, bd = (repr(float(d)) for d in dist[:, i]) if m[i] else ("", "")
-            writer.writerow(
-                [state.step, i, repr(float(state.opinions[i])), repr(float(state.beliefs[i])), od, bd]
-            )
+    for step, (values, d) in enumerate(zip(trace, dist)):
+        for i in range(topo.n):
+            od, bd = (repr(float(x)) for x in d[:, i]) if m[i] else ("", "")
+            writer.writerow([step, i, repr(float(values[0, i])), repr(float(values[1, i])), od, bd])

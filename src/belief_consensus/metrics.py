@@ -47,33 +47,46 @@ class MetricsRow:
     error: str | None = None
 
 
+# the JSON type of each fact a completed case's row must carry
+_ROW_TYPES = {"consensus_count": int, "n_rounds": int, "correct": bool}
+
+
 def rows_from_results_jsonl(path: str | Path) -> tuple[list[MetricsRow], int | None]:
     """Read a results file back into metric rows; returns (rows, n from header).
 
     A failed case's `{"case_id", "error"}` row becomes a row with its error.
+    A row that is not an object, lacks a fact or holds one of the wrong JSON
+    type raises ValueError.
     """
     rows: list[MetricsRow] = []
     n = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             payload = json.loads(line)
+            if not isinstance(payload, dict):
+                raise ValueError(f"line {number} is not a JSON object")
             if "config" in payload and "case_id" not in payload:
-                n = payload["config"].get("run", {}).get("n")
+                try:
+                    n = payload["config"].get("run", {}).get("n")
+                except AttributeError:
+                    raise ValueError(f"line {number}: config header of the wrong shape") from None
                 continue
+            keys = ("case_id", "error") if "error" in payload else ("case_id", *_ROW_TYPES)
+            missing = [key for key in keys if key not in payload]
+            if missing:
+                raise ValueError(f"line {number} lacks {', '.join(missing)}")
             if "error" in payload:
                 rows.append(MetricsRow(str(payload["case_id"]), error=str(payload["error"])))
                 continue
-            rows.append(
-                MetricsRow(
-                    case_id=str(payload["case_id"]),
-                    consensus_count=int(payload["consensus_count"]),
-                    n_rounds=int(payload["n_rounds"]),
-                    correct=bool(payload["correct"]),
-                )
-            )
+            for key, kind in _ROW_TYPES.items():
+                if type(payload[key]) is not kind:  # so neither true nor 1.0 is an int
+                    raise ValueError(f"line {number}: {key} must be {kind.__name__}, "
+                                     f"got {payload[key]!r}")
+            rows.append(MetricsRow(str(payload["case_id"]),
+                                   **{key: payload[key] for key in _ROW_TYPES}))
     if not rows:
         raise ValueError("results file holds no case rows")
     return rows, n
@@ -88,6 +101,9 @@ def compute_metrics(reports: Sequence, n: int) -> MetricsSummary:
     for rep in done:
         if rep.n_rounds < 1:
             raise ValueError(f"case {rep.case_id!r} has no rounds")
+        if not 0 <= rep.consensus_count <= n:
+            raise ValueError(f"case {rep.case_id!r} has consensus_count "
+                             f"{rep.consensus_count} outside [0, {n}]")
         c = 1.0 if rep.correct else 0.0
         cl += rep.consensus_count / n
         scl += rep.consensus_count * c / n

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from belief_consensus import agents
 from belief_consensus.agents import (
@@ -23,14 +24,15 @@ from belief_consensus.agents import (
     StochasticAgent,
     TAG_SUPPORTIVE,
     TaggedOpinion,
-    answer_spans,
+    UnanswerableError,
     build_messages,
     make_backend,
     perturb_one_belief,
     _pcg64_raw,
 )
 from belief_consensus.core import (AgentScript, Opinion, RoundColumns, ScenarioCase,
-                                   ScriptedReply, stable_hash)
+                                   ScriptedReply, answer_spans, canonicalize_answer,
+                                   stable_hash)
 from belief_consensus.pcg64 import ROUNDS_PER_PASS, _state_words, _uint32_words
 from round_oracles import columns_of, opinions_of, oracle_respond
 
@@ -104,6 +106,21 @@ class TestBackend:
         assert Echo().respond(case, "a1", ctx) == Opinion("a1", "echo", "A", 0.5)
         with pytest.raises(AgentError, match="down is down"):
             Echo().respond(case, "down", ctx)
+
+    def test_subclass_with_neither_method_fails_at_definition(self):
+        # it once raised RecursionError on its first call, each default calling the other
+        with pytest.raises(TypeError, match="Mute defines neither respond nor respond_round"):
+            class Mute(Backend):
+                pass
+
+    def test_subclasses_of_concrete_backends_are_unaffected(self):
+        class Scripted(ScriptedAgent):
+            pass
+
+        class Chat(ChatCompletionsAgent):
+            pass
+
+        assert issubclass(Scripted, Backend) and issubclass(Chat, Backend)
 
     def test_default_respond_round_fails_an_agent_alone_after_round_one(self):
         backend, case = ScriptedAgent(), scripted_case()
@@ -439,6 +456,48 @@ class TestAnswerSentenceExtraction:
 
     def test_no_anchor(self):
         assert answer_spans("I simply cannot decide today") is None
+
+
+def _parsed_answer(reply):
+    """The answer the HTTP client records for `reply`, one token covering it."""
+    agent = ChatCompletionsAgent(BackendConfig(kind="http", endpoint="http://127.0.0.1:9/v1"))
+    body = {"choices": [{"message": {"content": reply},
+                         "logprobs": {"content": [{"token": reply, "logprob": -0.1}]}}]}
+    return agent._parse(body, "a1").answer
+
+
+class TestOneAnswerGrammar:
+    """`canonicalize_answer` on a whole reply with an answer clause or box
+    gives the answer the HTTP client parses from it."""
+
+    @pytest.mark.parametrize("reply, answer", [
+        # canonicalize_answer once took the box, the HTTP parse the later clause
+        ("\\boxed{4}. So the answer is 5.", "5"),
+        # and once kept the text after "!" that the HTTP parse cut off
+        ("The answer is B! Really sure.", "B"),
+        ("The answer is 2!Yes", "2"),
+        ("The answer is f(2).", "f(2)"),
+    ])
+    def test_table(self, reply, answer):
+        assert canonicalize_answer(reply) == _parsed_answer(reply) == answer
+
+    @given(st.sampled_from(["", "Reasoning first. ", "We halve 7.5 here! ", "Maybe A? No. ",
+                            "Option (D) looked good. ", "\\boxed{9} was a guess. "]),
+           st.one_of(st.text(alphabet="ABCxy012 .+()^", min_size=1, max_size=12),
+                     st.sampled_from(["\\frac{1}{2}", "x^{2}", "\\sqrt{3}"])),
+           st.sampled_from(["The answer is {}.", "so the answer is: {}!", "\\boxed{{{}}}",
+                            "The answer is \\boxed{{{}}}.", "the answer\nis ({})"]),
+           st.sampled_from(["", " Trust me.", " (C) was tempting.", " Check: 2 * 3.75 = 7.5."]))
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_answer_equals_http_parse(self, prefix, answer, form, suffix):
+        reply = prefix + form.format(answer) + suffix
+        try:
+            want = _parsed_answer(reply)
+        except UnanswerableError:
+            with pytest.raises(ValueError, match="unanswerable"):
+                canonicalize_answer(reply)
+            return
+        assert canonicalize_answer(reply) == want
 
 
 # -- local fake chat-completions endpoint ------------------------------------

@@ -589,3 +589,66 @@ class TestCmdMetrics:
 
     def test_missing_results_file_exits_2(self, tmp_path):
         assert main(["metrics", str(tmp_path / "none.jsonl")]) == 2
+
+    @pytest.fixture
+    def headerless(self, tmp_path, corpus_path):
+        """The corpus run's results.jsonl without its config line, and its case rows."""
+        cfg = write_config(tmp_path, corpus_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        rows = (tmp_path / "r" / "results.jsonl").read_text().splitlines()[1:]
+        path = tmp_path / "headerless.jsonl"
+        path.write_text("\n".join(rows) + "\n")
+        return path, rows
+
+    @pytest.mark.parametrize("agents", ["0", "-7", "2.5", "seven"])
+    def test_bad_agent_flag_is_a_config_error(self, headerless, capsys, agents):
+        # 0 once died with a ZeroDivisionError traceback; -7 exited 0 with CL -0.7619
+        assert main(["metrics", str(headerless[0]), "--agents", agents]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --agents must be a positive integer, got ")
+        assert len(err.splitlines()) == 1 and agents in err
+
+    @pytest.mark.parametrize("n", [0, -7, 2.5, True, "7"])
+    def test_bad_header_agent_count_is_a_config_error(self, headerless, tmp_path, capsys, n):
+        path = tmp_path / "bad-n.jsonl"
+        header = json.dumps({"config": {"run": {"n": n}}})
+        path.write_text(header + "\n" + headerless[0].read_text())
+        assert main(["metrics", str(path), "--agents", "7"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}: header n must be")
+
+    def test_agent_flag_digits(self, headerless, capsys):
+        assert main(["metrics", str(headerless[0]), "--agents", "7"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, message", [
+        ({"case_id": "x", "n_rounds": 2}, "lacks consensus_count, correct"),  # once a KeyError
+        ([1, 2], "is not a JSON object"),  # once a TypeError
+        ({"case_id": "x", "consensus_count": 3, "n_rounds": 2, "correct": "false"},
+         "correct must be bool, got 'false'"),  # once counted as correct
+        ({"case_id": "x", "consensus_count": True, "n_rounds": 2, "correct": True},
+         "consensus_count must be int, got True"),
+        ({"case_id": "x", "consensus_count": 3, "n_rounds": 1.0, "correct": True},
+         "n_rounds must be int, got 1.0"),
+        ({"case_id": "x", "consensus_count": 8, "n_rounds": 2, "correct": True},
+         "case 'x' has consensus_count 8 outside [0, 7]"),
+        ({"case_id": "x", "consensus_count": -1, "n_rounds": 2, "correct": True},
+         "case 'x' has consensus_count -1 outside [0, 7]"),
+        ({"case_id": "x", "consensus_count": 3, "n_rounds": 0, "correct": True},
+         "case 'x' has no rounds"),
+        ({"config": []}, "config header of the wrong shape"),
+        ({"error": "boom"}, "lacks case_id"),
+    ], ids=["lacks-fields", "array-row", "string-bool", "bool-count", "float-rounds",
+            "count-above-n", "negative-count", "no-rounds", "array-config", "error-no-id"])
+    def test_bad_row_is_a_dataset_error(self, headerless, tmp_path, capsys, row, message):
+        path, rows = headerless
+        path.write_text("\n".join([rows[0], json.dumps(row), *rows[1:]]) + "\n")
+        assert main(["metrics", str(path), "--agents", "7"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dataset error: {path}: ") and message in err
+        assert "Traceback" not in err
+
+    def test_truncated_row_is_a_dataset_error(self, headerless, capsys):
+        path, rows = headerless
+        path.write_text("\n".join([rows[0][:40], *rows[1:]]) + "\n")
+        assert main(["metrics", str(path), "--agents", "7"]) == 2
+        assert capsys.readouterr().err.startswith(f"dataset error: {path}: ")

@@ -90,6 +90,18 @@ class TestCanonicalizeAnswer:
     def test_boxed_with_nested_braces(self, raw, expected):
         assert canonicalize_answer(raw) == expected
 
+    @pytest.mark.parametrize("raw, expected", [
+        # a bare answer never anchors on a label inside it
+        ("f(2)", "f(2)"),
+        ("Option (C) was tempting", "Option (C) was tempting"),
+        # the last frame starts the clause, whatever whitespace splits it
+        ("The answer is the answer is B.", "B"),
+        ("The answer\nis  (C).", "C"),
+        ("The answer is: 1.5. Done.", "1.5"),
+    ])
+    def test_clause_holding(self, raw, expected):
+        assert canonicalize_answer(raw) == expected
+
     # twenty outputs shaped like the agent prompt templates produce, with
     # the extraction worked out by hand
     SCRIPTED_OUTPUTS = [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from belief_consensus.dynamics import (
-    DynamicsState,
     DynamicsTopology,
     REASON_BUDGET,
     REASON_CONSENSUS,
@@ -25,17 +24,17 @@ from belief_consensus.dynamics import (
 class TestStepSupportive:
     def test_equal_opinions_are_fixed(self):
         topo = DynamicsTopology.all_pairs(4)
-        state = DynamicsState(opinions=[1.5] * 4, beliefs=[0.3] * 4)
+        state = np.array([[1.5] * 4, [0.3] * 4])
         nxt = step_supportive(state, topo)
-        assert np.allclose(nxt.opinions, 1.5)
-        assert np.allclose(nxt.beliefs, 0.3)
+        assert np.allclose(nxt[0], 1.5)
+        assert np.allclose(nxt[1], 0.3)
 
     def test_three_agent_reflection(self):
         # alpha = 2/3 on the complete triangle maps (0,1,2) to (2,1,0)
         topo = DynamicsTopology.all_pairs(3)
-        state = DynamicsState(opinions=[0.0, 1.0, 2.0], beliefs=[0.5, 0.5, 0.5])
+        state = np.array([[0.0, 1.0, 2.0], [0.5, 0.5, 0.5]])
         nxt = step_supportive(state, topo)
-        assert np.allclose(nxt.opinions, [2.0, 1.0, 0.0])
+        assert np.allclose(nxt[0], [2.0, 1.0, 0.0])
 
     def test_increment_identity_hand_value(self):
         # agent 1: collaborator mean 1.5, squared distance 2.25, new distance
@@ -53,7 +52,10 @@ class TestStepSupportive:
     def test_arity_mismatch(self):
         topo = DynamicsTopology.all_pairs(3)
         with pytest.raises(ValueError, match="topology/state arity"):
-            step_supportive(DynamicsState(opinions=[0.0, 1.0], beliefs=[0.5, 0.5]), topo)
+            step_supportive(np.array([[0.0, 1.0], [0.5, 0.5]]), topo)
+        # a bare vector of opinions is not a (2, ..., n) stack
+        with pytest.raises(ValueError, match="topology/state arity"):
+            step_conflicting(np.zeros(3), topo)
 
     def test_no_self_collaboration(self):
         with pytest.raises(ValueError, match="own collaborator set"):
@@ -69,24 +71,24 @@ class TestStepSupportive:
 class TestStepConflicting:
     def test_equal_beliefs_unchanged(self):
         topo = DynamicsTopology.mutual_conflict_pairs(2)
-        state = DynamicsState(opinions=[0.0, 1.0], beliefs=[0.4, 0.4])
+        state = np.array([[0.0, 1.0], [0.4, 0.4]])
         nxt = step_conflicting(state, topo)
-        assert np.allclose(nxt.beliefs, 0.4)
+        assert np.allclose(nxt[1], 0.4)
 
     def test_belief_gap_doubles(self):
         # beta = 1 on a mutual pair: (0.6, 0.4) -> (0.8, 0.2)
         topo = DynamicsTopology.mutual_conflict_pairs(2)
-        state = DynamicsState(opinions=[0.0, 0.0], beliefs=[0.6, 0.4])
+        state = np.array([[0.0, 0.0], [0.6, 0.4]])
         nxt = step_conflicting(state, topo)
-        assert np.allclose(nxt.beliefs, [0.8, 0.2])
+        assert np.allclose(nxt[1], [0.8, 0.2])
 
     def test_opinion_swap_at_alpha_one(self):
         topo = DynamicsTopology.mutual_conflict_pairs(2)
-        state = DynamicsState(opinions=[0.0, 2.0], beliefs=[0.5, 0.5])
+        state = np.array([[0.0, 2.0], [0.5, 0.5]])
         nxt = step_conflicting(state, topo)
-        assert np.allclose(nxt.opinions, [2.0, 0.0])
+        assert np.allclose(nxt[0], [2.0, 0.0])
         # distance to the collaborator is unchanged in magnitude
-        assert abs(nxt.opinions[0] - nxt.opinions[1]) == pytest.approx(2.0)
+        assert abs(nxt[0][0] - nxt[0][1]) == pytest.approx(2.0)
 
     def test_belief_increment_identity(self):
         topo = DynamicsTopology.mutual_conflict_pairs(2)
@@ -120,31 +122,31 @@ class TestStepLeaderFollow:
 
     def test_follower_at_leader_average_is_fixed(self):
         topo = DynamicsTopology.with_leaders(3, (0, 1))
-        state = DynamicsState(opinions=[2.0, 4.0, 3.0], beliefs=[0.5, 0.5, 0.5])
+        state = np.array([[2.0, 4.0, 3.0], [0.5, 0.5, 0.5]])
         nxt = step_supportive(state, topo)
-        assert nxt.opinions[2] == pytest.approx(3.0)
+        assert nxt[0][2] == pytest.approx(3.0)
 
     def test_hand_computed_follower_move(self):
         # alpha = 2/3, leaders at (3, 3), follower at 0 moves to 4; distance
         # to the leader mean shrinks from 3 to 1
         topo = DynamicsTopology.with_leaders(3, (0, 1))
-        state = DynamicsState(opinions=[3.0, 3.0, 0.0], beliefs=[0.5, 0.5, 0.5])
+        state = np.array([[3.0, 3.0, 0.0], [0.5, 0.5, 0.5]])
         nxt = step_supportive(state, topo)
-        assert nxt.opinions[2] == pytest.approx(4.0)
-        assert abs(3.0 - nxt.opinions[2]) == pytest.approx(1.0)
+        assert nxt[0][2] == pytest.approx(4.0)
+        assert abs(3.0 - nxt[0][2]) == pytest.approx(1.0)
 
     def test_equal_leaders_are_mutual_fixed_points(self):
         topo = DynamicsTopology.with_leaders(4, (0, 1))
-        state = DynamicsState(opinions=[5.0, 5.0, 1.0, 2.0], beliefs=[0.5] * 4)
+        state = np.array([[5.0, 5.0, 1.0, 2.0], [0.5] * 4])
         nxt = step_supportive(state, topo)
-        assert nxt.opinions[0] == pytest.approx(5.0)
-        assert nxt.opinions[1] == pytest.approx(5.0)
+        assert nxt[0][0] == pytest.approx(5.0)
+        assert nxt[0][1] == pytest.approx(5.0)
 
     def test_single_leader_is_fixed_point(self):
         topo = DynamicsTopology.with_leaders(3, (0,))
-        state = DynamicsState(opinions=[1.0, 3.0, 4.0], beliefs=[0.9, 0.2, 0.3])
+        state = np.array([[1.0, 3.0, 4.0], [0.9, 0.2, 0.3]])
         nxt = step_supportive(state, topo)
-        assert nxt.opinions[0] == pytest.approx(1.0)
+        assert nxt[0][0] == pytest.approx(1.0)
 
     def test_empty_leader_set_rejected(self):
         with pytest.raises(ValueError, match="no leaders"):
@@ -269,6 +271,21 @@ class TestStackedQuantities:
                 self.assert_same(helper(stack, adj, gamma),
                                  [helper(x, adj, g) for x, g in zip(values, gammas)])
 
+    @pytest.mark.parametrize("step, belief_sign",
+                             [(step_supportive, -1.0), (step_conflicting, 1.0)])
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_step_functions_equal_per_quantity_calls(self, n, step, belief_sign):
+        # a (2, n) or (2, rows, n) stack steps as one laplacian_step per
+        # quantity with scalar step sizes and signs, the form they once took
+        rng = np.random.default_rng(500 + n)
+        sets = tuple(tuple(j for j in range(n) if j != i and rng.random() < 0.5) for i in range(n))
+        topo = DynamicsTopology(sets, alpha=1.5 / n, beta=0.7 / n)
+        stack = np.stack([rng.uniform(-1, 1, (5, n)), rng.uniform(0, 1, (5, n))])
+        for state in (stack, stack[:, 0]):
+            want = np.stack([laplacian_step(state[0], topo.adjacency, 1.5 / n)[0],
+                             laplacian_step(state[1], topo.adjacency, 0.7 / n, belief_sign)[0]])
+            assert np.array_equal(step(state, topo), want)
+
 
 def _written_out_increments(values, adjacency, gamma, sign, squared):
     """The increment formulas as each helper once wrote them out by hand."""
@@ -316,11 +333,11 @@ class TestRunDynamics:
         rng = np.random.default_rng(7)
         n = 5
         topo = DynamicsTopology.all_pairs(n, alpha=1.5 / n, beta=1.5 / n)
-        state = DynamicsState(opinions=rng.uniform(-1, 1, n), beliefs=rng.uniform(0, 1, n))
-        target = state.opinions.mean()
-        result = run_dynamics(state, topo, "supportive", tol=1e-9)
-        assert result.converged and result.reason == REASON_CONSENSUS
-        assert np.max(np.abs(result.final.opinions - target)) < 1e-8
+        state = np.array([rng.uniform(-1, 1, n), rng.uniform(0, 1, n)])
+        target = state[0].mean()
+        verdict, trace = run_dynamics(state, topo, "supportive", tol=1e-9)
+        assert verdict.converged[0] and verdict.reasons[0] == REASON_CONSENSUS
+        assert np.max(np.abs(trace[-1][0] - target)) < 1e-8
 
     def test_all_pairs_tie_case_flagged_marginal(self):
         # at alpha = 2/n the complete topology is a pure period-2 reflection:
@@ -328,41 +345,43 @@ class TestRunDynamics:
         rng = np.random.default_rng(11)
         n = 5
         topo = DynamicsTopology.all_pairs(n)
-        state = DynamicsState(opinions=rng.uniform(-1, 1, n), beliefs=rng.uniform(0, 1, n))
-        result = run_dynamics(state, topo, "supportive")
-        assert result.converged
-        assert result.marginal
-        assert result.reason == REASON_MARGINAL
-        assert np.allclose(result.trace[2].opinions, result.trace[0].opinions, atol=1e-12)
+        state = np.array([rng.uniform(-1, 1, n), rng.uniform(0, 1, n)])
+        verdict, trace = run_dynamics(state, topo, "supportive")
+        assert verdict.converged[0]
+        assert verdict.marginal[0]
+        assert verdict.reasons[0] == REASON_MARGINAL
+        assert trace.shape == (3, 2, n)
+        assert np.allclose(trace[2][0], trace[0][0], atol=1e-12)
 
     def test_conflict_flags_belief_divergence(self):
         topo = DynamicsTopology.mutual_conflict_pairs(2)
-        state = DynamicsState(opinions=[0.0, 2.0], beliefs=[0.6, 0.4])
-        result = run_dynamics(state, topo, "conflicting", max_steps=500)
-        assert not result.converged
-        assert result.reason == REASON_DIVERGENCE
+        state = np.array([[0.0, 2.0], [0.6, 0.4]])
+        verdict = run_dynamics(state, topo, "conflicting", max_steps=500)[0]
+        assert not verdict.converged[0]
+        assert verdict.reasons[0] == REASON_DIVERGENCE
 
     def test_leader_mode_converges_to_leader_average(self):
         rng = np.random.default_rng(2)
         n = 7
         topo = DynamicsTopology.with_leaders(n, (0, 1))
-        state = DynamicsState(opinions=rng.uniform(-1, 1, n), beliefs=rng.uniform(0, 1, n))
-        target = state.opinions[:2].mean()
-        result = run_dynamics(state, topo, "supportive")
-        assert result.converged
-        assert np.max(np.abs(result.final.opinions - target)) < 1e-8
+        state = np.array([rng.uniform(-1, 1, n), rng.uniform(0, 1, n)])
+        target = state[0][:2].mean()
+        verdict, trace = run_dynamics(state, topo, "supportive")
+        assert verdict.converged[0]
+        assert np.max(np.abs(trace[-1][0] - target)) < 1e-8
 
     def test_budget_exhaustion(self):
         # agents with no collaborators never move and never agree
         topo = DynamicsTopology(((), ()))
-        state = DynamicsState(opinions=[0.0, 1.0], beliefs=[0.5, 0.5])
-        result = run_dynamics(state, topo, "supportive", max_steps=5)
-        assert not result.converged
-        assert result.reason == REASON_BUDGET
+        state = np.array([[0.0, 1.0], [0.5, 0.5]])
+        verdict, trace = run_dynamics(state, topo, "supportive", max_steps=5)
+        assert not verdict.converged[0]
+        assert verdict.reasons[0] == REASON_BUDGET
+        assert trace.shape == (6, 2, 2)
 
     def test_invalid_mode(self):
         topo = DynamicsTopology.all_pairs(2)
-        state = DynamicsState(opinions=[0.0, 1.0], beliefs=[0.5, 0.5])
+        state = np.array([[0.0, 1.0], [0.5, 0.5]])
         # the mode is the belief sign; leader-following is a topology
         for mode in ("sideways", "leader"):
             with pytest.raises(ValueError, match="unknown dynamics mode"):
@@ -370,7 +389,7 @@ class TestRunDynamics:
 
     def test_invalid_tol_and_budget(self):
         topo = DynamicsTopology.all_pairs(2)
-        state = DynamicsState(opinions=[0.0, 1.0], beliefs=[0.5, 0.5])
+        state = np.array([[0.0, 1.0], [0.5, 0.5]])
         with pytest.raises(ValueError):
             run_dynamics(state, topo, "supportive", tol=0.0)
         with pytest.raises(ValueError):
@@ -380,10 +399,10 @@ class TestRunDynamics:
 class TestTraceCsv:
     def test_columns_and_hand_rows(self):
         topo = DynamicsTopology.all_pairs(3)
-        state = DynamicsState(opinions=[0.0, 1.0, 2.0], beliefs=[0.5, 0.5, 0.5])
-        result = run_dynamics(state, topo, "supportive")
+        state = np.array([[0.0, 1.0, 2.0], [0.5, 0.5, 0.5]])
+        trace = run_dynamics(state, topo, "supportive")[1]
         buf = io.StringIO()
-        trace_to_csv(result, topo, buf)
+        trace_to_csv(trace, topo, buf)
         lines = buf.getvalue().strip().splitlines()
         header = lines[0].split(",")
         assert header == [

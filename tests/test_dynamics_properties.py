@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from belief_consensus.dynamics import (
-    DynamicsState,
     DynamicsTopology,
     averaging_increments,
     contrarian_increments,
@@ -53,18 +52,18 @@ def test_matrix_step_matches_per_agent_rule(n, seed, step_scale):
     leaders = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
     g = step_scale / n
     topo = DynamicsTopology(sets, alpha=g, beta=g)
-    state = DynamicsState(opinions=rng.uniform(-5, 5, n), beliefs=rng.uniform(0, 1, n))
+    state = np.array([rng.uniform(-5, 5, n), rng.uniform(0, 1, n)])
     leader_sets = tuple(tuple(j for j in leaders if j != i) for i in range(n))
     supportive = step_supportive(state, topo)
     conflicting = step_conflicting(state, topo)
     leader = step_supportive(state, DynamicsTopology.with_leaders(n, leaders, alpha=g, beta=g))
     for got, x, collab, sign in (
-        (supportive.opinions, state.opinions, sets, -1.0),
-        (supportive.beliefs, state.beliefs, sets, -1.0),
-        (conflicting.opinions, state.opinions, sets, -1.0),
-        (conflicting.beliefs, state.beliefs, sets, 1.0),
-        (leader.opinions, state.opinions, leader_sets, -1.0),
-        (leader.beliefs, state.beliefs, leader_sets, -1.0),
+        (supportive[0], state[0], sets, -1.0),
+        (supportive[1], state[1], sets, -1.0),
+        (conflicting[0], state[0], sets, -1.0),
+        (conflicting[1], state[1], sets, 1.0),
+        (leader[0], state[0], leader_sets, -1.0),
+        (leader[1], state[1], leader_sets, -1.0),
     ):
         for i, c in enumerate(collab):
             m = len(c)
@@ -94,10 +93,10 @@ def test_supportive_step_contracts_at_laplacian_rate(n, seed, fraction):
     rho = np.max(np.abs(1.0 - g * eig[1:]))
     assert rho < 1.0
     topo = DynamicsTopology(sets, alpha=g, beta=g)
-    state = DynamicsState(opinions=rng.uniform(-1, 1, n), beliefs=rng.uniform(0, 1, n))
+    state = np.array([rng.uniform(-1, 1, n), rng.uniform(0, 1, n)])
     for _ in range(40):
         nxt = step_supportive(state, topo)
-        for before, after in ((state.opinions, nxt.opinions), (state.beliefs, nxt.beliefs)):
+        for before, after in zip(state, nxt):
             e, e_next = before - before.mean(), after - after.mean()
             # the 1e-14 floor absorbs rounding once e has shrunk to ~1e-17
             assert np.linalg.norm(e_next) <= rho * np.linalg.norm(e) + 1e-14

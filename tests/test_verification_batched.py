@@ -14,7 +14,8 @@ import pytest
 import verification_oracle as oracle
 from belief_consensus import verification
 from belief_consensus.dynamics import (
-    DynamicsState,
+    REASON_CONSENSUS,
+    REASON_MARGINAL,
     DynamicsTopology,
     run_batch,
     run_dynamics,
@@ -59,14 +60,15 @@ class TestRunBatchOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing row
             verdict = run_batch(op, be, topo, mode, max_steps=400)
-            expected = [oracle.run_dynamics(DynamicsState(o, b), topo, mode, max_steps=400)
+            expected = [oracle.run_dynamics((o, b), topo, mode, max_steps=400)
                         for o, b in zip(op, be)]
         got = list(zip(verdict.converged.tolist(), verdict.reasons.tolist(),
                        verdict.marginal.tolist(), verdict.steps.tolist(),
                        (row.tobytes() for row in verdict.opinions),
                        (row.tobytes() for row in verdict.beliefs)))
-        want = [(r.converged, r.reason, r.marginal, r.steps,
-                 r.final.opinions.tobytes(), r.final.beliefs.tobytes()) for r in expected]
+        want = [(reason in (REASON_CONSENSUS, REASON_MARGINAL), reason, reason == REASON_MARGINAL,
+                 len(trace) - 1, trace[-1][0].tobytes(), trace[-1][1].tobytes())
+                for reason, trace in expected]
         assert got == want
         if case != 1:  # at the tie every finite row stops at step 2
             assert len(set(verdict.steps.tolist())) > 2
@@ -75,12 +77,16 @@ class TestRunBatchOracle:
     def test_run_dynamics_trace_csv_bytes(self, case):
         topo, mode, op, be = batch_cases()[case]
         for row in range(len(op)):
-            state = DynamicsState(op[row], be[row])
+            state = (op[row], be[row])
             got, want = io.StringIO(), io.StringIO()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing row
-                trace_to_csv(run_dynamics(state, topo, mode, max_steps=400), topo, got)
-                trace_to_csv(oracle.run_dynamics(state, topo, mode, max_steps=400), topo, want)
+                verdict, trace = run_dynamics(state, topo, mode, max_steps=400)
+                reason, oracle_trace = oracle.run_dynamics(state, topo, mode, max_steps=400)
+                trace_to_csv(trace, topo, got)
+                trace_to_csv(oracle_trace, topo, want)
+            assert (verdict.reasons[0], verdict.steps[0]) == (reason, len(trace) - 1)
+            assert trace.tobytes() == oracle_trace.tobytes()
             assert got.getvalue() == want.getvalue()
 
     def test_rejects_mismatched_batches(self):

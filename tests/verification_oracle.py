@@ -5,8 +5,9 @@ These are the seed-by-seed versions that `dynamics.run_batch` and the
 batched checks in `verification` replaced, and that must report identical
 results:
 
-- `run_dynamics`: one trajectory at a time through the `step_*` functions,
-  recording every state;
+- `run_dynamics`: one (2, n) stack of opinions and beliefs at a time through
+  the `step_*` functions, returning its reason and its (steps + 1, 2, n)
+  trace;
 - the four property checks (`verify_supportive_convergence`,
   `verify_conflict_instability`, `verify_leader_convergence` and
   `verify_belief_speedup`): one seed at a time, each drawing from its own
@@ -27,8 +28,6 @@ from belief_consensus.dynamics import (
     REASON_CONSENSUS,
     REASON_DIVERGENCE,
     REASON_MARGINAL,
-    DynamicsResult,
-    DynamicsState,
     DynamicsTopology,
     _is_marginal_tie,
     averaging_increments,
@@ -51,12 +50,12 @@ def _spread(vec: np.ndarray) -> float:
 
 
 def run_dynamics(
-    initial: DynamicsState,
+    initial: np.ndarray,
     topo: DynamicsTopology,
     mode: str,
     tol: float = DEFAULT_TOL,
     max_steps: int = DEFAULT_MAX_STEPS,
-) -> DynamicsResult:
+) -> tuple[str, np.ndarray]:
     """Iterate the chosen step rule until consensus, divergence, or budget.
 
     Consensus: max pairwise opinion gap and belief gap both below tol.
@@ -68,7 +67,8 @@ def run_dynamics(
         raise ValueError("tol must be positive")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    if topo.n != len(initial.opinions):
+    initial = np.asarray(initial, dtype=float)
+    if topo.n != initial.shape[1]:
         raise ValueError("topology/state arity: collaborator sets do not match agent count")
 
     if mode == "supportive":
@@ -81,34 +81,28 @@ def run_dynamics(
     if mode == "supportive" and _is_marginal_tie(topo):
         s1 = advance(initial)
         s2 = advance(s1)
-        period_two = np.allclose(s2.opinions, initial.opinions, rtol=0, atol=1e-12) and \
-            np.allclose(s2.beliefs, initial.beliefs, rtol=0, atol=1e-12)
+        period_two = np.allclose(s2[0], initial[0], rtol=0, atol=1e-12) and \
+            np.allclose(s2[1], initial[1], rtol=0, atol=1e-12)
         if period_two:
-            return DynamicsResult(
-                trace=[initial, s1, s2],
-                converged=True,
-                reason=REASON_MARGINAL,
-                marginal=True,
-                mode=mode,
-            )
+            return REASON_MARGINAL, np.stack([initial, s1, s2])
 
     trace = [initial]
     state = initial
     grow_streak = 0
-    prev_bspread = _spread(state.beliefs)
+    prev_bspread = _spread(state[1])
     for _ in range(max_steps):
-        if _spread(state.opinions) < tol and _spread(state.beliefs) < tol:
-            return DynamicsResult(trace, True, REASON_CONSENSUS, False, mode)
+        if _spread(state[0]) < tol and _spread(state[1]) < tol:
+            return REASON_CONSENSUS, np.stack(trace)
         state = advance(state)
         trace.append(state)
-        bspread = _spread(state.beliefs)
+        bspread = _spread(state[1])
         grow_streak = grow_streak + 1 if bspread > prev_bspread else 0
         prev_bspread = bspread
         if grow_streak >= DIVERGENCE_WINDOW:
-            return DynamicsResult(trace, False, REASON_DIVERGENCE, False, mode)
-    if _spread(state.opinions) < tol and _spread(state.beliefs) < tol:
-        return DynamicsResult(trace, True, REASON_CONSENSUS, False, mode)
-    return DynamicsResult(trace, False, REASON_BUDGET, False, mode)
+            return REASON_DIVERGENCE, np.stack(trace)
+    if _spread(state[0]) < tol and _spread(state[1]) < tol:
+        return REASON_CONSENSUS, np.stack(trace)
+    return REASON_BUDGET, np.stack(trace)
 
 
 def verify_supportive_convergence(
@@ -137,17 +131,15 @@ def verify_supportive_convergence(
         for s in range(seeds):
             trajectories += 1
             rng = np.random.default_rng(np.random.SeedSequence([master_seed, n, s]))
-            state = DynamicsState(
-                opinions=rng.uniform(-1.0, 1.0, n), beliefs=rng.uniform(0.0, 1.0, n)
-            )
+            state = np.stack([rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
             cur = state
             prev_dists = None
             for step in range(identity_steps):
-                a_op, p_op, d_op = averaging_increments(cur.opinions, topo.adjacency, alpha)[:3]
-                a_be, p_be = averaging_increments(cur.beliefs, topo.adjacency, beta)[:2]
+                a_op, p_op, d_op = averaging_increments(cur[0], topo.adjacency, alpha)[:3]
+                a_be, p_be = averaging_increments(cur[1], topo.adjacency, beta)[:2]
                 checks += 1
-                sc_op = _scale_sq(cur.opinions)
-                sc_be = _scale_sq(cur.beliefs)
+                sc_op = _scale_sq(cur[0])
+                sc_be = _scale_sq(cur[1])
                 dists = np.sqrt(d_op)
                 if not (_identity_ok(a_op, p_op, sc_op, isolated)
                         and _identity_ok(a_be, p_be, sc_be, isolated)):
@@ -167,11 +159,11 @@ def verify_supportive_convergence(
                 cur = step_supportive(cur, topo)
             if failures:
                 break
-            result = run_dynamics(state, topo, "supportive", tol=tol, max_steps=max_steps)
-            if not result.converged:
-                failures.append(f"not converged at n={n} seed={s}: {result.reason}")
+            reason, trace = run_dynamics(state, topo, "supportive", tol=tol, max_steps=max_steps)
+            if reason not in (REASON_CONSENSUS, REASON_MARGINAL):
+                failures.append(f"not converged at n={n} seed={s}: {reason}")
                 break
-            if not result.marginal and np.ptp(result.final.opinions) >= tol:
+            if reason != REASON_MARGINAL and np.ptp(trace[-1][0]) >= tol:
                 failures.append(f"opinion gap above tol at n={n} seed={s}")
                 break
         if failures:
@@ -210,32 +202,33 @@ def verify_conflict_instability(
         for i in range(0, n - 1, 2):
             if abs(beliefs[i] - beliefs[i + 1]) < 1e-3:
                 beliefs[i] += 0.1  # enforce the unequal-beliefs premise
-        state = DynamicsState(opinions=rng.uniform(-1.0, 1.0, n), beliefs=beliefs)
+        state = np.stack([rng.uniform(-1.0, 1.0, n), beliefs])
         cur = state
-        for _ in range(identity_steps):
-            a_op, p_op = averaging_increments(cur.opinions, topo.adjacency, alpha)[:2]
-            a_be, p_be = contrarian_increments(cur.beliefs, topo.adjacency, beta)[:2]
+        for step in range(identity_steps):
+            a_op, p_op = averaging_increments(cur[0], topo.adjacency, alpha)[:2]
+            a_be, p_be = contrarian_increments(cur[1], topo.adjacency, beta)[:2]
             checks += 1
-            sc_op = _scale_sq(cur.opinions)
-            sc_be = _scale_sq(cur.beliefs)
+            sc_op = _scale_sq(cur[0])
+            sc_be = _scale_sq(cur[1])
             if not (_identity_ok(a_op, p_op, sc_op, isolated)
                     and _identity_ok(a_be, p_be, sc_be, isolated)):
-                failures.append(f"identity violated at seed={s} step={cur.step}")
+                failures.append(f"identity violated at seed={s} step={step}")
                 break
             if not _sign_ok(a_op, sc_op, True, isolated):
-                failures.append(f"opinion increment positive at seed={s} step={cur.step}")
+                failures.append(f"opinion increment positive at seed={s} step={step}")
                 break
             if not _sign_ok(a_be, sc_be, False, isolated):
-                failures.append(f"belief increment negative at seed={s} step={cur.step}")
+                failures.append(f"belief increment negative at seed={s} step={step}")
                 break
             cur = step_conflicting(cur, topo)
         if failures:
             break
-        result = run_dynamics(state, topo, "conflicting", max_steps=500)
-        if result.converged or result.reason != REASON_DIVERGENCE:
+        reason = run_dynamics(state, topo, "conflicting", max_steps=500)[0]
+        if reason != REASON_DIVERGENCE:
+            converged = reason in (REASON_CONSENSUS, REASON_MARGINAL)
             failures.append(
-                f"expected belief divergence at seed={s}, got converged={result.converged} "
-                f"reason={result.reason!r}"
+                f"expected belief divergence at seed={s}, got converged={converged} "
+                f"reason={reason!r}"
             )
             break
     return PropertyResult(
@@ -270,30 +263,28 @@ def verify_leader_convergence(
         topo = DynamicsTopology.with_leaders(n, leaders)
         isolated = _isolated(topo)
         alpha, beta = topo.step_sizes()
-        state = DynamicsState(
-            opinions=rng.uniform(-1.0, 1.0, n), beliefs=rng.uniform(0.0, 1.0, n)
-        )
-        op_target = float(np.mean(state.opinions[list(leaders)]))
-        be_target = float(np.mean(state.beliefs[list(leaders)]))
+        state = np.stack([rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n)])
+        op_target = float(np.mean(state[0][list(leaders)]))
+        be_target = float(np.mean(state[1][list(leaders)]))
         cur = state
         converged_at = None
-        for _ in range(max_steps):
+        for step in range(max_steps):
             if (
-                cur.opinions.max() - cur.opinions.min() < tol
-                and cur.beliefs.max() - cur.beliefs.min() < tol
+                cur[0].max() - cur[0].min() < tol
+                and cur[1].max() - cur[1].min() < tol
             ):
-                converged_at = cur.step
+                converged_at = step
                 break
-            a_op, p_op = leader_increments(cur.opinions, topo.adjacency, alpha)[:2]
-            a_be, p_be = leader_increments(cur.beliefs, topo.adjacency, beta)[:2]
+            a_op, p_op = leader_increments(cur[0], topo.adjacency, alpha)[:2]
+            a_be, p_be = leader_increments(cur[1], topo.adjacency, beta)[:2]
             checks += 1
-            sc = max(_scale_sq(cur.opinions), _scale_sq(cur.beliefs))
+            sc = max(_scale_sq(cur[0]), _scale_sq(cur[1]))
             if not (_identity_ok(a_op, p_op, sc, isolated)
                     and _identity_ok(a_be, p_be, sc, isolated)):
-                failures.append(f"leader identity violated at seed={s} step={cur.step}")
+                failures.append(f"leader identity violated at seed={s} step={step}")
                 break
             if not (_sign_ok(a_op, sc, True, isolated) and _sign_ok(a_be, sc, True, isolated)):
-                failures.append(f"leader distance grew at seed={s} step={cur.step}")
+                failures.append(f"leader distance grew at seed={s} step={step}")
                 break
             cur = step_supportive(cur, topo)
         if failures:
@@ -301,8 +292,8 @@ def verify_leader_convergence(
         if converged_at is None:
             failures.append(f"no convergence within budget at seed={s}")
             break
-        if np.max(np.abs(cur.opinions - op_target)) >= tol or np.max(
-            np.abs(cur.beliefs - be_target)
+        if np.max(np.abs(cur[0] - op_target)) >= tol or np.max(
+            np.abs(cur[1] - be_target)
         ) >= tol:
             failures.append(f"final state off the leader average at seed={s}")
             break

@@ -121,16 +121,19 @@ def canonicalize_answer(raw: str) -> str:
     """Reduce a raw answer (or a whole reply) to its canonical form.
 
     Takes what the last "the answer is" clause or `\\boxed{...}` holds (see
-    `_answer_anchor`), or the whole text if it has neither, collapses its
-    whitespace runs and unwraps a whole parenthesized choice label such as
-    "(B)"; a label inside a longer answer, as in "f(2)", stays. Case of
-    symbolic content is preserved; two answers agree iff their canonical
-    forms are byte-equal.
+    `_answer_anchor`), read again while it holds a clause or box of its own
+    (so "\\boxed{the answer is 5}" gives "5"), or the whole text if it has
+    neither, collapses its whitespace runs and unwraps a whole parenthesized
+    choice label such as "(B)"; a label inside a longer answer, as in "f(2)",
+    stays. Case of symbolic content is preserved; two answers agree iff their
+    canonical forms are byte-equal.
     """
     if raw is None or not raw.strip():
         raise ValueError("unanswerable output")
-    found = _answer_anchor(raw)
-    text = " ".join((raw[found[1][0]:found[1][1]] if found else raw).split())
+    text = raw
+    while found := _answer_anchor(text):
+        text = text[found[1][0]:found[1][1]]
+    text = " ".join(text.split())
     choice = _CHOICE_LABEL.fullmatch(text)
     if choice:
         text = choice.group(1)

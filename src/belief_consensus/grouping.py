@@ -43,14 +43,14 @@ def tokenize(text: str) -> list[str]:
 def vectorize(texts: Sequence[str], counts=None) -> np.ndarray:
     """L2-normalized tf-idf vectors over the corpus vocabulary, one row per text.
 
-    Text i stands for `counts[i]` documents (default 1). idf(t) = ln((1 + N) /
-    (1 + df(t))) + 1 (smoothed) over the N = sum(counts) documents; tf is the
-    raw in-document count. Empty documents yield zero vectors. Each row is
-    divided by its own `np.linalg.norm`, as a per-document fill divides it.
+    Text i stands for `counts[i]` documents (see `_counts`). idf(t) = ln((1 +
+    N) / (1 + df(t))) + 1 (smoothed) over the N = sum(counts) documents; tf is
+    the raw in-document count. Empty documents yield zero vectors. Each row is
+    divided by its norm, `math.sqrt(row.dot(row))` as `np.linalg.norm` takes it.
     """
     if len(texts) == 0:
         raise ValueError("no opinions to vectorize")
-    counts = np.ones(len(texts)) if counts is None else np.asarray(counts)
+    counts = _counts(counts, len(texts))
     docs = [tokenize(t) for t in texts]
     vocab = sorted({tok for doc in docs for tok in doc})
     index = {tok: j for j, tok in enumerate(vocab)}
@@ -60,36 +60,37 @@ def vectorize(texts: Sequence[str], counts=None) -> np.ndarray:
         mat = np.bincount(cells, minlength=mat.size).reshape(mat.shape) * 1.0  # exact counts
         df = (counts[:, None] * (mat > 0)).sum(axis=0)
         mat *= np.log((1.0 + counts.sum()) / (1.0 + df)) + 1.0
-        norms = np.array([np.linalg.norm(row) for row in mat])
-        mat /= np.where(norms > 0, norms, 1.0)[:, None]
+        mat /= np.array([math.sqrt(row.dot(row)) or 1.0 for row in mat])[:, None]
     return mat
+
+
+def _counts(counts, n: int) -> np.ndarray:
+    """`counts` as an array, n ones if None; it must hold n positive, finite numbers."""
+    counts = np.ones(n) if counts is None else np.asarray(counts)
+    if counts.shape != (n,) or not 0 < counts.min() <= counts.max() < math.inf:
+        raise ValueError(f"counts must be {n} positive, finite numbers, one per item")
+    return counts
 
 
 def _distinct_rows(vectors: np.ndarray, counts=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`np.unique(vectors, axis=0, return_inverse=True, return_counts=True)`.
 
-    Rows are told apart by their bytes once `+ 0.0` has folded -0.0 into 0.0,
-    and only the distinct rows are sorted, lexicographically as np.unique
-    sorts them. Row i counts `counts[i]` times (default 1).
+    Rows are told apart by their bytes after `+ 0.0` folds -0.0 into 0.0 and
+    sorted as float lists (np.unique's order if finite); row i counts counts[i].
     """
     rows = np.ascontiguousarray(vectors + 0.0)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
     some_row = dict(zip(keys, range(len(keys))))  # one row index per distinct row
-    distinct = rows[list(some_row.values())]
-    order = np.lexsort(distinct.T[::-1])
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    rank_of = dict(zip(some_row, rank.tolist()))
+    ordered = sorted(some_row.values(), key=rows.tolist().__getitem__)
+    rank_of = {keys[i]: rank for rank, i in enumerate(ordered)}
     inverse = np.array([rank_of[key] for key in keys], dtype=np.intp)
-    return distinct[order], inverse, np.bincount(inverse, counts, len(order))
+    return rows[ordered], inverse, np.bincount(inverse, counts, len(ordered))
 
 
 def _renumber(labels: np.ndarray) -> np.ndarray:
     """Relabel so labels count up from 0 in order of first appearance."""
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=int)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[inverse.ravel()]
+    seen = {}
+    return np.array([seen.setdefault(x, len(seen)) for x in labels.tolist()], dtype=int)
 
 
 def _sq_dists(distinct: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -218,12 +219,13 @@ def cluster_opinions(vectors: np.ndarray, k: int, draws: np.ndarray, counts=None
     """Lloyd k-means with k-means++ seeding; returns a label per row.
 
     Vectors are expected L2-normalized, making squared Euclidean distance
-    cosine-equivalent. Row i counts `counts[i]` times (default 1); equal rows
-    merge, adding their counts. Seeding restarts KMEANS_N_INIT times, restart
-    r's pick j reading `draws[j, r]` (a round's slice of `_restart_draws`,
-    shaped (k, KMEANS_N_INIT)), and the lowest-inertia run wins. With at most
-    k distinct vectors every restart puts each in its own cluster, so that
-    partition is returned directly. Labels are renumbered by first appearance.
+    cosine-equivalent. Row i counts `counts[i]` times (see `_counts`); equal
+    rows merge, adding their counts. Seeding restarts KMEANS_N_INIT times,
+    restart r's pick j reading `draws[j, r]` (a round's slice of
+    `_restart_draws`, shaped (k, KMEANS_N_INIT)), and the lowest-inertia run
+    wins. With at most k distinct vectors every restart puts each in its own
+    cluster, so that partition is returned directly. Labels are renumbered by
+    first appearance.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -231,10 +233,8 @@ def cluster_opinions(vectors: np.ndarray, k: int, draws: np.ndarray, counts=None
         raise ValueError(f"draws must be shaped {(k, KMEANS_N_INIT)}, got {draws.shape}")
     if vectors.ndim != 2 or len(vectors) == 0:
         raise ValueError("vectors must be a non-empty 2-d array")
-    distinct, inverse, counts = _distinct_rows(vectors, counts)
-    if len(distinct) <= k:
-        return _renumber(inverse)
-    return _renumber(_kmeans(distinct, counts, k, draws)[inverse])
+    distinct, inverse, counts = _distinct_rows(vectors, _counts(counts, len(vectors)))
+    return _renumber(inverse if len(distinct) <= k else _kmeans(distinct, counts, k, draws)[inverse])
 
 
 def group_entropy(beliefs: Sequence[float]) -> float:

@@ -10,6 +10,9 @@ renumbered by first appearance.
 
 `reseats`, when given, is a list that receives one entry per empty-cluster
 re-seat, so a test can show that an input reaches that branch.
+
+`oracle_renumber` is the `np.unique` form of `grouping._renumber`, which a
+dict pass replaced.
 """
 
 import math
@@ -86,3 +89,11 @@ def oracle_cluster(vectors, k, seed, reseats=None):
             remap[lab] = len(remap)
         out[i] = remap[lab]
     return out
+
+
+def oracle_renumber(labels):
+    """Relabel so labels count up from 0 in order of first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.ravel()]

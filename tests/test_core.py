@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -136,7 +137,25 @@ class TestCanonicalizeAnswer:
         once = canonicalize_answer(raw)
         assert canonicalize_answer(once) == once
 
-    @given(st.text(alphabet="ABCD xyz012().!", min_size=1))
+    @pytest.mark.parametrize("raw, expected", [
+        ("\\boxed{the answer is 5}", "5"),
+        ("\\boxed{\\boxed{(B)}}", "B"),
+        ("The answer is \\boxed{so the answer is x} here.", "x"),
+        ("\\boxed{Thus, the answer is 7. Done}", "7"),
+    ])
+    def test_holding_read_until_no_anchor_is_left(self, raw, expected):
+        assert canonicalize_answer(raw) == expected
+
+    # a text wrapped, innermost first, in boxes and answer frames with text
+    # around each, so a box can hold a frame and a frame a box; stray braces
+    # leave some boxes unbalanced
+    PLAIN = st.text(alphabet="ABCD xyz012().!{}", max_size=5)
+    TEXTS = st.tuples(PLAIN, st.lists(st.tuples(
+        PLAIN, st.sampled_from(["\\boxed{%s}", "the answer is %s", "The answer\nis: %s."]),
+        PLAIN), max_size=4)).map(
+        lambda t: functools.reduce(lambda s, w: w[0] + w[1] % s + w[2], t[1], t[0]))
+
+    @given(TEXTS.filter(bool))
     def test_idempotent_generally(self, raw):
         try:
             once = canonicalize_answer(raw)

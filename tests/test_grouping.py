@@ -10,6 +10,7 @@ from belief_consensus.core import Opinion, RunConfig, ScenarioCase
 from belief_consensus.grouping import (
     KMEANS_N_INIT,
     _distinct_rows,
+    _renumber,
     _restart_draws,
     build_groups,
     cluster_opinions,
@@ -17,7 +18,7 @@ from belief_consensus.grouping import (
     tokenize,
     vectorize,
 )
-from kmeans_oracle import oracle_cluster
+from kmeans_oracle import oracle_cluster, oracle_renumber
 from round_oracles import columns_of, oracle_build_groups, oracle_vectorize
 
 
@@ -129,6 +130,76 @@ class TestDistinctRows:
             vectorize([f"text {i % 4} answer" for i in range(200)]),  # tf-idf rows
         ):
             self.assert_as_np_unique(vectors)
+
+    def test_weighted_counts(self):
+        # weighted counts add up per distinct row, in row order, as bincount adds them
+        rng = np.random.default_rng(26)
+        shapes = [(1, 1), (1, 5), (9, 1), (40, 1)] + [
+            (int(rng.integers(1, 60)), int(rng.integers(1, 6))) for _ in range(200)]
+        for m, d in shapes:  # one row, one column, and seeded shapes
+            pool = rng.integers(-2, 3, (int(rng.integers(1, 6)), d)) * rng.random(d)
+            vectors = pool[rng.integers(0, len(pool), m)]
+            vectors[(vectors == 0.0) & (rng.random(vectors.shape) < 0.5)] = -0.0
+            counts = rng.integers(1, 9, m) if m % 2 else rng.random(m) * 10.0 + 1e-3
+            got = _distinct_rows(vectors, counts)
+            distinct, inverse = np.unique(vectors, axis=0, return_inverse=True)
+            inverse = inverse.ravel()
+            want = distinct, inverse, np.bincount(inverse, counts)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (m, d)
+
+
+class TestRenumber:
+    def assert_as_oracle(self, labels):
+        got, want = _renumber(labels), oracle_renumber(labels)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_single_label(self):
+        for labels in ([0], [5], [3, 3, 3, 3]):
+            self.assert_as_oracle(np.array(labels, dtype=np.intp))
+
+    def test_seeded_labels_first_seen_out_of_numeric_order(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            labels = rng.integers(0, int(rng.integers(1, 12)), int(rng.integers(1, 40)))
+            self.assert_as_oracle(labels)
+        self.assert_as_oracle(np.array([4, 2, 9, 2, 0, 4]))
+
+    def test_at_most_k_distinct_rows(self):
+        # the short-circuit renumbers _distinct_rows' inverse, whose ranks
+        # follow sorted row order, not first appearance
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            pool = rng.random((int(rng.integers(1, 4)), 3))
+            vectors = pool[rng.integers(0, len(pool), int(rng.integers(1, 12)))]
+            inverse = _distinct_rows(vectors)[1]
+            self.assert_as_oracle(inverse)
+            assert np.array_equal(cluster_opinions(vectors, 3, draws(5, 3)),
+                                  oracle_renumber(inverse))
+
+
+class TestCountsRejected:
+    @pytest.mark.parametrize("texts, counts", [
+        (["a b", "b c", "c d"], [1]),  # would broadcast to N = 1
+        (["a b", "b c"], [0, -1]),  # would give -inf and NaN rows
+        (["a b", "b c"], [1, float("nan")]),
+        (["a b", "b c"], [1, float("inf")]),
+        (["a b"], [[1]]),
+    ])
+    def test_vectorize(self, texts, counts):
+        with pytest.raises(ValueError, match="counts"):
+            vectorize(texts, counts)
+
+    @pytest.mark.parametrize("counts", [
+        [1, 1, 1],  # one short: numpy would name its weights, not counts
+        [1, 1, 1, 0],
+        [1, 1, -2, 1],
+        [1, float("nan"), 1, 1],
+        [1, 1, 1, float("inf")],
+    ])
+    def test_cluster_opinions(self, counts):
+        with pytest.raises(ValueError, match="counts"):
+            cluster_opinions(np.eye(4), 3, draws(1, 3), counts=counts)
 
 
 class TestClusterOpinions:

@@ -4,11 +4,13 @@ sentence's token probabilities.
 
 Every backend answers the agents of one round of a case in one call,
 respond_round(case, agent_ids, contexts), which returns their opinions as the
-round's columns and the agents that failed. The stochastic backend draws the
-generators of all rounds of a case as one batch; the scripted and HTTP
-backends answer each agent with respond(case, agent_id, ctx) -> Opinion. A
-backend must never fabricate a belief: the HTTP client fails loudly when the
-provider does not report token probabilities.
+round's columns and the agents that failed. A context holds an agent's
+collaborators as (agent id, tag) pairs and the previous round's columns,
+whose rows the backends read: no Opinion is made for a collaborator. The
+stochastic backend draws the generators of all rounds of a case as one
+batch; the scripted and HTTP backends answer each agent with respond(case,
+agent_id, ctx) -> Opinion. A backend must never fabricate a belief: the HTTP
+client fails loudly when the provider does not report token probabilities.
 """
 
 from __future__ import annotations
@@ -58,17 +60,19 @@ class UnanswerableError(AgentError):
 
 
 @dataclass(frozen=True)
-class TaggedOpinion:
-    opinion: Opinion
-    tag: str
-
-
-@dataclass(frozen=True)
 class AgentContext:
     question: str
     round: int
-    collaborators: tuple[TaggedOpinion, ...] = ()
+    collaborators: tuple[tuple[str, str], ...] = ()  # (agent id, TAG_*) pairs
     template: str = TEMPLATE_INITIAL
+    previous: RoundColumns | None = None  # the round the collaborators answered in
+
+
+def _row(columns: RoundColumns, agent_id: str) -> tuple[str, str, float]:
+    """The agent's reasoning, answer and belief in `columns`."""
+    i = columns.index[agent_id]
+    return (columns.texts[columns.text_ids.item(i)], columns.answers[columns.codes.item(i)],
+            columns.beliefs.item(i))
 
 
 BACKEND_KINDS = ("scripted", "stochastic", "http")
@@ -129,7 +133,7 @@ class Backend:
         columns, failed = self.respond_round(case, [agent_id], [ctx])
         if failed:
             raise failed[0][1]
-        return columns.opinion(agent_id)
+        return Opinion(agent_id, *_row(columns, agent_id))
 
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
                       contexts: Sequence[AgentContext]) -> tuple[RoundColumns, Failures]:
@@ -164,22 +168,19 @@ CHOICE_FORMAT_SUFFIX = (
 )
 
 
-def _solution_text(tagged: TaggedOpinion) -> str:
-    op = tagged.opinion
-    return f"{op.reasoning} The answer is {op.answer}."
+# in the order a prompt lists them
+_SOLUTION_LABELS = {
+    TAG_SUPPORTIVE: "One supporting agent solution",
+    TAG_CONFLICTING: "One conflicting agent solution",
+    TAG_LEADER: "One leader solution",
+}
 
 
-def _solution_block(collaborators: Sequence[TaggedOpinion]) -> str:
-    labels = {
-        TAG_SUPPORTIVE: "One supporting agent solution",
-        TAG_CONFLICTING: "One conflicting agent solution",
-        TAG_LEADER: "One leader solution",
-    }
-    order = {TAG_SUPPORTIVE: 0, TAG_CONFLICTING: 1, TAG_LEADER: 2}
-    parts = [
-        f"{labels[t.tag]}: {_solution_text(t)}"
-        for t in sorted(collaborators, key=lambda t: order[t.tag])
-    ]
+def _solution_block(ctx: AgentContext) -> str:
+    order, parts = list(_SOLUTION_LABELS), []
+    for agent_id, tag in sorted(ctx.collaborators, key=lambda d: order.index(d[1])):
+        reasoning, answer, _ = _row(ctx.previous, agent_id)
+        parts.append(f"{_SOLUTION_LABELS[tag]}: {reasoning} The answer is {answer}.")
     return " ".join(parts)
 
 
@@ -189,7 +190,7 @@ def build_messages(ctx: AgentContext, style: str = "choice") -> list[dict]:
     if ctx.template == TEMPLATE_INITIAL or not ctx.collaborators:
         user = ctx.question
     else:
-        block = _solution_block(ctx.collaborators)
+        block = _solution_block(ctx)
         if ctx.template == TEMPLATE_LEADER:
             ask = (
                 "Judging which solutions can lead the trend of thought and using the "
@@ -258,12 +259,13 @@ class ScriptedAgent(Backend):
         # AgentScript admits no other rule than these adopt rules
         target = rule.removeprefix("adopt:")
         wanted = target.removeprefix("agent:")  # an agent id, or else a tag
-        key = (lambda t: t.opinion.agent_id) if wanted != target else (lambda t: t.tag)
-        source = next((t.opinion for t in ctx.collaborators if key(t) == wanted), None)
+        by = 0 if wanted != target else 1  # the pair's agent id or its tag
+        source = next((d[0] for d in ctx.collaborators if d[by] == wanted), None)
         if source is None:
             raise AgentError(f"adopt rule {rule!r} found no matching collaborator for {where}")
-        belief = script.fallback_belief if script.fallback_belief is not None else source.belief
-        return Opinion(agent_id, source.reasoning, source.answer, belief)
+        reasoning, answer, belief = _row(ctx.previous, source)
+        return Opinion(agent_id, reasoning, answer,
+                       belief if script.fallback_belief is None else script.fallback_belief)
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +363,19 @@ class StochasticAgent(Backend):
         belief = np.rint(belief * 1e6) / 1e6  # np.round(belief, 6)
 
         adopters = np.flatnonzero(adopt).tolist()
-        strongest: dict[int, str] = {}  # by collaborator tuple; contexts share them
+        strongest: dict[int, str] = {}  # by context; agents share them
         for i in adopters:
-            collaborators = contexts[i].collaborators
-            if id(collaborators) not in strongest:
-                best = max(collaborators, key=lambda t: t.opinion.belief)
-                strongest[id(collaborators)] = best.opinion.answer
+            ctx = contexts[i]
+            if id(ctx) not in strongest:  # the first of the highest beliefs
+                rows = [_row(ctx.previous, agent_id) for agent_id, _ in ctx.collaborators]
+                strongest[id(ctx)] = max(rows, key=lambda row: row[2])[1]
         answers = sorted({*self.candidates, *strongest.values()})
         code = {a: c for c, a in enumerate(answers)}
         text_ids = index.astype(np.intp)
         codes = np.empty(m, np.intp)
         drawn = ~adopt  # with no candidates, none
         codes[drawn] = np.array([code[c] for c in self.candidates], np.intp)[text_ids[drawn]]
-        codes[adopters] = [code[strongest[id(contexts[i].collaborators)]] for i in adopters]
+        codes[adopters] = [code[strongest[id(contexts[i])]] for i in adopters]
         text_ids[adopt] = n
         texts = (*(f"Independent draw on round {round_index} favoring option {c}."
                    for c in self.candidates),

@@ -1,10 +1,10 @@
 """Shared data model: opinions, rounds, scenarios, run configuration, belief math.
 
-Every other module consumes these types. An Opinion is one agent's
-(reasoning, answer, belief) triple for a single round; the answer field is
-always stored in canonical form so that answer equality is plain byte
-equality. A round of a run travels as RoundColumns, every agent's opinion
-as one row of columns.
+Every other module consumes these types. A round of a run travels as
+RoundColumns, every agent's opinion as one row of columns; an Opinion, one
+agent's (reasoning, answer, belief) triple, is made only where one reply is
+parsed or scripted. Answers are always stored in canonical form so that
+answer equality is plain byte equality.
 """
 
 from __future__ import annotations
@@ -66,6 +66,15 @@ _FRAME = r"\bthe\s+answer\s+is\b"
 _ANSWER_CLAUSE = re.compile(rf"{_FRAME}[:\s]*((?:(?!{_FRAME})[^.!?]|[.!?](?=\d))*)",
                             re.IGNORECASE)
 _CHOICE_LABEL = re.compile(r"\(([A-Za-z0-9]{1,3})\)")
+# an answer written whole as a choice label, in math mode, as \text{...} or
+# as an integer with a ".0": the last group it matches holds the answer
+_WHOLE = re.compile(_CHOICE_LABEL.pattern + r"|(\$\$?)([^$]+)\2|\\text\{([^{}]*)\}|(-?\d+)\.0+")
+# MATH spellings of one answer: the "d" or "t" of \dfrac and \tfrac, \left and
+# \right, and a \frac one of whose two arguments (one character, or a brace
+# group with none nested) is unbraced
+_SPELLING = re.compile(r"(?<=\\)[dt](?=frac(?![A-Za-z]))|\\(?:left|right)(?![A-Za-z])")
+_FRAC = re.compile(r"\\frac(?![A-Za-z])(?=[^{}\\\s]|\{[^{}]*\}[^{}\\\s])"
+                   + r"(\{[^{}]*\}|[^{}\\\s])" * 2)
 
 
 def last_boxed(text: str) -> tuple[int, int] | None:
@@ -121,22 +130,32 @@ def canonicalize_answer(raw: str) -> str:
     """Reduce a raw answer (or a whole reply) to its canonical form.
 
     Takes what the last "the answer is" clause or `\\boxed{...}` holds (see
-    `_answer_anchor`), read again while it holds a clause or box of its own
-    (so "\\boxed{the answer is 5}" gives "5"), or the whole text if it has
-    neither, collapses its whitespace runs and unwraps a whole parenthesized
-    choice label such as "(B)"; a label inside a longer answer, as in "f(2)",
-    stays. Case of symbolic content is preserved; two answers agree iff their
-    canonical forms are byte-equal.
+    `_answer_anchor`), or the whole text if it has neither, collapses its
+    whitespace runs and unwraps a whole parenthesized choice label such as
+    "(B)" (a label inside a longer answer, as in "f(2)", stays), an answer
+    wrapped whole in `$...$` or `\\text{...}` (with no braces inside), and an
+    integer's trailing ".0"; `\\dfrac` and `\\tfrac` become `\\frac`, whose
+    one-character arguments get braces, and `\\left`/`\\right` go. These steps
+    repeat until none changes the text (so "\\boxed{the answer is 5}" gives
+    "5"). Case of symbolic content is preserved; two answers agree iff their
+    canonical forms are byte-equal, so "0.5" and "\\frac{1}{2}" stay two
+    answers: numeric equality is not tested.
     """
     if raw is None or not raw.strip():
         raise ValueError("unanswerable output")
-    text = raw
-    while found := _answer_anchor(text):
-        text = text[found[1][0]:found[1][1]]
-    text = " ".join(text.split())
-    choice = _CHOICE_LABEL.fullmatch(text)
-    if choice:
-        text = choice.group(1)
+    text, last = raw, None
+    while text != last:
+        last = text
+        found = _answer_anchor(text)
+        if found:
+            text = text[found[1][0]:found[1][1]]
+        text = " ".join(text.split())
+        whole = _WHOLE.fullmatch(text)
+        if whole:
+            text = whole[whole.lastindex]
+        text = _FRAC.sub(lambda m: "\\frac" + "".join(a if a[0] == "{" else f"{{{a}}}"
+                                                       for a in m.groups()),
+                         _SPELLING.sub("", text))
     if not text:
         raise ValueError("unanswerable output")
     return text
@@ -150,8 +169,10 @@ class RoundColumns:
     order is its answer's order; row i answers `answers[codes[i]]`, believes
     `beliefs[i]` and reasons `texts[text_ids[i]]`. A table may hold entries
     no row uses. The orchestrator's rounds hold the case's agents in sorted
-    id order, so the layers break ties between rows by position. Like an
-    Opinion, a round rejects a belief outside (0, 1] and an empty answer.
+    id order, so the layers break ties between rows by position. A round
+    rejects a column whose length is not the number of agents, a code or
+    text id outside its table and, like an Opinion, a belief outside (0, 1]
+    and an empty answer.
     """
 
     agent_ids: tuple[str, ...]
@@ -162,17 +183,22 @@ class RoundColumns:
     text_ids: np.ndarray
 
     def __post_init__(self):
-        for column in (self.codes, self.beliefs, self.text_ids):
+        columns = (self.codes, self.beliefs, self.text_ids)
+        codes = self.codes.tolist()
+        ids = ((codes, self.answers), (self.text_ids.tolist(), self.texts))
+        if (any(len(c) != len(self.agent_ids) for c in columns)
+                or any(i and not 0 <= min(i) <= max(i) < len(table) for i, table in ids)):
+            raise ValueError(f"malformed round: {len(self.agent_ids)} agents, column lengths "
+                             f"{[len(c) for c in columns]}, ids past a table or negative")
+        for column in columns:
             column.flags.writeable = False
         beliefs = self.beliefs
         # NaN fails both comparisons, as it fails Opinion's check
         if not (beliefs.min(initial=1.0) > 0.0 and beliefs.max(initial=1.0) <= 1.0):
             belief = beliefs[~((beliefs > 0.0) & (beliefs <= 1.0))][0].item()
             raise ValueError(f"invalid probability: belief {belief!r} outside (0, 1]")
-        if not all(a.strip() for a in self.answers):
-            used = np.bincount(self.codes, minlength=len(self.answers)) > 0
-            if any(used[c] and not a.strip() for c, a in enumerate(self.answers)):
-                raise ValueError("unanswerable output: empty canonical answer")
+        if not all(self.answers[c].strip() for c in set(codes)):  # blanks no row uses pass
+            raise ValueError("unanswerable output: empty canonical answer")
 
     @classmethod
     def of(cls, agent_ids: Sequence[str], opinions: Sequence[Opinion]) -> "RoundColumns":
@@ -228,21 +254,6 @@ class RoundColumns:
         """The round of the given rows alone, in their order; tables kept whole."""
         return replace(self, agent_ids=self.ids(rows), codes=self.codes[rows],
                        beliefs=self.beliefs[rows], text_ids=self.text_ids[rows])
-
-    def opinion(self, agent_id: str) -> Opinion:
-        """The agent's row as an Opinion, made once per round: contexts hand
-        the same collaborators to many agents."""
-        made = self._opinions.get(agent_id)
-        if made is None:
-            row = self.index[agent_id]
-            made = self._opinions[agent_id] = Opinion(
-                agent_id, self.texts[self.text_ids.item(row)],
-                self.answers[self.codes.item(row)], self.beliefs.item(row))
-        return made
-
-    @cached_property
-    def _opinions(self) -> dict[str, Opinion]:
-        return {}
 
 
 def fold(values: Iterable[float]):
@@ -314,10 +325,7 @@ class AgentScript:
             raise ValueError(f"agent {self.agent_id!r}: more than one reply for rounds {twice}")
 
     def reply_for(self, round_index: int) -> ScriptedReply | None:
-        for reply in self.replies:
-            if reply.round == round_index:
-                return reply
-        return None
+        return next((reply for reply in self.replies if reply.round == round_index), None)
 
 
 @dataclass(frozen=True)
@@ -359,14 +367,9 @@ class RunConfig:
     mixed_delegates: bool = False
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-        if self.n_leaders < 1:
-            raise ValueError("n_leaders must be at least 1")
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be at least 1")
+        for name, least in (("n", 2), ("max_rounds", 1), ("n_leaders", 1), ("n_clusters", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 def _script_from_dict(payload: dict) -> AgentScript:

@@ -27,7 +27,6 @@ from belief_consensus.agents import (
     TEMPLATE_COLLABORATE,
     TEMPLATE_INITIAL,
     TEMPLATE_LEADER,
-    TaggedOpinion,
     perturb_one_belief,
 )
 from belief_consensus.coordination import (
@@ -134,21 +133,16 @@ def _contexts(
     opinions: RoundColumns | None,
     round_index: int,
 ) -> dict[str, AgentContext]:
-    """Each agent's context for round `round_index`: its delegates' opinions
-    in `opinions`, under their tags. Agents with equal delegates share one."""
+    """Each agent's context for round `round_index`: its delegates, whose
+    opinions are rows of `opinions`. Agents with equal delegates share one."""
     shared: dict[tuple[tuple[str, str], ...], AgentContext] = {}
     contexts = {}
     for agent_id, collab in delegates.items():
         ctx = shared.get(collab)
         if ctx is None:
             # the tags of a plan and of a leader set are the TAG_* strings
-            tagged = tuple(TaggedOpinion(opinions.opinion(cid), tag) for cid, tag in collab)
-            ctx = shared[collab] = AgentContext(
-                question=case.question,
-                round=round_index,
-                collaborators=tagged,
-                template=template,
-            )
+            ctx = shared[collab] = AgentContext(case.question, round_index, collab, template,
+                                                opinions)
         contexts[agent_id] = ctx
     return contexts
 

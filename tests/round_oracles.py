@@ -19,12 +19,16 @@ ones that must return identical results:
 - `oracle_assignment_contexts` / `oracle_leader_contexts`: a fresh
   `AgentContext` for every agent, where the orchestrator shares one among
   the agents with the same collaborators;
+- `oracle_messages`: the chat messages of a context assembled from its
+  collaborators' `Opinion`s, where `build_messages` reads their rows of the
+  previous round's columns;
 - `report_to_dict` with `oracle_results_jsonl` / `oracle_rounds_csv`: each
   report as nested dicts through `json.dumps(..., sort_keys=True)`, and one
   `csv.writer` row per agent, where the writers assemble encoded pieces.
 
 `columns_of` builds a round from `Opinion`s and `opinions_of` reads one
-back as one `Opinion` per agent.
+back as one `Opinion` per agent. The oracles read collaborators through an
+`Opinion` per agent id (`opinions_by_id`), never from columns.
 """
 
 import csv
@@ -38,10 +42,10 @@ from belief_consensus.agents import (
     TAG_LEADER,
     TAG_SUPPORTIVE,
     TEMPLATE_COLLABORATE,
+    TEMPLATE_INITIAL,
     TEMPLATE_LEADER,
     AgentContext,
     StochasticAgent,
-    TaggedOpinion,
 )
 from belief_consensus.coordination import (
     CONFLICTING,
@@ -62,7 +66,22 @@ def columns_of(opinions):
 
 def opinions_of(round_):
     """The round's rows as Opinions, in row order."""
-    return [round_.opinion(agent_id) for agent_id in round_.agent_ids]
+    return [Opinion(agent_id, round_.texts[t], round_.answers[c], b) for agent_id, c, b, t
+            in zip(round_.agent_ids, round_.codes.tolist(), round_.beliefs.tolist(),
+                   round_.text_ids.tolist())]
+
+
+def opinions_by_id(round_):
+    """Each agent's Opinion in the round, by agent id."""
+    return {op.agent_id: op for op in opinions_of(round_)}
+
+
+def context_of(round_index, tagged=(), template=TEMPLATE_INITIAL, question="q"):
+    """The context whose collaborators hold the given (Opinion, tag) pairs,
+    in the round of those opinions; with none, a context with no round."""
+    previous = columns_of([op for op, _ in tagged]) if tagged else None
+    return AgentContext(question, round_index, tuple((op.agent_id, tag) for op, tag in tagged),
+                        template, previous)
 
 
 def oracle_vectorize(texts):
@@ -165,8 +184,9 @@ def oracle_respond(agent: StochasticAgent, case, agent_id, ctx):
         )
     )
     if ctx.collaborators and rng.random() < agent.adopt_prob:
-        best = max(ctx.collaborators, key=lambda t: t.opinion.belief)
-        answer = best.opinion.answer
+        by_id = opinions_by_id(ctx.previous)
+        best = max((by_id[cid] for cid, _ in ctx.collaborators), key=lambda op: op.belief)
+        answer = best.answer
         reasoning = f"Adopting the strongest collaborator view on round {ctx.round}."
     else:
         answer = str(rng.choice(list(agent.candidates)))
@@ -175,11 +195,12 @@ def oracle_respond(agent: StochasticAgent, case, agent_id, ctx):
     return Opinion(agent_id=agent_id, reasoning=reasoning, answer=answer, belief=belief)
 
 
-def oracle_assignment_contexts(case, plan, by_id, next_round):
+def oracle_assignment_contexts(case, plan, by_id, previous, next_round):
+    """`by_id` holds the Opinions of the round `previous`."""
     contexts = {}
     for agent_id, delegates in plan.assignments.items():
         tagged = tuple(
-            TaggedOpinion(by_id[cid], TAG_SUPPORTIVE if tag == "supportive" else TAG_CONFLICTING)
+            (by_id[cid].agent_id, TAG_SUPPORTIVE if tag == "supportive" else TAG_CONFLICTING)
             for cid, tag in delegates
         )
         contexts[agent_id] = AgentContext(
@@ -187,11 +208,12 @@ def oracle_assignment_contexts(case, plan, by_id, next_round):
             round=next_round,
             collaborators=tagged,
             template=TEMPLATE_COLLABORATE,
+            previous=previous,
         )
     return contexts
 
 
-def oracle_leader_contexts(case, leader_set, groups, by_id, next_round):
+def oracle_leader_contexts(case, leader_set, groups, by_id, previous, next_round):
     contexts = {}
     for group, entry in zip(groups, leader_set.by_group):
         for agent_id in group.members:
@@ -201,14 +223,46 @@ def oracle_leader_contexts(case, leader_set, groups, by_id, next_round):
                 collab_ids = [l for l in entry.leader_ids if l != agent_id]
             else:
                 collab_ids = list(entry.leader_ids)
-            tagged = tuple(TaggedOpinion(by_id[c], TAG_LEADER) for c in collab_ids)
+            tagged = tuple((by_id[c].agent_id, TAG_LEADER) for c in collab_ids)
             contexts[agent_id] = AgentContext(
                 question=case.question,
                 round=next_round,
                 collaborators=tagged,
                 template=TEMPLATE_LEADER,
+                previous=previous,
             )
     return contexts
+
+
+def oracle_messages(question, template, delegates, by_id, style):
+    """The system and user messages of an agent whose collaborators are the
+    (agent id, tag) pairs `delegates`, their opinions those of `by_id`."""
+    system = ("Please reason step by step, and put your final answer within \\boxed{}."
+              if style == "boxed" else "Please reason step by step, and answer the question.")
+    if template == TEMPLATE_INITIAL or not delegates:
+        user = question
+    else:
+        labels = {TAG_SUPPORTIVE: "One supporting agent solution",
+                  TAG_CONFLICTING: "One conflicting agent solution",
+                  TAG_LEADER: "One leader solution"}
+        order = {TAG_SUPPORTIVE: 0, TAG_CONFLICTING: 1, TAG_LEADER: 2}
+        block = " ".join(
+            f"{labels[tag]}: {by_id[cid].reasoning} The answer is {by_id[cid].answer}."
+            for cid, tag in sorted(delegates, key=lambda d: order[d[1]]))
+        if template == TEMPLATE_LEADER:
+            ask = ("Judging which solutions can lead the trend of thought and using the "
+                   "solutions from other agents as additional advice, can you give an "
+                   "updated answer? Examine your solution and that of other agents step by step.")
+        else:
+            ask = ("Judging which solutions are trustable and using the solutions from "
+                   "other agents as additional advice, can you give an updated answer? "
+                   "Examine your solution and that of other agents step by step.")
+        user = (f"Here is the question: {question} "
+                f"These are the solutions to the problem from other agents: {block} {ask}")
+    if style != "boxed":
+        user += (" Put your answer in the form (answer) at the end of your response. "
+                 "(answer) represents your chosen option.")
+    return [{"role": "system", "content": system}, {"role": "user", "content": user}]
 
 
 def _float_or_inf(x):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -23,7 +24,6 @@ from belief_consensus.agents import (
     ScriptedAgent,
     StochasticAgent,
     TAG_SUPPORTIVE,
-    TaggedOpinion,
     UnanswerableError,
     build_messages,
     make_backend,
@@ -34,7 +34,7 @@ from belief_consensus.core import (AgentScript, Opinion, RoundColumns, ScenarioC
                                    ScriptedReply, answer_spans, canonicalize_answer,
                                    stable_hash)
 from belief_consensus.pcg64 import ROUNDS_PER_PASS, _state_words, _uint32_words
-from round_oracles import columns_of, opinions_of, oracle_respond
+from round_oracles import columns_of, context_of, opinions_of, oracle_respond
 
 
 def round_opinions(result):
@@ -77,9 +77,23 @@ class TestScriptedAgent:
     def test_adopt_leader_uses_scripted_belief(self):
         backend = ScriptedAgent()
         case = scripted_case()
-        leader = TaggedOpinion(Opinion("a9", "leader says", "C", 0.7), "leader")
-        op = backend.respond(case, "a2", AgentContext("q", 2, (leader,), "leader"))
+        leader = (Opinion("a9", "leader says", "C", 0.7), "leader")
+        op = backend.respond(case, "a2", context_of(2, [leader], "leader"))
         assert (op.answer, op.belief) == ("C", 0.9)
+
+    @pytest.mark.parametrize("rule, reasoning, answer, belief", [
+        ("adopt:agent:x", "x says", "C", 0.4),
+        ("adopt:supportive", "y says", "B", 0.8),
+        ("adopt:conflicting", "x says", "C", 0.4),
+    ])
+    def test_adopt_copies_the_matching_collaborators_row(self, rule, reasoning, answer, belief):
+        reply = (ScriptedReply(1, "A", "", 0.5),)
+        scripts = {"a1": AgentScript("a1", reply, fallback=rule), "x": AgentScript("x", reply)}
+        case = ScenarioCase("c", "q", "A", scripts=scripts)
+        # "y" is the first delegate but the second row of the previous round
+        ctx = context_of(2, [(Opinion("y", "y says", "B", 0.8), "supportive"),
+                             (Opinion("x", "x says", "C", 0.4), "conflicting")])
+        assert ScriptedAgent().respond(case, "a1", ctx) == Opinion("a1", reasoning, answer, belief)
 
     def test_missing_entry_without_fallback(self):
         scripts = {"a1": AgentScript("a1", (ScriptedReply(1, "A", "", 0.5),))}
@@ -203,11 +217,11 @@ class TestStochasticAgentOracle:
             size = int(rng.integers(1, 201))
             ids = [f"agent-{i}" for i in rng.choice(np.arange(1, 201), size, replace=False)]
             contexts = [
-                AgentContext("q", round_index, tuple(
-                    TaggedOpinion(Opinion(f"c{j}", "", str(rng.choice(pool)),
-                                          float(rng.uniform(0.1, 1.0))), "supportive")
+                context_of(round_index, [
+                    (Opinion(f"c{j}", "", str(rng.choice(pool)), float(rng.uniform(0.1, 1.0))),
+                     "supportive")
                     for j in range(int(rng.integers(0, 4)))
-                ))
+                ])
                 for _ in ids
             ]
             case = cases[batch % len(cases)]
@@ -229,11 +243,11 @@ class TestStochasticAgentOracle:
         for seed in EDGE_SEEDS[:4] + (12345,):
             agent = StochasticAgent(seed=seed, candidates="ABCD")
             for round_index in (2, 3, 2**32 + 1):
-                tuples = [tuple(TaggedOpinion(Opinion(f"c{j}", "", str(rng.choice(list("ABCD"))),
-                                                      float(rng.uniform(0.1, 1.0))), "leader")
-                                for j in range(k)) for k in (1, 2, 3)]
-                shared = [AgentContext("q", round_index, t) for t in tuples]
-                shared.append(AgentContext("q", round_index, tuples[1], "collaborate"))
+                shared = [context_of(round_index, [
+                    (Opinion(f"c{j}", "", str(rng.choice(list("ABCD"))),
+                             float(rng.uniform(0.1, 1.0))), "leader") for j in range(k)
+                ]) for k in (1, 2, 3)]
+                shared.append(replace(shared[1], template="collaborate"))
                 ids = [f"agent-{i}" for i in range(150)]
                 contexts = [shared[int(k)] for k in rng.choice(len(shared), len(ids),
                                                                p=[0.7, 0.1, 0.1, 0.1])]
@@ -241,17 +255,27 @@ class TestStochasticAgentOracle:
                 assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
                 assert any(op.reasoning.startswith("Adopting") for op in got)
 
+    def test_strongest_is_the_first_of_equal_beliefs_in_delegate_order(self):
+        # delegate order, not row order: "y" is named first but sorts after "x"
+        case, agent = ScenarioCase("tie", "q", "A"), StochasticAgent(seed=1, adopt_prob=1.0)
+        for first, second in (("B", "C"), ("C", "B")):
+            ctx = context_of(2, [(Opinion("y", "", first, 0.7), "supportive"),
+                                 (Opinion("x", "", second, 0.7), "supportive"),
+                                 (Opinion("w", "", "D", 0.5), "supportive")])
+            got = agent.respond(case, "a1", ctx)
+            assert got == oracle_respond(agent, case, "a1", ctx) and got.answer == first
+
     def test_rounds_of_different_entropy_lengths_in_one_batch(self):
         # rounds of one, two and three 32-bit words: each is right in a call
         # of its own, and a call that mixes rounds raises
         rng = np.random.default_rng(5)
         case = ScenarioCase("lengths", "q", "A")
-        collab = (TaggedOpinion(Opinion("x", "", "C", 0.7), "supportive"),)
+        collab = [(Opinion("x", "", "C", 0.7), "supportive")]
         ids = [f"agent-{i}" for i in range(60)]
         for seed in EDGE_SEEDS:
             agent = StochasticAgent(seed=seed, candidates="ABCDE")
             for round_index in (1, 4, 2**32, 2**33 + 5, 2**64 + 1):
-                contexts = [AgentContext("q", round_index, collab if c else ())
+                contexts = [context_of(round_index, collab if c else ())
                             for c in rng.integers(0, 2, 60)]
                 got = round_opinions(agent.respond_round(case, ids, contexts))
                 assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
@@ -272,9 +296,8 @@ class TestStochasticAgentOracle:
         # rejection extends that round alone
         case = ScenarioCase("reject", "q", "A")
         ids = [f"agent-{i}" for i in range(8)]
-        ctx = AgentContext("q", crafted_round,
-                           (TaggedOpinion(Opinion("x", "", "B", 0.7), "leader"),)
-                           if collaborate else ())
+        ctx = context_of(crafted_round, [(Opinion("x", "", "B", 0.7), "leader")]
+                         if collaborate else ())
         inc = 0x5851F42D4C957F2D_14057B7EF767814F | 1
         high_half, target = 0xC0FFEE12, 3
         words = _pcg64_raw
@@ -326,7 +349,7 @@ class TestStochasticAgentOracle:
         # repeated round and rounds past the block; each call draws what a
         # fresh generator per row draws
         rng = np.random.default_rng(23)
-        collab = (TaggedOpinion(Opinion("x", "", "C", 0.7), "supportive"),)
+        collab = [(Opinion("x", "", "C", 0.7), "supportive")]
         ids = [f"agent-{i}" for i in range(1, 41)]
         for seed in EDGE_SEEDS[:3] + (12345,):
             agent = StochasticAgent(seed=seed, candidates="ABCDE", rounds=5)
@@ -337,7 +360,7 @@ class TestStochasticAgentOracle:
                       ("second", ids, 2**32 + 1)]
             for case_id, agent_ids, round_index in calls:
                 case = ScenarioCase(case_id, "q", "A")
-                contexts = [AgentContext("q", round_index, collab if c else ())
+                contexts = [context_of(round_index, collab if c else ())
                             for c in rng.integers(0, 2, len(agent_ids))]
                 got = round_opinions(agent.respond_round(case, agent_ids, contexts))
                 want = [oracle_respond(agent, case, a, c) for a, c in zip(agent_ids, contexts)]
@@ -370,10 +393,10 @@ class TestStochasticAgentOracle:
 
     def test_respond_is_the_one_agent_round(self):
         case = ScenarioCase("c", "q", "A")
-        collab = (TaggedOpinion(Opinion("x", "", "C", 0.7), "supportive"),)
+        collab = [(Opinion("x", "", "C", 0.7), "supportive")]
         for i, seed in enumerate(EDGE_SEEDS * 20):
             agent = StochasticAgent(seed=seed, candidates="ABCDEF"[: 1 + i % 6])
-            ctx = AgentContext("q", 1 + i % 5, collab if i % 2 else ())
+            ctx = context_of(1 + i % 5, collab if i % 2 else ())
             assert agent.respond(case, f"agent-{i}", ctx) == oracle_respond(
                 agent, case, f"agent-{i}", ctx)
 
@@ -425,19 +448,17 @@ class TestPromptAssembly:
         assert "(answer)" not in messages[1]["content"]
 
     def test_collaborate_prompt_lists_delegates(self):
-        collab = (
-            TaggedOpinion(Opinion("s", "sup says", "B", 0.8), "supportive"),
-            TaggedOpinion(Opinion("c", "con says", "D", 0.5), "conflicting"),
-        )
-        ctx = AgentContext("Q", 2, collab, "collaborate")
+        collab = [(Opinion("s", "sup says", "B", 0.8), "supportive"),
+                  (Opinion("c", "con says", "D", 0.5), "conflicting")]
+        ctx = context_of(2, collab, "collaborate", "Q")
         user = build_messages(ctx, "choice")[1]["content"]
         assert "One supporting agent solution" in user
         assert "One conflicting agent solution" in user
         assert user.index("supporting") < user.index("conflicting")
 
     def test_leader_prompt(self):
-        collab = (TaggedOpinion(Opinion("l", "lead says", "C", 0.9), "leader"),)
-        user = build_messages(AgentContext("Q", 2, collab, "leader"), "choice")[1]["content"]
+        collab = [(Opinion("l", "lead says", "C", 0.9), "leader")]
+        user = build_messages(context_of(2, collab, "leader", "Q"), "choice")[1]["content"]
         assert "One leader solution" in user
         assert "lead the trend" in user
 
@@ -790,8 +811,8 @@ class TestChatCompletionsAgent:
         # the endpoint sees exactly these bytes; replies keyed on a hash of
         # the body (as the benchmark's fake endpoint's are) depend on them
         server, url = fake_server
-        ctx = AgentContext("Which option? \u00e9", 2, (
-            TaggedOpinion(Opinion("a2", "it is (B)", "B", 0.6), TAG_SUPPORTIVE),), "collaborate")
+        ctx = context_of(2, [(Opinion("a2", "it is (B)", "B", 0.6), TAG_SUPPORTIVE)], "collaborate",
+                         "Which option? \u00e9")
         self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", ctx)
         payload = {"model": "test-model", "messages": build_messages(ctx, "choice"),
                    "temperature": 0.7, "logprobs": True}

@@ -18,7 +18,7 @@ from belief_consensus.core import (
     modal_answer as _modal_answer,
     scenarios_from_json,
 )
-from round_oracles import columns_of
+from round_oracles import columns_of, opinions_of
 
 
 def modal_answer(opinions):
@@ -87,7 +87,31 @@ class TestCanonicalizeAnswer:
         ("Thus $\\boxed{x^{2}}$.", "x^{2}"),
         # a box left open does not count: the last balanced one does
         ("\\boxed{7} and then \\boxed{\\frac{1}{2}", "7"),
-    ], ids=["nested", "last-of-two", "math-mode", "unbalanced-last"])
+        # MATH spellings of one answer agree
+        ("\\boxed{\\dfrac{1}{2}}", "\\frac{1}{2}"),
+        ("\\boxed{\\tfrac12}", "\\frac{1}{2}"),
+        ("\\boxed{\\frac12}", "\\frac{1}{2}"),
+        ("\\boxed{\\frac{1}2}", "\\frac{1}{2}"),
+        ("\\boxed{\\frac{\\pi}4 + \\frac3{x}}", "\\frac{\\pi}{4} + \\frac{3}{x}"),
+        ("\\boxed{\\frac{\\frac12}3}", "\\frac{\\frac{1}{2}}{3}"),
+        ("\\boxed{\\left[0, \\dfrac12\\right)}", "[0, \\frac{1}{2})"),
+        ("The answer is $\\frac{1}{2}$.", "\\frac{1}{2}"),
+        ("\\boxed{$$x^2$$}", "x^2"),
+        ("\\boxed{\\text{(B)}}", "B"),
+        ("\\boxed{\\text{ east }}", "east"),
+        ("\\boxed{5.0}", "5"),
+        ("The answer is -12.00.", "-12"),
+        # and different ones stay apart
+        ("\\boxed{0.5}", "0.5"),
+        ("\\boxed{2.50}", "2.50"),
+        ("\\boxed{\\text{a} + \\text{b}}", "\\text{a} + \\text{b}"),
+        ("\\boxed{$1$ or $2$}", "$1$ or $2$"),
+        ("\\boxed{x \\rightarrow \\leftarrow y}", "x \\rightarrow \\leftarrow y"),
+    ], ids=["nested", "last-of-two", "math-mode", "unbalanced-last", "dfrac", "tfrac-unbraced",
+            "frac-unbraced", "frac-half-braced", "frac-one-char-args", "frac-in-frac",
+            "left-right", "dollars", "double-dollars", "text-label", "text", "integer-dot-zero",
+            "negative-integer-dot-zeros", "decimal", "decimal-trailing-zero", "two-texts",
+            "two-maths", "arrows"])
     def test_boxed_with_nested_braces(self, raw, expected):
         assert canonicalize_answer(raw) == expected
 
@@ -146,12 +170,14 @@ class TestCanonicalizeAnswer:
     def test_holding_read_until_no_anchor_is_left(self, raw, expected):
         assert canonicalize_answer(raw) == expected
 
-    # a text wrapped, innermost first, in boxes and answer frames with text
-    # around each, so a box can hold a frame and a frame a box; stray braces
-    # leave some boxes unbalanced
-    PLAIN = st.text(alphabet="ABCD xyz012().!{}", max_size=5)
+    # a text wrapped, innermost first, in boxes, answer frames and MATH
+    # spellings with text around each, so a box can hold a frame and a frame
+    # a box; stray braces leave some boxes unbalanced
+    PLAIN = st.text(alphabet="ABCD xyz012().!{}$\\", max_size=5)
     TEXTS = st.tuples(PLAIN, st.lists(st.tuples(
-        PLAIN, st.sampled_from(["\\boxed{%s}", "the answer is %s", "The answer\nis: %s."]),
+        PLAIN, st.sampled_from(["\\boxed{%s}", "the answer is %s", "The answer\nis: %s.",
+                                "$%s$", "$$%s$$", "\\text{%s}", "\\left(%s\\right)", "\\dfrac%s",
+                                "\\tfrac{%s}", "\\frac%s", "%s.0"]),
         PLAIN), max_size=4)).map(
         lambda t: functools.reduce(lambda s, w: w[0] + w[1] % s + w[2], t[1], t[0]))
 
@@ -186,7 +212,7 @@ class TestRoundColumns:
         cols = columns_of(ops)
         assert cols.agent_ids == ("a", "b", "c") and cols.answers == ("A", "C")
         assert cols.codes.tolist() == [0, 1, 1] and len(cols.texts) == 2
-        assert [cols.opinion(a) for a in "abc"] == sorted(ops, key=lambda op: op.agent_id)
+        assert opinions_of(cols) == sorted(ops, key=lambda op: op.agent_id)
 
     @staticmethod
     def columns(answers, beliefs):
@@ -202,10 +228,30 @@ class TestRoundColumns:
         with pytest.raises(ValueError, match="unanswerable"):
             self.columns((" ", "B"), [0.5, 0.5])
 
+    @pytest.mark.parametrize("agent_ids, codes, beliefs, text_ids", [
+        # an agent with no row: judgment once dropped it
+        (("a", "b", "c"), [0, 1], [0.5, 0.6], [0, 0]),
+        (("a", "b"), [0, 1], [0.5], [0, 0]),
+        (("a", "b"), [0, 1], [0.5, 0.6], [0, 0, 0]),
+        (("a", "b"), [0, 2], [0.5, 0.6], [0, 0]),
+        (("a", "b"), [-1, 0], [0.5, 0.6], [0, 0]),
+        (("a", "b"), [0, 1], [0.5, 0.6], [0, 1]),
+        (("a", "b"), [0, 1], [0.5, 0.6], [0, -1]),
+    ], ids=["agent-without-row", "short-beliefs", "long-text-ids", "code-past-table",
+            "negative-code", "text-id-past-table", "negative-text-id"])
+    def test_malformed_columns(self, agent_ids, codes, beliefs, text_ids):
+        with pytest.raises(ValueError, match="malformed round"):
+            RoundColumns(agent_ids, ("A", "B"), np.array(codes), np.array(beliefs), ("t",),
+                         np.array(text_ids))
+
+    def test_no_agents(self):
+        cols = RoundColumns((), (), np.array([], np.intp), np.array([]), (), np.array([], np.intp))
+        assert len(cols) == 0 and cols.agent_ids == RoundColumns.of([], []).agent_ids == ()
+
     def test_unused_blank_table_entry_is_no_answer(self):
         cols = RoundColumns(("a1",), (" ", "B"), np.array([1]), np.array([0.5]), ("",),
                             np.array([0]))
-        assert modal_answer([cols.opinion("a1")]) == "B"
+        assert _modal_answer(cols) == "B" and opinions_of(cols)[0].answer == "B"
 
 
 class TestModalAnswer:

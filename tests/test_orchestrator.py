@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from round_oracles import (
     columns_of,
+    opinions_by_id,
     opinions_of,
     oracle_assignment_contexts,
     oracle_leader_contexts,
+    oracle_messages,
     oracle_results_jsonl,
     oracle_rounds_csv,
     report_to_dict,
@@ -22,10 +24,12 @@ from belief_consensus.agents import (
     Backend,
     BackendConfig,
     ChatCompletionsAgent,
+    PROMPT_STYLES,
     ScriptedAgent,
     StochasticAgent,
     TEMPLATE_COLLABORATE,
     TEMPLATE_LEADER,
+    build_messages,
 )
 from belief_consensus.coordination import select_leaders
 from belief_consensus.core import (
@@ -273,7 +277,7 @@ class TestDispatch:
         assert backend.rounds == [(r, sorted(SPLIT_ROWS)) for r in (1, 2)]
         for op in opinions_of(second.opinions):
             if op.agent_id == "a3":
-                assert op == first.opinions.opinion("a3")
+                assert op == opinions_by_id(first.opinions)["a3"]
             else:
                 assert op.reasoning.endswith("round 2")
 
@@ -348,7 +352,7 @@ class TestDispatch:
         for r in (1, 2, 3):
             contexts = {a: AgentContext("q", r) for a in ids}
             got, carried = _dispatch(backends, case, contexts, previous)
-            ops = [previous.opinion(a) if (a, r) in fail
+            ops = [opinions_by_id(previous)[a] if (a, r) in fail
                    else ScriptedAgent().respond(case, a, contexts[a]) for a in ids]
             want = RoundColumns.of(ids, ops)
             assert (got.agent_ids, got.answers, got.texts) == (
@@ -429,7 +433,8 @@ class TestCarriedForward:
 
 class TestSharedContexts:
     def test_equal_to_one_context_per_agent(self):
-        # every collaborating and leader round of seeded stochastic runs
+        # every collaborating and leader round of seeded stochastic runs; each
+        # context's prompts equal those assembled from the delegates' Opinions
         seen = {"Partial": 0, "None": 0, "shared": 0}
         for n, n_leaders, mixed in ((7, 2, False), (40, 2, True), (60, 3, False), (9, 5, True)):
             for seed in range(6):
@@ -439,20 +444,23 @@ class TestSharedContexts:
                                 mixed_delegates=mixed)
                 backends = {f"agent-{i}": agent for i in range(n)}
                 for rec in run_case(case, cfg, backends).rounds:
-                    by_id = {op.agent_id: op for op in opinions_of(rec.opinions)}
+                    by_id = opinions_by_id(rec.opinions)
                     if rec.assignment is not None:
-                        got = _contexts(case, rec.assignment.assignments, TEMPLATE_COLLABORATE,
-                                        rec.opinions, rec.index + 1)
+                        delegates, template = rec.assignment.assignments, TEMPLATE_COLLABORATE
                         want = oracle_assignment_contexts(case, rec.assignment, by_id,
-                                                          rec.index + 1)
+                                                          rec.opinions, rec.index + 1)
                     elif rec.leaders is not None:
-                        got = _contexts(case, rec.leaders.assignments, TEMPLATE_LEADER,
-                                        rec.opinions, rec.index + 1)
+                        delegates, template = rec.leaders.assignments, TEMPLATE_LEADER
                         want = oracle_leader_contexts(case, rec.leaders, rec.groups, by_id,
-                                                      rec.index + 1)
+                                                      rec.opinions, rec.index + 1)
                     else:
                         continue
+                    got = _contexts(case, delegates, template, rec.opinions, rec.index + 1)
                     assert got == want and sorted(got) == sorted(want)
+                    for agent_id, ctx in got.items():
+                        for style in PROMPT_STYLES:
+                            assert build_messages(ctx, style) == oracle_messages(
+                                case.question, template, delegates[agent_id], by_id, style)
                     # equal contexts are one object
                     assert len({id(ctx) for ctx in got.values()}) == len(set(got.values()))
                     seen[rec.verdict.state] += 1
@@ -471,7 +479,7 @@ class TestSharedContexts:
         case = ScenarioCase("leaders", "q", "A")
         got = _contexts(case, leaders.assignments, TEMPLATE_LEADER, opinions, 2)
         by_id = {op.agent_id: op for op in ops}
-        assert got == oracle_leader_contexts(case, leaders, groups, by_id, 2)
+        assert got == oracle_leader_contexts(case, leaders, groups, by_id, opinions, 2)
         assert len(set(got.values())) == 4
         assert len({id(ctx) for ctx in got.values()}) == len(set(got.values()))
 

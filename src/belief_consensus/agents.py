@@ -3,14 +3,15 @@ chat-completions HTTP client whose belief is the product of the answer
 sentence's token probabilities.
 
 Every backend answers the agents of one round of a case in one call,
-respond_round(case, agent_ids, contexts), which returns their opinions as the
-round's columns and the agents that failed. A context holds an agent's
-collaborators as (agent id, tag) pairs and the previous round's columns,
-whose rows the backends read: no Opinion is made for a collaborator. The
-stochastic backend draws the generators of all rounds of a case as one
-batch; the scripted and HTTP backends answer each agent with respond(case,
-agent_id, ctx) -> Opinion. A backend must never fabricate a belief: the HTTP
-client fails loudly when the provider does not report token probabilities.
+respond_round(case, agent_ids, ctx), which returns their opinions as the
+round's columns and the agents that failed. The round's one context holds
+each agent's delegates as (agent id, tag) pairs, the map coordination
+returned, and the previous round's columns, whose rows the backends read: no
+Opinion is made for a collaborator. The stochastic backend draws the
+generators of all rounds of a case as one batch; the scripted and HTTP
+backends answer each agent with respond(case, agent_id, ctx) -> Opinion. A
+backend must never fabricate a belief: the HTTP client fails loudly when the
+provider does not report token probabilities.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ import os
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
 
 from belief_consensus.core import (
+    TAG_CONFLICTING,
+    TAG_LEADER,
+    TAG_SUPPORTIVE,
     Opinion,
     RoundColumns,
     ScenarioCase,
@@ -42,14 +46,6 @@ from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _LOW32, _TWO_POW_M53, _U11,
 ADVERSARIAL_EPS = 1e-9
 _STREAM_OUTPUTS = 3  # random(), one bounded draw and uniform(); more only on a rejection
 
-TEMPLATE_INITIAL = "initial"
-TEMPLATE_COLLABORATE = "collaborate"
-TEMPLATE_LEADER = "leader"
-
-TAG_SUPPORTIVE = "supportive"
-TAG_CONFLICTING = "conflicting"
-TAG_LEADER = "leader"
-
 
 class AgentError(RuntimeError):
     """A backend could not produce an opinion for (agent, round)."""
@@ -60,12 +56,13 @@ class UnanswerableError(AgentError):
 
 
 @dataclass(frozen=True)
-class AgentContext:
-    question: str
+class RoundContext:
+    """What one round shows its agents: each agent's delegates as (agent id,
+    TAG_*) pairs, and the previous round, whose rows the delegates name."""
+
     round: int
-    collaborators: tuple[tuple[str, str], ...] = ()  # (agent id, TAG_*) pairs
-    template: str = TEMPLATE_INITIAL
-    previous: RoundColumns | None = None  # the round the collaborators answered in
+    delegates: Mapping[str, tuple[tuple[str, str], ...]]
+    previous: RoundColumns | None = None  # None in round 1, where no agent has delegates
 
 
 def _row(columns: RoundColumns, agent_id: str) -> tuple[str, str, float]:
@@ -128,24 +125,24 @@ class Backend:
         if cls.respond is Backend.respond and cls.respond_round is Backend.respond_round:
             raise TypeError(f"{cls.__name__} defines neither respond nor respond_round")
 
-    def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
+    def respond(self, case: ScenarioCase, agent_id: str, ctx: RoundContext) -> Opinion:
         """One agent's opinion; raises the AgentError of a failed agent."""
-        columns, failed = self.respond_round(case, [agent_id], [ctx])
+        columns, failed = self.respond_round(case, [agent_id], ctx)
         if failed:
             raise failed[0][1]
         return Opinion(agent_id, *_row(columns, agent_id))
 
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
-                      contexts: Sequence[AgentContext]) -> tuple[RoundColumns, Failures]:
-        """The rows of the agents of `agent_ids` (sorted, one context each,
-        all of one round) that answered, in that order, and the failures.
+                      ctx: RoundContext) -> tuple[RoundColumns, Failures]:
+        """The rows of the agents of `agent_ids` (sorted, each in
+        `ctx.delegates`) that answered, in that order, and the failures.
 
         Calls `respond` per agent, so one failed agent fails alone. In round 1
         no earlier opinion can stand in for a failed one and the case ends,
         so the first failure there ends the call.
         """
         answered, opinions, failed = [], [], []
-        for agent_id, ctx in zip(agent_ids, contexts):
+        for agent_id in agent_ids:
             try:
                 opinions.append(self.respond(case, agent_id, ctx))
             except AgentError as exc:
@@ -176,22 +173,26 @@ _SOLUTION_LABELS = {
 }
 
 
-def _solution_block(ctx: AgentContext) -> str:
+def _solution_block(delegates: tuple[tuple[str, str], ...], previous: RoundColumns) -> str:
     order, parts = list(_SOLUTION_LABELS), []
-    for agent_id, tag in sorted(ctx.collaborators, key=lambda d: order.index(d[1])):
-        reasoning, answer, _ = _row(ctx.previous, agent_id)
+    for agent_id, tag in sorted(delegates, key=lambda d: order.index(d[1])):
+        reasoning, answer, _ = _row(previous, agent_id)
         parts.append(f"{_SOLUTION_LABELS[tag]}: {reasoning} The answer is {answer}.")
     return " ".join(parts)
 
 
-def build_messages(ctx: AgentContext, style: str = "choice") -> list[dict]:
-    """Assemble the system/user message pair for a chat-completions request."""
+def build_messages(question: str, delegates: tuple[tuple[str, str], ...],
+                   previous: RoundColumns | None, style: str = "choice") -> list[dict]:
+    """Assemble the system/user message pair for a chat-completions request:
+    the question alone with no delegates, else their solutions from
+    `previous` and the leader ask when they are leaders (a leader set tags
+    every delegate TAG_LEADER, a plan none), the collaborate ask otherwise."""
     system = BOXED_SYSTEM_PROMPT if style == "boxed" else CHOICE_SYSTEM_PROMPT
-    if ctx.template == TEMPLATE_INITIAL or not ctx.collaborators:
-        user = ctx.question
+    if not delegates:
+        user = question
     else:
-        block = _solution_block(ctx)
-        if ctx.template == TEMPLATE_LEADER:
+        block = _solution_block(delegates, previous)
+        if delegates[0][1] == TAG_LEADER:
             ask = (
                 "Judging which solutions can lead the trend of thought and using the "
                 "solutions from other agents as additional advice, can you give an "
@@ -204,7 +205,7 @@ def build_messages(ctx: AgentContext, style: str = "choice") -> list[dict]:
                 "Examine your solution and that of other agents step by step."
             )
         user = (
-            f"Here is the question: {ctx.question} "
+            f"Here is the question: {question} "
             f"These are the solutions to the problem from other agents: {block} {ask}"
         )
     if style != "boxed":
@@ -231,7 +232,7 @@ class ScriptedAgent(Backend):
         self._memory: dict[tuple[str, str], Opinion] = {}
         self._lock = threading.Lock()
 
-    def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
+    def respond(self, case: ScenarioCase, agent_id: str, ctx: RoundContext) -> Opinion:
         if not case.scripts or agent_id not in case.scripts:
             raise AgentError(f"no script for agent {agent_id!r} in case {case.case_id!r}")
         script = case.scripts[agent_id]
@@ -260,7 +261,7 @@ class ScriptedAgent(Backend):
         target = rule.removeprefix("adopt:")
         wanted = target.removeprefix("agent:")  # an agent id, or else a tag
         by = 0 if wanted != target else 1  # the pair's agent id or its tag
-        source = next((d[0] for d in ctx.collaborators if d[by] == wanted), None)
+        source = next((d[0] for d in ctx.delegates[agent_id] if d[by] == wanted), None)
         if source is None:
             raise AgentError(f"adopt rule {rule!r} found no matching collaborator for {where}")
         reasoning, answer, belief = _row(ctx.previous, source)
@@ -321,7 +322,7 @@ class StochasticAgent(Backend):
         return words[:, at], raw[:, at]
 
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
-                      contexts: Sequence[AgentContext]) -> tuple[RoundColumns, Failures]:
+                      ctx: RoundContext) -> tuple[RoundColumns, Failures]:
         """The opinions of several agents of one round of a case, as rows in
         `agent_ids` order; no agent fails.
 
@@ -333,15 +334,13 @@ class StochasticAgent(Backend):
         high half if the low one is rejected, then the next output; n = 1
         reads nothing. `uniform` reads the output after the draw's.
         """
-        rounds = sorted({ctx.round for ctx in contexts})
-        if len(rounds) != 1:
-            raise ValueError(f"respond_round takes the agents of one round, got rounds {rounds}")
-        round_index = rounds[0]
+        round_index = ctx.round
         n, m = len(self.candidates), len(agent_ids)
         words, raw = self._round_streams(case.case_id, agent_ids, round_index)
 
         cols = np.arange(m)
-        collaborate = np.array([bool(ctx.collaborators) for ctx in contexts])
+        delegates = [ctx.delegates[agent_id] for agent_id in agent_ids]
+        collaborate = np.array([bool(d) for d in delegates])
         adopt = collaborate & ((raw[0] >> _U11) * _TWO_POW_M53 < self.adopt_prob)
         if n < 1 and not adopt.all():
             raise ValueError("no candidates to draw from")
@@ -363,19 +362,20 @@ class StochasticAgent(Backend):
         belief = np.rint(belief * 1e6) / 1e6  # np.round(belief, 6)
 
         adopters = np.flatnonzero(adopt).tolist()
-        strongest: dict[int, str] = {}  # by context; agents share them
+        # by delegate tuple, which coordination hands agents with equal
+        # delegates as one object; by identity, as comparing them costs more
+        strongest: dict[int, str] = {}
         for i in adopters:
-            ctx = contexts[i]
-            if id(ctx) not in strongest:  # the first of the highest beliefs
-                rows = [_row(ctx.previous, agent_id) for agent_id, _ in ctx.collaborators]
-                strongest[id(ctx)] = max(rows, key=lambda row: row[2])[1]
+            if id(delegates[i]) not in strongest:  # the first of the highest beliefs
+                rows = [_row(ctx.previous, agent_id) for agent_id, _ in delegates[i]]
+                strongest[id(delegates[i])] = max(rows, key=lambda row: row[2])[1]
         answers = sorted({*self.candidates, *strongest.values()})
         code = {a: c for c, a in enumerate(answers)}
         text_ids = index.astype(np.intp)
         codes = np.empty(m, np.intp)
         drawn = ~adopt  # with no candidates, none
         codes[drawn] = np.array([code[c] for c in self.candidates], np.intp)[text_ids[drawn]]
-        codes[adopters] = [code[strongest[id(contexts[i])]] for i in adopters]
+        codes[adopters] = [code[strongest[id(delegates[i])]] for i in adopters]
         text_ids[adopt] = n
         texts = (*(f"Independent draw on round {round_index} favoring option {c}."
                    for c in self.candidates),
@@ -522,12 +522,13 @@ class ChatCompletionsAgent(Backend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def respond(self, case: ScenarioCase, agent_id: str, ctx: AgentContext) -> Opinion:
+    def respond(self, case: ScenarioCase, agent_id: str, ctx: RoundContext) -> Opinion:
         import http.client  # loaded by _http_pool
 
         payload = {
             "model": self.cfg.model,
-            "messages": build_messages(ctx, self.cfg.prompt_style),
+            "messages": build_messages(case.question, ctx.delegates[agent_id], ctx.previous,
+                                       self.cfg.prompt_style),
             "temperature": self.cfg.temperature,
             "logprobs": True,
         }

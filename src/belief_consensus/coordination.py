@@ -22,7 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from belief_consensus.core import RoundColumns, fold, modal_code, tally
+from belief_consensus.core import (TAG_CONFLICTING, TAG_LEADER, TAG_SUPPORTIVE, RoundColumns,
+                                   fold, modal_code, tally)
 from belief_consensus.grouping import OpinionGroup
 
 SUPPORTIVE = "Supportive"
@@ -66,7 +67,7 @@ class GroupLeaders:
 @dataclass(frozen=True)
 class LeaderSet:
     """Each group's leaders, and per-agent delegate lists of (collaborator
-    agent_id, "leader") in the shape of `AssignmentPlan.assignments`."""
+    agent_id, TAG_LEADER) in the shape of `AssignmentPlan.assignments`."""
 
     by_group: tuple[GroupLeaders, ...]
     assignments: Mapping[str, tuple[tuple[str, str], ...]]
@@ -223,13 +224,14 @@ def assign_collaborators(
         supportive_ids = [gid for gid, rel in relations if rel == SUPPORTIVE]
         # only the group's best member is a top agent it must leave out, so
         # every other member shares one delegate tuple
-        assignments.update(dict.fromkeys(group.members, tuple(tops(supportive_ids, "supportive"))))
+        shared = tuple(tops(supportive_ids, TAG_SUPPORTIVE))
+        assignments.update(dict.fromkeys(group.members, shared))
         for best in top_two[group.group_id][:1]:
-            assignments[best] = tuple(tops(supportive_ids, "supportive", exclude=best))
+            assignments[best] = tuple(tops(supportive_ids, TAG_SUPPORTIVE, exclude=best))
         if group.group_id == uncertain.group_id and conflicting_ids:
-            out = tops(conflicting_ids, "conflicting")
+            out = tops(conflicting_ids, TAG_CONFLICTING)
             if mixed_delegates:
-                out += tops(supportive_ids, "supportive", exclude=least)
+                out += tops(supportive_ids, TAG_SUPPORTIVE, exclude=least)
             assignments[least] = tuple(out)
     return AssignmentPlan(
         assignments=assignments,
@@ -258,7 +260,7 @@ def select_leaders(
         by_group.append(GroupLeaders(group.group_id, leader_ids, all_members))
         seen = group.members if all_members else leader_ids
         # the followers share one delegate tuple; each of `seen` then gets its own
-        assignments.update(dict.fromkeys(group.members, tuple((a, "leader") for a in seen)))
+        assignments.update(dict.fromkeys(group.members, tuple((a, TAG_LEADER) for a in seen)))
         for agent_id in seen:
-            assignments[agent_id] = tuple((a, "leader") for a in seen if a != agent_id)
+            assignments[agent_id] = tuple((a, TAG_LEADER) for a in seen if a != agent_id)
     return LeaderSet(by_group=tuple(by_group), assignments=assignments)

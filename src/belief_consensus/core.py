@@ -290,7 +290,14 @@ class ScriptedReply:
     belief: float
 
 
-FALLBACK_RULES = ("repeat_previous", "adopt:leader", "adopt:supportive", "adopt:conflicting")
+# the tag of a delegate, an (agent id, tag) pair: coordination writes them,
+# the backends read them
+TAG_SUPPORTIVE = "supportive"
+TAG_CONFLICTING = "conflicting"
+TAG_LEADER = "leader"
+
+FALLBACK_RULES = ("repeat_previous",
+                  *(f"adopt:{tag}" for tag in (TAG_LEADER, TAG_SUPPORTIVE, TAG_CONFLICTING)))
 ADOPT_AGENT = "adopt:agent:"
 
 

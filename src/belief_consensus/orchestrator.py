@@ -1,6 +1,8 @@
 """Protocol loop: per round, cluster opinions, judge consensus, then either
 stop (full consensus), assign collaborators (partial), or select leaders
-(none), and dispatch the next round of agent updates.
+(none), and dispatch the next round of agent updates. The delegate map that
+assignment or leader selection returns, with this round's opinions, is the
+next round's one context; every backend reads it whole.
 
 Runs are deterministic for a fixed (scenario, config, seed) with scripted or
 stochastic backends: clustering and noise randomness derive from the run
@@ -20,15 +22,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from belief_consensus.agents import (
-    AgentContext,
-    AgentError,
-    Backend,
-    TEMPLATE_COLLABORATE,
-    TEMPLATE_INITIAL,
-    TEMPLATE_LEADER,
-    perturb_one_belief,
-)
+from belief_consensus.agents import AgentError, Backend, RoundContext, perturb_one_belief
 from belief_consensus.coordination import (
     AssignmentPlan,
     ConflictReport,
@@ -89,16 +83,15 @@ class CaseFailure:
 def _dispatch(
     backends: Mapping[str, Backend],
     case: ScenarioCase,
-    contexts: Mapping[str, AgentContext],
-    previous: RoundColumns | None,
+    ctx: RoundContext,
 ) -> tuple[RoundColumns, tuple[tuple[str, str], ...]]:
     """One round of opinions, in sorted-agent-id order, and the carried-forward
     agents as sorted (agent id, error) pairs.
 
     Each backend answers its agents in one `respond_round` call, in the order
     of their first agent; an AgentError the call raises fails them all. In
-    round 1 (`previous` is None) the first failure is raised and no later call
-    made; afterwards a failed agent keeps its row of the previous round.
+    round 1 (`ctx.previous` is None) the first failure is raised and no later
+    call made; afterwards a failed agent keeps its row of the previous round.
     """
     agent_ids = sorted(backends)
     calls: defaultdict[int, list[str]] = defaultdict(list)
@@ -107,10 +100,10 @@ def _dispatch(
     parts, failed = [], []
     for ids in calls.values():
         try:
-            part, errors = backends[ids[0]].respond_round(case, ids, [contexts[a] for a in ids])
+            part, errors = backends[ids[0]].respond_round(case, ids, ctx)
         except AgentError as exc:
             part, errors = RoundColumns.of([], []), [(a, exc) for a in ids]
-        if errors and previous is None:
+        if errors and ctx.previous is None:
             raise errors[0][1]
         lost = dict(errors)
         answered = tuple(a for a in ids if a not in lost) if lost else tuple(ids)
@@ -122,29 +115,8 @@ def _dispatch(
         parts.append(part)
         failed.extend((a, str(exc)) for a, exc in errors)
     if failed:
-        parts.append(previous.take(previous.rows([a for a, _ in failed])))
+        parts.append(ctx.previous.take(ctx.previous.rows([a for a, _ in failed])))
     return RoundColumns.join(parts), tuple(sorted(failed))
-
-
-def _contexts(
-    case: ScenarioCase,
-    delegates: Mapping[str, tuple[tuple[str, str], ...]],
-    template: str,
-    opinions: RoundColumns | None,
-    round_index: int,
-) -> dict[str, AgentContext]:
-    """Each agent's context for round `round_index`: its delegates, whose
-    opinions are rows of `opinions`. Agents with equal delegates share one."""
-    shared: dict[tuple[tuple[str, str], ...], AgentContext] = {}
-    contexts = {}
-    for agent_id, collab in delegates.items():
-        ctx = shared.get(collab)
-        if ctx is None:
-            # the tags of a plan and of a leader set are the TAG_* strings
-            ctx = shared[collab] = AgentContext(case.question, round_index, collab, template,
-                                                opinions)
-        contexts[agent_id] = ctx
-    return contexts
 
 
 def _cluster_draws(case: ScenarioCase, cfg: RunConfig, rounds: range) -> np.ndarray:
@@ -176,16 +148,15 @@ def run_case(
         np.random.SeedSequence([cfg.seed & 0x7FFFFFFF, stable_hash(case.case_id), 0xAD])
     ) if cfg.adversarial_noise else None
 
-    # round 1 shows no collaborators, so it never reads `opinions`
-    delegates, template, opinions = dict.fromkeys(agent_ids, ()), TEMPLATE_INITIAL, None
+    delegates, opinions = dict.fromkeys(agent_ids, ()), None
     records: list[RoundRecord] = []
     drawn = range(0)  # the rounds `cluster_draws` holds
     for round_index in range(1, cfg.max_rounds + 1):
         if round_index not in drawn:
             drawn = range(round_index, min(round_index + ROUNDS_PER_PASS, cfg.max_rounds + 1))
             cluster_draws = _cluster_draws(case, cfg, drawn)
-        contexts = _contexts(case, delegates, template, opinions, round_index)
-        opinions, carried = _dispatch(backends, case, contexts, previous=opinions)
+        opinions, carried = _dispatch(backends, case,
+                                      RoundContext(round_index, delegates, opinions))
         victim = None
         if cfg.adversarial_noise:
             opinions, victim = perturb_one_belief(opinions, noise_rng)
@@ -200,10 +171,10 @@ def run_case(
             plan = assign_collaborators(
                 groups, report_map, opinions, mixed_delegates=cfg.mixed_delegates
             )
-            delegates, template = plan.assignments, TEMPLATE_COLLABORATE
+            delegates = plan.assignments
         elif verdict.state != FULL:
             leader_set = select_leaders(groups, opinions, cfg.n_leaders)
-            delegates, template = leader_set.assignments, TEMPLATE_LEADER
+            delegates = leader_set.assignments
 
         records.append(RoundRecord(
             index=round_index, opinions=opinions, groups=groups, verdict=verdict,

@@ -16,12 +16,13 @@ ones that must return identical results:
 - `oracle_respond`: `StochasticAgent.respond` building its own
   `default_rng(SeedSequence(...))` per call, drawing the candidate with
   `Generator.choice` and rounding the belief with `np.round`;
-- `oracle_assignment_contexts` / `oracle_leader_contexts`: a fresh
-  `AgentContext` for every agent, where the orchestrator shares one among
-  the agents with the same collaborators;
-- `oracle_messages`: the chat messages of a context assembled from its
-  collaborators' `Opinion`s, where `build_messages` reads their rows of the
-  previous round's columns;
+- `oracle_leader_delegates`: each agent's leaders rebuilt per agent from
+  the leader set's groups, where `select_leaders` shares one tuple among a
+  group's followers;
+- `oracle_messages`: the chat messages of an agent assembled from its
+  delegates' `Opinion`s, the ask chosen by the branch of the round before,
+  where `build_messages` reads their rows of the previous round's columns
+  and chooses the ask by their tags;
 - `report_to_dict` with `oracle_results_jsonl` / `oracle_rounds_csv`: each
   report as nested dicts through `json.dumps(..., sort_keys=True)`, and one
   `csv.writer` row per agent, where the writers assemble encoded pieces.
@@ -37,24 +38,17 @@ import math
 
 import numpy as np
 
-from belief_consensus.agents import (
-    TAG_CONFLICTING,
-    TAG_LEADER,
-    TAG_SUPPORTIVE,
-    TEMPLATE_COLLABORATE,
-    TEMPLATE_INITIAL,
-    TEMPLATE_LEADER,
-    AgentContext,
-    StochasticAgent,
-)
+from belief_consensus.agents import RoundContext, StochasticAgent
 from belief_consensus.coordination import (
     CONFLICTING,
     SUPPORTIVE,
     AssignmentPlan,
     _relation,
 )
-from belief_consensus.core import Opinion, RoundColumns, modal_answer, stable_hash
+from belief_consensus.core import (TAG_CONFLICTING, TAG_LEADER, TAG_SUPPORTIVE, Opinion,
+                                   RoundColumns, modal_answer, stable_hash)
 from belief_consensus.grouping import OpinionGroup, group_entropy, tokenize
+from belief_consensus.judgment import NONE
 from belief_consensus.orchestrator import CaseFailure
 from kmeans_oracle import oracle_cluster
 
@@ -76,12 +70,19 @@ def opinions_by_id(round_):
     return {op.agent_id: op for op in opinions_of(round_)}
 
 
-def context_of(round_index, tagged=(), template=TEMPLATE_INITIAL, question="q"):
-    """The context whose collaborators hold the given (Opinion, tag) pairs,
-    in the round of those opinions; with none, a context with no round."""
-    previous = columns_of([op for op, _ in tagged]) if tagged else None
-    return AgentContext(question, round_index, tuple((op.agent_id, tag) for op, tag in tagged),
-                        template, previous)
+def context_of(round_index, tagged):
+    """The round's context in which agent `a`'s delegates hold the (Opinion,
+    tag) pairs `tagged[a]`, in the round of those opinions; with no pairs at
+    all, a context with no previous round."""
+    ops = {op.agent_id: op for pairs in tagged.values() for op, _ in pairs}
+    previous = columns_of(list(ops.values())) if ops else None
+    return RoundContext(round_index, {agent_id: tuple((op.agent_id, tag) for op, tag in pairs)
+                                      for agent_id, pairs in tagged.items()}, previous)
+
+
+def no_delegates(round_index, *agent_ids):
+    """The context of a round in which none of the agents has delegates."""
+    return RoundContext(round_index, dict.fromkeys(agent_ids, ()))
 
 
 def oracle_vectorize(texts):
@@ -183,9 +184,10 @@ def oracle_respond(agent: StochasticAgent, case, agent_id, ctx):
             [agent.seed, stable_hash(case.case_id), stable_hash(agent_id), ctx.round]
         )
     )
-    if ctx.collaborators and rng.random() < agent.adopt_prob:
+    delegates = ctx.delegates[agent_id]
+    if delegates and rng.random() < agent.adopt_prob:
         by_id = opinions_by_id(ctx.previous)
-        best = max((by_id[cid] for cid, _ in ctx.collaborators), key=lambda op: op.belief)
+        best = max((by_id[cid] for cid, _ in delegates), key=lambda op: op.belief)
         answer = best.answer
         reasoning = f"Adopting the strongest collaborator view on round {ctx.round}."
     else:
@@ -195,26 +197,9 @@ def oracle_respond(agent: StochasticAgent, case, agent_id, ctx):
     return Opinion(agent_id=agent_id, reasoning=reasoning, answer=answer, belief=belief)
 
 
-def oracle_assignment_contexts(case, plan, by_id, previous, next_round):
-    """`by_id` holds the Opinions of the round `previous`."""
-    contexts = {}
-    for agent_id, delegates in plan.assignments.items():
-        tagged = tuple(
-            (by_id[cid].agent_id, TAG_SUPPORTIVE if tag == "supportive" else TAG_CONFLICTING)
-            for cid, tag in delegates
-        )
-        contexts[agent_id] = AgentContext(
-            question=case.question,
-            round=next_round,
-            collaborators=tagged,
-            template=TEMPLATE_COLLABORATE,
-            previous=previous,
-        )
-    return contexts
-
-
-def oracle_leader_contexts(case, leader_set, groups, by_id, previous, next_round):
-    contexts = {}
+def oracle_leader_delegates(leader_set, groups):
+    """Each agent's (leader id, TAG_LEADER) pairs, from its group's leaders."""
+    delegates = {}
     for group, entry in zip(groups, leader_set.by_group):
         for agent_id in group.members:
             if entry.all_members:
@@ -223,23 +208,17 @@ def oracle_leader_contexts(case, leader_set, groups, by_id, previous, next_round
                 collab_ids = [l for l in entry.leader_ids if l != agent_id]
             else:
                 collab_ids = list(entry.leader_ids)
-            tagged = tuple((by_id[c].agent_id, TAG_LEADER) for c in collab_ids)
-            contexts[agent_id] = AgentContext(
-                question=case.question,
-                round=next_round,
-                collaborators=tagged,
-                template=TEMPLATE_LEADER,
-                previous=previous,
-            )
-    return contexts
+            delegates[agent_id] = tuple((c, TAG_LEADER) for c in collab_ids)
+    return delegates
 
 
-def oracle_messages(question, template, delegates, by_id, style):
+def oracle_messages(question, branch, delegates, by_id, style):
     """The system and user messages of an agent whose collaborators are the
-    (agent id, tag) pairs `delegates`, their opinions those of `by_id`."""
+    (agent id, tag) pairs `delegates`, their opinions those of `by_id`, in a
+    round after one whose verdict was `branch`: leaders follow a None round."""
     system = ("Please reason step by step, and put your final answer within \\boxed{}."
               if style == "boxed" else "Please reason step by step, and answer the question.")
-    if template == TEMPLATE_INITIAL or not delegates:
+    if not delegates:
         user = question
     else:
         labels = {TAG_SUPPORTIVE: "One supporting agent solution",
@@ -249,7 +228,7 @@ def oracle_messages(question, template, delegates, by_id, style):
         block = " ".join(
             f"{labels[tag]}: {by_id[cid].reasoning} The answer is {by_id[cid].answer}."
             for cid, tag in sorted(delegates, key=lambda d: order[d[1]]))
-        if template == TEMPLATE_LEADER:
+        if branch == NONE:
             ask = ("Judging which solutions can lead the trend of thought and using the "
                    "solutions from other agents as additional advice, can you give an "
                    "updated answer? Examine your solution and that of other agents step by step.")

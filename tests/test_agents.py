@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -16,25 +15,24 @@ from hypothesis import given, settings, strategies as st
 
 from belief_consensus import agents
 from belief_consensus.agents import (
-    AgentContext,
     AgentError,
     Backend,
     BackendConfig,
     ChatCompletionsAgent,
     ScriptedAgent,
+    RoundContext,
     StochasticAgent,
-    TAG_SUPPORTIVE,
     UnanswerableError,
     build_messages,
     make_backend,
     perturb_one_belief,
     _pcg64_raw,
 )
-from belief_consensus.core import (AgentScript, Opinion, RoundColumns, ScenarioCase,
-                                   ScriptedReply, answer_spans, canonicalize_answer,
-                                   stable_hash)
+from belief_consensus.core import (TAG_SUPPORTIVE, AgentScript, Opinion, RoundColumns,
+                                   ScenarioCase, ScriptedReply, answer_spans,
+                                   canonicalize_answer, stable_hash)
 from belief_consensus.pcg64 import ROUNDS_PER_PASS, _state_words, _uint32_words
-from round_oracles import columns_of, context_of, opinions_of, oracle_respond
+from round_oracles import columns_of, context_of, no_delegates, opinions_of, oracle_respond
 
 
 def round_opinions(result):
@@ -64,21 +62,21 @@ def scripted_case():
 class TestScriptedAgent:
     def test_round_entry_passthrough(self):
         backend = ScriptedAgent()
-        op = backend.respond(scripted_case(), "a1", AgentContext("q", 1))
+        op = backend.respond(scripted_case(), "a1", no_delegates(1, "a1"))
         assert (op.answer, op.belief) == ("D", 0.4)
 
     def test_repeat_previous(self):
         backend = ScriptedAgent()
         case = scripted_case()
-        backend.respond(case, "a1", AgentContext("q", 1))
-        op = backend.respond(case, "a1", AgentContext("q", 2))
+        backend.respond(case, "a1", no_delegates(1, "a1"))
+        op = backend.respond(case, "a1", no_delegates(2, "a1"))
         assert (op.answer, op.belief) == ("D", 0.4)
 
     def test_adopt_leader_uses_scripted_belief(self):
         backend = ScriptedAgent()
         case = scripted_case()
         leader = (Opinion("a9", "leader says", "C", 0.7), "leader")
-        op = backend.respond(case, "a2", context_of(2, [leader], "leader"))
+        op = backend.respond(case, "a2", context_of(2, {"a2": [leader]}))
         assert (op.answer, op.belief) == ("C", 0.9)
 
     @pytest.mark.parametrize("rule, reasoning, answer, belief", [
@@ -91,8 +89,8 @@ class TestScriptedAgent:
         scripts = {"a1": AgentScript("a1", reply, fallback=rule), "x": AgentScript("x", reply)}
         case = ScenarioCase("c", "q", "A", scripts=scripts)
         # "y" is the first delegate but the second row of the previous round
-        ctx = context_of(2, [(Opinion("y", "y says", "B", 0.8), "supportive"),
-                             (Opinion("x", "x says", "C", 0.4), "conflicting")])
+        ctx = context_of(2, {"a1": [(Opinion("y", "y says", "B", 0.8), "supportive"),
+                                    (Opinion("x", "x says", "C", 0.4), "conflicting")]})
         assert ScriptedAgent().respond(case, "a1", ctx) == Opinion("a1", reasoning, answer, belief)
 
     def test_missing_entry_without_fallback(self):
@@ -100,23 +98,23 @@ class TestScriptedAgent:
         case = ScenarioCase("c", "q", "A", scripts=scripts)
         backend = ScriptedAgent()
         with pytest.raises(AgentError, match="agent 'a1' round 2"):
-            backend.respond(case, "a1", AgentContext("q", 2))
+            backend.respond(case, "a1", no_delegates(2, "a1"))
 
     def test_adopt_with_no_matching_collaborator(self):
         backend = ScriptedAgent()
         with pytest.raises(AgentError, match="adopt"):
-            backend.respond(scripted_case(), "a2", AgentContext("q", 2))
+            backend.respond(scripted_case(), "a2", no_delegates(2, "a2"))
 
 
 class TestBackend:
     def test_respond_round_only_backend_answers_respond(self):
         class Echo(Backend):
-            def respond_round(self, case, agent_ids, contexts):
+            def respond_round(self, case, agent_ids, ctx):
                 ops = [Opinion(a, "echo", "A", 0.5) for a in agent_ids if a != "down"]
                 failed = tuple((a, AgentError(f"{a} is down")) for a in agent_ids if a == "down")
                 return RoundColumns.of([op.agent_id for op in ops], ops), failed
 
-        case, ctx = ScenarioCase("c", "q", "A"), AgentContext("q", 1)
+        case, ctx = ScenarioCase("c", "q", "A"), no_delegates(1, "a1", "down")
         assert Echo().respond(case, "a1", ctx) == Opinion("a1", "echo", "A", 0.5)
         with pytest.raises(AgentError, match="down is down"):
             Echo().respond(case, "down", ctx)
@@ -138,9 +136,9 @@ class TestBackend:
 
     def test_default_respond_round_fails_an_agent_alone_after_round_one(self):
         backend, case = ScriptedAgent(), scripted_case()
-        round_opinions(backend.respond_round(case, ["a1", "a2"], [AgentContext("q", 1)] * 2))
+        round_opinions(backend.respond_round(case, ["a1", "a2"], no_delegates(1, "a1", "a2")))
         # a2's adopt rule finds no leader; a1 repeats its round-1 opinion
-        columns, failed = backend.respond_round(case, ["a1", "a2"], [AgentContext("q", 2)] * 2)
+        columns, failed = backend.respond_round(case, ["a1", "a2"], no_delegates(2, "a1", "a2"))
         assert opinions_of(columns) == [Opinion("a1", "first guess", "D", 0.4)]
         assert [(a, type(e)) for a, e in failed] == [("a2", AgentError)]
         assert "adopt" in str(failed[0][1])
@@ -148,7 +146,7 @@ class TestBackend:
     def test_default_respond_round_stops_at_a_round_one_failure(self):
         backend, case = ScriptedAgent(), scripted_case()
         columns, failed = backend.respond_round(case, ["a0", "a1", "a2"],
-                                                [AgentContext("q", 1)] * 3)
+                                                no_delegates(1, "a0", "a1", "a2"))
         assert len(columns) == 0 and [a for a, _ in failed] == ["a0"]
         assert "no script for agent 'a0'" in str(failed[0][1])
         assert backend._memory == {}  # a1 and a2 were never asked
@@ -157,14 +155,14 @@ class TestBackend:
 class TestStochasticAgent:
     def test_deterministic_per_seed(self):
         case = ScenarioCase("c", "q", "A")
-        a = StochasticAgent(seed=5).respond(case, "agent-1", AgentContext("q", 1))
-        b = StochasticAgent(seed=5).respond(case, "agent-1", AgentContext("q", 1))
+        a = StochasticAgent(seed=5).respond(case, "agent-1", no_delegates(1, "agent-1"))
+        b = StochasticAgent(seed=5).respond(case, "agent-1", no_delegates(1, "agent-1"))
         assert (a.answer, a.belief) == (b.answer, b.belief)
 
     def test_different_seeds_vary(self):
         case = ScenarioCase("c", "q", "A")
         draws = {
-            StochasticAgent(seed=s).respond(case, "agent-1", AgentContext("q", 1)).answer
+            StochasticAgent(seed=s).respond(case, "agent-1", no_delegates(1, "agent-1")).answer
             for s in range(12)
         }
         assert len(draws) > 1
@@ -172,7 +170,7 @@ class TestStochasticAgent:
     def test_belief_range(self):
         case = ScenarioCase("c", "q", "A")
         for s in range(20):
-            op = StochasticAgent(seed=s).respond(case, "agent-1", AgentContext("q", 1))
+            op = StochasticAgent(seed=s).respond(case, "agent-1", no_delegates(1, "agent-1"))
             assert 0.0 < op.belief <= 1.0
 
 
@@ -216,17 +214,14 @@ class TestStochasticAgentOracle:
             seen_rounds.add(round_index)
             size = int(rng.integers(1, 201))
             ids = [f"agent-{i}" for i in rng.choice(np.arange(1, 201), size, replace=False)]
-            contexts = [
-                context_of(round_index, [
-                    (Opinion(f"c{j}", "", str(rng.choice(pool)), float(rng.uniform(0.1, 1.0))),
-                     "supportive")
-                    for j in range(int(rng.integers(0, 4)))
-                ])
-                for _ in ids
-            ]
+            ctx = context_of(round_index, {a: [
+                (Opinion(f"c{j}-{a}", "", str(rng.choice(pool)), float(rng.uniform(0.1, 1.0))),
+                 "supportive")
+                for j in range(int(rng.integers(0, 4)))
+            ] for a in ids})
             case = cases[batch % len(cases)]
-            got = round_opinions(agent.respond_round(case, ids, contexts))
-            want = [oracle_respond(agent, case, a, ctx) for a, ctx in zip(ids, contexts)]
+            got = round_opinions(agent.respond_round(case, ids, ctx))
+            want = [oracle_respond(agent, case, a, ctx) for a in ids]
             assert got == want, f"batch {batch}"
             for op in got:
                 counts["adopted" if op.reasoning.startswith("Adopting") else "independent"] += 1
@@ -236,38 +231,40 @@ class TestStochasticAgentOracle:
         assert seen_pools == {1, 2, 3, 4, 5, 6} and seen_rounds == set(rounds)
 
     def test_agents_sharing_one_context_and_tuple(self):
-        # as the orchestrator hands them over: most agents of a round share a
-        # context object, and several contexts share one collaborator tuple
+        # as the orchestrator hands them over: one context per round, in which
+        # most agents share one delegate tuple; a tuple equal to another but
+        # a second object answers alike
         rng = np.random.default_rng(17)
         case = ScenarioCase("shared", "q", "A")
         for seed in EDGE_SEEDS[:4] + (12345,):
             agent = StochasticAgent(seed=seed, candidates="ABCD")
             for round_index in (2, 3, 2**32 + 1):
-                shared = [context_of(round_index, [
-                    (Opinion(f"c{j}", "", str(rng.choice(list("ABCD"))),
-                             float(rng.uniform(0.1, 1.0))), "leader") for j in range(k)
-                ]) for k in (1, 2, 3)]
-                shared.append(replace(shared[1], template="collaborate"))
+                ops = [[Opinion(f"c{k}-{j}", "", str(rng.choice(list("ABCD"))),
+                                float(rng.uniform(0.1, 1.0))) for j in range(k)]
+                       for k in (1, 2, 3)]
+                shared = [tuple((op.agent_id, "leader") for op in group) for group in ops]
+                shared.append(tuple([*shared[1]]))
                 ids = [f"agent-{i}" for i in range(150)]
-                contexts = [shared[int(k)] for k in rng.choice(len(shared), len(ids),
-                                                               p=[0.7, 0.1, 0.1, 0.1])]
-                got = round_opinions(agent.respond_round(case, ids, contexts))
-                assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
+                picks = rng.choice(len(shared), len(ids), p=[0.7, 0.1, 0.1, 0.1])
+                ctx = RoundContext(round_index, {a: shared[k] for a, k in zip(ids, picks)},
+                                   columns_of([op for group in ops for op in group]))
+                got = round_opinions(agent.respond_round(case, ids, ctx))
+                assert got == [oracle_respond(agent, case, a, ctx) for a in ids]
                 assert any(op.reasoning.startswith("Adopting") for op in got)
 
     def test_strongest_is_the_first_of_equal_beliefs_in_delegate_order(self):
         # delegate order, not row order: "y" is named first but sorts after "x"
         case, agent = ScenarioCase("tie", "q", "A"), StochasticAgent(seed=1, adopt_prob=1.0)
         for first, second in (("B", "C"), ("C", "B")):
-            ctx = context_of(2, [(Opinion("y", "", first, 0.7), "supportive"),
-                                 (Opinion("x", "", second, 0.7), "supportive"),
-                                 (Opinion("w", "", "D", 0.5), "supportive")])
+            ctx = context_of(2, {"a1": [(Opinion("y", "", first, 0.7), "supportive"),
+                                        (Opinion("x", "", second, 0.7), "supportive"),
+                                        (Opinion("w", "", "D", 0.5), "supportive")]})
             got = agent.respond(case, "a1", ctx)
             assert got == oracle_respond(agent, case, "a1", ctx) and got.answer == first
 
     def test_rounds_of_different_entropy_lengths_in_one_batch(self):
         # rounds of one, two and three 32-bit words: each is right in a call
-        # of its own, and a call that mixes rounds raises
+        # of its own
         rng = np.random.default_rng(5)
         case = ScenarioCase("lengths", "q", "A")
         collab = [(Opinion("x", "", "C", 0.7), "supportive")]
@@ -275,13 +272,10 @@ class TestStochasticAgentOracle:
         for seed in EDGE_SEEDS:
             agent = StochasticAgent(seed=seed, candidates="ABCDE")
             for round_index in (1, 4, 2**32, 2**33 + 5, 2**64 + 1):
-                contexts = [context_of(round_index, collab if c else ())
-                            for c in rng.integers(0, 2, 60)]
-                got = round_opinions(agent.respond_round(case, ids, contexts))
-                assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
-            mixed = [AgentContext("q", 1), AgentContext("q", 2**32), AgentContext("q", 1)]
-            with pytest.raises(ValueError, match=r"one round, got rounds \[1, 4294967296\]"):
-                agent.respond_round(case, ids[:3], mixed)
+                ctx = context_of(round_index, {a: collab if c else ()
+                                               for a, c in zip(ids, rng.integers(0, 2, 60))})
+                got = round_opinions(agent.respond_round(case, ids, ctx))
+                assert got == [oracle_respond(agent, case, a, ctx) for a in ids]
 
     @pytest.mark.parametrize("collaborate, rounds, crafted_round", [
         (False, 1, 2), (True, 1, 2), (False, 5, 3), (True, 5, 3),
@@ -296,8 +290,8 @@ class TestStochasticAgentOracle:
         # rejection extends that round alone
         case = ScenarioCase("reject", "q", "A")
         ids = [f"agent-{i}" for i in range(8)]
-        ctx = context_of(crafted_round, [(Opinion("x", "", "B", 0.7), "leader")]
-                         if collaborate else ())
+        ctx = context_of(crafted_round, dict.fromkeys(
+            ids, [(Opinion("x", "", "B", 0.7), "leader")] if collaborate else ()))
         inc = 0x5851F42D4C957F2D_14057B7EF767814F | 1
         high_half, target = 0xC0FFEE12, 3
         words = _pcg64_raw
@@ -320,11 +314,9 @@ class TestStochasticAgentOracle:
                     return out
 
                 monkeypatch.setattr(agents, "_pcg64_raw", substituted)
-                earlier = [AgentContext("q", r) for r in range(1, crafted_round)
-                           if rounds > 1]
-                before = [round_opinions(agent.respond_round(case, ids, [c] * len(ids)))
-                          for c in earlier]
-                got = round_opinions(agent.respond_round(case, ids, [ctx] * len(ids)))
+                earlier = [no_delegates(r, *ids) for r in range(1, crafted_round) if rounds > 1]
+                before = [round_opinions(agent.respond_round(case, ids, c)) for c in earlier]
+                got = round_opinions(agent.respond_round(case, ids, ctx))
                 monkeypatch.undo()
                 assert sizes == ([3, 6] if collaborate and not raw else [3])
                 for c, ops in zip(earlier, before):
@@ -360,10 +352,11 @@ class TestStochasticAgentOracle:
                       ("second", ids, 2**32 + 1)]
             for case_id, agent_ids, round_index in calls:
                 case = ScenarioCase(case_id, "q", "A")
-                contexts = [context_of(round_index, collab if c else ())
-                            for c in rng.integers(0, 2, len(agent_ids))]
-                got = round_opinions(agent.respond_round(case, agent_ids, contexts))
-                want = [oracle_respond(agent, case, a, c) for a, c in zip(agent_ids, contexts)]
+                ctx = context_of(round_index, {
+                    a: collab if c else ()
+                    for a, c in zip(agent_ids, rng.integers(0, 2, len(agent_ids)))})
+                got = round_opinions(agent.respond_round(case, agent_ids, ctx))
+                want = [oracle_respond(agent, case, a, ctx) for a in agent_ids]
                 assert got == want, (seed, case_id, len(agent_ids), round_index)
 
     def test_round_limit_past_one_pass(self):
@@ -371,9 +364,9 @@ class TestStochasticAgentOracle:
         case, ids = ScenarioCase("long", "q", "A"), [f"agent-{i}" for i in range(1, 9)]
         agent = StochasticAgent(seed=77, candidates="ABC", rounds=40)
         for round_index in range(1, 41):
-            contexts = [AgentContext("q", round_index)] * len(ids)
-            got = round_opinions(agent.respond_round(case, ids, contexts))
-            assert got == [oracle_respond(agent, case, a, c) for a, c in zip(ids, contexts)]
+            ctx = no_delegates(round_index, *ids)
+            got = round_opinions(agent.respond_round(case, ids, ctx))
+            assert got == [oracle_respond(agent, case, a, ctx) for a in ids]
             assert len(agent._block[1]) <= ROUNDS_PER_PASS
 
     def test_block_serves_later_rounds_without_drawing(self, monkeypatch):
@@ -388,7 +381,7 @@ class TestStochasticAgentOracle:
         for case_id in ("c1", "c2"):
             for round_index in (2, 3, 4, 5, 5):
                 agent.respond_round(ScenarioCase(case_id, "q", "A"), ids,
-                                    [AgentContext("q", round_index)] * 3)
+                                    no_delegates(round_index, *ids))
         assert sizes == [4 * len(ids), 4 * len(ids)]  # rounds 2-5, once per case
 
     def test_respond_is_the_one_agent_round(self):
@@ -396,16 +389,16 @@ class TestStochasticAgentOracle:
         collab = [(Opinion("x", "", "C", 0.7), "supportive")]
         for i, seed in enumerate(EDGE_SEEDS * 20):
             agent = StochasticAgent(seed=seed, candidates="ABCDEF"[: 1 + i % 6])
-            ctx = context_of(1 + i % 5, collab if i % 2 else ())
+            ctx = context_of(1 + i % 5, {f"agent-{i}": collab if i % 2 else ()})
             assert agent.respond(case, f"agent-{i}", ctx) == oracle_respond(
                 agent, case, f"agent-{i}", ctx)
 
     def test_rejected_seed_and_empty_pool_raise(self):
-        case = ScenarioCase("c", "q", "A")
+        case, ctx = ScenarioCase("c", "q", "A"), no_delegates(1, "agent-1")
         with pytest.raises(ValueError):
-            StochasticAgent(seed=-1).respond(case, "agent-1", AgentContext("q", 1))
+            StochasticAgent(seed=-1).respond(case, "agent-1", ctx)
         with pytest.raises(ValueError):
-            StochasticAgent(seed=1, candidates=()).respond(case, "agent-1", AgentContext("q", 1))
+            StochasticAgent(seed=1, candidates=()).respond(case, "agent-1", ctx)
 
     def test_state_words_equal_seed_sequence(self):
         # one- to six-word entropy: the edge seeds' words with case, agent
@@ -436,29 +429,30 @@ class TestStochasticAgentOracle:
 
 class TestPromptAssembly:
     def test_initial_choice_prompt(self):
-        messages = build_messages(AgentContext("Q here", 1), "choice")
+        messages = build_messages("Q here", (), None, "choice")
         assert messages[0]["role"] == "system"
         assert "reason step by step" in messages[0]["content"]
         assert "Q here" in messages[1]["content"]
         assert "(answer)" in messages[1]["content"]
 
     def test_boxed_system_prompt(self):
-        messages = build_messages(AgentContext("Q", 1), "boxed")
+        messages = build_messages("Q", (), None, "boxed")
         assert "\\boxed{}" in messages[0]["content"]
         assert "(answer)" not in messages[1]["content"]
 
     def test_collaborate_prompt_lists_delegates(self):
         collab = [(Opinion("s", "sup says", "B", 0.8), "supportive"),
                   (Opinion("c", "con says", "D", 0.5), "conflicting")]
-        ctx = context_of(2, collab, "collaborate", "Q")
-        user = build_messages(ctx, "choice")[1]["content"]
+        ctx = context_of(2, {"a1": collab})
+        user = build_messages("Q", ctx.delegates["a1"], ctx.previous, "choice")[1]["content"]
         assert "One supporting agent solution" in user
         assert "One conflicting agent solution" in user
         assert user.index("supporting") < user.index("conflicting")
 
     def test_leader_prompt(self):
         collab = [(Opinion("l", "lead says", "C", 0.9), "leader")]
-        user = build_messages(context_of(2, collab, "leader", "Q"), "choice")[1]["content"]
+        ctx = context_of(2, {"a1": collab})
+        user = build_messages("Q", ctx.delegates["a1"], ctx.previous, "choice")[1]["content"]
         assert "One leader solution" in user
         assert "lead the trend" in user
 
@@ -646,7 +640,7 @@ class TestChatCompletionsAgent:
         server, url = fake_server
         lp = math.log(0.9)
         _FakeHandler.script = [(200, _completion("The answer is B.", [lp, lp]))]
-        op = self._agent(url).respond(ScenarioCase("c", "q", "B"), "a1", AgentContext("q", 1))
+        op = self._agent(url).respond(ScenarioCase("c", "q", "B"), "a1", no_delegates(1, "a1"))
         assert op.answer == "B"
         assert op.belief == pytest.approx(0.81, rel=1e-9)
 
@@ -693,7 +687,7 @@ class TestChatCompletionsAgent:
         tokens = [{"token": token, "logprob": math.log(p)} for token, p, _ in pieces]
         _FakeHandler.script = [(200, {"choices": [
             {"message": {"content": content}, "logprobs": {"content": tokens}}]})]
-        op = self._agent(url).respond(ScenarioCase("c", "q", answer), "a1", AgentContext("q", 1))
+        op = self._agent(url).respond(ScenarioCase("c", "q", answer), "a1", no_delegates(1, "a1"))
         assert op.answer == answer
         sentence_probs = [p for _, p, inside in pieces if inside]
         assert op.belief == pytest.approx(math.prod(sentence_probs), rel=1e-12)
@@ -702,14 +696,14 @@ class TestChatCompletionsAgent:
         server, url = fake_server
         _FakeHandler.script = [(200, _completion("The answer is B.", [-0.1], with_logprobs=False))]
         with pytest.raises(AgentError, match="logprobs unavailable"):
-            self._agent(url).respond(ScenarioCase("c", "q", "B"), "a1", AgentContext("q", 1))
+            self._agent(url).respond(ScenarioCase("c", "q", "B"), "a1", no_delegates(1, "a1"))
 
     def test_retries_after_transient_failures(self, fake_server):
         server, url = fake_server
         good = _completion("The answer is D.", [math.log(0.5)])
         _FakeHandler.script = [(500, {"error": "boom"}), (503, {"error": "again"}), (200, good)]
         agent = self._agent(url, retries=3)
-        op = agent.respond(ScenarioCase("c", "q", "D"), "a1", AgentContext("q", 1))
+        op = agent.respond(ScenarioCase("c", "q", "D"), "a1", no_delegates(1, "a1"))
         assert op.answer == "D"
         assert agent.last_retries == 2
 
@@ -718,13 +712,13 @@ class TestChatCompletionsAgent:
         _FakeHandler.script = [(500, {}), (500, {}), (500, {})]
         with pytest.raises(AgentError, match="transport failed after 3 attempts"):
             self._agent(url, retries=2).respond(
-                ScenarioCase("c", "q", "D"), "a1", AgentContext("q", 1)
+                ScenarioCase("c", "q", "D"), "a1", no_delegates(1, "a1")
             )
 
     def test_request_carries_model_temperature_and_logprobs_flag(self, fake_server):
         server, url = fake_server
         _FakeHandler.script = [(200, _completion("The answer is A.", [-0.1]))]
-        self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1))
+        self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", no_delegates(1, "a1"))
         seen = _FakeHandler.requests_seen[-1]
         assert seen["model"] == "test-model"
         assert seen["temperature"] == 0.7
@@ -737,7 +731,7 @@ class TestChatCompletionsAgent:
         cfg = BackendConfig(kind="http", endpoint=url, api_key_env="NO_SUCH_KEY_VAR")
         with pytest.raises(AgentError, match="NO_SUCH_KEY_VAR"):
             ChatCompletionsAgent(cfg).respond(
-                ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1)
+                ScenarioCase("c", "q", "A"), "a1", no_delegates(1, "a1")
             )
 
     def test_unanswerable_content_retried_then_surfaced(self, fake_server):
@@ -750,7 +744,7 @@ class TestChatCompletionsAgent:
         }
         _FakeHandler.script = [(200, payload)] * 3
         with pytest.raises(AgentError, match="unanswerable output after 3 attempts"):
-            self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1))
+            self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", no_delegates(1, "a1"))
         assert len(_FakeHandler.requests_seen) == 3
 
     def test_tokens_that_do_not_spell_the_content_are_an_error(self, fake_server):
@@ -761,14 +755,14 @@ class TestChatCompletionsAgent:
         tokens[0]["token"] = tokens[0]["token"].rstrip()
         _FakeHandler.script = [(200, payload)]
         with pytest.raises(AgentError, match="do not reproduce the message content"):
-            self._agent(url).respond(ScenarioCase("c", "q", "B"), "a1", AgentContext("q", 1))
+            self._agent(url).respond(ScenarioCase("c", "q", "B"), "a1", no_delegates(1, "a1"))
         assert len(_FakeHandler.requests_seen) == 1
 
     def test_positive_logprob_rejected(self, fake_server):
         server, url = fake_server
         _FakeHandler.script = [(200, _completion("The answer is B.", [0.3]))]
         with pytest.raises(AgentError, match="invalid token probabilities"):
-            self._agent(url).respond(ScenarioCase("c", "q", "B"), "a1", AgentContext("q", 1))
+            self._agent(url).respond(ScenarioCase("c", "q", "B"), "a1", no_delegates(1, "a1"))
 
     def test_closed_port_is_a_transport_failure(self):
         with socket.socket() as sock:
@@ -776,7 +770,7 @@ class TestChatCompletionsAgent:
             port = sock.getsockname()[1]
         agent = self._agent(f"http://127.0.0.1:{port}/v1/chat/completions")
         with pytest.raises(AgentError, match="transport failed after 3 attempts"):
-            agent.respond(ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1))
+            agent.respond(ScenarioCase("c", "q", "A"), "a1", no_delegates(1, "a1"))
         assert agent.last_retries == 2
 
     def test_reply_slower_than_timeout_is_retried(self, fake_server):
@@ -785,7 +779,7 @@ class TestChatCompletionsAgent:
         _FakeHandler.script = [(200, good, 2.0), (200, good)]
         cfg = BackendConfig(kind="http", endpoint=url, retries=2, backoff=0.01, timeout=0.5)
         agent = ChatCompletionsAgent(cfg)
-        op = agent.respond(ScenarioCase("c", "q", "C"), "a1", AgentContext("q", 1))
+        op = agent.respond(ScenarioCase("c", "q", "C"), "a1", no_delegates(1, "a1"))
         assert op.answer == "C"
         assert agent.last_retries == 1
         assert len(_FakeHandler.requests_seen) == 2
@@ -794,7 +788,7 @@ class TestChatCompletionsAgent:
         server, url = fake_server
         _FakeHandler.script = [(400, {"error": "bad request"})] * 3
         with pytest.raises(AgentError, match="endpoint rejected the request: HTTP 400"):
-            self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1))
+            self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", no_delegates(1, "a1"))
         assert len(_FakeHandler.requests_seen) == 1
 
     def test_non_json_body_is_retried(self, fake_server):
@@ -802,7 +796,7 @@ class TestChatCompletionsAgent:
         _FakeHandler.script = [(200, b"<html>not json</html>"),
                                (200, _completion("The answer is B.", [math.log(0.6)]))]
         agent = self._agent(url)
-        op = agent.respond(ScenarioCase("c", "q", "B"), "a1", AgentContext("q", 1))
+        op = agent.respond(ScenarioCase("c", "q", "B"), "a1", no_delegates(1, "a1"))
         assert op.belief == pytest.approx(0.6, rel=1e-9)
         assert agent.last_retries == 1
         assert len(_FakeHandler.requests_seen) == 2
@@ -811,10 +805,11 @@ class TestChatCompletionsAgent:
         # the endpoint sees exactly these bytes; replies keyed on a hash of
         # the body (as the benchmark's fake endpoint's are) depend on them
         server, url = fake_server
-        ctx = context_of(2, [(Opinion("a2", "it is (B)", "B", 0.6), TAG_SUPPORTIVE)], "collaborate",
-                         "Which option? \u00e9")
-        self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", ctx)
-        payload = {"model": "test-model", "messages": build_messages(ctx, "choice"),
+        ctx = context_of(2, {"a1": [(Opinion("a2", "it is (B)", "B", 0.6), TAG_SUPPORTIVE)]})
+        case = ScenarioCase("c", "Which option? \u00e9", "A")
+        self._agent(url).respond(case, "a1", ctx)
+        messages = build_messages(case.question, ctx.delegates["a1"], ctx.previous, "choice")
+        payload = {"model": "test-model", "messages": messages,
                    "temperature": 0.7, "logprobs": True}
         assert _FakeHandler.raw_seen == [json.dumps(payload, allow_nan=False).encode("utf-8")]
 
@@ -822,7 +817,7 @@ class TestChatCompletionsAgent:
         server, url = fake_server
         _FakeHandler.script = [(307, {})]
         with pytest.raises(AgentError, match="endpoint rejected the request: HTTP 307"):
-            self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1))
+            self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", no_delegates(1, "a1"))
         assert len(_FakeHandler.requests_seen) == 1
 
     def test_agents_share_one_keep_alive_connection(self, keep_alive_server):
@@ -830,7 +825,7 @@ class TestChatCompletionsAgent:
         first, second = self._agent(url), self._agent(url)
         case = ScenarioCase("c", "q", "A")
         for agent in (first, second, first, second):
-            assert agent.respond(case, "a1", AgentContext("q", 1)).answer == "A"
+            assert agent.respond(case, "a1", no_delegates(1, "a1")).answer == "A"
         assert len(_KeepAliveHandler.requests_seen) == 4
         assert _KeepAliveHandler.connections == 1
 
@@ -844,7 +839,7 @@ class TestChatCompletionsAgent:
             agent = self._agent(url)
             try:
                 for _ in range(10):
-                    assert agent.respond(case, "a1", AgentContext("q", 1)).answer == "A"
+                    assert agent.respond(case, "a1", no_delegates(1, "a1")).answer == "A"
                     assert agent.last_retries == 0
             except Exception as exc:  # checked in the test's thread
                 errors.append(exc)
@@ -869,11 +864,11 @@ class TestChatCompletionsAgent:
         server, url = keep_alive_server
         agent, case = self._agent(url), ScenarioCase("c", "q", "A")
         _KeepAliveHandler.hang_up = True  # the reply says keep-alive, then the server closes
-        assert agent.respond(case, "a1", AgentContext("q", 1)).answer == "A"
+        assert agent.respond(case, "a1", no_delegates(1, "a1")).answer == "A"
         (stale,) = agent.pool._idle
         assert select.select([stale.sock], [], [], 5)[0]  # the close has reached the client
         _KeepAliveHandler.hang_up = False
-        assert agent.respond(case, "a1", AgentContext("q", 1)).answer == "A"
+        assert agent.respond(case, "a1", no_delegates(1, "a1")).answer == "A"
         assert agent.last_retries == 0  # the stale socket spent no retry
         assert len(_KeepAliveHandler.requests_seen) == 2
         assert _KeepAliveHandler.connections == 2
@@ -888,7 +883,7 @@ class TestChatCompletionsAgent:
         monkeypatch.setenv("no_proxy", "")
         endpoint = "http://api.proxied.test:8000/v1/chat/completions?api-version=1"
         op = self._agent(endpoint).respond(ScenarioCase("c", "q", "A"), "a1",
-                                           AgentContext("q", 1))
+                                           no_delegates(1, "a1"))
         assert op.answer == "A"
         ((line, headers),) = _FakeHandler.targets
         assert line == f"POST {endpoint} HTTP/1.1"
@@ -903,7 +898,7 @@ class TestChatCompletionsAgent:
         monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{closed_port}")
         monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
         op = self._agent(url, retries=0).respond(ScenarioCase("c", "q", "A"), "a1",
-                                                 AgentContext("q", 1))
+                                                 no_delegates(1, "a1"))
         assert op.answer == "A"
         ((line, headers),) = _FakeHandler.targets
         assert line == "POST /v1/chat/completions HTTP/1.1"
@@ -915,7 +910,7 @@ class TestChatCompletionsAgent:
         monkeypatch.setenv("no_proxy", "")
         agent = self._agent("https://api.tunneled.test/v1/chat/completions", retries=0)
         with pytest.raises(AgentError, match="transport failed after 1 attempts: Tunnel"):
-            agent.respond(ScenarioCase("c", "q", "A"), "a1", AgentContext("q", 1))
+            agent.respond(ScenarioCase("c", "q", "A"), "a1", no_delegates(1, "a1"))
         ((line, headers),) = _FakeHandler.targets
         assert line.startswith("CONNECT api.tunneled.test:443 HTTP/1.")
         assert _FakeHandler.requests_seen == []
@@ -929,7 +924,7 @@ class TestChatCompletionsAgent:
             }]
         }
         _FakeHandler.script = [(200, bad), (200, _completion("The answer is C.", [math.log(0.7)]))]
-        op = self._agent(url).respond(ScenarioCase("c", "q", "C"), "a1", AgentContext("q", 1))
+        op = self._agent(url).respond(ScenarioCase("c", "q", "C"), "a1", no_delegates(1, "a1"))
         assert op.answer == "C"
         assert op.belief == pytest.approx(0.7, rel=1e-9)
 

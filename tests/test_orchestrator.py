@@ -9,9 +9,9 @@ import pytest
 from round_oracles import (
     columns_of,
     opinions_by_id,
+    no_delegates,
     opinions_of,
-    oracle_assignment_contexts,
-    oracle_leader_contexts,
+    oracle_leader_delegates,
     oracle_messages,
     oracle_results_jsonl,
     oracle_rounds_csv,
@@ -19,16 +19,14 @@ from round_oracles import (
 )
 
 from belief_consensus.agents import (
-    AgentContext,
     AgentError,
     Backend,
     BackendConfig,
     ChatCompletionsAgent,
     PROMPT_STYLES,
+    RoundContext,
     ScriptedAgent,
     StochasticAgent,
-    TEMPLATE_COLLABORATE,
-    TEMPLATE_LEADER,
     build_messages,
 )
 from belief_consensus.coordination import select_leaders
@@ -45,13 +43,13 @@ from belief_consensus.core import (
 )
 from belief_consensus import orchestrator
 from belief_consensus.grouping import OpinionGroup, _restart_draws, build_groups
+from belief_consensus.judgment import NONE, PARTIAL
 from belief_consensus.pcg64 import ROUNDS_PER_PASS
 from belief_consensus.orchestrator import (
     CaseFailure,
     TERMINATED_FULL,
     TERMINATED_MAX_ROUNDS,
     TERMINATED_VOTING,
-    _contexts,
     _dispatch,
     rounds_to_csv,
     run_case,
@@ -196,11 +194,11 @@ class RecordingRounds(StochasticAgent):
         self.calls = []
         self.fail = fail
 
-    def respond_round(self, case, agent_ids, contexts):
+    def respond_round(self, case, agent_ids, ctx):
         self.calls.append(list(agent_ids))
         if self.fail:
             raise AgentError("batch down")
-        return super().respond_round(case, agent_ids, contexts)
+        return super().respond_round(case, agent_ids, ctx)
 
 
 class FaultyScripted(ScriptedAgent):
@@ -212,9 +210,9 @@ class FaultyScripted(ScriptedAgent):
         self.fail = set(fail)
         self.rounds, self.calls = [], []
 
-    def respond_round(self, case, agent_ids, contexts):
-        self.rounds.append((contexts[0].round, list(agent_ids)))
-        return super().respond_round(case, agent_ids, contexts)
+    def respond_round(self, case, agent_ids, ctx):
+        self.rounds.append((ctx.round, list(agent_ids)))
+        return super().respond_round(case, agent_ids, ctx)
 
     def respond(self, case, agent_id, ctx):
         self.calls.append((ctx.round, agent_id))
@@ -299,37 +297,36 @@ class TestDispatch:
         shared, own = RecordingRounds(seed=3), RecordingRounds(seed=4)
         scripted = make_case("dispatch", {"a2": [("B", "b words", 0.7)]})
         backends = {"a4": shared, "a2": ScriptedAgent(), "a1": shared, "a3": own, "a5": shared}
-        contexts = {a: AgentContext("q", 1) for a in backends}
-        opinions, carried = _dispatch(backends, scripted, contexts, previous=None)
+        ctx = no_delegates(1, *backends)
+        opinions, carried = _dispatch(backends, scripted, ctx)
         opinions = opinions_of(opinions)
         assert carried == ()
         assert [op.agent_id for op in opinions] == ["a1", "a2", "a3", "a4", "a5"]
         assert shared.calls == [["a1", "a4", "a5"]] and own.calls == [["a3"]]
         for op in opinions:
-            assert op == backends[op.agent_id].respond(scripted, op.agent_id, contexts[op.agent_id])
+            assert op == backends[op.agent_id].respond(scripted, op.agent_id, ctx)
 
     def test_rows_out_of_order_are_rejected(self):
         class Reversed(StochasticAgent):
-            def respond_round(self, case, agent_ids, contexts):
-                return super().respond_round(case, agent_ids[::-1], contexts[::-1])
+            def respond_round(self, case, agent_ids, ctx):
+                return super().respond_round(case, agent_ids[::-1], ctx)
 
         backends = dict.fromkeys(["a1", "a2", "a3"], Reversed(seed=1))
-        contexts = {a: AgentContext("q", 1) for a in backends}
         with pytest.raises(ValueError, match="respond_round answered agents"):
-            _dispatch(backends, self.CASE, contexts, previous=None)
+            _dispatch(backends, self.CASE, no_delegates(1, *backends))
 
     def test_failed_batch_carries_its_agents_forward(self):
         broken, healthy = RecordingRounds(seed=1, fail=True), StochasticAgent(seed=2)
         backends = {"a1": broken, "a2": healthy, "a3": broken}
         before = {a: Opinion(a, "before", "D", 0.5) for a in backends}
         previous = columns_of(list(before.values()))
-        contexts = {a: AgentContext("q", 2) for a in backends}
         with pytest.raises(AgentError, match="batch down"):
-            _dispatch(backends, self.CASE, contexts, previous=None)
-        opinions, carried = _dispatch(backends, self.CASE, contexts, previous=previous)
+            _dispatch(backends, self.CASE, no_delegates(2, *backends))
+        ctx = RoundContext(2, dict.fromkeys(backends, ()), previous)
+        opinions, carried = _dispatch(backends, self.CASE, ctx)
         opinions = opinions_of(opinions)
         assert opinions[0] == before["a1"] and opinions[2] == before["a3"]
-        assert opinions[1] == healthy.respond(self.CASE, "a2", contexts["a2"])
+        assert opinions[1] == healthy.respond(self.CASE, "a2", ctx)
         assert carried == (("a1", "batch down"), ("a3", "batch down"))
 
 
@@ -350,10 +347,10 @@ class TestDispatch:
         assert len({id(b) for b in backends.values()}) == 17
         previous = None
         for r in (1, 2, 3):
-            contexts = {a: AgentContext("q", r) for a in ids}
-            got, carried = _dispatch(backends, case, contexts, previous)
+            ctx = RoundContext(r, dict.fromkeys(ids, ()), previous)
+            got, carried = _dispatch(backends, case, ctx)
             ops = [opinions_by_id(previous)[a] if (a, r) in fail
-                   else ScriptedAgent().respond(case, a, contexts[a]) for a in ids]
+                   else ScriptedAgent().respond(case, a, ctx) for a in ids]
             want = RoundColumns.of(ids, ops)
             assert (got.agent_ids, got.answers, got.texts) == (
                 want.agent_ids, want.answers, want.texts)
@@ -431,11 +428,13 @@ class TestCarriedForward:
         assert rows[1]["carried_forward"] == [{"agent_id": "agent-2", "error": error}]
 
 
-class TestSharedContexts:
-    def test_equal_to_one_context_per_agent(self):
-        # every collaborating and leader round of seeded stochastic runs; each
-        # context's prompts equal those assembled from the delegates' Opinions
-        seen = {"Partial": 0, "None": 0, "shared": 0}
+class TestRoundContext:
+    def test_prompts_equal_the_oracle_per_agent(self):
+        # every collaborating and leader round of seeded stochastic runs: each
+        # agent's prompts equal those assembled from its delegates' Opinions,
+        # with the ask the round's branch calls for, and each leader set's
+        # delegates equal those rebuilt per agent
+        seen = {PARTIAL: 0, NONE: 0}
         for n, n_leaders, mixed in ((7, 2, False), (40, 2, True), (60, 3, False), (9, 5, True)):
             for seed in range(6):
                 case = ScenarioCase(f"shared-{seed}", "q", "A")
@@ -446,57 +445,54 @@ class TestSharedContexts:
                 for rec in run_case(case, cfg, backends).rounds:
                     by_id = opinions_by_id(rec.opinions)
                     if rec.assignment is not None:
-                        delegates, template = rec.assignment.assignments, TEMPLATE_COLLABORATE
-                        want = oracle_assignment_contexts(case, rec.assignment, by_id,
-                                                          rec.opinions, rec.index + 1)
+                        delegates = rec.assignment.assignments
                     elif rec.leaders is not None:
-                        delegates, template = rec.leaders.assignments, TEMPLATE_LEADER
-                        want = oracle_leader_contexts(case, rec.leaders, rec.groups, by_id,
-                                                      rec.opinions, rec.index + 1)
+                        delegates = rec.leaders.assignments
+                        assert delegates == oracle_leader_delegates(rec.leaders, rec.groups)
                     else:
                         continue
-                    got = _contexts(case, delegates, template, rec.opinions, rec.index + 1)
-                    assert got == want and sorted(got) == sorted(want)
-                    for agent_id, ctx in got.items():
+                    assert sorted(delegates) == sorted(by_id)
+                    for collab in delegates.values():
                         for style in PROMPT_STYLES:
-                            assert build_messages(ctx, style) == oracle_messages(
-                                case.question, template, delegates[agent_id], by_id, style)
-                    # equal contexts are one object
-                    assert len({id(ctx) for ctx in got.values()}) == len(set(got.values()))
+                            assert build_messages(case.question, collab, rec.opinions,
+                                                  style) == oracle_messages(
+                                case.question, rec.verdict.state, collab, by_id, style)
                     seen[rec.verdict.state] += 1
-                    seen["shared"] += len(set(got.values())) < len(got)
-        assert seen["Partial"] >= 10 and seen["None"] >= 10 and seen["shared"] >= 20, seen
+        assert seen[PARTIAL] >= 10 and seen[NONE] >= 10, seen
 
-    def test_equal_leader_contexts_are_one_object(self):
+    def test_singleton_leaders_see_the_question_alone(self):
         # two singleton groups and a group of three, two leaders per group:
-        # both singletons see no one, so they share one empty context
-        ops = [Opinion(f"a{i}", "", "A", 0.9 - i / 10) for i in range(5)]
+        # both singletons see no one
+        ops = [Opinion(f"a{i}", f"says {i}", "A", 0.9 - i / 10) for i in range(5)]
         opinions = columns_of(ops)
         groups = (OpinionGroup(0, ("a0",), 0.0, "A"), OpinionGroup(1, ("a1", "a2", "a3"), 0.0, "A"),
                   OpinionGroup(2, ("a4",), 0.0, "A"))
         leaders = select_leaders(groups, opinions, n_leaders=2)
-        assert sorted(leaders.assignments) == list(opinions.agent_ids)
-        case = ScenarioCase("leaders", "q", "A")
-        got = _contexts(case, leaders.assignments, TEMPLATE_LEADER, opinions, 2)
+        assert leaders.assignments == oracle_leader_delegates(leaders, groups)
+        assert leaders.assignments["a0"] == leaders.assignments["a4"] == ()
         by_id = {op.agent_id: op for op in ops}
-        assert got == oracle_leader_contexts(case, leaders, groups, by_id, opinions, 2)
-        assert len(set(got.values())) == 4
-        assert len({id(ctx) for ctx in got.values()}) == len(set(got.values()))
+        for collab in leaders.assignments.values():
+            assert build_messages("q", collab, opinions) == oracle_messages(
+                "q", NONE, collab, by_id, "choice")
 
-    def test_initial_round_shares_one_context(self):
+    def test_each_round_is_the_map_the_round_before_returned(self):
         agent = RecordingRounds(seed=5)
         contexts = []
         agent_round = agent.respond_round
 
-        def recording(case, ids, ctxs):
-            contexts.append(ctxs)
-            return agent_round(case, ids, ctxs)
+        def recording(case, ids, ctx):
+            contexts.append(ctx)
+            return agent_round(case, ids, ctx)
 
         agent.respond_round = recording
+        ids = [f"a{i}" for i in range(5)]
         case = ScenarioCase("initial", "q", "A")
-        run_case(case, RunConfig(n=5, max_rounds=1), {f"a{i}": agent for i in range(5)})
-        assert len({id(ctx) for ctx in contexts[0]}) == 1
-        assert contexts[0][0] == AgentContext("q", 1)
+        report = run_case(case, RunConfig(n=5, max_rounds=4), dict.fromkeys(ids, agent))
+        assert report.n_rounds == len(contexts) > 2
+        assert contexts[0] == RoundContext(1, dict.fromkeys(ids, ()))
+        for ctx, rec in zip(contexts[1:], report.rounds):
+            assert ctx.round == rec.index + 1 and ctx.previous is rec.opinions
+            assert ctx.delegates is (rec.assignment or rec.leaders).assignments
 
 
 def modal_answer(opinions):

@@ -37,6 +37,9 @@ from belief_consensus.core import (
     RunConfig,
     ScenarioCase,
     ScriptedReply,
+    TAG_CONFLICTING,
+    TAG_LEADER,
+    TAG_SUPPORTIVE,
     modal_answer as _modal_answer,
     scenarios_from_json,
     stable_hash,
@@ -459,6 +462,28 @@ class TestRoundContext:
                                 case.question, rec.verdict.state, collab, by_id, style)
                     seen[rec.verdict.state] += 1
         assert seen[PARTIAL] >= 10 and seen[NONE] >= 10, seen
+
+    def test_leader_tags_mark_the_leader_sets_alone(self):
+        # build_messages picks the leader ask from the first delegate's tag:
+        # a leader set tags every delegate leader, and a plan tags none
+        seen = {PARTIAL: 0, NONE: 0}
+        for n, mixed in ((5, False), (9, True), (30, False), (30, True)):
+            for seed in range(5):
+                agent = StochasticAgent(seed=seed)
+                cfg = RunConfig(n=n, max_rounds=4, seed=seed, mixed_delegates=mixed)
+                report = run_case(ScenarioCase(f"tags-{seed}", "q", "A"), cfg,
+                                  {f"agent-{i}": agent for i in range(n)})
+                for rec in report.rounds:
+                    if rec.assignment is not None:
+                        tags = {tag for d in rec.assignment.assignments.values() for _, tag in d}
+                        assert tags <= {TAG_SUPPORTIVE, TAG_CONFLICTING}
+                    elif rec.leaders is not None:
+                        tags = {tag for d in rec.leaders.assignments.values() for _, tag in d}
+                        assert tags == {TAG_LEADER}
+                    else:
+                        continue
+                    seen[rec.verdict.state] += 1
+        assert min(seen.values()) >= 10, seen
 
     def test_singleton_leaders_see_the_question_alone(self):
         # two singleton groups and a group of three, two leaders per group:

@@ -70,11 +70,14 @@ _CHOICE_LABEL = re.compile(r"\(([A-Za-z0-9]{1,3})\)")
 # as an integer with a ".0": the last group it matches holds the answer
 _WHOLE = re.compile(_CHOICE_LABEL.pattern + r"|(\$\$?)([^$]+)\2|\\text\{([^{}]*)\}|(-?\d+)\.0+")
 # MATH spellings of one answer: the "d" or "t" of \dfrac and \tfrac, \left and
-# \right, and a \frac one of whose two arguments (one character, or a brace
-# group with none nested) is unbraced
+# \right, a \sqrt of one unbraced character, and a \frac one of whose two
+# arguments (one character, or a brace group with at most one level nested)
+# is unbraced. A \sqrt of a command or with an index ("[3]") stays as it is.
 _SPELLING = re.compile(r"(?<=\\)[dt](?=frac(?![A-Za-z]))|\\(?:left|right)(?![A-Za-z])")
-_FRAC = re.compile(r"\\frac(?![A-Za-z])(?=[^{}\\\s]|\{[^{}]*\}[^{}\\\s])"
-                   + r"(\{[^{}]*\}|[^{}\\\s])" * 2)
+_SQRT = re.compile(r"\\sqrt(?![A-Za-z])([^{}\[\\\s])")
+_GROUP = r"\{(?:[^{}]|\{[^{}]*\})*\}"
+_FRAC = re.compile(r"\\frac(?![A-Za-z])(?=[^{}\\\s]|" + _GROUP + r"[^{}\\\s])"
+                   + (r"(" + _GROUP + r"|[^{}\\\s])") * 2)
 
 
 def last_boxed(text: str) -> tuple[int, int] | None:
@@ -135,11 +138,11 @@ def canonicalize_answer(raw: str) -> str:
     "(B)" (a label inside a longer answer, as in "f(2)", stays), an answer
     wrapped whole in `$...$` or `\\text{...}` (with no braces inside), and an
     integer's trailing ".0"; `\\dfrac` and `\\tfrac` become `\\frac`, whose
-    one-character arguments get braces, and `\\left`/`\\right` go. These steps
-    repeat until none changes the text (so "\\boxed{the answer is 5}" gives
-    "5"). Case of symbolic content is preserved; two answers agree iff their
-    canonical forms are byte-equal, so "0.5" and "\\frac{1}{2}" stay two
-    answers: numeric equality is not tested.
+    one-character arguments get braces, as does a `\\sqrt`'s, and
+    `\\left`/`\\right` go. These steps repeat until none changes the text (so
+    "\\boxed{the answer is 5}" gives "5"). Case of symbolic content is
+    preserved; two answers agree iff their canonical forms are byte-equal, so
+    "0.5" and "\\frac{1}{2}" stay two answers: numeric equality is not tested.
     """
     if raw is None or not raw.strip():
         raise ValueError("unanswerable output")
@@ -155,7 +158,7 @@ def canonicalize_answer(raw: str) -> str:
             text = whole[whole.lastindex]
         text = _FRAC.sub(lambda m: "\\frac" + "".join(a if a[0] == "{" else f"{{{a}}}"
                                                        for a in m.groups()),
-                         _SPELLING.sub("", text))
+                         _SQRT.sub(r"\\sqrt{\1}", _SPELLING.sub("", text)))
     if not text:
         raise ValueError("unanswerable output")
     return text

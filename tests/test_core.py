@@ -95,6 +95,10 @@ class TestCanonicalizeAnswer:
         ("\\boxed{\\frac{\\pi}4 + \\frac3{x}}", "\\frac{\\pi}{4} + \\frac{3}{x}"),
         ("\\boxed{\\frac{\\frac12}3}", "\\frac{\\frac{1}{2}}{3}"),
         ("\\boxed{\\left[0, \\dfrac12\\right)}", "[0, \\frac{1}{2})"),
+        ("\\boxed{\\sqrt2}", "\\sqrt{2}"),
+        ("\\boxed{\\frac{\\sqrt{2}}2}", "\\frac{\\sqrt{2}}{2}"),
+        ("\\boxed{\\frac1{\\sqrt{2}}}", "\\frac{1}{\\sqrt{2}}"),
+        ("\\boxed{\\frac{\\sqrt2}2}", "\\frac{\\sqrt{2}}{2}"),
         ("The answer is $\\frac{1}{2}$.", "\\frac{1}{2}"),
         ("\\boxed{$$x^2$$}", "x^2"),
         ("\\boxed{\\text{(B)}}", "B"),
@@ -107,11 +111,14 @@ class TestCanonicalizeAnswer:
         ("\\boxed{\\text{a} + \\text{b}}", "\\text{a} + \\text{b}"),
         ("\\boxed{$1$ or $2$}", "$1$ or $2$"),
         ("\\boxed{x \\rightarrow \\leftarrow y}", "x \\rightarrow \\leftarrow y"),
+        ("\\boxed{\\sqrt[3]{8}}", "\\sqrt[3]{8}"),
+        ("\\boxed{\\sqrt\\pi}", "\\sqrt\\pi"),
     ], ids=["nested", "last-of-two", "math-mode", "unbalanced-last", "dfrac", "tfrac-unbraced",
             "frac-unbraced", "frac-half-braced", "frac-one-char-args", "frac-in-frac",
-            "left-right", "dollars", "double-dollars", "text-label", "text", "integer-dot-zero",
+            "left-right", "sqrt-unbraced", "frac-of-braced-sqrt", "frac-over-braced-sqrt",
+            "frac-of-unbraced-sqrt", "dollars", "double-dollars", "text-label", "text", "integer-dot-zero",
             "negative-integer-dot-zeros", "decimal", "decimal-trailing-zero", "two-texts",
-            "two-maths", "arrows"])
+            "two-maths", "arrows", "sqrt-index", "sqrt-command"])
     def test_boxed_with_nested_braces(self, raw, expected):
         assert canonicalize_answer(raw) == expected
 
@@ -177,7 +184,8 @@ class TestCanonicalizeAnswer:
     TEXTS = st.tuples(PLAIN, st.lists(st.tuples(
         PLAIN, st.sampled_from(["\\boxed{%s}", "the answer is %s", "The answer\nis: %s.",
                                 "$%s$", "$$%s$$", "\\text{%s}", "\\left(%s\\right)", "\\dfrac%s",
-                                "\\tfrac{%s}", "\\frac%s", "%s.0"]),
+                                "\\tfrac{%s}", "\\frac%s", "\\sqrt%s", "\\sqrt{%s}",
+                                "%s.0"]),
         PLAIN), max_size=4)).map(
         lambda t: functools.reduce(lambda s, w: w[0] + w[1] % s + w[2], t[1], t[0]))
 

@@ -211,12 +211,11 @@ def leader_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
 @dataclass(frozen=True)
 class BatchVerdicts:
     """Per-row verdicts of `run_batch`: each row's reason, its step count and
-    its final (rows, n) opinions and beliefs."""
+    the (2, rows, n) stack of the opinions and beliefs it ended in."""
 
     reasons: np.ndarray  # of str
     steps: np.ndarray
-    opinions: np.ndarray
-    beliefs: np.ndarray
+    final: np.ndarray
 
     @property
     def converged(self) -> np.ndarray:
@@ -294,8 +293,7 @@ def run_rows(state: np.ndarray, steps: int, step, done=None, carry: tuple = ()):
 
 
 def run_batch(
-    opinions: np.ndarray,
-    beliefs: np.ndarray,
+    state: np.ndarray,
     topo: DynamicsTopology,
     mode: str,
     tol: float = DEFAULT_TOL,
@@ -303,26 +301,23 @@ def run_batch(
     trace: list | None = None,
 ) -> BatchVerdicts:
     """Iterate the step of `mode` ("supportive" or "conflicting", the belief
-    sign) on (rows, n) trajectories, each row until its own consensus,
-    divergence, or budget.
+    sign) on a (2, rows, n) stack of opinions and beliefs, each row until its
+    own consensus, divergence, or budget.
 
     Consensus: max pairwise opinion gap and belief gap both below tol.
     Divergence: belief spread strictly increasing for DIVERGENCE_WINDOW steps.
     In the all-pairs tie case (see _is_marginal_tie) a row that oscillates
     with period 2 is reported converged with the marginal flag after 2 steps.
-    The other rows step as one (2, rows, n) stack of opinions and beliefs in
-    `run_rows`. If `trace` is a list, the (2, 1, n) stack of every state of a
-    one-row batch is appended to it.
+    The other rows step together in `run_rows`. If `trace` is a list, the
+    (2, 1, n) stack of every state of a one-row batch is appended to it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    opinions = np.asarray(opinions, dtype=float)
-    beliefs = np.asarray(beliefs, dtype=float)
-    if opinions.shape != beliefs.shape or opinions.ndim != 2:
-        raise ValueError("opinions and beliefs must be (rows, n) batches of one shape")
-    state = np.stack([opinions, beliefs])
+    state = np.asarray(state, dtype=float)
+    if state.ndim != 3 or len(state) != 2:
+        raise ValueError("state must be a (2, rows, n) stack of opinions and beliefs")
     args = _step_args(topo, mode, state.shape)
     consensus = functools.partial(within_tol, tol=tol)
 
@@ -339,10 +334,11 @@ def run_batch(
         diverged = grow_streak >= DIVERGENCE_WINDOW
         return state, (bspread, grow_streak), ((~diverged, REASON_DIVERGENCE),)
 
-    reasons = np.full(len(opinions), REASON_MARGINAL, dtype=object)
-    steps = np.full(len(opinions), 2)
+    rows = state.shape[1]
+    reasons = np.full(rows, REASON_MARGINAL, dtype=object)
+    steps = np.full(rows, 2)
     final = state.copy()
-    rest = np.ones(len(opinions), dtype=bool)
+    rest = np.ones(rows, dtype=bool)
     if trace is not None:
         trace.append(state)
     if mode == "supportive" and _is_marginal_tie(topo):
@@ -353,13 +349,13 @@ def run_batch(
             trace += [s1, s2]
         final[:, ~rest] = s2[:, ~rest]
 
-    carry = (np.ptp(beliefs[rest], axis=1), np.zeros(rest.sum(), dtype=int))
+    carry = (np.ptp(state[1, rest], axis=1), np.zeros(rest.sum(), dtype=int))
     steps[rest], first, final[:, rest] = run_rows(state[:, rest], max_steps, step, consensus, carry)
     # a row that ran out its budget within tol is consensus too
     ended = np.where(consensus(final[:, rest]), REASON_CONSENSUS, REASON_BUDGET).astype(object)
     ended[[f is not None for f in first]] = REASON_DIVERGENCE
     reasons[rest] = ended
-    return BatchVerdicts(reasons, steps, *final)
+    return BatchVerdicts(reasons, steps, final)
 
 
 def run_dynamics(
@@ -371,9 +367,9 @@ def run_dynamics(
 ) -> tuple[BatchVerdicts, np.ndarray]:
     """`run_batch` on one (2, n) stack of opinions and beliefs: its one-row
     verdicts and the (steps + 1, 2, n) trace of every state it passed through."""
-    opinions, beliefs = np.asarray(state, dtype=float)[:, None]
     states: list = []
-    verdict = run_batch(opinions, beliefs, topo, mode, tol=tol, max_steps=max_steps, trace=states)
+    verdict = run_batch(np.asarray(state, dtype=float)[:, None], topo, mode, tol=tol,
+                        max_steps=max_steps, trace=states)
     return verdict, np.stack(states)[:, :, 0]
 
 

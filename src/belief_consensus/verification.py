@@ -165,8 +165,8 @@ def verify_supportive_convergence(
         checks, first, _ = run_rows(state, identity_steps, identity_step,
                                     carry=(np.full((seeds, n), np.inf),))
         ok = np.array([f is None for f in first])
-        verdict = run_batch(*state[:, ok], topo, "supportive", tol=tol, max_steps=max_steps)
-        gap = np.ptp(verdict.opinions, axis=1) >= tol
+        verdict = run_batch(state[:, ok], topo, "supportive", tol=tol, max_steps=max_steps)
+        gap = np.ptp(verdict.final[0], axis=1) >= tol
         verdicts = iter(zip(verdict.reasons, verdict.converged, verdict.marginal, gap))
         for s, (c, f) in enumerate(zip(checks.tolist(), first)):
             if f is not None:
@@ -229,7 +229,7 @@ def verify_conflict_instability(
         state = np.stack([states[s] for s in idx], axis=1)  # (2, rows, n)
         checks, first, _ = run_rows(state, identity_steps, identity_step)
         ok = np.array([f is None for f in first])
-        verdict = run_batch(*state[:, ok], topo, "conflicting", max_steps=500)
+        verdict = run_batch(state[:, ok], topo, "conflicting", max_steps=500)
         verdicts = iter(zip(verdict.reasons, verdict.converged))
         for s, c, f in zip(idx, checks.tolist(), first):
             if f is not None:

@@ -117,7 +117,8 @@ class TestStepLeaderFollow:
         topo = DynamicsTopology.with_leaders(4, range(4))
         assert topo.sets == DynamicsTopology.all_pairs(4).sets
         rng = np.random.default_rng(3)
-        verdict = run_batch(rng.uniform(-1, 1, (2, 4)), rng.uniform(0, 1, (2, 4)), topo, "supportive")
+        state = np.stack([rng.uniform(-1, 1, (2, 4)), rng.uniform(0, 1, (2, 4))])
+        verdict = run_batch(state, topo, "supportive")
         assert verdict.marginal.all() and verdict.steps.tolist() == [2, 2]
 
     def test_follower_at_leader_average_is_fixed(self):

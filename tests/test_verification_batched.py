@@ -59,13 +59,13 @@ class TestRunBatchOracle:
         topo, mode, op, be = batch_cases()[case]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing row
-            verdict = run_batch(op, be, topo, mode, max_steps=400)
+            verdict = run_batch(np.stack([op, be]), topo, mode, max_steps=400)
             expected = [oracle.run_dynamics((o, b), topo, mode, max_steps=400)
                         for o, b in zip(op, be)]
         got = list(zip(verdict.converged.tolist(), verdict.reasons.tolist(),
                        verdict.marginal.tolist(), verdict.steps.tolist(),
-                       (row.tobytes() for row in verdict.opinions),
-                       (row.tobytes() for row in verdict.beliefs)))
+                       (row.tobytes() for row in verdict.final[0]),
+                       (row.tobytes() for row in verdict.final[1])))
         want = [(reason in (REASON_CONSENSUS, REASON_MARGINAL), reason, reason == REASON_MARGINAL,
                  len(trace) - 1, trace[-1][0].tobytes(), trace[-1][1].tobytes())
                 for reason, trace in expected]
@@ -91,13 +91,13 @@ class TestRunBatchOracle:
 
     def test_rejects_mismatched_batches(self):
         topo = DynamicsTopology.all_pairs(3)
-        with pytest.raises(ValueError, match="batches"):
-            run_batch(np.zeros((2, 3)), np.zeros((3, 3)), topo, "supportive")
+        for bad in (np.zeros((3, 2, 3)), np.zeros((2, 3)), np.zeros((2, 1, 2, 3))):
+            with pytest.raises(ValueError, match=r"\(2, rows, n\) stack"):
+                run_batch(bad, topo, "supportive")
         with pytest.raises(ValueError, match="arity"):
-            run_batch(np.zeros((2, 4)), np.zeros((2, 4)), topo, "supportive")
+            run_batch(np.zeros((2, 2, 4)), topo, "supportive")
         with pytest.raises(ValueError, match="unknown dynamics mode"):
-            run_batch(np.zeros((2, 3)), np.zeros((2, 3)),
-                      DynamicsTopology.with_leaders(3, (0, 2)), "leader")
+            run_batch(np.zeros((2, 2, 3)), DynamicsTopology.with_leaders(3, (0, 2)), "leader")
         with pytest.raises(ValueError, match="outside"):
             DynamicsTopology.with_leaders(3, (0, 3))
 

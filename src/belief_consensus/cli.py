@@ -69,11 +69,16 @@ SIMULATE_CHECKS = {
         required_pass=max(1, int(0.95 * sim.seeds)), master_seed=sim.master_seed), None),
 }
 SIMULATE_MODES = tuple(SIMULATE_CHECKS)
-_KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string"}
+_KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string",
+               "path": "a string"}
 
 
 class ConfigError(ValueError):
     pass
+
+
+class DatasetError(Exception):
+    """An input file that cannot be read or holds malformed data."""
 
 
 @dataclass(frozen=True)
@@ -125,15 +130,10 @@ def _load_config(path: str | None) -> tuple[dict, Path]:
     return payload, p.parent
 
 
-def _resolve(base: Path, value: str) -> Path:
-    p = Path(value)
-    return p if p.is_absolute() else (base / p)
-
-
 def _typed(key: str, kind: str, value):
     """`value` checked as a config value of type `kind`, a field annotation:
-    int, float, bool, str, or list[...] (a non-empty list) of one of them.
-    A float is converted, so `60` reads as 60.0."""
+    int, float, bool, str, path (a string), or list[...] (a non-empty list)
+    of one of them. A float is converted, so `60` reads as 60.0."""
     if kind.startswith("list["):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
@@ -143,7 +143,7 @@ def _typed(key: str, kind: str, value):
             return float(value)  # YAML reads the JSON number 1e-09 as a string
         except (TypeError, ValueError, OverflowError):
             pass
-    elif type(value) is {"int": int, "bool": bool, "str": str}.get(kind):
+    elif type(value) is {"int": int, "bool": bool, "str": str, "path": str}.get(kind):
         return value  # type(True) is bool, not int
     raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
@@ -165,13 +165,20 @@ def _typed_section(name: str, section, kinds: dict[str, str]) -> dict:
     return {k: _typed(f"{name}.{k}", kind, section[k]) for k, kind in kinds.items() if k in section}
 
 
-def _read(cls, name: str, section, args=None, **extra: str):
+def _read(cls, name: str, section, args=None, base: Path | None = None, **extra: str):
     """Config dataclass `cls` from section `name`, and the section's `extra`
     keys (name=type) apart. The other keys are `cls`'s fields, with their
-    types and defaults; a flag of `args` named after a field overrides it."""
-    values = _typed_section(name, section, {**{f.name: f.type for f in fields(cls)}, **extra})
-    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
-    values.update((k, v) for k, v in flags.items() if v is not None)
+    types and defaults. A flag of `args` named after a key overrides it; a
+    path is relative to `base` when the section gives it and to the working
+    directory when a flag does."""
+    kinds = {**{f.name: f.type for f in fields(cls)}, **extra}
+    values = _typed_section(name, section, kinds)
+    for key, kind in kinds.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = flag
+        if kind == "path" and key in values:
+            values[key] = Path(flag) if flag is not None else base / values[key]
     rest = {k: values.pop(k) for k in extra if k in values}
     try:
         return cls(**values), rest
@@ -236,22 +243,19 @@ def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: d
     reports = [o for o in outcomes if isinstance(o, RunReport)]
     errors = [o for o in outcomes if isinstance(o, CaseFailure)]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = out_dir / "traces"
-    traces_dir.mkdir(exist_ok=True)
+    traces_dir.mkdir(parents=True, exist_ok=True)
+    echo = f"config: {json.dumps(effective, sort_keys=True)}"
     with open(out_dir / "results.jsonl", "w", encoding="utf-8") as fh:
         write_results_jsonl(outcomes, fh, header=effective)
     with open(traces_dir / "rounds.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config: {json.dumps(effective, sort_keys=True)}\n")
+        fh.write(f"# {echo}\n")
         rounds_to_csv(reports, fh)
     summary = None
     if reports:
         summary = compute_metrics(outcomes, cfg.n)
         with open(out_dir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
-            metrics_to_csv(
-                [("all", summary)], fh,
-                header_comment=f"config: {json.dumps(effective, sort_keys=True)}",
-            )
+            metrics_to_csv([("all", summary)], fh, header_comment=echo)
         for rep in reports:
             mark = "ok" if rep.correct else "WRONG"
             print(
@@ -267,18 +271,20 @@ def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: d
     return summary, len(errors)
 
 
-def _read_sections(config: dict, args) -> tuple:
-    """Every section of `config`, read and checked whichever command runs:
-    the run section's jobs, dataset and out, the backend, the per-agent
-    backends, the sweep's settings, and the simulate config and its out."""
-    cfg, run = _read(RunConfig, "run", config.get("run"), args,
-                     jobs="int", dataset="str", out="str")
+def _read_sections(args) -> tuple:
+    """Every section of the `--config` file, read and checked whichever
+    command runs, with the command's flags applied: the run section's jobs,
+    dataset and out, the backend, the per-agent backends, the sweep's
+    settings, and the simulate config and its out."""
+    config, base = _load_config(args.config)
+    cfg, run = _read(RunConfig, "run", config.get("run"), args, base,
+                     jobs="int", dataset="path", out="path")
     backend_cfg, _ = _read(BackendConfig, "backend", config.get("backend"), args)
     entries = config.get("backends")
     if not isinstance(entries, (list, type(None))):
         raise ConfigError(f"backends must be a list, got {entries!r}")
     per_agent = {}
-    for i, entry in enumerate(entries or []):
+    for i, entry in enumerate(entries or []):  # no flags: --backend would override each kind
         entry_cfg, extra = _read(BackendConfig, f"backends[{i}]", entry, agent_id="str")
         if "agent_id" not in extra:
             raise ConfigError("per-agent backend entries need an agent_id")
@@ -286,40 +292,28 @@ def _read_sections(config: dict, args) -> tuple:
             raise ConfigError(f"backends lists agent_id {extra['agent_id']!r} twice")
         per_agent[extra["agent_id"]] = entry_cfg
     settings = _sweep(cfg, config.get("sweep"))
-    sim, sim_rest = _read(SimulateConfig, "simulate", config.get("simulate"), out="str")
-    return run, backend_cfg, per_agent, settings, sim, sim_rest.get("out")
+    sim, sim_out = _read(SimulateConfig, "simulate", config.get("simulate"), args, base, out="path")
+    return ({"jobs": 1, "out": base / "results", **run}, backend_cfg, per_agent, settings, sim,
+            sim_out.get("out", base / "results/simulate"))
 
 
 def cmd_run(args) -> int:
+    run, backend_cfg, per_agent, settings, _, _ = _read_sections(args)
+    if run["jobs"] < 1:
+        raise ConfigError("jobs must be at least 1")
+    if "dataset" not in run:
+        raise ConfigError("no dataset given (flag --dataset or run.dataset)")
     try:
-        config, base = _load_config(args.config)
-        run, backend_cfg, per_agent, settings, _, _ = _read_sections(config, args)
-        jobs = args.jobs if args.jobs is not None else run.get("jobs", 1)
-        if jobs < 1:
-            raise ConfigError("jobs must be at least 1")
-        out = run.get("out", "results")
-        out_dir = Path(args.out) if args.out is not None else _resolve(base, out)
-        dataset = args.dataset if args.dataset is not None else run.get("dataset")
-        if dataset is None:
-            raise ConfigError("no dataset given (flag --dataset or run.dataset)")
-        dataset_path = _resolve(base, dataset) if args.dataset is None else Path(args.dataset)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        cases = scenarios_from_json(dataset_path)
+        cases = scenarios_from_json(run["dataset"])
     except (OSError, ValueError, KeyError) as exc:
-        print(f"dataset error: {exc}", file=sys.stderr)
-        return EXIT_DATASET
+        raise DatasetError(exc) from exc
     if backend_cfg.kind == "scripted":
         run_ids = {agent_id for case in cases for agent_id in case.scripts or ()}
     else:
         run_ids = {f"agent-{i + 1}" for i in range(max(c.n for _, c in settings))}
     unknown = sorted(set(per_agent) - run_ids)
     if unknown:
-        print(f"config error: backends name no agent of the run: {unknown}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"backends name no agent of the run: {unknown}")
 
     labeled = []
     failed = 0
@@ -327,40 +321,31 @@ def cmd_run(args) -> int:
         if label:
             print(f"-- sweep {label}")
         effective = {"run": asdict(run_cfg), "backend": asdict(backend_cfg),
-                     "dataset": str(dataset_path), "jobs": jobs}
+                     "dataset": str(run["dataset"]), "jobs": run["jobs"]}
         summary, n_failed = _execute_run(
-            cases, run_cfg, backend_cfg, per_agent, jobs, out_dir / label, effective
+            cases, run_cfg, backend_cfg, per_agent, run["jobs"], run["out"] / label, effective
         )
         failed += n_failed
         if label and summary is not None:
             labeled.append((label, summary))
-    if labeled:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
+    if labeled:  # each setting's run made the out directory
+        with open(run["out"] / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
             metrics_to_csv(labeled, fh, header_comment=f"sweep over {len(labeled)} settings")
         print(format_metrics(labeled))
     return EXIT_CASES_FAILED if failed else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config, base = _load_config(args.config)
-        *_, sim, out = _read_sections(config, args)
-        out_dir = Path(args.out) if args.out else _resolve(base, out or "results/simulate")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    effective = {
+    *_, sim, out_dir = _read_sections(args)
+    echo = "# config: " + json.dumps({
         "n_range": [sim.n_min, sim.n_max], "seeds": sim.seeds, "modes": sim.modes,
         "tol": sim.tol, "max_steps": sim.max_steps, "master_seed": sim.master_seed,
-    }
+    }, sort_keys=True) + "\n"
     modes = [m for m in SIMULATE_MODES if m in sim.modes]
     results = [SIMULATE_CHECKS[mode][0](sim) for mode in modes]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     traces_dir = out_dir / "traces"
-    traces_dir.mkdir(exist_ok=True)
+    traces_dir.mkdir(parents=True, exist_ok=True)
     # the supportive check's initial states at n_min
     n_min = sim.n_min
     initial = verification.uniform_draws(sim.master_seed, n_min, sim.trace_seeds,
@@ -374,12 +359,12 @@ def cmd_simulate(args) -> int:
         for s, state in enumerate(zip(*initial)):  # (opinions, beliefs) of seed s
             trace = run_dynamics(state, topo, step_mode, tol=sim.tol, max_steps=sim.max_steps)[1]
             with open(traces_dir / f"{mode}_n{n_min}_seed{s}.csv", "w", newline="") as fh:
-                fh.write(f"# config: {json.dumps(effective, sort_keys=True)}\n")
+                fh.write(echo)
                 trace_to_csv(trace, topo, fh)
 
     report_lines = [r.line() for r in results]
     with open(out_dir / "properties.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"# config: {json.dumps(effective, sort_keys=True)}\n")
+        fh.write(echo)
         fh.write("\n".join(report_lines) + "\n")
     for line in report_lines:
         print(line)
@@ -394,26 +379,21 @@ def _positive_int(value, what: str) -> int:
 
 def cmd_metrics(args) -> int:
     summaries = []
-    try:
-        agents = args.agents  # the flag's text: only decimal digits make an int
-        if agents is not None:
-            agents = _positive_int(int(agents) if agents.isdecimal() else agents, "--agents")
-        for path in args.results:
-            try:
-                rows, n = rows_from_results_jsonl(path)
-                if n is None and agents is None:
-                    raise ConfigError(f"{path} has no agent count; pass --agents")
-                n = agents if n is None else _positive_int(n, f"{path}: header n")
-                # failed cases are counted, not averaged; a file of failures only raises
-                summaries.append((Path(path).name, compute_metrics(rows, n)))
-            except ConfigError:
-                raise
-            except (OSError, ValueError) as exc:
-                print(f"dataset error: {path}: {exc}", file=sys.stderr)
-                return EXIT_DATASET
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    agents = args.agents  # the flag's text: only decimal digits make an int
+    if agents is not None:
+        agents = _positive_int(int(agents) if agents.isdecimal() else agents, "--agents")
+    for path in args.results:
+        try:
+            rows, n = rows_from_results_jsonl(path)
+        except (OSError, ValueError) as exc:
+            raise DatasetError(f"{path}: {exc}") from exc
+        if n is None and agents is None:
+            raise ConfigError(f"{path} has no agent count; pass --agents")
+        n = agents if n is None else _positive_int(n, f"{path}: header n")
+        try:  # failed cases are counted, not averaged; a file of failures only raises
+            summaries.append((Path(path).name, compute_metrics(rows, n)))
+        except ValueError as exc:
+            raise DatasetError(f"{path}: {exc}") from exc
     print(format_metrics(summaries))
     if args.out:
         out_dir = Path(args.out)
@@ -461,9 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DatasetError as exc:
+        print(f"dataset error: {exc}", file=sys.stderr)
+        return EXIT_DATASET
 
 
 if __name__ == "__main__":

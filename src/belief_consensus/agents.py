@@ -40,8 +40,8 @@ from belief_consensus.core import (
     canonicalize_answer,
     stable_hash,
 )
-from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _LOW32, _TWO_POW_M53, _U11, _U32, _frozen,
-                                    _pcg64_raw, _uint32_words)
+from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _LOW32, _U32, _doubles, _frozen, _pcg64_raw,
+                                    _uint32_words)
 
 ADVERSARIAL_EPS = 1e-9
 _STREAM_OUTPUTS = 3  # random(), one bounded draw and uniform(); more only on a rejection
@@ -341,7 +341,7 @@ class StochasticAgent(Backend):
         cols = np.arange(m)
         delegates = [ctx.delegates[agent_id] for agent_id in agent_ids]
         collaborate = np.array([bool(d) for d in delegates])
-        adopt = collaborate & ((raw[0] >> _U11) * _TWO_POW_M53 < self.adopt_prob)
+        adopt = collaborate & (_doubles(raw[0]) < self.adopt_prob)
         if n < 1 and not adopt.all():
             raise ValueError("no candidates to draw from")
         threshold = (1 << 32) % max(n, 1)  # a product whose low word is below it is rejected
@@ -358,7 +358,7 @@ class StochasticAgent(Backend):
             half[drawing] += 1
             drawing = drawing[(product & _LOW32) < threshold]
         belief_at = (half + 1) >> 1  # uniform() reads the first output with no half read
-        belief = 0.3 + (0.95 - 0.3) * ((raw[belief_at, cols] >> _U11) * _TWO_POW_M53)
+        belief = 0.3 + (0.95 - 0.3) * _doubles(raw[belief_at, cols])
         belief = np.rint(belief * 1e6) / 1e6  # np.round(belief, 6)
 
         adopters = np.flatnonzero(adopt).tolist()

@@ -6,11 +6,14 @@
 
 Configuration is a YAML file whose sections' keys are the fields of config
 dataclasses; each command checks every section, an unknown key in any is an
-error, and flags override file values. The effective configuration heads
-every output file. Exit codes: 0 success, 1 invalid configuration (or failed
-dynamics property), 2 unreadable dataset, 3 a run in which one or more cases
-raised (the other cases' outputs are written, and each failed case is a
-`{"case_id", "error"}` row of results.jsonl).
+error, and a flag overrides the key it is named after. A path is relative to
+the config's directory when the file gives it, to the working directory when
+a flag does; an empty one is an error. The effective configuration heads
+every output file. Exit codes: 0 success, 1 a `ConfigError` or a failed
+dynamics property, 2 a `DatasetError` (unreadable dataset or results file),
+3 a run in which one or more cases raised (the other cases' outputs are
+written, and each failed case is a `{"case_id", "error"}` row of results.jsonl).
+`main` alone prints the two errors and maps them to their codes.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ def _read(cls, name: str, section, args=None, base: Path | None = None, **extra:
     keys (name=type) apart. The other keys are `cls`'s fields, with their
     types and defaults. A flag of `args` named after a key overrides it; a
     path is relative to `base` when the section gives it and to the working
-    directory when a flag does."""
+    directory when a flag does; an empty one is an error."""
     kinds = {**{f.name: f.type for f in fields(cls)}, **extra}
     values = _typed_section(name, section, kinds)
     for key, kind in kinds.items():
@@ -178,6 +181,9 @@ def _read(cls, name: str, section, args=None, base: Path | None = None, **extra:
         if flag is not None:
             values[key] = flag
         if kind == "path" and key in values:
+            if not values[key]:
+                where = f"--{key}" if flag is not None else f"{name}.{key}"
+                raise ConfigError(f"{where} is an empty path")
             values[key] = Path(flag) if flag is not None else base / values[key]
     rest = {k: values.pop(k) for k in extra if k in values}
     try:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from belief_consensus.core import RoundColumns, modal_code, tally
-from belief_consensus.pcg64 import _POOL_SIZE, _TWO_POW_M53, _U11, _pcg64_raw, _uint32_words
+from belief_consensus.pcg64 import _POOL_SIZE, _doubles, _pcg64_raw, _uint32_words
 
 _TOKEN_CLEAN = re.compile(r"[^\w\s]+")
 
@@ -121,7 +121,7 @@ def _restart_draws(seeds: Sequence[int], k: int) -> np.ndarray:
     entropy[:lengths[0]] = np.array(words, np.uint32).T[:, :, None]
     entropy[rows] = np.arange(KMEANS_N_INIT)
     raw = _pcg64_raw(entropy.reshape(rows + 1, -1), k)
-    return ((raw >> _U11) * _TWO_POW_M53).reshape(k, len(seeds), KMEANS_N_INIT)
+    return _doubles(raw).reshape(k, len(seeds), KMEANS_N_INIT)
 
 
 def _seed_centroids(distinct: np.ndarray, counts: np.ndarray, draws: np.ndarray) -> tuple:

@@ -137,6 +137,11 @@ def _state_words(words: np.ndarray) -> np.ndarray:
     return _hashmix(pool, (_STATE_XOR, _STATE_MUL)).reshape(2 * _POOL_SIZE, m)
 
 
+def _doubles(raw: np.ndarray) -> np.ndarray:
+    """`Generator.random()`'s doubles in [0, 1): each raw output's top 53 bits by 2**-53."""
+    return (raw >> _U11) * _TWO_POW_M53
+
+
 def _pcg64_raw(words: np.ndarray, k: int) -> np.ndarray:
     """The first k raw outputs of `PCG64(SeedSequence(words[:, j]))` for each j.
 

@@ -44,7 +44,7 @@ from belief_consensus.dynamics import (  # noqa: F401
     step_leader_follow,
     step_supportive,
 )
-from belief_consensus.pcg64 import _TWO_POW_M53, _U11, _pcg64_raw, _uint32_words
+from belief_consensus.pcg64 import _doubles, _pcg64_raw, _uint32_words
 
 IDENTITY_RTOL = 1e-12
 
@@ -112,7 +112,7 @@ def uniform_draws(master_seed: int, key: int, seeds: int, *bounds) -> list[np.nd
     words = np.repeat(words[:, None], seeds, axis=1)
     words[-1] = np.arange(seeds)
     sizes = [size for _, _, size in bounds]
-    unit = (_pcg64_raw(words, sum(sizes)) >> _U11) * _TWO_POW_M53
+    unit = _doubles(_pcg64_raw(words, sum(sizes)))
     parts = np.split(unit.T, np.cumsum(sizes)[:-1], axis=1)
     return [low + (high - low) * u for (low, high, _), u in zip(bounds, parts)]
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import socket
 from pathlib import Path
 
@@ -567,6 +568,75 @@ class TestConfigFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {message}")
         assert not (tmp_path / "out").exists() and not (tmp_path / "sim").exists()
+
+
+class TestPaths:
+    """A path the config file gives is relative to the file's directory, one a
+    flag gives to the working directory. The config sits in conf/, the command
+    runs in work/, and both hold data/corpus.json, so only where the outputs
+    land and the dataset echoed tell the two bases apart."""
+
+    CONFIG = "../conf/config.yaml"
+
+    @pytest.fixture
+    def dirs(self, tmp_path, corpus_path, monkeypatch):
+        conf, work = tmp_path / "conf", tmp_path / "work"
+        for d in (conf, work):
+            (d / "data").mkdir(parents=True)
+            shutil.copy(corpus_path, d / "data" / "corpus.json")
+        monkeypatch.chdir(work)
+        return conf, work
+
+    def _write(self, conf, run, simulate):
+        payload = {"run": {"n": 7, "max_rounds": 1, **run}, "backend": {"kind": "scripted"},
+                   "simulate": {"n_min": 3, "n_max": 3, "seeds": 1, "modes": ["supportive"],
+                                **simulate}}
+        (conf / "config.yaml").write_text(yaml.safe_dump(payload))
+
+    @pytest.mark.parametrize("where", ["file-relative", "flag-relative", "file-absolute"])
+    def test_paths_resolve_against_the_config_or_working_directory(self, tmp_path, corpus_path,
+                                                                    dirs, where):
+        conf, work = dirs
+        run_flags, sim_flags = [], []
+        if where == "file-relative":
+            self._write(conf, {"dataset": "data/corpus.json", "out": "out"}, {"out": "sim"})
+            dataset, out, sim_out = "../conf/data/corpus.json", conf / "out", conf / "sim"
+        elif where == "flag-relative":
+            self._write(conf, {"dataset": "nope.json", "out": "nope"}, {"out": "nope-sim"})
+            run_flags = ["--dataset", "data/corpus.json", "--out", "out"]
+            sim_flags = ["--out", "sim"]
+            dataset, out, sim_out = "data/corpus.json", work / "out", work / "sim"
+        else:
+            out, sim_out = tmp_path / "abs-out", tmp_path / "abs-sim"
+            self._write(conf, {"dataset": str(corpus_path), "out": str(out)},
+                        {"out": str(sim_out)})
+            dataset = str(corpus_path)
+        assert main(["run", "--config", self.CONFIG, *run_flags]) == 0
+        assert main(["simulate", "--config", self.CONFIG, *sim_flags]) == 0
+        assert list(tmp_path.rglob("results.jsonl")) == [out / "results.jsonl"]
+        assert list(tmp_path.rglob("properties.txt")) == [sim_out / "properties.txt"]
+        assert read_results(out)[0]["dataset"] == dataset
+
+    @pytest.mark.parametrize("command, flags, section, message", [
+        ("run", ["--out", ""], {}, "--out is an empty path"),
+        ("run", ["--dataset", ""], {}, "--dataset is an empty path"),
+        ("run", [], {"run": {"out": ""}}, "run.out is an empty path"),
+        ("run", [], {"run": {"dataset": ""}}, "run.dataset is an empty path"),
+        ("simulate", ["--out", ""], {}, "--out is an empty path"),
+        ("simulate", [], {"simulate": {"out": ""}}, "simulate.out is an empty path"),
+    ], ids=["run-out-flag", "run-dataset-flag", "run-out-file", "run-dataset-file",
+            "simulate-out-flag", "simulate-out-file"])
+    def test_empty_path_exits_1_and_writes_nothing(self, tmp_path, dirs, capsys, command, flags,
+                                                   section, message):
+        # run --out '' once wrote into the working directory, simulate --out ''
+        # fell back to the config's out, and run --dataset '' read '.' (exit 2)
+        conf, _ = dirs
+        self._write(conf, {"dataset": "data/corpus.json", "out": "out", **section.get("run", {})},
+                    {"out": "sim", **section.get("simulate", {})})
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", self.CONFIG, *flags]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestCmdMetrics:

@@ -21,10 +21,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import yaml
@@ -32,7 +31,7 @@ import yaml
 from belief_consensus import verification
 from belief_consensus.agents import BACKEND_KINDS, BackendConfig, make_backend
 from belief_consensus.core import RunConfig, ScenarioCase, scenarios_from_json
-from belief_consensus.dynamics import DynamicsTopology, run_dynamics, trace_to_csv
+from belief_consensus.dynamics import run_dynamics, trace_to_csv
 from belief_consensus.metrics import (
     compute_metrics,
     format_metrics,
@@ -46,6 +45,7 @@ from belief_consensus.orchestrator import (
     run_case,
     write_results_jsonl,
 )
+from belief_consensus.verification import CHECKS, SimulateConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -54,24 +54,6 @@ EXIT_CASES_FAILED = 3
 
 
 TOP_LEVEL_KEYS = ("run", "backend", "backends", "sweep", "simulate")
-# Each `simulate` mode: its property check, called with the `simulate:` config,
-# and the topology of its trace files at n agents (None: no trace). A check is
-# looked up on `verification` when it runs, where bench/tracer.py wraps it.
-SIMULATE_CHECKS = {
-    "supportive": (lambda sim: verification.verify_supportive_convergence(
-        n_values=tuple(range(sim.n_min, sim.n_max + 1)), seeds=sim.seeds, tol=sim.tol,
-        max_steps=sim.max_steps, master_seed=sim.master_seed), DynamicsTopology.all_pairs),
-    "conflicting": (lambda sim: verification.verify_conflict_instability(
-        seeds=sim.seeds, master_seed=sim.master_seed), DynamicsTopology.mutual_conflict_pairs),
-    # the leader check is supportive averaging on the leader sets
-    "leader": (lambda sim: verification.verify_leader_convergence(
-        seeds=sim.seeds, tol=sim.tol, max_steps=sim.max_steps, master_seed=sim.master_seed),
-        lambda n: DynamicsTopology.with_leaders(n, (0,) if n < 3 else (0, 1))),
-    "speedup": (lambda sim: verification.verify_belief_speedup(
-        seeds=sim.seeds, tol=sim.tol, max_steps=sim.max_steps,
-        required_pass=max(1, int(0.95 * sim.seeds)), master_seed=sim.master_seed), None),
-}
-SIMULATE_MODES = tuple(SIMULATE_CHECKS)
 _KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string",
                "path": "a string"}
 
@@ -82,38 +64,6 @@ class ConfigError(ValueError):
 
 class DatasetError(Exception):
     """An input file that cannot be read or holds malformed data."""
-
-
-@dataclass(frozen=True)
-class SimulateConfig:
-    """The `simulate:` section: agent counts, seeds and checks of the property
-    suite, its step limits, and the traces it writes per check."""
-
-    n_min: int = 3
-    n_max: int = 10
-    seeds: int = 100
-    modes: list[str] = field(default_factory=lambda: list(SIMULATE_MODES))
-    tol: float = 1e-9
-    max_steps: int = 10_000
-    master_seed: int = 0
-    trace_seeds: int = 1
-
-    def __post_init__(self):
-        if self.seeds < 1:
-            raise ConfigError("seed count must be at least 1")
-        if self.n_min < 2 or self.n_max < self.n_min:
-            raise ConfigError(f"invalid agent range [{self.n_min}, {self.n_max}]")
-        bad = [m for m in self.modes if m not in SIMULATE_MODES]
-        if bad:
-            raise ConfigError(f"unknown simulate modes: {bad}")
-        if len(set(self.modes)) != len(self.modes):
-            raise ConfigError(f"simulate.modes lists a mode twice: {self.modes}")
-        if self.trace_seeds < 0:
-            raise ConfigError(f"simulate.trace_seeds must be nonnegative, got {self.trace_seeds}")
-        if self.master_seed < 0:
-            raise ConfigError(f"simulate.master_seed must be nonnegative, got {self.master_seed}")
-        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_steps < 1:
-            raise ConfigError("tol must be finite and positive and max_steps at least 1")
 
 
 def _load_config(path: str | None) -> tuple[dict, Path]:
@@ -188,8 +138,6 @@ def _read(cls, name: str, section, args=None, base: Path | None = None, **extra:
     rest = {k: values.pop(k) for k in extra if k in values}
     try:
         return cls(**values), rest
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"invalid {name} configuration: {exc}") from exc
 
@@ -347,23 +295,19 @@ def cmd_simulate(args) -> int:
         "n_range": [sim.n_min, sim.n_max], "seeds": sim.seeds, "modes": sim.modes,
         "tol": sim.tol, "max_steps": sim.max_steps, "master_seed": sim.master_seed,
     }, sort_keys=True) + "\n"
-    modes = [m for m in SIMULATE_MODES if m in sim.modes]
-    results = [SIMULATE_CHECKS[mode][0](sim) for mode in modes]
+    modes = [m for m in CHECKS if m in sim.modes]
+    results = [getattr(verification, CHECKS[mode][0])(sim) for mode in modes]
 
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
-    # the supportive check's initial states at n_min
     n_min = sim.n_min
-    initial = verification.uniform_draws(sim.master_seed, n_min, sim.trace_seeds,
-                                         (-1.0, 1.0, n_min), (0.0, 1.0, n_min))
-    for mode in modes:
-        trace_topology = SIMULATE_CHECKS[mode][1]
-        if trace_topology is None:
-            continue
-        topo = trace_topology(n_min)
+    initial = verification.supportive_states(sim.master_seed, n_min, sim.trace_seeds)
+    for mode in [m for m in modes if CHECKS[m][1] is not None]:
+        topo = CHECKS[mode][1](n_min)
         step_mode = "conflicting" if mode == "conflicting" else "supportive"
-        for s, state in enumerate(zip(*initial)):  # (opinions, beliefs) of seed s
-            trace = run_dynamics(state, topo, step_mode, tol=sim.tol, max_steps=sim.max_steps)[1]
+        for s in range(sim.trace_seeds):
+            trace = run_dynamics(initial[:, s], topo, step_mode, tol=sim.tol,
+                                 max_steps=sim.max_steps)[1]
             with open(traces_dir / f"{mode}_n{n_min}_seed{s}.csv", "w", newline="") as fh:
                 fh.write(echo)
                 trace_to_csv(trace, topo, fh)

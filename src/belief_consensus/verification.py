@@ -11,20 +11,23 @@ states come from one PCG64 pass per batch (`uniform_draws`). The identity
 comparison is relative to the squared magnitude of the state, which is the
 scale floating point can actually support.
 
-These functions are the oracle behind the acceptance suite, and the
-`simulate` CLI command runs them.
+Every check reads the one `SimulateConfig`, and `CHECKS` names each `simulate`
+mode's check and trace topology: a new check is one function of the config and
+one `CHECKS` row. The acceptance suite and the `simulate` command run them.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from belief_consensus.dynamics import (
+    DEFAULT_MAX_STEPS,
+    DEFAULT_TOL,
     DynamicsTopology,
     REASON_DIVERGENCE,
     averaging_increments,
@@ -47,6 +50,50 @@ from belief_consensus.dynamics import (  # noqa: F401
 from belief_consensus.pcg64 import _doubles, _pcg64_raw, _uint32_words
 
 IDENTITY_RTOL = 1e-12
+
+# Each `simulate` mode: the name of its check here, and the topology of its
+# trace files at n agents (None: no trace). `simulate` looks the check up when
+# it runs, where bench/tracer.py wraps it.
+CHECKS = {
+    "supportive": ("verify_supportive_convergence", DynamicsTopology.all_pairs),
+    "conflicting": ("verify_conflict_instability", DynamicsTopology.mutual_conflict_pairs),
+    # the leader check is supportive averaging on the leader sets
+    "leader": ("verify_leader_convergence",
+               lambda n: DynamicsTopology.with_leaders(n, (0,) if n < 3 else (0, 1))),
+    "speedup": ("verify_belief_speedup", None),
+}
+
+
+@dataclass(frozen=True)
+class SimulateConfig:
+    """The `simulate:` section: agent counts, seeds and checks of the property
+    suite, its step limits, and the traces it writes per check."""
+
+    n_min: int = 3
+    n_max: int = 10
+    seeds: int = 100
+    modes: list[str] = field(default_factory=lambda: list(CHECKS))
+    tol: float = DEFAULT_TOL
+    max_steps: int = DEFAULT_MAX_STEPS
+    master_seed: int = 0
+    trace_seeds: int = 1
+
+    def __post_init__(self):
+        if self.seeds < 1:
+            raise ValueError("seed count must be at least 1")
+        if self.n_min < 2 or self.n_max < self.n_min:
+            raise ValueError(f"invalid agent range [{self.n_min}, {self.n_max}]")
+        bad = [m for m in self.modes if m not in CHECKS]
+        if bad:
+            raise ValueError(f"unknown modes: {bad}")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"modes lists a mode twice: {self.modes}")
+        if self.trace_seeds < 0:
+            raise ValueError(f"trace_seeds must be nonnegative, got {self.trace_seeds}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
+        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_steps < 1:
+            raise ValueError("tol must be finite and positive and max_steps at least 1")
 
 
 @dataclass
@@ -117,15 +164,20 @@ def uniform_draws(master_seed: int, key: int, seeds: int, *bounds) -> list[np.nd
     return [low + (high - low) * u for (low, high, _), u in zip(bounds, parts)]
 
 
-def verify_supportive_convergence(
-    n_values: Sequence[int] = tuple(range(3, 11)),
-    seeds: int = 100,
-    tol: float = 1e-9,
-    max_steps: int = 10_000,
-    identity_steps: int = 50,
-    master_seed: int = 0,
-) -> PropertyResult:
-    """All-pairs supportive collaboration at step size 2/n.
+def supportive_states(master_seed: int, n: int, seeds: int) -> np.ndarray:
+    """The supportive check's initial (opinions, beliefs) at n agents, as one
+    (2, seeds, n) stack."""
+    return np.stack(uniform_draws(master_seed, n, seeds, (-1.0, 1.0, n), (0.0, 1.0, n)))
+
+
+def required_pairs(seeds: int) -> int:
+    """Pairs of the speedup check's `seeds` that must pass: 95%, at least one."""
+    return max(1, int(0.95 * seeds))
+
+
+def verify_supportive_convergence(sim: SimulateConfig = SimulateConfig()) -> PropertyResult:
+    """All-pairs supportive collaboration at step size 2/n, n from `n_min` to
+    `n_max`; reads `seeds`, `tol`, `max_steps` and `master_seed` too.
 
     Verifies the squared-distance increment identity and its nonpositive sign
     at every checked step, and that every trajectory's verdict is converged.
@@ -139,7 +191,7 @@ def verify_supportive_convergence(
     """
     t0 = time.perf_counter()
     outcomes = []
-    for n in n_values:
+    for n in range(sim.n_min, sim.n_max + 1):
         topo = DynamicsTopology.all_pairs(n)
         a = topo.adjacency
         gamma = np.array(topo.step_sizes())[:, None, None]
@@ -161,12 +213,12 @@ def verify_supportive_convergence(
                 (~grew, "distance grew"),
             )
 
-        state = np.stack(uniform_draws(master_seed, n, seeds, (-1.0, 1.0, n), (0.0, 1.0, n)))
-        checks, first, _ = run_rows(state, identity_steps, identity_step,
-                                    carry=(np.full((seeds, n), np.inf),))
+        state = supportive_states(sim.master_seed, n, sim.seeds)
+        checks, first, _ = run_rows(state, 50, identity_step,
+                                    carry=(np.full((sim.seeds, n), np.inf),))
         ok = np.array([f is None for f in first])
-        verdict = run_batch(state[:, ok], topo, "supportive", tol=tol, max_steps=max_steps)
-        gap = np.ptp(verdict.final[0], axis=1) >= tol
+        verdict = run_batch(state[:, ok], topo, "supportive", tol=sim.tol, max_steps=sim.max_steps)
+        gap = np.ptp(verdict.final[0], axis=1) >= sim.tol
         verdicts = iter(zip(verdict.reasons, verdict.converged, verdict.marginal, gap))
         for s, (c, f) in enumerate(zip(checks.tolist(), first)):
             if f is not None:
@@ -182,13 +234,9 @@ def verify_supportive_convergence(
                           failures, time.perf_counter() - t0)
 
 
-def verify_conflict_instability(
-    seeds: int = 100,
-    n_choices: Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
-    identity_steps: int = 30,
-    master_seed: int = 0,
-) -> PropertyResult:
-    """Mutual-conflict pairs with unequal beliefs must diverge in belief.
+def verify_conflict_instability(sim: SimulateConfig = SimulateConfig()) -> PropertyResult:
+    """Mutual-conflict pairs with unequal beliefs must diverge in belief; reads
+    `seeds` and `master_seed` alone (n, tol and the step budget are fixed).
 
     Checks the nonnegative belief increment identity and the nonpositive
     opinion increment identity at every step, and that the run is flagged
@@ -196,10 +244,11 @@ def verify_conflict_instability(
     as one batch.
     """
     t0 = time.perf_counter()
+    seeds = sim.seeds
     states = []
     for s in range(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, 17, s]))
-        n = int(rng.choice(n_choices))
+        rng = np.random.default_rng(np.random.SeedSequence([sim.master_seed, 17, s]))
+        n = int(rng.choice((2, 3, 4, 5, 6, 7, 8)))
         beliefs = rng.uniform(0.0, 1.0, n)
         for i in range(0, n - 1, 2):
             if abs(beliefs[i] - beliefs[i + 1]) < 1e-3:
@@ -227,7 +276,7 @@ def verify_conflict_instability(
 
         idx = [s for s, (op, _) in enumerate(states) if len(op) == n]
         state = np.stack([states[s] for s in idx], axis=1)  # (2, rows, n)
-        checks, first, _ = run_rows(state, identity_steps, identity_step)
+        checks, first, _ = run_rows(state, 30, identity_step)
         ok = np.array([f is None for f in first])
         verdict = run_batch(state[:, ok], topo, "conflicting", max_steps=500)
         verdicts = iter(zip(verdict.reasons, verdict.converged))
@@ -246,15 +295,10 @@ def verify_conflict_instability(
                           time.perf_counter() - t0)
 
 
-def verify_leader_convergence(
-    seeds: int = 100,
-    n: int = 7,
-    n_leaders: int = 2,
-    tol: float = 1e-9,
-    max_steps: int = 10_000,
-    master_seed: int = 0,
-) -> PropertyResult:
-    """Leader-following converges everyone to the leader average.
+def verify_leader_convergence(sim: SimulateConfig = SimulateConfig(),
+                              n_leaders: int = 2) -> PropertyResult:
+    """Leader-following converges all 7 agents to the leader average; reads
+    `seeds`, `tol`, `max_steps` and `master_seed`.
 
     The leader average is invariant under the update, so the final state is
     compared against the initial leader mean; the first-power distance
@@ -264,9 +308,10 @@ def verify_leader_convergence(
     converges or fails.
     """
     t0 = time.perf_counter()
+    seeds, n, tol, max_steps = sim.seeds, 7, sim.tol, sim.max_steps
     draws = []
     for s in range(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, 23, s]))
+        rng = np.random.default_rng(np.random.SeedSequence([sim.master_seed, 23, s]))
         leaders = tuple(sorted(rng.choice(n, size=n_leaders, replace=False).tolist()))
         opinions, beliefs = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n)
         targets = (float(np.mean(opinions[list(leaders)])), float(np.mean(beliefs[list(leaders)])))
@@ -297,33 +342,26 @@ def verify_leader_convergence(
                           time.perf_counter() - t0)
 
 
-def verify_belief_speedup(
-    seeds: int = 100,
-    n: int = 7,
-    n_leaders: int = 2,
-    tol: float = 1e-9,
-    max_steps: int = 10_000,
-    required_pass: int = 95,
-    master_seed: int = 0,
-) -> PropertyResult:
-    """Higher-belief leaders move follower beliefs at least as fast.
+def verify_belief_speedup(sim: SimulateConfig = SimulateConfig()) -> PropertyResult:
+    """Higher-belief leaders (2 of 7 agents) move follower beliefs at least as
+    fast; reads `seeds`, `tol`, `max_steps` and `master_seed`.
 
     Paired trials share followers and opinions; the high trial lifts every
     leader belief by the same positive boost. Per-step follower increments
     must dominate pointwise, and steps to belief-spread tolerance must not
-    exceed the low trial's in at least `required_pass` of the pairs (the
-    contraction rate is structural, so ties are the expected outcome).
+    exceed the low trial's in at least `required_pairs(seeds)` of the pairs
+    (the contraction rate is structural, so ties are the expected outcome).
     The trials step as one (2 trials, seeds, n) stack.
     """
     t0 = time.perf_counter()
-    leaders = tuple(range(n - n_leaders, n))
-    followers = list(range(n - n_leaders))
+    seeds, n = sim.seeds, 7
+    leaders, followers = (5, 6), list(range(5))
     topo = DynamicsTopology.with_leaders(n, leaders)
     a = topo.adjacency
     _, beta = topo.step_sizes()
 
-    follower_b, low_lead, boost = uniform_draws(master_seed, 29, seeds, (0.05, 0.35, n - n_leaders),
-                                                (0.55, 0.70, n_leaders), (0.002, 0.010, 1))
+    follower_b, low_lead, boost = uniform_draws(sim.master_seed, 29, seeds, (0.05, 0.35, 5),
+                                                (0.55, 0.70, 2), (0.002, 0.010, 1))
     trials = np.stack([np.hstack([follower_b, low_lead]),
                        np.hstack([follower_b, low_lead + boost])])
 
@@ -337,15 +375,15 @@ def verify_belief_speedup(
         return laplacian_step(state, a, beta)[0], carry, ()
 
     # per-step dominance; a pair leaves once both trials are within tol
-    done = functools.partial(within_tol, tol=tol)
+    done = functools.partial(within_tol, tol=sim.tol)
     checks, first, _ = run_rows(trials, 200, dominance_step, done)
     failures_by_seed = [None if f is None else f"{f[1]} at seed={s}" for s, f in enumerate(first)]
     # steps to belief-spread tolerance of every trial, low trials first
-    steps = run_rows(trials.reshape(1, 2 * seeds, n), max_steps + 1, belief_step, done)[0]
+    steps = run_rows(trials.reshape(1, 2 * seeds, n), sim.max_steps + 1, belief_step, done)[0]
     checks_sum, walked, failures = _walk(list(zip(checks.tolist(), failures_by_seed)))
     pair_passed = (steps[seeds:] <= steps[:seeds]) & np.equal(failures_by_seed, None)
     passed_pairs = int(pair_passed[:walked].sum())
-    if not failures and passed_pairs < required_pass:
+    if not failures and passed_pairs < required_pairs(seeds):
         failures.append(f"only {passed_pairs}/{seeds} paired seeds satisfied the step comparison")
     return PropertyResult(f"belief speedup (higher-belief leaders, {passed_pairs}/{seeds} pairs)",
                           2 * seeds, checks_sum, failures, time.perf_counter() - t0)

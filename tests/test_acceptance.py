@@ -20,6 +20,7 @@ from belief_consensus.judgment import judge_byzantine, judge_consensus
 from belief_consensus.metrics import MetricsRow, compute_metrics
 from belief_consensus.orchestrator import run_case
 from belief_consensus.verification import (
+    SimulateConfig,
     verify_belief_speedup,
     verify_conflict_instability,
     verify_leader_convergence,
@@ -40,7 +41,7 @@ class TestConvergenceProperties:
     def test_supportive_convergence(self):
         t0 = time.perf_counter()
         result = verify_supportive_convergence(
-            n_values=tuple(range(3, 11)), seeds=100, tol=1e-9, max_steps=10_000
+            SimulateConfig(n_min=3, n_max=10, seeds=100, tol=1e-9, max_steps=10_000)
         )
         elapsed = time.perf_counter() - t0
         report(
@@ -52,7 +53,7 @@ class TestConvergenceProperties:
 
     def test_conflict_instability(self):
         t0 = time.perf_counter()
-        result = verify_conflict_instability(seeds=100)
+        result = verify_conflict_instability(SimulateConfig(seeds=100))
         elapsed = time.perf_counter() - t0
         report(
             "conflicting-collaboration belief divergence",
@@ -62,7 +63,7 @@ class TestConvergenceProperties:
         )
 
     def test_leader_convergence(self):
-        result = verify_leader_convergence(seeds=100, n=7, n_leaders=2, tol=1e-9)
+        result = verify_leader_convergence(SimulateConfig(seeds=100, tol=1e-9), n_leaders=2)
         report(
             "leader-following convergence",
             result.passed,
@@ -71,7 +72,7 @@ class TestConvergenceProperties:
         )
 
     def test_belief_speedup(self):
-        result = verify_belief_speedup(seeds=100, required_pass=95)
+        result = verify_belief_speedup(SimulateConfig(seeds=100))  # 95 pairs must pass
         pairs = result.name.split("(", 1)[-1].rstrip(")")
         report(
             "higher-belief leader speedup",

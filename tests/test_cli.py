@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from belief_consensus import verification
+from belief_consensus import cli, verification
 from belief_consensus.agents import BackendConfig
 from belief_consensus.cli import _build_backends, main
 from belief_consensus.core import RunConfig
@@ -458,8 +458,9 @@ class TestCmdSimulate:
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("section, message", [
-        ({"trace_seeds": -1}, "simulate.trace_seeds must be nonnegative"),
-        ({"modes": ["supportive", "supportive"]}, "simulate.modes lists a mode twice"),
+        ({"trace_seeds": -1}, "invalid simulate configuration: trace_seeds must be nonnegative"),
+        ({"modes": ["supportive", "supportive"]},
+         "invalid simulate configuration: modes lists a mode twice"),
     ], ids=["negative-trace-seeds", "repeated-mode"])
     def test_negative_trace_seeds_or_repeated_mode_exits_1(self, tmp_path, capsys, section,
                                                             message):
@@ -481,7 +482,8 @@ class TestCmdSimulate:
         cfg = self._config(tmp_path, master_seed=-1)
         assert main(["simulate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err == "config error: simulate.master_seed must be nonnegative, got -1\n"
+        assert err == ("config error: invalid simulate configuration: "
+                       "master_seed must be nonnegative, got -1\n")
         assert not (tmp_path / "sim").exists()
 
     def test_supportive_trace_matches_hand_iteration(self, tmp_path):
@@ -504,18 +506,31 @@ class TestCmdSimulate:
         assert lines[1].startswith("PASS belief speedup")
 
     def test_check_is_looked_up_when_it_runs(self, tmp_path, monkeypatch):
-        # the benchmark's tracer times a check by wrapping its name on `verification`
-        calls = []
-        original = verification.verify_leader_convergence
+        # the benchmark's tracer times a check by wrapping its name on
+        # `verification`; every check reads the one config `_read` built
+        built, calls = [], []
+        read = cli._read
 
-        def traced(*args, **kwargs):
-            calls.append(kwargs)
-            return original(*args, **kwargs)
+        def recording_read(cls, *args, **kwargs):
+            result = read(cls, *args, **kwargs)
+            if cls is verification.SimulateConfig:
+                built.append(result[0])
+            return result
 
-        monkeypatch.setattr(verification, "verify_leader_convergence", traced)
-        cfg = self._config(tmp_path, modes=["leader"], seeds=2)
+        def traced(name, original):
+            def check(sim, **kwargs):
+                calls.append((name, sim))
+                return original(sim, **kwargs)
+            return check
+
+        monkeypatch.setattr(cli, "_read", recording_read)
+        for name, _ in verification.CHECKS.values():
+            monkeypatch.setattr(verification, name, traced(name, getattr(verification, name)))
+        cfg = self._config(tmp_path, seeds=2)
         assert main(["simulate", "--config", str(cfg)]) == 0
-        assert [c["seeds"] for c in calls] == [2]
+        assert len(built) == 1 and built[0].seeds == 2
+        assert [name for name, _ in calls] == [name for name, _ in verification.CHECKS.values()]
+        assert all(sim is built[0] for _, sim in calls)
 
 
 class TestConfigFiles:

@@ -16,6 +16,7 @@ from belief_consensus.dynamics import (
     step_supportive,
 )
 from belief_consensus.verification import (
+    SimulateConfig,
     verify_belief_speedup,
     verify_conflict_instability,
     verify_leader_convergence,
@@ -147,19 +148,19 @@ def test_leader_increments_nonpositive(n, n_leaders, seed):
 
 class TestPropertySuiteSmoke:
     def test_supportive(self):
-        result = verify_supportive_convergence(n_values=(3, 5, 7), seeds=10)
+        result = verify_supportive_convergence(SimulateConfig(n_min=3, n_max=7, seeds=10))
         assert result.passed, result.failures
 
     def test_conflict(self):
-        result = verify_conflict_instability(seeds=15)
+        result = verify_conflict_instability(SimulateConfig(seeds=15))
         assert result.passed, result.failures
 
     def test_leader(self):
-        result = verify_leader_convergence(seeds=15)
+        result = verify_leader_convergence(SimulateConfig(seeds=15))
         assert result.passed, result.failures
 
     def test_speedup(self):
-        result = verify_belief_speedup(seeds=20, required_pass=19)
+        result = verify_belief_speedup(SimulateConfig(seeds=20))  # 19 pairs must pass
         assert result.passed, result.failures
 
 

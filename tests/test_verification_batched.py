@@ -150,7 +150,8 @@ def _only(pick, sizes):
     return lambda topo: sizes(topo) if pick(topo) else (2.0 / topo.n,) * 2
 
 
-# name -> (check, keyword arguments, patched DynamicsTopology.step_sizes)
+# name -> (check, settings, patched DynamicsTopology.step_sizes); the settings
+# are `SimulateConfig` keys, and `n_leaders` for the leader check
 FAULTS = {
     # the marginal tie, whose rows stop at step 2 in run_batch
     "supportive-2/n": ("verify_supportive_convergence", {"seeds": 20}, DynamicsTopology.step_sizes),
@@ -204,20 +205,43 @@ FAULTS = {
     "speedup-1/n": ("verify_belief_speedup", {}, lambda t: (1.0 / t.n,) * 2),
     "speedup-0.8": ("verify_belief_speedup", {}, lambda t: (0.8, 0.8)),
     "speedup-overflow": (
-        "verify_belief_speedup", {"seeds": 10, "max_steps": 300, "required_pass": 9},
+        "verify_belief_speedup", {"seeds": 10, "max_steps": 300},
         lambda t: (1e150, 1e150)),
 }
+
+
+def oracle_keywords(check: str, sim: verification.SimulateConfig) -> dict:
+    """The keyword arguments by which the oracle's form of `check` reads `sim`."""
+    common = {"seeds": sim.seeds, "master_seed": sim.master_seed}
+    steps = {**common, "tol": sim.tol, "max_steps": sim.max_steps}
+    return {
+        "verify_supportive_convergence": {**steps, "n_values": range(sim.n_min, sim.n_max + 1)},
+        "verify_conflict_instability": common,
+        "verify_leader_convergence": steps,
+        "verify_belief_speedup": {**steps, "required_pass": verification.required_pairs(sim.seeds)},
+    }[check]
+
+
+def run_fault(monkeypatch, fault, form=verification):
+    """The check of `fault` under its step sizes, in `form` (`verification` or
+    the oracle), with the fault's settings."""
+    check, settings, sizes = FAULTS[fault]
+    monkeypatch.setattr(DynamicsTopology, "step_sizes", sizes)
+    settings = dict(settings)
+    extra = {"n_leaders": settings.pop("n_leaders")} if "n_leaders" in settings else {}
+    sim = verification.SimulateConfig(**settings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow faults
+        if form is verification:
+            return getattr(verification, check)(sim, **extra)
+        return getattr(oracle, check)(**oracle_keywords(check, sim), **extra)
 
 
 class TestBatchedChecksOracle:
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_same_result_as_seed_by_seed(self, monkeypatch, fault):
-        check, kwargs, sizes = FAULTS[fault]
-        monkeypatch.setattr(DynamicsTopology, "step_sizes", sizes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow faults
-            got = getattr(verification, check)(**kwargs)
-            want = getattr(oracle, check)(**kwargs)
+        got = run_fault(monkeypatch, fault)
+        want = run_fault(monkeypatch, fault, oracle)
         assert (got.name, got.passed, got.trajectories, got.checks, got.failures) == (
             want.name, want.passed, want.trajectories, want.checks, want.failures
         )
@@ -227,18 +251,12 @@ class TestBatchedChecksOracle:
                                        "leader-0.9-set025-only"])
     def test_fault_first_hits_a_later_seed(self, monkeypatch, fault):
         # so the walk over batches in seed order is exercised
-        check, kwargs, sizes = FAULTS[fault]
-        monkeypatch.setattr(DynamicsTopology, "step_sizes", sizes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = getattr(verification, check)(**kwargs)
+        result = run_fault(monkeypatch, fault)
         assert int(re.search(r"seed=(\d+)", result.failures[0]).group(1)) > 0
 
     def test_supportive_fault_first_hits_a_later_n(self, monkeypatch):
         # the walk crosses three whole n batches before the failing one
-        check, kwargs, sizes = FAULTS["supportive-overshoot-n6-only"]
-        monkeypatch.setattr(DynamicsTopology, "step_sizes", sizes)
-        result = getattr(verification, check)(**kwargs)
+        result = run_fault(monkeypatch, "supportive-overshoot-n6-only")
         assert (result.trajectories, result.checks) == (301, 3 * 100 * 50 + 2)
         assert result.failures == ["distance grew at n=6 seed=0 step=1"]
 
@@ -249,11 +267,7 @@ class TestBatchedChecksOracle:
     def test_nan_increments_fail_the_first_step(self, monkeypatch, fault, failure):
         # only agents with no collaborators may have NaN increments; these
         # faults once passed every step check and ran out their step budget
-        check, kwargs, sizes = FAULTS[fault]
-        monkeypatch.setattr(DynamicsTopology, "step_sizes", sizes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = getattr(verification, check)(**kwargs)
+        result = run_fault(monkeypatch, fault)
         assert (result.checks, result.failures) == (1, [failure])
 
     def test_unpatched_counts(self):
@@ -262,6 +276,11 @@ class TestBatchedChecksOracle:
                 verification.verify_conflict_instability().checks,
                 verification.verify_leader_convergence().checks,
                 verification.verify_belief_speedup().checks) == (40000, 3000, 2539, 2400)
+
+    @pytest.mark.parametrize("seeds, pairs", [(1, 1), (10, 9), (20, 19), (100, 95)])
+    def test_speedup_threshold(self, seeds, pairs):
+        # 95% of the pairs, at least one
+        assert verification.required_pairs(seeds) == pairs
 
 
 class TestUniformDraws:

@@ -8,11 +8,14 @@ Configuration is a YAML file whose sections' keys are the fields of config
 dataclasses; each command checks every section, an unknown key in any is an
 error, and a flag overrides the key it is named after. A path is relative to
 the config's directory when the file gives it, to the working directory when
-a flag does; an empty one is an error. The effective configuration heads
-every output file. Exit codes: 0 success, 1 a `ConfigError` or a failed
-dynamics property, 2 a `DatasetError` (unreadable dataset or results file),
-3 a run in which one or more cases raised (the other cases' outputs are
-written, and each failed case is a `{"case_id", "error"}` row of results.jsonl).
+a flag does; an empty one is an error. `simulate` runs the checks of
+`verification.CHECKS` on the one `SimulateConfig` its section builds. Each
+command makes its output directories before any work; the effective
+configuration heads every output file. Exit codes: 0 success, 1 a
+`ConfigError` or a failed dynamics property, 2 a `DatasetError` (unreadable
+dataset or results file), 3 a run in which one or more cases raised (the
+other cases' outputs are written, and each failed case is a
+`{"case_id", "error"}` row of results.jsonl).
 `main` alone prints the two errors and maps them to their codes.
 """
 
@@ -118,6 +121,22 @@ def _typed_section(name: str, section, kinds: dict[str, str]) -> dict:
     return {k: _typed(f"{name}.{k}", kind, section[k]) for k, kind in kinds.items() if k in section}
 
 
+def _path(value: str, where: str, base: Path = Path()) -> Path:
+    """`value` as a path relative to `base`; `where` names it if it is empty."""
+    if not value:
+        raise ConfigError(f"{where} is an empty path")
+    return base / value
+
+
+def _make_dirs(*dirs: Path):
+    """Make output directories before any work; one that cannot be is a config error."""
+    for d in dirs:
+        try:
+            d.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {d}: {exc.strerror}") from exc
+
+
 def _read(cls, name: str, section, args=None, base: Path | None = None, **extra: str):
     """Config dataclass `cls` from section `name`, and the section's `extra`
     keys (name=type) apart. The other keys are `cls`'s fields, with their
@@ -131,10 +150,8 @@ def _read(cls, name: str, section, args=None, base: Path | None = None, **extra:
         if flag is not None:
             values[key] = flag
         if kind == "path" and key in values:
-            if not values[key]:
-                where = f"--{key}" if flag is not None else f"{name}.{key}"
-                raise ConfigError(f"{where} is an empty path")
-            values[key] = Path(flag) if flag is not None else base / values[key]
+            values[key] = (_path(flag, f"--{key}") if flag is not None
+                           else _path(values[key], f"{name}.{key}", base))
     rest = {k: values.pop(k) for k in extra if k in values}
     try:
         return cls(**values), rest
@@ -158,6 +175,10 @@ def _sweep(cfg: RunConfig, section) -> list[tuple[str, RunConfig]]:
     return settings
 
 
+def _numbered_ids(n: int) -> list[str]:  # the agents that no script names
+    return [f"agent-{i + 1}" for i in range(n)]
+
+
 def _agent_ids(case: ScenarioCase, cfg: RunConfig, backend_cfg: BackendConfig) -> list[str]:
     if backend_cfg.kind == "scripted":
         if not case.scripts:
@@ -168,7 +189,7 @@ def _agent_ids(case: ScenarioCase, cfg: RunConfig, backend_cfg: BackendConfig) -
                 f"case {case.case_id!r} scripts {len(ids)} agents but config says n={cfg.n}"
             )
         return ids
-    return [f"agent-{i + 1}" for i in range(cfg.n)]
+    return _numbered_ids(cfg.n)
 
 
 def _build_backends(ids, backend_cfg: BackendConfig, per_agent: dict, cfg: RunConfig):
@@ -197,12 +218,10 @@ def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: d
     reports = [o for o in outcomes if isinstance(o, RunReport)]
     errors = [o for o in outcomes if isinstance(o, CaseFailure)]
 
-    traces_dir = out_dir / "traces"
-    traces_dir.mkdir(parents=True, exist_ok=True)
     echo = f"config: {json.dumps(effective, sort_keys=True)}"
     with open(out_dir / "results.jsonl", "w", encoding="utf-8") as fh:
         write_results_jsonl(outcomes, fh, header=effective)
-    with open(traces_dir / "rounds.csv", "w", encoding="utf-8", newline="") as fh:
+    with open(out_dir / "traces" / "rounds.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {echo}\n")
         rounds_to_csv(reports, fh)
     summary = None
@@ -264,10 +283,11 @@ def cmd_run(args) -> int:
     if backend_cfg.kind == "scripted":
         run_ids = {agent_id for case in cases for agent_id in case.scripts or ()}
     else:
-        run_ids = {f"agent-{i + 1}" for i in range(max(c.n for _, c in settings))}
+        run_ids = set(_numbered_ids(max(c.n for _, c in settings)))
     unknown = sorted(set(per_agent) - run_ids)
     if unknown:
         raise ConfigError(f"backends name no agent of the run: {unknown}")
+    _make_dirs(*(run["out"] / label / "traces" for label, _ in settings))
 
     labeled = []
     failed = 0
@@ -282,7 +302,7 @@ def cmd_run(args) -> int:
         failed += n_failed
         if label and summary is not None:
             labeled.append((label, summary))
-    if labeled:  # each setting's run made the out directory
+    if labeled:
         with open(run["out"] / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
             metrics_to_csv(labeled, fh, header_comment=f"sweep over {len(labeled)} settings")
         print(format_metrics(labeled))
@@ -295,11 +315,11 @@ def cmd_simulate(args) -> int:
         "n_range": [sim.n_min, sim.n_max], "seeds": sim.seeds, "modes": sim.modes,
         "tol": sim.tol, "max_steps": sim.max_steps, "master_seed": sim.master_seed,
     }, sort_keys=True) + "\n"
+    traces_dir = out_dir / "traces"
+    _make_dirs(traces_dir)
     modes = [m for m in CHECKS if m in sim.modes]
     results = [getattr(verification, CHECKS[mode][0])(sim) for mode in modes]
 
-    traces_dir = out_dir / "traces"
-    traces_dir.mkdir(parents=True, exist_ok=True)
     n_min = sim.n_min
     initial = verification.supportive_states(sim.master_seed, n_min, sim.trace_seeds)
     for mode in [m for m in modes if CHECKS[m][1] is not None]:
@@ -332,6 +352,9 @@ def cmd_metrics(args) -> int:
     agents = args.agents  # the flag's text: only decimal digits make an int
     if agents is not None:
         agents = _positive_int(int(agents) if agents.isdecimal() else agents, "--agents")
+    out_dir = None if args.out is None else _path(args.out, "--out")
+    if out_dir is not None:
+        _make_dirs(out_dir)
     for path in args.results:
         try:
             rows, n = rows_from_results_jsonl(path)
@@ -345,9 +368,7 @@ def cmd_metrics(args) -> int:
         except ValueError as exc:
             raise DatasetError(f"{path}: {exc}") from exc
     print(format_metrics(summaries))
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         with open(out_dir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
             metrics_to_csv(summaries, fh, header_comment=f"inputs: {list(args.results)}")
         print(f"wrote {out_dir / 'metrics.csv'}")

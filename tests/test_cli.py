@@ -654,6 +654,65 @@ class TestPaths:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+class TestOutputDirectories:
+    """An `--out` that is empty or cannot be made a directory is a config error
+    before each command's first case, check or input read."""
+
+    @pytest.fixture(params=["run", "simulate", "metrics"])
+    def command(self, request, tmp_path, corpus_path, monkeypatch, capsys):
+        """The command's argv without --out, and the list its work appends to."""
+        work = []
+
+        def record(owner, name):
+            original = getattr(owner, name)
+
+            def recorded(*args, **kwargs):
+                work.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, recorded)
+
+        cfg = write_config(tmp_path, corpus_path)
+        if request.param == "run":
+            record(cli, "run_case")
+            argv = ["run", "--config", str(cfg)]
+        elif request.param == "simulate":
+            for name, _ in verification.CHECKS.values():
+                record(verification, name)
+            argv = ["simulate", "--config", str(self._simulate_config(tmp_path))]
+        else:
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+            record(cli, "rows_from_results_jsonl")
+            argv = ["metrics", str(tmp_path / "r" / "results.jsonl")]
+        capsys.readouterr()
+        return argv, work
+
+    @staticmethod
+    def _simulate_config(tmp_path):
+        path = tmp_path / "sim.yaml"
+        path.write_text(yaml.safe_dump({"simulate": {"n_min": 3, "n_max": 3, "seeds": 1}}))
+        return path
+
+    def test_out_that_is_a_file_exits_1_before_any_work(self, command, tmp_path, capsys):
+        # run and simulate once ran every case or check, then died with a
+        # NotADirectoryError traceback; metrics with a FileExistsError one
+        argv, work = command
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main([*argv, "--out", str(afile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot make output directory {afile}")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert work == [] and afile.read_text() == "kept\n"
+
+    def test_empty_out_exits_1_before_any_work(self, command, tmp_path, capsys):
+        # metrics --out '' once printed the table, wrote nothing and exited 0
+        argv, work = command
+        before = sorted(tmp_path.rglob("*"))
+        assert main([*argv, "--out", ""]) == 1
+        assert capsys.readouterr().err == "config error: --out is an empty path\n"
+        assert work == [] and sorted(tmp_path.rglob("*")) == before
+
+
 class TestCmdMetrics:
     def test_aggregates_results_files(self, tmp_path, corpus_path, capsys):
         cfg = write_config(tmp_path, corpus_path)

@@ -9,13 +9,17 @@ each agent's delegates as (agent id, tag) pairs, the map coordination
 returned, and the previous round's columns, whose rows the backends read: no
 Opinion is made for a collaborator. The stochastic backend draws the
 generators of all rounds of a case as one batch; the scripted and HTTP
-backends answer each agent with respond(case, agent_id, ctx) -> Opinion. A
+backends answer each agent with respond(case, agent_id, ctx) -> Opinion.
+Before the first respond_round of a round, each backend's start_round(case,
+agent_ids, ctx) may start what needs no reply of the round: the HTTP backend
+sends every agent's first attempt there, and respond reads its reply. A
 backend must never fabricate a belief: the HTTP client fails loudly when the
 provider does not report token probabilities.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -131,6 +135,14 @@ class Backend:
         if failed:
             raise failed[0][1]
         return Opinion(agent_id, *_row(columns, agent_id))
+
+    def start_round(self, case: ScenarioCase, agent_ids: Sequence[str],
+                    ctx: RoundContext) -> contextlib.AbstractContextManager:
+        """Called with the arguments of this backend's `respond_round` of the
+        round before any backend's `respond_round` runs, so work that does not
+        depend on another agent's reply can start; leaving the context it
+        returns ends what was started and not read. Here it starts nothing."""
+        return contextlib.nullcontext()
 
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
                       ctx: RoundContext) -> tuple[RoundColumns, Failures]:
@@ -448,6 +460,12 @@ class _HttpPool:
     def post(self, body: bytes, headers: dict, timeout: float) -> tuple[int, bytes]:
         """POST `body`; the status and the whole response body. Raises OSError
         or `http.client.HTTPException` when the transport fails."""
+        return self.receive(self.send(body, headers, timeout))
+
+    def send(self, body: bytes, headers: dict, timeout: float):
+        """Write a POST of `body` on an idle connection or a new one, and
+        return the connection, whose reply `receive` reads. Raises as `post`
+        does; the caller closes a connection it will not read."""
         import select
 
         conn = None
@@ -467,6 +485,16 @@ class _HttpPool:
             conn.sock.settimeout(timeout)
         try:
             conn.request("POST", self._target, body, headers)
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    def receive(self, conn) -> tuple[int, bytes]:
+        """The status and whole body of the reply to the request `send` wrote
+        on `conn`; the connection goes back to the idle list if the server
+        keeps it open, and is closed if reading fails."""
+        try:
             response = conn.getresponse()
             data = response.read()
         except BaseException:
@@ -500,9 +528,13 @@ def _http_pool(endpoint: str) -> _HttpPool:
 class ChatCompletionsAgent(Backend):
     """HTTP client for chat-completions endpoints with per-token logprobs.
 
-    Retries transient failures (transport errors, timeouts, 5xx, an
-    unparseable body, an unanswerable reply) with exponential backoff. The
-    number of retries consumed by the latest call is kept in `last_retries`.
+    `start_round` sends the first attempt of each of its agents' requests,
+    and `respond` reads that reply; a backend per agent so has every request
+    of a round in flight at once, each on its own connection, with no thread.
+    Retries transient failures (transport errors, timeouts, 429, 5xx, an
+    unparseable body, an unanswerable reply) with exponential backoff, one
+    request at a time. The number of retries consumed by the latest call is
+    kept in `last_retries`.
     """
 
     def __init__(self, cfg: BackendConfig):
@@ -511,6 +543,9 @@ class ChatCompletionsAgent(Backend):
         self.cfg = cfg
         self.pool = _http_pool(cfg.endpoint)
         self.last_retries = 0
+        # (round context, {agent id: (body, its sent connection or the error
+        # sending it raised)}) of the requests start_round sent and no one read
+        self._sent = None
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -522,9 +557,7 @@ class ChatCompletionsAgent(Backend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def respond(self, case: ScenarioCase, agent_id: str, ctx: RoundContext) -> Opinion:
-        import http.client  # loaded by _http_pool
-
+    def _body(self, case: ScenarioCase, agent_id: str, ctx: RoundContext) -> bytes:
         payload = {
             "model": self.cfg.model,
             "messages": build_messages(case.question, ctx.delegates[agent_id], ctx.previous,
@@ -532,7 +565,40 @@ class ChatCompletionsAgent(Backend):
             "temperature": self.cfg.temperature,
             "logprobs": True,
         }
-        request_body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        return json.dumps(payload, allow_nan=False).encode("utf-8")
+
+    @contextlib.contextmanager
+    def start_round(self, case: ScenarioCase, agent_ids: Sequence[str], ctx: RoundContext):
+        """Send each agent's first attempt, whose reply `respond` reads; on
+        exit, close those it did not read. With no API key nothing is sent,
+        and `respond` fails."""
+        import http.client  # loaded by _http_pool
+
+        sent = {}
+        try:
+            headers = self._headers()
+        except AgentError:
+            agent_ids = ()
+        try:
+            for agent_id in agent_ids:
+                body = self._body(case, agent_id, ctx)
+                try:
+                    sent[agent_id] = body, self.pool.send(body, headers, self.cfg.timeout)
+                except (OSError, http.client.HTTPException) as exc:
+                    sent[agent_id] = body, exc  # attempt 0 failed; respond retries
+            self._sent = (ctx, sent)
+            yield
+        finally:
+            self._sent = None
+            for _, conn in sent.values():
+                if not isinstance(conn, Exception):
+                    conn.close()
+
+    def respond(self, case: ScenarioCase, agent_id: str, ctx: RoundContext) -> Opinion:
+        import http.client  # loaded by _http_pool
+
+        sent = self._sent[1].pop(agent_id, None) if self._sent and self._sent[0] is ctx else None
+        request_body, conn = sent or (self._body(case, agent_id, ctx), None)
         headers = self._headers()
         attempts = self.cfg.retries + 1
         self.last_retries = 0
@@ -542,12 +608,20 @@ class ChatCompletionsAgent(Backend):
                 time.sleep(self.cfg.backoff * (2 ** (attempt - 1)))
                 self.last_retries = attempt
             try:
-                status, data = self.pool.post(request_body, headers, self.cfg.timeout)
+                if isinstance(conn, Exception):
+                    raise conn  # sending attempt 0 failed in start_round
+                status, data = (self.pool.post(request_body, headers, self.cfg.timeout)
+                                if conn is None else self.pool.receive(conn))
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
+            finally:
+                conn = None
             if status >= 500:
                 last_error = AgentError(f"server error {status}")
+                continue
+            if status == 429:  # rate limited: as transient as a 5xx
+                last_error = AgentError(f"rate limited: HTTP {status}")
                 continue
             if status != 200:
                 raise AgentError(f"endpoint rejected the request: HTTP {status}")

@@ -146,14 +146,6 @@ def _report(p_id: int, q_id: int, p: _Side, q: _Side) -> ConflictReport:
     )
 
 
-def conflict_relation(
-    p_group: OpinionGroup, q_group: OpinionGroup, opinions: RoundColumns
-) -> ConflictReport:
-    """Full conflict report for a group pair, including the relation verdict."""
-    return _report(p_group.group_id, q_group.group_id,
-                   _side(opinions, p_group), _side(opinions, q_group))
-
-
 def pairwise_reports(
     groups: Sequence[OpinionGroup], opinions: RoundColumns
 ) -> dict[tuple[int, int], ConflictReport]:

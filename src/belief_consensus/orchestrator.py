@@ -2,7 +2,9 @@
 stop (full consensus), assign collaborators (partial), or select leaders
 (none), and dispatch the next round of agent updates. The delegate map that
 assignment or leader selection returns, with this round's opinions, is the
-next round's one context; every backend reads it whole.
+next round's one context; every backend reads it whole. Every HTTP request
+of a round is sent before the first reply is read, all on the calling
+thread, and the replies are read in agent order.
 
 Runs are deterministic for a fixed (scenario, config, seed) with scripted or
 stochastic backends: clustering and noise randomness derive from the run
@@ -17,6 +19,7 @@ import io
 import json
 import math
 from collections import defaultdict
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
@@ -88,32 +91,39 @@ def _dispatch(
     """One round of opinions, in sorted-agent-id order, and the carried-forward
     agents as sorted (agent id, error) pairs.
 
-    Each backend answers its agents in one `respond_round` call, in the order
-    of their first agent; an AgentError the call raises fails them all. In
-    round 1 (`ctx.previous` is None) the first failure is raised and no later
-    call made; afterwards a failed agent keeps its row of the previous round.
+    Every backend's `start_round` runs first, so an HTTP backend has sent
+    the first attempt of each of its agents before any reply is read, all on
+    the calling thread. Then each backend answers its agents in one
+    `respond_round` call, in the order of their first agent; an AgentError
+    the call raises fails them all. In round 1 (`ctx.previous` is None) the
+    first failure is raised and no later reply read; afterwards a failed
+    agent keeps its row of the previous round. Whatever was started and not
+    read is ended before this returns or raises.
     """
     agent_ids = sorted(backends)
     calls: defaultdict[int, list[str]] = defaultdict(list)
     for agent_id in agent_ids:
         calls[id(backends[agent_id])].append(agent_id)
     parts, failed = [], []
-    for ids in calls.values():
-        try:
-            part, errors = backends[ids[0]].respond_round(case, ids, ctx)
-        except AgentError as exc:
-            part, errors = RoundColumns.of([], []), [(a, exc) for a in ids]
-        if errors and ctx.previous is None:
-            raise errors[0][1]
-        lost = dict(errors)
-        answered = tuple(a for a in ids if a not in lost) if lost else tuple(ids)
-        if part.agent_ids != answered:  # the layers rely on sorted rows
-            raise ValueError(f"respond_round answered agents {list(part.agent_ids)}, "
-                             f"not {list(answered)}")
-        if len(answered) == len(agent_ids):
-            return part, ()
-        parts.append(part)
-        failed.extend((a, str(exc)) for a, exc in errors)
+    with ExitStack() as started:
+        for ids in calls.values():
+            started.enter_context(backends[ids[0]].start_round(case, ids, ctx))
+        for ids in calls.values():
+            try:
+                part, errors = backends[ids[0]].respond_round(case, ids, ctx)
+            except AgentError as exc:
+                part, errors = RoundColumns.of([], []), [(a, exc) for a in ids]
+            if errors and ctx.previous is None:
+                raise errors[0][1]
+            lost = dict(errors)
+            answered = tuple(a for a in ids if a not in lost) if lost else tuple(ids)
+            if part.agent_ids != answered:  # the layers rely on sorted rows
+                raise ValueError(f"respond_round answered agents {list(part.agent_ids)}, "
+                                 f"not {list(answered)}")
+            if len(answered) == len(agent_ids):
+                return part, ()
+            parts.append(part)
+            failed.extend((a, str(exc)) for a, exc in errors)
     if failed:
         parts.append(ctx.previous.take(ctx.previous.rows([a for a, _ in failed])))
     return RoundColumns.join(parts), tuple(sorted(failed))

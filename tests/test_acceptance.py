@@ -13,7 +13,7 @@ import pytest
 
 from belief_consensus.agents import BackendConfig, ChatCompletionsAgent, ScriptedAgent
 from belief_consensus.cli import main
-from belief_consensus.coordination import conflict_relation
+from belief_consensus.coordination import pairwise_reports
 from belief_consensus.core import Opinion, RunConfig, ScenarioCase, scenarios_from_json
 from belief_consensus.grouping import OpinionGroup, group_entropy
 from belief_consensus.judgment import judge_byzantine, judge_consensus
@@ -135,7 +135,7 @@ class TestConflictScoreOracle:
                               group_entropy([o.belief for o in p_members]), "A")
             gq = OpinionGroup(1, tuple(o.agent_id for o in q_members),
                               group_entropy([o.belief for o in q_members]), "A")
-            got = conflict_relation(gp, gq, columns_of(p_members + q_members))
+            got = pairwise_reports([gp, gq], columns_of(p_members + q_members))[(0, 1)]
             macro, micro, combined = oracle_combined(p_raw, q_raw)
             same_macro = math.isclose(got.macro, macro, rel_tol=1e-12)
             same_micro = (

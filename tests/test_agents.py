@@ -707,6 +707,49 @@ class TestChatCompletionsAgent:
         assert op.answer == "D"
         assert agent.last_retries == 2
 
+    def test_rate_limit_is_retried(self, fake_server):
+        server, url = fake_server
+        good = _completion("The answer is C.", [math.log(0.8)])
+        _FakeHandler.script = [(429, {"error": "slow down"}), (200, good)]
+        agent = self._agent(url)
+        op = agent.respond(ScenarioCase("c", "q", "C"), "a1", no_delegates(1, "a1"))
+        assert (op.answer, agent.last_retries, len(_FakeHandler.requests_seen)) == ("C", 1, 2)
+
+    def test_exhausted_rate_limit_retries_raise(self, fake_server):
+        server, url = fake_server
+        _FakeHandler.script = [(429, {})] * 3
+        with pytest.raises(AgentError,
+                           match="transport failed after 3 attempts: rate limited: HTTP 429"):
+            self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", no_delegates(1, "a1"))
+        assert len(_FakeHandler.requests_seen) == 3
+
+    def test_start_round_sends_attempt_zero_and_respond_reads_it(self, fake_server):
+        server, url = fake_server
+        _FakeHandler.script = [(500, {}), (200, _completion("The answer is B.", [-0.1]))]
+        agent, case, ctx = self._agent(url), ScenarioCase("c", "q", "B"), no_delegates(1, "a1")
+        with agent.start_round(case, ["a1"], ctx):
+            deadline = time.monotonic() + 5
+            while not _FakeHandler.requests_seen and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(_FakeHandler.requests_seen) == 1  # before respond runs
+            assert agent.respond(case, "a1", ctx).answer == "B"
+        assert agent.last_retries == 1
+        assert _FakeHandler.raw_seen[0] == _FakeHandler.raw_seen[1]
+
+    def test_failed_send_in_start_round_is_attempt_zero(self, monkeypatch):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        agent = self._agent(f"http://127.0.0.1:{port}/v1/chat/completions")
+        sends, send = [], agent.pool.send
+        monkeypatch.setattr(agent.pool, "send", lambda *a: sends.append(a) or send(*a))
+        case, ctx = ScenarioCase("c", "q", "A"), no_delegates(1, "a1")
+        with agent.start_round(case, ["a1"], ctx):
+            assert len(sends) == 1
+            with pytest.raises(AgentError, match="transport failed after 3 attempts"):
+                agent.respond(case, "a1", ctx)
+        assert len(sends) == 3 and agent.last_retries == 2
+
     def test_exhausted_retries_raise(self, fake_server):
         server, url = fake_server
         _FakeHandler.script = [(500, {}), (500, {}), (500, {})]

@@ -10,7 +10,6 @@ from belief_consensus.coordination import (
     SUPPORTIVE,
     ConflictReport,
     assign_collaborators,
-    conflict_relation as _conflict_relation,
     pairwise_reports,
     select_leaders,
 )
@@ -31,8 +30,9 @@ def round_of(opinions):
 
 
 def conflict_relation(p_group, q_group, p_members, q_members):
-    """The report over a round that holds both groups' members."""
-    return _conflict_relation(p_group, q_group, round_of([*p_members, *q_members]))
+    """The (p, q) report over a round that holds both groups' members."""
+    reports = pairwise_reports([p_group, q_group], round_of([*p_members, *q_members]))
+    return reports[(p_group.group_id, q_group.group_id)]
 
 
 def group_of(gid, members):

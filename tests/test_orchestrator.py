@@ -2,6 +2,7 @@ import io
 import json
 import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -18,6 +19,7 @@ from round_oracles import (
     report_to_dict,
 )
 
+from belief_consensus import agents
 from belief_consensus.agents import (
     AgentError,
     Backend,
@@ -367,24 +369,40 @@ class TestDispatch:
 
 class _ModelHandler(BaseHTTPRequestHandler):
     """Chat-completions double: model-k answers option k (A, B, C, ...) with
-    belief 0.6, except that `failing_model` answers HTTP 500 after its first
-    request (round 1)."""
+    belief 0.6. `failing` maps a model to (its first failing request, the
+    status it answers from then on), and `slow` a (model, request number) to
+    a delay before the reply. A `barrier`, when set, holds every reply until
+    all of its parties wait, and a reply whose wait breaks is a 503."""
 
-    failing_model = "model-2"
+    failing: dict = {}
+    slow: dict = {}
+    barrier = None
     seen: dict = {}  # requests per model
+    counting = threading.Lock()  # handler threads answer at once
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
-        seen = self.seen[body["model"]] = self.seen.get(body["model"], 0) + 1
-        if seen > 1 and body["model"] == self.failing_model:
-            status, payload = 500, {"error": "model down"}
-        else:
-            answer = "ABCDEFGH"[int(body["model"].rsplit("-", 1)[1]) - 1]
+        model = body["model"]
+        with self.counting:
+            seen = self.seen[model] = self.seen.get(model, 0) + 1
+        time.sleep(self.slow.get((model, seen), 0.0))
+        first_failing, status = self.failing.get(model, (seen + 1, 200))
+        if seen < first_failing:
+            status = 200
+        if self.barrier is not None:
+            try:
+                self.barrier.wait()
+            except threading.BrokenBarrierError:
+                status = 503
+        if status == 200:
+            answer = "ABCDEFGH"[int(model.rsplit("-", 1)[1]) - 1]
             tokens = [{"token": "Thinking.", "logprob": -0.1},
                       {"token": f" The answer is ({answer}).", "logprob": math.log(0.6)}]
             content = "".join(t["token"] for t in tokens)
-            status, payload = 200, {"choices": [
+            payload = {"choices": [
                 {"message": {"content": content}, "logprobs": {"content": tokens}}]}
+        else:
+            payload = {"error": f"HTTP {status}"}
         data = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -396,28 +414,64 @@ class _ModelHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _QuietServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # a reply to a request the client closed unread fails to write
+
+
+@pytest.fixture()
+def model_server():
+    """The URL of a _ModelHandler server whose models all answer at once."""
+    _ModelHandler.failing, _ModelHandler.slow, _ModelHandler.barrier = {}, {}, None
+    _ModelHandler.seen = {}
+    server = _QuietServer(("127.0.0.1", 0), _ModelHandler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def model_backends(url, n, retries, timeout=5.0):
+    """agent-k posts to model-k."""
+    return {f"agent-{k}": ChatCompletionsAgent(BackendConfig(
+        kind="http", endpoint=url, model=f"model-{k}", retries=retries, backoff=0.001,
+        timeout=timeout)) for k in range(1, n + 1)}
+
+
+def thread_starters(monkeypatch):
+    """The ident of each thread that starts a thread from now on."""
+    starters, start = [], threading.Thread.start
+
+    def recording(thread):
+        starters.append(threading.get_ident())
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return starters
+
+
 class TestCarriedForward:
-    def test_failing_model_is_recorded_and_keeps_its_opinion(self):
-        _ModelHandler.seen = {}
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _ModelHandler)
-        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
-                                  daemon=True)
-        thread.start()
-        try:
-            url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-            backends = {
-                f"agent-{k}": ChatCompletionsAgent(BackendConfig(
-                    kind="http", endpoint=url, model=f"model-{k}", retries=1, backoff=0.001,
-                    timeout=5.0))
-                for k in (1, 2, 3)
-            }
-            case = ScenarioCase("fault", "pick one", "A")
-            report = run_case(case, RunConfig(n=3, max_rounds=2, seed=0), backends)
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-        assert not thread.is_alive()
+    def test_failing_model_is_recorded_and_keeps_its_opinion(self, model_server):
+        self.check(model_server)
+
+    # round 2's slow reply is read first or last of the three in flight
+    @pytest.mark.parametrize("slow", ["model-1", "model-3"])
+    def test_slow_reply_changes_neither_carry_nor_requests(self, model_server, slow):
+        _ModelHandler.slow = {(slow, 2): 0.2}
+        self.check(model_server)
+
+    @staticmethod
+    def check(url):
+        _ModelHandler.failing = {"model-2": (2, 500)}
+        backends = model_backends(url, 3, retries=1)
+        report = run_case(ScenarioCase("fault", "pick one", "A"),
+                          RunConfig(n=3, max_rounds=2, seed=0), backends)
 
         first, second = report.rounds
         error = "transport failed after 2 attempts: server error 500"
@@ -429,6 +483,49 @@ class TestCarriedForward:
         rows = report_to_dict(report)["rounds"]
         assert "carried_forward" not in rows[0]
         assert rows[1]["carried_forward"] == [{"agent_id": "agent-2", "error": error}]
+
+
+class TestPipelinedDispatch:
+    CASE = ScenarioCase("pipelined", "pick one", "A")
+
+    def test_a_rounds_requests_are_in_flight_at_once(self, model_server, monkeypatch):
+        # no reply is written before all six requests have arrived, so a
+        # dispatch that read a reply before sending the next request would
+        # break the barrier and fail round 1
+        _ModelHandler.barrier = threading.Barrier(6, timeout=5)
+        backends = model_backends(model_server, 6, retries=0)
+        starters = thread_starters(monkeypatch)
+        opinions, carried = _dispatch(backends, self.CASE, no_delegates(1, *backends))
+        assert threading.get_ident() not in starters
+        assert carried == ()
+        assert [op.answer for op in opinions_of(opinions)] == list("ABCDEF")
+        assert _ModelHandler.seen == {f"model-{k}": 1 for k in range(1, 7)}
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-agent", "shared"])
+    def test_round_one_rejection_closes_every_unread_request(self, model_server, monkeypatch,
+                                                             shared):
+        _ModelHandler.failing = {"model-1": (1, 400)}
+        backends = model_backends(model_server, 4, retries=2)
+        if shared:  # one backend, so Backend.respond_round stops at the failure
+            backends = dict.fromkeys(backends, backends["agent-1"])
+        pool, sent = agents._http_pool(model_server), []
+        send = pool.send
+
+        def recording(*args):
+            sent.append(send(*args))
+            return sent[-1]
+
+        monkeypatch.setattr(pool, "send", recording)
+        with pytest.raises(AgentError, match="endpoint rejected the request: HTTP 400"):
+            _dispatch(backends, self.CASE, no_delegates(1, *backends))
+        # every request went out before the first reply was read, none again
+        assert len(sent) == 4
+        assert all(conn.sock is None for conn in sent) and pool._idle == []
+        deadline = time.monotonic() + 5
+        while sum(_ModelHandler.seen.values()) < 4 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _ModelHandler.seen == ({"model-1": 4} if shared
+                                      else {f"model-{k}": 1 for k in range(1, 5)})
 
 
 class TestRoundContext:

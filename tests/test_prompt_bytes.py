@@ -1,7 +1,7 @@
 """The bytes of every chat-completions request a run sends, pinned.
 
 Seeded cases run through `run_case` with one `ChatCompletionsAgent` per
-agent, in both prompt styles. Each agent posts to an in-process pool whose
+agent, in both prompt styles. Each agent sends to an in-process pool whose
 reply is a function of sha256(request body), so a changed prompt changes
 the replies, the rounds after it and the pinned digest of the sorted bodies.
 """
@@ -23,15 +23,32 @@ LEADER_ASK = "Judging which solutions can lead the trend of thought"
 
 
 class ReplyPool:
-    """Stands in for an endpoint's keep-alive pool: records each body and
-    answers it with a reply drawn from sha256(body)."""
+    """Stands in for an endpoint's keep-alive pool: records each body sent and
+    answers it with a reply drawn from sha256(body) when it is read."""
+
+    class Sent:
+        def __init__(self, pool, body):
+            self.pool, self.body = pool, body
+
+        def close(self):
+            self.pool.in_flight.discard(self)
 
     def __init__(self):
         self.bodies = []
+        self.in_flight = set()
+        self.most_in_flight = 0
 
-    def post(self, body, headers, timeout):
+    def send(self, body, headers, timeout):
         self.bodies.append(body)
-        rng = random.Random(hashlib.sha256(body).digest())
+        sent = ReplyPool.Sent(self, body)
+        self.in_flight.add(sent)
+        self.most_in_flight = max(self.most_in_flight, len(self.in_flight))
+        return sent
+
+    def receive(self, sent):
+        assert sent in self.in_flight
+        sent.close()
+        rng = random.Random(hashlib.sha256(sent.body).digest())
         answer = rng.choice("AABBCD")
         words = " ".join(rng.choice(WORDS[answer] + WORDS[rng.choice("ABCD")])
                          for _ in range(rng.randint(3, 8)))
@@ -60,6 +77,8 @@ def test_request_bodies_are_pinned():
                                 mixed_delegates=mixed)
                 for rec in run_case(case, run, backends).rounds[:-1]:
                     prompted.add(rec.verdict.state)
+    # each round's requests were all sent before the first reply was read
+    assert (pool.most_in_flight, pool.in_flight) == (7, set())
     text = [body.decode() for body in pool.bodies]
     assert {PARTIAL, NONE} <= prompted
     assert any(COLLABORATE_ASK in t for t in text) and any(LEADER_ASK in t for t in text)

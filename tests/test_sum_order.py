@@ -11,7 +11,7 @@ import operator
 import numpy as np
 import pytest
 
-from belief_consensus.coordination import conflict_relation
+from belief_consensus.coordination import pairwise_reports
 from belief_consensus.core import Opinion
 from belief_consensus.grouping import OpinionGroup
 from belief_consensus.judgment import judge_consensus
@@ -54,7 +54,7 @@ def test_conflict_components_add_in_member_order():
     # p: X's agents, then Y's first five; q: Y's last four, then X's first three
     p = OpinionGroup(0, a_members + b_members[:5], 0.0, "")
     q = OpinionGroup(1, b_members[5:] + a_members[:3], 0.0, "")
-    got = conflict_relation(p, q, cols).components
+    got = pairwise_reports([p, q], cols)[(0, 1)].components
     p_beliefs, q_beliefs = X + Y[:5], Y[5:] + X[:3]
     assert got == {
         "p_support": left_fold(X),
@@ -65,7 +65,7 @@ def test_conflict_components_add_in_member_order():
         "union": left_fold(p_beliefs + q_beliefs),
     }
     q = OpinionGroup(1, b_members, 0.0, "")
-    got = conflict_relation(p, q, cols).components
+    got = pairwise_reports([p, q], cols)[(0, 1)].components
     # only B is held by both groups
     assert got["sym_diff"] == left_fold(X)
     assert got["union"] == left_fold(p_beliefs + Y)

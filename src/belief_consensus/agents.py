@@ -44,10 +44,13 @@ from belief_consensus.core import (
     canonicalize_answer,
     stable_hash,
 )
-from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _LOW32, _U32, _doubles, _frozen, _pcg64_raw,
-                                    _uint32_words)
+from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _bounded_draws, _doubles, _frozen,
+                                    _pcg64_raw, _uint32_words)
 
 ADVERSARIAL_EPS = 1e-9
+# the default `start_round`'s context: it holds no state, so one serves every
+# backend and round, also entered again while entered
+_NOTHING_STARTED = contextlib.nullcontext()
 _STREAM_OUTPUTS = 3  # random(), one bounded draw and uniform(); more only on a rejection
 
 
@@ -142,7 +145,7 @@ class Backend:
         round before any backend's `respond_round` runs, so work that does not
         depend on another agent's reply can start; leaving the context it
         returns ends what was started and not read. Here it starts nothing."""
-        return contextlib.nullcontext()
+        return _NOTHING_STARTED
 
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
                       ctx: RoundContext) -> tuple[RoundColumns, Failures]:
@@ -342,9 +345,9 @@ class StochasticAgent(Backend):
         collaborators), `integers(n)` (unless it adopts) and `uniform(0.3,
         0.95)`, read from its raw outputs as array operations over the round.
         `random()` scales an output's top 53 bits to [0, 1). `integers(n)` is
-        Lemire's bounded draw on 32-bit words: an output's low half, then its
-        high half if the low one is rejected, then the next output; n = 1
-        reads nothing. `uniform` reads the output after the draw's.
+        `pcg64._bounded_draws`: an output's low half, then its high half if the
+        low one is rejected, then the next output; n = 1 reads nothing.
+        `uniform` reads the output after the draw's.
         """
         round_index = ctx.round
         n, m = len(self.candidates), len(agent_ids)
@@ -356,19 +359,8 @@ class StochasticAgent(Backend):
         adopt = collaborate & (_doubles(raw[0]) < self.adopt_prob)
         if n < 1 and not adopt.all():
             raise ValueError("no candidates to draw from")
-        threshold = (1 << 32) % max(n, 1)  # a product whose low word is below it is rejected
         half = 2 * collaborate.astype(np.intp)  # the 32-bit half each bounded draw reads next
-        index = np.zeros(m, np.uint64)
-        drawing = np.flatnonzero(~adopt & (n > 1))
-        while drawing.size:  # a rejection, probability below n / 2**32, goes round again
-            at = half[drawing]
-            if len(raw) < (at.max() >> 1) + 2:
-                raw = _pcg64_raw(words, 2 * len(raw))
-            shift = (at & 1).astype(np.uint64) * _U32
-            product = (raw[at >> 1, drawing] >> shift & _LOW32) * np.uint64(n)
-            index[drawing] = product >> _U32
-            half[drawing] += 1
-            drawing = drawing[(product & _LOW32) < threshold]
+        index, raw = _bounded_draws(raw, words, half, n, np.flatnonzero(~adopt))
         belief_at = (half + 1) >> 1  # uniform() reads the first output with no half read
         belief = 0.3 + (0.95 - 0.3) * _doubles(raw[belief_at, cols])
         belief = np.rint(belief * 1e6) / 1e6  # np.round(belief, 6)

@@ -115,6 +115,43 @@ def _adjacency(sets: tuple[tuple[int, ...], ...]) -> np.ndarray:
     return a
 
 
+_NORMS = {1: np.abs, 2: np.square}  # distance to the collaborator mean by power
+
+
+@dataclass(frozen=True)
+class LaplacianStep:
+    """The step x' = x + sign*g*L x with L = diag(A 1) - A, with everything
+    that does not depend on x computed once: the adjacency A, the signed step
+    size sign*g, the degree A 1 (collaborator counts) and the collaborator-mean
+    divisor (the degree, NaN where it is 0). Built with a `power` (1 or 2) for
+    the increment helpers, it also holds the factor |1 + sign*g*m|^power - 1
+    of their closed form, m the degree. A batch that takes many steps on one
+    graph, or one stack of graphs, builds it once.
+    """
+
+    adjacency: np.ndarray
+    step: np.ndarray | float
+    degree: np.ndarray
+    divisor: np.ndarray
+    sign: float = -1.0
+    power: int | None = None
+    factor: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, adjacency: np.ndarray, gamma, sign=-1.0, power: int | None = None):
+        """The step of `laplacian_step(values, adjacency, gamma, sign)`."""
+        degree = adjacency.sum(axis=-1)
+        step = sign * gamma
+        factor = None if power is None else _NORMS[power](1.0 + step * degree) - 1.0
+        return cls(adjacency, step, degree, np.where(degree > 0, degree, np.nan), sign, power,
+                   factor)
+
+    def __call__(self, values: np.ndarray):
+        """x', the frozen collaborator mean A x / A 1 and the degree."""
+        sums = np.einsum("...j,...ij->...i", values, self.adjacency)
+        return values + self.step * (self.degree * values - sums), sums / self.divisor, self.degree
+
+
 def laplacian_step(values: np.ndarray, adjacency: np.ndarray, gamma, sign: float = -1.0):
     """One step x' = x + sign*g*L x with L = diag(A 1) - A.
 
@@ -125,16 +162,14 @@ def laplacian_step(values: np.ndarray, adjacency: np.ndarray, gamma, sign: float
     `values`, such as (rows, 1) per-row step sizes or (2, 1, 1) per-quantity
     ones for stacked opinions and beliefs. Returns x', the frozen
     collaborator mean A x / A 1 (NaN for agents with no collaborators) and
-    the collaborator counts A 1.
+    the collaborator counts A 1; `LaplacianStep` is the same step with its
+    constants kept for the next.
 
     einsum rather than matmul: each row of a batch, with one graph or its
     own, comes out bit for bit as it would alone, and these tiny products
     skip BLAS, whose first call costs ~0.4 MB of resident memory.
     """
-    degree = adjacency.sum(axis=-1)
-    sums = np.einsum("...j,...ij->...i", values, adjacency)
-    new = values + sign * gamma * (degree * values - sums)
-    return new, sums / np.where(degree > 0, degree, np.nan), degree
+    return LaplacianStep.of(adjacency, gamma, sign)(values)
 
 
 # the belief sign of each dynamics mode; opinions always average
@@ -175,31 +210,36 @@ step_leader_follow = step_supportive
 # ---------------------------------------------------------------------------
 # increment identities (checked against the frozen step-k collaborator mean);
 # each accepts the values, adjacency and step size that `laplacian_step`
-# accepts, and returns (actual, predicted, dist, new): the increments of each
-# agent's distance to its collaborator mean raised to `power` (NaN for agents
-# with no collaborators), their closed form, the distances so raised and the
-# stepped values x'
+# accepts, or the values and a `LaplacianStep` built with the helper's sign
+# and power in place of adjacency and step size, and returns (actual,
+# predicted, dist, new): the increments of each agent's distance to its
+# collaborator mean raised to `power` (NaN for agents with no collaborators),
+# their closed form, the distances so raised and the stepped values x'
 
 def _increments(values, adjacency, gamma, sign: float, power: int):
     """predicted = (|1 + sign*g*m|^power - 1) * |v - mean|^power, power 1 or 2."""
+    step = adjacency if gamma is None else LaplacianStep.of(adjacency, gamma, sign, power)
+    if (step.sign, step.power) != (sign, power):
+        raise ValueError(f"a step of sign {step.sign} and power {step.power} where "
+                         f"sign {sign} and power {power} were expected")
     values = np.asarray(values, dtype=float)
-    new, mean, m = laplacian_step(values, adjacency, gamma, sign)
-    norm = np.square if power == 2 else np.abs
+    new, mean, _ = step(values)
+    norm = _NORMS[power]
     dist = norm(values - mean)
-    return norm(new - mean) - dist, (norm(1.0 + sign * gamma * m) - 1.0) * dist, dist, new
+    return norm(new - mean) - dist, step.factor * dist, dist, new
 
 
-def averaging_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
+def averaging_increments(values: np.ndarray, adjacency, gamma=None):
     """Squared distances, averaging: predicted = [(1 - g*m)^2 - 1] * dist^2."""
     return _increments(values, adjacency, gamma, -1.0, 2)
 
 
-def contrarian_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
+def contrarian_increments(values: np.ndarray, adjacency, gamma=None):
     """Squared distances, repulsion: predicted = [(1 + g*m)^2 - 1] * dist^2 >= 0."""
     return _increments(values, adjacency, gamma, 1.0, 2)
 
 
-def leader_increments(values: np.ndarray, adjacency: np.ndarray, gamma):
+def leader_increments(values: np.ndarray, adjacency, gamma=None):
     """First-power distances, averaging: predicted = (|1 - g*m| - 1) * |v - mean|.
     On `with_leaders` sets m = |leaders| for followers, |leaders| - 1 for leaders."""
     return _increments(values, adjacency, gamma, -1.0, 1)
@@ -318,11 +358,11 @@ def run_batch(
     state = np.asarray(state, dtype=float)
     if state.ndim != 3 or len(state) != 2:
         raise ValueError("state must be a (2, rows, n) stack of opinions and beliefs")
-    args = _step_args(topo, mode, state.shape)
+    laplacian = LaplacianStep.of(*_step_args(topo, mode, state.shape))
     consensus = functools.partial(within_tol, tol=tol)
 
     def advance(state):
-        return laplacian_step(state, *args)[0]
+        return laplacian(state)[0]
 
     def step(state, carry, k):
         prev_bspread, grow_streak = carry

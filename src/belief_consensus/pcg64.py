@@ -5,6 +5,10 @@ entropy words, and numpy seeds and steps it with fixed integer arithmetic, so
 many generators are computed together as array operations, bit for bit. The
 stochastic backend draws every round of a case for its agents this way, and
 the protocol loop the k-means++ picks of all restarts of all rounds of a case.
+The property checks of `verification` draw all seeds of a check in one pass:
+uniform initial states, and the conflict check's agent counts and the leader
+check's leader sets through `_bounded_draws`, the bounded draw of numpy's
+`Generator.integers` and `choice`.
 """
 
 import functools
@@ -171,3 +175,39 @@ def _pcg64_raw(words: np.ndarray, k: int) -> np.ndarray:
     xored = state_hi ^ state_lo
     rot = state_hi >> np.uint64(58)
     return xored >> rot | xored << (-rot & np.uint64(63))
+
+
+def _bounded_draws(raw: np.ndarray, words: np.ndarray, half: np.ndarray, bound: int,
+                   cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's draw in [0, bound) for the generators `cols` of a raw block
+    (all by default): what `Generator.integers(bound)` draws, and each draw of
+    `choice`'s Floyd sampling and of its shuffle.
+
+    It is Lemire's bounded draw on 32-bit words ("Fast random integer
+    generation in an interval", 2019). PCG64 hands out an output's low half,
+    then keeps its high half for the next 32-bit read, so `half` holds each
+    generator's next unread half (2t: output t's low half, 2t + 1: its high
+    half) and is advanced in place. A draw multiplies a half by `bound` and
+    keeps the product's high word; while its low word is below 2**32 mod bound
+    (probability below bound / 2**32) it reads the next half. Bound 1 reads
+    nothing. `raw` is the (k, m) block of `_pcg64_raw(words, k)`. Returns the
+    draws of all m generators (0 outside `cols`) and the block, recomputed
+    with twice the outputs when a read would leave it without the whole
+    output after the half read, the one a following `random()` or `uniform`
+    reads first.
+    """
+    draws = np.zeros(raw.shape[1], np.uint64)
+    cols = np.arange(raw.shape[1]) if cols is None else cols
+    if bound <= 1:
+        return draws, raw
+    threshold = (1 << 32) % bound  # a product whose low word is below it is rejected
+    while cols.size:
+        at = half[cols]
+        if len(raw) < (at.max() >> 1) + 2:
+            raw = _pcg64_raw(words, 2 * len(raw))
+        shift = (at & 1).astype(np.uint64) * _U32
+        product = (raw[at >> 1, cols] >> shift & _LOW32) * np.uint64(bound)
+        draws[cols] = product >> _U32
+        half[cols] += 1
+        cols = cols[(product & _LOW32) < threshold]
+    return draws, raw

@@ -6,10 +6,15 @@ verdicts. The seeds run as (seeds, n) batches through `dynamics.run_rows`,
 each row stepped as it would be alone; the counts and the first failure
 reported are those of checking one seed at a time in order. Each state is
 stepped once, by the increment helper that checks it; opinions and beliefs
-step as one (2, seeds, n) stack where their signs agree. Uniform initial
-states come from one PCG64 pass per batch (`uniform_draws`). The identity
-comparison is relative to the squared magnitude of the state, which is the
-scale floating point can actually support.
+step as one (2, seeds, n) stack where their signs agree, and each batch
+builds its `LaplacianStep`s (degree, mean divisor, signed step sizes and
+closed-form factor) once. Every check draws all its seeds in one PCG64 pass,
+bit for bit what one `Generator` per seed would draw: the uniform initial
+states (`uniform_draws`), the conflict check's agent counts (`conflict_states`)
+and the leader check's leader sets (`leader_states`), the last two through
+`pcg64._bounded_draws`. The identity comparison is relative to the squared
+magnitude of the state, which is the scale floating point can actually
+support.
 
 Every check reads the one `SimulateConfig`, and `CHECKS` names each `simulate`
 mode's check and trace topology: a new check is one function of the config and
@@ -29,6 +34,7 @@ from belief_consensus.dynamics import (
     DEFAULT_MAX_STEPS,
     DEFAULT_TOL,
     DynamicsTopology,
+    LaplacianStep,
     REASON_DIVERGENCE,
     averaging_increments,
     contrarian_increments,
@@ -47,9 +53,10 @@ from belief_consensus.dynamics import (  # noqa: F401
     step_leader_follow,
     step_supportive,
 )
-from belief_consensus.pcg64 import _doubles, _pcg64_raw, _uint32_words
+from belief_consensus.pcg64 import _bounded_draws, _doubles, _pcg64_raw, _uint32_words
 
 IDENTITY_RTOL = 1e-12
+CONFLICT_SIZES = (2, 3, 4, 5, 6, 7, 8)  # the conflict check's agent counts
 
 # Each `simulate` mode: the name of its check here, and the topology of its
 # trace files at n agents (None: no trace). `simulate` looks the check up when
@@ -128,15 +135,24 @@ def _scale_sq(values: np.ndarray):
 # batch. `isolated` marks the agents with no collaborators (degree 0), whose
 # increments are NaN by definition and are skipped; any other NaN fails.
 
+def _increments_ok(actual, predicted, scale_sq, nonpositive: bool, isolated):
+    """Whether the closed form holds and whether the increments have their
+    sign (nonpositive or nonnegative), both within the one slack
+    IDENTITY_RTOL * scale_sq."""
+    slack = IDENTITY_RTOL * scale_sq
+    identity = np.abs(actual - predicted) <= slack
+    sign = actual <= slack if nonpositive else actual >= -slack
+    return (identity | isolated).all(axis=-1), (sign | isolated).all(axis=-1)
+
+
+# each of the two alone, as the seed-by-seed forms in tests/verification_oracle.py check them
+
 def _identity_ok(actual, predicted, scale_sq, isolated):
-    ok = np.abs(actual - predicted) <= IDENTITY_RTOL * scale_sq
-    return (ok | isolated).all(axis=-1)
+    return _increments_ok(actual, predicted, scale_sq, True, isolated)[0]
 
 
 def _sign_ok(actual, scale_sq, nonpositive: bool, isolated):
-    slack = IDENTITY_RTOL * scale_sq
-    ok = actual <= slack if nonpositive else actual >= -slack
-    return (ok | isolated).all(axis=-1)
+    return _increments_ok(actual, actual, scale_sq, nonpositive, isolated)[1]
 
 
 def _walk(outcomes) -> tuple[int, int, list[str]]:
@@ -151,17 +167,96 @@ def _walk(outcomes) -> tuple[int, int, list[str]]:
     return checks, len(outcomes), []
 
 
-def uniform_draws(master_seed: int, key: int, seeds: int, *bounds) -> list[np.ndarray]:
-    """What `default_rng(SeedSequence([master_seed, key, s])).uniform(low,
-    high, size)` draws for each (low, high, size) of `bounds` in turn, as one
-    (seeds, size) array per bound for s < seeds, from one PCG64 pass."""
+def _seed_words(master_seed: int, key: int, seeds: int) -> np.ndarray:
+    """The entropy words of `SeedSequence([master_seed, key, s])` for s < seeds,
+    as (words, seeds) uint32."""
     words = np.array(_uint32_words(master_seed) + _uint32_words(key) + [0], np.uint32)
     words = np.repeat(words[:, None], seeds, axis=1)
     words[-1] = np.arange(seeds)
+    return words
+
+
+def _uniforms(raw: np.ndarray, start: np.ndarray, low: float, high: float, size: int):
+    """`uniform(low, high, size)` per generator (column) of a raw block, from
+    its output `start` on, as (generators, size)."""
+    at = start[:, None] + np.arange(size)
+    return low + (high - low) * _doubles(raw[at, np.arange(raw.shape[1])[:, None]])
+
+
+def uniform_draws(master_seed: int, key: int, seeds: int, *bounds) -> list[np.ndarray]:
+    """What the `Generator` of `SeedSequence([master_seed, key, s])` draws as
+    `uniform(low, high, size)` for each (low, high, size) of `bounds` in turn, as one
+    (seeds, size) array per bound for s < seeds, from one PCG64 pass."""
     sizes = [size for _, _, size in bounds]
-    unit = _doubles(_pcg64_raw(words, sum(sizes)))
+    unit = _doubles(_pcg64_raw(_seed_words(master_seed, key, seeds), sum(sizes)))
     parts = np.split(unit.T, np.cumsum(sizes)[:-1], axis=1)
     return [low + (high - low) * u for (low, high, _), u in zip(bounds, parts)]
+
+
+def _extended(raw: np.ndarray, words: np.ndarray, start: np.ndarray, size: int) -> np.ndarray:
+    """The raw block, recomputed longer if some generator's `size` outputs from
+    its `start` run past it (only after a rejected bounded draw)."""
+    need = int(start.max()) + size
+    return raw if len(raw) >= need else _pcg64_raw(words, need)
+
+
+def conflict_states(master_seed: int, seeds: int) -> tuple[np.ndarray, np.ndarray]:
+    """The conflict check's agent counts and initial states, from one PCG64 pass.
+
+    For s < seeds, what the `Generator` of `SeedSequence([master_seed, 17,
+    s])` draws: n = `choice(CONFLICT_SIZES)` (a bounded draw on a 32-bit half),
+    then `uniform(0, 1, n)` beliefs and `uniform(-1, 1, n)` opinions from the
+    next whole output on. A pair (i, i + 1), i even, whose beliefs lie within
+    1e-3 has 0.1 added to belief i (the unequal-beliefs premise). Returns each
+    seed's n and the (2, seeds, max n) stack of opinions and beliefs, NaN past
+    the seed's n.
+    """
+    words, top = _seed_words(master_seed, 17, seeds), CONFLICT_SIZES[-1]
+    raw = _pcg64_raw(words, 1 + 2 * top)
+    half = np.zeros(seeds, np.intp)
+    pick, raw = _bounded_draws(raw, words, half, len(CONFLICT_SIZES))
+    n = np.array(CONFLICT_SIZES)[pick.astype(np.intp)]
+    start = (half + 1) >> 1
+    raw = _extended(raw, words, start, 2 * top)  # opinions end at most 2 * top past it
+    beliefs = _uniforms(raw, start, 0.0, 1.0, top)
+    opinions = _uniforms(raw, start + n, -1.0, 1.0, top)
+    first, second = beliefs[:, 0:-1:2], beliefs[:, 1::2]  # the pairs, a view
+    first[(np.abs(first - second) < 1e-3) & (np.arange(1, top, 2) < n[:, None])] += 0.1
+    state = np.stack([opinions, beliefs])
+    state[:, np.arange(top) >= n[:, None]] = np.nan
+    return n, state
+
+
+def leader_states(master_seed: int, seeds: int, n_leaders: int,
+                  n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The leader check's leader sets and initial states, from one PCG64 pass.
+
+    For s < seeds, what the `Generator` of `SeedSequence([master_seed, 23,
+    s])` draws: `choice(n, n_leaders, replace=False)`, then `uniform(-1, 1, n)`
+    opinions and `uniform(0, 1, n)` beliefs from the next whole output on.
+    `choice` is Floyd's sampling (Bentley & Floyd 1987): for j from
+    n - n_leaders to n - 1 it draws v in [0, j] and takes v, or j if v is
+    taken already; then it shuffles the sample, drawing in [0, i] for i from
+    n_leaders - 1 down to 1, which moves only the draws after it. Returns the
+    (seeds, n_leaders) sorted leader sets, the (2, seeds, n) stack and the
+    (2, seeds) leader means of opinions and beliefs, each `np.mean` of the
+    seed's leaders.
+    """
+    words, rows = _seed_words(master_seed, 23, seeds), np.arange(seeds)
+    raw = _pcg64_raw(words, n_leaders + 2 * n)
+    half = np.zeros(seeds, np.intp)
+    taken = np.zeros((seeds, n), dtype=bool)
+    for j in range(n - n_leaders, n):
+        v, raw = _bounded_draws(raw, words, half, j + 1)
+        v = v.astype(np.intp)
+        taken[rows, np.where(taken[rows, v], j, v)] = True
+    for i in range(n_leaders - 1, 0, -1):
+        raw = _bounded_draws(raw, words, half, i + 1)[1]
+    start = (half + 1) >> 1
+    raw = _extended(raw, words, start, 2 * n)
+    state = np.stack([_uniforms(raw, start, -1.0, 1.0, n), _uniforms(raw, start + n, 0.0, 1.0, n)])
+    leaders = np.nonzero(taken)[1].reshape(seeds, n_leaders)
+    return leaders, state, np.take_along_axis(state, leaders[None], axis=2).mean(axis=2)
 
 
 def supportive_states(master_seed: int, n: int, seeds: int) -> np.ndarray:
@@ -193,23 +288,24 @@ def verify_supportive_convergence(sim: SimulateConfig = SimulateConfig()) -> Pro
     outcomes = []
     for n in range(sim.n_min, sim.n_max + 1):
         topo = DynamicsTopology.all_pairs(n)
-        a = topo.adjacency
-        gamma = np.array(topo.step_sizes())[:, None, None]
-        isolated = a.sum(axis=-1) == 0
+        average = LaplacianStep.of(topo.adjacency, np.array(topo.step_sizes())[:, None, None],
+                                   power=2)
+        isolated = average.degree == 0
 
         def identity_step(state, carry, k):
             # the identity, its nonpositive sign, then that no distance to the collaborator
             # mean grew (the marginal tie keeps them constant, contraction shrinks them)
             prev_dists, = carry  # infinite before step 0, so nothing grew there
             sc = _scale_sq(state)
-            actual, predicted, dist_sq, state = averaging_increments(state, a, gamma)
+            actual, predicted, dist_sq, state = averaging_increments(state, average)
             dists = np.sqrt(dist_sq[0])
             atol = 1e-12 * np.maximum(1.0, np.max(dists, axis=1, keepdims=True))
             constant = np.all(np.abs(dists - prev_dists) <= atol, axis=1)
             grew = ~constant & np.any(dists > prev_dists + 1e-12, axis=1)
+            identity, sign = _increments_ok(actual, predicted, sc, True, isolated)
             return state, (dists,), (
-                (_identity_ok(actual, predicted, sc, isolated).all(axis=0), "identity violated"),
-                (_sign_ok(actual, sc, True, isolated).all(axis=0), "positive increment"),
+                (identity.all(axis=0), "identity violated"),
+                (sign.all(axis=0), "positive increment"),
                 (~grew, "distance grew"),
             )
 
@@ -245,42 +341,36 @@ def verify_conflict_instability(sim: SimulateConfig = SimulateConfig()) -> Prope
     """
     t0 = time.perf_counter()
     seeds = sim.seeds
-    states = []
-    for s in range(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence([sim.master_seed, 17, s]))
-        n = int(rng.choice((2, 3, 4, 5, 6, 7, 8)))
-        beliefs = rng.uniform(0.0, 1.0, n)
-        for i in range(0, n - 1, 2):
-            if abs(beliefs[i] - beliefs[i + 1]) < 1e-3:
-                beliefs[i] += 0.1  # enforce the unequal-beliefs premise
-        states.append((rng.uniform(-1.0, 1.0, n), beliefs))
+    sizes, states = conflict_states(sim.master_seed, seeds)
 
     outcomes: list = [None] * seeds
-    for n in sorted({len(op) for op, _ in states}):
+    for n in sorted(set(sizes.tolist())):
         topo = DynamicsTopology.mutual_conflict_pairs(n)
         alpha, beta = topo.step_sizes()
-        a = topo.adjacency
-        isolated = a.sum(axis=-1) == 0
+        average = LaplacianStep.of(topo.adjacency, alpha, power=2)
+        repel = LaplacianStep.of(topo.adjacency, beta, 1.0, 2)
+        isolated = average.degree == 0
 
         def identity_step(state, carry, k):
             sc_op, sc_be = _scale_sq(state)
             new = np.empty_like(state)
-            a_op, p_op, _, new[0] = averaging_increments(state[0], a, alpha)
-            a_be, p_be, _, new[1] = contrarian_increments(state[1], a, beta)
+            a_op, p_op, _, new[0] = averaging_increments(state[0], average)
+            a_be, p_be, _, new[1] = contrarian_increments(state[1], repel)
+            identity_op, sign_op = _increments_ok(a_op, p_op, sc_op, True, isolated)
+            identity_be, sign_be = _increments_ok(a_be, p_be, sc_be, False, isolated)
             return new, carry, (
-                (_identity_ok(a_op, p_op, sc_op, isolated)
-                 & _identity_ok(a_be, p_be, sc_be, isolated), "identity violated"),
-                (_sign_ok(a_op, sc_op, True, isolated), "opinion increment positive"),
-                (_sign_ok(a_be, sc_be, False, isolated), "belief increment negative"),
+                (identity_op & identity_be, "identity violated"),
+                (sign_op, "opinion increment positive"),
+                (sign_be, "belief increment negative"),
             )
 
-        idx = [s for s, (op, _) in enumerate(states) if len(op) == n]
-        state = np.stack([states[s] for s in idx], axis=1)  # (2, rows, n)
+        idx = np.flatnonzero(sizes == n)
+        state = np.ascontiguousarray(states[:, idx, :n])
         checks, first, _ = run_rows(state, 30, identity_step)
         ok = np.array([f is None for f in first])
         verdict = run_batch(state[:, ok], topo, "conflicting", max_steps=500)
         verdicts = iter(zip(verdict.reasons, verdict.converged))
-        for s, c, f in zip(idx, checks.tolist(), first):
+        for s, c, f in zip(idx.tolist(), checks.tolist(), first):
             if f is not None:
                 outcomes[s] = (c, f"{f[1]} at seed={s} step={f[0]}")
                 continue
@@ -307,32 +397,38 @@ def verify_leader_convergence(sim: SimulateConfig = SimulateConfig(),
     seeds steps on its own `with_leaders` graph and step sizes, until it
     converges or fails.
     """
-    t0 = time.perf_counter()
     seeds, n, tol, max_steps = sim.seeds, 7, sim.tol, sim.max_steps
-    draws = []
-    for s in range(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence([sim.master_seed, 23, s]))
-        leaders = tuple(sorted(rng.choice(n, size=n_leaders, replace=False).tolist()))
-        opinions, beliefs = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n)
-        targets = (float(np.mean(opinions[list(leaders)])), float(np.mean(beliefs[list(leaders)])))
-        draws.append((DynamicsTopology.with_leaders(n, leaders), (opinions, beliefs), targets))
+    if not 1 <= n_leaders <= n:
+        raise ValueError(f"n_leaders must be in [1, {n}], got {n_leaders}")
+    t0 = time.perf_counter()
+    leaders, initial, targets = leader_states(sim.master_seed, seeds, n_leaders, n)
+    # one topology per distinct leader set, at most C(7, n_leaders)
+    codes = (1 << leaders).sum(axis=1)
+    _, first_seed, of_seed = np.unique(codes, return_index=True, return_inverse=True)
+    topos = [DynamicsTopology.with_leaders(n, leaders[s].tolist()) for s in first_seed]
+
+    # each seed's step on its leader set's graph, rows first so that they leave with their rows
+    follow = LaplacianStep.of(np.stack([t.adjacency for t in topos]),
+                              np.array([t.step_sizes() for t in topos]).T[:, :, None], power=1)
+    carry = tuple(c[of_seed] for c in (follow.adjacency, follow.degree, follow.divisor,
+                                       follow.step.transpose(1, 0, 2),
+                                       follow.factor.transpose(1, 0, 2)))
 
     def leader_step(state, carry, k):
-        adj, gamma = carry
+        adjacency, degree, divisor, step, factor = carry
         sc_op, sc_be = _scale_sq(state)
-        actual, predicted, _, state = leader_increments(state, adj, gamma.T[:, :, None])
+        actual, predicted, _, state = leader_increments(state, LaplacianStep(
+            adjacency, step.transpose(1, 0, 2), degree, divisor, -1.0, 1, factor.transpose(1, 0, 2)))
         sc = np.where(sc_be > sc_op, sc_be, sc_op)  # Python's max(sc_op, sc_be)
-        isolated = adj.sum(axis=-1) == 0
+        identity, sign = _increments_ok(actual, predicted, sc, True, degree == 0)
         return state, carry, (
-            (_identity_ok(actual, predicted, sc, isolated).all(axis=0), "leader identity violated"),
-            (_sign_ok(actual, sc, True, isolated).all(axis=0), "leader distance grew"),
+            (identity.all(axis=0), "leader identity violated"),
+            (sign.all(axis=0), "leader distance grew"),
         )
 
-    topos, initial, targets = zip(*draws)
-    carry = (np.stack([t.adjacency for t in topos]), np.array([t.step_sizes() for t in topos]))
-    checks, first, final = run_rows(np.stack(initial, axis=1), max_steps, leader_step,
+    checks, first, final = run_rows(initial, max_steps, leader_step,
                                     functools.partial(within_tol, tol=tol), carry)
-    off = (np.abs(final - np.array(targets).T[:, :, None]).max(axis=2) >= tol).any(axis=0)
+    off = (np.abs(final - targets[:, :, None]).max(axis=2) >= tol).any(axis=0)
     outcomes = [(c, f"{f[1]} at seed={s} step={f[0]}" if f is not None
                  else f"no convergence within budget at seed={s}" if c == max_steps
                  else f"final state off the leader average at seed={s}" if o else None)

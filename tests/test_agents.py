@@ -7,13 +7,14 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import ExitStack
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from belief_consensus import agents
+from belief_consensus import agents, pcg64
 from belief_consensus.agents import (
     AgentError,
     Backend,
@@ -32,6 +33,7 @@ from belief_consensus.core import (TAG_SUPPORTIVE, AgentScript, Opinion, RoundCo
                                    ScenarioCase, ScriptedReply, answer_spans,
                                    canonicalize_answer, stable_hash)
 from belief_consensus.pcg64 import ROUNDS_PER_PASS, _state_words, _uint32_words
+from pcg64_streams import PCG_MULT, pcg64_at, state_before_output
 from round_oracles import columns_of, context_of, no_delegates, opinions_of, oracle_respond
 
 
@@ -151,6 +153,15 @@ class TestBackend:
         assert "no script for agent 'a0'" in str(failed[0][1])
         assert backend._memory == {}  # a1 and a2 were never asked
 
+    def test_default_start_round_is_one_shared_reentrant_no_op(self):
+        # every backend and round gets the same context, entered while entered
+        case, ctx = scripted_case(), no_delegates(1, "a1", "a2")
+        first = ScriptedAgent().start_round(case, ["a1"], ctx)
+        second = StochasticAgent(seed=1).start_round(case, ["a2"], ctx)
+        assert first is second
+        with ExitStack() as started:
+            assert started.enter_context(first) is started.enter_context(second) is None
+
 
 class TestStochasticAgent:
     def test_deterministic_per_seed(self):
@@ -176,22 +187,6 @@ class TestStochasticAgent:
 
 # seeds SeedSequence reads as one, two and three or more 32-bit words
 EDGE_SEEDS = (0, 2**31 - 1, 2**32, 2**32 + 7, 2**64 - 1, 2**64 + 3, 2**70 + 2**33 + 5)
-PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def state_before_output(raw: int, inc: int) -> int:
-    """A PCG64 state whose next raw output is `raw` (whose top 6 bits, the
-    XSL-RR rotation, are zero, so the output is high ^ low)."""
-    high = 0x0123456789ABCDE  # < 2**58
-    after = high << 64 | (high ^ raw)
-    return (after - inc) * pow(PCG_MULT, -1, 2**128) % 2**128
-
-
-def pcg64_at(state: int, inc: int) -> np.random.PCG64:
-    bitgen = np.random.PCG64()
-    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
-    return bitgen
 
 
 class TestStochasticAgentOracle:
@@ -313,7 +308,9 @@ class TestStochasticAgentOracle:
                     out[:, column] = pcg64_at(state, inc).random_raw(k)
                     return out
 
+                # the block is drawn in agents, its extension in the shared bounded draw
                 monkeypatch.setattr(agents, "_pcg64_raw", substituted)
+                monkeypatch.setattr(pcg64, "_pcg64_raw", substituted)
                 earlier = [no_delegates(r, *ids) for r in range(1, crafted_round) if rounds > 1]
                 before = [round_opinions(agent.respond_round(case, ids, c)) for c in earlier]
                 got = round_opinions(agent.respond_round(case, ids, ctx))

@@ -2,7 +2,8 @@
 forms they replaced (`tests/verification_oracle.py`): the same verdicts,
 step counts, final-state bits, trace CSV bytes, and the same
 (name, passed, trajectories, checks, failures) under injected faults; and
-the array-drawn initial states against the seeded Generators they replaced."""
+the array-drawn initial states, agent counts and leader sets against the
+seeded Generators they replaced."""
 
 import io
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import verification_oracle as oracle
-from belief_consensus import verification
+from belief_consensus import pcg64, verification
 from belief_consensus.dynamics import (
     REASON_CONSENSUS,
     REASON_MARGINAL,
@@ -22,6 +23,7 @@ from belief_consensus.dynamics import (
     run_rows,
     trace_to_csv,
 )
+from pcg64_streams import pcg64_at, state_before_output
 
 
 def ring(n):
@@ -202,6 +204,9 @@ FAULTS = {
         _only(_leaders_are((0, 2, 5)), lambda t: (0.9, 0.9))),
     "leader-1-leader": (
         "verify_leader_convergence", {"n_leaders": 1}, DynamicsTopology.step_sizes),
+    # every agent leads: one graph, all pairs
+    "leader-7-leaders": (
+        "verify_leader_convergence", {"n_leaders": 7}, DynamicsTopology.step_sizes),
     "speedup-1/n": ("verify_belief_speedup", {}, lambda t: (1.0 / t.n,) * 2),
     "speedup-0.8": ("verify_belief_speedup", {}, lambda t: (0.8, 0.8)),
     "speedup-overflow": (
@@ -312,3 +317,108 @@ class TestUniformDraws:
     def test_no_seeds(self):
         # `simulate.trace_seeds: 0`
         assert [x.shape for x in verification.uniform_draws(0, 3, 0, (0.0, 1.0, 3))] == [(0, 3)]
+
+
+def generator_conflict_draws(rng):
+    """n, opinions, beliefs and the number of nudged pairs, as the conflict
+    check drew them from a Generator."""
+    n = int(rng.choice(verification.CONFLICT_SIZES))
+    beliefs = rng.uniform(0.0, 1.0, n)
+    nudged = 0
+    for i in range(0, n - 1, 2):
+        if abs(beliefs[i] - beliefs[i + 1]) < 1e-3:
+            beliefs[i] += 0.1
+            nudged += 1
+    return n, rng.uniform(-1.0, 1.0, n), beliefs, nudged
+
+
+def generator_leader_draws(rng, n_leaders):
+    """The sorted leaders, opinions, beliefs and leader means as the leader
+    check drew them from a Generator."""
+    leaders = sorted(rng.choice(7, size=n_leaders, replace=False).tolist())
+    opinions, beliefs = rng.uniform(-1.0, 1.0, 7), rng.uniform(0.0, 1.0, 7)
+    return leaders, opinions, beliefs, [np.mean(opinions[leaders]), np.mean(beliefs[leaders])]
+
+
+def seeded(master_seed, key, s):
+    return np.random.default_rng(np.random.SeedSequence([master_seed, key, s]))
+
+
+class TestBoundedDraws:
+    """`conflict_states` and `leader_states` against one seeded Generator per
+    seed, as the checks drew before them (and `verification_oracle` still
+    draws), bit for bit."""
+
+    @pytest.mark.parametrize("master_seed", [0, 7, 2**32 + 5])
+    def test_conflict_states_equal_generator(self, master_seed):
+        seeds = 1000  # enough for some nudged pairs
+        sizes, states = verification.conflict_states(master_seed, seeds)
+        assert states.shape == (2, seeds, 8)
+        nudged = 0
+        for s in range(seeds):
+            n, opinions, beliefs, pairs = generator_conflict_draws(seeded(master_seed, 17, s))
+            nudged += pairs
+            assert sizes[s] == n
+            assert states[0, s, :n].tobytes() == opinions.tobytes()
+            assert states[1, s, :n].tobytes() == beliefs.tobytes()
+            assert np.isnan(states[:, s, n:]).all()
+        assert nudged > 0 and set(sizes.tolist()) == set(verification.CONFLICT_SIZES)
+
+    @pytest.mark.parametrize("n_leaders", [1, 2, 3])
+    @pytest.mark.parametrize("master_seed", [0, 7, 2**32 + 5])
+    def test_leader_states_equal_generator(self, master_seed, n_leaders):
+        leaders, states, targets = verification.leader_states(master_seed, 100, n_leaders, 7)
+        for s in range(100):
+            want = generator_leader_draws(seeded(master_seed, 23, s), n_leaders)
+            assert leaders[s].tolist() == want[0]
+            assert states[0, s].tobytes() == want[1].tobytes()
+            assert states[1, s].tobytes() == want[2].tobytes()
+            assert targets[:, s].tobytes() == np.array(want[3]).tobytes()
+
+    @pytest.mark.parametrize("check", ["conflict", "leader"])
+    def test_rejected_draw_on_a_crafted_stream(self, monkeypatch, check):
+        # seed 3 draws from a PCG64 whose first output is 0, so the first
+        # bounded draw rejects both its halves (the product's low word 0 is
+        # below 2**32 mod 7 and mod 6) and reads the next output; random
+        # inputs get there with probability below 7 / 2**32. The uniforms
+        # then start one output later and run past the raw block, which is
+        # drawn again, longer
+        inc = 0x5851F42D4C957F2D_14057B7EF767814F | 1
+        crafted = state_before_output(0, inc)
+        real, sizes = pcg64._pcg64_raw, []
+
+        def substituted(words, k):
+            sizes.append(k)
+            out = real(words, k)
+            out[:, 3] = pcg64_at(crafted, inc).random_raw(k)
+            return out
+
+        monkeypatch.setattr(pcg64, "_pcg64_raw", substituted)
+        monkeypatch.setattr(verification, "_pcg64_raw", substituted)
+        streams = [seeded(7, 17 if check == "conflict" else 23, s) for s in range(5)]
+        streams[3] = np.random.Generator(pcg64_at(crafted, inc))
+        if check == "conflict":
+            sizes_, states = verification.conflict_states(7, 5)
+            for s, rng in enumerate(streams):
+                n, opinions, beliefs, _ = generator_conflict_draws(rng)
+                assert (sizes_[s], states[0, s, :n].tobytes(), states[1, s, :n].tobytes()) == (
+                    n, opinions.tobytes(), beliefs.tobytes())
+            assert sizes == [17, 18]
+        else:
+            leaders, states, targets = verification.leader_states(7, 5, 2, 7)
+            for s, rng in enumerate(streams):
+                want = generator_leader_draws(rng, 2)
+                assert leaders[s].tolist() == want[0]
+                assert states[:, s].tobytes() == np.stack(want[1:3]).tobytes()
+                assert targets[:, s].tobytes() == np.array(want[3]).tobytes()
+            assert sizes == [16, 17]
+
+    @pytest.mark.parametrize("n_leaders", [0, 8])
+    def test_n_leaders_outside_the_population_is_rejected_before_drawing(
+            self, monkeypatch, n_leaders):
+        def no_draws(*args):
+            raise AssertionError("drew leaders")
+
+        monkeypatch.setattr(verification, "leader_states", no_draws)
+        with pytest.raises(ValueError, match=r"n_leaders must be in \[1, 7\]"):
+            verification.verify_leader_convergence(n_leaders=n_leaders)

@@ -8,8 +8,9 @@ round's columns and the agents that failed. The round's one context holds
 each agent's delegates as (agent id, tag) pairs, the map coordination
 returned, and the previous round's columns, whose rows the backends read: no
 Opinion is made for a collaborator. The stochastic backend draws the
-generators of all rounds of a case as one batch; the scripted and HTTP
-backends answer each agent with respond(case, agent_id, ctx) -> Opinion.
+generators of all rounds of a case as one batch and decides their draws
+there; the scripted and HTTP backends answer each agent with
+respond(case, agent_id, ctx) -> Opinion.
 Before the first respond_round of a round, each backend's start_round(case,
 agent_ids, ctx) may start what needs no reply of the round: the HTTP backend
 sends every agent's first attempt there, and respond reads its reply. A
@@ -296,8 +297,9 @@ class StochasticAgent(Backend):
     each agent's draws are those of `np.random.default_rng(SeedSequence([seed,
     crc(case), crc(agent), round]))`. The first call for a case computes them
     for its agents and every round from its own up to `rounds` (the case's
-    round limit, at most ROUNDS_PER_PASS rounds) at once; later rounds of the
-    case read their slice.
+    round limit, at most ROUNDS_PER_PASS rounds) at once, under both ways a
+    round can read them, with collaborators and without; later rounds of the
+    case pick each agent's from its slice.
     """
 
     def __init__(self, seed: int, candidates: Sequence[str] = ("A", "B", "C", "D"),
@@ -306,17 +308,22 @@ class StochasticAgent(Backend):
         self.candidates = tuple(candidates)
         self.adopt_prob = adopt_prob
         self.rounds = rounds
-        # (case id and agent ids, rounds covered, entropy words, raw outputs),
-        # replaced whole, so a backend shared by threads reads one block per call
+        # (case id and agent ids, rounds covered, text ids, beliefs), replaced
+        # whole, so a backend shared by threads reads one block per call
         self._block = None
 
     def _round_streams(self, case_id: str, agent_ids: Sequence[str],
                        round_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """The agents' entropy words (words, m) and first raw outputs (3, m) in
-        round `round_index`, sliced from the case's block; a round the block
-        does not cover computes a new one, from that round on.
+        """The agents' text ids and beliefs (2, m) in round `round_index`, row 0
+        as an agent without collaborators draws them and row 1 as one with
+        collaborators does, where text id n (the pool size) marks adoption and
+        -1 a draw from an empty pool. Sliced from the case's block; a round the
+        block does not cover computes a new one, from that round on.
 
-        Block column `(r - first round) * m + j` is agent j's generator in round r.
+        Block column `(r - first round) * m + j` is agent j's generator in
+        round r. The block pass computes the generators' raw outputs and
+        decides both layouts from them, then keeps only the decisions: 32
+        bytes per agent-round.
         """
         key, m = (case_id, tuple(agent_ids)), len(agent_ids)
         block = self._block
@@ -329,43 +336,62 @@ class StochasticAgent(Backend):
             words[:len(entropy)] = np.array(entropy, np.uint32)[:, None]
             words[len(entropy)] = np.tile(_crc32_row(key[1]), len(rounds))
             words[len(entropy) + 1:] = np.repeat(round_words, m, axis=1)
-            raw = _pcg64_raw(words, _STREAM_OUTPUTS)
-            words.flags.writeable = raw.flags.writeable = False
-            block = self._block = (key, rounds, words, raw)
-        _, rounds, words, raw = block
+            text_ids, beliefs = self._decide(words, _pcg64_raw(words, _STREAM_OUTPUTS))
+            text_ids.flags.writeable = beliefs.flags.writeable = False
+            block = self._block = (key, rounds, text_ids, beliefs)
+        _, rounds, text_ids, beliefs = block
         at = slice((round_index - rounds.start) * m, (round_index - rounds.start + 1) * m)
-        return words[:, at], raw[:, at]
+        return text_ids[:, at], beliefs[:, at]
+
+    def _decide(self, words: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Text ids and beliefs (2, columns) of the generators of a raw block
+        under both layouts, as `_round_streams` returns them.
+
+        Without collaborators a generator draws `integers(n)` and
+        `uniform(0.3, 0.95)`; with them `random()` first, and adopts when it
+        is below `adopt_prob`, skipping `integers(n)`. `random()` scales an
+        output's top 53 bits to [0, 1). `integers(n)` is
+        `pcg64._bounded_draws`: an output's low half, then its high half if
+        the low one is rejected, then the next output; n = 1 reads nothing.
+        `uniform` reads the output after the draw's. Either layout's draw may
+        extend the block.
+        """
+        n, columns = len(self.candidates), raw.shape[1]
+        cols = np.arange(columns)
+        adopt = _doubles(raw[0]) < self.adopt_prob
+        text_ids = np.empty((2, columns), np.intp)
+        beliefs = np.empty((2, columns))
+        for layout, draw in enumerate((cols, np.flatnonzero(~adopt))):
+            half = np.full(columns, 2 * layout, np.intp)  # the 32-bit half a draw reads next
+            text_ids[layout], raw = _bounded_draws(raw, words, half, n, draw)
+            belief_at = (half + 1) >> 1  # uniform() reads the first output with no half read
+            beliefs[layout] = _doubles(raw[belief_at, cols])
+        if n < 1:
+            text_ids[:] = -1
+        text_ids[1, adopt] = n
+        beliefs = 0.3 + (0.95 - 0.3) * beliefs
+        return text_ids, np.rint(beliefs * 1e6) / 1e6  # np.round(beliefs, 6)
 
     def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
                       ctx: RoundContext) -> tuple[RoundColumns, Failures]:
         """The opinions of several agents of one round of a case, as rows in
         `agent_ids` order; no agent fails.
 
-        Each agent's draws are numpy's `Generator` draws `random()` (only with
-        collaborators), `integers(n)` (unless it adopts) and `uniform(0.3,
-        0.95)`, read from its raw outputs as array operations over the round.
-        `random()` scales an output's top 53 bits to [0, 1). `integers(n)` is
-        `pcg64._bounded_draws`: an output's low half, then its high half if the
-        low one is rejected, then the next output; n = 1 reads nothing.
-        `uniform` reads the output after the draw's.
+        Each agent reads its draw and belief from the case's block, in the
+        layout its delegates pick: with collaborators, the adopt test was
+        decided there too, and an adopter takes its highest-belief
+        collaborator's answer.
         """
         round_index = ctx.round
         n, m = len(self.candidates), len(agent_ids)
-        words, raw = self._round_streams(case.case_id, agent_ids, round_index)
-
-        cols = np.arange(m)
         delegates = [ctx.delegates[agent_id] for agent_id in agent_ids]
-        collaborate = np.array([bool(d) for d in delegates])
-        adopt = collaborate & (_doubles(raw[0]) < self.adopt_prob)
-        if n < 1 and not adopt.all():
+        layout = (np.array([bool(d) for d in delegates], np.intp), np.arange(m))
+        text_ids, beliefs = self._round_streams(case.case_id, agent_ids, round_index)
+        text_ids, belief = text_ids[layout], beliefs[layout]
+        if n < 1 and (text_ids < 0).any():
             raise ValueError("no candidates to draw from")
-        half = 2 * collaborate.astype(np.intp)  # the 32-bit half each bounded draw reads next
-        index, raw = _bounded_draws(raw, words, half, n, np.flatnonzero(~adopt))
-        belief_at = (half + 1) >> 1  # uniform() reads the first output with no half read
-        belief = 0.3 + (0.95 - 0.3) * _doubles(raw[belief_at, cols])
-        belief = np.rint(belief * 1e6) / 1e6  # np.round(belief, 6)
 
-        adopters = np.flatnonzero(adopt).tolist()
+        adopters = np.flatnonzero(text_ids == n).tolist()
         # by delegate tuple, which coordination hands agents with equal
         # delegates as one object; by identity, as comparing them costs more
         strongest: dict[int, str] = {}
@@ -375,12 +401,8 @@ class StochasticAgent(Backend):
                 strongest[id(delegates[i])] = max(rows, key=lambda row: row[2])[1]
         answers = sorted({*self.candidates, *strongest.values()})
         code = {a: c for c, a in enumerate(answers)}
-        text_ids = index.astype(np.intp)
-        codes = np.empty(m, np.intp)
-        drawn = ~adopt  # with no candidates, none
-        codes[drawn] = np.array([code[c] for c in self.candidates], np.intp)[text_ids[drawn]]
+        codes = np.array([code[c] for c in self.candidates] + [0], np.intp)[text_ids]
         codes[adopters] = [code[strongest[id(delegates[i])]] for i in adopters]
-        text_ids[adopt] = n
         texts = (*(f"Independent draw on round {round_index} favoring option {c}."
                    for c in self.candidates),
                  f"Adopting the strongest collaborator view on round {round_index}.")

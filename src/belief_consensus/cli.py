@@ -61,6 +61,11 @@ _KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false"
                "path": "a string"}
 
 
+# libyaml's parser when PyYAML was built with it; both resolve tags with the
+# same Python resolver, so they read a file as the same payload
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 class ConfigError(ValueError):
     pass
 
@@ -77,7 +82,7 @@ def _load_config(path: str | None) -> tuple[dict, Path]:
         raise ConfigError(f"config file not found: {p}")
     try:
         with open(p, "r", encoding="utf-8") as fh:
-            payload = yaml.safe_load(fh) or {}
+            payload = yaml.load(fh, Loader=_YAML_LOADER) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(payload, dict):

@@ -131,17 +131,27 @@ def _seed_centroids(distinct: np.ndarray, counts: np.ndarray, draws: np.ndarray)
     Pick j of restart r reads draws[j, r] and inverts the pick distribution's
     cdf exactly as `Generator.choice(m, p=p)` does, so each restart's picks
     match drawing them one restart at a time.
+
+    Every pick is one of the m rows, so with m <= R the (m, m) table of
+    squared distances between the rows is computed once and each pick reads
+    its row: the table's (m, m, d) temporary is then within (R, m, d). Each
+    entry is the same last-axis sum of the same squared differences as one
+    pick against all rows, which larger m computes per pick.
     """
     k, restarts = draws.shape
     weights = counts / counts.sum()
     picks = np.empty((restarts, k), dtype=np.intp)
     dists = np.empty((restarts, k, len(distinct)))
+    table = ((distinct - distinct[:, None, :]) ** 2).sum(-1) if len(distinct) <= restarts else None
     probs = weights  # the first pick's distribution, shared by every restart
     for j in range(k):
         cdf = probs.cumsum(axis=-1)
         cdf /= cdf[..., -1:]
         picks[:, j] = (cdf <= draws[j, :, None]).sum(axis=1)
-        ((distinct - distinct[picks[:, j], None, :]) ** 2).sum(-1, out=dists[:, j])
+        if table is None:
+            ((distinct - distinct[picks[:, j], None, :]) ** 2).sum(-1, out=dists[:, j])
+        else:
+            dists[:, j] = table[picks[:, j]]
         if j == k - 1:
             break
         mass = dists[:, :j + 1].min(axis=1) * counts

@@ -13,6 +13,11 @@ re-seat, so a test can show that an input reaches that branch.
 
 `oracle_renumber` is the `np.unique` form of `grouping._renumber`, which a
 dict pass replaced.
+
+`oracle_seed_picks` is the k-means++ seeding of `grouping._seed_centroids`
+one restart and one pick at a time, each pick's distances computed against
+all rows, so a test can require the batched seeding's picks and distances
+bit for bit.
 """
 
 import math
@@ -39,6 +44,34 @@ def _seed_centroids(distinct, counts, k, rng):
             probs = mass / total
         centroids.append(distinct[rng.choice(len(distinct), p=probs)])
     return np.array(centroids)
+
+
+def oracle_seed_picks(distinct, counts, draws):
+    """(R, k) picks, (R, k, m) squared distances and the (restart, pick) pairs
+    whose pick read the flat weights: restart r's pick j inverts its cdf at
+    draws[j, r] as `Generator.choice` does."""
+    k, restarts = draws.shape
+    weights = counts / counts.sum()
+    picks = np.empty((restarts, k), dtype=np.intp)
+    dists = np.empty((restarts, k, len(distinct)))
+    flat = []
+    for r in range(restarts):
+        probs = weights
+        for j in range(k):
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            picks[r, j] = np.searchsorted(cdf, draws[j, r], side="right")
+            dists[r, j] = np.sum((distinct - distinct[picks[r, j]]) ** 2, axis=1)
+            if j == k - 1:
+                break
+            mass = dists[r, :j + 1].min(axis=0) * counts
+            total = mass.sum()
+            if total <= 0.0:
+                probs = weights
+                flat.append((r, j + 1))
+            else:
+                probs = mass / total
+    return picks, dists, flat
 
 
 def _lloyd(distinct, counts, k_eff, rng, reseats):

@@ -272,6 +272,38 @@ class TestStochasticAgentOracle:
                 got = round_opinions(agent.respond_round(case, ids, ctx))
                 assert got == [oracle_respond(agent, case, a, ctx) for a in ids]
 
+    def test_agents_change_layout_between_rounds_of_one_block(self, monkeypatch):
+        # one 5-round block, drawn once, serves rounds 1, 3 and 5 without
+        # collaborators and rounds 2 and 4 with them, so every round reads
+        # the other layout than the round before
+        sizes = []
+
+        def counted(block, k):
+            sizes.append(block.shape[1])
+            return _pcg64_raw(block, k)
+
+        monkeypatch.setattr(agents, "_pcg64_raw", counted)
+        rng = np.random.default_rng(29)
+        ids = [f"agent-{i}" for i in range(1, 31)]
+        seeds = EDGE_SEEDS[:3] + (12345,)
+        for seed in seeds:
+            agent = StochasticAgent(seed=seed, candidates="ABCD", adopt_prob=0.6, rounds=5)
+            case = ScenarioCase(f"layouts-{seed}", "q", "A")
+            for round_index in range(1, 6):
+                if round_index in (2, 4):
+                    ctx = context_of(round_index, {a: [
+                        (Opinion(f"c{j}", "", "ABCD"[j], float(rng.uniform(0.1, 1.0))), "leader")
+                        for j in rng.choice(4, int(rng.integers(1, 4)), replace=False)]
+                        for a in ids})
+                else:
+                    ctx = no_delegates(round_index, *ids)
+                got = round_opinions(agent.respond_round(case, ids, ctx))
+                assert got == [oracle_respond(agent, case, a, ctx) for a in ids], (
+                    seed, round_index)
+                adopted = sum(op.reasoning.startswith("Adopting") for op in got)
+                assert 0 < adopted < len(ids) if round_index in (2, 4) else adopted == 0
+        assert sizes == [5 * len(ids)] * len(seeds)  # one block per case
+
     @pytest.mark.parametrize("collaborate, rounds, crafted_round", [
         (False, 1, 2), (True, 1, 2), (False, 5, 3), (True, 5, 3),
     ], ids=["False", "True", "False-round-3-of-5", "True-round-3-of-5"])
@@ -314,6 +346,11 @@ class TestStochasticAgentOracle:
                 earlier = [no_delegates(r, *ids) for r in range(1, crafted_round) if rounds > 1]
                 before = [round_opinions(agent.respond_round(case, ids, c)) for c in earlier]
                 got = round_opinions(agent.respond_round(case, ids, ctx))
+                # the block drew the other layout too: the same round read
+                # with collaborators where it had none, and without where it had
+                other = context_of(crafted_round, dict.fromkeys(
+                    ids, () if collaborate else [(Opinion("x", "", "B", 0.7), "leader")]))
+                other_got = round_opinions(agent.respond_round(case, ids, other))
                 monkeypatch.undo()
                 assert sizes == ([3, 6] if collaborate and not raw else [3])
                 for c, ops in zip(earlier, before):
@@ -328,6 +365,18 @@ class TestStochasticAgentOracle:
                 if raw:
                     assert index == high_half * n_candidates >> 32 != 0
                 assert got[target] == Opinion(
+                    ids[target],
+                    f"Independent draw on round {crafted_round} favoring option {pool[index]}.",
+                    pool[index], belief)
+                want = [oracle_respond(agent, case, a, other) for a in ids]
+                assert other_got[:target] == want[:target]
+                assert other_got[target + 1:] == want[target + 1:]
+                gen = np.random.Generator(pcg64_at(state, inc))
+                if not collaborate:
+                    gen.random()  # the adopt test, which adopt_prob 0 never passes
+                index = int(gen.integers(n_candidates))
+                belief = float(np.round(gen.uniform(0.3, 0.95), 6))
+                assert other_got[target] == Opinion(
                     ids[target],
                     f"Independent draw on round {crafted_round} favoring option {pool[index]}.",
                     pool[index], belief)

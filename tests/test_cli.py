@@ -566,6 +566,33 @@ class TestConfigFiles:
         first = (tmp_path / "sim" / "properties.txt").read_text().splitlines()[0]
         assert json.loads(first.removeprefix("# config: "))["tol"] == 1e-9
 
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_reads_every_config_as_the_python_parser(self, tmp_path):
+        # the shipped configs, and JSON whose 1e-09 the YAML resolver reads as a string
+        cfg = tmp_path / "config.json.yaml"
+        cfg.write_text(json.dumps({"simulate": {"tol": 1.0e-9, "modes": ["leader"]},
+                                   "run": {"n": 7, "dataset": "d.json"}}, indent=1))
+        paths = sorted(CONFIGS.glob("*.yaml")) + [cfg]
+        assert cli._YAML_LOADER is yaml.CSafeLoader
+        for path in paths:
+            text = path.read_text()
+            want = yaml.load(text, Loader=yaml.SafeLoader)
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == want
+            assert cli._load_config(str(path))[0] == want
+        assert want["simulate"]["tol"] == "1e-09"
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, capsys, monkeypatch, loader):
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML built without libyaml")
+        monkeypatch.setattr(cli, "_YAML_LOADER", getattr(yaml, loader))
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("run:\n  n: [7, 3\n  seed: 1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("config error: config file is not valid YAML")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, section, value, message", [
         ("simulate", "run", {"max_round": 9}, "unknown key 'max_round' in run"),
         ("simulate", "backends", [5], "backends[0] must be a mapping, got 5"),

@@ -12,13 +12,14 @@ from belief_consensus.grouping import (
     _distinct_rows,
     _renumber,
     _restart_draws,
+    _seed_centroids,
     build_groups,
     cluster_opinions,
     group_entropy,
     tokenize,
     vectorize,
 )
-from kmeans_oracle import oracle_cluster, oracle_renumber
+from kmeans_oracle import oracle_cluster, oracle_renumber, oracle_seed_picks
 from round_oracles import columns_of, oracle_build_groups, oracle_vectorize
 
 
@@ -430,6 +431,50 @@ class TestBatchedKMeansOracle:
         vecs = np.array(vecs)[:, None]
         want = oracle_cluster(vecs, k, seed)
         assert np.array_equal(cluster_opinions(vecs, k, draws(seed, k)), want)
+
+
+def seeding_inputs(m, seed):
+    """Seeded (rows, counts, draws) for `_seed_centroids` at m rows, in 1 to
+    150 dimensions (so the last-axis sums take numpy's plain, unrolled and
+    pairwise paths): random, 0.1-rounded or L2-normalized rows; rows repeated
+    from a pool of 1-3, whose masses go flat; and rows of signed zeros and
+    ones. Counts go up to 5, and some draws sit at 0 and just below 1."""
+    rng = np.random.default_rng(seed)
+    for d in (1, 3, 9, 40, 150):
+        for kind in ("random", "repeated", "signed zeros"):
+            for _ in range(8):
+                rows = rng.uniform(-1, 1, (m, d))
+                if kind == "random" and rng.random() < 0.5:
+                    rows = np.round(rows, 1)
+                if kind == "random" and rng.random() < 0.5:
+                    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+                    rows = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
+                if kind == "repeated":
+                    rows = rows[rng.integers(0, int(rng.integers(1, 4)), m)]
+                if kind == "signed zeros":
+                    rows = rng.choice([-0.0, 0.0, 1.0], (m, d), p=[0.45, 0.45, 0.1])
+                draws = rng.random((int(rng.integers(1, 6)), KMEANS_N_INIT))
+                draws[rng.random(draws.shape) < 0.1] = 0.0
+                draws[rng.random(draws.shape) < 0.1] = 1.0 - 2.0 ** -53
+                yield rows, rng.integers(1, 6, m) * 1.0, draws
+
+
+class TestSeedCentroids:
+    """The k-means++ seeding, from the distance table (m <= R) and per pick
+    (m > R), equals the per-pick reference bit for bit."""
+
+    @pytest.mark.parametrize("m", [KMEANS_N_INIT, KMEANS_N_INIT + 1],
+                             ids=["table", "per-pick"])
+    def test_picks_and_distances_equal_per_pick_reference(self, m):
+        flat = signed = 0
+        for i, (rows, counts, draws) in enumerate(seeding_inputs(m, seed=m)):
+            picks, dists = _seed_centroids(rows, counts, draws)
+            want_picks, want_dists, flat_picks = oracle_seed_picks(rows, counts, draws)
+            assert np.array_equal(picks, want_picks), i
+            assert dists.tobytes() == want_dists.tobytes(), i
+            flat += bool(flat_picks)
+            signed += bool(np.signbit(rows).any() and (rows == 0).all(axis=1).sum() > 1)
+        assert flat >= 10 and signed >= 10, (flat, signed)
 
 
 def spawned_draws(seed, k):

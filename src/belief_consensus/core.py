@@ -377,20 +377,39 @@ class RunConfig:
     mixed_delegates: bool = False
 
     def __post_init__(self):
-        for name, least in (("n", 2), ("max_rounds", 1), ("n_leaders", 1), ("n_clusters", 1)):
+        for name, least in (("n", 2), ("max_rounds", 1), ("n_leaders", 1), ("n_clusters", 1),
+                            ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}")
 
 
-def _script_from_dict(payload: dict) -> AgentScript:
+def _json(kind: type, value, what: str):
+    """`value` if it is a `kind`: dict (a JSON object) or list (an array)."""
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"{what} is not a JSON {'object' if kind is dict else 'array'}: {value!r}")
+
+
+def _number(kind: type, value, what: str):
+    """`kind(value)`, kind int or float: null is a ValueError, as "x" is."""
+    try:
+        return kind(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def _script_from_dict(payload) -> AgentScript:
+    agent_id = str(_json(dict, payload, "an agent")["agent_id"])
+    where = f"agent {agent_id!r}"
     replies = tuple(
         ScriptedReply(
-            round=int(r["round"]),
+            round=_number(int, r["round"], f"{where}: a round"),
             answer=canonicalize_answer(str(r["answer"])),
             reasoning=str(r.get("reasoning", "")),
-            belief=float(r["belief"]),
+            belief=_number(float, r["belief"], f"{where}: a belief"),
         )
-        for r in payload.get("rounds", [])
+        for r in (_json(dict, r, f"{where}: a reply")
+                  for r in _json(list, payload.get("rounds", []), f"{where}: rounds"))
     )
     fallback = payload.get("fallback")
     fallback_belief = None
@@ -398,10 +417,11 @@ def _script_from_dict(payload: dict) -> AgentScript:
         fallback_belief = fallback.get("belief")
         fallback = fallback.get("rule")
     return AgentScript(
-        agent_id=str(payload["agent_id"]),
+        agent_id=agent_id,
         replies=replies,
         fallback=fallback,
-        fallback_belief=None if fallback_belief is None else float(fallback_belief),
+        fallback_belief=None if fallback_belief is None
+        else _number(float, fallback_belief, f"{where}: the fallback belief"),
     )
 
 
@@ -411,15 +431,16 @@ def scenarios_from_json(path: str | Path) -> list[ScenarioCase]:
         payload = json.load(fh)
     cases = []
     seen = set()
-    for entry in payload["cases"]:
-        case_id = str(entry["case_id"])
+    for number, entry in enumerate(_json(list, _json(dict, payload, "the dataset")["cases"],
+                                         "cases"), 1):
+        case_id = str(_json(dict, entry, f"case {number}")["case_id"])
         if case_id in seen:
             raise ValueError(f"duplicate case_id {case_id!r} in dataset")
         seen.add(case_id)
         scripts = None
         if entry.get("agents"):
             scripts = {}
-            for agent_payload in entry["agents"]:
+            for agent_payload in _json(list, entry["agents"], f"case {case_id!r}: agents"):
                 try:
                     script = _script_from_dict(agent_payload)
                 except ValueError as exc:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
@@ -120,26 +120,34 @@ _NORMS = {1: np.abs, 2: np.square}  # distance to the collaborator mean by power
 
 @dataclass(frozen=True)
 class LaplacianStep:
-    """The step x' = x + sign*g*L x with L = diag(A 1) - A, with everything
-    that does not depend on x computed once: the adjacency A, the signed step
-    size sign*g, the degree A 1 (collaborator counts) and the collaborator-mean
-    divisor (the degree, NaN where it is 0). Built with a `power` (1 or 2) for
-    the increment helpers, it also holds the factor |1 + sign*g*m|^power - 1
-    of their closed form, m the degree. A batch that takes many steps on one
-    graph, or one stack of graphs, builds it once.
+    """The step x' = x + sign*g*L x with L = diag(A 1) - A: sign -1 averages
+    toward the collaborators, +1 pushes away from them. What does not depend
+    on x is computed once: the adjacency A, the signed step size sign*g, the
+    degree A 1 (collaborator counts) and the collaborator-mean divisor (the
+    degree, NaN where it is 0); built with a `power` (1 or 2) for the
+    increment helpers, also their closed-form factor |1 + sign*g*m|^power - 1,
+    m the degree. A batch that takes many steps builds it once.
+
+    The values stepped are one (n,) vector or a (..., rows, n) batch; A is one
+    (n, n) graph for every row or a (rows, n, n) stack, one per row; g and
+    sign are scalars or arrays that broadcast against the values, such as
+    (rows, 1) per-row step sizes or (2, 1, 1) per-quantity ones for stacked
+    opinions and beliefs. einsum rather than matmul: each row of a batch comes
+    out bit for bit as it would alone, and these tiny products skip BLAS,
+    whose first call costs ~0.4 MB of resident memory.
     """
 
     adjacency: np.ndarray
     step: np.ndarray | float
     degree: np.ndarray
     divisor: np.ndarray
-    sign: float = -1.0
+    sign: np.ndarray | float = -1.0
     power: int | None = None
     factor: np.ndarray | None = None
 
     @classmethod
     def of(cls, adjacency: np.ndarray, gamma, sign=-1.0, power: int | None = None):
-        """The step of `laplacian_step(values, adjacency, gamma, sign)`."""
+        """The step on `adjacency` with step size `gamma` and `sign`."""
         degree = adjacency.sum(axis=-1)
         step = sign * gamma
         factor = None if power is None else _NORMS[power](1.0 + step * degree) - 1.0
@@ -151,55 +159,46 @@ class LaplacianStep:
         sums = np.einsum("...j,...ij->...i", values, self.adjacency)
         return values + self.step * (self.degree * values - sums), sums / self.divisor, self.degree
 
-
-def laplacian_step(values: np.ndarray, adjacency: np.ndarray, gamma, sign: float = -1.0):
-    """One step x' = x + sign*g*L x with L = diag(A 1) - A.
-
-    sign = -1 averages toward the collaborators, +1 pushes away from them.
-    `values` is one (n,) vector or a (..., rows, n) batch. `adjacency` is
-    one (n, n) graph for every row, or a (rows, n, n) stack with one graph
-    per row; `gamma` and `sign` are scalars or arrays that broadcast against
-    `values`, such as (rows, 1) per-row step sizes or (2, 1, 1) per-quantity
-    ones for stacked opinions and beliefs. Returns x', the frozen
-    collaborator mean A x / A 1 (NaN for agents with no collaborators) and
-    the collaborator counts A 1; `LaplacianStep` is the same step with its
-    constants kept for the next.
-
-    einsum rather than matmul: each row of a batch, with one graph or its
-    own, comes out bit for bit as it would alone, and these tiny products
-    skip BLAS, whose first call costs ~0.4 MB of resident memory.
-    """
-    return LaplacianStep.of(adjacency, gamma, sign)(values)
+    def __getitem__(self, rows):
+        """The step of `rows` of a step with one graph per row (rows on axis
+        -2 of its other arrays), so that it leaves `run_rows`' carry with them."""
+        def take(a):
+            return None if a is None else a[..., rows, :]
+        return replace(self, adjacency=self.adjacency[rows], step=take(self.step),
+                       degree=take(self.degree), divisor=take(self.divisor),
+                       factor=take(self.factor))
 
 
 # the belief sign of each dynamics mode; opinions always average
 _BELIEF_SIGNS = {"supportive": -1.0, "conflicting": 1.0}
 
 
-def _step_args(topo: DynamicsTopology, mode: str, shape: tuple[int, ...]):
-    """The adjacency, step sizes and signs `laplacian_step` takes to step a
-    (2, ..., n) stack of opinions and beliefs of `shape` under `mode`:
-    opinions with alpha toward the collaborators, beliefs with beta and the
-    mode's belief sign."""
+def topology_step(topo: DynamicsTopology, mode: str, shape: tuple[int, ...],
+                  power: int | None = None) -> LaplacianStep:
+    """The step of a (2, ..., n) stack of opinions and beliefs of `shape`
+    under `mode`: opinions with alpha toward the collaborators, beliefs with
+    beta and the mode's belief sign (one scalar sign where the two agree)."""
     if len(shape) < 2 or shape[0] != 2 or shape[-1] != topo.n:
         raise ValueError(f"topology/state arity: {shape} is not a (2, ..., {topo.n}) stack")
     if mode not in _BELIEF_SIGNS:
         raise ValueError(f"unknown dynamics mode: {mode!r}")
     axes = (2,) + (1,) * (len(shape) - 1)
-    return (topo.adjacency, np.reshape(topo.step_sizes(), axes),
-            np.reshape((-1.0, _BELIEF_SIGNS[mode]), axes))
+    sign = _BELIEF_SIGNS[mode]
+    if sign != -1.0:  # opinions average, beliefs do not
+        sign = np.reshape((-1.0, sign), axes)
+    return LaplacianStep.of(topo.adjacency, np.reshape(topo.step_sizes(), axes), sign, power)
 
 
 def step_supportive(state: np.ndarray, topo: DynamicsTopology) -> np.ndarray:
     """Average a (2, ..., n) stack of opinions and beliefs toward the collaborators."""
     state = np.asarray(state, dtype=float)
-    return laplacian_step(state, *_step_args(topo, "supportive", state.shape))[0]
+    return topology_step(topo, "supportive", state.shape)(state)[0]
 
 
 def step_conflicting(state: np.ndarray, topo: DynamicsTopology) -> np.ndarray:
     """Average the opinions of a (2, ..., n) stack but push the beliefs apart."""
     state = np.asarray(state, dtype=float)
-    return laplacian_step(state, *_step_args(topo, "conflicting", state.shape))[0]
+    return topology_step(topo, "conflicting", state.shape)(state)[0]
 
 
 # Leader-following is supportive averaging on `DynamicsTopology.with_leaders`;
@@ -209,17 +208,15 @@ step_leader_follow = step_supportive
 
 # ---------------------------------------------------------------------------
 # increment identities (checked against the frozen step-k collaborator mean);
-# each accepts the values, adjacency and step size that `laplacian_step`
-# accepts, or the values and a `LaplacianStep` built with the helper's sign
-# and power in place of adjacency and step size, and returns (actual,
-# predicted, dist, new): the increments of each agent's distance to its
-# collaborator mean raised to `power` (NaN for agents with no collaborators),
-# their closed form, the distances so raised and the stepped values x'
+# each takes the values and a `LaplacianStep` built with the helper's sign
+# and power, and returns (actual, predicted, dist, new): the increments of
+# each agent's distance to its collaborator mean raised to `power` (NaN for
+# agents with no collaborators), their closed form, the distances so raised
+# and the stepped values x'
 
-def _increments(values, adjacency, gamma, sign: float, power: int):
+def _increments(values, step: LaplacianStep, sign: float, power: int):
     """predicted = (|1 + sign*g*m|^power - 1) * |v - mean|^power, power 1 or 2."""
-    step = adjacency if gamma is None else LaplacianStep.of(adjacency, gamma, sign, power)
-    if (step.sign, step.power) != (sign, power):
+    if step.power != power or not (np.isscalar(step.sign) and step.sign == sign):
         raise ValueError(f"a step of sign {step.sign} and power {step.power} where "
                          f"sign {sign} and power {power} were expected")
     values = np.asarray(values, dtype=float)
@@ -229,20 +226,20 @@ def _increments(values, adjacency, gamma, sign: float, power: int):
     return norm(new - mean) - dist, step.factor * dist, dist, new
 
 
-def averaging_increments(values: np.ndarray, adjacency, gamma=None):
+def averaging_increments(values: np.ndarray, step: LaplacianStep):
     """Squared distances, averaging: predicted = [(1 - g*m)^2 - 1] * dist^2."""
-    return _increments(values, adjacency, gamma, -1.0, 2)
+    return _increments(values, step, -1.0, 2)
 
 
-def contrarian_increments(values: np.ndarray, adjacency, gamma=None):
+def contrarian_increments(values: np.ndarray, step: LaplacianStep):
     """Squared distances, repulsion: predicted = [(1 + g*m)^2 - 1] * dist^2 >= 0."""
-    return _increments(values, adjacency, gamma, 1.0, 2)
+    return _increments(values, step, 1.0, 2)
 
 
-def leader_increments(values: np.ndarray, adjacency, gamma=None):
+def leader_increments(values: np.ndarray, step: LaplacianStep):
     """First-power distances, averaging: predicted = (|1 - g*m| - 1) * |v - mean|.
     On `with_leaders` sets m = |leaders| for followers, |leaders| - 1 for leaders."""
-    return _increments(values, adjacency, gamma, -1.0, 1)
+    return _increments(values, step, -1.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +292,10 @@ def run_rows(state: np.ndarray, steps: int, step, done=None, carry: tuple = ()):
     and (per-row ok mask, kind) pairs in check order; a row that fails one
     ends with k + 1 steps checked and the first kind it failed, and a row
     still running after `steps` steps ends there. `carry` holds per-row
-    arrays (rows on axis 0) that leave with their rows, so each row steps
-    exactly as it would alone. Returns per row the steps checked, the first
-    failed (step, kind) or None, and the (q, rows, n) states it ended in.
+    arrays (rows on axis 0) or `LaplacianStep`s, which leave with their rows
+    (`c[keep]`), so each row steps exactly as it would alone. Returns per row
+    the steps checked, the first failed (step, kind) or None, and the
+    (q, rows, n) states it ended in.
     """
     rows = state.shape[1]
     checks = np.full(rows, steps)
@@ -358,15 +356,12 @@ def run_batch(
     state = np.asarray(state, dtype=float)
     if state.ndim != 3 or len(state) != 2:
         raise ValueError("state must be a (2, rows, n) stack of opinions and beliefs")
-    laplacian = LaplacianStep.of(*_step_args(topo, mode, state.shape))
+    laplacian = topology_step(topo, mode, state.shape)
     consensus = functools.partial(within_tol, tol=tol)
-
-    def advance(state):
-        return laplacian(state)[0]
 
     def step(state, carry, k):
         prev_bspread, grow_streak = carry
-        state = advance(state)
+        state = laplacian(state)[0]
         if trace is not None:
             trace.append(state)
         bspread = np.ptp(state[1], axis=1)
@@ -382,8 +377,8 @@ def run_batch(
     if trace is not None:
         trace.append(state)
     if mode == "supportive" and _is_marginal_tie(topo):
-        s1 = advance(state)
-        s2 = advance(s1)
+        s1 = laplacian(state)[0]
+        s2 = laplacian(s1)[0]
         rest = ~np.isclose(s2, state, rtol=0, atol=1e-12).all(axis=(0, 2))
         if trace is not None and not rest.any():
             trace += [s1, s2]
@@ -417,7 +412,7 @@ def trace_to_csv(trace: np.ndarray, topo: DynamicsTopology, out: IO[str]):
     """Write a (steps + 1, 2, n) trajectory of opinions and beliefs as CSV,
     with per-agent distances to collaborator means."""
     trace = np.asarray(trace, dtype=float)
-    _, mean, m = laplacian_step(trace, topo.adjacency, 0.0)  # only the collaborator means
+    _, mean, m = LaplacianStep.of(topo.adjacency, 0.0)(trace)  # only the collaborator means
     dist = np.abs(trace - mean)
     writer = csv.writer(out)
     writer.writerow(

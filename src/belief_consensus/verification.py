@@ -7,14 +7,13 @@ each row stepped as it would be alone; the counts and the first failure
 reported are those of checking one seed at a time in order. Each state is
 stepped once, by the increment helper that checks it; opinions and beliefs
 step as one (2, seeds, n) stack where their signs agree, and each batch
-builds its `LaplacianStep`s (degree, mean divisor, signed step sizes and
-closed-form factor) once. Every check draws all its seeds in one PCG64 pass,
-bit for bit what one `Generator` per seed would draw: the uniform initial
-states (`uniform_draws`), the conflict check's agent counts (`conflict_states`)
-and the leader check's leader sets (`leader_states`), the last two through
-`pcg64._bounded_draws`. The identity comparison is relative to the squared
-magnitude of the state, which is the scale floating point can actually
-support.
+builds its `LaplacianStep`s once. Every check draws all its seeds in one
+PCG64 pass, bit for bit what one `Generator` per seed would draw: the uniform
+initial states (`uniform_draws`), the conflict check's agent counts
+(`conflict_states`) and the leader check's leader sets (`leader_states`), the
+last two through `pcg64._bounded_draws`. The identity comparison is relative
+to the squared magnitude of the state, which is the scale floating point can
+actually support.
 
 Every check reads the one `SimulateConfig`, and `CHECKS` names each `simulate`
 mode's check and trace topology: a new check is one function of the config and
@@ -38,10 +37,10 @@ from belief_consensus.dynamics import (
     REASON_DIVERGENCE,
     averaging_increments,
     contrarian_increments,
-    laplacian_step,
     leader_increments,
     run_batch,
     run_rows,
+    topology_step,
     within_tol,
 )
 # bench/tracer.py wraps these four names here, beside the three increment
@@ -143,16 +142,6 @@ def _increments_ok(actual, predicted, scale_sq, nonpositive: bool, isolated):
     identity = np.abs(actual - predicted) <= slack
     sign = actual <= slack if nonpositive else actual >= -slack
     return (identity | isolated).all(axis=-1), (sign | isolated).all(axis=-1)
-
-
-# each of the two alone, as the seed-by-seed forms in tests/verification_oracle.py check them
-
-def _identity_ok(actual, predicted, scale_sq, isolated):
-    return _increments_ok(actual, predicted, scale_sq, True, isolated)[0]
-
-
-def _sign_ok(actual, scale_sq, nonpositive: bool, isolated):
-    return _increments_ok(actual, actual, scale_sq, nonpositive, isolated)[1]
 
 
 def _walk(outcomes) -> tuple[int, int, list[str]]:
@@ -288,8 +277,8 @@ def verify_supportive_convergence(sim: SimulateConfig = SimulateConfig()) -> Pro
     outcomes = []
     for n in range(sim.n_min, sim.n_max + 1):
         topo = DynamicsTopology.all_pairs(n)
-        average = LaplacianStep.of(topo.adjacency, np.array(topo.step_sizes())[:, None, None],
-                                   power=2)
+        state = supportive_states(sim.master_seed, n, sim.seeds)
+        average = topology_step(topo, "supportive", state.shape, power=2)
         isolated = average.degree == 0
 
         def identity_step(state, carry, k):
@@ -309,7 +298,6 @@ def verify_supportive_convergence(sim: SimulateConfig = SimulateConfig()) -> Pro
                 (~grew, "distance grew"),
             )
 
-        state = supportive_states(sim.master_seed, n, sim.seeds)
         checks, first, _ = run_rows(state, 50, identity_step,
                                     carry=(np.full((sim.seeds, n), np.inf),))
         ok = np.array([f is None for f in first])
@@ -407,27 +395,23 @@ def verify_leader_convergence(sim: SimulateConfig = SimulateConfig(),
     _, first_seed, of_seed = np.unique(codes, return_index=True, return_inverse=True)
     topos = [DynamicsTopology.with_leaders(n, leaders[s].tolist()) for s in first_seed]
 
-    # each seed's step on its leader set's graph, rows first so that they leave with their rows
+    # each seed's step on its leader set's graph, in the carry so that it leaves with its row
     follow = LaplacianStep.of(np.stack([t.adjacency for t in topos]),
                               np.array([t.step_sizes() for t in topos]).T[:, :, None], power=1)
-    carry = tuple(c[of_seed] for c in (follow.adjacency, follow.degree, follow.divisor,
-                                       follow.step.transpose(1, 0, 2),
-                                       follow.factor.transpose(1, 0, 2)))
 
     def leader_step(state, carry, k):
-        adjacency, degree, divisor, step, factor = carry
+        step, = carry
         sc_op, sc_be = _scale_sq(state)
-        actual, predicted, _, state = leader_increments(state, LaplacianStep(
-            adjacency, step.transpose(1, 0, 2), degree, divisor, -1.0, 1, factor.transpose(1, 0, 2)))
+        actual, predicted, _, state = leader_increments(state, step)
         sc = np.where(sc_be > sc_op, sc_be, sc_op)  # Python's max(sc_op, sc_be)
-        identity, sign = _increments_ok(actual, predicted, sc, True, degree == 0)
+        identity, sign = _increments_ok(actual, predicted, sc, True, step.degree == 0)
         return state, carry, (
             (identity.all(axis=0), "leader identity violated"),
             (sign.all(axis=0), "leader distance grew"),
         )
 
     checks, first, final = run_rows(initial, max_steps, leader_step,
-                                    functools.partial(within_tol, tol=tol), carry)
+                                    functools.partial(within_tol, tol=tol), (follow[of_seed],))
     off = (np.abs(final - targets[:, :, None]).max(axis=2) >= tol).any(axis=0)
     outcomes = [(c, f"{f[1]} at seed={s} step={f[0]}" if f is not None
                  else f"no convergence within budget at seed={s}" if c == max_steps
@@ -453,8 +437,7 @@ def verify_belief_speedup(sim: SimulateConfig = SimulateConfig()) -> PropertyRes
     seeds, n = sim.seeds, 7
     leaders, followers = (5, 6), list(range(5))
     topo = DynamicsTopology.with_leaders(n, leaders)
-    a = topo.adjacency
-    _, beta = topo.step_sizes()
+    follow = LaplacianStep.of(topo.adjacency, topo.step_sizes()[1], power=1)  # beliefs only
 
     follower_b, low_lead, boost = uniform_draws(sim.master_seed, 29, seeds, (0.05, 0.35, 5),
                                                 (0.55, 0.70, 2), (0.002, 0.010, 1))
@@ -462,13 +445,13 @@ def verify_belief_speedup(sim: SimulateConfig = SimulateConfig()) -> PropertyRes
                        np.hstack([follower_b, low_lead + boost])])
 
     def dominance_step(pairs, carry, k):
-        actual, _, _, pairs = leader_increments(pairs, a, beta)
+        actual, _, _, pairs = leader_increments(pairs, follow)
         low, high = np.abs(actual[:, :, followers])
         return pairs, carry, ((~np.any(high + 1e-15 < low, axis=1),
                                "follower increment smaller under high leaders"),)
 
     def belief_step(state, carry, k):
-        return laplacian_step(state, a, beta)[0], carry, ()
+        return follow(state)[0], carry, ()
 
     # per-step dominance; a pair leaves once both trials are within tol
     done = functools.partial(within_tol, tol=sim.tol)

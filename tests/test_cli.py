@@ -98,6 +98,44 @@ class TestCmdRun:
         assert err.startswith("dataset error: case 'judgment-tl205'") and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("shape, message", [
+        ("top-level-list", "the dataset is not a JSON object: []"),
+        ("case-string", "case 1 is not a JSON object: 'oops'"),
+        ("belief-null", "case 'judgment-tl205': agent 'a1': a belief must be a number, got None"),
+    ], ids=["top-level-list", "case-string", "belief-null"])
+    def test_bad_dataset_shape_exits_2(self, tmp_path, corpus_path, capsys, shape, message):
+        # each once exited 1 with a TypeError traceback
+        payload = json.loads(corpus_path.read_text())
+        if shape == "top-level-list":
+            payload = []
+        elif shape == "case-string":
+            payload["cases"][0] = "oops"
+        else:
+            payload["cases"][0]["agents"][0]["rounds"][0]["belief"] = None
+        dataset = tmp_path / "bad.json"
+        dataset.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, dataset)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"dataset error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "sweep"])
+    def test_negative_seed_exits_1_before_any_directory(self, tmp_path, corpus_path, capsys,
+                                                        where):
+        # the stochastic backend once failed every case on it (exit 3), and the
+        # scripted one masked it to a nonnegative seed
+        cfg = write_config(tmp_path, corpus_path)
+        argv = ["run", "--config", str(cfg), "--backend", "stochastic"]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            payload = yaml.safe_load(cfg.read_text())
+            payload["sweep"] = {"seed": [0, -1]}
+            cfg.write_text(yaml.safe_dump(payload))
+        assert main(argv) == 1
+        assert "seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_dataset_flag_overrides_config(self, tmp_path, corpus_path):
         cfg = write_config(tmp_path, tmp_path / "nope.json")
         assert main(["run", "--config", str(cfg), "--dataset", str(corpus_path)]) == 0

@@ -282,7 +282,7 @@ class TestRunConfig:
         assert (cfg.n, cfg.max_rounds, cfg.n_leaders, cfg.n_clusters) == (7, 3, 2, 3)
 
     @pytest.mark.parametrize("kwargs", [
-        {"n": 1}, {"max_rounds": 0}, {"n_leaders": 0}, {"n_clusters": 0},
+        {"n": 1}, {"max_rounds": 0}, {"n_leaders": 0}, {"n_clusters": 0}, {"seed": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -9,16 +9,26 @@ from belief_consensus.dynamics import (
     REASON_CONSENSUS,
     REASON_DIVERGENCE,
     REASON_MARGINAL,
+    LaplacianStep,
     averaging_increments,
     contrarian_increments,
-    laplacian_step,
     leader_increments,
     run_batch,
     run_dynamics,
     step_conflicting,
     step_supportive,
+    topology_step,
     trace_to_csv,
 )
+
+# each increment helper's sign and power, which the step it takes must have
+HELPERS = {averaging_increments: (-1.0, 2), contrarian_increments: (1.0, 2),
+           leader_increments: (-1.0, 1)}
+
+
+def helper_step(helper, adjacency, gamma):
+    """The `LaplacianStep` `helper` takes on `adjacency` at step size `gamma`."""
+    return LaplacianStep.of(adjacency, gamma, *HELPERS[helper])
 
 
 class TestStepSupportive:
@@ -41,7 +51,7 @@ class TestStepSupportive:
         # 0.25; increment -2 equals ((1 - alpha*2)^2 - 1) * 2.25
         topo = DynamicsTopology.all_pairs(3)
         actual, predicted, dist_sq, new = averaging_increments(
-            np.array([0.0, 1.0, 2.0]), topo.adjacency, 2.0 / 3.0
+            np.array([0.0, 1.0, 2.0]), helper_step(averaging_increments, topo.adjacency, 2.0 / 3.0)
         )
         assert actual[0] == pytest.approx(0.25 - 2.25, abs=1e-12)
         assert predicted[0] == pytest.approx((1.0 / 9.0 - 1.0) * 2.25, abs=1e-12)
@@ -93,7 +103,7 @@ class TestStepConflicting:
     def test_belief_increment_identity(self):
         topo = DynamicsTopology.mutual_conflict_pairs(2)
         actual, predicted, dist_sq, new = contrarian_increments(
-            np.array([0.6, 0.4]), topo.adjacency, 1.0
+            np.array([0.6, 0.4]), helper_step(contrarian_increments, topo.adjacency, 1.0)
         )
         # factor (1 + beta)^2 - 1 = 3 on squared distance 0.04
         assert predicted[0] == pytest.approx(3.0 * 0.04)
@@ -155,7 +165,8 @@ class TestStepLeaderFollow:
 
     def test_increment_identity_hand_value(self):
         a = DynamicsTopology.with_leaders(3, (0, 1)).adjacency
-        actual, predicted, dist, new = leader_increments(np.array([3.0, 3.0, 0.0]), a, 2.0 / 3.0)
+        actual, predicted, dist, new = leader_increments(
+            np.array([3.0, 3.0, 0.0]), helper_step(leader_increments, a, 2.0 / 3.0))
         # follower: (|1/2 - 2/3| - 1/2) * |6 - 0| = -2
         assert predicted[2] == pytest.approx(-2.0)
         assert actual[2] == pytest.approx(-2.0, abs=1e-12)
@@ -164,15 +175,15 @@ class TestStepLeaderFollow:
 
 
 def _step_alone(x, a, g, sign):
-    """One row on one graph, as `laplacian_step` computed it before it took
-    a stack of graphs."""
+    """One row on one graph, as the Laplacian step was computed before it
+    took a stack of graphs."""
     degree = a.sum(axis=1)
     sums = np.einsum("...j,ij->...i", x, a)
     return x + sign * g * (degree * x - sums), sums / np.where(degree > 0, degree, np.nan), degree
 
 
 class TestPerRowGraphStep:
-    """`laplacian_step` on a (rows, n, n) stack of graphs with per-row step
+    """A `LaplacianStep` on a (rows, n, n) stack of graphs with per-row step
     sizes gives each row the bits it gets stepped alone on its own graph."""
 
     @staticmethod
@@ -207,7 +218,7 @@ class TestPerRowGraphStep:
     def test_rows_equal_stepping_alone(self, n, sign):
         adj, values, gamma = self.batch(n, seed=n)
         with np.errstate(invalid="ignore"):
-            got = laplacian_step(values, adj, gamma, sign)
+            got = LaplacianStep.of(adj, gamma, sign)(values)
             want = [_step_alone(x, a, g[0], sign) for x, a, g in zip(values, adj, gamma)]
         for out, expected in zip(got, zip(*want)):
             assert np.array_equal(out, np.stack(expected), equal_nan=True)
@@ -219,7 +230,7 @@ class TestPerRowGraphStep:
         adj, opinions, gamma = self.batch(n, seed=100 + n)
         beliefs = self.batch(n, seed=200 + n)[1]
         with np.errstate(invalid="ignore"):
-            new, mean, degree = laplacian_step(np.stack([opinions, beliefs]), adj, gamma)
+            new, mean, degree = LaplacianStep.of(adj, gamma)(np.stack([opinions, beliefs]))
             for k, values in enumerate((opinions, beliefs)):
                 want = [_step_alone(x, a, g[0], -1.0) for x, a, g in zip(values, adj, gamma)]
                 want_new, want_mean, want_degree = (np.stack(x) for x in zip(*want))
@@ -227,11 +238,27 @@ class TestPerRowGraphStep:
                 assert np.array_equal(mean[k], want_mean, equal_nan=True)
                 assert np.array_equal(degree, want_degree)
 
+    @pytest.mark.parametrize("power", [None, 1, 2])
+    def test_rows_of_a_step_step_those_rows(self, power):
+        # a per-row step indexed by rows, as it leaves run_rows' carry with them,
+        # gives those rows the bits the whole step gives them
+        adj, opinions, gamma = self.batch(7, seed=700)
+        beliefs = self.batch(7, seed=701)[1]
+        step = LaplacianStep.of(adj, np.stack([gamma, 2 * gamma]), power=power)
+        values = np.stack([opinions, beliefs])
+        keep = np.arange(len(adj)) % 3 != 1
+        with np.errstate(invalid="ignore"):
+            whole, rows = step(values), step[keep](values[:, keep])
+        for got, want in zip(rows, whole):
+            assert np.array_equal(got, want[..., keep, :], equal_nan=True)
+        if power is not None:
+            assert np.array_equal(step[keep].factor, step.factor[:, keep])
+
     def test_one_graph_for_every_row_is_unchanged(self):
         rng = np.random.default_rng(3)
         a = DynamicsTopology.with_leaders(7, (0, 2, 5)).adjacency
         values = rng.uniform(-1, 1, (2, 9, 7))
-        got = laplacian_step(values, a, 2.0 / 7)
+        got = LaplacianStep.of(a, 2.0 / 7)(values)
         want = _step_alone(values, a, 2.0 / 7, -1.0)
         assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(got, want))
 
@@ -266,25 +293,26 @@ class TestStackedQuantities:
         signs = (-1.0, 1.0)
         sign = np.array(signs)[:, None, None]
         with np.errstate(invalid="ignore", over="ignore"):
-            separate = [laplacian_step(x, adj, g, sg) for x, g, sg in zip(values, gammas, signs)]
-            self.assert_same(laplacian_step(stack, adj, gamma, sign), separate)
-            for helper in (averaging_increments, contrarian_increments, leader_increments):
-                self.assert_same(helper(stack, adj, gamma),
-                                 [helper(x, adj, g) for x, g in zip(values, gammas)])
+            separate = [LaplacianStep.of(adj, g, sg)(x) for x, g, sg in zip(values, gammas, signs)]
+            self.assert_same(LaplacianStep.of(adj, gamma, sign)(stack), separate)
+            for helper in HELPERS:
+                self.assert_same(helper(stack, helper_step(helper, adj, gamma)),
+                                 [helper(x, helper_step(helper, adj, g))
+                                  for x, g in zip(values, gammas)])
 
     @pytest.mark.parametrize("step, belief_sign",
                              [(step_supportive, -1.0), (step_conflicting, 1.0)])
     @pytest.mark.parametrize("n", [2, 7, 40])
     def test_step_functions_equal_per_quantity_calls(self, n, step, belief_sign):
-        # a (2, n) or (2, rows, n) stack steps as one laplacian_step per
+        # a (2, n) or (2, rows, n) stack steps as one Laplacian step per
         # quantity with scalar step sizes and signs, the form they once took
         rng = np.random.default_rng(500 + n)
         sets = tuple(tuple(j for j in range(n) if j != i and rng.random() < 0.5) for i in range(n))
         topo = DynamicsTopology(sets, alpha=1.5 / n, beta=0.7 / n)
         stack = np.stack([rng.uniform(-1, 1, (5, n)), rng.uniform(0, 1, (5, n))])
         for state in (stack, stack[:, 0]):
-            want = np.stack([laplacian_step(state[0], topo.adjacency, 1.5 / n)[0],
-                             laplacian_step(state[1], topo.adjacency, 0.7 / n, belief_sign)[0]])
+            want = np.stack([LaplacianStep.of(topo.adjacency, 1.5 / n)(state[0])[0],
+                             LaplacianStep.of(topo.adjacency, 0.7 / n, belief_sign)(state[1])[0]])
             assert np.array_equal(step(state, topo), want)
 
 
@@ -292,11 +320,11 @@ def _written_out_increments(values, adjacency, gamma, sign, squared):
     """The increment formulas as each helper once wrote them out by hand."""
     values = np.asarray(values, dtype=float)
     if squared:
-        new, mean, m = laplacian_step(values, adjacency, gamma, sign)
+        new, mean, m = LaplacianStep.of(adjacency, gamma, sign)(values)
         dist_sq = (values - mean) ** 2
         return ((new - mean) ** 2 - dist_sq, ((1.0 + sign * gamma * m) ** 2 - 1.0) * dist_sq,
                 dist_sq, new)
-    new, mean, m = laplacian_step(values, adjacency, gamma)
+    new, mean, m = LaplacianStep.of(adjacency, gamma)(values)
     dist = np.abs(values - mean)
     return np.abs(new - mean) - dist, (np.abs(1.0 - gamma * m) - 1.0) * dist, dist, new
 
@@ -316,16 +344,47 @@ class TestIncrementForms:
             (values[5], adj[5], 2.0 / n),  # one vector
             (np.stack([values, values[::-1]]), adj[0], np.array([1.5 / n, 0.7 / n])[:, None, None]),
         ]
-        helpers = ((averaging_increments, -1.0, True), (contrarian_increments, 1.0, True),
-                   (leader_increments, -1.0, False))
         with np.errstate(invalid="ignore", over="ignore"):
-            for args in calls:
-                for helper, sign, squared in helpers:
-                    got = helper(*args)
-                    want = _written_out_increments(*args, sign, squared)
+            for values, adjacency, gamma in calls:
+                for helper, (sign, power) in HELPERS.items():
+                    got = helper(values, helper_step(helper, adjacency, gamma))
+                    want = _written_out_increments(values, adjacency, gamma, sign, power == 2)
                     assert len(got) == 4
                     assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
-            assert np.isinf(averaging_increments(*calls[0])[2]).any()
+            values, adjacency, gamma = calls[0]
+            assert np.isinf(averaging_increments(
+                values, helper_step(averaging_increments, adjacency, gamma))[2]).any()
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_step_built_once_reused_over_states(self, n):
+        # one step per helper, built before the loop, over several states
+        # (the stepped values of the one before, as the checks feed them)
+        # gives the written-out formulas at every state
+        adj, values, gamma = TestPerRowGraphStep().batch(n, seed=600 + n)
+        values = np.clip(values, -1e3, 1e3)
+        for helper, (sign, power) in HELPERS.items():
+            step = helper_step(helper, adj, gamma)
+            state = values
+            with np.errstate(invalid="ignore"):
+                for _ in range(4):
+                    got = helper(state, step)
+                    want = _written_out_increments(state, adj, gamma, sign, power == 2)
+                    assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+                    state = got[3]
+
+    @pytest.mark.parametrize("other", ["sign", "power", "no power", "two signs"])
+    @pytest.mark.parametrize("helper", list(HELPERS), ids=lambda h: h.__name__)
+    def test_helper_rejects_a_step_of_another_sign_or_power(self, helper, other):
+        topo = DynamicsTopology.all_pairs(3)
+        sign, power = HELPERS[helper]
+        if other == "two signs":  # opinions average, beliefs repel
+            step = topology_step(topo, "conflicting", (2, 3), power)
+        else:
+            step = LaplacianStep.of(topo.adjacency, 0.5, *{
+                "sign": (-sign, power), "power": (sign, 3 - power), "no power": (sign, None),
+            }[other])
+        with pytest.raises(ValueError, match="were expected"):
+            helper(np.zeros((2, 3)), step)
 
 
 class TestRunDynamics:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from belief_consensus.dynamics import (
     DynamicsTopology,
+    LaplacianStep,
     averaging_increments,
     contrarian_increments,
     leader_increments,
@@ -111,7 +112,7 @@ def test_averaging_increments_nonpositive_on_random_topologies(n, seed):
     a = DynamicsTopology(random_sets(rng, n)).adjacency
     values = rng.uniform(-5, 5, n)
     gamma = 2.0 / n
-    actual, predicted, _, _ = averaging_increments(values, a, gamma)
+    actual, predicted, _, _ = averaging_increments(values, LaplacianStep.of(a, gamma, power=2))
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] <= 1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)
@@ -124,7 +125,7 @@ def test_contrarian_increments_nonnegative_on_random_topologies(n, seed):
     a = DynamicsTopology(random_sets(rng, n)).adjacency
     values = rng.uniform(0, 1, n)
     gamma = 2.0 / n
-    actual, predicted, _, _ = contrarian_increments(values, a, gamma)
+    actual, predicted, _, _ = contrarian_increments(values, LaplacianStep.of(a, gamma, 1.0, 2))
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] >= -1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)
@@ -140,7 +141,7 @@ def test_leader_increments_nonpositive(n, n_leaders, seed):
     leaders = tuple(sorted(rng.choice(n, size=n_leaders, replace=False).tolist()))
     values = rng.uniform(-5, 5, n)
     a = DynamicsTopology.with_leaders(n, leaders).adjacency
-    actual, predicted, _, _ = leader_increments(values, a, 2.0 / n)
+    actual, predicted, _, _ = leader_increments(values, LaplacianStep.of(a, 2.0 / n, power=1))
     mask = ~np.isnan(actual)
     assert np.all(actual[mask] <= 1e-10)
     assert np.allclose(actual[mask], predicted[mask], atol=1e-10)

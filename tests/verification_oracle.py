@@ -29,15 +29,25 @@ from belief_consensus.dynamics import (
     REASON_DIVERGENCE,
     REASON_MARGINAL,
     DynamicsTopology,
+    LaplacianStep,
     _is_marginal_tie,
     averaging_increments,
     contrarian_increments,
-    laplacian_step,
     leader_increments,
     step_conflicting,
     step_supportive,
 )
-from belief_consensus.verification import PropertyResult, _identity_ok, _scale_sq, _sign_ok
+from belief_consensus.verification import PropertyResult, _increments_ok, _scale_sq
+
+
+# the identity and the sign check of `_increments_ok`, each alone
+
+def _identity_ok(actual, predicted, scale_sq, isolated):
+    return _increments_ok(actual, predicted, scale_sq, True, isolated)[0]
+
+
+def _sign_ok(actual, scale_sq, nonpositive: bool, isolated):
+    return _increments_ok(actual, actual, scale_sq, nonpositive, isolated)[1]
 
 
 def _isolated(topo: DynamicsTopology) -> np.ndarray:
@@ -135,8 +145,10 @@ def verify_supportive_convergence(
             cur = state
             prev_dists = None
             for step in range(identity_steps):
-                a_op, p_op, d_op = averaging_increments(cur[0], topo.adjacency, alpha)[:3]
-                a_be, p_be = averaging_increments(cur[1], topo.adjacency, beta)[:2]
+                a_op, p_op, d_op = averaging_increments(
+                    cur[0], LaplacianStep.of(topo.adjacency, alpha, power=2))[:3]
+                a_be, p_be = averaging_increments(
+                    cur[1], LaplacianStep.of(topo.adjacency, beta, power=2))[:2]
                 checks += 1
                 sc_op = _scale_sq(cur[0])
                 sc_be = _scale_sq(cur[1])
@@ -205,8 +217,10 @@ def verify_conflict_instability(
         state = np.stack([rng.uniform(-1.0, 1.0, n), beliefs])
         cur = state
         for step in range(identity_steps):
-            a_op, p_op = averaging_increments(cur[0], topo.adjacency, alpha)[:2]
-            a_be, p_be = contrarian_increments(cur[1], topo.adjacency, beta)[:2]
+            a_op, p_op = averaging_increments(
+                cur[0], LaplacianStep.of(topo.adjacency, alpha, power=2))[:2]
+            a_be, p_be = contrarian_increments(
+                cur[1], LaplacianStep.of(topo.adjacency, beta, 1.0, 2))[:2]
             checks += 1
             sc_op = _scale_sq(cur[0])
             sc_be = _scale_sq(cur[1])
@@ -275,8 +289,10 @@ def verify_leader_convergence(
             ):
                 converged_at = step
                 break
-            a_op, p_op = leader_increments(cur[0], topo.adjacency, alpha)[:2]
-            a_be, p_be = leader_increments(cur[1], topo.adjacency, beta)[:2]
+            a_op, p_op = leader_increments(
+                cur[0], LaplacianStep.of(topo.adjacency, alpha, power=1))[:2]
+            a_be, p_be = leader_increments(
+                cur[1], LaplacianStep.of(topo.adjacency, beta, power=1))[:2]
             checks += 1
             sc = max(_scale_sq(cur[0]), _scale_sq(cur[1]))
             if not (_identity_ok(a_op, p_op, sc, isolated)
@@ -338,7 +354,7 @@ def verify_belief_speedup(
         for k in range(max_steps + 1):
             if cur.max() - cur.min() < tol:
                 return k
-            cur = laplacian_step(cur, a, beta)[0]
+            cur = LaplacianStep.of(a, beta)(cur)[0]
         return max_steps + 1
 
     for s in range(seeds):
@@ -353,12 +369,13 @@ def verify_belief_speedup(
         for _ in range(200):
             if np.all(pair.max(axis=1) - pair.min(axis=1) < tol):
                 break
-            a_low, a_high = np.abs(leader_increments(pair, topo.adjacency, beta)[0][:, followers])
+            a_low, a_high = np.abs(leader_increments(
+                pair, LaplacianStep.of(topo.adjacency, beta, power=1))[0][:, followers])
             checks += 1
             if np.any(a_high + 1e-15 < a_low):
                 failures.append(f"follower increment smaller under high leaders at seed={s}")
                 break
-            pair = laplacian_step(pair, a, beta)[0]
+            pair = LaplacianStep.of(a, beta)(pair)[0]
         if failures:
             break
         if steps_to_belief_tol(b_high) <= steps_to_belief_tol(b_low):

@@ -14,8 +14,8 @@ respond(case, agent_id, ctx) -> Opinion.
 Before the first respond_round of a round, each backend's start_round(case,
 agent_ids, ctx) may start what needs no reply of the round: the HTTP backend
 sends every agent's first attempt there, and respond reads its reply. A
-backend must never fabricate a belief: the HTTP client fails loudly when the
-provider does not report token probabilities.
+backend must never fabricate a belief: the HTTP client fails the agent when
+the provider does not report token probabilities or a reply is malformed.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from belief_consensus.core import (
     answer_spans,
     belief_from_token_probs,
     canonicalize_answer,
+    checked,
     stable_hash,
 )
 from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _bounded_draws, _doubles, _frozen,
@@ -656,17 +657,19 @@ class ChatCompletionsAgent(Backend):
     def _parse(self, body: dict, agent_id: str) -> Opinion:
         try:
             choice = body["choices"][0]
-            content = choice["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            content = checked("str", choice["message"]["content"], "message.content")
+            logprobs = checked("object", choice.get("logprobs") or {}, "logprobs")
+            tokens = checked("array", logprobs.get("content") or [], "logprobs.content")
+            if not tokens:
+                raise AgentError("logprobs unavailable")
+            spans = answer_spans(content)
+            if spans is None:
+                raise UnanswerableError("unanswerable output: no answer sentence found")
+            (anchor_start, anchor_end), sentence = spans
+            # a token entry of the wrong shape raises AttributeError, TypeError or ValueError
+            probs = _token_probs_for_span(tokens, content, *sentence)
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise AgentError(f"malformed completion response: {exc}") from exc
-        logprobs = (choice.get("logprobs") or {}).get("content")
-        if not logprobs:
-            raise AgentError("logprobs unavailable")
-        spans = answer_spans(content)
-        if spans is None:
-            raise UnanswerableError("unanswerable output: no answer sentence found")
-        (anchor_start, anchor_end), sentence = spans
-        probs = _token_probs_for_span(logprobs, content, *sentence)
         if not probs:
             raise UnanswerableError("unanswerable output: no tokens in the answer sentence")
         try:

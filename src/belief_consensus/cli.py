@@ -33,7 +33,7 @@ import yaml
 
 from belief_consensus import verification
 from belief_consensus.agents import BACKEND_KINDS, BackendConfig, make_backend
-from belief_consensus.core import RunConfig, ScenarioCase, scenarios_from_json
+from belief_consensus.core import RunConfig, ScenarioCase, checked, scenarios_from_json
 from belief_consensus.dynamics import run_dynamics, trace_to_csv
 from belief_consensus.metrics import (
     compute_metrics,
@@ -57,8 +57,6 @@ EXIT_CASES_FAILED = 3
 
 
 TOP_LEVEL_KEYS = ("run", "backend", "backends", "sweep", "simulate")
-_KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false", "str": "a string",
-               "path": "a string"}
 
 
 # libyaml's parser when PyYAML was built with it; both resolve tags with the
@@ -85,28 +83,9 @@ def _load_config(path: str | None) -> tuple[dict, Path]:
             payload = yaml.load(fh, Loader=_YAML_LOADER) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file is not valid YAML: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError("config file must contain a mapping at top level")
-    _known_keys("at the top level", payload, TOP_LEVEL_KEYS)
+    _known_keys("at the top level", checked("object", payload, "the config file", ConfigError),
+                TOP_LEVEL_KEYS)
     return payload, p.parent
-
-
-def _typed(key: str, kind: str, value):
-    """`value` checked as a config value of type `kind`, a field annotation:
-    int, float, bool, str, path (a string), or list[...] (a non-empty list)
-    of one of them. A float is converted, so `60` reads as 60.0."""
-    if kind.startswith("list["):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
-        return [_typed(key, kind[5:-1], v) for v in value]
-    if kind == "float" and not isinstance(value, bool):
-        try:
-            return float(value)  # YAML reads the JSON number 1e-09 as a string
-        except (TypeError, ValueError, OverflowError):
-            pass
-    elif type(value) is {"int": int, "bool": bool, "str": str, "path": str}.get(kind):
-        return value  # type(True) is bool, not int
-    raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def _known_keys(where: str, section: dict, allowed):
@@ -120,10 +99,9 @@ def _typed_section(name: str, section, kinds: dict[str, str]) -> dict:
     `kinds`, in `kinds` order; a key not in `kinds` is an error."""
     if section is None:  # a section left empty in YAML
         return {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a mapping, got {section!r}")
-    _known_keys(f"in {name}", section, kinds)
-    return {k: _typed(f"{name}.{k}", kind, section[k]) for k, kind in kinds.items() if k in section}
+    _known_keys(f"in {name}", checked("object", section, name, ConfigError), kinds)
+    return {k: checked(kind, section[k], f"{name}.{k}", ConfigError) for k, kind in kinds.items()
+            if k in section}
 
 
 def _path(value: str, where: str, base: Path = Path()) -> Path:
@@ -180,7 +158,7 @@ def _sweep(cfg: RunConfig, section) -> list[tuple[str, RunConfig]]:
     return settings
 
 
-def _numbered_ids(n: int) -> list[str]:  # the agents that no script names
+def _unscripted_ids(n: int) -> list[str]:  # the agents that no script names
     return [f"agent-{i + 1}" for i in range(n)]
 
 
@@ -194,7 +172,7 @@ def _agent_ids(case: ScenarioCase, cfg: RunConfig, backend_cfg: BackendConfig) -
                 f"case {case.case_id!r} scripts {len(ids)} agents but config says n={cfg.n}"
             )
         return ids
-    return _numbered_ids(cfg.n)
+    return _unscripted_ids(cfg.n)
 
 
 def _build_backends(ids, backend_cfg: BackendConfig, per_agent: dict, cfg: RunConfig):
@@ -259,10 +237,9 @@ def _read_sections(args) -> tuple:
                      jobs="int", dataset="path", out="path")
     backend_cfg, _ = _read(BackendConfig, "backend", config.get("backend"), args)
     entries = config.get("backends")
-    if not isinstance(entries, (list, type(None))):
-        raise ConfigError(f"backends must be a list, got {entries!r}")
+    entries = [] if entries is None else checked("array", entries, "backends", ConfigError)
     per_agent = {}
-    for i, entry in enumerate(entries or []):  # no flags: --backend would override each kind
+    for i, entry in enumerate(entries):  # no flags: --backend would override each kind
         entry_cfg, extra = _read(BackendConfig, f"backends[{i}]", entry, agent_id="str")
         if "agent_id" not in extra:
             raise ConfigError("per-agent backend entries need an agent_id")
@@ -283,12 +260,12 @@ def cmd_run(args) -> int:
         raise ConfigError("no dataset given (flag --dataset or run.dataset)")
     try:
         cases = scenarios_from_json(run["dataset"])
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise DatasetError(exc) from exc
     if backend_cfg.kind == "scripted":
         run_ids = {agent_id for case in cases for agent_id in case.scripts or ()}
     else:
-        run_ids = set(_numbered_ids(max(c.n for _, c in settings)))
+        run_ids = set(_unscripted_ids(max(c.n for _, c in settings)))
     unknown = sorted(set(per_agent) - run_ids)
     if unknown:
         raise ConfigError(f"backends name no agent of the run: {unknown}")

@@ -4,7 +4,8 @@ Every other module consumes these types. A round of a run travels as
 RoundColumns, every agent's opinion as one row of columns; an Opinion, one
 agent's (reasoning, answer, belief) triple, is made only where one reply is
 parsed or scripted. Answers are always stored in canonical form so that
-answer equality is plain byte equality.
+answer equality is plain byte equality. Every value a config, dataset or
+results file gives is read by `checked`.
 """
 
 from __future__ import annotations
@@ -287,10 +288,22 @@ def modal_answer(round_: RoundColumns) -> str:
 
 @dataclass(frozen=True)
 class ScriptedReply:
+    """An agent's scripted reply for one round, from 1 on, believed in (0, 1]."""
+
     round: int
     answer: str
     reasoning: str
     belief: float
+
+    def __post_init__(self):
+        if self.round < 1:
+            raise ValueError(f"round must be at least 1, got {self.round}")
+        _check_belief("belief", self.belief)
+
+
+def _check_belief(what: str, belief: float):
+    if not 0.0 < belief <= 1.0:  # NaN fails it too
+        raise ValueError(f"{what} must lie in (0, 1], got {belief!r}")
 
 
 # the tag of a delegate, an (agent id, tag) pair: coordination writes them,
@@ -310,8 +323,8 @@ class AgentScript:
 
     Fallback rules: one of FALLBACK_RULES, or "adopt:agent:<id>" naming
     another agent the case scripts; any other rule is an error, and so is a
-    second reply for one round. Adopt rules may carry a scripted belief to
-    attach to the adopted answer.
+    second reply for one round. Adopt rules may carry a scripted belief, in
+    (0, 1], to attach to the adopted answer.
     """
 
     agent_id: str
@@ -329,6 +342,8 @@ class AgentScript:
         if rule == ADOPT_AGENT + self.agent_id:
             raise ValueError(f"agent {self.agent_id!r}: fallback rule {rule!r} adopts the "
                              "agent itself")
+        if self.fallback_belief is not None:
+            _check_belief(f"agent {self.agent_id!r}: fallback.belief", self.fallback_belief)
         rounds = [reply.round for reply in self.replies]
         twice = sorted({r for r in rounds if rounds.count(r) > 1})
         if twice:
@@ -383,77 +398,92 @@ class RunConfig:
                 raise ValueError(f"{name} must be at least {least}")
 
 
-def _json(kind: type, value, what: str):
-    """`value` if it is a `kind`: dict (a JSON object) or list (an array)."""
-    if isinstance(value, kind):
+# the kinds of value a config, dataset or results file may hold: each one's
+# Python type and the words an error names it by. "path" is a config path,
+# and "text" a dataset string, which a number may stand for
+KINDS = {"int": (int, "an integer"), "float": (float, "a number"), "bool": (bool, "true or false"),
+         "str": (str, "a string"), "path": (str, "a string"), "text": (str, "a string or a number"),
+         "object": (dict, "a mapping"), "array": (list, "a list")}
+
+
+def checked(kind: str, value, where: str, error: type[Exception] = ValueError):
+    """`value` read as a value of `kind`, a key of KINDS or list[<kind>] (a
+    non-empty list); one of another kind raises `error` naming `where`. A
+    number is an int, a float or a numeric string (YAML reads the JSON number
+    1e-09 as one) and reads as a float, and a number given as text reads as
+    `str` writes it; true and false are neither, nor integers."""
+    if kind.startswith("list["):
+        if type(value) is not list or not value:
+            raise error(f"{where} must be a non-empty list, got {value!r}")
+        return [checked(kind[5:-1], v, where, error) for v in value]
+    cls, words = KINDS[kind]
+    if type(value) is cls:  # type(True) is bool, not int
         return value
-    raise ValueError(f"{what} is not a JSON {'object' if kind is dict else 'array'}: {value!r}")
+    if kind == "text" and type(value) in (int, float):
+        return str(value)
+    if kind == "float" and type(value) is not bool:
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise error(f"{where} must be {words}, got {value!r}")
 
 
-def _number(kind: type, value, what: str):
-    """`kind(value)`, kind int or float: null is a ValueError, as "x" is."""
+def read_fields(record, where: str, **kinds: str) -> list:
+    """The values of mapping `record`'s keys, each read as its kind in
+    `kinds`, in that order. A value of another kind is an error naming
+    "<where>: <key>"; a missing key, one listing every key missing."""
+    missing = [key for key in kinds if key not in checked("object", record, where)]
+    if missing:
+        raise ValueError(f"{where}: {', '.join(missing)} {'are' if missing[1:] else 'is'} missing")
+    return [checked(kind, record[key], f"{where}: {key}") for key, kind in kinds.items()]
+
+
+def _reply_from_dict(payload, where: str) -> ScriptedReply:
+    round_, answer, belief = read_fields(payload, where, round="int", answer="text",
+                                         belief="float")
+    reasoning = checked("text", payload.get("reasoning", ""), f"{where}: reasoning")
     try:
-        return kind(value)
-    except TypeError:
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+        return ScriptedReply(round_, canonicalize_answer(answer), reasoning, belief)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
-def _script_from_dict(payload) -> AgentScript:
-    agent_id = str(_json(dict, payload, "an agent")["agent_id"])
+def _script_from_dict(payload, where: str) -> AgentScript:
+    agent_id, = read_fields(payload, where, agent_id="text")
     where = f"agent {agent_id!r}"
-    replies = tuple(
-        ScriptedReply(
-            round=_number(int, r["round"], f"{where}: a round"),
-            answer=canonicalize_answer(str(r["answer"])),
-            reasoning=str(r.get("reasoning", "")),
-            belief=_number(float, r["belief"], f"{where}: a belief"),
-        )
-        for r in (_json(dict, r, f"{where}: a reply")
-                  for r in _json(list, payload.get("rounds", []), f"{where}: rounds"))
-    )
-    fallback = payload.get("fallback")
-    fallback_belief = None
-    if isinstance(fallback, dict):
-        fallback_belief = fallback.get("belief")
-        fallback = fallback.get("rule")
-    return AgentScript(
-        agent_id=agent_id,
-        replies=replies,
-        fallback=fallback,
-        fallback_belief=None if fallback_belief is None
-        else _number(float, fallback_belief, f"{where}: the fallback belief"),
-    )
+    rounds = checked("array", payload.get("rounds", []), f"{where}: rounds")
+    replies = tuple(_reply_from_dict(r, f"{where}: reply {i}") for i, r in enumerate(rounds, 1))
+    fallback, belief = payload.get("fallback"), None
+    if isinstance(fallback, dict):  # {"rule", "belief"}
+        fallback, belief = fallback.get("rule"), fallback.get("belief")
+        belief = None if belief is None else checked("float", belief, f"{where}: fallback.belief")
+    return AgentScript(agent_id, replies, fallback, belief)
 
 
 def scenarios_from_json(path: str | Path) -> list[ScenarioCase]:
-    """Load a scenario dataset: {"cases": [{case_id, question, ground_truth, agents}]}."""
+    """Load a scenario dataset: {"cases": [{case_id, question, ground_truth, agents}]}.
+    A value of the wrong kind, out of range or missing raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    cases = []
-    seen = set()
-    for number, entry in enumerate(_json(list, _json(dict, payload, "the dataset")["cases"],
-                                         "cases"), 1):
-        case_id = str(_json(dict, entry, f"case {number}")["case_id"])
-        if case_id in seen:
+    cases = {}
+    for number, entry in enumerate(read_fields(payload, "the dataset", cases="array")[0], 1):
+        case_id, = read_fields(entry, f"case {number}", case_id="text")
+        if case_id in cases:
             raise ValueError(f"duplicate case_id {case_id!r} in dataset")
-        seen.add(case_id)
+        where = f"case {case_id!r}"
+        question, ground_truth = read_fields(entry, where, question="text", ground_truth="text")
         scripts = None
         if entry.get("agents"):
             scripts = {}
-            for agent_payload in _json(list, entry["agents"], f"case {case_id!r}: agents"):
+            for i, agent in enumerate(checked("array", entry["agents"], f"{where}: agents"), 1):
                 try:
-                    script = _script_from_dict(agent_payload)
+                    script = _script_from_dict(agent, f"agent {i}")
                 except ValueError as exc:
-                    raise ValueError(f"case {case_id!r}: {exc}") from exc
+                    raise ValueError(f"{where}: {exc}") from exc
                 if script.agent_id in scripts:
-                    raise ValueError(f"case {case_id!r}: agent {script.agent_id!r} listed twice")
+                    raise ValueError(f"{where}: agent {script.agent_id!r} listed twice")
                 scripts[script.agent_id] = script
-        cases.append(
-            ScenarioCase(
-                case_id=case_id,
-                question=str(entry["question"]),
-                ground_truth=canonicalize_answer(str(entry["ground_truth"])),
-                scripts=scripts,
-            )
-        )
-    return cases
+        cases[case_id] = ScenarioCase(case_id, question, canonicalize_answer(ground_truth),
+                                      scripts)
+    return list(cases.values())

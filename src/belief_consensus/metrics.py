@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
-from belief_consensus.core import fold
+from belief_consensus.core import checked, fold, read_fields
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,12 @@ class MetricsRow:
     error: str | None = None
 
 
-# the JSON type of each fact a completed case's row must carry
-_ROW_TYPES = {"consensus_count": int, "n_rounds": int, "correct": bool}
-
-
 def rows_from_results_jsonl(path: str | Path) -> tuple[list[MetricsRow], int | None]:
     """Read a results file back into metric rows; returns (rows, n from header).
 
     A failed case's `{"case_id", "error"}` row becomes a row with its error.
-    A row that is not an object, lacks a fact or holds one of the wrong JSON
-    type raises ValueError.
+    A row that is not an object, lacks a fact or holds one of the wrong kind
+    raises ValueError naming its line and key.
     """
     rows: list[MetricsRow] = []
     n = None
@@ -65,28 +61,18 @@ def rows_from_results_jsonl(path: str | Path) -> tuple[list[MetricsRow], int | N
             line = line.strip()
             if not line:
                 continue
-            payload = json.loads(line)
-            if not isinstance(payload, dict):
-                raise ValueError(f"line {number} is not a JSON object")
+            where = f"line {number}"
+            payload = checked("object", json.loads(line), where)
             if "config" in payload and "case_id" not in payload:
-                try:
-                    n = payload["config"].get("run", {}).get("n")
-                except AttributeError:
-                    raise ValueError(f"line {number}: config header of the wrong shape") from None
-                continue
-            keys = ("case_id", "error") if "error" in payload else ("case_id", *_ROW_TYPES)
-            missing = [key for key in keys if key not in payload]
-            if missing:
-                raise ValueError(f"line {number} lacks {', '.join(missing)}")
-            if "error" in payload:
-                rows.append(MetricsRow(str(payload["case_id"]), error=str(payload["error"])))
-                continue
-            for key, kind in _ROW_TYPES.items():
-                if type(payload[key]) is not kind:  # so neither true nor 1.0 is an int
-                    raise ValueError(f"line {number}: {key} must be {kind.__name__}, "
-                                     f"got {payload[key]!r}")
-            rows.append(MetricsRow(str(payload["case_id"]),
-                                   **{key: payload[key] for key in _ROW_TYPES}))
+                config = checked("object", payload["config"], f"{where}: config")
+                n = checked("object", config.get("run", {}), f"{where}: config.run").get("n")
+            elif "error" in payload:
+                case_id, error = read_fields(payload, where, case_id="text", error="text")
+                rows.append(MetricsRow(case_id, error=error))
+            else:
+                rows.append(MetricsRow(*read_fields(payload, where, case_id="text",
+                                                    consensus_count="int", n_rounds="int",
+                                                    correct="bool")))
     if not rows:
         raise ValueError("results file holds no case rows")
     return rows, n

@@ -225,7 +225,7 @@ def _float_or_inf(x: float):
     return "inf" if math.isinf(x) else x
 
 
-def _json_around(before: dict, key: str, encoded: str, after: dict) -> str:
+def _encoded_between(before: dict, key: str, encoded: str, after: dict) -> str:
     """`json.dumps({**before, key: value, **after}, sort_keys=True)`, where
     `encoded` is the value's encoding and every key of `before` sorts below
     `key`, every key of `after` above it; both are non-empty."""
@@ -294,7 +294,7 @@ def _round_json(rec: RoundRecord, heads: Sequence[str], encode) -> str:
     if rec.leaders is not None:
         before["leaders"] = [vars(gl) for gl in rec.leaders.by_group]
     after = {"round": rec.index, "verdict": vars(rec.verdict)}
-    return _json_around(before, "opinions", _opinions_json(rec.opinions, heads, encode), after)
+    return _encoded_between(before, "opinions", _opinions_json(rec.opinions, heads, encode), after)
 
 
 def write_results_jsonl(reports: Sequence[RunReport | CaseFailure], out: IO[str],
@@ -323,7 +323,7 @@ def write_results_jsonl(reports: Sequence[RunReport | CaseFailure], out: IO[str]
             "n_rounds": report.n_rounds,
         }
         after = {"terminated_by": report.terminated_by}
-        out.write(_json_around(before, "rounds", "[" + ", ".join(rounds) + "]", after) + "\n")
+        out.write(_encoded_between(before, "rounds", "[" + ", ".join(rounds) + "]", after) + "\n")
 
 
 def rounds_to_csv(reports: Sequence[RunReport], out: IO[str]):

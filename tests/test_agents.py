@@ -527,6 +527,29 @@ def _parsed_answer(reply):
     return agent._parse(body, "a1").answer
 
 
+# (what is wrong, the reply's choice); each once raised a TypeError,
+# AttributeError or ValueError, which failed the whole case
+_TOKENS = [{"token": "The answer is B.", "logprob": -0.1}]
+MALFORMED_CHOICES = [
+    ("null-content", {"message": {"content": None}, "logprobs": {"content": _TOKENS}}),
+    ("logprobs-list", {"message": {"content": "The answer is B."}, "logprobs": _TOKENS}),
+    ("string-token-entry", {"message": {"content": "The answer is B."},
+                            "logprobs": {"content": ["The answer is B."]}}),
+    ("null-token", {"message": {"content": "The answer is B."},
+                    "logprobs": {"content": [{"token": None, "logprob": -0.1}]}}),
+    ("string-logprob", {"message": {"content": "The answer is B."},
+                        "logprobs": {"content": [{"token": "The answer is B.", "logprob": "x"}]}}),
+]
+
+
+@pytest.mark.parametrize("choice", [c for _, c in MALFORMED_CHOICES],
+                         ids=[name for name, _ in MALFORMED_CHOICES])
+def test_malformed_reply_is_an_agent_error(choice):
+    agent = ChatCompletionsAgent(BackendConfig(kind="http", endpoint="http://127.0.0.1:9/v1"))
+    with pytest.raises(AgentError, match="malformed completion response"):
+        agent._parse({"choices": [choice]}, "a1")
+
+
 class TestOneAnswerGrammar:
     """`canonicalize_answer` on a whole reply with an answer clause or box
     gives the answer the HTTP client parses from it."""

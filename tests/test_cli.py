@@ -99,9 +99,10 @@ class TestCmdRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("shape, message", [
-        ("top-level-list", "the dataset is not a JSON object: []"),
-        ("case-string", "case 1 is not a JSON object: 'oops'"),
-        ("belief-null", "case 'judgment-tl205': agent 'a1': a belief must be a number, got None"),
+        ("top-level-list", "the dataset must be a mapping, got []"),
+        ("case-string", "case 1 must be a mapping, got 'oops'"),
+        ("belief-null",
+         "case 'judgment-tl205': agent 'a1': reply 1: belief must be a number, got None"),
     ], ids=["top-level-list", "case-string", "belief-null"])
     def test_bad_dataset_shape_exits_2(self, tmp_path, corpus_path, capsys, shape, message):
         # each once exited 1 with a TypeError traceback
@@ -117,6 +118,44 @@ class TestCmdRun:
         cfg = write_config(tmp_path, dataset)
         assert main(["run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"dataset error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        # each of these once loaded: null as the text "None", a round of 1.7,
+        # true, "2" or 2.0 as an integer, a belief of true as 1.0
+        ("ground_truth", None, "ground_truth must be a string or a number, got None"),
+        ("question", None, "question must be a string or a number, got None"),
+        ("question", "missing", "question is missing"),
+        ("answer", None, "agent 'a1': reply 2: answer must be a string or a number, got None"),
+        ("round", 1.7, "agent 'a1': reply 2: round must be an integer, got 1.7"),
+        ("round", True, "agent 'a1': reply 2: round must be an integer, got True"),
+        ("round", "2", "agent 'a1': reply 2: round must be an integer, got '2'"),
+        ("round", 2.0, "agent 'a1': reply 2: round must be an integer, got 2.0"),
+        ("round", 0, "agent 'a1': reply 2: round must be at least 1, got 0"),
+        ("belief", True, "agent 'a1': reply 2: belief must be a number, got True"),
+        ("belief", 1.5, "agent 'a1': reply 2: belief must lie in (0, 1], got 1.5"),
+        ("fallback", 2.0, "agent 'a1': fallback.belief must lie in (0, 1], got 2.0"),
+    ], ids=["ground-truth-null", "question-null", "question-missing", "answer-null",
+            "round-1.7", "round-true", "round-string", "round-2.0", "round-0", "belief-true",
+            "belief-1.5", "fallback-belief-2.0"])
+    def test_bad_dataset_value_names_where_it_sits(self, tmp_path, corpus_path, capsys, key,
+                                                   value, message):
+        payload = json.loads(corpus_path.read_text())
+        case = payload["cases"][0]
+        agent = case["agents"][0]
+        if key == "fallback":
+            agent["fallback"] = {"rule": "adopt:leader", "belief": value}
+        elif key in ("answer", "round", "belief"):
+            agent["rounds"][1][key] = value
+        elif value == "missing":
+            del case[key]
+        else:
+            case[key] = value
+        dataset = tmp_path / "bad.json"
+        dataset.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, dataset)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"dataset error: case 'judgment-tl205': {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["flag", "sweep"])
@@ -190,6 +229,9 @@ class TestCmdRun:
         ({"run": {"out": 5}}, "run.out must be a string, got 5"),
         ({"backend": {"model": 7}}, "backend.model must be a string, got 7"),
         ({"backend": {"temperature": True}}, "backend.temperature must be a number, got True"),
+        ({"backends": [{"agent_id": "a7", "kind": "stochastic", "retries": 1.5}]},
+         "backends[0].retries must be an integer, got 1.5"),
+        ({"simulate": {"tol": True}}, "simulate.tol must be a number, got True"),
         # the n = 3 setting once ran and wrote out/n3 before n = 1 failed
         ({"sweep": {"n": [3, 1]}}, "sweep combination {'n': 1}: n must be at least 2"),
     ])
@@ -830,22 +872,23 @@ class TestCmdMetrics:
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("row, message", [
-        ({"case_id": "x", "n_rounds": 2}, "lacks consensus_count, correct"),  # once a KeyError
-        ([1, 2], "is not a JSON object"),  # once a TypeError
+        # once a KeyError
+        ({"case_id": "x", "n_rounds": 2}, "line 2: consensus_count, correct are missing"),
+        ([1, 2], "line 2 must be a mapping, got [1, 2]"),  # once a TypeError
         ({"case_id": "x", "consensus_count": 3, "n_rounds": 2, "correct": "false"},
-         "correct must be bool, got 'false'"),  # once counted as correct
+         "line 2: correct must be true or false, got 'false'"),  # once counted as correct
         ({"case_id": "x", "consensus_count": True, "n_rounds": 2, "correct": True},
-         "consensus_count must be int, got True"),
+         "line 2: consensus_count must be an integer, got True"),
         ({"case_id": "x", "consensus_count": 3, "n_rounds": 1.0, "correct": True},
-         "n_rounds must be int, got 1.0"),
+         "line 2: n_rounds must be an integer, got 1.0"),
         ({"case_id": "x", "consensus_count": 8, "n_rounds": 2, "correct": True},
          "case 'x' has consensus_count 8 outside [0, 7]"),
         ({"case_id": "x", "consensus_count": -1, "n_rounds": 2, "correct": True},
          "case 'x' has consensus_count -1 outside [0, 7]"),
         ({"case_id": "x", "consensus_count": 3, "n_rounds": 0, "correct": True},
          "case 'x' has no rounds"),
-        ({"config": []}, "config header of the wrong shape"),
-        ({"error": "boom"}, "lacks case_id"),
+        ({"config": []}, "line 2: config must be a mapping, got []"),
+        ({"error": "boom"}, "line 2: case_id is missing"),
     ], ids=["lacks-fields", "array-row", "string-bool", "bool-count", "float-rounds",
             "count-above-n", "negative-count", "no-rounds", "array-config", "error-no-id"])
     def test_bad_row_is_a_dataset_error(self, headerless, tmp_path, capsys, row, message):

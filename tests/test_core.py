@@ -15,7 +15,9 @@ from belief_consensus.core import (
     ScriptedReply,
     belief_from_token_probs,
     canonicalize_answer,
+    checked,
     modal_answer as _modal_answer,
+    read_fields,
     scenarios_from_json,
 )
 from round_oracles import columns_of, opinions_of
@@ -289,6 +291,47 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
 
+NO = object()  # the kind rejects the value
+CHECKER_VALUES = (True, 1, 1.0, 1.7, "2", "1e-09", None, [], {})
+
+
+class TestChecked:
+    @pytest.mark.parametrize("kind, want", [
+        ("int", (NO, 1, NO, NO, NO, NO, NO, NO, NO)),
+        ("float", (NO, 1.0, 1.0, 1.7, 2.0, 1e-09, NO, NO, NO)),
+        ("bool", (True, NO, NO, NO, NO, NO, NO, NO, NO)),
+        ("str", (NO, NO, NO, NO, "2", "1e-09", NO, NO, NO)),
+        ("path", (NO, NO, NO, NO, "2", "1e-09", NO, NO, NO)),
+        ("text", (NO, "1", "1.0", "1.7", "2", "1e-09", NO, NO, NO)),
+        ("object", (NO, NO, NO, NO, NO, NO, NO, NO, {})),
+        ("array", (NO, NO, NO, NO, NO, NO, NO, [], NO)),
+        ("list[int]", (NO, NO, NO, NO, NO, NO, NO, NO, NO)),  # [] is empty
+    ])
+    def test_each_kind_against_each_value(self, kind, want):
+        for value, expected in zip(CHECKER_VALUES, want):
+            if expected is NO:
+                with pytest.raises(ValueError, match=r"^run\.x must be .*, got "):
+                    checked(kind, value, "run.x")
+            else:
+                got = checked(kind, value, "run.x")
+                assert (got, type(got)) == (expected, type(expected)), value
+
+    def test_list_reads_each_item_as_its_kind(self):
+        assert checked("list[float]", [1, "2"], "sweep.x") == [1.0, 2.0]
+        with pytest.raises(ValueError, match=r"^sweep\.x must be a number, got True$"):
+            checked("list[float]", [1, True], "sweep.x")
+
+    def test_read_fields_lists_every_missing_key(self):
+        record = {"a": 1, "c": "x"}
+        assert read_fields(record, "line 3", a="int", c="text") == [1, "x"]
+        with pytest.raises(ValueError, match=r"^line 3: b, d are missing$"):
+            read_fields(record, "line 3", a="int", b="int", c="text", d="bool")
+        with pytest.raises(ValueError, match=r"^line 3: b is missing$"):
+            read_fields(record, "line 3", b="int")
+        with pytest.raises(ValueError, match=r"^line 3 must be a mapping, got \[1\]$"):
+            read_fields([1], "line 3", b="int")
+
+
 class TestScenarioCase:
     def test_round_one_coverage_enforced(self):
         script = AgentScript("a1", (ScriptedReply(2, "B", "", 0.5),))
@@ -300,6 +343,23 @@ class TestScenarioCase:
         case = ScenarioCase("c1", "q", "B", scripts={"a1": script})
         assert case.scripts["a1"].reply_for(1).answer == "B"
         assert case.scripts["a1"].reply_for(9) is None
+
+    @pytest.mark.parametrize("round_, belief, message", [
+        (0, 0.5, "round must be at least 1, got 0"),  # once never used, and nothing said
+        (1, 1.5, r"belief must lie in \(0, 1\], got 1.5"),  # once failed its case at run time
+        (1, 0.0, r"belief must lie in \(0, 1\], got 0.0"),
+        (1, math.nan, r"belief must lie in \(0, 1\], got nan"),
+    ], ids=["round-0", "belief-1.5", "belief-0", "belief-nan"])
+    def test_scripted_reply_out_of_range_rejected(self, round_, belief, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScriptedReply(round_, "B", "", belief)
+
+    @pytest.mark.parametrize("belief", [2.0, 0.0, math.nan])
+    def test_fallback_belief_out_of_range_rejected(self, belief):
+        # 2.0 once loaded, and ran until some round needed the fallback
+        with pytest.raises(ValueError, match=r"^agent 'a1': fallback\.belief must lie in"):
+            AgentScript("a1", (ScriptedReply(1, "B", "", 0.5),), fallback="adopt:leader",
+                        fallback_belief=belief)
 
     @pytest.mark.parametrize("rule", ["adopt:leadr", "adopt:", "adopt:agent:", "repeat", 5])
     def test_misspelt_fallback_rule_rejected(self, rule):

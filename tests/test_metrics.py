@@ -129,6 +129,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="no completed cases"):
             compute_metrics(rows[1:], n)
 
+    def test_bad_value_names_its_line_and_key(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text(
+            '{"config": {"run": {"n": 7}}}\n'
+            '{"case_id": "x", "consensus_count": 5, "n_rounds": 2, "correct": true}\n'
+            '{"case_id": "y", "consensus_count": 5, "n_rounds": 2.0, "correct": true}\n'
+        )
+        with pytest.raises(ValueError, match=r"^line 3: n_rounds must be an integer, got 2\.0$"):
+            rows_from_results_jsonl(path)
+
     def test_results_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "results.jsonl"
         path.write_text(

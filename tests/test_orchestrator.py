@@ -372,10 +372,12 @@ class _ModelHandler(BaseHTTPRequestHandler):
     belief 0.6. `failing` maps a model to (its first failing request, the
     status it answers from then on), and `slow` a (model, request number) to
     a delay before the reply. A `barrier`, when set, holds every reply until
-    all of its parties wait, and a reply whose wait breaks is a 503."""
+    all of its parties wait, and a reply whose wait breaks is a 503. The
+    (model, request number) pairs of `null_content` answer a null content."""
 
     failing: dict = {}
     slow: dict = {}
+    null_content: set = set()
     barrier = None
     seen: dict = {}  # requests per model
     counting = threading.Lock()  # handler threads answer at once
@@ -399,6 +401,8 @@ class _ModelHandler(BaseHTTPRequestHandler):
             tokens = [{"token": "Thinking.", "logprob": -0.1},
                       {"token": f" The answer is ({answer}).", "logprob": math.log(0.6)}]
             content = "".join(t["token"] for t in tokens)
+            if (model, seen) in self.null_content:
+                content = None
             payload = {"choices": [
                 {"message": {"content": content}, "logprobs": {"content": tokens}}]}
         else:
@@ -423,6 +427,7 @@ class _QuietServer(ThreadingHTTPServer):
 def model_server():
     """The URL of a _ModelHandler server whose models all answer at once."""
     _ModelHandler.failing, _ModelHandler.slow, _ModelHandler.barrier = {}, {}, None
+    _ModelHandler.null_content = set()
     _ModelHandler.seen = {}
     server = _QuietServer(("127.0.0.1", 0), _ModelHandler)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
@@ -483,6 +488,18 @@ class TestCarriedForward:
         rows = report_to_dict(report)["rounds"]
         assert "carried_forward" not in rows[0]
         assert rows[1]["carried_forward"] == [{"agent_id": "agent-2", "error": error}]
+
+
+    def test_malformed_reply_fails_its_agent_not_its_case(self, model_server):
+        # a null content once raised a TypeError, and the case failed
+        _ModelHandler.null_content = {("model-2", 2)}
+        report = run_case(ScenarioCase("fault", "pick one", "A"),
+                          RunConfig(n=3, max_rounds=2, seed=0), model_backends(model_server, 3, 0))
+        first, second = report.rounds
+        assert second.carried_forward == (
+            ("agent-2", "malformed completion response: message.content must be a string, "
+                        "got None"),)
+        assert opinions_of(second.opinions)[1] == opinions_of(first.opinions)[1]
 
 
 class TestPipelinedDispatch:

@@ -9,9 +9,10 @@ dataclasses; each command checks every section, an unknown key in any is an
 error, and a flag overrides the key it is named after. A path is relative to
 the config's directory when the file gives it, to the working directory when
 a flag does; an empty one is an error. `simulate` runs the checks of
-`verification.CHECKS` on the one `SimulateConfig` its section builds. Each
-command makes its output directories before any work; the effective
-configuration heads every output file. Exit codes: 0 success, 1 a
+`verification.CHECKS` on the one `SimulateConfig` its section builds. `run`
+and `simulate` make their output directories before any work, `metrics`
+once every results file has been read; the effective configuration heads
+every output file. Exit codes: 0 success, 1 a
 `ConfigError` or a failed dynamics property, 2 a `DatasetError` (unreadable
 dataset or results file), 3 a run in which one or more cases raised (the
 other cases' outputs are written, and each failed case is a
@@ -335,8 +336,6 @@ def cmd_metrics(args) -> int:
     if agents is not None:
         agents = _positive_int(int(agents) if agents.isdecimal() else agents, "--agents")
     out_dir = None if args.out is None else _path(args.out, "--out")
-    if out_dir is not None:
-        _make_dirs(out_dir)
     for path in args.results:
         try:
             rows, n = rows_from_results_jsonl(path)
@@ -349,6 +348,8 @@ def cmd_metrics(args) -> int:
             summaries.append((Path(path).name, compute_metrics(rows, n)))
         except ValueError as exc:
             raise DatasetError(f"{path}: {exc}") from exc
+    if out_dir is not None:  # made once every file has been read
+        _make_dirs(out_dir)
     print(format_metrics(summaries))
     if out_dir is not None:
         with open(out_dir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:

@@ -246,6 +246,11 @@ class RoundColumns:
         """Row of each agent id."""
         return {agent_id: i for i, agent_id in enumerate(self.agent_ids)}
 
+    @cached_property
+    def belief_texts(self) -> list[str]:
+        """Each row's belief as `repr` and `json` write it, for the writers."""
+        return list(map(float.__repr__, self.beliefs.tolist()))
+
     def rows(self, agent_ids: Sequence[str]) -> np.ndarray:
         """The rows of the given agents, in their order."""
         return np.fromiter(map(self.index.__getitem__, agent_ids), np.intp, len(agent_ids))
@@ -400,10 +405,11 @@ class RunConfig:
 
 # the kinds of value a config, dataset or results file may hold: each one's
 # Python type and the words an error names it by. "path" is a config path,
-# and "text" a dataset string, which a number may stand for
+# "text" a dataset string, which a number may stand for, and "any" a value
+# its reader checks itself
 KINDS = {"int": (int, "an integer"), "float": (float, "a number"), "bool": (bool, "true or false"),
          "str": (str, "a string"), "path": (str, "a string"), "text": (str, "a string or a number"),
-         "object": (dict, "a mapping"), "array": (list, "a list")}
+         "object": (dict, "a mapping"), "array": (list, "a list"), "any": (object, "")}
 
 
 def checked(kind: str, value, where: str, error: type[Exception] = ValueError):
@@ -417,7 +423,7 @@ def checked(kind: str, value, where: str, error: type[Exception] = ValueError):
             raise error(f"{where} must be a non-empty list, got {value!r}")
         return [checked(kind[5:-1], v, where, error) for v in value]
     cls, words = KINDS[kind]
-    if type(value) is cls:  # type(True) is bool, not int
+    if type(value) is cls or cls is object:  # type(True) is bool, not int
         return value
     if kind == "text" and type(value) in (int, float):
         return str(value)
@@ -429,54 +435,68 @@ def checked(kind: str, value, where: str, error: type[Exception] = ValueError):
     raise error(f"{where} must be {words}, got {value!r}")
 
 
-def read_fields(record, where: str, **kinds: str) -> list:
+def read_fields(record, where: str, *, extra: bool = False, **kinds: str) -> list:
     """The values of mapping `record`'s keys, each read as its kind in
-    `kinds`, in that order. A value of another kind is an error naming
-    "<where>: <key>"; a missing key, one listing every key missing."""
-    missing = [key for key in kinds if key not in checked("object", record, where)]
+    `kinds`, in that order; a kind ending in "?" marks a key that may be
+    missing, which reads as None. A key `kinds` does not name is an error
+    naming it, unless `extra`; a value of another kind, one naming
+    "<where>: <key>"; missing keys, one listing every one missing."""
+    record = checked("object", record, where)
+    unknown = [] if extra else [key for key in record if key not in kinds]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r} (keys: {', '.join(kinds)})")
+    missing = [key for key, kind in kinds.items() if key not in record and kind[-1] != "?"]
     if missing:
         raise ValueError(f"{where}: {', '.join(missing)} {'are' if missing[1:] else 'is'} missing")
-    return [checked(kind, record[key], f"{where}: {key}") for key, kind in kinds.items()]
+    return [checked(kind.rstrip("?"), record[key], f"{where}: {key}") if key in record else None
+            for key, kind in kinds.items()]
 
 
 def _reply_from_dict(payload, where: str) -> ScriptedReply:
-    round_, answer, belief = read_fields(payload, where, round="int", answer="text",
-                                         belief="float")
-    reasoning = checked("text", payload.get("reasoning", ""), f"{where}: reasoning")
+    round_, answer, belief, reasoning = read_fields(payload, where, round="int", answer="text",
+                                                    belief="float", reasoning="text?")
     try:
-        return ScriptedReply(round_, canonicalize_answer(answer), reasoning, belief)
+        return ScriptedReply(round_, canonicalize_answer(answer), reasoning or "", belief)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
 def _script_from_dict(payload, where: str) -> AgentScript:
-    agent_id, = read_fields(payload, where, agent_id="text")
+    agent_id, = read_fields(payload, where, extra=True, agent_id="text")
     where = f"agent {agent_id!r}"
-    rounds = checked("array", payload.get("rounds", []), f"{where}: rounds")
-    replies = tuple(_reply_from_dict(r, f"{where}: reply {i}") for i, r in enumerate(rounds, 1))
-    fallback, belief = payload.get("fallback"), None
+    _, rounds, fallback = read_fields(payload, where, agent_id="text", rounds="array?",
+                                      fallback="any?")
+    replies = tuple(_reply_from_dict(r, f"{where}: reply {i}")
+                    for i, r in enumerate(rounds or (), 1))
+    belief = None
     if isinstance(fallback, dict):  # {"rule", "belief"}
-        fallback, belief = fallback.get("rule"), fallback.get("belief")
-        belief = None if belief is None else checked("float", belief, f"{where}: fallback.belief")
+        fallback, belief = read_fields(fallback, f"{where}: fallback", rule="any?",
+                                       belief="float?")
     return AgentScript(agent_id, replies, fallback, belief)
 
 
 def scenarios_from_json(path: str | Path) -> list[ScenarioCase]:
     """Load a scenario dataset: {"cases": [{case_id, question, ground_truth, agents}]}.
-    A value of the wrong kind, out of range or missing raises ValueError."""
+    A value of the wrong kind, out of range or missing, and a key the format
+    does not know, raise ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     cases = {}
     for number, entry in enumerate(read_fields(payload, "the dataset", cases="array")[0], 1):
-        case_id, = read_fields(entry, f"case {number}", case_id="text")
+        case_id, = read_fields(entry, f"case {number}", extra=True, case_id="text")
         if case_id in cases:
             raise ValueError(f"duplicate case_id {case_id!r} in dataset")
         where = f"case {case_id!r}"
-        question, ground_truth = read_fields(entry, where, question="text", ground_truth="text")
+        _, question, ground_truth, agents = read_fields(
+            entry, where, case_id="text", question="text", ground_truth="text", agents="array?")
+        try:
+            ground_truth = canonicalize_answer(ground_truth)
+        except ValueError as exc:
+            raise ValueError(f"{where}: ground_truth: {exc}") from None
         scripts = None
-        if entry.get("agents"):
+        if agents:
             scripts = {}
-            for i, agent in enumerate(checked("array", entry["agents"], f"{where}: agents"), 1):
+            for i, agent in enumerate(agents, 1):
                 try:
                     script = _script_from_dict(agent, f"agent {i}")
                 except ValueError as exc:
@@ -484,6 +504,5 @@ def scenarios_from_json(path: str | Path) -> list[ScenarioCase]:
                 if script.agent_id in scripts:
                     raise ValueError(f"{where}: agent {script.agent_id!r} listed twice")
                 scripts[script.agent_id] = script
-        cases[case_id] = ScenarioCase(case_id, question, canonicalize_answer(ground_truth),
-                                      scripts)
+        cases[case_id] = ScenarioCase(case_id, question, ground_truth, scripts)
     return list(cases.values())

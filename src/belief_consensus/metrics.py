@@ -67,10 +67,11 @@ def rows_from_results_jsonl(path: str | Path) -> tuple[list[MetricsRow], int | N
                 config = checked("object", payload["config"], f"{where}: config")
                 n = checked("object", config.get("run", {}), f"{where}: config.run").get("n")
             elif "error" in payload:
-                case_id, error = read_fields(payload, where, case_id="text", error="text")
+                case_id, error = read_fields(payload, where, extra=True, case_id="text",
+                                             error="text")
                 rows.append(MetricsRow(case_id, error=error))
             else:
-                rows.append(MetricsRow(*read_fields(payload, where, case_id="text",
+                rows.append(MetricsRow(*read_fields(payload, where, extra=True, case_id="text",
                                                     consensus_count="int", n_rounds="int",
                                                     correct="bool")))
     if not rows:

@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-from collections import defaultdict
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
@@ -83,13 +82,24 @@ class CaseFailure:
     error: str
 
 
+def _backend_calls(backends: Mapping[str, Backend]) -> tuple[tuple[Backend, tuple[str, ...]], ...]:
+    """Each distinct backend of `backends` with the sorted ids of its agents,
+    in the order of its first agent: the calls of every round of a case."""
+    calls: dict[int, tuple[Backend, list[str]]] = {}
+    for agent_id in sorted(backends):
+        backend = backends[agent_id]
+        calls.setdefault(id(backend), (backend, []))[1].append(agent_id)
+    return tuple((backend, tuple(ids)) for backend, ids in calls.values())
+
+
 def _dispatch(
-    backends: Mapping[str, Backend],
+    calls: Sequence[tuple[Backend, tuple[str, ...]]],
     case: ScenarioCase,
     ctx: RoundContext,
 ) -> tuple[RoundColumns, tuple[tuple[str, str], ...]]:
-    """One round of opinions, in sorted-agent-id order, and the carried-forward
-    agents as sorted (agent id, error) pairs.
+    """One round of opinions of the agents of `calls` (see `_backend_calls`),
+    in sorted-agent-id order, and the carried-forward agents as sorted
+    (agent id, error) pairs.
 
     Every backend's `start_round` runs first, so an HTTP backend has sent
     the first attempt of each of its agents before any reply is read, all on
@@ -100,27 +110,23 @@ def _dispatch(
     agent keeps its row of the previous round. Whatever was started and not
     read is ended before this returns or raises.
     """
-    agent_ids = sorted(backends)
-    calls: defaultdict[int, list[str]] = defaultdict(list)
-    for agent_id in agent_ids:
-        calls[id(backends[agent_id])].append(agent_id)
     parts, failed = [], []
     with ExitStack() as started:
-        for ids in calls.values():
-            started.enter_context(backends[ids[0]].start_round(case, ids, ctx))
-        for ids in calls.values():
+        for backend, ids in calls:
+            started.enter_context(backend.start_round(case, ids, ctx))
+        for backend, ids in calls:
             try:
-                part, errors = backends[ids[0]].respond_round(case, ids, ctx)
+                part, errors = backend.respond_round(case, ids, ctx)
             except AgentError as exc:
                 part, errors = RoundColumns.of([], []), [(a, exc) for a in ids]
             if errors and ctx.previous is None:
                 raise errors[0][1]
             lost = dict(errors)
-            answered = tuple(a for a in ids if a not in lost) if lost else tuple(ids)
+            answered = tuple(a for a in ids if a not in lost) if lost else ids
             if part.agent_ids != answered:  # the layers rely on sorted rows
                 raise ValueError(f"respond_round answered agents {list(part.agent_ids)}, "
                                  f"not {list(answered)}")
-            if len(answered) == len(agent_ids):
+            if len(calls) == 1 and not lost:
                 return part, ()
             parts.append(part)
             failed.extend((a, str(exc)) for a, exc in errors)
@@ -153,20 +159,19 @@ def run_case(
         raise ValueError(
             f"backend arity mismatch: config says n={cfg.n}, got {len(backends)} backends"
         )
-    agent_ids = sorted(backends)
+    calls = _backend_calls(backends)
     noise_rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed & 0x7FFFFFFF, stable_hash(case.case_id), 0xAD])
     ) if cfg.adversarial_noise else None
 
-    delegates, opinions = dict.fromkeys(agent_ids, ()), None
+    delegates, opinions = dict.fromkeys(sorted(backends), ()), None
     records: list[RoundRecord] = []
     drawn = range(0)  # the rounds `cluster_draws` holds
     for round_index in range(1, cfg.max_rounds + 1):
         if round_index not in drawn:
             drawn = range(round_index, min(round_index + ROUNDS_PER_PASS, cfg.max_rounds + 1))
             cluster_draws = _cluster_draws(case, cfg, drawn)
-        opinions, carried = _dispatch(backends, case,
-                                      RoundContext(round_index, delegates, opinions))
+        opinions, carried = _dispatch(calls, case, RoundContext(round_index, delegates, opinions))
         victim = None
         if cfg.adversarial_noise:
             opinions, victim = perturb_one_belief(opinions, noise_rng)
@@ -215,23 +220,17 @@ def run_case(
 # ---------------------------------------------------------------------------
 # serialization
 #
-# Both writers assemble their text from pieces encoded once per round or per
-# set of agent ids: an agent's id, an answer, a reasoning text. The bytes are
-# those of `json.dumps(..., sort_keys=True)` over the report as nested dicts
-# and of one `csv.writer` row per agent; tests/round_oracles.py keeps those
-# forms as the reference.
+# Both writers assemble their text from pieces encoded once: an agent's id,
+# an answer or a reasoning text once per writer call, a round's belief texts
+# once for both (`RoundColumns.belief_texts`), a delegate tuple once per
+# assignment map. A round's per-agent pieces are laid side by side and joined
+# in one call. The bytes are those of `json.dumps(..., sort_keys=True)` over
+# the report as nested dicts and of one `csv.writer` row per agent;
+# tests/round_oracles.py keeps those forms as the reference. Every number
+# written with `repr` is a Python int or float.
 
 def _float_or_inf(x: float):
     return "inf" if math.isinf(x) else x
-
-
-def _encoded_between(before: dict, key: str, encoded: str, after: dict) -> str:
-    """`json.dumps({**before, key: value, **after}, sort_keys=True)`, where
-    `encoded` is the value's encoding and every key of `before` sorts below
-    `key`, every key of `after` above it; both are non-empty."""
-    head = json.dumps(before, sort_keys=True)
-    tail = json.dumps(after, sort_keys=True)
-    return f"{head[:-1]}, {json.dumps(key)}: {encoded}, {tail[1:]}"
 
 
 def _memo(encode):
@@ -246,6 +245,15 @@ def _memo(encode):
     return encoded
 
 
+def _side_by_side(n: int, *columns) -> list[str]:
+    """The pieces of `columns`, each `n` long, row by row: row 0's pieces
+    in column order, then row 1's, and so on."""
+    pieces = [""] * (n * len(columns))
+    for i, column in enumerate(columns):
+        pieces[i::len(columns)] = column
+    return pieces
+
+
 def _csv_cell(text: str) -> str:
     """`text` as a csv.writer row holds it: quoted where it holds a comma,
     quote or line break. Ints and float reprs never need quoting."""
@@ -254,31 +262,51 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-len(",\r\n")]
 
 
-def _opinions_json(opinions: RoundColumns, heads: Sequence[str], encode) -> str:
-    """The round's opinion objects; `heads[i]` opens row i's, up to its answer."""
-    answers = [f'{encode(a)}, "belief": ' for a in opinions.answers]
-    tails = [f', "reasoning": {encode(t)}}}' for t in opinions.texts]
-    return "[" + ", ".join([
-        f"{head}{answers[code]}{belief!r}{tails[text]}"
-        for head, code, belief, text in zip(heads, opinions.codes.tolist(),
-                                             opinions.beliefs.tolist(),
-                                             opinions.text_ids.tolist())
-    ]) + "]"
+def _id_pieces(agent_ids: Sequence[str], encode) -> tuple[dict[str, str], list[str]]:
+    """Each agent id's JSON encoding, and row i's opinion object up to its
+    answer, led by the ", " that parts it from row i - 1's."""
+    ids = {a: encode(a) for a in agent_ids}
+    heads = [f', {{"agent_id": {ids[a]}, "answer": ' for a in agent_ids]
+    heads[:1] = [h[2:] for h in heads[:1]]
+    return ids, heads
 
 
-def _round_json(rec: RoundRecord, heads: Sequence[str], encode) -> str:
-    # a group's, leader entry's, plan's and verdict's fields are their keys
-    before = {  # the keys that sort below "opinions"
-        "groups": [vars(g) for g in rec.groups],
-        "branch": rec.verdict.state,
-        "noise_victim": rec.noise_victim,
-    }
+def _id_list(ids: Mapping[str, str], agent_ids: Sequence[str]) -> str:
+    return "[" + ", ".join(map(ids.__getitem__, agent_ids)) + "]"
+
+
+def _json_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _assignments_json(assignments: Mapping[str, tuple], ids: Mapping[str, str], encode) -> str:
+    """The delegate map, keys sorted; each distinct delegate tuple is encoded
+    once, as coordination gives all followers of a group one shared tuple."""
+    encoded = {id(t): "[" + ", ".join(f"[{encode(a)}, {encode(tag)}]" for a, tag in t) + "]"
+               for t in {id(t): t for t in assignments.values()}.values()}
+    return "{" + ", ".join([f"{ids[a]}: {encoded[id(assignments[a])]}"
+                            for a in sorted(assignments)]) + "}"
+
+
+def _round_pieces(rec: RoundRecord, ids: Mapping[str, str], heads: Sequence[str],
+                  encode) -> list[str]:
+    """Round `rec`'s JSON object in pieces, keys in sorted order; `ids` and
+    `heads` are the `_id_pieces` of its agents."""
+    verdict = rec.verdict
+    pieces = ["{"]
+    if rec.assignment is not None:
+        plan = rec.assignment
+        pieces += ['"assignment": {"assignments": ',
+                   _assignments_json(plan.assignments, ids, encode),
+                   f', "least_reliable_agent": {encode(plan.least_reliable_agent)}, '
+                   f'"uncertain_group": {plan.uncertain_group!r}}}, ']
+    pieces.append(f'"branch": {encode(verdict.state)}, ')
     if rec.carried_forward:
-        before["carried_forward"] = [
+        pieces += ['"carried_forward": ', json.dumps([
             {"agent_id": agent_id, "error": error} for agent_id, error in rec.carried_forward
-        ]
+        ], sort_keys=True), ", "]
     if rec.conflict_reports is not None:
-        before["conflict_reports"] = [
+        pieces += ['"conflict_reports": ', json.dumps([
             {
                 "pair": r.group_pair,
                 "macro": r.macro,
@@ -288,13 +316,35 @@ def _round_json(rec: RoundRecord, heads: Sequence[str], encode) -> str:
                 "components": r.components,
             }
             for r in rec.conflict_reports
-        ]
-    if rec.assignment is not None:
-        before["assignment"] = vars(rec.assignment)
+        ], sort_keys=True), ", "]
+    pieces.append('"groups": [' + ", ".join([
+        f'{{"entropy": {g.entropy!r}, "group_id": {g.group_id!r}, '
+        f'"members": {_id_list(ids, g.members)}, "modal_answer": {encode(g.modal_answer)}}}'
+        for g in rec.groups
+    ]) + "], ")
     if rec.leaders is not None:
-        before["leaders"] = [vars(gl) for gl in rec.leaders.by_group]
-    after = {"round": rec.index, "verdict": vars(rec.verdict)}
-    return _encoded_between(before, "opinions", _opinions_json(rec.opinions, heads, encode), after)
+        pieces.append('"leaders": [' + ", ".join([
+            f'{{"all_members": {_json_bool(gl.all_members)}, "group_id": {gl.group_id!r}, '
+            f'"leader_ids": {_id_list(ids, gl.leader_ids)}}}'
+            for gl in rec.leaders.by_group
+        ]) + "], ")
+    victim = "null" if rec.noise_victim is None else encode(rec.noise_victim)
+    pieces.append(f'"noise_victim": {victim}, "opinions": [')
+    opinions = rec.opinions
+    answers = [f'{encode(a)}, "belief": ' for a in opinions.answers]
+    tails = [f', "reasoning": {encode(t)}}}' for t in opinions.texts]
+    pieces += _side_by_side(len(opinions), heads,
+                            map(answers.__getitem__, opinions.codes.tolist()),
+                            opinions.belief_texts,
+                            map(tails.__getitem__, opinions.text_ids.tolist()))
+    pieces.append(
+        f'], "round": {rec.index!r}, "verdict": {{'
+        f'"conflict_members": {_id_list(ids, verdict.conflict_members)}, '
+        f'"dominant_answer": {encode(verdict.dominant_answer)}, '
+        f'"dominant_members": {_id_list(ids, verdict.dominant_members)}, '
+        f'"p_b": {verdict.p_b!r}, "p_s": {verdict.p_s!r}, "state": {encode(verdict.state)}}}}}'
+    )
+    return pieces
 
 
 def write_results_jsonl(reports: Sequence[RunReport | CaseFailure], out: IO[str],
@@ -303,27 +353,28 @@ def write_results_jsonl(reports: Sequence[RunReport | CaseFailure], out: IO[str]
     optional config-echo header line first."""
     if header is not None:
         out.write(json.dumps({"config": header}, sort_keys=True) + "\n")
-    agent_ids, heads, encode = None, None, _memo(json.dumps)
+    agent_ids, ids, heads, encode = None, None, None, _memo(json.dumps)
     for report in reports:
         if isinstance(report, CaseFailure):
             out.write(json.dumps({"case_id": report.case_id, "error": report.error},
                                  sort_keys=True) + "\n")
             continue
-        rounds = []
-        for rec in report.rounds:
+        pieces = [
+            f'{{"case_id": {encode(report.case_id)}, '
+            f'"consensus_count": {report.consensus_count!r}, '
+            f'"correct": {_json_bool(report.correct)}, '
+            f'"final_answer": {encode(report.final_answer)}, '
+            f'"n_rounds": {report.n_rounds!r}, "rounds": ['
+        ]
+        for i, rec in enumerate(report.rounds):
             if rec.opinions.agent_ids != agent_ids:
                 agent_ids = rec.opinions.agent_ids
-                heads = [f'{{"agent_id": {encode(a)}, "answer": ' for a in agent_ids]
-            rounds.append(_round_json(rec, heads, encode))
-        before = {
-            "case_id": report.case_id,
-            "final_answer": report.final_answer,
-            "consensus_count": report.consensus_count,
-            "correct": report.correct,
-            "n_rounds": report.n_rounds,
-        }
-        after = {"terminated_by": report.terminated_by}
-        out.write(_encoded_between(before, "rounds", "[" + ", ".join(rounds) + "]", after) + "\n")
+                ids, heads = _id_pieces(agent_ids, encode)
+            if i:
+                pieces.append(", ")
+            pieces += _round_pieces(rec, ids, heads, encode)
+        pieces.append(f'], "terminated_by": {encode(report.terminated_by)}}}\n')
+        out.write("".join(pieces))
 
 
 def rounds_to_csv(reports: Sequence[RunReport], out: IO[str]):
@@ -338,15 +389,16 @@ def rounds_to_csv(reports: Sequence[RunReport], out: IO[str]):
             if opinions.agent_ids != agent_ids:
                 agent_ids = opinions.agent_ids
                 agents = [cell(a) for a in agent_ids]
-            n_answers = len(opinions.answers)
-            group = np.empty(len(opinions), np.intp)
+            n, n_answers = len(opinions), len(opinions.answers)
+            group = np.empty(n, np.intp)
             for g in rec.groups:
                 group[opinions.rows(g.members)] = g.group_id
             pairs = (group * n_answers + opinions.codes).tolist()
             middle = {p: f",{p // n_answers},{cell(opinions.answers[p % n_answers])},"
                       for p in set(pairs)}
-            head = f"{cell(report.case_id)},{rec.index},"
             verdict = rec.verdict
-            tail = f",{cell(verdict.state)},{verdict.p_s!r},{verdict.p_b!r}\r\n"
-            out.write("".join([f"{head}{agent}{middle[p]}{belief!r}{tail}" for agent, p, belief
-                               in zip(agents, pairs, opinions.beliefs.tolist())]))
+            out.write("".join(_side_by_side(
+                n, [f"{cell(report.case_id)},{rec.index},"] * n, agents,
+                map(middle.__getitem__, pairs), opinions.belief_texts,
+                [f",{cell(verdict.state)},{verdict.p_s!r},{verdict.p_b!r}\r\n"] * n,
+            )))

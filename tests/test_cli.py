@@ -120,10 +120,41 @@ class TestCmdRun:
         assert capsys.readouterr().err == f"dataset error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where, key, message", [
+        ("top", "version", "the dataset: unknown key 'version' (keys: cases)"),
+        ("case", "questoin", "case 'judgment-tl205': unknown key 'questoin' "
+                             "(keys: case_id, question, ground_truth, agents)"),
+        ("agent", "fallbak", "case 'judgment-tl205': agent 'a1': unknown key 'fallbak' "
+                             "(keys: agent_id, rounds, fallback)"),
+        ("reply", "reasonning", "case 'judgment-tl205': agent 'a1': reply 2: unknown key "
+                                "'reasonning' (keys: round, answer, belief, reasoning)"),
+        ("fallback", "belef", "case 'judgment-tl205': agent 'a1': fallback: unknown key "
+                              "'belef' (keys: rule, belief)"),
+    ], ids=["top", "case", "agent", "reply", "fallback"])
+    def test_unknown_dataset_key_exits_2(self, tmp_path, corpus_path, capsys, where, key,
+                                         message):
+        # a misspelt reasoning once loaded as "", a misspelt fallback as none
+        payload = json.loads(corpus_path.read_text())
+        case = payload["cases"][0]
+        agent = case["agents"][0]
+        if where == "fallback":
+            agent["fallback"] = {"rule": "adopt:leader", key: 0.9}
+        else:
+            record = {"top": payload, "case": case, "agent": agent,
+                      "reply": agent["rounds"][1]}[where]
+            record[key] = "repeat_previous"
+        dataset = tmp_path / "bad.json"
+        dataset.write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, dataset)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"dataset error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value, message", [
         # each of these once loaded: null as the text "None", a round of 1.7,
         # true, "2" or 2.0 as an integer, a belief of true as 1.0
         ("ground_truth", None, "ground_truth must be a string or a number, got None"),
+        ("ground_truth", " ", "ground_truth: unanswerable output"),  # once named no case
         ("question", None, "question must be a string or a number, got None"),
         ("question", "missing", "question is missing"),
         ("answer", None, "agent 'a1': reply 2: answer must be a string or a number, got None"),
@@ -135,9 +166,9 @@ class TestCmdRun:
         ("belief", True, "agent 'a1': reply 2: belief must be a number, got True"),
         ("belief", 1.5, "agent 'a1': reply 2: belief must lie in (0, 1], got 1.5"),
         ("fallback", 2.0, "agent 'a1': fallback.belief must lie in (0, 1], got 2.0"),
-    ], ids=["ground-truth-null", "question-null", "question-missing", "answer-null",
-            "round-1.7", "round-true", "round-string", "round-2.0", "round-0", "belief-true",
-            "belief-1.5", "fallback-belief-2.0"])
+    ], ids=["ground-truth-null", "ground-truth-blank", "question-null", "question-missing",
+            "answer-null", "round-1.7", "round-true", "round-string", "round-2.0", "round-0",
+            "belief-true", "belief-1.5", "fallback-belief-2.0"])
     def test_bad_dataset_value_names_where_it_sits(self, tmp_path, corpus_path, capsys, key,
                                                    value, message):
         payload = json.loads(corpus_path.read_text())
@@ -762,8 +793,10 @@ class TestPaths:
 
 
 class TestOutputDirectories:
-    """An `--out` that is empty or cannot be made a directory is a config error
-    before each command's first case, check or input read."""
+    """An `--out` that is empty is a config error before each command's first
+    case, check or input read; one that cannot be made a directory, before
+    the first case or check of `run` and `simulate`, and before `metrics`
+    writes anything."""
 
     @pytest.fixture(params=["run", "simulate", "metrics"])
     def command(self, request, tmp_path, corpus_path, monkeypatch, capsys):
@@ -801,15 +834,17 @@ class TestOutputDirectories:
 
     def test_out_that_is_a_file_exits_1_before_any_work(self, command, tmp_path, capsys):
         # run and simulate once ran every case or check, then died with a
-        # NotADirectoryError traceback; metrics with a FileExistsError one
+        # NotADirectoryError traceback; metrics with a FileExistsError one.
+        # metrics reads its inputs first, so a bad one leaves no directory
         argv, work = command
+        read = ["rows_from_results_jsonl"] if argv[0] == "metrics" else []
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
         assert main([*argv, "--out", str(afile)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot make output directory {afile}")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
-        assert work == [] and afile.read_text() == "kept\n"
+        assert work == read and afile.read_text() == "kept\n"
 
     def test_empty_out_exits_1_before_any_work(self, command, tmp_path, capsys):
         # metrics --out '' once printed the table, wrote nothing and exited 0
@@ -837,6 +872,19 @@ class TestCmdMetrics:
         assert "CL" in out and "groups:" in out
         csv_text = (tmp_path / "agg" / "metrics.csv").read_text()
         assert "cl_mean_sem" in csv_text
+
+    @pytest.mark.parametrize("bad", ["only", "second"])
+    def test_bad_results_file_makes_no_out_directory(self, tmp_path, corpus_path, capsys, bad):
+        # a file holding [1] once exited 2 and left an empty --out directory
+        cfg = write_config(tmp_path, corpus_path)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1]\n")
+        inputs = [path] if bad == "only" else [tmp_path / "r" / "results.jsonl", path]
+        out = tmp_path / "agg" / "nested"
+        assert main(["metrics", *map(str, inputs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"dataset error: {path}: line 1 must be")
+        assert not (tmp_path / "agg").exists()
 
     def test_missing_results_file_exits_2(self, tmp_path):
         assert main(["metrics", str(tmp_path / "none.jsonl")]) == 2

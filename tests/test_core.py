@@ -327,9 +327,19 @@ class TestChecked:
         with pytest.raises(ValueError, match=r"^line 3: b, d are missing$"):
             read_fields(record, "line 3", a="int", b="int", c="text", d="bool")
         with pytest.raises(ValueError, match=r"^line 3: b is missing$"):
-            read_fields(record, "line 3", b="int")
+            read_fields(record, "line 3", extra=True, b="int")
         with pytest.raises(ValueError, match=r"^line 3 must be a mapping, got \[1\]$"):
             read_fields([1], "line 3", b="int")
+
+    def test_read_fields_optional_and_unknown_keys(self):
+        record = {"a": 1, "c": "x"}
+        assert read_fields(record, "reply 2", a="int", b="float?", c="text?") == [1, None, "x"]
+        with pytest.raises(ValueError, match=r"^reply 2: b must be a number, got 'x'$"):
+            read_fields({"b": "x"}, "reply 2", b="float?")
+        # a key the reader does not name is an error unless extra keys are allowed
+        with pytest.raises(ValueError, match=r"^reply 2: unknown key 'c' \(keys: a, b\)$"):
+            read_fields(record, "reply 2", a="int", b="float?")
+        assert read_fields(record, "reply 2", extra=True, a="int", b="float?") == [1, None]
 
 
 class TestScenarioCase:

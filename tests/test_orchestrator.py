@@ -55,6 +55,7 @@ from belief_consensus.orchestrator import (
     TERMINATED_FULL,
     TERMINATED_MAX_ROUNDS,
     TERMINATED_VOTING,
+    _backend_calls,
     _dispatch,
     rounds_to_csv,
     run_case,
@@ -284,6 +285,31 @@ class TestDispatch:
             else:
                 assert op.reasoning.endswith("round 2")
 
+    def test_mixed_backends_carry_a_round_two_failure_alone(self):
+        # run_case groups the agents by backend once per case; every round
+        # calls each backend once with its own agents, and a3's round-2
+        # failure carries its round-1 row while the others answer afresh
+        case = make_case("mixed", SPLIT_ROWS, fallback=None)
+        shared = FaultyScripted(fail={("a3", 2)})
+        own = {"a2": FaultyScripted(), "a4": FaultyScripted()}
+        backends = {a: own.get(a, shared) for a in SPLIT_ROWS}
+        assert _backend_calls(backends) == ((shared, ("a1", "a3", "a5")), (own["a2"], ("a2",)),
+                                           (own["a4"], ("a4",)))
+        report = run_case(case, RunConfig(n=5, max_rounds=3, seed=1), backends)
+        assert report.n_rounds == 3
+        assert shared.rounds == [(r, ["a1", "a3", "a5"]) for r in (1, 2, 3)]
+        assert [b.rounds for b in own.values()] == [[(r, [a]) for r in (1, 2, 3)] for a in own]
+        first, second, third = report.rounds
+        assert (first.carried_forward, second.carried_forward, third.carried_forward) == (
+            (), (("a3", "a3 down"),), ())
+        assert second.opinions.agent_ids == tuple(sorted(SPLIT_ROWS))
+        for op in opinions_of(second.opinions):
+            if op.agent_id == "a3":
+                assert op == opinions_by_id(first.opinions)["a3"]
+            else:
+                assert op.reasoning.endswith("round 2")
+        assert all(op.reasoning.endswith("round 3") for op in opinions_of(third.opinions))
+
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-agent"])
     def test_round_one_stops_at_the_first_failure(self, shared):
         # a down endpoint costs one agent's retries, not every agent's
@@ -303,7 +329,7 @@ class TestDispatch:
         scripted = make_case("dispatch", {"a2": [("B", "b words", 0.7)]})
         backends = {"a4": shared, "a2": ScriptedAgent(), "a1": shared, "a3": own, "a5": shared}
         ctx = no_delegates(1, *backends)
-        opinions, carried = _dispatch(backends, scripted, ctx)
+        opinions, carried = _dispatch(_backend_calls(backends), scripted, ctx)
         opinions = opinions_of(opinions)
         assert carried == ()
         assert [op.agent_id for op in opinions] == ["a1", "a2", "a3", "a4", "a5"]
@@ -318,7 +344,7 @@ class TestDispatch:
 
         backends = dict.fromkeys(["a1", "a2", "a3"], Reversed(seed=1))
         with pytest.raises(ValueError, match="respond_round answered agents"):
-            _dispatch(backends, self.CASE, no_delegates(1, *backends))
+            _dispatch(_backend_calls(backends), self.CASE, no_delegates(1, *backends))
 
     def test_failed_batch_carries_its_agents_forward(self):
         broken, healthy = RecordingRounds(seed=1, fail=True), StochasticAgent(seed=2)
@@ -326,9 +352,9 @@ class TestDispatch:
         before = {a: Opinion(a, "before", "D", 0.5) for a in backends}
         previous = columns_of(list(before.values()))
         with pytest.raises(AgentError, match="batch down"):
-            _dispatch(backends, self.CASE, no_delegates(2, *backends))
+            _dispatch(_backend_calls(backends), self.CASE, no_delegates(2, *backends))
         ctx = RoundContext(2, dict.fromkeys(backends, ()), previous)
-        opinions, carried = _dispatch(backends, self.CASE, ctx)
+        opinions, carried = _dispatch(_backend_calls(backends), self.CASE, ctx)
         opinions = opinions_of(opinions)
         assert opinions[0] == before["a1"] and opinions[2] == before["a3"]
         assert opinions[1] == healthy.respond(self.CASE, "a2", ctx)
@@ -353,7 +379,7 @@ class TestDispatch:
         previous = None
         for r in (1, 2, 3):
             ctx = RoundContext(r, dict.fromkeys(ids, ()), previous)
-            got, carried = _dispatch(backends, case, ctx)
+            got, carried = _dispatch(_backend_calls(backends), case, ctx)
             ops = [opinions_by_id(previous)[a] if (a, r) in fail
                    else ScriptedAgent().respond(case, a, ctx) for a in ids]
             want = RoundColumns.of(ids, ops)
@@ -512,7 +538,8 @@ class TestPipelinedDispatch:
         _ModelHandler.barrier = threading.Barrier(6, timeout=5)
         backends = model_backends(model_server, 6, retries=0)
         starters = thread_starters(monkeypatch)
-        opinions, carried = _dispatch(backends, self.CASE, no_delegates(1, *backends))
+        opinions, carried = _dispatch(_backend_calls(backends), self.CASE,
+                                      no_delegates(1, *backends))
         assert threading.get_ident() not in starters
         assert carried == ()
         assert [op.answer for op in opinions_of(opinions)] == list("ABCDEF")
@@ -534,7 +561,7 @@ class TestPipelinedDispatch:
 
         monkeypatch.setattr(pool, "send", recording)
         with pytest.raises(AgentError, match="endpoint rejected the request: HTTP 400"):
-            _dispatch(backends, self.CASE, no_delegates(1, *backends))
+            _dispatch(_backend_calls(backends), self.CASE, no_delegates(1, *backends))
         # every request went out before the first reply was read, none again
         assert len(sent) == 4
         assert all(conn.sock is None for conn in sent) and pool._idle == []
@@ -763,6 +790,16 @@ class TestSerialization:
         assert len(lines) == 1 + 7 * rep.n_rounds
 
 
+def first_difference(got: str, want: str):
+    """None when the texts are equal, else the offset where they first differ
+    and 40 characters of each from there: pytest's own diff of two megabyte
+    strings takes many seconds."""
+    if got == want:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return at, got[at:at + 40], want[at:at + 40]
+
+
 class TestWritersOracle:
     """The writers assemble encoded pieces; their bytes equal the reports as
     dicts through json.dumps(sort_keys=True) and one csv.writer row per agent."""
@@ -789,6 +826,31 @@ class TestWritersOracle:
         reports += [run_case(c, RunConfig(seed=0), scripted_backends(c))
                     for c in scenarios_from_json(corpus_path)]
         return reports
+
+    @pytest.mark.parametrize("n, cases", [(7, 12), (200, 2)])
+    @pytest.mark.parametrize("options", [{}, {"mixed_delegates": True},
+                                         {"adversarial_noise": True}],
+                             ids=["plain", "mixed-delegates", "noise"])
+    def test_stochastic_runs_equal_the_row_by_row_forms(self, n, cases, options):
+        # shared delegate tuples, leader sets, noise victims and long member
+        # lists go through the piece encoders
+        cfg = RunConfig(n=n, max_rounds=5, seed=7, **options)
+        reports = []
+        for c in range(cases):
+            backend = StochasticAgent(seed=cfg.seed)
+            case = ScenarioCase(f"case-{c}", f"Which value? q{c}", "A")
+            reports.append(run_case(case, cfg, {f"agent-{i + 1}": backend for i in range(n)}))
+        records = [rec for rep in reports for rec in rep.rounds]
+        assert any(rec.assignment for rec in records) and any(rec.leaders for rec in records)
+        assert all((rec.noise_victim is not None) == cfg.adversarial_noise for rec in records)
+        got, want = io.StringIO(), io.StringIO()
+        write_results_jsonl(reports, got, header={"run": {"n": n}})
+        oracle_results_jsonl(reports, want, header={"run": {"n": n}})
+        assert first_difference(got.getvalue(), want.getvalue()) is None
+        got, want = io.StringIO(), io.StringIO()
+        rounds_to_csv(reports, got)
+        oracle_rounds_csv(reports, want)
+        assert first_difference(got.getvalue(), want.getvalue()) is None
 
     def test_jsonl_and_csv_equal_the_row_by_row_forms(self, corpus_path):
         reports = self._awkward_reports(corpus_path)

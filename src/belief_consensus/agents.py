@@ -2,25 +2,23 @@
 chat-completions HTTP client whose belief is the product of the answer
 sentence's token probabilities.
 
-Every backend answers the agents of one round of a case in one call,
-respond_round(case, agent_ids, ctx), which returns their opinions as the
-round's columns and the agents that failed. The round's one context holds
-each agent's delegates as (agent id, tag) pairs, the map coordination
-returned, and the previous round's columns, whose rows the backends read: no
-Opinion is made for a collaborator. The stochastic backend draws the
-generators of all rounds of a case as one batch and decides their draws
-there; the scripted and HTTP backends answer each agent with
-respond(case, agent_id, ctx) -> Opinion.
-Before the first respond_round of a round, each backend's start_round(case,
-agent_ids, ctx) may start what needs no reply of the round: the HTTP backend
-sends every agent's first attempt there, and respond reads its reply. A
-backend must never fabricate a belief: the HTTP client fails the agent when
-the provider does not report token probabilities or a reply is malformed.
+A backend is one method, respond_round(case, agent_ids, ctx), which answers
+every agent of one round of a case that the backend serves, and returns their
+opinions as the round's columns and the agents that failed. A case has one
+backend per kind. The round's one context holds each agent's delegates as
+(agent id, tag) pairs, the map coordination returned, and the previous
+round's columns, whose rows the backends read: no Opinion is made for a
+collaborator. The stochastic backend draws the generators of all rounds of a
+case as one batch and decides their draws there. The scripted and HTTP
+backends answer one agent at a time with respond(case, agent_id, ctx) ->
+Opinion, and the HTTP backend sends every agent's first attempt before it
+reads the first reply. A backend must never fabricate a belief: the HTTP
+client fails the agent when the provider does not report token probabilities
+or a reply is malformed.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -50,9 +48,6 @@ from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _bounded_draws, _doubles, _
                                     _pcg64_raw, _uint32_words)
 
 ADVERSARIAL_EPS = 1e-9
-# the default `start_round`'s context: it holds no state, so one serves every
-# backend and round, also entered again while entered
-_NOTHING_STARTED = contextlib.nullcontext()
 _STREAM_OUTPUTS = 3  # random(), one bounded draw and uniform(); more only on a rejection
 
 
@@ -125,14 +120,16 @@ Failures = tuple[tuple[str, AgentError], ...]  # (agent id, error) of each faile
 
 
 class Backend:
-    """Answers the agents of one round of a case. A backend class defines
-    `respond_round` or `respond`, and each defaults to the other."""
+    """Answers the agents of one round of a case, in one call."""
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # with neither, each default would call the other until RecursionError
-        if cls.respond is Backend.respond and cls.respond_round is Backend.respond_round:
-            raise TypeError(f"{cls.__name__} defines neither respond nor respond_round")
+    def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
+                      ctx: RoundContext) -> tuple[RoundColumns, Failures]:
+        """The rows of the agents of `agent_ids` (sorted, each in
+        `ctx.delegates`) that answered, in that order, and the failures. One
+        failed agent fails alone; in round 1 no earlier opinion can stand in
+        for a failed one and the case ends, so the first failure there ends
+        the call."""
+        raise NotImplementedError
 
     def respond(self, case: ScenarioCase, agent_id: str, ctx: RoundContext) -> Opinion:
         """One agent's opinion; raises the AgentError of a failed agent."""
@@ -141,34 +138,22 @@ class Backend:
             raise failed[0][1]
         return Opinion(agent_id, *_row(columns, agent_id))
 
-    def start_round(self, case: ScenarioCase, agent_ids: Sequence[str],
-                    ctx: RoundContext) -> contextlib.AbstractContextManager:
-        """Called with the arguments of this backend's `respond_round` of the
-        round before any backend's `respond_round` runs, so work that does not
-        depend on another agent's reply can start; leaving the context it
-        returns ends what was started and not read. Here it starts nothing."""
-        return _NOTHING_STARTED
 
-    def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
-                      ctx: RoundContext) -> tuple[RoundColumns, Failures]:
-        """The rows of the agents of `agent_ids` (sorted, each in
-        `ctx.delegates`) that answered, in that order, and the failures.
-
-        Calls `respond` per agent, so one failed agent fails alone. In round 1
-        no earlier opinion can stand in for a failed one and the case ends,
-        so the first failure there ends the call.
-        """
-        answered, opinions, failed = [], [], []
-        for agent_id in agent_ids:
-            try:
-                opinions.append(self.respond(case, agent_id, ctx))
-            except AgentError as exc:
-                failed.append((agent_id, exc))
-                if ctx.round == 1:
-                    break
-            else:
-                answered.append(agent_id)
-        return RoundColumns.of(answered, opinions), tuple(failed)
+def _one_by_one(agent_ids: Sequence[str], ctx: RoundContext,
+                answer) -> tuple[RoundColumns, Failures]:
+    """`respond_round` of a backend whose `answer(agent_id)` gives one
+    agent's opinion at a time, or raises its AgentError."""
+    answered, opinions, failed = [], [], []
+    for agent_id in agent_ids:
+        try:
+            opinions.append(answer(agent_id))
+        except AgentError as exc:
+            failed.append((agent_id, exc))
+            if ctx.round == 1:
+                break
+        else:
+            answered.append(agent_id)
+    return RoundColumns.of(answered, opinions), tuple(failed)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +269,10 @@ class ScriptedAgent(Backend):
         reasoning, answer, belief = _row(ctx.previous, source)
         return Opinion(agent_id, reasoning, answer,
                        belief if script.fallback_belief is None else script.fallback_belief)
+
+    def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
+                      ctx: RoundContext) -> tuple[RoundColumns, Failures]:
+        return _one_by_one(agent_ids, ctx, lambda agent_id: self.respond(case, agent_id, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -541,92 +530,95 @@ def _http_pool(endpoint: str) -> _HttpPool:
 
 
 class ChatCompletionsAgent(Backend):
-    """HTTP client for chat-completions endpoints with per-token logprobs.
+    """HTTP client for chat-completions endpoints with per-token logprobs,
+    serving agents that each have their own `BackendConfig`.
 
-    `start_round` sends the first attempt of each of its agents' requests,
-    and `respond` reads that reply; a backend per agent so has every request
-    of a round in flight at once, each on its own connection, with no thread.
-    Retries transient failures (transport errors, timeouts, 429, 5xx, an
-    unparseable body, an unanswerable reply) with exponential backoff, one
-    request at a time. The number of retries consumed by the latest call is
-    kept in `last_retries`.
+    `respond_round` sends the first attempt of each of its agents' requests,
+    each on its own connection from its endpoint's pool, then reads the
+    replies through `respond` in agent order: every request of a round is in
+    flight at once, with no thread. Retries transient failures (transport
+    errors, timeouts, 429, 5xx, an unparseable body, an unanswerable reply)
+    with exponential backoff, one request at a time. The number of retries
+    consumed by the latest `respond` is kept in `last_retries`.
     """
 
-    def __init__(self, cfg: BackendConfig):
-        if cfg.kind != "http":
-            raise ValueError("ChatCompletionsAgent requires an http backend config")
-        self.cfg = cfg
-        self.pool = _http_pool(cfg.endpoint)
+    def __init__(self, configs: Mapping[str, BackendConfig]):
+        if any(cfg.kind != "http" for cfg in configs.values()):
+            raise ValueError("ChatCompletionsAgent requires http backend configs")
+        self.configs = dict(configs)  # by agent id
+        self.pools = {cfg.endpoint: _http_pool(cfg.endpoint) for cfg in self.configs.values()}
         self.last_retries = 0
-        # (round context, {agent id: (body, its sent connection or the error
-        # sending it raised)}) of the requests start_round sent and no one read
-        self._sent = None
 
-    def _headers(self) -> dict:
+    @staticmethod
+    def _headers(cfg: BackendConfig) -> dict:
         headers = {"Content-Type": "application/json"}
-        if self.cfg.api_key_env:
-            key = os.environ.get(self.cfg.api_key_env)
+        if cfg.api_key_env:
+            key = os.environ.get(cfg.api_key_env)
             if not key:
-                raise AgentError(f"API key environment variable {self.cfg.api_key_env!r} "
+                raise AgentError(f"API key environment variable {cfg.api_key_env!r} "
                                  "is not set")
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
     def _body(self, case: ScenarioCase, agent_id: str, ctx: RoundContext) -> bytes:
+        cfg = self.configs[agent_id]
         payload = {
-            "model": self.cfg.model,
+            "model": cfg.model,
             "messages": build_messages(case.question, ctx.delegates[agent_id], ctx.previous,
-                                       self.cfg.prompt_style),
-            "temperature": self.cfg.temperature,
+                                       cfg.prompt_style),
+            "temperature": cfg.temperature,
             "logprobs": True,
         }
         return json.dumps(payload, allow_nan=False).encode("utf-8")
 
-    @contextlib.contextmanager
-    def start_round(self, case: ScenarioCase, agent_ids: Sequence[str], ctx: RoundContext):
-        """Send each agent's first attempt, whose reply `respond` reads; on
-        exit, close those it did not read. With no API key nothing is sent,
-        and `respond` fails."""
+    def respond_round(self, case: ScenarioCase, agent_ids: Sequence[str],
+                      ctx: RoundContext) -> tuple[RoundColumns, Failures]:
+        """Send each agent's first attempt, then read each reply through
+        `respond`; a connection sent on and not read is closed on return or
+        raise."""
         import http.client  # loaded by _http_pool
 
-        sent = {}
-        try:
-            headers = self._headers()
-        except AgentError:
-            agent_ids = ()
+        sent = {}  # agent id: (body, its connection or the error sending it raised)
         try:
             for agent_id in agent_ids:
-                body = self._body(case, agent_id, ctx)
+                cfg, body = self.configs[agent_id], self._body(case, agent_id, ctx)
                 try:
-                    sent[agent_id] = body, self.pool.send(body, headers, self.cfg.timeout)
-                except (OSError, http.client.HTTPException) as exc:
-                    sent[agent_id] = body, exc  # attempt 0 failed; respond retries
-            self._sent = (ctx, sent)
-            yield
+                    sent[agent_id] = body, self.pools[cfg.endpoint].send(
+                        body, self._headers(cfg), cfg.timeout)
+                except (OSError, http.client.HTTPException, AgentError) as exc:
+                    # attempt 0 failed: respond retries a transport error, and
+                    # fails the agent at once when its API key is not set
+                    sent[agent_id] = body, exc
+            return _one_by_one(agent_ids, ctx, lambda agent_id: self.respond(
+                case, agent_id, ctx, sent.pop(agent_id, None)))
         finally:
-            self._sent = None
             for _, conn in sent.values():
                 if not isinstance(conn, Exception):
                     conn.close()
 
-    def respond(self, case: ScenarioCase, agent_id: str, ctx: RoundContext) -> Opinion:
+    def respond(self, case: ScenarioCase, agent_id: str, ctx: RoundContext,
+                sent: tuple | None = None) -> Opinion:
+        """One agent's opinion. `sent` is the (body, connection) of the first
+        attempt `respond_round` sent, whose reply this reads, or (body, the
+        error sending it raised), which spends attempt 0 or, an AgentError,
+        fails the agent; without it the first attempt is sent here."""
         import http.client  # loaded by _http_pool
 
-        sent = self._sent[1].pop(agent_id, None) if self._sent and self._sent[0] is ctx else None
+        cfg = self.configs[agent_id]
+        pool = self.pools[cfg.endpoint]
         request_body, conn = sent or (self._body(case, agent_id, ctx), None)
-        headers = self._headers()
-        attempts = self.cfg.retries + 1
+        attempts = cfg.retries + 1
         self.last_retries = 0
         last_error: Exception | None = None
         for attempt in range(attempts):
             if attempt:
-                time.sleep(self.cfg.backoff * (2 ** (attempt - 1)))
+                time.sleep(cfg.backoff * (2 ** (attempt - 1)))
                 self.last_retries = attempt
             try:
                 if isinstance(conn, Exception):
-                    raise conn  # sending attempt 0 failed in start_round
-                status, data = (self.pool.post(request_body, headers, self.cfg.timeout)
-                                if conn is None else self.pool.receive(conn))
+                    raise conn  # sending attempt 0 failed in respond_round
+                status, data = (pool.post(request_body, self._headers(cfg), cfg.timeout)
+                                if conn is None else pool.receive(conn))
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
@@ -698,11 +690,13 @@ def perturb_one_belief(opinions: RoundColumns, rng) -> tuple[RoundColumns, str]:
     return replace(opinions, beliefs=beliefs), opinions.agent_ids[idx]
 
 
-def make_backend(cfg: BackendConfig, seed: int = 0, rounds: int = 1) -> Backend:
-    """A backend of `cfg.kind`; `seed` and `rounds` (a case's round limit)
-    reach the stochastic one."""
-    if cfg.kind == "scripted":
+def make_backend(kind: str, configs: Mapping[str, BackendConfig], seed: int = 0,
+                 rounds: int = 1) -> Backend:
+    """The one backend of a case's agents of `kind`, whose configs `configs`
+    holds by agent id; `seed` and `rounds` (the case's round limit) reach the
+    stochastic one."""
+    if kind == "scripted":
         return ScriptedAgent()
-    if cfg.kind == "stochastic":
+    if kind == "stochastic":
         return StochasticAgent(seed=seed, rounds=rounds)
-    return ChatCompletionsAgent(cfg)  # BackendConfig admits no other kind
+    return ChatCompletionsAgent(configs)  # BackendConfig admits no other kind

@@ -177,9 +177,17 @@ def _agent_ids(case: ScenarioCase, cfg: RunConfig, backend_cfg: BackendConfig) -
 
 
 def _build_backends(ids, backend_cfg: BackendConfig, per_agent: dict, cfg: RunConfig):
-    shared = make_backend(backend_cfg, seed=cfg.seed, rounds=cfg.max_rounds)
-    return {aid: make_backend(per_agent[aid], seed=cfg.seed, rounds=cfg.max_rounds)
-            if aid in per_agent else shared for aid in ids}
+    """One backend per kind for the agents `ids`, each of which has its
+    `backends` entry's config or else `backend_cfg`."""
+    kinds: dict[str, dict[str, BackendConfig]] = {}
+    for aid in ids:
+        agent_cfg = per_agent.get(aid, backend_cfg)
+        kinds.setdefault(agent_cfg.kind, {})[aid] = agent_cfg
+    backends = {}
+    for kind, configs in kinds.items():
+        backends.update(dict.fromkeys(configs, make_backend(kind, configs, cfg.seed,
+                                                            cfg.max_rounds)))
+    return backends
 
 
 def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: dict,

@@ -2,9 +2,9 @@
 stop (full consensus), assign collaborators (partial), or select leaders
 (none), and dispatch the next round of agent updates. The delegate map that
 assignment or leader selection returns, with this round's opinions, is the
-next round's one context; every backend reads it whole. Every HTTP request
-of a round is sent before the first reply is read, all on the calling
-thread, and the replies are read in agent order.
+next round's one context; every backend reads it whole. A case has one
+backend per kind, and each answers all of its agents of a round in one
+`respond_round` call, on the calling thread.
 
 Runs are deterministic for a fixed (scenario, config, seed) with scripted or
 stochastic backends: clustering and noise randomness derive from the run
@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
@@ -101,35 +100,29 @@ def _dispatch(
     in sorted-agent-id order, and the carried-forward agents as sorted
     (agent id, error) pairs.
 
-    Every backend's `start_round` runs first, so an HTTP backend has sent
-    the first attempt of each of its agents before any reply is read, all on
-    the calling thread. Then each backend answers its agents in one
-    `respond_round` call, in the order of their first agent; an AgentError
-    the call raises fails them all. In round 1 (`ctx.previous` is None) the
-    first failure is raised and no later reply read; afterwards a failed
-    agent keeps its row of the previous round. Whatever was started and not
-    read is ended before this returns or raises.
+    Each backend answers its agents in one `respond_round` call, in the
+    order of their first agent; an AgentError the call raises fails them
+    all. In round 1 (`ctx.previous` is None) the first failure is raised and
+    no later backend called; afterwards a failed agent keeps its row of the
+    previous round.
     """
     parts, failed = [], []
-    with ExitStack() as started:
-        for backend, ids in calls:
-            started.enter_context(backend.start_round(case, ids, ctx))
-        for backend, ids in calls:
-            try:
-                part, errors = backend.respond_round(case, ids, ctx)
-            except AgentError as exc:
-                part, errors = RoundColumns.of([], []), [(a, exc) for a in ids]
-            if errors and ctx.previous is None:
-                raise errors[0][1]
-            lost = dict(errors)
-            answered = tuple(a for a in ids if a not in lost) if lost else ids
-            if part.agent_ids != answered:  # the layers rely on sorted rows
-                raise ValueError(f"respond_round answered agents {list(part.agent_ids)}, "
-                                 f"not {list(answered)}")
-            if len(calls) == 1 and not lost:
-                return part, ()
-            parts.append(part)
-            failed.extend((a, str(exc)) for a, exc in errors)
+    for backend, ids in calls:
+        try:
+            part, errors = backend.respond_round(case, ids, ctx)
+        except AgentError as exc:
+            part, errors = RoundColumns.of([], []), [(a, exc) for a in ids]
+        if errors and ctx.previous is None:
+            raise errors[0][1]
+        lost = dict(errors)
+        answered = tuple(a for a in ids if a not in lost) if lost else ids
+        if part.agent_ids != answered:  # the layers rely on sorted rows
+            raise ValueError(f"respond_round answered agents {list(part.agent_ids)}, "
+                             f"not {list(answered)}")
+        if len(calls) == 1 and not lost:
+            return part, ()
+        parts.append(part)
+        failed.extend((a, str(exc)) for a, exc in errors)
     if failed:
         parts.append(ctx.previous.take(ctx.previous.rows([a for a, _ in failed])))
     return RoundColumns.join(parts), tuple(sorted(failed))

@@ -342,7 +342,8 @@ class TestLiveEndpointSmoke:
             "C) Jupiter, D) Mercury.",
             "B",
         )
-        backends = {f"agent-{i}": ChatCompletionsAgent(cfg) for i in range(1, 4)}
+        configs = {f"agent-{i}": cfg for i in range(1, 4)}
+        backends = dict.fromkeys(configs, ChatCompletionsAgent(configs))
         rep = run_case(case, RunConfig(n=3, max_rounds=2, seed=0), backends)
         report(
             "live endpoint smoke",

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import ExitStack
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -121,12 +121,6 @@ class TestBackend:
         with pytest.raises(AgentError, match="down is down"):
             Echo().respond(case, "down", ctx)
 
-    def test_subclass_with_neither_method_fails_at_definition(self):
-        # it once raised RecursionError on its first call, each default calling the other
-        with pytest.raises(TypeError, match="Mute defines neither respond nor respond_round"):
-            class Mute(Backend):
-                pass
-
     def test_subclasses_of_concrete_backends_are_unaffected(self):
         class Scripted(ScriptedAgent):
             pass
@@ -152,15 +146,6 @@ class TestBackend:
         assert len(columns) == 0 and [a for a, _ in failed] == ["a0"]
         assert "no script for agent 'a0'" in str(failed[0][1])
         assert backend._memory == {}  # a1 and a2 were never asked
-
-    def test_default_start_round_is_one_shared_reentrant_no_op(self):
-        # every backend and round gets the same context, entered while entered
-        case, ctx = scripted_case(), no_delegates(1, "a1", "a2")
-        first = ScriptedAgent().start_round(case, ["a1"], ctx)
-        second = StochasticAgent(seed=1).start_round(case, ["a2"], ctx)
-        assert first is second
-        with ExitStack() as started:
-            assert started.enter_context(first) is started.enter_context(second) is None
 
 
 class TestStochasticAgent:
@@ -521,7 +506,8 @@ class TestAnswerSentenceExtraction:
 
 def _parsed_answer(reply):
     """The answer the HTTP client records for `reply`, one token covering it."""
-    agent = ChatCompletionsAgent(BackendConfig(kind="http", endpoint="http://127.0.0.1:9/v1"))
+    agent = ChatCompletionsAgent({"a1": BackendConfig(kind="http",
+                                                      endpoint="http://127.0.0.1:9/v1")})
     body = {"choices": [{"message": {"content": reply},
                          "logprobs": {"content": [{"token": reply, "logprob": -0.1}]}}]}
     return agent._parse(body, "a1").answer
@@ -545,7 +531,8 @@ MALFORMED_CHOICES = [
 @pytest.mark.parametrize("choice", [c for _, c in MALFORMED_CHOICES],
                          ids=[name for name, _ in MALFORMED_CHOICES])
 def test_malformed_reply_is_an_agent_error(choice):
-    agent = ChatCompletionsAgent(BackendConfig(kind="http", endpoint="http://127.0.0.1:9/v1"))
+    agent = ChatCompletionsAgent({"a1": BackendConfig(kind="http",
+                                                      endpoint="http://127.0.0.1:9/v1")})
     with pytest.raises(AgentError, match="malformed completion response"):
         agent._parse({"choices": [choice]}, "a1")
 
@@ -700,10 +687,10 @@ def keep_alive_server():
 
 
 class TestChatCompletionsAgent:
-    def _agent(self, url, retries=2):
+    def _agent(self, url, retries=2, agent_ids=("a1",)):
         cfg = BackendConfig(kind="http", endpoint=url, model="test-model",
                             retries=retries, backoff=0.01, timeout=5.0)
-        return ChatCompletionsAgent(cfg)
+        return ChatCompletionsAgent(dict.fromkeys(agent_ids, cfg))
 
     def test_belief_is_token_probability_product(self, fake_server):
         server, url = fake_server
@@ -792,32 +779,77 @@ class TestChatCompletionsAgent:
             self._agent(url).respond(ScenarioCase("c", "q", "A"), "a1", no_delegates(1, "a1"))
         assert len(_FakeHandler.requests_seen) == 3
 
-    def test_start_round_sends_attempt_zero_and_respond_reads_it(self, fake_server):
+    @staticmethod
+    def _record(agent, url, monkeypatch):
+        """The events of `agent` from now on: each send and receive on `url`'s
+        pool, and each `respond` call with its agent id."""
+        events, pool, respond = [], agent.pools[url], agent.respond
+        for name in ("send", "receive"):
+            method = getattr(pool, name)
+            monkeypatch.setattr(pool, name, lambda *a, name=name, method=method:
+                                events.append(name) or method(*a))
+        monkeypatch.setattr(agent, "respond", lambda case, agent_id, *a:
+                            events.append(f"respond {agent_id}") or respond(case, agent_id, *a))
+        return events
+
+    def test_respond_round_sends_every_attempt_zero_before_reading_one(self, fake_server,
+                                                                        monkeypatch):
+        server, url = fake_server
+        ids = ["a1", "a2", "a3"]
+        agent = self._agent(url, agent_ids=ids)
+        events = self._record(agent, url, monkeypatch)
+        columns, failed = agent.respond_round(ScenarioCase("c", "q", "A"), ids,
+                                              no_delegates(1, *ids))
+        assert (columns.agent_ids, columns.answers, failed) == (tuple(ids), ("A",), ())
+        # every reply is read through respond, in agent order
+        assert events == ["send"] * 3 + [e for a in ids for e in (f"respond {a}", "receive")]
+        assert len(_FakeHandler.requests_seen) == 3
+
+    def test_respond_reads_attempt_zero_and_retries_it(self, fake_server, monkeypatch):
         server, url = fake_server
         _FakeHandler.script = [(500, {}), (200, _completion("The answer is B.", [-0.1]))]
-        agent, case, ctx = self._agent(url), ScenarioCase("c", "q", "B"), no_delegates(1, "a1")
-        with agent.start_round(case, ["a1"], ctx):
-            deadline = time.monotonic() + 5
-            while not _FakeHandler.requests_seen and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert len(_FakeHandler.requests_seen) == 1  # before respond runs
-            assert agent.respond(case, "a1", ctx).answer == "B"
+        agent = self._agent(url)
+        events = self._record(agent, url, monkeypatch)
+        columns, failed = agent.respond_round(ScenarioCase("c", "q", "B"), ["a1"],
+                                              no_delegates(1, "a1"))
+        assert (columns.answers, failed) == (("B",), ())
+        # attempt 0 went out before respond ran and was read there; the retry posts again
+        assert events == ["send", "respond a1", "receive", "send", "receive"]
         assert agent.last_retries == 1
         assert _FakeHandler.raw_seen[0] == _FakeHandler.raw_seen[1]
 
-    def test_failed_send_in_start_round_is_attempt_zero(self, monkeypatch):
+    def test_failed_send_in_respond_round_is_attempt_zero(self, monkeypatch):
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
-        agent = self._agent(f"http://127.0.0.1:{port}/v1/chat/completions")
-        sends, send = [], agent.pool.send
-        monkeypatch.setattr(agent.pool, "send", lambda *a: sends.append(a) or send(*a))
-        case, ctx = ScenarioCase("c", "q", "A"), no_delegates(1, "a1")
-        with agent.start_round(case, ["a1"], ctx):
-            assert len(sends) == 1
-            with pytest.raises(AgentError, match="transport failed after 3 attempts"):
-                agent.respond(case, "a1", ctx)
-        assert len(sends) == 3 and agent.last_retries == 2
+        url = f"http://127.0.0.1:{port}/v1/chat/completions"
+        agent = self._agent(url)
+        events = self._record(agent, url, monkeypatch)
+        columns, failed = agent.respond_round(ScenarioCase("c", "q", "A"), ["a1"],
+                                              no_delegates(1, "a1"))
+        assert len(columns) == 0 and [a for a, _ in failed] == ["a1"]
+        assert "transport failed after 3 attempts" in str(failed[0][1])
+        assert events == ["send", "respond a1", "send", "send"] and agent.last_retries == 2
+
+    def test_respond_round_that_raises_closes_what_it_sent(self, keep_alive_server,
+                                                           monkeypatch):
+        server, url = keep_alive_server
+        ids = ["a1", "a2", "a3"]
+        agent, sent = self._agent(url, agent_ids=ids), []
+        pool, respond = agent.pools[url], agent.respond
+        send = pool.send
+        monkeypatch.setattr(pool, "send", lambda *a: sent.append(send(*a)) or sent[-1])
+
+        def read_then_raise(*args):
+            respond(*args)
+            raise RuntimeError("reader down")
+
+        monkeypatch.setattr(agent, "respond", read_then_raise)
+        with pytest.raises(RuntimeError, match="reader down"):
+            agent.respond_round(ScenarioCase("c", "q", "A"), ids, no_delegates(1, *ids))
+        # a1's reply was read and its connection kept; a2's and a3's were closed unread
+        assert len(sent) == 3 and pool._idle == sent[:1] and sent[0].sock is not None
+        assert [conn.sock for conn in sent[1:]] == [None, None]
 
     def test_exhausted_retries_raise(self, fake_server):
         server, url = fake_server
@@ -842,9 +874,15 @@ class TestChatCompletionsAgent:
         monkeypatch.delenv("NO_SUCH_KEY_VAR", raising=False)
         cfg = BackendConfig(kind="http", endpoint=url, api_key_env="NO_SUCH_KEY_VAR")
         with pytest.raises(AgentError, match="NO_SUCH_KEY_VAR"):
-            ChatCompletionsAgent(cfg).respond(
+            ChatCompletionsAgent({"a1": cfg}).respond(
                 ScenarioCase("c", "q", "A"), "a1", no_delegates(1, "a1")
             )
+        # in a round, that agent fails alone and sends nothing
+        agent = ChatCompletionsAgent({"a1": cfg, "a2": replace(cfg, api_key_env="")})
+        columns, failed = agent.respond_round(ScenarioCase("c", "q", "A"), ["a1", "a2"],
+                                              no_delegates(2, "a1", "a2"))
+        assert columns.agent_ids == ("a2",) and [a for a, _ in failed] == ["a1"]
+        assert "NO_SUCH_KEY_VAR" in str(failed[0][1]) and len(_FakeHandler.requests_seen) == 1
 
     def test_unanswerable_content_retried_then_surfaced(self, fake_server):
         server, url = fake_server
@@ -890,7 +928,7 @@ class TestChatCompletionsAgent:
         good = _completion("The answer is C.", [math.log(0.7)])
         _FakeHandler.script = [(200, good, 2.0), (200, good)]
         cfg = BackendConfig(kind="http", endpoint=url, retries=2, backoff=0.01, timeout=0.5)
-        agent = ChatCompletionsAgent(cfg)
+        agent = ChatCompletionsAgent({"a1": cfg})
         op = agent.respond(ScenarioCase("c", "q", "C"), "a1", no_delegates(1, "a1"))
         assert op.answer == "C"
         assert agent.last_retries == 1
@@ -977,14 +1015,14 @@ class TestChatCompletionsAgent:
         agent, case = self._agent(url), ScenarioCase("c", "q", "A")
         _KeepAliveHandler.hang_up = True  # the reply says keep-alive, then the server closes
         assert agent.respond(case, "a1", no_delegates(1, "a1")).answer == "A"
-        (stale,) = agent.pool._idle
+        (stale,) = agent.pools[url]._idle
         assert select.select([stale.sock], [], [], 5)[0]  # the close has reached the client
         _KeepAliveHandler.hang_up = False
         assert agent.respond(case, "a1", no_delegates(1, "a1")).answer == "A"
         assert agent.last_retries == 0  # the stale socket spent no retry
         assert len(_KeepAliveHandler.requests_seen) == 2
         assert _KeepAliveHandler.connections == 2
-        (fresh,) = agent.pool._idle
+        (fresh,) = agent.pools[url]._idle
         assert fresh is not stale and stale.sock is None
 
     def test_http_endpoint_behind_a_proxy(self, fake_server, monkeypatch):
@@ -1085,13 +1123,19 @@ class TestAdversarialNoise:
 
 class TestMakeBackend:
     def test_kinds(self):
-        assert isinstance(make_backend(BackendConfig(kind="scripted")), ScriptedAgent)
-        assert isinstance(make_backend(BackendConfig(kind="stochastic"), seed=1), StochasticAgent)
-        assert make_backend(BackendConfig(kind="stochastic"), seed=1, rounds=4).rounds == 4
-        http_cfg = BackendConfig(kind="http", endpoint="http://localhost:1")
-        assert isinstance(make_backend(http_cfg), ChatCompletionsAgent)
-        with pytest.raises(ValueError):
-            make_backend(BackendConfig(kind="psychic"))
+        assert isinstance(make_backend("scripted", {"a1": BackendConfig()}), ScriptedAgent)
+        stochastic = {"a1": BackendConfig(kind="stochastic")}
+        assert isinstance(make_backend("stochastic", stochastic, seed=1), StochasticAgent)
+        assert make_backend("stochastic", stochastic, seed=1, rounds=4).rounds == 4
+        configs = {a: BackendConfig(kind="http", endpoint=f"http://localhost:{port}", model=a)
+                   for a, port in (("a1", 1), ("a2", 2), ("a3", 1))}
+        http = make_backend("http", configs)
+        assert isinstance(http, ChatCompletionsAgent) and http.configs == configs
+        # one pool per endpoint, the one every backend posting there shares
+        assert http.pools == {f"http://localhost:{port}": agents._http_pool(
+            f"http://localhost:{port}") for port in (1, 2)}
+        with pytest.raises(ValueError, match="requires http backend configs"):
+            ChatCompletionsAgent({**configs, "a4": BackendConfig()})
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -1117,7 +1161,7 @@ class TestMakeBackend:
                 "loaded = lambda: [m in sys.modules for m in ('requests', 'urllib3', "
                 "'http.client')]; "
                 "print(*loaded()); "
-                "make_backend(BackendConfig(kind='http', endpoint='http://localhost:1')); "
+                "make_backend('http', {'a1': BackendConfig(kind='http', endpoint='http://localhost:1')}); "
                 "print(*loaded())")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)

@@ -338,8 +338,41 @@ class TestCmdRun:
         shared = BackendConfig(kind="stochastic")
         backends = _build_backends(["a1", "a2", "a3"], shared, {"a3": shared},
                                    RunConfig(n=3, max_rounds=4, seed=3))
-        assert backends["a1"] is backends["a2"] is not backends["a3"]
+        assert backends["a1"] is backends["a2"] is backends["a3"]  # one backend per kind
         assert {(b.seed, b.rounds) for b in backends.values()} == {(3, 4)}
+
+    def test_one_backend_per_kind(self):
+        http = {a: BackendConfig(kind="http", endpoint=f"http://127.0.0.1:{port}/v1", model=a)
+                for a, port in (("a2", 9), ("a4", 10), ("a5", 9))}
+        per_agent = {**http, "a3": BackendConfig(kind="scripted")}
+        backends = _build_backends([f"a{i}" for i in range(1, 7)],
+                                   BackendConfig(kind="stochastic"), per_agent,
+                                   RunConfig(n=6, seed=2))
+        distinct = {id(b): b for b in backends.values()}.values()
+        assert sorted(type(b).__name__ for b in distinct) == [
+            "ChatCompletionsAgent", "ScriptedAgent", "StochasticAgent"]
+        chat = backends["a2"]
+        assert backends["a4"] is backends["a5"] is chat and chat.configs == http
+        assert chat.pools.keys() == {http["a2"].endpoint, http["a4"].endpoint}
+        assert backends["a1"] is backends["a6"] is not backends["a3"]
+
+    def test_backends_repeating_the_default_change_no_byte(self, tmp_path, corpus_path):
+        # a stochastic agent's draws depend on (seed, case, agent, round)
+        # alone, so listing every agent's config moves no draw
+        outs = []
+        for name, entries in (("plain", None), ("listed", [
+                {"agent_id": f"agent-{i}", "kind": "stochastic"} for i in range(1, 8)])):
+            cfg = write_config(tmp_path, corpus_path, max_rounds=5, out=str(tmp_path / name))
+            payload = yaml.safe_load(cfg.read_text())
+            payload["backend"] = {"kind": "stochastic"}
+            if entries:
+                payload["backends"] = entries
+            cfg.write_text(yaml.safe_dump(payload))
+            assert main(["run", "--config", str(cfg)]) == 0
+            outs.append(tmp_path / name)
+        for f in ("results.jsonl", "traces/rounds.csv", "metrics.csv"):
+            plain, listed = [(out / f).read_bytes().split(b"\n", 1)[1] for out in outs]
+            assert plain == listed
 
     def test_adversarial_noise_flag(self, tmp_path, corpus_path):
         cfg = write_config(tmp_path, corpus_path)
@@ -651,8 +684,11 @@ class TestConfigFiles:
         sections = yaml.safe_load(path.read_text())
         commands = [c for c in ("run", "simulate") if c in sections]
         assert commands
+        # the branch corpus has a case that fails by design, to write its error row
+        exit_code = cli.EXIT_CASES_FAILED if name == "branches.yaml" else cli.EXIT_OK
         for command in commands:
-            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / command)]) == exit_code
 
     def test_json_written_config_loads(self, tmp_path, corpus_path):
         # the shape a benchmark worker writes: JSON, which YAML reads with tol as a string

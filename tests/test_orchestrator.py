@@ -22,7 +22,6 @@ from round_oracles import (
 from belief_consensus import agents
 from belief_consensus.agents import (
     AgentError,
-    Backend,
     BackendConfig,
     ChatCompletionsAgent,
     PROMPT_STYLES,
@@ -145,14 +144,11 @@ class TestRunCase:
                 assert (rec.assignment is None) != (rec.leaders is None)
 
     def test_agent_failure_carries_previous_opinion(self):
-        class FlakyAgent(Backend):
-            def __init__(self):
-                self.inner = ScriptedAgent()
-
+        class FlakyAgent(ScriptedAgent):
             def respond(self, case, agent_id, ctx):
                 if agent_id == "a4" and ctx.round >= 2:
                     raise AgentError("boom")
-                return self.inner.respond(case, agent_id, ctx)
+                return super().respond(case, agent_id, ctx)
 
         rows = {
             "a1": [("A", "alpha words", 0.8), ("A", "alpha words", 0.8)],
@@ -469,10 +465,11 @@ def model_server():
 
 
 def model_backends(url, n, retries, timeout=5.0):
-    """agent-k posts to model-k."""
-    return {f"agent-{k}": ChatCompletionsAgent(BackendConfig(
-        kind="http", endpoint=url, model=f"model-{k}", retries=retries, backoff=0.001,
-        timeout=timeout)) for k in range(1, n + 1)}
+    """agent-k posts to model-k, all through one backend, as the CLI builds it."""
+    configs = {f"agent-{k}": BackendConfig(kind="http", endpoint=url, model=f"model-{k}",
+                                           retries=retries, backoff=0.001, timeout=timeout)
+               for k in range(1, n + 1)}
+    return dict.fromkeys(configs, ChatCompletionsAgent(configs))
 
 
 def thread_starters(monkeypatch):
@@ -545,31 +542,28 @@ class TestPipelinedDispatch:
         assert [op.answer for op in opinions_of(opinions)] == list("ABCDEF")
         assert _ModelHandler.seen == {f"model-{k}": 1 for k in range(1, 7)}
 
-    @pytest.mark.parametrize("shared", [False, True], ids=["per-agent", "shared"])
-    def test_round_one_rejection_closes_every_unread_request(self, model_server, monkeypatch,
-                                                             shared):
+    def test_round_one_rejection_closes_every_unread_request(self, model_server, monkeypatch):
         _ModelHandler.failing = {"model-1": (1, 400)}
         backends = model_backends(model_server, 4, retries=2)
-        if shared:  # one backend, so Backend.respond_round stops at the failure
-            backends = dict.fromkeys(backends, backends["agent-1"])
-        pool, sent = agents._http_pool(model_server), []
-        send = pool.send
+        pool, sent, read = agents._http_pool(model_server), [], []
+        send, receive = pool.send, pool.receive
 
         def recording(*args):
             sent.append(send(*args))
             return sent[-1]
 
         monkeypatch.setattr(pool, "send", recording)
+        monkeypatch.setattr(pool, "receive", lambda conn: read.append(conn) or receive(conn))
         with pytest.raises(AgentError, match="endpoint rejected the request: HTTP 400"):
             _dispatch(_backend_calls(backends), self.CASE, no_delegates(1, *backends))
-        # every request went out before the first reply was read, none again
-        assert len(sent) == 4
+        # every request went out before the first reply was read, none again,
+        # and no reply was read after the rejected one
+        assert len(sent) == 4 and read == sent[:1]
         assert all(conn.sock is None for conn in sent) and pool._idle == []
         deadline = time.monotonic() + 5
         while sum(_ModelHandler.seen.values()) < 4 and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert _ModelHandler.seen == ({"model-1": 4} if shared
-                                      else {f"model-{k}": 1 for k in range(1, 5)})
+        assert _ModelHandler.seen == {f"model-{k}": 1 for k in range(1, 5)}
 
 
 class TestRoundContext:

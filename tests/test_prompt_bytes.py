@@ -1,7 +1,7 @@
 """The bytes of every chat-completions request a run sends, pinned.
 
-Seeded cases run through `run_case` with one `ChatCompletionsAgent` per
-agent, in both prompt styles. Each agent sends to an in-process pool whose
+Seeded cases run through `run_case` with one `ChatCompletionsAgent` for
+all agents, each agent with its own model, in both prompt styles. Each agent sends to an in-process pool whose
 reply is a function of sha256(request body), so a changed prompt changes
 the replies, the rounds after it and the pinned digest of the sorted bodies.
 """
@@ -20,6 +20,7 @@ from belief_consensus.orchestrator import run_case
 WORDS = {a: [f"{a.lower()}{w}" for w in ("lpha", "rc", "xis", "nchor", "pex")] for a in "ABCD"}
 COLLABORATE_ASK = "Judging which solutions are trustable"
 LEADER_ASK = "Judging which solutions can lead the trend of thought"
+ENDPOINT = "http://127.0.0.1:9/v1/chat/completions"
 
 
 class ReplyPool:
@@ -66,12 +67,13 @@ def test_request_bodies_are_pinned():
     for style in PROMPT_STYLES:
         for seed in range(4):
             for n, mixed in ((5, False), (7, True)):
-                backends = {}
-                for i in range(n):  # one model per agent, so round-1 bodies differ
-                    agent = backends[f"agent-{i}"] = ChatCompletionsAgent(BackendConfig(
-                        kind="http", endpoint="http://127.0.0.1:9/v1/chat/completions",
-                        model=f"model-{i}", prompt_style=style))
-                    agent.pool = pool
+                # one model per agent, so round-1 bodies differ
+                configs = {f"agent-{i}": BackendConfig(kind="http", endpoint=ENDPOINT,
+                                                       model=f"model-{i}", prompt_style=style)
+                           for i in range(n)}
+                agent = ChatCompletionsAgent(configs)
+                agent.pools[ENDPOINT] = pool
+                backends = dict.fromkeys(configs, agent)
                 case = ScenarioCase(f"pin-{seed}-{n}", questions[seed % 2], "A")
                 run = RunConfig(n=n, max_rounds=4, seed=seed, n_leaders=2,
                                 mixed_delegates=mixed)

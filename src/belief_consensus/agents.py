@@ -8,8 +8,9 @@ opinions as the round's columns and the agents that failed. A case has one
 backend per kind. The round's one context holds each agent's delegates as
 (agent id, tag) pairs, the map coordination returned, and the previous
 round's columns, whose rows the backends read: no Opinion is made for a
-collaborator. The stochastic backend draws the generators of all rounds of a
-case as one batch and decides their draws there. The scripted and HTTP
+collaborator. The stochastic backend reads a case's draws, of all its rounds
+and decided both ways a round can read them, from one block, which `run`
+draws ahead for all its cases in a few batches. The scripted and HTTP
 backends answer one agent at a time with respond(case, agent_id, ctx) ->
 Opinion, and the HTTP backend sends every agent's first attempt before it
 reads the first reply. A backend must never fabricate a belief: the HTTP
@@ -44,8 +45,8 @@ from belief_consensus.core import (
     checked,
     stable_hash,
 )
-from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _bounded_draws, _doubles, _frozen,
-                                    _pcg64_raw, _uint32_words)
+from belief_consensus.pcg64 import (ROUNDS_PER_PASS, _bounded_draws, _doubles, _frozen, _passes,
+                                    _pcg64_raw, _uint32_words, take_ahead)
 
 ADVERSARIAL_EPS = 1e-9
 _STREAM_OUTPUTS = 3  # random(), one bounded draw and uniform(); more only on a rejection
@@ -285,11 +286,13 @@ class StochasticAgent(Backend):
     highest-belief collaborator's answer with fixed probability when
     collaborators are present. Fully determined by (seed, case, agent, round):
     each agent's draws are those of `np.random.default_rng(SeedSequence([seed,
-    crc(case), crc(agent), round]))`. The first call for a case computes them
-    for its agents and every round from its own up to `rounds` (the case's
-    round limit, at most ROUNDS_PER_PASS rounds) at once, under both ways a
-    round can read them, with collaborators and without; later rounds of the
-    case pick each agent's from its slice.
+    crc(case), crc(agent), round]))`. A case's agents read them from a block
+    that holds every round from its first up to `rounds` (the case's round
+    limit, at most ROUNDS_PER_PASS rounds), decided both ways a round can read
+    them, with collaborators and without. `run` draws each case's first block
+    ahead (`draw_ahead`); a call that finds no block for its round draws one
+    for its case alone, from that round on, and later rounds of the case pick
+    each agent's from its slice.
     """
 
     def __init__(self, seed: int, candidates: Sequence[str] = ("A", "B", "C", "D"),
@@ -302,36 +305,67 @@ class StochasticAgent(Backend):
         # whole, so a backend shared by threads reads one block per call
         self._block = None
 
+    def _table_key(self, key: tuple[str, tuple[str, ...]]) -> tuple:
+        """The `pcg64.drawn_ahead` key of the first block of a (case id,
+        agent ids) pair: every value its draws are a function of."""
+        return "stochastic", self.seed, self.candidates, self.adopt_prob, self.rounds, key
+
+    def draw_ahead(self, cases: Sequence[tuple[str, Sequence[str]]]) -> dict:
+        """The `pcg64.drawn_ahead` entries of the first block of each (case
+        id, sorted agent ids) pair, drawn together."""
+        keys = [(case_id, tuple(agent_ids)) for case_id, agent_ids in cases]
+        return {self._table_key(key): block for key, block in zip(keys, self._blocks(keys, 1))}
+
     def _round_streams(self, case_id: str, agent_ids: Sequence[str],
                        round_index: int) -> tuple[np.ndarray, np.ndarray]:
         """The agents' text ids and beliefs (2, m) in round `round_index`, row 0
         as an agent without collaborators draws them and row 1 as one with
         collaborators does, where text id n (the pool size) marks adoption and
-        -1 a draw from an empty pool. Sliced from the case's block; a round the
-        block does not cover computes a new one, from that round on.
-
-        Block column `(r - first round) * m + j` is agent j's generator in
-        round r. The block pass computes the generators' raw outputs and
-        decides both layouts from them, then keeps only the decisions: 32
-        bytes per agent-round.
-        """
+        -1 a draw from an empty pool. Sliced from the case's block: its own,
+        else the one drawn ahead, else a new one from that round on."""
         key, m = (case_id, tuple(agent_ids)), len(agent_ids)
         block = self._block
         if block is None or block[0] != key or round_index not in block[1]:
-            last = min(max(round_index, self.rounds), round_index + ROUNDS_PER_PASS - 1)
-            rounds = range(round_index, last + 1)
-            round_words = np.array([_uint32_words(r) for r in rounds], np.uint32).T
-            entropy = _uint32_words(self.seed) + [stable_hash(case_id)]
-            words = np.empty((len(entropy) + 1 + len(round_words), len(rounds) * m), np.uint32)
-            words[:len(entropy)] = np.array(entropy, np.uint32)[:, None]
-            words[len(entropy)] = np.tile(_crc32_row(key[1]), len(rounds))
-            words[len(entropy) + 1:] = np.repeat(round_words, m, axis=1)
-            text_ids, beliefs = self._decide(words, _pcg64_raw(words, _STREAM_OUTPUTS))
-            text_ids.flags.writeable = beliefs.flags.writeable = False
-            block = self._block = (key, rounds, text_ids, beliefs)
+            block = take_ahead(self._table_key(key))
+            if block is None or round_index not in block[1]:
+                block = self._blocks([key], round_index)[0]
+            self._block = block
         _, rounds, text_ids, beliefs = block
         at = slice((round_index - rounds.start) * m, (round_index - rounds.start + 1) * m)
         return text_ids[:, at], beliefs[:, at]
+
+    def _blocks(self, keys: Sequence[tuple[str, tuple[str, ...]]], first: int) -> list[tuple]:
+        """The blocks, as `_round_streams` keeps them, of the (case id, agent
+        ids) pairs `keys` from round `first` up to the round limit, at most
+        ROUNDS_PER_PASS rounds.
+
+        Block column `(r - first) * m + j` is agent j's generator in round r.
+        The pass computes the generators' raw outputs, COLUMNS_PER_PASS at a
+        time, and decides both layouts from them, then keeps only the
+        decisions: 32 bytes per agent-round.
+        """
+        last = min(max(first, self.rounds), first + ROUNDS_PER_PASS - 1)
+        rounds = range(first, last + 1)
+        round_words = np.array([_uint32_words(r) for r in rounds], np.uint32).T
+        entropy = _uint32_words(self.seed)
+        rows = {ids: (np.tile(_crc32_row(ids), len(rounds)),
+                      np.repeat(round_words, len(ids), axis=1)) for _, ids in keys}
+        widths = [len(rounds) * len(ids) for _, ids in keys]
+        columns = sum(widths)
+        words = np.empty((len(entropy) + 2 + len(round_words), columns), np.uint32)
+        words[:len(entropy)] = np.array(entropy, np.uint32)[:, None]
+        words[len(entropy)] = np.repeat([stable_hash(case_id) for case_id, _ in keys], widths)
+        words[len(entropy) + 1] = np.concatenate([rows[ids][0] for _, ids in keys])
+        words[len(entropy) + 2:] = np.concatenate([rows[ids][1] for _, ids in keys], axis=1)
+        text_ids, beliefs = np.empty((2, columns), np.intp), np.empty((2, columns))
+        for cols in _passes(columns):
+            part = words[:, cols]
+            text_ids[:, cols], beliefs[:, cols] = self._decide(
+                part, _pcg64_raw(part, _STREAM_OUTPUTS))
+        text_ids.flags.writeable = beliefs.flags.writeable = False
+        ends = np.cumsum(widths)[:-1]
+        return [(key, rounds, *block) for key, *block in zip(
+            keys, np.split(text_ids, ends, axis=1), np.split(beliefs, ends, axis=1))]
 
     def _decide(self, words: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Text ids and beliefs (2, columns) of the generators of a raw block

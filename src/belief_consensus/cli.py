@@ -12,11 +12,11 @@ a flag does; an empty one is an error. `simulate` runs the checks of
 `verification.CHECKS` on the one `SimulateConfig` its section builds. `run`
 and `simulate` make their output directories before any work, `metrics`
 once every results file has been read; the effective configuration heads
-every output file. Exit codes: 0 success, 1 a
-`ConfigError` or a failed dynamics property, 2 a `DatasetError` (unreadable
-dataset or results file), 3 a run in which one or more cases raised (the
-other cases' outputs are written, and each failed case is a
-`{"case_id", "error"}` row of results.jsonl).
+every output file. Exit codes: 0 success, 1 a `ConfigError` (a usage error
+of the command line included) or a failed dynamics property, 2 a
+`DatasetError` (unreadable dataset or results file), 3 a run in which one or
+more cases raised (the other cases' outputs are written, and each failed
+case is a `{"case_id", "error"}` row of results.jsonl).
 `main` alone prints the two errors and maps them to their codes.
 """
 
@@ -45,10 +45,12 @@ from belief_consensus.metrics import (
 from belief_consensus.orchestrator import (
     CaseFailure,
     RunReport,
+    cluster_draws_ahead,
     rounds_to_csv,
     run_case,
     write_results_jsonl,
 )
+from belief_consensus.pcg64 import drawn_ahead
 from belief_consensus.verification import CHECKS, SimulateConfig
 
 EXIT_OK = 0
@@ -176,18 +178,44 @@ def _agent_ids(case: ScenarioCase, cfg: RunConfig, backend_cfg: BackendConfig) -
     return _unscripted_ids(cfg.n)
 
 
-def _build_backends(ids, backend_cfg: BackendConfig, per_agent: dict, cfg: RunConfig):
-    """One backend per kind for the agents `ids`, each of which has its
-    `backends` entry's config or else `backend_cfg`."""
+def _configs_by_kind(ids, backend_cfg: BackendConfig,
+                     per_agent: dict) -> dict[str, dict[str, BackendConfig]]:
+    """The agents `ids` by backend kind, each with its `backends` entry's
+    config or else `backend_cfg`."""
     kinds: dict[str, dict[str, BackendConfig]] = {}
     for aid in ids:
         agent_cfg = per_agent.get(aid, backend_cfg)
         kinds.setdefault(agent_cfg.kind, {})[aid] = agent_cfg
+    return kinds
+
+
+def _build_backends(ids, backend_cfg: BackendConfig, per_agent: dict, cfg: RunConfig):
+    """One backend per kind for the agents `ids` (see `_configs_by_kind`)."""
     backends = {}
-    for kind, configs in kinds.items():
+    for kind, configs in _configs_by_kind(ids, backend_cfg, per_agent).items():
         backends.update(dict.fromkeys(configs, make_backend(kind, configs, cfg.seed,
                                                             cfg.max_rounds)))
     return backends
+
+
+def _draw_ahead(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: dict) -> dict:
+    """The `pcg64.drawn_ahead` entries of the run: every case's k-means
+    restart draws and its stochastic agents' first block. A case whose agents
+    cannot be named gets no block; its `run_case` call fails alone."""
+    stochastic = []
+    for case in cases:
+        try:
+            ids = _agent_ids(case, cfg, backend_cfg)
+        except ValueError:
+            continue
+        ids = sorted(_configs_by_kind(ids, backend_cfg, per_agent).get("stochastic", ()))
+        if ids:
+            stochastic.append((case.case_id, ids))
+    entries = cluster_draws_ahead(cases, cfg)
+    if stochastic:
+        entries.update(make_backend("stochastic", {}, cfg.seed, cfg.max_rounds).draw_ahead(
+            stochastic))
+    return entries
 
 
 def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: dict,
@@ -200,13 +228,15 @@ def _execute_run(cases, cfg: RunConfig, backend_cfg: BackendConfig, per_agent: d
         except Exception as exc:  # per-case failures are recorded, not fatal
             return CaseFailure(case.case_id, str(exc))
 
-    # jobs 1 stays on the calling thread: bench/calibrate.py counts only the
-    # main thread's CPU time
-    if jobs == 1:
-        outcomes = [one_case(case) for case in cases]  # in dataset order
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one_case, cases))
+    # every case's draws are made before the first case, on the calling
+    # thread; jobs 1 runs the cases there too, as bench/calibrate.py counts
+    # only the main thread's CPU time
+    with drawn_ahead(_draw_ahead(cases, cfg, backend_cfg, per_agent)):
+        if jobs == 1:
+            outcomes = [one_case(case) for case in cases]  # in dataset order
+        else:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                outcomes = list(pool.map(one_case, cases))
     reports = [o for o in outcomes if isinstance(o, RunReport)]
     errors = [o for o in outcomes if isinstance(o, CaseFailure)]
 
@@ -366,8 +396,17 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors (a bad flag value, an unknown flag, no
+    command) raise ConfigError, which `main` maps to its exit code, rather
+    than exiting 2, the code of a dataset error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="belief-consensus",
         description="Belief-calibrated consensus runs, dynamics verification, metrics.",
     )
@@ -403,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,9 +33,9 @@ from belief_consensus.coordination import (
     select_leaders,
 )
 from belief_consensus.core import RoundColumns, RunConfig, ScenarioCase, stable_hash
-from belief_consensus.grouping import OpinionGroup, _restart_draws, build_groups
+from belief_consensus.grouping import KMEANS_N_INIT, OpinionGroup, _restart_draws, build_groups
 from belief_consensus.judgment import FULL, PARTIAL, ConsensusVerdict, judge_consensus
-from belief_consensus.pcg64 import ROUNDS_PER_PASS, _state_words
+from belief_consensus.pcg64 import ROUNDS_PER_PASS, _passes, _state_words, take_ahead
 
 TERMINATED_FULL = "FullConsensus"
 TERMINATED_MAX_ROUNDS = "MaxRounds"
@@ -128,18 +128,40 @@ def _dispatch(
     return RoundColumns.join(parts), tuple(sorted(failed))
 
 
-def _cluster_draws(case: ScenarioCase, cfg: RunConfig, rounds: range) -> np.ndarray:
-    """The k-means restart draws of `rounds`, (k, len(rounds), KMEANS_N_INIT).
+def _cluster_key(case_id: str, cfg: RunConfig, rounds: range) -> tuple:
+    """The `pcg64.drawn_ahead` key of a case's k-means restart draws of `rounds`."""
+    return "kmeans", cfg.seed & 0x7FFFFFFF, cfg.n_clusters, case_id, rounds
 
-    Round r clusters from the seed `SeedSequence([seed & 0x7FFFFFFF,
-    crc(case), r]).generate_state(1)[0]`; the seeds of all the rounds, then
-    their restart draws, are each derived in one pass.
+
+def _cluster_draws(cases: Sequence[ScenarioCase], cfg: RunConfig,
+                   rounds: range) -> list[np.ndarray]:
+    """Each case's k-means restart draws of `rounds`, (k, len(rounds),
+    KMEANS_N_INIT).
+
+    Round r of a case clusters from the seed `SeedSequence([seed & 0x7FFFFFFF,
+    crc(case), r]).generate_state(1)[0]`; the seeds of all the cases' rounds,
+    then their restart draws, are derived in passes of COLUMNS_PER_PASS
+    generators.
     """
-    entropy = np.empty((3, len(rounds)), np.uint32)
+    entropy = np.empty((3, len(cases), len(rounds)), np.uint32)
     entropy[0] = cfg.seed & 0x7FFFFFFF
-    entropy[1] = stable_hash(case.case_id)
+    entropy[1] = np.array([stable_hash(case.case_id) for case in cases], np.uint32)[:, None]
     entropy[2] = rounds
-    return _restart_draws(_state_words(entropy)[0].tolist(), cfg.n_clusters)
+    entropy = entropy.reshape(3, -1)
+    seeds = [seed for cols in _passes(entropy.shape[1])
+             for seed in _state_words(entropy[:, cols])[0].tolist()]
+    draws = np.empty((cfg.n_clusters, len(seeds), KMEANS_N_INIT))
+    for cols in _passes(len(seeds), KMEANS_N_INIT):
+        draws[:, cols] = _restart_draws(seeds[cols], cfg.n_clusters)
+    return list(draws.reshape(cfg.n_clusters, len(cases), len(rounds), -1).swapaxes(0, 1))
+
+
+def cluster_draws_ahead(cases: Sequence[ScenarioCase], cfg: RunConfig) -> dict:
+    """The `pcg64.drawn_ahead` entries of every case's k-means restart draws
+    of its first ROUNDS_PER_PASS rounds, drawn together."""
+    rounds = range(1, min(1 + ROUNDS_PER_PASS, cfg.max_rounds + 1))
+    return {_cluster_key(case.case_id, cfg, rounds): draws
+            for case, draws in zip(cases, _cluster_draws(cases, cfg, rounds))}
 
 
 def run_case(
@@ -163,7 +185,9 @@ def run_case(
     for round_index in range(1, cfg.max_rounds + 1):
         if round_index not in drawn:
             drawn = range(round_index, min(round_index + ROUNDS_PER_PASS, cfg.max_rounds + 1))
-            cluster_draws = _cluster_draws(case, cfg, drawn)
+            cluster_draws = take_ahead(_cluster_key(case.case_id, cfg, drawn))
+            if cluster_draws is None:
+                cluster_draws = _cluster_draws([case], cfg, drawn)[0]
         opinions, carried = _dispatch(calls, case, RoundContext(round_index, delegates, opinions))
         victim = None
         if cfg.adversarial_noise:

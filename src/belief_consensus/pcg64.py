@@ -2,15 +2,18 @@
 
 A generator seeded from `SeedSequence(words)` is a pure function of its
 entropy words, and numpy seeds and steps it with fixed integer arithmetic, so
-many generators are computed together as array operations, bit for bit. The
-stochastic backend draws every round of a case for its agents this way, and
-the protocol loop the k-means++ picks of all restarts of all rounds of a case.
+many generators are computed together as array operations, bit for bit.
+Before its first case a `run` draws this way, for every case, the stochastic
+backend's draws of its agents and the k-means++ picks of all restarts, for
+the first ROUNDS_PER_PASS rounds, and holds them in the table `drawn_ahead`
+fills; a case that reads past them, or runs outside a `run`, draws its own.
 The property checks of `verification` draw all seeds of a check in one pass:
 uniform initial states, and the conflict check's agent counts and the leader
 check's leader sets through `_bounded_draws`, the bounded draw of numpy's
 `Generator.integers` and `choice`.
 """
 
+import contextlib
 import functools
 import operator
 
@@ -24,10 +27,15 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# A case's draws are made for at most this many rounds in one pass: a case
-# can stop at consensus long before its round limit, and a pass costs time
-# and memory in proportion to the rounds it covers.
+# A case's draws are made for at most this many rounds at a time: a case can
+# stop at consensus long before its round limit, and drawing costs time and
+# memory in proportion to the rounds it covers.
 ROUNDS_PER_PASS = 16
+# One array pass draws at most this many generators, a multiple of the
+# k-means restarts. Drawing ahead the first 5 rounds of 24 cases of 200
+# agents took ~9 ms in passes of 4,000 and ~13 ms in passes of 1,000 or of
+# 8,000 and more, whose arrays outgrow the cache (2-CPU x86 host).
+COLUMNS_PER_PASS = 4000
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -211,3 +219,32 @@ def _bounded_draws(raw: np.ndarray, words: np.ndarray, half: np.ndarray, bound: 
         half[cols] += 1
         cols = cols[(product & _LOW32) < threshold]
     return draws, raw
+
+
+def _passes(total: int, width: int = 1) -> list[slice]:
+    """Consecutive slices of `total` items of `width` generators each, each
+    slice at most COLUMNS_PER_PASS generators (one item at least)."""
+    step = max(COLUMNS_PER_PASS // width, 1)
+    return [slice(start, start + step) for start in range(0, total, step)]
+
+
+# The draws a run made before its first case, by a key that holds every value
+# they are a function of, so an entry is the bytes its reader would draw
+# itself; a reader takes its entry out, and finding none draws its own.
+_ahead: dict = {}
+
+
+@contextlib.contextmanager
+def drawn_ahead(entries: dict):
+    """The table holds `entries` for the duration of the with block."""
+    _ahead.update(entries)
+    try:
+        yield
+    finally:
+        for key in entries:
+            _ahead.pop(key, None)
+
+
+def take_ahead(key):
+    """The entry of `key` that `drawn_ahead` holds, taken out, or None."""
+    return _ahead.pop(key, None)

@@ -239,6 +239,9 @@ CORPUS_CSV_DIGEST = "ab004a1ffec26a3794e09d30bd178a0701d170753156e8668dab03b905b
 STOCHASTIC_N200_CSV_DIGEST = "90ea178760f4bc8e21b3ce2b50c0ff21918c9735e211e33c813da341d0b7b4fa"
 NOISE_MIXED_DIGEST = "d028509a20409b468364d51cbb6e3055c695953d84b98096a471962df04b4355"
 NOISE_MIXED_CSV_DIGEST = "e2794b5c2e3766b9913a09d7daef74dc3866d04d90c436d0638c7bdfa73b8ce8"
+# taken while each case still drew its own stochastic and k-means draws
+STOCHASTIC_N7_DIGEST = "5f4b80231c54596f6b5b164a8b1e160ebd3bb483ebc1ce0e7b02536afdc4c306"
+STOCHASTIC_N7_CSV_DIGEST = "4d5385b4ad3dcda421ff24adacb6a8a06eb03e596b986136103386e551415b3f"
 
 
 class TestPinnedResults:
@@ -291,6 +294,25 @@ class TestPinnedResults:
         digest = rounds_csv_digest(out)
         report("noise and mixed delegates rounds.csv pinned",
                digest == NOISE_MIXED_CSV_DIGEST, digest)
+
+    def test_stochastic_n7_two_word_seed_digest(self, tmp_path):
+        # 300 question-only cases of 7 agents and up to 20 rounds, more than
+        # one pass of rounds covers, under a seed of two 32-bit words: the
+        # run draws its cases ahead in several passes, and rounds 17-20 of the
+        # 108 cases that reach them draw their own
+        dataset = tmp_path / "n7.json"
+        dataset.write_text(json.dumps({"cases": [
+            {"case_id": f"n7-q{i}", "question": f"Item {i}: which option fits?",
+             "ground_truth": "ABCD"[i % 4]} for i in range(300)]}))
+        out = tmp_path / "out"
+        rc = main(["run", "--dataset", str(dataset), "--seed", str(2**32 + 5),
+                   "--backend", "stochastic", "--agents", "7", "--max-rounds", "20",
+                   "--out", str(out)])
+        assert rc == 0
+        digest = case_lines_digest(out)
+        report("stochastic n=7 results pinned", digest == STOCHASTIC_N7_DIGEST, digest)
+        digest = rounds_csv_digest(out)
+        report("stochastic n=7 rounds.csv pinned", digest == STOCHASTIC_N7_CSV_DIGEST, digest)
 
 
 # taken with the leader rule as its own dynamics mode, before a topology

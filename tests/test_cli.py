@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 import socket
 from pathlib import Path
@@ -7,10 +8,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from belief_consensus import cli, verification
+from belief_consensus import agents, cli, grouping, verification
 from belief_consensus.agents import BackendConfig
 from belief_consensus.cli import _build_backends, main
 from belief_consensus.core import RunConfig
+from belief_consensus.grouping import KMEANS_N_INIT
+from belief_consensus.pcg64 import COLUMNS_PER_PASS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -210,6 +213,18 @@ class TestCmdRun:
         cfg = write_config(tmp_path, tmp_path / "nope.json")
         assert main(["run", "--config", str(cfg), "--dataset", str(corpus_path)]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--agents", "seven"], ["run", "--seed", "1.5"], ["run", "--jobs", "x"],
+        ["run", "--max-rounds", ""], ["run", "--no-such-flag"], ["run", "--backend", "gpt"],
+        ["metrics", "results.jsonl", "--agents", "seven"], [],
+    ], ids=["agents", "seed", "jobs", "max-rounds", "unknown-flag", "backend", "metrics-agents",
+            "no-command"])
+    def test_usage_error_is_a_config_error(self, capsys, argv):
+        # argparse exited 2, the code of a dataset error, before any config was read
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
     def test_invalid_config_exits_1(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("run: [this is a list, not a mapping\n")
@@ -332,6 +347,29 @@ class TestCmdRun:
         _, rows1 = read_results(tmp_path / "s1")
         _, rows2 = read_results(tmp_path / "s2")
         assert rows1 == rows2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_run_draws_its_cases_in_passes(self, tmp_path, monkeypatch, jobs):
+        # 100 cases of 7 stochastic agents and 5 rounds: before its first
+        # case the run draws every case's block (3,500 generators) and its
+        # k-means restarts (5,000) in passes of COLUMNS_PER_PASS, not two
+        # passes a case, and no case draws its own, on the pool's threads too
+        passes = {"stochastic": [], "kmeans": []}
+        for module, kind in ((agents, "stochastic"), (grouping, "kmeans")):
+            def counted(words, k, real=module._pcg64_raw, sizes=passes[kind]):
+                sizes.append(words.shape[1])
+                return real(words, k)
+            monkeypatch.setattr(module, "_pcg64_raw", counted)
+        dataset = tmp_path / "n7.json"
+        dataset.write_text(json.dumps({"cases": [
+            {"case_id": f"q{i}", "question": "q", "ground_truth": "A"} for i in range(100)]}))
+        assert main(["run", "--dataset", str(dataset), "--backend", "stochastic",
+                     "--agents", "7", "--max-rounds", "5", "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 0
+        for kind, columns in (("stochastic", 100 * 5 * 7), ("kmeans", 100 * 5 * KMEANS_N_INIT)):
+            assert sum(passes[kind]) == columns
+            assert len(passes[kind]) == math.ceil(columns / COLUMNS_PER_PASS) == 1 + (
+                kind == "kmeans")
 
     def test_stochastic_backends_draw_up_to_the_round_limit(self):
         # each stochastic backend draws its cases' rounds 1..max_rounds at once
